@@ -15,6 +15,9 @@
 package ch
 
 import (
+	"cmp"
+	"slices"
+	"sync"
 	"time"
 
 	"roadnet/internal/graph"
@@ -48,7 +51,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Hierarchy is a built contraction hierarchy. It is immutable after Build
-// and safe for concurrent queries through per-goroutine Searchers.
+// and safe for concurrent queries through per-goroutine Searchers. It holds
+// a sync.Pool and must not be copied.
 type Hierarchy struct {
 	g    *graph.Graph
 	rank []int32 // rank[v] = position of v in the contraction order
@@ -70,6 +74,10 @@ type Hierarchy struct {
 
 	numShortcuts int
 	buildTime    time.Duration
+
+	// m2mPool recycles many-to-many scratch state (*m2mScratch), one per
+	// concurrently running batch.
+	m2mPool sync.Pool
 }
 
 type pairKey struct{ u, v graph.VertexID }
@@ -193,44 +201,36 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		}
 	}
 
-	// Build the upward CSR and unpacking map from the minimal edge set:
-	// collapse duplicates, keeping minimum weight.
-	best := make(map[pairKey]finalEdge, len(finalEdges))
-	for _, e := range finalEdges {
-		k := orderedKey(e.u, e.v)
-		if old, ok := best[k]; !ok || e.w < old.w {
-			best[k] = e
+	// Build the upward CSR and unpacking map from the minimal edge set.
+	// Orient every edge from its lower-ranked endpoint and sort by (tail,
+	// head, weight): the first edge of each (tail, head) run is the one to
+	// keep, and the survivors already are the CSR, in an arc order that
+	// depends on the graph alone. The sort is stable, so among equal
+	// weights the edge inserted first wins.
+	for i := range finalEdges {
+		if e := &finalEdges[i]; h.rank[e.u] > h.rank[e.v] {
+			e.u, e.v = e.v, e.u
 		}
 	}
-	degUp := make([]int32, n)
-	for k := range best {
-		lowFirst := k.u
-		if h.rank[k.u] > h.rank[k.v] {
-			lowFirst = k.v
-		}
-		degUp[lowFirst]++
-	}
+	slices.SortStableFunc(finalEdges, func(a, b finalEdge) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
+	})
+	finalEdges = slices.CompactFunc(finalEdges, func(a, b finalEdge) bool {
+		return a.u == b.u && a.v == b.v
+	})
 	h.firstUp = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		h.firstUp[v+1] = h.firstUp[v] + degUp[v]
+	h.upHead = make([]int32, len(finalEdges))
+	h.upWeight = make([]int32, len(finalEdges))
+	h.upMiddle = make([]int32, len(finalEdges))
+	for i, e := range finalEdges {
+		h.firstUp[e.u+1]++
+		h.upHead[i] = e.v
+		h.upWeight[i] = e.w
+		h.upMiddle[i] = e.middle
+		h.unpack[orderedKey(e.u, e.v)] = e.middle
 	}
-	total := h.firstUp[n]
-	h.upHead = make([]int32, total)
-	h.upWeight = make([]int32, total)
-	h.upMiddle = make([]int32, total)
-	next := make([]int32, n)
-	copy(next, h.firstUp[:n])
-	for k, e := range best {
-		lo, hi := k.u, k.v
-		if h.rank[lo] > h.rank[hi] {
-			lo, hi = hi, lo
-		}
-		a := next[lo]
-		next[lo]++
-		h.upHead[a] = hi
-		h.upWeight[a] = e.w
-		h.upMiddle[a] = e.middle
-		h.unpack[k] = e.middle
+	for v := 0; v < n; v++ {
+		h.firstUp[v+1] += h.firstUp[v]
 	}
 
 	h.buildTime = time.Since(start)

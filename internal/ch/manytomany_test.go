@@ -1,0 +1,361 @@
+package ch
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"roadnet/internal/cancel"
+	"roadnet/internal/dijkstra"
+	"roadnet/internal/gen"
+	"roadnet/internal/geom"
+	"roadnet/internal/graph"
+	"roadnet/internal/testutil"
+)
+
+// messyGraph returns a seeded random graph made to be awkward for the
+// bucket algorithm: several components of different density, isolated
+// vertices, parallel edges of different weight and long runs of unit-weight
+// edges, which produce ties at every level of the hierarchy. (The graph
+// layer rejects weights below 1, so unit weights are as close to zero-weight
+// edges as a graph here gets; the strict '<' of the stall test is what they
+// exercise.)
+func messyGraph(seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(0)
+	components := 2 + rng.Intn(3)
+	for c := 0; c < components; c++ {
+		base := b.NumVertices()
+		size := 1 + rng.Intn(120)
+		maxWeight := 1
+		if rng.Intn(3) > 0 {
+			maxWeight = 1 + rng.Intn(40)
+		}
+		for i := 0; i < size; i++ {
+			b.AddVertex(geom.Point{X: int32(rng.Intn(1 << 12)), Y: int32(rng.Intn(1 << 12))})
+		}
+		edge := func(u, v int) {
+			if u != v {
+				_ = b.AddEdge(graph.VertexID(base+u), graph.VertexID(base+v), graph.Weight(1+rng.Intn(maxWeight)))
+			}
+		}
+		for v := 1; v < size; v++ {
+			edge(v, rng.Intn(v))
+		}
+		for i := rng.Intn(2 * size); i > 0; i-- {
+			u, v := rng.Intn(size), rng.Intn(size)
+			edge(u, v)
+			if rng.Intn(4) == 0 {
+				edge(v, u) // parallel edge, independently weighted
+			}
+		}
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		b.AddVertex(geom.Point{}) // isolated
+	}
+	return b.Build()
+}
+
+// randomVertices draws count vertex ids of an n-vertex graph, repeats
+// allowed.
+func randomVertices(rng *rand.Rand, n, count int) []graph.VertexID {
+	out := make([]graph.VertexID, count)
+	for i := range out {
+		out[i] = graph.VertexID(rng.Intn(n))
+	}
+	return out
+}
+
+// m2mShapes returns the endpoint-list shapes every implementation of the
+// bucket algorithm has to survive.
+func m2mShapes(rng *rand.Rand, n int) [][2][]graph.VertexID {
+	pick := func(count int) []graph.VertexID { return randomVertices(rng, n, count) }
+	many := 2 + rng.Intn(24)
+	same := pick(many)
+	dup := pick(many)
+	dup[len(dup)-1] = dup[0]
+	shared := pick(many)
+	overlap := pick(many)
+	overlap[rng.Intn(many)] = shared[rng.Intn(many)]
+	return [][2][]graph.VertexID{
+		{pick(1), pick(1)},
+		{pick(1), pick(many)},
+		{pick(many), pick(1)},
+		{pick(many), pick(3 * many)},
+		{dup, dup[:many/2+1]}, // duplicate ids within and across lists
+		{same, same},          // sources == targets
+		{shared, overlap},     // one vertex in both lists
+	}
+}
+
+// oracleTable answers the matrix with one plain Dijkstra per source.
+func oracleTable(g *graph.Graph, sources, targets []graph.VertexID) [][]int64 {
+	ctx := dijkstra.NewContext(g)
+	table := make([][]int64, len(sources))
+	for i, s := range sources {
+		ctx.Run([]graph.VertexID{s}, dijkstra.Options{})
+		table[i] = make([]int64, len(targets))
+		for j, t := range targets {
+			table[i][j] = ctx.Dist(t)
+		}
+	}
+	return table
+}
+
+// checkEach runs one streamed many-to-many through run and requires every
+// finite cell of want exactly once, with its value, and nothing else.
+func checkEach(t testing.TB, label string, want [][]int64, run func(fn func(si, ti int, d int64)) error) {
+	t.Helper()
+	seen := make(map[[2]int]int)
+	err := run(func(si, ti int, d int64) {
+		seen[[2]int{si, ti}]++
+		if d != want[si][ti] || d == graph.Infinity {
+			t.Errorf("%s: pair (%d, %d) reported %d, want %d", label, si, ti, d, want[si][ti])
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for si, row := range want {
+		for ti, d := range row {
+			wantCount := 1
+			if d == graph.Infinity {
+				wantCount = 0
+			}
+			if count := seen[[2]int{si, ti}]; count != wantCount {
+				t.Errorf("%s: pair (%d, %d), distance %d, reported %d times, want %d", label, si, ti, d, count, wantCount)
+			}
+		}
+	}
+}
+
+// TestManyToManyDifferential holds all three entry points to plain Dijkstra
+// over awkward graphs and shapes. Every shape of a graph also runs through
+// one scratch object in sequence, so a bucket, stamp or row cell that
+// outlives its call shows up in the next one whatever sync.Pool does.
+func TestManyToManyDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		g := messyGraph(seed)
+		h := Build(g, Options{})
+		n := g.NumVertices()
+		sc := newM2MScratch(n)
+		for i, shape := range m2mShapes(rand.New(rand.NewSource(seed)), n) {
+			sources, targets := shape[0], shape[1]
+			label := fmt.Sprintf("seed %d shape %d (%dx%d)", seed, i, len(sources), len(targets))
+			want := oracleTable(g, sources, targets)
+
+			table, err := h.ManyToManyContext(context.Background(), sources, targets)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for si := range want {
+				for ti := range want[si] {
+					if table[si][ti] != want[si][ti] {
+						t.Errorf("%s: table[%d][%d] = %d, want %d", label, si, ti, table[si][ti], want[si][ti])
+					}
+				}
+			}
+			checkEach(t, label+" each", want, func(fn func(si, ti int, d int64)) error {
+				h.ManyToManyEach(sources, targets, fn)
+				return nil
+			})
+			checkEach(t, label+" one scratch", want, func(fn func(si, ti int, d int64)) error {
+				return sc.run(context.Background(), h, sources, targets, fn)
+			})
+		}
+	}
+}
+
+// pollLimitedContext reports cancellation from the limit-th call of Err
+// onwards, i.e. from a chosen cancel.Poll of the batch.
+type pollLimitedContext struct {
+	context.Context
+	polls, limit int
+}
+
+func (c *pollLimitedContext) Err() error {
+	c.polls++
+	if c.polls >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestManyToManyCancelledScratchStaysValid cancels a batch at every poll it
+// makes — before any work, in the backward searches, in the forward
+// searches — and requires the same scratch to answer the next batch
+// correctly each time.
+func TestManyToManyCancelledScratchStaysValid(t *testing.T) {
+	g := testutil.SmallRoad(1200, 71)
+	h := Build(g, Options{})
+	rng := rand.New(rand.NewSource(72))
+	nodes := randomVertices(rng, g.NumVertices(), 40)
+	follow := m2mShapes(rng, g.NumVertices())[3]
+	want := oracleTable(g, follow[0], follow[1])
+	sc := newM2MScratch(g.NumVertices())
+	forwardCancels := 0
+	for limit := 1; ; limit++ {
+		ctx := &pollLimitedContext{Context: context.Background(), limit: limit}
+		emitted := false
+		err := sc.run(ctx, h, nodes, nodes, func(si, ti int, d int64) { emitted = true })
+		if err == nil {
+			if limit < 4 {
+				t.Fatalf("batch finished after %d polls; too small to be cancelled mid-way", limit)
+			}
+			break
+		}
+		if err != context.Canceled {
+			t.Fatalf("limit %d: error %v, want context.Canceled", limit, err)
+		}
+		if sc.totalSettled%cancel.Interval != 0 {
+			t.Fatalf("limit %d: cancelled after %d settles, not on a poll boundary", limit, sc.totalSettled)
+		}
+		if emitted {
+			forwardCancels++
+		}
+		checkEach(t, fmt.Sprintf("after cancel at poll %d", limit), want, func(fn func(si, ti int, d int64)) error {
+			return sc.run(context.Background(), h, follow[0], follow[1], fn)
+		})
+	}
+	if forwardCancels == 0 {
+		t.Fatal("no cancellation fell into the forward phase")
+	}
+}
+
+// TestManyToManyGenerationWrap starts a batch just below the point where
+// the search stamp wraps, with the stamps of an earlier batch still in
+// place. The batches are built so that a missing clear on wrap shows: the
+// search stamped i before the wrap starts at a vertex whose neighbour is the
+// root of the search stamped i after it, so stale labels around the one
+// root would pass for labels of the other.
+func TestManyToManyGenerationWrap(t *testing.T) {
+	g := testutil.SmallRoad(600, 5)
+	h := Build(g, Options{})
+	rng := rand.New(rand.NewSource(6))
+	first := randomVertices(rng, g.NumVertices(), 20)
+	second := randomVertices(rng, g.NumVertices(), 3) // stamped up to MaxUint32
+	for _, v := range first {
+		lo, _ := g.ArcsOf(v)
+		second = append(second, g.Head(lo))
+	}
+	sources := randomVertices(rng, g.NumVertices(), 5)
+
+	sc := newM2MScratch(g.NumVertices())
+	check := func(label string, targets []graph.VertexID) {
+		t.Helper()
+		checkEach(t, label, oracleTable(g, sources, targets), func(fn func(si, ti int, d int64)) error {
+			return sc.run(context.Background(), h, sources, targets, fn)
+		})
+	}
+	check("before wrap", first)
+	sc.cur = math.MaxUint32 - 3
+	check("across wrap", second)
+	if sc.cur >= math.MaxUint32-3 {
+		t.Fatalf("stamp %d did not wrap", sc.cur)
+	}
+	check("after wrap", first)
+}
+
+// TestManyToManyConcurrent shares one hierarchy, and so one scratch pool,
+// between callers with different shapes; run it under -race.
+func TestManyToManyConcurrent(t *testing.T) {
+	g := testutil.SmallRoad(1500, 73)
+	h := Build(g, Options{})
+	shapes := m2mShapes(rand.New(rand.NewSource(74)), g.NumVertices())
+	wants := make([][][]int64, len(shapes))
+	for i, shape := range shapes {
+		wants[i] = oracleTable(g, shape[0], shape[1])
+	}
+	var wg sync.WaitGroup
+	for worker := 0; worker < 8; worker++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (worker + round) % len(shapes)
+				table := h.ManyToMany(shapes[i][0], shapes[i][1])
+				for si := range wants[i] {
+					for ti, want := range wants[i][si] {
+						if table[si][ti] != want {
+							t.Errorf("worker %d shape %d: table[%d][%d] = %d, want %d", worker, i, si, ti, table[si][ti], want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestManyToManyAllocs pins the steady-state cost of a 16×16 batch at its
+// result: the row headers and the one array behind them.
+func TestManyToManyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	g := testutil.SmallRoad(2000, 41)
+	h := Build(g, Options{})
+	nodes := randomVertices(rand.New(rand.NewSource(42)), g.NumVertices(), 32)
+	sources, targets := nodes[:16], nodes[16:]
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := h.ManyToManyContext(ctx, sources, targets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("steady-state ManyToManyContext(16x16) allocates %.0f times, want at most 2", allocs)
+	}
+}
+
+// TestManyToManyStallCount is a count gate in the manner of
+// knn_prune_ratio: over fixed roots on a fixed preset, the bucket deposits
+// one upward search makes must stay at or below half its unstalled search
+// space. The unstalled space is counted here, not by a switch in the
+// algorithm: an upward Dijkstra run to exhaustion settles exactly the
+// vertices reachable over upward arcs.
+func TestManyToManyStallCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CA hierarchy")
+	}
+	g, err := gen.GeneratePreset("CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Build(g, Options{})
+	roots := randomVertices(rand.New(rand.NewSource(7)), g.NumVertices(), 200)
+
+	sc := newM2MScratch(g.NumVertices())
+	if err := sc.run(context.Background(), h, roots[:1], roots, func(int, int, int64) {}); err != nil {
+		t.Fatal(err)
+	}
+	deposits := len(sc.deposits)
+
+	unstalled := 0
+	seen := make([]int32, g.NumVertices())
+	for i, root := range roots {
+		mark := int32(i + 1)
+		stack := []graph.VertexID{root}
+		seen[root] = mark
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			unstalled++
+			for a := h.firstUp[v]; a < h.firstUp[v+1]; a++ {
+				if w := h.upHead[a]; seen[w] != mark {
+					seen[w] = mark
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	t.Logf("per upward search: %.1f deposits, %.1f vertices unstalled",
+		float64(deposits)/float64(len(roots)), float64(unstalled)/float64(len(roots)))
+	if 2*deposits > unstalled {
+		t.Errorf("%d deposits for an unstalled search space of %d: stalling prunes less than half", deposits, unstalled)
+	}
+}

@@ -173,18 +173,8 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 		}
 		// Stall-on-demand: a shorter path to v through a higher-ranked
 		// neighbor proves v's outgoing arcs useless for shortest paths.
-		if !s.DisableStalling {
-			stalled := false
-			for a := h.firstUp[v]; a < h.firstUp[v+1]; a++ {
-				w := h.upHead[a]
-				if s.gen[side][w] == s.cur[side] && s.dist[side][w]+int64(h.upWeight[a]) < d {
-					stalled = true
-					break
-				}
-			}
-			if stalled {
-				continue
-			}
+		if !s.DisableStalling && h.stalled(v, d, s.dist[side], s.gen[side], s.cur[side]) {
+			continue
 		}
 		for a := h.firstUp[v]; a < h.firstUp[v+1]; a++ {
 			s.visit(side, h.upHead[a], d+int64(h.upWeight[a]), int32(v), a)
@@ -193,6 +183,19 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 	s.lastDist = best
 	s.lastMeet = meet
 	return nil
+}
+
+// stalled is the stall-on-demand test shared by the point-to-point and the
+// many-to-many upward searches: v, settled at label d, is stalled when some
+// reached upward neighbour w (gen[w] == cur) offers dist[w] + w(v, w) < d.
+// Arcs are symmetric, so the shorter path through w proves d inexact.
+func (h *Hierarchy) stalled(v graph.VertexID, d int64, dist []int64, gen []uint32, cur uint32) bool {
+	for a, hi := h.firstUp[v], h.firstUp[v+1]; a < hi; a++ {
+		if w := h.upHead[a]; gen[w] == cur && dist[w]+int64(h.upWeight[a]) < d {
+			return true
+		}
+	}
+	return false
 }
 
 // ShortestPath returns the exact shortest path in the original graph

@@ -299,9 +299,12 @@ func (p *Pool) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]
 // work is discarded and ctx's error returned. All paths return matrices
 // bit-identical to per-pair queries.
 //
-// Every batch — the CH many-to-many included, even though it brings its
-// own scratch state — holds one pool slot for its duration, so a bounded
-// pool's cap also bounds how many batch matrices are computed at once.
+// Every batch holds one pool slot for its duration, so a bounded pool's cap
+// also bounds how many batch matrices are computed at once. For the CH
+// many-to-many, which uses none of the searcher's state, that cap is what
+// bounds memory: its scratch lives in a sync.Pool on the ch.Hierarchy, one
+// object per batch in flight, and the garbage collector reclaims the idle
+// ones.
 func (p *Pool) BatchDistance(ctx context.Context, sources, targets []graph.VertexID) ([][]int64, error) {
 	sr, err := p.GetContext(ctx)
 	if err != nil {

@@ -9,18 +9,18 @@ import (
 )
 
 // benchPool builds a CH index and pool over a mid-size network.
-func benchPool(b *testing.B) (*Pool, [][2]graph.VertexID) {
-	b.Helper()
+func benchPool(tb testing.TB) (*Pool, [][2]graph.VertexID) {
+	tb.Helper()
 	g := testutil.SmallRoad(2000, 41)
 	idx, err := BuildIndex(MethodCH, g, Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return NewPool(idx), testutil.SamplePairs(g, 256, 53)
 }
 
 // BenchmarkPoolDistanceCH is the steady-state hot path of the concurrent
-// server: one pooled CH distance query. Run with -benchmem; it must report
+// server: one pooled CH distance query. TestPoolDistanceAllocs holds it to
 // 0 allocs/op once the pool is warm.
 func BenchmarkPoolDistanceCH(b *testing.B) {
 	pool, pairs := benchPool(b)
@@ -47,4 +47,23 @@ func BenchmarkPoolDistanceCHParallel(b *testing.B) {
 			pool.Distance(p[0], p[1])
 		}
 	})
+}
+
+// TestPoolDistanceAllocs pins the pooled CH distance query at zero
+// allocations in steady state.
+func TestPoolDistanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	pool, pairs := benchPool(t)
+	pool.Put(pool.Get()) // warm the pool
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p := pairs[i%len(pairs)]
+		i++
+		pool.Distance(p[0], p[1])
+	})
+	if allocs != 0 {
+		t.Errorf("pooled CH Distance allocates %.0f times per query, want 0", allocs)
+	}
 }
