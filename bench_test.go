@@ -172,7 +172,8 @@ func BenchmarkBuildSILC(b *testing.B) {
 }
 
 func BenchmarkBuildPCPD(b *testing.B) {
-	g := gen.Generate(gen.Params{N: 1000, Seed: 101})
+	g := gen.Generate(gen.Params{N: 2400, Seed: 102})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.BuildIndex(core.MethodPCPD, g, core.Config{}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/gen"
+	"roadnet/internal/pcpd"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 )
@@ -85,11 +86,19 @@ func TestClaimSILCAndPCPDPreprocessingHeavy(t *testing.T) {
 	chTime := e.indexes[core.MethodCH].Stats().BuildTime
 	silcTime := e.indexes[core.MethodSILC].Stats().BuildTime
 	pcpdTime := e.indexes[core.MethodPCPD].Stats().BuildTime
+	t.Logf("preprocessing: CH %v, SILC %v, PCPD %v", chTime, silcTime, pcpdTime)
 	if silcTime < chTime {
 		t.Errorf("§4.3: SILC preprocessing (%v) should exceed CH's (%v)", silcTime, chTime)
 	}
-	if pcpdTime < silcTime {
-		t.Errorf("§4.3/§4.7: PCPD preprocessing (%v) should exceed SILC's (%v)", pcpdTime, silcTime)
+	// SILC and PCPD run the same n Dijkstra sweeps; what differs is what
+	// each then has to produce, compared as a count and not on the clock:
+	// Morton intervals against decomposition-tree nodes.
+	intervals := core.SILCOf(e.indexes[core.MethodSILC]).NumIntervals()
+	// A PCPD index is its own searcher (core's pcpdIndex.NewSearcher).
+	nodes := e.indexes[core.MethodPCPD].NewSearcher().(*pcpd.Index).NumNodes()
+	t.Logf("%d PCPD tree nodes, %d SILC intervals", nodes, intervals)
+	if nodes < intervals {
+		t.Errorf("§4.3/§4.7: PCPD preprocessing should exceed SILC's: %d tree nodes against %d intervals", nodes, intervals)
 	}
 }
 

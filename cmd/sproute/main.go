@@ -33,7 +33,7 @@ func main() {
 		preset  = flag.String("preset", "", "Table 1 dataset preset name")
 		grPath  = flag.String("gr", "", "DIMACS .gr file")
 		coPath  = flag.String("co", "", "DIMACS .co file")
-		method  = flag.String("method", "ch", "technique: dijkstra, ch, tnr, silc, pcpd, alt")
+		method  = flag.String("method", "ch", "technique: dijkstra, ch, tnr, silc, pcpd, alt, arcflags")
 		source  = flag.Int("s", 0, "source vertex id")
 		target  = flag.Int("t", 1, "target vertex id")
 		path    = flag.Bool("path", false, "print the full vertex path")

@@ -7,10 +7,44 @@
 // element ψ — an edge, or a vertex that is interior to every covered path
 // (the interiority requirement guarantees strict progress of the query
 // recursion). The recursion follows Appendix D: a failing pair of squares
-// is split into 16 sub-pairs (or 4 when only one side is still divisible),
-// and the common-element test is a nested loop over the vertices of X and Y
-// that maintains the set of shared elements and aborts as soon as it
-// becomes empty.
+// is split into 16 sub-pairs (or 4 when only one side is still divisible).
+//
+// # The common-element test
+//
+// Appendix D's test intersects the paths of all vertex pairs of X × Y. The
+// ψ it yields is the first element of the first pair's canonical path, in
+// path order with edges before interior vertices, that lies on every other
+// pair's path. Build computes exactly that element without walking any
+// path but the first:
+//
+//   - Labels. For a fixed target t the canonical next hops form an in-tree
+//     rooted at t. Every such tree is numbered in preorder, pre[t][v] and
+//     end[t][v] (one past v's last descendant), so "v lies on the canonical
+//     path s→t" is pre[t][v] ≤ pre[t][s] < end[t][v], and "the path leaves
+//     v over edge e" adds one look at v's next hop toward t. Either
+//     membership check is O(1).
+//   - Witness order. The first pair's path is walked once; each of its
+//     elements, in the order above, is checked against the pair that its
+//     predecessor missed (neighbours on a path mostly leave the other paths
+//     together) and then against every pair, those farthest along the
+//     Z-order from the first pair first, until its first miss. The first
+//     element that never misses is ψ; if the first pair is unreachable the
+//     pair of squares is coherent (ψ = none) only when every pair is.
+//
+// ψ is unchanged because both procedures return the minimum, in the same
+// order, of the same set — the elements of the first path that lie on all
+// paths; only the order and the number of membership checks differ.
+//
+// # Build cost
+//
+// Build runs n Dijkstra sweeps for the first-hop matrix (n² B), labels the
+// n in-trees (4n² B: two uint16 per (target, vertex), hence n ≤ 65535) and
+// decomposes; all three stages run on Options.Workers goroutines, and the
+// tree does not depend on their scheduling. The matrix and the labels are
+// released before Build returns, so peak build memory is 5n² B plus the
+// tree (SizeBytes) — 29 MB + 60 MB at n = 2400, 2 GB at the default MaxN.
+//
+// # Queries
 //
 // A query retrieves the unique pair covering (s, t), splits the path at ψ,
 // and recurses — O(k) lookups for a path of k edges; a distance query
@@ -20,9 +54,11 @@ package pcpd
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roadnet/internal/cancel"
@@ -33,15 +69,23 @@ import (
 
 const noHop = 0xff
 
+// noLabel is pre[t][v] of a vertex with no path to t; its end is 0, so it
+// fails the membership check from either side.
+const noLabel = math.MaxUint16
+
 // Options configures Build.
 type Options struct {
-	// Bits is the quadtree resolution per axis (default 16).
+	// Bits is the quadtree resolution per axis (default and maximum 16).
 	Bits uint
 	// MaxN guards against accidental use on graphs whose first-hop matrix
-	// would not fit in memory (default 20000 vertices; the paper could not
-	// run PCPD beyond its four smallest datasets either).
+	// and path labels (5 B per vertex pair) would not fit in memory
+	// (default 20000 vertices; the paper could not run PCPD beyond its four
+	// smallest datasets either). Graphs above 65535 vertices are rejected
+	// whatever MaxN says.
 	MaxN int
-	// Workers bounds preprocessing parallelism (default GOMAXPROCS).
+	// Workers bounds the parallelism of all three preprocessing stages —
+	// the Dijkstra sweeps, the path labels and the decomposition (default
+	// GOMAXPROCS). The index does not depend on it.
 	Workers int
 }
 
@@ -78,19 +122,19 @@ type Index struct {
 	g    *graph.Graph
 	norm geom.Normalizer
 	code []uint32
-	// hop[s] is the first-hop adjacency slot from s toward each target
-	// (the all-pairs shortest-path knowledge of §3.5, kept in first-hop
-	// form; it is used during construction and released afterwards).
+	// edges[id] resolves an edge-valued ψ to its endpoints and weight.
 	edges []graph.Edge
 	root  *node
 
 	buildTime time.Duration
 	numPairs  int64 // leaves (path-coherent pairs), the paper's |Spcp|
 	numNodes  int64
+	checks    int64 // path-membership checks the build made
 }
 
 // Build constructs the PCPD index; it runs one Dijkstra per vertex to build
-// the first-hop matrix and then the recursive pair decomposition.
+// the first-hop matrix, labels the resulting in-trees and then runs the
+// recursive pair decomposition.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	start := time.Now()
 	n := g.NumVertices()
@@ -103,91 +147,152 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if n > opts.MaxN {
 		return nil, fmt.Errorf("pcpd: graph has %d vertices, above the MaxN guard %d", n, opts.MaxN)
 	}
+	if n > noLabel {
+		return nil, fmt.Errorf("pcpd: graph has %d vertices, path labels support at most %d", n, noLabel)
+	}
 	if d := g.MaxDegree(); d >= noHop {
 		return nil, fmt.Errorf("pcpd: max degree %d exceeds supported %d", d, noHop)
 	}
 	if opts.Bits == 0 {
 		opts.Bits = 16
 	}
+	if opts.Bits > 16 {
+		return nil, fmt.Errorf("pcpd: %d quadtree bits per axis, at most 16 supported", opts.Bits)
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
-	ix := &Index{
-		g:     g,
-		norm:  geom.NewNormalizer(g.Bounds(), opts.Bits),
-		code:  make([]uint32, n),
-		edges: g.EdgesByID(),
-	}
-	for v := 0; v < n; v++ {
-		ix.code[v] = uint32(ix.norm.Code(g.Coord(graph.VertexID(v))))
-	}
-
+	ix := newIndex(g, opts.Bits)
 	hop := buildFirstHops(g, opts.Workers)
-
-	order := make([]graph.VertexID, n)
-	for i := range order {
-		order[i] = graph.VertexID(i)
-	}
-	sort.Slice(order, func(i, j int) bool { return ix.code[order[i]] < ix.code[order[j]] })
-
-	d := &decomposer{
-		ix:        ix,
-		hop:       hop,
-		order:     order,
-		vertStamp: make([]uint32, n),
-		edgeStamp: make([]uint32, 2*g.NumEdges()),
-	}
-	span := uint64(ix.norm.CodeSpaceSize())
-	ix.root = d.decompose(quad{0, span, 0, n}, quad{0, span, 0, n})
+	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, opts.Workers), order: mortonOrder(ix.code)}
+	ix.root = sh.decomposeAll(quad{0, ix.norm.CodeSpaceSize(), 0, n}, opts.Workers)
 	ix.buildTime = time.Since(start)
 	return ix, nil
 }
 
-// buildFirstHops computes the first-hop matrix: hop[s][t] is the adjacency
-// slot of the first edge of the canonical shortest path s -> t.
-func buildFirstHops(g *graph.Graph, workers int) [][]uint8 {
-	n := g.NumVertices()
-	hop := make([][]uint8, n)
+// newIndex returns the index of g with everything but the tree.
+func newIndex(g *graph.Graph, bits uint) *Index {
+	ix := &Index{
+		g:     g,
+		norm:  geom.NewNormalizer(g.Bounds(), bits),
+		code:  make([]uint32, g.NumVertices()),
+		edges: g.EdgesByID(),
+	}
+	for v := range ix.code {
+		ix.code[v] = uint32(ix.norm.Code(g.Coord(graph.VertexID(v))))
+	}
+	return ix
+}
+
+// mortonOrder returns the vertices sorted by Morton code.
+func mortonOrder(code []uint32) []graph.VertexID {
+	order := make([]graph.VertexID, len(code))
+	for i := range order {
+		order[i] = graph.VertexID(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return code[order[i]] < code[order[j]] })
+	return order
+}
+
+// eachIndex calls fn(i) for every i in [0, n) from workers goroutines and
+// returns when all calls have; mk makes one goroutine's fn, so that fn can
+// own scratch.
+func eachIndex(workers, n int, mk func() func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	vch := make(chan graph.VertexID, workers*4)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := dijkstra.NewContext(g)
-			for v := range vch {
-				row := make([]uint8, n)
-				for i := range row {
-					row[i] = noHop
-				}
-				ctx.Run([]graph.VertexID{v}, dijkstra.Options{})
-				lo, hi := g.ArcsOf(v)
-				for _, u := range ctx.Settled() {
-					if u == v {
-						continue
-					}
-					if p := ctx.Parent(u); p == v {
-						for a := lo; a < hi; a++ {
-							if g.Head(a) == u && int64(g.ArcWeight(a)) == ctx.Dist(u) {
-								row[u] = uint8(a - lo)
-								break
-							}
-						}
-					} else {
-						row[u] = row[p]
-					}
-				}
-				hop[v] = row
+			fn := mk()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
-	for v := 0; v < n; v++ {
-		vch <- graph.VertexID(v)
-	}
-	close(vch)
 	wg.Wait()
+}
+
+// buildFirstHops computes the n × n first-hop matrix: hop[s*n+t] is the
+// adjacency slot of the first edge of the canonical shortest path s -> t.
+func buildFirstHops(g *graph.Graph, workers int) []uint8 {
+	n := g.NumVertices()
+	hop := make([]uint8, n*n)
+	eachIndex(workers, n, func() func(int) {
+		ctx := dijkstra.NewContext(g)
+		return func(i int) {
+			v := graph.VertexID(i)
+			row := hop[i*n : (i+1)*n]
+			for k := range row {
+				row[k] = noHop
+			}
+			ctx.Run([]graph.VertexID{v}, dijkstra.Options{})
+			lo, hi := g.ArcsOf(v)
+			for _, u := range ctx.Settled() {
+				if u == v {
+					continue
+				}
+				if p := ctx.Parent(u); p == v {
+					for a := lo; a < hi; a++ {
+						if g.Head(a) == u && int64(g.ArcWeight(a)) == ctx.Dist(u) {
+							row[u] = uint8(a - lo)
+							break
+						}
+					}
+				} else {
+					row[u] = row[p]
+				}
+			}
+		}
+	})
 	return hop
+}
+
+// buildLabels numbers, for every target t, the in-tree of canonical next
+// hops toward t in preorder: lab[(t*n+v)*2] is pre[t][v] and the element
+// after it end[t][v].
+func buildLabels(g *graph.Graph, hop []uint8, workers int) []uint16 {
+	n := g.NumVertices()
+	lab := make([]uint16, 2*n*n)
+	eachIndex(workers, n, func() func(int) {
+		// The children of p are the list child[p], sibling[child[p]], ...
+		child := make([]int32, n)
+		sibling := make([]int32, n)
+		stack := make([]int32, 0, 2*n)
+		return func(t int) {
+			row := lab[2*t*n : 2*(t+1)*n]
+			for v := range child {
+				child[v] = -1
+			}
+			for v := 0; v < n; v++ {
+				row[2*v], row[2*v+1] = noLabel, 0
+				if slot := hop[v*n+t]; slot != noHop {
+					lo, _ := g.ArcsOf(graph.VertexID(v))
+					p := g.Head(lo + int32(slot))
+					sibling[v], child[p] = child[p], int32(v)
+				}
+			}
+			// Depth-first from t; ^v on the stack closes v's subtree.
+			next := uint16(0)
+			stack = append(stack[:0], int32(t))
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if v < 0 {
+					row[2*^v+1] = next
+					continue
+				}
+				row[2*v] = next
+				next++
+				stack = append(stack, ^v)
+				for c := child[v]; c >= 0; c = sibling[c] {
+					stack = append(stack, c)
+				}
+			}
+		}
+	})
+	return lab
 }
 
 // quad is an aligned Morton-code square together with the range of sorted
@@ -200,46 +305,116 @@ type quad struct {
 func (q quad) empty() bool      { return q.idxLo >= q.idxHi }
 func (q quad) splittable() bool { return q.span > 1 }
 
-// decomposer carries the scratch state of the recursive decomposition.
-type decomposer struct {
+// shared is what every goroutine of the decomposition reads and none
+// writes.
+type shared struct {
 	ix    *Index
-	hop   [][]uint8
+	n     int
+	hop   []uint8  // see buildFirstHops
+	lab   []uint16 // see buildLabels
 	order []graph.VertexID
-
-	vertStamp []uint32
-	edgeStamp []uint32 // directed: edgeID*2 + dir
-	gen       uint32
-
-	sharedVerts []graph.VertexID
-	sharedEdges []int64
 }
 
 // child returns the q-th Morton quadrant of qd.
-func (d *decomposer) child(qd quad, q uint64) quad {
+func (sh *shared) child(qd quad, q uint64) quad {
 	quarter := qd.span / 4
 	lo := qd.codeLo + q*quarter
 	hi := lo + quarter
 	at := qd.idxLo + sort.Search(qd.idxHi-qd.idxLo, func(k int) bool {
-		return uint64(d.ix.code[d.order[qd.idxLo+k]]) >= lo
+		return uint64(sh.ix.code[sh.order[qd.idxLo+k]]) >= lo
 	})
 	end := at + sort.Search(qd.idxHi-at, func(k int) bool {
-		return uint64(d.ix.code[d.order[at+k]]) >= hi
+		return uint64(sh.ix.code[sh.order[at+k]]) >= hi
 	})
 	return quad{codeLo: lo, span: quarter, idxLo: at, idxHi: end}
 }
 
+// queuedDepth is the depth down to which sub-pairs are queued for any
+// worker instead of being decomposed by the worker that split their
+// parent: the root, its 16 sub-pairs and their 256.
+const (
+	queuedDepth = 2
+	maxQueued   = 1 + 16 + 256
+)
+
+// task is one queued pair of squares; its subtree goes to *slot.
+type task struct {
+	slot  **node
+	a, b  quad
+	depth int
+}
+
+// decomposeAll decomposes (all, all) on workers goroutines and adds the
+// node, pair and check counts to the index.
+func (sh *shared) decomposeAll(all quad, workers int) *node {
+	var root *node
+	// Buffered for every task there can be, so queueing never blocks.
+	tasks := make(chan task, maxQueued)
+	var pending sync.WaitGroup // tasks queued and not yet decomposed
+	pending.Add(1)
+	tasks <- task{slot: &root, a: all, b: all}
+
+	ds := make([]*decomposer, workers)
+	var wg sync.WaitGroup
+	for w := range ds {
+		d := &decomposer{shared: sh, tasks: tasks, pending: &pending}
+		ds[w] = d
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tk := range tasks {
+				*tk.slot = d.decompose(tk.a, tk.b, tk.depth)
+				pending.Done()
+			}
+		}()
+	}
+	pending.Wait()
+	close(tasks)
+	wg.Wait()
+	for _, d := range ds {
+		sh.ix.numNodes += d.numNodes
+		sh.ix.numPairs += d.numPairs
+		sh.ix.checks += d.checks
+	}
+	return root
+}
+
+// decomposer is one worker of the decomposition: its scratch and its share
+// of the counts.
+type decomposer struct {
+	*shared
+	tasks   chan<- task
+	pending *sync.WaitGroup
+
+	verts []graph.VertexID // the vertices after s of the path being examined
+	miss  [2]int           // positions in order of the pair the last witness missed, or -1
+
+	numNodes, numPairs, checks int64
+}
+
+// sub stores the subtree of the pair (a, b) in *slot, now or, near the
+// root, whenever a worker is free.
+func (d *decomposer) sub(slot **node, a, b quad, depth int) {
+	if depth <= queuedDepth {
+		d.pending.Add(1)
+		d.tasks <- task{slot: slot, a: a, b: b, depth: depth}
+		return
+	}
+	*slot = d.decompose(a, b, depth)
+}
+
 // decompose builds the subtree for the square pair (a, b), or nil when the
 // pair covers no queryable vertex pair.
-func (d *decomposer) decompose(a, b quad) *node {
+func (d *decomposer) decompose(a, b quad, depth int) *node {
 	if a.empty() || b.empty() {
 		return nil
 	}
 	if a.idxHi-a.idxLo == 1 && b.idxHi-b.idxLo == 1 && d.order[a.idxLo] == d.order[b.idxLo] {
 		return nil // the only pair is (v, v)
 	}
+	d.numNodes++
 	if psi, ok := d.coherent(a, b); ok {
-		d.ix.numNodes++
-		d.ix.numPairs++
+		d.numPairs++
 		return &node{kind: kindLeaf, psi: psi}
 	}
 	switch {
@@ -251,24 +426,21 @@ func (d *decomposer) decompose(a, b quad) *node {
 				continue
 			}
 			for qb := uint64(0); qb < 4; qb++ {
-				nd.children[qa*4+qb] = d.decompose(ca, d.child(b, qb))
+				d.sub(&nd.children[qa*4+qb], ca, d.child(b, qb), depth+1)
 			}
 		}
-		d.ix.numNodes++
 		return nd
 	case a.splittable():
 		nd := &node{kind: kindSplitA, children: make([]*node, 4)}
 		for qa := uint64(0); qa < 4; qa++ {
-			nd.children[qa] = d.decompose(d.child(a, qa), b)
+			d.sub(&nd.children[qa], d.child(a, qa), b, depth+1)
 		}
-		d.ix.numNodes++
 		return nd
 	case b.splittable():
 		nd := &node{kind: kindSplitB, children: make([]*node, 4)}
 		for qb := uint64(0); qb < 4; qb++ {
-			nd.children[qb] = d.decompose(a, d.child(b, qb))
+			d.sub(&nd.children[qb], a, d.child(b, qb), depth+1)
 		}
-		d.ix.numNodes++
 		return nd
 	default:
 		// Coordinate collisions: several vertices share both unit cells.
@@ -282,157 +454,152 @@ func (d *decomposer) decompose(a, b quad) *node {
 				nd.table[[2]graph.VertexID{s, t}] = d.pairPsi(s, t)
 			}
 		}
-		d.ix.numNodes++
-		d.ix.numPairs += int64(len(nd.table))
+		d.numPairs += int64(len(nd.table))
 		return nd
 	}
 }
 
-// walkPath invokes fn for every directed edge (arc) of the canonical
-// shortest path s -> t, or returns false when unreachable.
-func (d *decomposer) walkPath(s, t graph.VertexID, fn func(from graph.VertexID, arc int32)) bool {
-	g := d.ix.g
-	cur := s
-	for cur != t {
-		slot := d.hop[cur][t]
-		if slot == noHop {
+// nextArc returns the arc the canonical path from v toward t leaves v on;
+// v must be able to reach t and differ from it.
+func (sh *shared) nextArc(v, t graph.VertexID) int32 {
+	lo, _ := sh.ix.g.ArcsOf(v)
+	return lo + int32(sh.hop[int(v)*sh.n+int(t)])
+}
+
+// edgePsi encodes the edge of arc, traversed from vertex from.
+func (sh *shared) edgePsi(from graph.VertexID, arc int32) psiValue {
+	id := sh.ix.g.EdgeIDOf(arc)
+	dir := int64(0)
+	if sh.ix.edges[id].U != from {
+		dir = 1
+	}
+	return psiEdgeFlag | int64(id)<<1 | dir
+}
+
+// witness is a candidate ψ: the edge with id edge leaving v, or, when edge
+// is negative, v as an interior vertex.
+type witness struct {
+	v    graph.VertexID
+	edge int32
+}
+
+// sources returns the preorder interval, in the in-tree of t, of the
+// sources whose canonical path to t has w on it; the two are equal when
+// there is no such source.
+func (d *decomposer) sources(w witness, t graph.VertexID) (lo, hi uint16) {
+	at := 2 * (int(t)*d.n + int(w.v))
+	lo, hi = d.lab[at], d.lab[at+1]
+	switch {
+	case hi == 0 || w.v == t:
+		return 0, 0 // v cannot reach t, or ends the path
+	case w.edge < 0:
+		return lo + 1, hi // v is interior to the paths from strictly below it
+	case d.ix.g.EdgeIDOf(d.nextArc(w.v, t)) != w.edge:
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// onAllPaths reports whether w lies on the path of every pair of a × b.
+func (d *decomposer) onAllPaths(w witness, a, b quad) bool {
+	// The pair the previous witness missed comes first: neighbours on the
+	// first path mostly leave the other paths together.
+	if i, j := d.miss[0], d.miss[1]; i >= 0 && !d.onPaths(w, i, i+1, j) {
+		return false
+	}
+	// Then every pair, from the far corner of the two squares back to the
+	// first pair, whose path w is on by construction.
+	for j := b.idxHi - 1; j >= b.idxLo; j-- {
+		if !d.onPaths(w, a.idxLo, a.idxHi, j) {
 			return false
 		}
-		lo, _ := g.ArcsOf(cur)
-		a := lo + int32(slot)
-		fn(cur, a)
-		cur = g.Head(a)
+	}
+	return true
+}
+
+// onPaths reports whether w lies on the paths from order[iLo:iHi] to
+// order[j], and records the first pair it misses.
+func (d *decomposer) onPaths(w witness, iLo, iHi, j int) bool {
+	t := d.order[j]
+	lo, hi := d.sources(w, t)
+	pre := d.lab[2*int(t)*d.n : 2*(int(t)+1)*d.n]
+	for i := iHi - 1; i >= iLo; i-- {
+		s := d.order[i]
+		if s == t {
+			continue // not a pair
+		}
+		d.checks++
+		if p := pre[2*s]; p < lo || p >= hi {
+			d.miss = [2]int{i, j}
+			return false
+		}
 	}
 	return true
 }
 
 // coherent tests whether all shortest paths between the squares share a
-// common element (the nested-loop test of Appendix D) and returns the
-// chosen ψ. A common edge is preferred; otherwise a vertex that is interior
-// for every pair is required.
+// common element and returns the ψ Appendix D's nested loop would: the
+// first edge of the first pair's path that every path traverses, otherwise
+// its first vertex that is interior to every path (see the package doc).
 func (d *decomposer) coherent(a, b quad) (psiValue, bool) {
-	first := true
-	anyPath := false
-	for i := a.idxLo; i < a.idxHi; i++ {
-		for j := b.idxLo; j < b.idxHi; j++ {
-			s, t := d.order[i], d.order[j]
-			if s == t {
-				continue
-			}
-			if first {
-				// Seed the shared sets with the first pair's path.
-				d.sharedVerts = d.sharedVerts[:0]
-				d.sharedEdges = d.sharedEdges[:0]
-				ok := d.walkPath(s, t, func(from graph.VertexID, arc int32) {
-					g := d.ix.g
-					to := g.Head(arc)
-					dir := int64(0)
-					if e := d.ix.edges[g.EdgeIDOf(arc)]; e.U != from {
-						dir = 1
-					}
-					d.sharedEdges = append(d.sharedEdges, int64(g.EdgeIDOf(arc))<<1|dir)
-					if to != t {
-						d.sharedVerts = append(d.sharedVerts, to)
-					}
-				})
-				if !ok {
-					// An unreachable pair can only be coherent if *no*
-					// pair has a path (psiNone); any path elsewhere fails.
-					d.sharedVerts = d.sharedVerts[:0]
-					d.sharedEdges = d.sharedEdges[:0]
-				} else {
-					anyPath = true
-				}
-				first = false
-				continue
-			}
-			// Mark this pair's path elements, then intersect.
-			d.gen++
-			if d.gen == 0 {
-				for k := range d.vertStamp {
-					d.vertStamp[k] = 0
-				}
-				for k := range d.edgeStamp {
-					d.edgeStamp[k] = 0
-				}
-				d.gen = 1
-			}
-			g := d.ix.g
-			ok := d.walkPath(s, t, func(from graph.VertexID, arc int32) {
-				to := g.Head(arc)
-				dir := uint32(0)
-				if e := d.ix.edges[g.EdgeIDOf(arc)]; e.U != from {
-					dir = 1
-				}
-				d.edgeStamp[uint32(g.EdgeIDOf(arc))*2+dir] = d.gen
-				if to != t {
-					d.vertStamp[to] = d.gen
-				}
-			})
-			if ok {
-				anyPath = true
-			}
-			// Interior vertices must also exclude this pair's endpoints.
-			d.vertStamp[s] = 0
-			d.vertStamp[t] = 0
-			keepV := d.sharedVerts[:0]
-			if ok {
-				for _, v := range d.sharedVerts {
-					if d.vertStamp[v] == d.gen {
-						keepV = append(keepV, v)
-					}
-				}
-			}
-			d.sharedVerts = keepV
-			keepE := d.sharedEdges[:0]
-			if ok {
-				for _, e := range d.sharedEdges {
-					if d.edgeStamp[e] == d.gen {
-						keepE = append(keepE, e)
-					}
-				}
-			}
-			d.sharedEdges = keepE
-			if anyPath && len(d.sharedVerts) == 0 && len(d.sharedEdges) == 0 {
-				return 0, false
-			}
+	// The first pair of the nested loop; (v, v) is not a pair.
+	i, j := a.idxLo, b.idxLo
+	if d.order[i] == d.order[j] {
+		if j+1 < b.idxHi {
+			j++
+		} else {
+			i++
 		}
 	}
-	if !anyPath {
+	s, t := d.order[i], d.order[j]
+	if d.hop[int(s)*d.n+int(t)] == noHop {
+		// Coherent only if no pair has a path at all.
+		for i := a.idxLo; i < a.idxHi; i++ {
+			s := d.order[i]
+			for j := b.idxLo; j < b.idxHi; j++ {
+				if t := d.order[j]; s != t && d.hop[int(s)*d.n+int(t)] != noHop {
+					return 0, false
+				}
+			}
+		}
 		return psiNone, true
 	}
-	if len(d.sharedEdges) > 0 {
-		return psiEdgeFlag | d.sharedEdges[0], true
+	g := d.ix.g
+	d.verts = d.verts[:0]
+	d.miss = [2]int{-1, -1}
+	for cur := s; cur != t; {
+		arc := d.nextArc(cur, t)
+		if d.onAllPaths(witness{v: cur, edge: g.EdgeIDOf(arc)}, a, b) {
+			return d.edgePsi(cur, arc), true
+		}
+		cur = g.Head(arc)
+		d.verts = append(d.verts, cur)
 	}
-	if len(d.sharedVerts) > 0 {
-		return int64(d.sharedVerts[0]), true
+	for _, v := range d.verts[:len(d.verts)-1] {
+		if d.onAllPaths(witness{v: v, edge: -1}, a, b) {
+			return int64(v), true
+		}
 	}
 	return 0, false
 }
 
-// pairPsi computes ψ for a single pair (used by collision tables).
+// pairPsi computes ψ for a single pair (used by collision tables): the
+// middle vertex of the path, or the edge of a single-edge path.
 func (d *decomposer) pairPsi(s, t graph.VertexID) psiValue {
-	g := d.ix.g
-	// Prefer an interior vertex at the middle of the path; for single-edge
-	// paths use the edge.
-	var arcs []int32
-	var froms []graph.VertexID
-	ok := d.walkPath(s, t, func(from graph.VertexID, arc int32) {
-		arcs = append(arcs, arc)
-		froms = append(froms, from)
-	})
-	if !ok {
+	if d.hop[int(s)*d.n+int(t)] == noHop {
 		return psiNone
 	}
-	if len(arcs) == 1 {
-		dir := int64(0)
-		if e := d.ix.edges[g.EdgeIDOf(arcs[0])]; e.U != froms[0] {
-			dir = 1
-		}
-		return psiEdgeFlag | int64(g.EdgeIDOf(arcs[0]))<<1 | dir
+	g := d.ix.g
+	first := d.nextArc(s, t)
+	d.verts = d.verts[:0]
+	for cur := s; cur != t; {
+		cur = g.Head(d.nextArc(cur, t))
+		d.verts = append(d.verts, cur)
 	}
-	mid := g.Head(arcs[len(arcs)/2-1])
-	return int64(mid)
+	if len(d.verts) == 1 {
+		return d.edgePsi(s, first)
+	}
+	return int64(d.verts[len(d.verts)/2-1])
 }
 
 // lookup descends the tree to the unique node covering (s, t).

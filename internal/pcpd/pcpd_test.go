@@ -87,6 +87,17 @@ func TestPCPDGuards(t *testing.T) {
 	if _, err := pcpd.Build(g, pcpd.Options{MaxN: 100}); err == nil {
 		t.Error("MaxN guard should reject oversized graphs")
 	}
+	if _, err := pcpd.Build(g, pcpd.Options{Bits: 17}); err == nil {
+		t.Error("more than 16 bits per axis should be rejected")
+	}
+	// Path labels are uint16 whatever MaxN allows.
+	b = graph.NewBuilder(1 << 16)
+	for i := 0; i < 1<<16; i++ {
+		b.AddVertex(g.Coord(0))
+	}
+	if _, err := pcpd.Build(b.Build(), pcpd.Options{MaxN: 1 << 20}); err == nil {
+		t.Error("graphs of more than 65535 vertices should be rejected")
+	}
 }
 
 func TestPCPDStats(t *testing.T) {

@@ -102,6 +102,9 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if opts.Bits == 0 {
 		opts.Bits = 16
 	}
+	if opts.Bits > 16 {
+		return nil, fmt.Errorf("silc: %d quadtree bits per axis, at most 16 supported", opts.Bits)
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
