@@ -1,4 +1,4 @@
-// Command spverify audits the integrity of flat v2 files — the index,
+// Command spverify audits the integrity of flat container files — the index,
 // graph and R-tree caches written by spserve and the Save* APIs — without
 // loading them into a serving process.
 //
@@ -13,13 +13,13 @@
 //	0  every file verified clean (or, without -strict, was unauditable)
 //	1  at least one file is corrupt — structural damage or a checksum
 //	   mismatch; rebuild it from source data before serving from it
-//	2  usage error, or a file could not be read at all
+//	2  usage error, or a file could not be read at all — missing,
+//	   unreadable, or not a flat container ("not a roadnet index file")
 //
-// Files written before checksum support (and legacy v1 streams) carry no
-// checksums; they parse but cannot be audited. By default these are
-// reported as "unauditable" and do not fail the run; -strict treats them
-// as failures, for fleets that require every serving byte to be
-// attestable. Rewriting such a file with the current tools (load it, save
+// Files written before checksum support carry no checksums; they parse but
+// cannot be audited. By default these are reported as "unauditable" and do
+// not fail the run; -strict treats them as failures, for fleets that
+// require every serving byte to be attestable. Rewriting such a file with the current tools (load it, save
 // it) upgrades it to the checksummed layout.
 //
 // Auditing maps the file read-only and streams one sequential CRC sweep;
@@ -37,7 +37,7 @@ import (
 
 func main() {
 	quiet := flag.Bool("q", false, "print only failures and the final verdict line")
-	strict := flag.Bool("strict", false, "treat unauditable files (no checksums, legacy v1 streams) as failures")
+	strict := flag.Bool("strict", false, "treat unauditable files (flat files written without checksums) as failures")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: spverify [-q] [-strict] file...\n")
 		flag.PrintDefaults()
@@ -90,10 +90,8 @@ func audit(path string, quiet bool) (auditVerdict, error) {
 	f, err := binio.OpenFlat(path, true, binio.WithoutVerify())
 	if err != nil {
 		switch {
-		case errors.Is(err, binio.ErrNotFlat), errors.Is(err, binio.ErrVersion):
-			// Legacy v1 streams (and foreign files) have no checksums to
-			// audit. They are not known-bad, merely unattestable.
-			return auditUnauditable, err
+		case errors.Is(err, binio.ErrNotFlat):
+			return auditUnreadable, fmt.Errorf("not a roadnet index file: %w", err)
 		case errors.Is(err, binio.ErrCorrupt):
 			return auditCorrupt, err
 		default:

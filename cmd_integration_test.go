@@ -5,11 +5,17 @@
 package roadnet_test
 
 import (
+	"bytes"
+	"errors"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"roadnet"
+	"roadnet/internal/chaos"
 )
 
 // buildCommands compiles the cmd binaries into a temp dir once per test run.
@@ -29,7 +35,7 @@ func commandPath(t *testing.T, name string) string {
 			t.Fatal(err)
 		}
 		out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-			"./cmd/spexp", "./cmd/genmap", "./cmd/sproute").CombinedOutput()
+			"./cmd/spexp", "./cmd/genmap", "./cmd/sproute", "./cmd/spverify").CombinedOutput()
 		if err != nil {
 			builtCommands.fail = string(out)
 			t.Fatalf("building commands: %v\n%s", err, out)
@@ -92,5 +98,63 @@ func TestSprouteRejectsBadVertex(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("expected failure for out-of-range vertex, got:\n%s", out)
+	}
+}
+
+// TestSpverifyVerdicts drives spverify through its four verdicts and the
+// exit status each one maps to.
+func TestSpverifyVerdicts(t *testing.T) {
+	g := roadnet.Generate(roadnet.GenParams{N: 300, Seed: 5})
+	idx, err := roadnet.NewIndex(roadnet.CH, g, roadnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := roadnet.SaveIndex(idx, &buf); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	clean := write("clean.idx", buf.Bytes())
+	flipped := write("flipped.idx", buf.Bytes())
+	if _, err := chaos.FlipCovered(flipped, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	// Clearing the checksum flag (bit 0 of the u32 at offset 20) gives the
+	// layout files had before checksums: same table, CRC slots ignored.
+	bare := append([]byte(nil), buf.Bytes()...)
+	bare[20] &^= 1
+	noChecksums := write("bare.idx", bare)
+	notFlat := write("stream.idx", []byte("ROADNET-CH\n\x01 and then whatever a v1 stream held"))
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		exit int
+		says string
+	}{
+		{"clean", []string{clean}, 0, ": ok"},
+		{"byte flipped", []string{flipped}, 1, "CORRUPT"},
+		{"no checksums", []string{noChecksums}, 0, "unauditable"},
+		{"no checksums, strict", []string{"-strict", noChecksums}, 1, "unauditable"},
+		{"not a flat container", []string{notFlat}, 2, "not a roadnet index file"},
+	} {
+		out, err := exec.Command(commandPath(t, "spverify"), tc.args...).CombinedOutput()
+		exit := 0
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if exit != tc.exit || !strings.Contains(string(out), tc.says) {
+			t.Errorf("%s: exit %d, want %d with %q in the output:\n%s", tc.name, exit, tc.exit, tc.says, out)
+		}
 	}
 }

@@ -8,13 +8,9 @@ import (
 	"io"
 )
 
-// maxSliceLen caps decoded slice lengths as a corruption guard (1 << 31
-// elements would be far beyond any index this library builds).
-const maxSliceLen = 1 << 31
-
 // ErrCorrupt tags decoding failures caused by corrupt (or hostile) input:
-// implausible length prefixes, truncated sections, reads past a declared
-// size. Callers can errors.Is against it to distinguish bad files from IO
+// truncated sections, checksum mismatches, reads past a declared size.
+// Callers can errors.Is against it to distinguish bad files from IO
 // failures.
 var ErrCorrupt = errors.New("binio: corrupt data")
 
@@ -73,52 +69,23 @@ func (w *Writer) U32(v uint32) {
 	w.write(w.buf[:4])
 }
 
-// I32Slice writes a length-prefixed []int32.
-func (w *Writer) I32Slice(s []int32) {
-	w.I64(int64(len(s)))
-	for _, v := range s {
-		w.I32(v)
-	}
-}
-
-// U32Slice writes a length-prefixed []uint32.
-func (w *Writer) U32Slice(s []uint32) {
-	w.I64(int64(len(s)))
-	for _, v := range s {
-		w.I32(int32(v))
-	}
-}
-
-// U8Slice writes a length-prefixed []uint8.
-func (w *Writer) U8Slice(s []uint8) {
-	w.I64(int64(len(s)))
-	w.write(s)
-}
-
 // Err returns the sticky error.
 func (w *Writer) Err() error { return w.err }
 
-// Reader wraps a buffered reader with sticky error handling. A Reader may
-// be bounded (NewReaderLimit) by the number of bytes known to remain in
-// the input; bounded readers reject length prefixes that would decode past
-// the end of the input before allocating anything.
+// Reader wraps a buffered reader with sticky error handling. It is bounded
+// by the number of bytes known to remain in the input; a read past that
+// budget fails with ErrCorrupt.
 type Reader struct {
 	r   *bufio.Reader
 	err error
 	buf [8]byte
-	// remaining is the byte budget of a bounded reader, -1 when unbounded.
+	// remaining is the byte budget left.
 	remaining int64
 }
 
-// NewReader returns an unbounded Reader on r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16), remaining: -1}
-}
-
 // NewReaderLimit returns a Reader on r that treats size as the number of
-// bytes available: corrupt or hostile length prefixes exceeding it fail
-// with an error wrapping ErrCorrupt instead of attempting the allocation.
-// Callers loading from a file should pass the file size.
+// bytes available: reads exceeding it fail with an error wrapping
+// ErrCorrupt.
 func NewReaderLimit(r io.Reader, size int64) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 1<<16), remaining: size}
 }
@@ -130,14 +97,12 @@ func (r *Reader) read(p []byte) {
 	if r.err != nil {
 		return
 	}
-	if r.remaining >= 0 {
-		if int64(len(p)) > r.remaining {
-			r.err = fmt.Errorf("%w: read of %d bytes exceeds the %d remaining in the input",
-				ErrCorrupt, len(p), r.remaining)
-			return
-		}
-		r.remaining -= int64(len(p))
+	if int64(len(p)) > r.remaining {
+		r.err = fmt.Errorf("%w: read of %d bytes exceeds the %d remaining in the input",
+			ErrCorrupt, len(p), r.remaining)
+		return
 	}
+	r.remaining -= int64(len(p))
 	_, r.err = io.ReadFull(r.r, p)
 }
 
@@ -166,62 +131,4 @@ func (r *Reader) I64() int64 {
 func (r *Reader) I32() int32 {
 	r.read(r.buf[:4])
 	return int32(binary.LittleEndian.Uint32(r.buf[:4]))
-}
-
-// sliceLen decodes and validates a length prefix for a slice of elemSize-
-// byte elements. Negative or absurd lengths — and, on bounded readers,
-// lengths whose payload exceeds the remaining input — fail with an error
-// wrapping ErrCorrupt before any allocation is attempted.
-func (r *Reader) sliceLen(elemSize int64) int {
-	n := r.I64()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n > maxSliceLen {
-		r.err = fmt.Errorf("%w: implausible slice length %d", ErrCorrupt, n)
-		return 0
-	}
-	if r.remaining >= 0 && n*elemSize > r.remaining {
-		r.err = fmt.Errorf("%w: implausible slice length %d (%d bytes, but only %d remain in the input)",
-			ErrCorrupt, n, n*elemSize, r.remaining)
-		return 0
-	}
-	return int(n)
-}
-
-// I32Slice reads a length-prefixed []int32.
-func (r *Reader) I32Slice() []int32 {
-	n := r.sliceLen(4)
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = r.I32()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// U32Slice reads a length-prefixed []uint32.
-func (r *Reader) U32Slice() []uint32 {
-	n := r.sliceLen(4)
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = uint32(r.I32())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// U8Slice reads a length-prefixed []uint8.
-func (r *Reader) U8Slice() []uint8 {
-	n := r.sliceLen(1)
-	s := make([]uint8, n)
-	r.read(s)
-	if r.err != nil {
-		return nil
-	}
-	return s
 }

@@ -2,7 +2,6 @@ package binio
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,14 +13,12 @@ func TestRoundtripPrimitives(t *testing.T) {
 	w.U8(7)
 	w.I32(-42)
 	w.I64(1 << 50)
-	w.I32Slice([]int32{1, -2, 3})
-	w.U32Slice([]uint32{9, 8})
-	w.U8Slice([]byte("hello"))
+	w.U32(1 << 31)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
+	r := NewReaderLimit(&buf, int64(buf.Len()))
 	r.Magic("HDR1")
 	if v := r.U8(); v != 7 {
 		t.Errorf("U8 = %d", v)
@@ -32,16 +29,8 @@ func TestRoundtripPrimitives(t *testing.T) {
 	if v := r.I64(); v != 1<<50 {
 		t.Errorf("I64 = %d", v)
 	}
-	s32 := r.I32Slice()
-	if len(s32) != 3 || s32[1] != -2 {
-		t.Errorf("I32Slice = %v", s32)
-	}
-	u32 := r.U32Slice()
-	if len(u32) != 2 || u32[0] != 9 {
-		t.Errorf("U32Slice = %v", u32)
-	}
-	if got := string(r.U8Slice()); got != "hello" {
-		t.Errorf("U8Slice = %q", got)
+	if v := r.I32(); uint32(v) != 1<<31 {
+		t.Errorf("U32 read back as %d", uint32(v))
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -49,33 +38,18 @@ func TestRoundtripPrimitives(t *testing.T) {
 }
 
 func TestRoundtripProperty(t *testing.T) {
-	f := func(a []int32, b []uint8, c int64) bool {
+	f := func(a int32, b uint8, c int64) bool {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		w.I32Slice(a)
-		w.U8Slice(b)
+		w.I32(a)
+		w.U8(b)
 		w.I64(c)
 		if w.Flush() != nil {
 			return false
 		}
-		r := NewReader(&buf)
-		ga := r.I32Slice()
-		gb := r.U8Slice()
-		gc := r.I64()
-		if r.Err() != nil || gc != c || len(ga) != len(a) || len(gb) != len(b) {
-			return false
-		}
-		for i := range a {
-			if ga[i] != a[i] {
-				return false
-			}
-		}
-		for i := range b {
-			if gb[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		r := NewReaderLimit(&buf, int64(buf.Len()))
+		ga, gb, gc := r.I32(), r.U8(), r.I64()
+		return r.Err() == nil && ga == a && gb == b && gc == c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -87,7 +61,7 @@ func TestBadMagic(t *testing.T) {
 	w := NewWriter(&buf)
 	w.Magic("AAAA")
 	_ = w.Flush()
-	r := NewReader(&buf)
+	r := NewReaderLimit(&buf, int64(buf.Len()))
 	r.Magic("BBBB")
 	if r.Err() == nil {
 		t.Error("expected magic mismatch error")
@@ -97,31 +71,19 @@ func TestBadMagic(t *testing.T) {
 func TestTruncatedInput(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.I32Slice(make([]int32, 100))
+	w.I64(1)
+	w.I64(2)
 	_ = w.Flush()
-	data := buf.Bytes()[:50] // cut mid-slice
-	r := NewReader(bytes.NewReader(data))
-	r.I32Slice()
+	r := NewReaderLimit(bytes.NewReader(buf.Bytes()[:12]), 16) // cut mid-value
+	r.I64()
+	r.I64()
 	if r.Err() == nil {
 		t.Error("expected truncation error")
 	}
 }
 
-func TestCorruptLength(t *testing.T) {
-	// A negative or absurd length must be rejected, not allocated.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.I64(-5)
-	_ = w.Flush()
-	r := NewReader(&buf)
-	r.I32Slice()
-	if r.Err() == nil || !strings.Contains(r.Err().Error(), "implausible") {
-		t.Errorf("expected implausible-length error, got %v", r.Err())
-	}
-}
-
 func TestStickyErrors(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
+	r := NewReaderLimit(bytes.NewReader(nil), 8)
 	r.I64() // fails: empty input
 	if r.Err() == nil {
 		t.Fatal("expected error on empty input")
@@ -129,8 +91,5 @@ func TestStickyErrors(t *testing.T) {
 	// Further reads stay failed and return zero values.
 	if v := r.I32(); v != 0 {
 		t.Errorf("read after error returned %d", v)
-	}
-	if s := r.U8Slice(); s != nil {
-		t.Errorf("slice after error returned %v", s)
 	}
 }

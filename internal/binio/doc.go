@@ -4,21 +4,17 @@
 // persisting the result is what a production deployment would do, so the
 // library supports it for every structure whose construction is expensive.
 //
-// Two formats coexist:
+// There is one format, the flat container (flat.go): an aligned,
+// sectioned, checksummed layout designed so a file can be mmap'd and its
+// sections handed to the index as zero-copy typed slices
+// (CastSlice/CastStructs) — load time is O(#sections) regardless of index
+// size, and resident memory is page cache shared across processes. OpenFlat
+// verifies every section checksum by default; WithoutVerify defers the
+// sweep (audit later with the spverify tool). binio.go holds the scalar
+// Writer/Reader the container's header and metadata blob are encoded with.
 //
-//   - The legacy v1 streams (binio.go): length-prefixed primitive slices
-//     behind a per-index magic string and version byte, read element by
-//     element. Still readable, never written by current code.
-//   - The flat v2 container (flat.go): an aligned, sectioned, checksummed
-//     layout designed so a file can be mmap'd and its sections handed to
-//     the index as zero-copy typed slices (CastSlice/CastStructs) — load
-//     time is O(#sections) regardless of index size, and resident memory
-//     is page cache shared across processes. OpenFlat verifies every
-//     section checksum by default; WithoutVerify defers the sweep (audit
-//     later with the spverify tool).
-//
-// Decoding failures caused by the bytes themselves — implausible lengths,
-// truncated sections, checksum mismatches — wrap ErrCorrupt, so callers
+// Decoding failures caused by the bytes themselves — hostile section
+// tables, truncated sections, checksum mismatches — wrap ErrCorrupt, so callers
 // can distinguish corruption (rebuild, fall back, degrade) from
 // environmental failures (missing file, permissions). docs/FORMAT.md
 // documents the on-disk layout and its evolution rules.

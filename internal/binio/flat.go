@@ -7,8 +7,8 @@
 // fixed-size elements. A loader can therefore mmap the file and cast each
 // section in place — startup is O(#sections), resident memory is shared
 // page cache, and indexes larger than RAM serve gracefully. Scalars, small
-// tables and options travel in the metadata blob, encoded with the v1
-// Writer/Reader primitives.
+// tables and options travel in the metadata blob, encoded with the scalar
+// Writer/Reader of binio.go.
 //
 // Layout (all integers little-endian):
 //
@@ -115,9 +115,8 @@ func (k SectionKind) elemSize() int64 {
 	}
 }
 
-// ErrNotFlat reports that a byte stream is not a flat v2 container (it may
-// be a v1 length-prefixed stream); callers use it to dispatch between the
-// two load paths.
+// ErrNotFlat reports that a byte stream does not start with the flat
+// container magic: it is not an index, graph or R-tree file at all.
 var ErrNotFlat = errors.New("binio: not a flat v2 container")
 
 // ErrVersion reports a flat container whose version this reader does not

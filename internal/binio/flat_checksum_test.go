@@ -20,7 +20,7 @@ func buildLegacyFlat(t *testing.T) []byte {
 	mw := fw.Meta()
 	mw.Magic("META")
 	mw.I64(12345)
-	mw.I32Slice([]int32{7, -8, 9})
+	mw.I32(-8)
 	fw.I32Section([]int32{1, -2, 3})
 	fw.U32Section([]uint32{10, 20, 30, 40})
 	fw.U8Section([]byte("payload"))

@@ -50,27 +50,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Hierarchy is a built contraction hierarchy. It is immutable after Build
-// and safe for concurrent queries through per-goroutine Searchers. It holds
-// a sync.Pool and must not be copied.
+// Hierarchy is a contraction hierarchy: built, read from a stream or cast
+// over a mapped file, it is the same five arrays. It is immutable after
+// Build and safe for concurrent queries through per-goroutine Searchers. It
+// must not be copied: m2mPool embeds sync's noCopy marker, so go vet's
+// copylocks check rejects any by-value copy.
 type Hierarchy struct {
 	g    *graph.Graph
 	rank []int32 // rank[v] = position of v in the contraction order
 
 	// Upward search graph: for each vertex, arcs to higher-ranked
-	// neighbors only (original edges and shortcuts alike).
+	// neighbors only (original edges and shortcuts alike), one arc per
+	// neighbor. upMiddle is the only place a shortcut's middle vertex is
+	// kept; path unpacking reads it through middleOf.
 	firstUp  []int32
 	upHead   []int32
 	upWeight []int32
 	upMiddle []int32 // contracted middle vertex of a shortcut, -1 for edges
-
-	// unpack maps a vertex pair to the middle vertex of the minimal-weight
-	// edge/shortcut joining it, for recursive path unpacking. Built and
-	// v1-loaded hierarchies use the map; flat-loaded (zero-copy) ones keep
-	// the on-disk form instead — parallel arrays sorted by (u, v), searched
-	// by middleOf — so loading never materializes per-entry heap state.
-	unpack                         map[pairKey]int32
-	unpackU, unpackV, unpackMiddle []int32
 
 	numShortcuts int
 	buildTime    time.Duration
@@ -78,15 +74,6 @@ type Hierarchy struct {
 	// m2mPool recycles many-to-many scratch state (*m2mScratch), one per
 	// concurrently running batch.
 	m2mPool sync.Pool
-}
-
-type pairKey struct{ u, v graph.VertexID }
-
-func orderedKey(u, v graph.VertexID) pairKey {
-	if u > v {
-		u, v = v, u
-	}
-	return pairKey{u, v}
 }
 
 // halfEdge is one adjacency entry of the dynamic graph used during
@@ -112,11 +99,7 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		}
 	}
 
-	h := &Hierarchy{
-		g:      g,
-		rank:   make([]int32, n),
-		unpack: make(map[pairKey]int32, g.NumEdges()*2),
-	}
+	h := &Hierarchy{g: g, rank: make([]int32, n)}
 
 	type finalEdge struct {
 		u, v   graph.VertexID
@@ -201,7 +184,7 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		}
 	}
 
-	// Build the upward CSR and unpacking map from the minimal edge set.
+	// Build the upward CSR from the minimal edge set.
 	// Orient every edge from its lower-ranked endpoint and sort by (tail,
 	// head, weight): the first edge of each (tail, head) run is the one to
 	// keep, and the survivors already are the CSR, in an arc order that
@@ -227,7 +210,6 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		h.upHead[i] = e.v
 		h.upWeight[i] = e.w
 		h.upMiddle[i] = e.middle
-		h.unpack[orderedKey(e.u, e.v)] = e.middle
 	}
 	for v := 0; v < n; v++ {
 		h.firstUp[v+1] += h.firstUp[v]
@@ -263,41 +245,30 @@ func (h *Hierarchy) BuildTime() time.Duration { return h.buildTime }
 // Graph returns the underlying road network.
 func (h *Hierarchy) Graph() *graph.Graph { return h.g }
 
-// SizeBytes reports the memory footprint of the index structures (upward
-// CSR plus the unpacking table), which is what the paper's Figure 6(a)
+// SizeBytes reports the memory footprint of the index structures (the rank
+// permutation and the upward CSR), which is what the paper's Figure 6(a)
 // space-consumption plot measures.
 func (h *Hierarchy) SizeBytes() int64 {
-	csr := int64(len(h.firstUp))*4 + int64(len(h.upHead))*4 +
+	return int64(len(h.firstUp))*4 + int64(len(h.upHead))*4 +
 		int64(len(h.upWeight))*4 + int64(len(h.upMiddle))*4 + int64(len(h.rank))*4
-	// map entry: key (8) + value (4) + bucket overhead (~8)
-	unpack := int64(len(h.unpack)) * 20
-	// Flat-loaded hierarchies keep the sorted-array form instead: 12 bytes
-	// per entry, shared with the page cache when mapped.
-	unpack += int64(len(h.unpackU)) * 12
-	return csr + unpack
 }
 
-// middleOf resolves the middle vertex of the minimal edge/shortcut joining
-// u and w: from the unpack map on built/v1-loaded hierarchies, by binary
-// search over the sorted flat arrays on zero-copy loads. Reported middles
-// below zero mean "original edge".
+// middleOf resolves the middle vertex of the edge/shortcut joining u and w
+// by scanning the upward arcs of the lower-ranked endpoint for the other
+// one. When m was contracted its arcs to u and w were final — no edge
+// incident to a contracted vertex is added or improved afterwards — so the
+// halves of a shortcut (u, w) via m are exactly the arcs (m, u) and (m, w)
+// found here. Rows are a handful of arcs, and a linear scan depends on no
+// sort order a file would have to be trusted for. Reported middles below
+// zero mean "original edge".
 func (h *Hierarchy) middleOf(u, w graph.VertexID) (int32, bool) {
-	k := orderedKey(u, w)
-	if h.unpack != nil {
-		middle, ok := h.unpack[k]
-		return middle, ok
+	if h.rank[u] > h.rank[w] {
+		u, w = w, u
 	}
-	lo, hi := 0, len(h.unpackU)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.unpackU[mid] < k.u || (h.unpackU[mid] == k.u && h.unpackV[mid] < k.v) {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for a, hi := h.firstUp[u], h.firstUp[u+1]; a < hi; a++ {
+		if h.upHead[a] == w {
+			return h.upMiddle[a], true
 		}
-	}
-	if lo < len(h.unpackU) && h.unpackU[lo] == k.u && h.unpackV[lo] == k.v {
-		return h.unpackMiddle[lo], true
 	}
 	return 0, false
 }

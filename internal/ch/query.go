@@ -29,12 +29,11 @@ type Searcher struct {
 	// DisableStalling turns off the stall-on-demand optimization.
 	DisableStalling bool
 
-	dist      [2][]int64
-	parentArc [2][]int32 // upward-CSR arc used to reach the vertex, -1 at roots
-	parent    [2][]int32
-	gen       [2][]uint32
-	cur       [2]uint32
-	heap      [2]*pq.Heap
+	dist   [2][]int64
+	parent [2][]int32
+	gen    [2][]uint32
+	cur    [2]uint32
+	heap   [2]*pq.Heap
 
 	// lastMeet caches the meeting vertex of the last query for path
 	// reconstruction.
@@ -59,7 +58,6 @@ func (h *Hierarchy) NewSearcher() *Searcher {
 	s := &Searcher{h: h, lastMeet: -1}
 	for side := 0; side < 2; side++ {
 		s.dist[side] = make([]int64, n)
-		s.parentArc[side] = make([]int32, n)
 		s.parent[side] = make([]int32, n)
 		s.gen[side] = make([]uint32, n)
 		s.heap[side] = pq.New(n)
@@ -83,17 +81,15 @@ func (s *Searcher) reset() {
 	s.settledCount = 0
 }
 
-func (s *Searcher) visit(side int, v graph.VertexID, d int64, parent, arc int32) {
+func (s *Searcher) visit(side int, v graph.VertexID, d int64, parent int32) {
 	if s.gen[side][v] != s.cur[side] {
 		s.gen[side][v] = s.cur[side]
 		s.dist[side][v] = d
 		s.parent[side][v] = parent
-		s.parentArc[side][v] = arc
 		s.heap[side].Push(v, d)
 	} else if d < s.dist[side][v] && s.heap[side].Contains(v) {
 		s.dist[side][v] = d
 		s.parent[side][v] = parent
-		s.parentArc[side][v] = arc
 		s.heap[side].Push(v, d)
 	}
 }
@@ -133,8 +129,8 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 		s.lastMeet = from
 		return nil
 	}
-	s.visit(0, from, 0, -1, -1)
-	s.visit(1, to, 0, -1, -1)
+	s.visit(0, from, 0, -1)
+	s.visit(1, to, 0, -1)
 	h := s.h
 	best := graph.Infinity
 	meet := graph.VertexID(-1)
@@ -177,7 +173,7 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 			continue
 		}
 		for a := h.firstUp[v]; a < h.firstUp[v+1]; a++ {
-			s.visit(side, h.upHead[a], d+int64(h.upWeight[a]), int32(v), a)
+			s.visit(side, h.upHead[a], d+int64(h.upWeight[a]), int32(v))
 		}
 	}
 	s.lastDist = best

@@ -1,10 +1,8 @@
 package ch
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"roadnet/internal/binio"
@@ -17,27 +15,18 @@ import (
 // re-attached at load time, with size checks guarding against mismatched
 // graphs.
 //
-// Two formats exist:
-//
-//   - v2 (Save): the flat zero-copy container of internal/binio. All big
-//     arrays — the rank permutation, the upward CSR and the unpack table
-//     (as sorted parallel key/value arrays) — are 64-byte-aligned sections
-//     that a loader can mmap and cast in place.
-//   - v1 (SaveV1): the legacy length-prefixed stream, kept as the
-//     portability fallback and for downgrading to older readers.
-//
-// ReadHierarchy accepts either format from a stream; core.LoadIndexFile
-// adds the mmap fast path for v2 files.
+// The format is the flat zero-copy container of internal/binio: the rank
+// permutation and the four arrays of the upward CSR are 64-byte-aligned
+// sections that a loader can mmap and cast in place, so a loaded hierarchy
+// is the same object as a built one. ReadHierarchy reads it from a stream;
+// core.LoadIndexFile adds the mmap fast path.
 
-const (
-	chMagic   = "ROADNET-CH\n"
-	chVersion = 1
-)
+const chMagic = "ROADNET-CH\n"
 
 // Fourcc tags a flat container holding a contraction hierarchy.
 const Fourcc uint32 = 'C' | 'H'<<8 | ' '<<16 | ' '<<24
 
-// Save serializes the hierarchy in the flat v2 format.
+// Save serializes the hierarchy as a flat container.
 func (h *Hierarchy) Save(w io.Writer) error {
 	fw := binio.NewFlatWriter(Fourcc)
 	mw := fw.Meta()
@@ -51,92 +40,31 @@ func (h *Hierarchy) Save(w io.Writer) error {
 	fw.I32Section(h.upHead)
 	fw.I32Section(h.upWeight)
 	fw.I32Section(h.upMiddle)
-	u, v, mid := h.unpackTriples()
-	fw.I32Section(u)
-	fw.I32Section(v)
-	fw.I32Section(mid)
 	_, err := fw.WriteTo(w)
 	return err
 }
 
-// unpackTriples returns the unpack table as parallel arrays sorted by
-// (u, v) — the form the flat format stores and flat-loaded hierarchies
-// query by binary search.
-func (h *Hierarchy) unpackTriples() (u, v, mid []int32) {
-	if h.unpack == nil {
-		return h.unpackU, h.unpackV, h.unpackMiddle
-	}
-	keys := make([]pairKey, 0, len(h.unpack))
-	for k := range h.unpack {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].u != keys[j].u {
-			return keys[i].u < keys[j].u
-		}
-		return keys[i].v < keys[j].v
-	})
-	u = make([]int32, len(keys))
-	v = make([]int32, len(keys))
-	mid = make([]int32, len(keys))
-	for i, k := range keys {
-		u[i], v[i], mid[i] = k.u, k.v, h.unpack[k]
-	}
-	return u, v, mid
-}
-
-// SaveV1 serializes the hierarchy in the legacy length-prefixed v1 format,
-// readable by older binaries (and on platforms where the flat container's
-// cast path never applies). New deployments should prefer Save.
-func (h *Hierarchy) SaveV1(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Magic(chMagic)
-	bw.U8(chVersion)
-	bw.I64(int64(h.g.NumVertices()))
-	bw.I64(int64(h.g.NumEdges()))
-	bw.I64(int64(h.numShortcuts))
-	bw.I64(h.buildTime.Nanoseconds())
-	bw.I32Slice(h.rank)
-	bw.I32Slice(h.firstUp)
-	bw.I32Slice(h.upHead)
-	bw.I32Slice(h.upWeight)
-	bw.I32Slice(h.upMiddle)
-	// The unpack map as parallel key/value arrays.
-	u, v, mid := h.unpackTriples()
-	bw.I64(int64(len(u)))
-	for i := range u {
-		bw.I32(u[i])
-		bw.I32(v[i])
-		bw.I32(mid[i])
-	}
-	return bw.Flush()
-}
-
-// ReadHierarchy deserializes a hierarchy previously written with Save (v2)
-// or SaveV1, re-attaching it to g, which must be the same road network the
-// hierarchy was built on. This is the copying stream path; use
-// core.LoadIndexFile for the zero-copy mmap path.
+// ReadHierarchy deserializes a hierarchy previously written with Save,
+// re-attaching it to g, which must be the same road network the hierarchy
+// was built on. This is the copying stream path; use core.LoadIndexFile for
+// the zero-copy mmap path. A stream that is not a flat container is
+// binio.ErrNotFlat.
 func ReadHierarchy(r io.Reader, g *graph.Graph) (*Hierarchy, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(len(binio.FlatMagic)); err == nil && binio.IsFlat(prefix) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("ch: reading index: %w", err)
-		}
-		f, err := binio.ParseFlat(data, true)
-		if err != nil {
-			return nil, fmt.Errorf("ch: %w", err)
-		}
-		return HierarchyFromFlat(f, g)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ch: reading index: %w", err)
 	}
-	return readHierarchyV1(br, g)
+	f, err := binio.ParseFlat(data, true)
+	if err != nil {
+		return nil, fmt.Errorf("ch: %w", err)
+	}
+	return HierarchyFromFlat(f, g)
 }
 
 // HierarchyFromFlat builds a hierarchy over the sections of f. The
-// hierarchy aliases f's data; f must stay open for its lifetime. Path
-// unpacking on a flat-loaded hierarchy resolves shortcut middles by binary
-// search over the sorted unpack sections instead of a rebuilt map, so no
-// per-entry work happens at load time.
+// hierarchy aliases f's data; f must stay open for its lifetime. Sections
+// past the fifth are ignored: files from before the unpack table was dropped
+// carry three unused ones.
 func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
 	if f.Fourcc() != Fourcc {
 		return nil, fmt.Errorf("ch: flat container fourcc %#x is not a contraction hierarchy", f.Fourcc())
@@ -175,15 +103,12 @@ func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
 	h.upHead = read(2)
 	h.upWeight = read(3)
 	h.upMiddle = read(4)
-	h.unpackU = read(5)
-	h.unpackV = read(6)
-	h.unpackMiddle = read(7)
 	if err != nil {
 		return nil, err
 	}
-	// O(1) structural checks. Flat loads deliberately skip the per-element
-	// scans of the v1 path so a mapped index touches no data pages at
-	// startup; the sections are trusted to the format that produced them.
+	// O(1) structural checks. Loads deliberately run no per-element scan so
+	// a mapped index touches no data pages at startup; the sections are
+	// trusted to the format that produced them (and to its checksums).
 	arcs := len(h.upHead)
 	if len(h.rank) != int(n) || len(h.firstUp) != int(n)+1 ||
 		len(h.upWeight) != arcs || len(h.upMiddle) != arcs {
@@ -192,80 +117,5 @@ func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
 	if n > 0 && int(h.firstUp[n]) != arcs {
 		return nil, fmt.Errorf("%w: ch firstUp does not cover the arc array", binio.ErrCorrupt)
 	}
-	if len(h.unpackU) != len(h.unpackV) || len(h.unpackU) != len(h.unpackMiddle) {
-		return nil, fmt.Errorf("%w: ch unpack sections have inconsistent lengths", binio.ErrCorrupt)
-	}
 	return h, nil
-}
-
-// readHierarchyV1 decodes the legacy length-prefixed format.
-func readHierarchyV1(r io.Reader, g *graph.Graph) (*Hierarchy, error) {
-	br := binio.NewReader(r)
-	br.Magic(chMagic)
-	if v := br.U8(); br.Err() == nil && v != chVersion {
-		return nil, fmt.Errorf("ch: unsupported format version %d (this reader supports v%d and the v%d flat container)",
-			v, chVersion, binio.FlatVersion)
-	}
-	n := br.I64()
-	m := br.I64()
-	if br.Err() == nil && (n != int64(g.NumVertices()) || m != int64(g.NumEdges())) {
-		return nil, fmt.Errorf("ch: index was built for a %dx%d graph, got %dx%d",
-			n, m, g.NumVertices(), g.NumEdges())
-	}
-	h := &Hierarchy{g: g}
-	h.numShortcuts = int(br.I64())
-	h.buildTime = time.Duration(br.I64())
-	h.rank = br.I32Slice()
-	h.firstUp = br.I32Slice()
-	h.upHead = br.I32Slice()
-	h.upWeight = br.I32Slice()
-	h.upMiddle = br.I32Slice()
-	count := br.I64()
-	if br.Err() != nil {
-		return nil, fmt.Errorf("ch: reading index: %w", br.Err())
-	}
-	if count < 0 || count > int64(len(h.upHead))+m {
-		return nil, fmt.Errorf("ch: implausible unpack table size %d", count)
-	}
-	h.unpack = make(map[pairKey]int32, count)
-	for i := int64(0); i < count; i++ {
-		u := br.I32()
-		v := br.I32()
-		middle := br.I32()
-		h.unpack[pairKey{u: u, v: v}] = middle
-	}
-	if br.Err() != nil {
-		return nil, fmt.Errorf("ch: reading index: %w", br.Err())
-	}
-	if err := h.validate(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// validate performs structural checks on a deserialized hierarchy so that
-// corrupted files fail fast instead of producing wrong query results.
-func (h *Hierarchy) validate() error {
-	n := h.g.NumVertices()
-	if len(h.rank) != n || len(h.firstUp) != n+1 {
-		return fmt.Errorf("ch: index arrays sized for a different graph")
-	}
-	arcs := len(h.upHead)
-	if len(h.upWeight) != arcs || len(h.upMiddle) != arcs {
-		return fmt.Errorf("ch: inconsistent upward arc arrays")
-	}
-	if n > 0 && int(h.firstUp[n]) != arcs {
-		return fmt.Errorf("ch: firstUp does not cover the arc array")
-	}
-	for v := 0; v < n; v++ {
-		if h.firstUp[v] > h.firstUp[v+1] {
-			return fmt.Errorf("ch: firstUp not monotone at %d", v)
-		}
-	}
-	for _, head := range h.upHead {
-		if head < 0 || int(head) >= n {
-			return fmt.Errorf("ch: arc head %d out of range", head)
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package ch_test
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"roadnet/internal/binio"
@@ -70,48 +69,18 @@ func TestCHSerializationRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestCHV1Roundtrip(t *testing.T) {
-	g := testutil.SmallRoad(900, 831)
-	h := ch.Build(g, ch.Options{})
-	var buf bytes.Buffer
-	if err := h.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := ch.ReadHierarchy(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.NumShortcuts() != h.NumShortcuts() {
-		t.Errorf("shortcuts %d != %d after v1 roundtrip", h2.NumShortcuts(), h.NumShortcuts())
-	}
-	s := h2.NewSearcher()
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 135), s.Distance)
-}
-
 func TestCHVersionErrors(t *testing.T) {
 	g := testutil.SmallRoad(400, 833)
 	h := ch.Build(g, ch.Options{})
-
-	// Legacy stream with an unknown version must name the supported ones.
-	var v1 bytes.Buffer
-	if err := h.SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), v1.Bytes()...)
-	bad[len("ROADNET-CH\n")] = 9
-	_, err := ch.ReadHierarchy(bytes.NewReader(bad), g)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("v1 stream with version 9: got %v, want a versioned error", err)
-	}
 
 	// Flat container with a future version must surface binio.ErrVersion.
 	var v2 bytes.Buffer
 	if err := h.Save(&v2); err != nil {
 		t.Fatal(err)
 	}
-	bad = append([]byte(nil), v2.Bytes()...)
+	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	_, err = ch.ReadHierarchy(bytes.NewReader(bad), g)
+	_, err := ch.ReadHierarchy(bytes.NewReader(bad), g)
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}

@@ -77,7 +77,7 @@ func FlipByte(path string, off int64) error {
 
 // identityPrefix is the magic, fourcc and version fields. They are
 // checksum-covered too, but flipping them changes what the file claims to
-// be, which the sniffing readers answer by dispatch (ErrNotFlat,
+// be, which the readers answer with an error of their own (ErrNotFlat,
 // ErrVersion, a fourcc mismatch) before any checksum runs — so FlipCovered
 // aims past them at the bytes only a checksum can defend.
 const identityPrefix = 16

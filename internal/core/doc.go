@@ -24,6 +24,6 @@
 //     technique's native path production.
 //   - The spatial tier (spatial.go): an R-tree locator composed with the
 //     network engines for point location, network k-NN and range queries.
-//   - Persistence (loadfile.go): the flat v2 zero-copy load path with
-//     checksum verification, plus the legacy v1 streams.
+//   - Persistence (serialize.go, loadfile.go): the flat container, read
+//     from a stream or mapped zero-copy, with checksum verification.
 package core

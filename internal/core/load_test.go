@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,9 @@ import (
 	"roadnet/internal/binio"
 	"roadnet/internal/ch"
 	"roadnet/internal/core"
+	"roadnet/internal/geom"
+	"roadnet/internal/graph"
+	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 )
@@ -30,84 +35,140 @@ func saveToFile(t *testing.T, ix core.Index, name string) string {
 	return path
 }
 
-// TestLoadIndexFileOracle is the zero-copy correctness oracle: for each
-// serializable technique it compares the freshly built index against the
-// same index loaded back from disk through both load paths (heap and mmap)
-// and requires bit-identical distances and paths on every sampled pair.
+// stackedCoords returns g with every vertex moved onto the point of the
+// first vertex of its group of three: distinct vertices then share Morton
+// cells, which is what fills SILC's exception runs.
+func stackedCoords(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	coords := append([]geom.Point(nil), g.Coords()...)
+	for v := range coords {
+		coords[v] = coords[v-v%3]
+	}
+	stacked, err := graph.FromEdges(coords, g.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stacked
+}
+
+// TestLoadIndexFileOracle holds the three forms of one index to each other:
+// for each serializable technique the freshly built index, the file read
+// onto the heap and the file mapped must report the same size and give
+// bit-identical distances and paths on every sampled pair.
 func TestLoadIndexFileOracle(t *testing.T) {
-	g := testutil.SmallRoad(900, 911)
-	pairs := testutil.SamplePairs(g, 200, 163)
-	pathPairs := testutil.SamplePairs(g, 50, 165)
-	for _, m := range []core.Method{core.MethodCH, core.MethodTNR, core.MethodSILC} {
+	road := testutil.SmallRoad(900, 911)
+	stacked := stackedCoords(t, testutil.SmallRoad(300, 919))
+	for _, tc := range []struct {
+		name string
+		m    core.Method
+		g    *graph.Graph
+	}{
+		{"ch", core.MethodCH, road},
+		{"tnr", core.MethodTNR, road},
+		{"silc", core.MethodSILC, road},
+		{"silc-stacked", core.MethodSILC, stacked},
+	} {
+		m, g := tc.m, tc.g
+		pairs := testutil.SamplePairs(g, 200, 163)
+		pathPairs := testutil.SamplePairs(g, 50, 165)
 		built, err := core.BuildIndex(m, g, core.Config{TNR: tnr.Options{GridSize: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := saveToFile(t, built, string(m)+".idx")
+		path := saveToFile(t, built, tc.name+".idx")
+		if g == stacked {
+			f, err := binio.OpenFlat(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, size := f.SectionInfo(7); size == 0 {
+				t.Errorf("%s: no exception targets on disk; the graph does not exercise the runs", tc.name)
+			}
+			f.Close()
+		}
 
 		for _, preferMmap := range []bool{false, true} {
 			loaded, info, err := core.LoadIndexFile(m, path, g, preferMmap)
 			if err != nil {
-				t.Fatalf("%s preferMmap=%v: %v", m, preferMmap, err)
-			}
-			if !info.Flat {
-				t.Errorf("%s: SaveIndex output not recognised as flat", m)
+				t.Fatalf("%s preferMmap=%v: %v", tc.name, preferMmap, err)
 			}
 			wantMapped := preferMmap && binio.MmapSupported
 			if info.Mapped != wantMapped {
-				t.Errorf("%s preferMmap=%v: Mapped=%v, want %v", m, preferMmap, info.Mapped, wantMapped)
+				t.Errorf("%s preferMmap=%v: Mapped=%v, want %v", tc.name, preferMmap, info.Mapped, wantMapped)
 			}
 			if info.SizeBytes <= 0 {
-				t.Errorf("%s: SizeBytes=%d, want > 0", m, info.SizeBytes)
+				t.Errorf("%s: SizeBytes=%d, want > 0", tc.name, info.SizeBytes)
+			}
+			if got, want := loaded.Stats().IndexBytes, built.Stats().IndexBytes; got != want {
+				t.Errorf("%s preferMmap=%v: loaded index is %d bytes, built one %d", tc.name, preferMmap, got, want)
 			}
 			for _, p := range pairs {
 				if got, want := loaded.Distance(p[0], p[1]), built.Distance(p[0], p[1]); got != want {
-					t.Fatalf("%s preferMmap=%v: dist(%d,%d)=%d, built says %d", m, preferMmap, p[0], p[1], got, want)
+					t.Fatalf("%s preferMmap=%v: dist(%d,%d)=%d, built says %d", tc.name, preferMmap, p[0], p[1], got, want)
 				}
 			}
 			for _, p := range pathPairs {
 				gotPath, gotD := loaded.ShortestPath(p[0], p[1])
 				wantPath, wantD := built.ShortestPath(p[0], p[1])
 				if gotD != wantD || !reflect.DeepEqual(gotPath, wantPath) {
-					t.Fatalf("%s preferMmap=%v: path(%d,%d) differs from built index", m, preferMmap, p[0], p[1])
+					t.Fatalf("%s preferMmap=%v: path(%d,%d) differs from built index", tc.name, preferMmap, p[0], p[1])
 				}
 			}
 			if err := core.CloseIndex(loaded); err != nil {
-				t.Errorf("%s: CloseIndex: %v", m, err)
+				t.Errorf("%s: CloseIndex: %v", tc.name, err)
+			}
+		}
+		testutil.CheckPathsAgainstDijkstra(t, g, pathPairs, built.ShortestPath)
+	}
+}
+
+// TestNonFlatStreamsRejected hands every reader streams that are not flat
+// containers — nothing, a few bytes, and the magic the deleted v1 stream
+// format began with: each must answer binio.ErrNotFlat, never panic.
+func TestNonFlatStreamsRejected(t *testing.T) {
+	g := testutil.SmallRoad(200, 913)
+	streams := map[string][]byte{
+		"empty":    nil,
+		"short":    []byte("RNF"),
+		"v1 magic": append([]byte("ROADNET-CH\n\x01"), make([]byte, 64)...),
+	}
+	readers := map[string]func(data []byte) error{
+		"ch.ReadHierarchy": func(data []byte) error {
+			_, err := ch.ReadHierarchy(bytes.NewReader(data), g)
+			return err
+		},
+		"tnr.ReadIndex": func(data []byte) error {
+			_, err := tnr.ReadIndex(bytes.NewReader(data), g)
+			return err
+		},
+		"silc.ReadIndex": func(data []byte) error {
+			_, err := silc.ReadIndex(bytes.NewReader(data), g)
+			return err
+		},
+		"core.LoadIndexFile heap": func(data []byte) error { return loadBytes(t, g, data, false) },
+		"core.LoadIndexFile mmap": func(data []byte) error { return loadBytes(t, g, data, true) },
+	}
+	for sname, data := range streams {
+		for rname, read := range readers {
+			if err := read(data); !errors.Is(err, binio.ErrNotFlat) {
+				t.Errorf("%s on %s stream: got %v, want binio.ErrNotFlat", rname, sname, err)
 			}
 		}
 	}
 }
 
-// TestLoadIndexFileV1Fallback feeds LoadIndexFile a legacy v1 stream file:
-// it must fall back to the copying decoder and still answer correctly.
-func TestLoadIndexFileV1Fallback(t *testing.T) {
-	g := testutil.SmallRoad(400, 913)
-	h := ch.Build(g, ch.Options{})
-	path := filepath.Join(t.TempDir(), "ch-v1.idx")
-	f, err := os.Create(path)
-	if err != nil {
+// loadBytes writes data to a file and loads it as a CH index.
+func loadBytes(t *testing.T, g *graph.Graph, data []byte, preferMmap bool) error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stream.idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.SaveV1(f); err != nil {
-		t.Fatal(err)
+	ix, _, err := core.LoadIndexFile(core.MethodCH, path, g, preferMmap)
+	if err == nil {
+		core.CloseIndex(ix)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, info, err := core.LoadIndexFile(core.MethodCH, path, g, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer core.CloseIndex(loaded)
-	if info.Flat || info.Mapped {
-		t.Errorf("v1 file reported Flat=%v Mapped=%v, want false/false", info.Flat, info.Mapped)
-	}
-	if info.Mode() != "heap(v1)" {
-		t.Errorf("Mode()=%q, want heap(v1)", info.Mode())
-	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 167), loaded.Distance)
+	return err
 }
 
 // TestLoadIndexFileErrors covers the failure paths: missing file, garbage

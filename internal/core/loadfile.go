@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"roadnet/internal/binio"
@@ -19,19 +17,17 @@ type LoadInfo struct {
 	// Path is the file the index was loaded from.
 	Path string
 	// Mapped reports the zero-copy path: the file is mmap'd and the index
-	// arrays alias the mapping. False means a heap load (flat file read
-	// into memory, or a legacy v1 stream decode).
+	// arrays alias the mapping. False means a heap load (the file read into
+	// memory and cast there).
 	Mapped bool
-	// Flat reports the v2 flat container (false: legacy v1 stream).
-	Flat bool
 	// SizeBytes is the on-disk size of the index file.
 	SizeBytes int64
 	// LoadTime is the wall-clock time from open to a queryable index.
 	LoadTime time.Duration
 	// Verified reports that the file carries checksums and every one was
 	// verified during the load — the index bytes are known-good. False for
-	// legacy v1 streams and pre-checksum flat files (which cannot be
-	// audited) and for loads that passed binio.WithoutVerify.
+	// pre-checksum files (which cannot be audited) and for loads that
+	// passed binio.WithoutVerify.
 	Verified bool
 	// VerifyTime is how much of LoadTime the checksum sweep took (zero
 	// when verification was skipped). Operators watching startup latency
@@ -41,28 +37,24 @@ type LoadInfo struct {
 
 // Mode renders the load path as a short label for logs.
 func (li LoadInfo) Mode() string {
-	switch {
-	case li.Mapped:
+	if li.Mapped {
 		return "mmap"
-	case li.Flat:
-		return "heap(flat)"
-	default:
-		return "heap(v1)"
 	}
+	return "heap"
 }
 
 // LoadIndexFile loads an index of the given method from path, re-attaching
-// it to g. Flat v2 files are opened through binio.OpenFlat: with preferMmap
-// (and platform support) the file is mapped and the index aliases the
-// mapping — O(#sections) startup, near-zero allocations, resident memory
-// shared with the page cache; otherwise the container is read onto the
-// heap and still parsed without per-element decoding. Legacy v1 streams
-// fall back to the copying LoadIndex path.
+// it to g. The file is opened through binio.OpenFlat: with preferMmap (and
+// platform support) it is mapped and the index aliases the mapping —
+// O(#sections) startup, near-zero allocations, resident memory shared with
+// the page cache; otherwise the container is read onto the heap and still
+// parsed without per-element decoding. A file that is not a flat container
+// fails with binio.ErrNotFlat.
 //
 // Indexes whose LoadInfo.Mapped is true hold the mapping open; release it
 // with CloseIndex when the index is retired.
 //
-// By default every checksum in a flat file is verified before the index
+// By default every checksum in the file is verified before the index
 // serves a query, mapped or not: a flipped byte fails the load with
 // binio.ErrCorrupt instead of producing silently wrong shortest paths (the
 // caller may then fall back to a plain Dijkstra pool — see spserve's
@@ -72,17 +64,6 @@ func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, 
 	start := time.Now()
 	info := LoadInfo{Path: path}
 	f, err := binio.OpenFlat(path, preferMmap, append([]binio.OpenOption{binio.WithVerify()}, opts...)...)
-	if errors.Is(err, binio.ErrNotFlat) {
-		idx, lerr := loadV1File(method, path, g)
-		if lerr != nil {
-			return nil, info, lerr
-		}
-		if st, serr := os.Stat(path); serr == nil {
-			info.SizeBytes = st.Size()
-		}
-		info.LoadTime = time.Since(start)
-		return idx, info, nil
-	}
 	if err != nil {
 		return nil, info, err
 	}
@@ -117,26 +98,11 @@ func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, 
 		return nil, info, fmt.Errorf("%s: %w", path, err)
 	}
 	info.Mapped = f.Mapped()
-	info.Flat = true
 	info.SizeBytes = f.SizeBytes()
 	info.Verified = f.Verified()
 	info.VerifyTime = f.VerifyTime()
 	info.LoadTime = time.Since(start)
 	return idx, info, nil
-}
-
-// loadV1File decodes a legacy v1 stream file through LoadIndex.
-func loadV1File(method Method, path string, g *graph.Graph) (Index, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	idx, err := LoadIndex(method, fh, g)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return idx, nil
 }
 
 // CloseIndex releases any file mapping a LoadIndexFile-loaded index holds.

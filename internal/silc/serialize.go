@@ -1,10 +1,8 @@
 package silc
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"roadnet/internal/binio"
@@ -16,22 +14,17 @@ import (
 // hours on the paper's datasets), so persisting the built index matters
 // even more than for CH.
 //
-// Save writes the flat v2 container: the per-source interval tables — the
+// Save writes the flat container: the per-source interval tables — the
 // O(n sqrt n) bulk of the index — are stored as shared offsets plus
 // concatenated starts/colors/minDist sections a loader can mmap and view
-// in place, and the exception maps become per-source sorted (target,
-// color) runs searched binarily at query time. SaveV1 keeps the legacy
-// length-prefixed stream; ReadIndex accepts both.
+// in place, and the exception runs are written as the index holds them.
 
-const (
-	silcMagic   = "ROADNET-SILC\n"
-	silcVersion = 1
-)
+const silcMagic = "ROADNET-SILC\n"
 
 // Fourcc tags a flat container holding a SILC index.
 const Fourcc uint32 = 'S' | 'I'<<8 | 'L'<<16 | 'C'<<24
 
-// Save serializes the index in the flat v2 format.
+// Save serializes the index as a flat container.
 func (ix *Index) Save(w io.Writer) error {
 	n := ix.g.NumVertices()
 	fw := binio.NewFlatWriter(Fourcc)
@@ -60,67 +53,31 @@ func (ix *Index) Save(w io.Writer) error {
 	fw.I32Section(minDistData)
 	fw.U32Section(ix.code)
 	fw.I32Section(ix.order)
-	excOff, excTarget, excColor := ix.exceptionRuns()
-	fw.I64Section(excOff)
-	fw.I32Section(excTarget)
-	fw.U8Section(excColor)
+	fw.I64Section(ix.excOff)
+	fw.I32Section(ix.excTarget)
+	fw.U8Section(ix.excColor)
 	_, err := fw.WriteTo(w)
 	return err
 }
 
-// exceptionRuns returns the exception tables in on-disk form: per-source
-// runs of (target, color) pairs sorted by target, delimited by offsets.
-// Flat-loaded indexes already hold this form and pass it through.
-func (ix *Index) exceptionRuns() (off []int64, targets []int32, colors []uint8) {
-	if ix.exceptions == nil {
-		return ix.excOff, ix.excTarget, ix.excColor
-	}
-	off = make([]int64, len(ix.exceptions)+1)
-	total := 0
-	for v, exc := range ix.exceptions {
-		off[v] = int64(total)
-		total += len(exc)
-	}
-	off[len(ix.exceptions)] = int64(total)
-	targets = make([]int32, 0, total)
-	colors = make([]uint8, 0, total)
-	for _, exc := range ix.exceptions {
-		row := make([]int32, 0, len(exc))
-		for target := range exc {
-			row = append(row, target)
-		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		targets = append(targets, row...)
-		for _, target := range row {
-			colors = append(colors, exc[target])
-		}
-	}
-	return off, targets, colors
-}
-
-// ReadIndex deserializes an index written with Save (v2) or SaveV1,
-// re-attaching it to g (the same network it was built on). This is the
-// copying stream path; use core.LoadIndexFile for the zero-copy mmap path.
+// ReadIndex deserializes an index written with Save, re-attaching it to g
+// (the same network it was built on). This is the copying stream path; use
+// core.LoadIndexFile for the zero-copy mmap path. A stream that is not a
+// flat container is binio.ErrNotFlat.
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(len(binio.FlatMagic)); err == nil && binio.IsFlat(prefix) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("silc: reading index: %w", err)
-		}
-		f, err := binio.ParseFlat(data, true)
-		if err != nil {
-			return nil, fmt.Errorf("silc: %w", err)
-		}
-		return IndexFromFlat(f, g)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("silc: reading index: %w", err)
 	}
-	return readIndexV1(br, g)
+	f, err := binio.ParseFlat(data, true)
+	if err != nil {
+		return nil, fmt.Errorf("silc: %w", err)
+	}
+	return IndexFromFlat(f, g)
 }
 
 // IndexFromFlat builds an index over the sections of f. The index aliases
-// f's data; f must stay open for its lifetime. Exception lookups on a
-// flat-loaded index binary-search the sorted on-disk runs instead of
-// rebuilt maps, so no per-entry work happens at load time.
+// f's data; f must stay open for its lifetime.
 func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if f.Fourcc() != Fourcc {
 		return nil, fmt.Errorf("silc: flat container fourcc %#x is not a SILC index", f.Fourcc())
@@ -222,140 +179,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	// row views: exception rows are sliced lazily in exceptionColor.
 	if _, err := binio.Unflatten(ix.excOff, ix.excTarget); err != nil {
 		return fail(err)
-	}
-	return ix, nil
-}
-
-// SaveV1 serializes the index in the legacy length-prefixed v1 format.
-// New deployments should prefer Save.
-func (ix *Index) SaveV1(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Magic(silcMagic)
-	bw.U8(silcVersion)
-	bw.I64(int64(ix.g.NumVertices()))
-	bw.I64(int64(ix.g.NumEdges()))
-	bw.U8(uint8(ix.norm.Bits()))
-	bw.I64(ix.buildTime.Nanoseconds())
-	bw.I64(ix.intervals)
-	hasNearest := uint8(0)
-	if ix.minDist != nil {
-		hasNearest = 1
-	}
-	bw.U8(hasNearest)
-	bw.U32Slice(ix.code)
-	if hasNearest != 0 {
-		bw.I32Slice(ix.order)
-	}
-	excOff, excTarget, excColor := ix.exceptionRuns()
-	for v := range ix.starts {
-		bw.U32Slice(ix.starts[v])
-		bw.U8Slice(ix.colors[v])
-		if hasNearest != 0 {
-			bw.I32Slice(ix.minDist[v])
-		}
-		lo, hi := excRow(excOff, v)
-		bw.I64(hi - lo)
-		for i := lo; i < hi; i++ {
-			bw.I32(excTarget[i])
-			bw.U8(excColor[i])
-		}
-	}
-	return bw.Flush()
-}
-
-// excRow returns the [lo, hi) run of row v in a flat exception table, or
-// an empty run when the table is absent.
-func excRow(off []int64, v int) (lo, hi int64) {
-	if v+1 >= len(off) {
-		return 0, 0
-	}
-	return off[v], off[v+1]
-}
-
-// readIndexV1 decodes the legacy length-prefixed format.
-func readIndexV1(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := binio.NewReader(r)
-	br.Magic(silcMagic)
-	if v := br.U8(); br.Err() == nil && v != silcVersion {
-		return nil, fmt.Errorf("silc: unsupported format version %d (this reader supports v%d and the v%d flat container)",
-			v, silcVersion, binio.FlatVersion)
-	}
-	n := br.I64()
-	m := br.I64()
-	if br.Err() == nil && (n != int64(g.NumVertices()) || m != int64(g.NumEdges())) {
-		return nil, fmt.Errorf("silc: index was built for a %dx%d graph, got %dx%d",
-			n, m, g.NumVertices(), g.NumEdges())
-	}
-	bits := uint(br.U8())
-	if br.Err() != nil {
-		return nil, fmt.Errorf("silc: reading index: %w", br.Err())
-	}
-	if bits < 1 || bits > 16 {
-		return nil, fmt.Errorf("silc: implausible normalizer bits %d", bits)
-	}
-	ix := &Index{
-		g:          g,
-		norm:       geom.NewNormalizer(g.Bounds(), bits),
-		starts:     make([][]uint32, g.NumVertices()),
-		colors:     make([][]uint8, g.NumVertices()),
-		exceptions: make([]map[graph.VertexID]uint8, g.NumVertices()),
-	}
-	ix.buildTime = time.Duration(br.I64())
-	ix.intervals = br.I64()
-	hasNearest := br.U8() != 0
-	ix.code = br.U32Slice()
-	if br.Err() != nil {
-		return nil, fmt.Errorf("silc: reading index: %w", br.Err())
-	}
-	if len(ix.code) != g.NumVertices() {
-		return nil, fmt.Errorf("silc: code table sized for a different graph")
-	}
-	if hasNearest {
-		ix.order = br.I32Slice()
-		if br.Err() == nil && len(ix.order) != g.NumVertices() {
-			return nil, fmt.Errorf("silc: order table sized for a different graph")
-		}
-		for _, ov := range ix.order {
-			if ov < 0 || int64(ov) >= n {
-				return nil, fmt.Errorf("silc: order entry %d out of range", ov)
-			}
-		}
-		ix.minDist = make([][]int32, g.NumVertices())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		ix.starts[v] = br.U32Slice()
-		ix.colors[v] = br.U8Slice()
-		if len(ix.starts[v]) != len(ix.colors[v]) {
-			return nil, fmt.Errorf("silc: interval arrays of vertex %d inconsistent", v)
-		}
-		if hasNearest {
-			ix.minDist[v] = br.I32Slice()
-			if br.Err() == nil && len(ix.minDist[v]) != len(ix.starts[v]) {
-				return nil, fmt.Errorf("silc: minDist array of vertex %d inconsistent", v)
-			}
-		}
-		count := br.I64()
-		if br.Err() != nil {
-			return nil, fmt.Errorf("silc: reading index: %w", br.Err())
-		}
-		if count < 0 || count > n {
-			return nil, fmt.Errorf("silc: implausible exception count %d", count)
-		}
-		if count > 0 {
-			exc := make(map[graph.VertexID]uint8, count)
-			for i := int64(0); i < count; i++ {
-				target := br.I32()
-				color := br.U8()
-				if target < 0 || int64(target) >= n {
-					return nil, fmt.Errorf("silc: exception target %d out of range", target)
-				}
-				exc[target] = color
-			}
-			ix.exceptions[v] = exc
-		}
-	}
-	if br.Err() != nil {
-		return nil, fmt.Errorf("silc: reading index: %w", br.Err())
 	}
 	return ix, nil
 }

@@ -3,7 +3,6 @@ package silc_test
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"roadnet/internal/binio"
@@ -72,45 +71,17 @@ func TestSILCSerializationRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestSILCV1Roundtrip(t *testing.T) {
-	g := testutil.SmallRoad(900, 851)
-	ix := build(t, g)
-	var buf bytes.Buffer
-	if err := ix.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.NumIntervals() != ix.NumIntervals() {
-		t.Errorf("intervals %d != %d after v1 roundtrip", ix2.NumIntervals(), ix.NumIntervals())
-	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 155), ix2.Distance)
-}
-
 func TestSILCVersionErrors(t *testing.T) {
 	g := testutil.SmallRoad(400, 853)
 	ix := build(t, g)
-
-	var v1 bytes.Buffer
-	if err := ix.SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), v1.Bytes()...)
-	bad[len("ROADNET-SILC\n")] = 9
-	_, err := silc.ReadIndex(bytes.NewReader(bad), g)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("v1 stream with version 9: got %v, want a versioned error", err)
-	}
 
 	var v2 bytes.Buffer
 	if err := ix.Save(&v2); err != nil {
 		t.Fatal(err)
 	}
-	bad = append([]byte(nil), v2.Bytes()...)
+	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	_, err = silc.ReadIndex(bytes.NewReader(bad), g)
+	_, err := silc.ReadIndex(bytes.NewReader(bad), g)
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}

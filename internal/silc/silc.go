@@ -20,10 +20,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"roadnet/internal/binio"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
@@ -60,17 +62,14 @@ type Index struct {
 	starts [][]uint32
 	colors [][]uint8
 
-	// exceptions lists, per source, the vertices whose Morton cell is
-	// shared with a different-colored vertex (coordinate collisions); the
-	// pair table overrides the interval lookup. Built and v1-loaded indexes
-	// use the maps; flat-loaded (zero-copy) ones keep the on-disk form
-	// instead — per-source runs of (target, color) pairs sorted by target,
-	// delimited by excOff and searched binarily in exceptionColor — so
-	// loading never materializes per-entry heap state.
-	exceptions []map[graph.VertexID]uint8
-	excOff     []int64
-	excTarget  []int32
-	excColor   []uint8
+	// Exceptions list, per source, the vertices whose Morton cell is shared
+	// with a different-colored vertex (coordinate collisions); they override
+	// the interval lookup. Source v's run is excTarget/excColor[excOff[v]:
+	// excOff[v+1]], (target, color) pairs sorted by target and searched
+	// binarily in exceptionColor — the form Build emits and files store.
+	excOff    []int64
+	excTarget []int32
+	excColor  []uint8
 
 	// code[v] is the Morton code of v.
 	code []uint32
@@ -110,12 +109,11 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 
 	ix := &Index{
-		g:          g,
-		norm:       geom.NewNormalizer(g.Bounds(), opts.Bits),
-		starts:     make([][]uint32, n),
-		colors:     make([][]uint8, n),
-		exceptions: make([]map[graph.VertexID]uint8, n),
-		code:       make([]uint32, n),
+		g:      g,
+		norm:   geom.NewNormalizer(g.Bounds(), opts.Bits),
+		starts: make([][]uint32, n),
+		colors: make([][]uint8, n),
+		code:   make([]uint32, n),
 	}
 	for v := 0; v < n; v++ {
 		ix.code[v] = uint32(ix.norm.Code(g.Coord(graph.VertexID(v))))
@@ -131,6 +129,10 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		ix.minDist = make([][]int32, n)
 	}
 
+	// Per-source exception rows, flattened into the index once all are in.
+	excTarget := make([][]int32, n)
+	excColor := make([][]uint8, n)
+
 	var wg sync.WaitGroup
 	vch := make(chan graph.VertexID, opts.Workers*4)
 	var mu sync.Mutex
@@ -139,7 +141,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := newSourceBuilder(ix, order)
+			b := newSourceBuilder(ix, order, excTarget, excColor)
 			for v := range vch {
 				if err := b.build(v); err != nil {
 					mu.Lock()
@@ -163,6 +165,8 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	for v := 0; v < n; v++ {
 		ix.intervals += int64(len(ix.starts[v]))
 	}
+	ix.excOff, ix.excTarget = binio.Flatten(excTarget)
+	_, ix.excColor = binio.Flatten(excColor)
 	ix.buildTime = time.Since(start)
 	return ix, nil
 }
@@ -177,15 +181,22 @@ type sourceBuilder struct {
 
 	starts   []uint32
 	colors   []uint8
-	minDists []int32 // used when EnableNearest
+	minDists []int32          // used when EnableNearest
+	exc      []graph.VertexID // exception targets of the current source
+
+	// Build's per-source exception rows; each source writes only its own.
+	excTarget [][]int32
+	excColor  [][]uint8
 }
 
-func newSourceBuilder(ix *Index, order []graph.VertexID) *sourceBuilder {
+func newSourceBuilder(ix *Index, order []graph.VertexID, excTarget [][]int32, excColor [][]uint8) *sourceBuilder {
 	return &sourceBuilder{
-		ix:    ix,
-		order: order,
-		ctx:   dijkstra.NewContext(ix.g),
-		hop:   make([]uint8, ix.g.NumVertices()),
+		ix:        ix,
+		order:     order,
+		ctx:       dijkstra.NewContext(ix.g),
+		hop:       make([]uint8, ix.g.NumVertices()),
+		excTarget: excTarget,
+		excColor:  excColor,
 	}
 }
 
@@ -228,16 +239,22 @@ func (b *sourceBuilder) build(v graph.VertexID) error {
 	b.starts = b.starts[:0]
 	b.colors = b.colors[:0]
 	b.minDists = b.minDists[:0]
-	exceptions := map[graph.VertexID]uint8{}
-	b.rec(v, 0, uint64(b.ix.norm.CodeSpaceSize()), 0, len(b.order), exceptions)
+	b.exc = b.exc[:0]
+	b.rec(v, 0, uint64(b.ix.norm.CodeSpaceSize()), 0, len(b.order))
 
 	b.ix.starts[v] = append([]uint32(nil), b.starts...)
 	b.ix.colors[v] = append([]uint8(nil), b.colors...)
 	if b.ix.minDist != nil {
 		b.ix.minDist[v] = append([]int32(nil), b.minDists...)
 	}
-	if len(exceptions) > 0 {
-		b.ix.exceptions[v] = exceptions
+	if len(b.exc) > 0 {
+		// Each vertex lies in one leaf cell, so targets are distinct.
+		slices.Sort(b.exc)
+		b.excTarget[v] = slices.Clone(b.exc)
+		b.excColor[v] = make([]uint8, len(b.exc))
+		for i, u := range b.exc {
+			b.excColor[v][i] = b.hop[u]
+		}
 	}
 	return nil
 }
@@ -290,7 +307,7 @@ func (b *sourceBuilder) regionMinDist(idxLo, idxHi int) int32 {
 // [codeLo, codeLo+codeSpan) containing the sorted vertices
 // order[idxLo:idxHi], emitting maximal single-color intervals. The source
 // vertex src acts as a wildcard that matches any color.
-func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, idxHi int, exceptions map[graph.VertexID]uint8) {
+func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, idxHi int) {
 	if idxLo >= idxHi {
 		return
 	}
@@ -327,7 +344,7 @@ func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, 
 		for i := idxLo; i < idxHi; i++ {
 			u := b.order[i]
 			if u != src && b.hop[u] != color {
-				exceptions[u] = b.hop[u]
+				b.exc = append(b.exc, u)
 			}
 		}
 		return
@@ -340,25 +357,14 @@ func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, 
 		end := at + sort.Search(idxHi-at, func(k int) bool {
 			return uint64(b.ix.code[b.order[at+k]]) >= qHi
 		})
-		b.rec(src, qLo, quarter, at, end, exceptions)
+		b.rec(src, qLo, quarter, at, end)
 		at = end
 	}
 }
 
 // exceptionColor resolves a coordinate-collision override for the pair
-// (cur, target): from the exception map on built/v1-loaded indexes, by
-// binary search over the sorted flat runs on zero-copy loads.
+// (cur, target) by binary search over cur's sorted exception run.
 func (ix *Index) exceptionColor(cur, target graph.VertexID) (uint8, bool) {
-	if ix.exceptions != nil {
-		if exc := ix.exceptions[cur]; exc != nil {
-			c, ok := exc[target]
-			return c, ok
-		}
-		return 0, false
-	}
-	if ix.excOff == nil {
-		return 0, false
-	}
 	lo, hi := int(ix.excOff[cur]), int(ix.excOff[cur+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -465,22 +471,16 @@ func (ix *Index) NumIntervals() int64 { return ix.intervals }
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the index footprint: 5 bytes per interval (4-byte
-// start + 1-byte color) plus the per-source slice headers and exceptions.
+// start + 1-byte color) plus the per-source slice headers, and 5 bytes per
+// exception plus the run offsets.
 func (ix *Index) SizeBytes() int64 {
 	var size int64
 	for v := range ix.starts {
 		size += int64(len(ix.starts[v]))*5 + 48
-		if ix.exceptions != nil {
-			if exc := ix.exceptions[v]; exc != nil {
-				size += int64(len(exc)) * 16
-			}
-		}
 		if ix.minDist != nil {
 			size += int64(len(ix.minDist[v])) * 4
 		}
 	}
-	// Flat-loaded indexes keep the sorted-run exception form instead: 5
-	// bytes per entry, shared with the page cache when mapped.
 	size += int64(len(ix.excTarget)) * 5
 	size += int64(len(ix.excOff)) * 8
 	size += int64(len(ix.code)) * 4

@@ -1,7 +1,6 @@
 package tnr
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -18,25 +17,21 @@ import (
 // contraction hierarchy (used for fallback queries and shared
 // preprocessing) is stored inline.
 //
-// Save writes the flat v2 container: the access-node distance tables —
+// Save writes the flat container: the access-node distance tables —
 // the multi-GB part of a continental index — are 64-byte-aligned sections
 // a loader can mmap and use in place; ragged per-vertex/per-cell rows are
 // stored as offsets + concatenated data and rebuilt as views (one slice-
 // header allocation per ragged array, no data copies). The embedded CH is
 // a nested flat container inside a byte section, so it too loads zero-
-// copy. SaveV1 keeps the legacy length-prefixed stream; ReadIndex accepts
-// both.
+// copy.
 
-const (
-	tnrMagic   = "ROADNET-TNR\n"
-	tnrVersion = 1
-)
+const tnrMagic = "ROADNET-TNR\n"
 
 // Fourcc tags a flat container holding a TNR index.
 const Fourcc uint32 = 'T' | 'N'<<8 | 'R'<<16 | ' '<<24
 
-// Save serializes the index, including its contraction hierarchy, in the
-// flat v2 format.
+// Save serializes the index, including its contraction hierarchy, as a
+// flat container.
 func (ix *Index) Save(w io.Writer) error {
 	fw := binio.NewFlatWriter(Fourcc)
 	mw := fw.Meta()
@@ -87,23 +82,20 @@ func addLayer(fw *binio.FlatWriter, mw *binio.Writer, l *layer) {
 	fw.I32Section(distData)
 }
 
-// ReadIndex deserializes an index written with Save (v2) or SaveV1,
-// re-attaching it to g (the same network it was built on). This is the
-// copying stream path; use core.LoadIndexFile for the zero-copy mmap path.
+// ReadIndex deserializes an index written with Save, re-attaching it to g
+// (the same network it was built on). This is the copying stream path; use
+// core.LoadIndexFile for the zero-copy mmap path. A stream that is not a
+// flat container is binio.ErrNotFlat.
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(len(binio.FlatMagic)); err == nil && binio.IsFlat(prefix) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("tnr: reading index: %w", err)
-		}
-		f, err := binio.ParseFlat(data, true)
-		if err != nil {
-			return nil, fmt.Errorf("tnr: %w", err)
-		}
-		return IndexFromFlat(f, g)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("tnr: reading index: %w", err)
 	}
-	return readIndexV1(br, g)
+	f, err := binio.ParseFlat(data, true)
+	if err != nil {
+		return nil, fmt.Errorf("tnr: %w", err)
+	}
+	return IndexFromFlat(f, g)
 }
 
 // IndexFromFlat builds an index over the sections of f. The index aliases
@@ -257,178 +249,4 @@ func boolByte(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// SaveV1 serializes the index in the legacy length-prefixed v1 format.
-// New deployments should prefer Save.
-func (ix *Index) SaveV1(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Magic(tnrMagic)
-	bw.U8(tnrVersion)
-	bw.I64(int64(ix.g.NumVertices()))
-	bw.I64(int64(ix.g.NumEdges()))
-	bw.I32(int32(ix.opts.GridSize))
-	bw.U8(boolByte(ix.opts.Hybrid))
-	bw.U8(uint8(ix.opts.Fallback))
-	bw.U8(uint8(ix.opts.Access))
-	bw.I64(ix.buildTime.Nanoseconds())
-
-	var chBuf bytes.Buffer
-	if err := ix.hierarchy.SaveV1(&chBuf); err != nil {
-		return err
-	}
-	bw.U8Slice(chBuf.Bytes())
-
-	writeLayerV1(bw, ix.coarse)
-	if ix.opts.Hybrid {
-		writeLayerV1(bw, ix.fine)
-	}
-	return bw.Flush()
-}
-
-func writeLayerV1(bw *binio.Writer, l *layer) {
-	bw.I32Slice(l.anList)
-	bw.I64(int64(len(l.cellAN)))
-	for _, ans := range l.cellAN {
-		bw.I32Slice(ans)
-	}
-	bw.I64(int64(len(l.vaDist)))
-	for _, row := range l.vaDist {
-		bw.I32Slice(row)
-	}
-	if l.table != nil {
-		bw.U8(1)
-		bw.I32Slice(l.table)
-	} else {
-		bw.U8(0)
-		bw.I64(int64(len(l.sparsePartner)))
-		for i := range l.sparsePartner {
-			bw.I32Slice(l.sparsePartner[i])
-			bw.I32Slice(l.sparseDist[i])
-		}
-	}
-}
-
-// readIndexV1 decodes the legacy length-prefixed format.
-func readIndexV1(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := binio.NewReader(r)
-	br.Magic(tnrMagic)
-	if v := br.U8(); br.Err() == nil && v != tnrVersion {
-		return nil, fmt.Errorf("tnr: unsupported format version %d (this reader supports v%d and the v%d flat container)",
-			v, tnrVersion, binio.FlatVersion)
-	}
-	n := br.I64()
-	m := br.I64()
-	if br.Err() == nil && (n != int64(g.NumVertices()) || m != int64(g.NumEdges())) {
-		return nil, fmt.Errorf("tnr: index was built for a %dx%d graph, got %dx%d",
-			n, m, g.NumVertices(), g.NumEdges())
-	}
-	var opts Options
-	opts.GridSize = int(br.I32())
-	opts.Hybrid = br.U8() != 0
-	opts.Fallback = Fallback(br.U8())
-	opts.Access = AccessAlgorithm(br.U8())
-	buildTime := time.Duration(br.I64())
-	chBytes := br.U8Slice()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("tnr: reading header: %w", err)
-	}
-	if opts.GridSize < 1 || opts.GridSize > 1<<14 {
-		return nil, fmt.Errorf("tnr: implausible grid size %d", opts.GridSize)
-	}
-	h, err := ch.ReadHierarchy(bytes.NewReader(chBytes), g)
-	if err != nil {
-		return nil, fmt.Errorf("tnr: embedded hierarchy: %w", err)
-	}
-	opts.Hierarchy = h
-
-	ix := &Index{
-		g:         g,
-		opts:      opts,
-		hierarchy: h,
-		buildTime: buildTime,
-	}
-	if ix.coarse, err = readLayerV1(br, g, opts.GridSize); err != nil {
-		return nil, err
-	}
-	if opts.Hybrid {
-		if ix.fine, err = readLayerV1(br, g, opts.GridSize*2); err != nil {
-			return nil, err
-		}
-	}
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("tnr: reading index: %w", err)
-	}
-	return ix, nil
-}
-
-func readLayerV1(br *binio.Reader, g *graph.Graph, gridSize int) (*layer, error) {
-	n := g.NumVertices()
-	l := &layer{
-		grid:   geom.NewGrid(g.Bounds(), gridSize, gridSize),
-		cellOf: make([]int32, n),
-	}
-	// cellOf is deterministic from the grid; recompute instead of storing.
-	for v := 0; v < n; v++ {
-		c, r := l.grid.CellOf(g.Coord(graph.VertexID(v)))
-		l.cellOf[v] = int32(l.grid.CellIndex(c, r))
-	}
-	l.anList = br.I32Slice()
-	numCells := br.I64()
-	if br.Err() != nil {
-		return nil, fmt.Errorf("tnr: reading layer: %w", br.Err())
-	}
-	if numCells != int64(l.grid.NumCells()) {
-		return nil, fmt.Errorf("tnr: layer has %d cells, grid expects %d", numCells, l.grid.NumCells())
-	}
-	l.cellAN = make([][]int32, numCells)
-	for i := range l.cellAN {
-		l.cellAN[i] = br.I32Slice()
-		for _, an := range l.cellAN[i] {
-			if an < 0 || int(an) >= len(l.anList) {
-				return nil, fmt.Errorf("tnr: access-node index %d out of range", an)
-			}
-		}
-	}
-	rows := br.I64()
-	if br.Err() != nil {
-		return nil, fmt.Errorf("tnr: reading layer: %w", br.Err())
-	}
-	if rows != int64(n) {
-		return nil, fmt.Errorf("tnr: vaDist has %d rows, graph has %d vertices", rows, n)
-	}
-	l.vaDist = make([][]int32, rows)
-	for i := range l.vaDist {
-		l.vaDist[i] = br.I32Slice()
-	}
-	dense := br.U8()
-	if dense != 0 {
-		l.table = br.I32Slice()
-		if br.Err() == nil && len(l.table) != len(l.anList)*len(l.anList) {
-			return nil, fmt.Errorf("tnr: dense table size %d does not match %d access nodes",
-				len(l.table), len(l.anList))
-		}
-	} else {
-		count := br.I64()
-		if br.Err() != nil {
-			return nil, fmt.Errorf("tnr: reading layer: %w", br.Err())
-		}
-		if count != int64(len(l.anList)) {
-			return nil, fmt.Errorf("tnr: sparse table rows %d do not match %d access nodes",
-				count, len(l.anList))
-		}
-		l.sparsePartner = make([][]int32, count)
-		l.sparseDist = make([][]int32, count)
-		for i := int64(0); i < count; i++ {
-			l.sparsePartner[i] = br.I32Slice()
-			l.sparseDist[i] = br.I32Slice()
-			if len(l.sparsePartner[i]) != len(l.sparseDist[i]) {
-				return nil, fmt.Errorf("tnr: sparse row %d inconsistent", i)
-			}
-		}
-	}
-	if br.Err() != nil {
-		return nil, fmt.Errorf("tnr: reading layer: %w", br.Err())
-	}
-	return l, nil
 }

@@ -3,7 +3,6 @@ package tnr_test
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"roadnet/internal/binio"
@@ -78,47 +77,17 @@ func TestTNRSerializationRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestTNRV1Roundtrip(t *testing.T) {
-	g := testutil.SmallRoad(900, 841)
-	ix := buildTNR(t, g, tnr.Options{GridSize: 16})
-	var buf bytes.Buffer
-	if err := ix.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := tnr.ReadIndex(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, _ := ix.NumAccessNodes()
-	c2, _ := ix2.NumAccessNodes()
-	if c1 != c2 {
-		t.Errorf("access nodes %d != %d after v1 roundtrip", c2, c1)
-	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 145), ix2.Distance)
-}
-
 func TestTNRVersionErrors(t *testing.T) {
 	g := testutil.SmallRoad(400, 843)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 8})
-
-	var v1 bytes.Buffer
-	if err := ix.SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), v1.Bytes()...)
-	bad[len("ROADNET-TNR\n")] = 9
-	_, err := tnr.ReadIndex(bytes.NewReader(bad), g)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("v1 stream with version 9: got %v, want a versioned error", err)
-	}
 
 	var v2 bytes.Buffer
 	if err := ix.Save(&v2); err != nil {
 		t.Fatal(err)
 	}
-	bad = append([]byte(nil), v2.Bytes()...)
+	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	_, err = tnr.ReadIndex(bytes.NewReader(bad), g)
+	_, err := tnr.ReadIndex(bytes.NewReader(bad), g)
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}

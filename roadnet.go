@@ -263,8 +263,8 @@ func LoadIndex(method Method, r io.Reader, g *Graph) (Index, error) {
 }
 
 // LoadInfo describes how LoadIndexFile brought an index off disk: the load
-// mode (mmap, heap flat, legacy v1 stream), the on-disk size and the load
-// duration, for startup logging.
+// mode (mmap or heap), the on-disk size and the load duration, for startup
+// logging.
 type LoadInfo = core.LoadInfo
 
 // MmapSupported reports whether this platform has the zero-copy mmap load
@@ -295,11 +295,11 @@ func WithVerify() OpenOption { return binio.WithVerify() }
 // still be audited later with the spverify tool.
 func WithoutVerify() OpenOption { return binio.WithoutVerify() }
 
-// LoadIndexFile loads an index from a file. Flat v2 files (written by
-// SaveIndex) are mapped when preferMmap is set and the platform supports
-// it: the index arrays alias the page cache, making startup O(#sections)
-// with near-zero allocations regardless of index size. Legacy v1 files
-// load through the copying path. Call CloseIndex to release a mapping.
+// LoadIndexFile loads an index from a file written by SaveIndex. The file
+// is mapped when preferMmap is set and the platform supports it: the index
+// arrays alias the page cache, making startup O(#sections) with near-zero
+// allocations regardless of index size. Call CloseIndex to release a
+// mapping.
 //
 // Checksums are verified by default (see WithoutVerify);
 // LoadInfo.Verified records whether the bytes are known-good.
