@@ -144,10 +144,13 @@ func BenchmarkPathFarPCPD(b *testing.B)     { benchQueries(b, core.MethodPCPD, t
 
 func BenchmarkBuildCH(b *testing.B) {
 	g := gen.Generate(gen.Params{N: 9000, Seed: 104})
+	b.ReportAllocs()
 	b.ResetTimer()
+	var h *ch.Hierarchy
 	for i := 0; i < b.N; i++ {
-		ch.Build(g, ch.Options{})
+		h = ch.Build(g, ch.Options{})
 	}
+	b.ReportMetric(float64(h.NumShortcuts()), "shortcuts")
 }
 
 func BenchmarkBuildTNR(b *testing.B) {

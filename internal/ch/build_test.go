@@ -2,10 +2,16 @@ package ch
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"roadnet/internal/binio"
+	"roadnet/internal/gen"
 	"roadnet/internal/graph"
+	"roadnet/internal/pq"
 	"roadnet/internal/testutil"
 )
 
@@ -37,6 +43,88 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if settledA != settledB {
 		t.Errorf("two builds settle %d and %d vertices over the same pairs", settledA, settledB)
+	}
+}
+
+// savedBytes is what Save writes for h once the clock reading is zeroed.
+func savedBytes(t *testing.T, h *Hierarchy) []byte {
+	t.Helper()
+	h.buildTime = 0
+	var buf bytes.Buffer
+	if err := h.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBuildMatchesReference holds Build to the index refBuild produces,
+// byte for byte, under every kind of option. The settle-limit-4 cells on the
+// tie-heavy messy graphs are the sensitive ones: a binding limit makes the
+// result depend on the order a search pushes equal distances, which is the
+// order of the adjacency lists. Those cells and the default run with -short
+// too; the larger graphs and the other options do not (the reference is
+// slow, fifteen times slower again under the race detector).
+func TestBuildMatchesReference(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+	}
+	var inputs []input
+	presets := []string{"DE", "NH"}
+	options := []Options{{}, {WitnessSettleLimit: 2}, {WitnessSettleLimit: 4}}
+	if !testing.Short() {
+		presets = append(presets, "CA")
+		inputs = append(inputs, input{"n9000", gen.Generate(gen.Params{N: 9000, Seed: 104})})
+		options = append(options, Options{WitnessSettleLimit: 1000}, Options{EdgeDiffWeight: 1}, Options{DepthWeight: 1})
+	}
+	for _, name := range presets {
+		g, err := gen.GeneratePreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name, g})
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("messy%d", seed), messyGraph(seed)})
+	}
+	// Ordering by depth alone contracts into a dense graph: the reference
+	// needs 2 s on NH and 22 s at 9000 vertices for that one cell.
+	const depthOnlyMax = 5000
+	for _, in := range inputs {
+		for _, opts := range options {
+			if opts == (Options{DepthWeight: 1}) && in.g.NumVertices() > depthOnlyMax {
+				continue
+			}
+			got, want := Build(in.g, opts), refBuild(in.g, opts)
+			if got.numShortcuts != want.numShortcuts {
+				t.Errorf("%s %+v: %d shortcuts, reference %d", in.name, opts, got.numShortcuts, want.numShortcuts)
+			}
+			if !bytes.Equal(savedBytes(t, got), savedBytes(t, want)) {
+				t.Errorf("%s %+v: index differs from the reference build's", in.name, opts)
+			}
+		}
+	}
+}
+
+// TestWitnessWorkCount gates the work of one CA build on counts that repeat
+// exactly. refBuild reads 142 073 simulations, 515 402 searches, 12 088 891
+// settled and 155 592 445 entries scanned.
+func TestWitnessWorkCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CA hierarchy")
+	}
+	g, err := gen.GeneratePreset("CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Build(g, Options{}).work
+	t.Logf("%d simulations, %d witness searches, %d settled, %d adjacency entries scanned",
+		w.simulations, w.searches, w.settled, w.scanned)
+	if w.searches > 280_000 {
+		t.Errorf("%d witness searches, want at most 280000", w.searches)
+	}
+	if w.scanned > 25_000_000 {
+		t.Errorf("%d adjacency entries scanned, want at most 25000000", w.scanned)
 	}
 }
 
@@ -135,4 +223,281 @@ func TestLoadsFileWithUnpackSections(t *testing.T) {
 	s := old.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 137), s.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 139), s.ShortestPath)
+}
+
+// refBuild is Build as it was before the preprocessing rewrite, kept verbatim
+// (names prefixed, nothing else changed) as the reference the rewritten
+// Build must reproduce byte for byte: every vertex simulated twice,
+// contracted neighbors skipped one entry at a time, every witness search run
+// to its budget, one stable sort over all final edges.
+func refBuild(g *graph.Graph, opts Options) *Hierarchy {
+	opts = opts.withDefaults()
+	start := time.Now()
+	n := g.NumVertices()
+
+	// Dynamic adjacency with parallel edges collapsed to minimum weight.
+	adj := make([][]halfEdge, n)
+	for v := 0; v < n; v++ {
+		lo, hi := g.ArcsOf(graph.VertexID(v))
+		for a := lo; a < hi; a++ {
+			refAddOrImprove(&adj[v], halfEdge{to: g.Head(a), w: g.ArcWeight(a), middle: -1})
+		}
+	}
+
+	h := &Hierarchy{g: g, rank: make([]int32, n)}
+
+	type finalEdge struct {
+		u, v   graph.VertexID
+		w      int32
+		middle int32
+	}
+	finalEdges := make([]finalEdge, 0, g.NumEdges()*2)
+	for v := 0; v < n; v++ {
+		for _, e := range adj[v] {
+			if graph.VertexID(v) < e.to {
+				finalEdges = append(finalEdges, finalEdge{u: graph.VertexID(v), v: e.to, w: e.w, middle: -1})
+			}
+		}
+	}
+
+	contracted := make([]bool, n)
+	deleted := make([]int32, n) // contracted-neighbor count
+	depth := make([]int32, n)
+	ws := newRefWitnessSearcher(n, adj, contracted, opts.WitnessSettleLimit)
+
+	priority := func(v graph.VertexID) int64 {
+		needed := ws.simulate(v, nil)
+		degree := 0
+		for _, e := range adj[v] {
+			if !contracted[e.to] {
+				degree++
+			}
+		}
+		ed := int64(needed - degree)
+		return int64(opts.EdgeDiffWeight)*ed +
+			int64(opts.DeletedWeight)*int64(deleted[v]) +
+			int64(opts.DepthWeight)*int64(depth[v])
+	}
+
+	heap := pq.New(n)
+	for v := 0; v < n; v++ {
+		heap.Push(graph.VertexID(v), priority(graph.VertexID(v)))
+	}
+
+	type shortcutSpec struct {
+		u, w   graph.VertexID
+		weight int64
+	}
+	nextRank := int32(0)
+	var shortcuts []shortcutSpec
+	for !heap.Empty() {
+		v, key := heap.Pop()
+		// Lazy update: re-evaluate; if the vertex no longer has minimal
+		// priority, push it back and try again.
+		if !heap.Empty() {
+			if np := priority(v); np > key {
+				if _, minKey := heap.Min(); np > minKey {
+					heap.Push(v, np)
+					continue
+				}
+			}
+		}
+
+		// Contract v: add a shortcut for every uncovered neighbor pair.
+		shortcuts = shortcuts[:0]
+		ws.simulate(v, func(u, w graph.VertexID, weight int64) {
+			shortcuts = append(shortcuts, shortcutSpec{u: u, w: w, weight: weight})
+		})
+
+		for _, sc := range shortcuts {
+			refAddOrImprove(&adj[sc.u], halfEdge{to: sc.w, w: int32(sc.weight), middle: int32(v)})
+			refAddOrImprove(&adj[sc.w], halfEdge{to: sc.u, w: int32(sc.weight), middle: int32(v)})
+			finalEdges = append(finalEdges, finalEdge{u: sc.u, v: sc.w, w: int32(sc.weight), middle: int32(v)})
+			h.numShortcuts++
+		}
+
+		contracted[v] = true
+		h.rank[v] = nextRank
+		nextRank++
+		for _, e := range adj[v] {
+			if !contracted[e.to] {
+				deleted[e.to]++
+				if depth[e.to] < depth[v]+1 {
+					depth[e.to] = depth[v] + 1
+				}
+			}
+		}
+	}
+
+	// Build the upward CSR from the minimal edge set.
+	// Orient every edge from its lower-ranked endpoint and sort by (tail,
+	// head, weight): the first edge of each (tail, head) run is the one to
+	// keep, and the survivors already are the CSR, in an arc order that
+	// depends on the graph alone. The sort is stable, so among equal
+	// weights the edge inserted first wins.
+	for i := range finalEdges {
+		if e := &finalEdges[i]; h.rank[e.u] > h.rank[e.v] {
+			e.u, e.v = e.v, e.u
+		}
+	}
+	slices.SortStableFunc(finalEdges, func(a, b finalEdge) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
+	})
+	finalEdges = slices.CompactFunc(finalEdges, func(a, b finalEdge) bool {
+		return a.u == b.u && a.v == b.v
+	})
+	h.firstUp = make([]int32, n+1)
+	h.upHead = make([]int32, len(finalEdges))
+	h.upWeight = make([]int32, len(finalEdges))
+	h.upMiddle = make([]int32, len(finalEdges))
+	for i, e := range finalEdges {
+		h.firstUp[e.u+1]++
+		h.upHead[i] = e.v
+		h.upWeight[i] = e.w
+		h.upMiddle[i] = e.middle
+	}
+	for v := 0; v < n; v++ {
+		h.firstUp[v+1] += h.firstUp[v]
+	}
+
+	h.buildTime = time.Since(start)
+	return h
+}
+
+// refAddOrImprove inserts e into the adjacency list, or lowers the weight of an
+// existing entry to the same endpoint.
+func refAddOrImprove(list *[]halfEdge, e halfEdge) {
+	for i := range *list {
+		if (*list)[i].to == e.to {
+			if e.w < (*list)[i].w {
+				(*list)[i] = e
+			}
+			return
+		}
+	}
+	*list = append(*list, e)
+}
+
+// refWitnessSearcher runs the local Dijkstra searches that decide, while
+// contracting a vertex v, whether a neighbor pair (u, w) needs a shortcut:
+// a shortcut is required iff no "witness" path from u to w that avoids v is
+// at most as short as the path through v. The search is budgeted — if the
+// budget runs out before a witness is found, the shortcut is added anyway,
+// which can only cost space, never correctness.
+type refWitnessSearcher struct {
+	adj        [][]halfEdge
+	contracted []bool
+	limit      int
+
+	dist []int64
+	gen  []uint32
+	cur  uint32
+	heap *pq.Heap
+}
+
+func newRefWitnessSearcher(n int, adj [][]halfEdge, contracted []bool, limit int) *refWitnessSearcher {
+	return &refWitnessSearcher{
+		adj:        adj,
+		contracted: contracted,
+		limit:      limit,
+		dist:       make([]int64, n),
+		gen:        make([]uint32, n),
+		heap:       pq.New(n),
+	}
+}
+
+// simulate enumerates the shortcuts contraction of v would create. For each
+// uncontracted neighbor pair (u, w) whose shortest connection runs through
+// v, emit(u, w, d(u,v)+d(v,w)) is called (when emit is non-nil). The number
+// of shortcuts is returned, so the same routine serves both the priority
+// computation (emit == nil) and the actual contraction.
+func (ws *refWitnessSearcher) simulate(v graph.VertexID, emit func(u, w graph.VertexID, weight int64)) int {
+	// Collect uncontracted neighbors and the minimal weight to each.
+	var nbs []halfEdge
+	for _, e := range ws.adj[v] {
+		if !ws.contracted[e.to] {
+			nbs = append(nbs, e)
+		}
+	}
+	if len(nbs) < 2 {
+		return 0
+	}
+	count := 0
+	for i, eu := range nbs {
+		// One witness search from u covers all targets w.
+		var maxTarget int64
+		for j, ew := range nbs {
+			if j != i {
+				if int64(ew.w) > maxTarget {
+					maxTarget = int64(ew.w)
+				}
+			}
+		}
+		budget := int64(eu.w) + maxTarget
+		ws.search(eu.to, v, budget)
+		for j := i + 1; j < len(nbs); j++ {
+			ew := nbs[j]
+			through := int64(eu.w) + int64(ew.w)
+			if wd := ws.distOf(ew.to); wd <= through {
+				continue // witness found: no shortcut needed
+			}
+			count++
+			if emit != nil {
+				emit(eu.to, ew.to, through)
+			}
+		}
+	}
+	return count
+}
+
+func (ws *refWitnessSearcher) distOf(v graph.VertexID) int64 {
+	if ws.gen[v] != ws.cur {
+		return graph.Infinity
+	}
+	return ws.dist[v]
+}
+
+// search runs a budgeted Dijkstra from s on the uncontracted residual graph,
+// excluding vertex banned, stopping at distance > maxDist or after the
+// settle limit.
+func (ws *refWitnessSearcher) search(s, banned graph.VertexID, maxDist int64) {
+	ws.cur++
+	if ws.cur == 0 {
+		for i := range ws.gen {
+			ws.gen[i] = 0
+		}
+		ws.cur = 1
+	}
+	ws.heap.Clear()
+	ws.gen[s] = ws.cur
+	ws.dist[s] = 0
+	ws.heap.Push(s, 0)
+	settledCount := 0
+	for !ws.heap.Empty() {
+		v, d := ws.heap.Pop()
+		if d > maxDist {
+			return
+		}
+		settledCount++
+		if settledCount > ws.limit {
+			return
+		}
+		for _, e := range ws.adj[v] {
+			if e.to == banned || ws.contracted[e.to] {
+				continue
+			}
+			nd := d + int64(e.w)
+			if nd > maxDist {
+				continue
+			}
+			if ws.gen[e.to] != ws.cur {
+				ws.gen[e.to] = ws.cur
+				ws.dist[e.to] = nd
+				ws.heap.Push(e.to, nd)
+			} else if nd < ws.dist[e.to] && ws.heap.Contains(e.to) {
+				ws.dist[e.to] = nd
+				ws.heap.Push(e.to, nd)
+			}
+		}
+	}
 }

@@ -12,6 +12,24 @@
 // The vertex order is computed on the fly with the standard heuristic
 // priority (edge difference + deleted neighbors + shortcut depth) and lazy
 // priority updates, as suggested by the paper's reference [11].
+//
+// # Preprocessing
+//
+// A priority evaluation simulates the contraction, and the lazy update
+// re-evaluates a popped vertex on exactly the state it is then contracted
+// in, so the simulation leaves its shortcuts behind and contraction inserts
+// those. Adjacency lists hold live vertices only: a contracted vertex is
+// deleted from its neighbors' lists, keeping the order of the rest, because
+// a search pushes a vertex's neighbors in list order and, once the settle
+// limit binds, which of several equally distant vertices is settled decides
+// which shortcuts exist. The witness search from one neighbor serves the
+// neighbors after it in the list (none for the last, which runs no search)
+// and stops when the last of them is settled: a settled distance is final,
+// so every distance read is the one the search run to its budget would
+// have left. One tightening is not taken: the distance budget stays the
+// heaviest edge among all other neighbors, not only the later ones. The
+// two agree at the default limit, but under a small limit the lower
+// budget prunes pushes, reorders ties in the heap and changes the index.
 package ch
 
 import (
@@ -70,6 +88,7 @@ type Hierarchy struct {
 
 	numShortcuts int
 	buildTime    time.Duration
+	work         buildWork // set once by Build; zero for a loaded index
 
 	// m2mPool recycles many-to-many scratch state (*m2mScratch), one per
 	// concurrently running batch.
@@ -115,20 +134,13 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		}
 	}
 
-	contracted := make([]bool, n)
 	deleted := make([]int32, n) // contracted-neighbor count
 	depth := make([]int32, n)
-	ws := newWitnessSearcher(n, adj, contracted, opts.WitnessSettleLimit)
+	ws := newWitnessSearcher(n, adj, opts.WitnessSettleLimit)
 
+	// priority also leaves v's shortcuts in ws.shortcuts.
 	priority := func(v graph.VertexID) int64 {
-		needed := ws.simulate(v, nil)
-		degree := 0
-		for _, e := range adj[v] {
-			if !contracted[e.to] {
-				degree++
-			}
-		}
-		ed := int64(needed - degree)
+		ed := int64(ws.simulate(v) - len(adj[v]))
 		return int64(opts.EdgeDiffWeight)*ed +
 			int64(opts.DeletedWeight)*int64(deleted[v]) +
 			int64(opts.DepthWeight)*int64(depth[v])
@@ -139,66 +151,70 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 		heap.Push(graph.VertexID(v), priority(graph.VertexID(v)))
 	}
 
-	type shortcutSpec struct {
-		u, w   graph.VertexID
-		weight int64
-	}
 	nextRank := int32(0)
-	var shortcuts []shortcutSpec
 	for !heap.Empty() {
 		v, key := heap.Pop()
 		// Lazy update: re-evaluate; if the vertex no longer has minimal
 		// priority, push it back and try again.
-		if !heap.Empty() {
-			if np := priority(v); np > key {
-				if _, minKey := heap.Min(); np > minKey {
-					heap.Push(v, np)
-					continue
-				}
+		if np := priority(v); np > key && !heap.Empty() {
+			if _, minKey := heap.Min(); np > minKey {
+				heap.Push(v, np)
+				continue
 			}
 		}
 
-		// Contract v: add a shortcut for every uncovered neighbor pair.
-		shortcuts = shortcuts[:0]
-		ws.simulate(v, func(u, w graph.VertexID, weight int64) {
-			shortcuts = append(shortcuts, shortcutSpec{u: u, w: w, weight: weight})
-		})
-
-		for _, sc := range shortcuts {
-			addOrImprove(&adj[sc.u], halfEdge{to: sc.w, w: int32(sc.weight), middle: int32(v)})
-			addOrImprove(&adj[sc.w], halfEdge{to: sc.u, w: int32(sc.weight), middle: int32(v)})
-			finalEdges = append(finalEdges, finalEdge{u: sc.u, v: sc.w, w: int32(sc.weight), middle: int32(v)})
-			h.numShortcuts++
+		// Contract v: the re-evaluation just simulated exactly this.
+		for _, sc := range ws.shortcuts {
+			addOrImprove(&adj[sc.u], halfEdge{to: sc.w, w: sc.weight, middle: int32(v)})
+			addOrImprove(&adj[sc.w], halfEdge{to: sc.u, w: sc.weight, middle: int32(v)})
+			finalEdges = append(finalEdges, finalEdge{u: sc.u, v: sc.w, w: sc.weight, middle: int32(v)})
 		}
+		h.numShortcuts += len(ws.shortcuts)
 
-		contracted[v] = true
 		h.rank[v] = nextRank
 		nextRank++
 		for _, e := range adj[v] {
-			if !contracted[e.to] {
-				deleted[e.to]++
-				if depth[e.to] < depth[v]+1 {
-					depth[e.to] = depth[v] + 1
-				}
+			// Order-preserving, as the package doc requires.
+			adj[e.to] = slices.DeleteFunc(adj[e.to], func(x halfEdge) bool { return x.to == v })
+			deleted[e.to]++
+			if depth[e.to] < depth[v]+1 {
+				depth[e.to] = depth[v] + 1
 			}
 		}
+		adj[v] = nil
 	}
+	h.work = ws.work
 
 	// Build the upward CSR from the minimal edge set.
-	// Orient every edge from its lower-ranked endpoint and sort by (tail,
-	// head, weight): the first edge of each (tail, head) run is the one to
-	// keep, and the survivors already are the CSR, in an arc order that
-	// depends on the graph alone. The sort is stable, so among equal
-	// weights the edge inserted first wins.
+	// Orient every edge from its lower-ranked endpoint and order by (tail,
+	// head, weight), insertion order last: the first edge of each (tail,
+	// head) run is the one to keep — among equal weights the edge inserted
+	// first — and the survivors already are the CSR, in an arc order that
+	// depends on the graph alone. A counting sort brings the tails
+	// together, a stable sort orders each short row.
+	row := make([]int32, n+1)
 	for i := range finalEdges {
-		if e := &finalEdges[i]; h.rank[e.u] > h.rank[e.v] {
+		e := &finalEdges[i]
+		if h.rank[e.u] > h.rank[e.v] {
 			e.u, e.v = e.v, e.u
 		}
+		row[e.u+1]++
 	}
-	slices.SortStableFunc(finalEdges, func(a, b finalEdge) int {
-		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
-	})
-	finalEdges = slices.CompactFunc(finalEdges, func(a, b finalEdge) bool {
+	for v := 0; v < n; v++ {
+		row[v+1] += row[v]
+	}
+	byTail := make([]finalEdge, len(finalEdges))
+	for _, e := range finalEdges {
+		byTail[row[e.u]] = e
+		row[e.u]++ // row[u] ends as the end of u's row, the start of u+1's
+	}
+	for u, lo := 0, int32(0); u < n; u++ {
+		slices.SortStableFunc(byTail[lo:row[u]], func(a, b finalEdge) int {
+			return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
+		})
+		lo = row[u]
+	}
+	finalEdges = slices.CompactFunc(byTail, func(a, b finalEdge) bool {
 		return a.u == b.u && a.v == b.v
 	})
 	h.firstUp = make([]int32, n+1)

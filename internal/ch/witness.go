@@ -5,6 +5,19 @@ import (
 	"roadnet/internal/pq"
 )
 
+// shortcut is one edge contraction of a vertex would add.
+type shortcut struct {
+	u, w   graph.VertexID
+	weight int32
+}
+
+// buildWork counts what preprocessing did; the counts depend on the graph
+// and the options alone.
+type buildWork struct {
+	simulations, searches int64 // simulate calls, witness searches run
+	settled, scanned      int64 // vertices those settled, adjacency entries they read
+}
+
 // witnessSearcher runs the local Dijkstra searches that decide, while
 // contracting a vertex v, whether a neighbor pair (u, w) needs a shortcut:
 // a shortcut is required iff no "witness" path from u to w that avoids v is
@@ -12,69 +25,61 @@ import (
 // budget runs out before a witness is found, the shortcut is added anyway,
 // which can only cost space, never correctness.
 type witnessSearcher struct {
-	adj        [][]halfEdge
-	contracted []bool
-	limit      int
+	adj   [][]halfEdge // live (uncontracted) neighbors only
+	limit int
 
-	dist []int64
-	gen  []uint32
-	cur  uint32
-	heap *pq.Heap
+	dist   []int64
+	gen    []uint32 // dist[v] is set iff gen[v] == cur
+	target []uint32 // v is a target of the running search iff target[v] == cur
+	cur    uint32
+	heap   *pq.Heap
+
+	// shortcuts holds what the last simulate call found, until the next.
+	shortcuts []shortcut
+	work      buildWork
 }
 
-func newWitnessSearcher(n int, adj [][]halfEdge, contracted []bool, limit int) *witnessSearcher {
+func newWitnessSearcher(n int, adj [][]halfEdge, limit int) *witnessSearcher {
 	return &witnessSearcher{
-		adj:        adj,
-		contracted: contracted,
-		limit:      limit,
-		dist:       make([]int64, n),
-		gen:        make([]uint32, n),
-		heap:       pq.New(n),
+		adj:    adj,
+		limit:  limit,
+		dist:   make([]int64, n),
+		gen:    make([]uint32, n),
+		target: make([]uint32, n),
+		heap:   pq.New(n),
 	}
 }
 
-// simulate enumerates the shortcuts contraction of v would create. For each
-// uncontracted neighbor pair (u, w) whose shortest connection runs through
-// v, emit(u, w, d(u,v)+d(v,w)) is called (when emit is non-nil). The number
-// of shortcuts is returned, so the same routine serves both the priority
-// computation (emit == nil) and the actual contraction.
-func (ws *witnessSearcher) simulate(v graph.VertexID, emit func(u, w graph.VertexID, weight int64)) int {
-	// Collect uncontracted neighbors and the minimal weight to each.
-	var nbs []halfEdge
-	for _, e := range ws.adj[v] {
-		if !ws.contracted[e.to] {
-			nbs = append(nbs, e)
-		}
-	}
-	if len(nbs) < 2 {
-		return 0
-	}
-	count := 0
-	for i, eu := range nbs {
-		// One witness search from u covers all targets w.
+// simulate finds the shortcuts contraction of v would create, one (u, w,
+// d(u,v)+d(v,w)) for each neighbor pair whose shortest connection runs
+// through v, leaves them in ws.shortcuts and returns their number. The
+// priority computation wants the number, contraction the shortcuts.
+func (ws *witnessSearcher) simulate(v graph.VertexID) int {
+	ws.work.simulations++
+	ws.shortcuts = ws.shortcuts[:0]
+	nbs := ws.adj[v]
+	// One witness search from u covers all later targets w; the last
+	// neighbor has none.
+	for i := 0; i < len(nbs)-1; i++ {
+		eu, targets := nbs[i], nbs[i+1:]
+		// The budget counts the earlier neighbors too, though their
+		// distances are not read: see the package doc.
 		var maxTarget int64
 		for j, ew := range nbs {
 			if j != i {
-				if int64(ew.w) > maxTarget {
-					maxTarget = int64(ew.w)
-				}
+				maxTarget = max(maxTarget, int64(ew.w))
 			}
 		}
-		budget := int64(eu.w) + maxTarget
-		ws.search(eu.to, v, budget)
-		for j := i + 1; j < len(nbs); j++ {
-			ew := nbs[j]
+		ws.search(eu.to, v, int64(eu.w)+maxTarget, targets)
+		for _, ew := range targets {
 			through := int64(eu.w) + int64(ew.w)
-			if wd := ws.distOf(ew.to); wd <= through {
+			if ws.distOf(ew.to) <= through {
 				continue // witness found: no shortcut needed
 			}
-			count++
-			if emit != nil {
-				emit(eu.to, ew.to, through)
-			}
+			ws.shortcuts = append(ws.shortcuts, shortcut{u: eu.to, w: ew.to, weight: int32(through)})
 		}
 	}
-	return count
+	return len(ws.shortcuts)
 }
 
 func (ws *witnessSearcher) distOf(v graph.VertexID) int64 {
@@ -84,33 +89,43 @@ func (ws *witnessSearcher) distOf(v graph.VertexID) int64 {
 	return ws.dist[v]
 }
 
-// search runs a budgeted Dijkstra from s on the uncontracted residual graph,
-// excluding vertex banned, stopping at distance > maxDist or after the
-// settle limit.
-func (ws *witnessSearcher) search(s, banned graph.VertexID, maxDist int64) {
+// search runs a budgeted Dijkstra from s on the residual graph, excluding
+// vertex banned, stopping at distance > maxDist, after the settle limit, or
+// once every target is settled: a settled distance is final, so the caller
+// reads for each target what the search run to its end would have left.
+func (ws *witnessSearcher) search(s, banned graph.VertexID, maxDist int64, targets []halfEdge) {
+	ws.work.searches++
 	ws.cur++
 	if ws.cur == 0 {
-		for i := range ws.gen {
-			ws.gen[i] = 0
-		}
+		clear(ws.gen)
+		clear(ws.target)
 		ws.cur = 1
 	}
+	for _, t := range targets {
+		ws.target[t.to] = ws.cur
+	}
+	remaining := len(targets)
 	ws.heap.Clear()
 	ws.gen[s] = ws.cur
 	ws.dist[s] = 0
 	ws.heap.Push(s, 0)
-	settledCount := 0
+	last := ws.work.settled + int64(ws.limit) // the count at which the settle limit is spent
 	for !ws.heap.Empty() {
 		v, d := ws.heap.Pop()
 		if d > maxDist {
 			return
 		}
-		settledCount++
-		if settledCount > ws.limit {
+		if ws.work.settled++; ws.work.settled > last {
 			return
 		}
+		if ws.target[v] == ws.cur {
+			if remaining--; remaining == 0 {
+				return
+			}
+		}
+		ws.work.scanned += int64(len(ws.adj[v]))
 		for _, e := range ws.adj[v] {
-			if e.to == banned || ws.contracted[e.to] {
+			if e.to == banned {
 				continue
 			}
 			nd := d + int64(e.w)

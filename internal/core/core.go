@@ -163,11 +163,19 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 		if opts.Hierarchy == nil {
 			opts.Hierarchy = cfg.Hierarchy
 		}
+		var chBuild time.Duration
+		if opts.Hierarchy == nil {
+			// Built here and not left to tnr.Build, which knows no CH
+			// options: cfg.CH governs the hierarchy inside TNR as it
+			// does MethodCH's.
+			opts.Hierarchy = ch.Build(g, cfg.CH)
+			chBuild = opts.Hierarchy.BuildTime()
+		}
 		t, err := tnr.Build(g, opts)
 		if err != nil {
 			return nil, err
 		}
-		ix = &tnrIndex{t: t}
+		ix = &tnrIndex{t: t, chBuild: chBuild}
 	case MethodSILC:
 		s, err := silc.Build(g, cfg.SILC)
 		if err != nil {
@@ -319,6 +327,7 @@ func HierarchyOf(ix Index) *ch.Hierarchy {
 
 type tnrIndex struct {
 	t       *tnr.Index
+	chBuild time.Duration   // of the hierarchy BuildIndex built for t, part of Stats().BuildTime
 	backing *binio.FlatFile // see chIndex.backing
 }
 
@@ -338,7 +347,7 @@ func (ix *tnrIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) 
 }
 func (ix *tnrIndex) NewSearcher() Searcher { return ix.t.NewSearcher() }
 func (ix *tnrIndex) Stats() Stats {
-	return Stats{Method: MethodTNR, BuildTime: ix.t.BuildTime(), IndexBytes: ix.t.SizeBytes()}
+	return Stats{Method: MethodTNR, BuildTime: ix.chBuild + ix.t.BuildTime(), IndexBytes: ix.t.SizeBytes()}
 }
 
 // TNROf extracts the TNR index (for fallback statistics).

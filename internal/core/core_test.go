@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
@@ -86,6 +87,27 @@ func TestHierarchySharing(t *testing.T) {
 	}
 	if core.HierarchyOf(tnrIx) != nil {
 		t.Error("HierarchyOf on a non-CH index should be nil")
+	}
+}
+
+// TestTNRHierarchyFollowsCHConfig: with no shared hierarchy, the one
+// BuildIndex builds for TNR is configured by Config.CH, like MethodCH's.
+func TestTNRHierarchyFollowsCHConfig(t *testing.T) {
+	g := testutil.SmallRoad(900, 513)
+	opts := ch.Options{WitnessSettleLimit: 2}
+	want := ch.Build(g, opts).NumShortcuts()
+	if def := ch.Build(g, ch.Options{}).NumShortcuts(); def == want {
+		t.Fatalf("settle limit 2 and the default both give %d shortcuts; the test needs them to differ", def)
+	}
+	ix, err := core.BuildIndex(core.MethodTNR, g, core.Config{CH: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.TNROf(ix).Hierarchy().NumShortcuts(); got != want {
+		t.Errorf("TNR's hierarchy has %d shortcuts, ch.Build with Config.CH gives %d", got, want)
+	}
+	if st, inner := ix.Stats(), core.TNROf(ix); st.BuildTime <= inner.BuildTime() {
+		t.Errorf("Stats().BuildTime %v does not include the hierarchy build (TNR alone %v)", st.BuildTime, inner.BuildTime())
 	}
 }
 
