@@ -12,19 +12,22 @@
 // boundary vertex b of C, an arc (u -> v) is flagged for C when
 // dist(u, b) = w(u, v) + dist(v, b) — i.e. the arc is tight on some
 // shortest path toward b — and every arc whose head lies in C is flagged
-// for C. Together these cover every shortest path into the cell.
+// for C. Together these cover every shortest path into the cell. The
+// distances toward b come from one hierarchy sweep per boundary vertex
+// (ch.Sweeper); every tight arc is flagged, so unlike first hops the flags
+// involve no tie-break at all.
 package arcflags
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"time"
 
 	"roadnet/internal/cancel"
-	"roadnet/internal/dijkstra"
+	"roadnet/internal/ch"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
+	"roadnet/internal/par"
 	"roadnet/internal/pq"
 )
 
@@ -34,6 +37,10 @@ type Options struct {
 	GridSize int
 	// Workers bounds preprocessing parallelism (default GOMAXPROCS).
 	Workers int
+	// Hierarchy optionally supplies a contraction hierarchy of the graph
+	// for the boundary-vertex sweeps; Build makes one with default options
+	// when nil. The flags do not depend on which hierarchy it is.
+	Hierarchy *ch.Hierarchy
 }
 
 // Index is a built arc-flags index. The flag tables are immutable after
@@ -110,75 +117,57 @@ func Build(g *graph.Graph, opts Options) *Index {
 		ix.cellOf[v] = int32(ix.grid.CellIndex(c, r))
 	}
 
-	// Arcs whose head lies in C are flagged for C.
+	// Arcs whose head lies in C are flagged for C; a vertex with a neighbor
+	// in another cell is a boundary vertex of its own.
+	var boundary []graph.VertexID
 	for u := 0; u < n; u++ {
+		crosses := false
 		lo, hi := g.ArcsOf(graph.VertexID(u))
 		for a := lo; a < hi; a++ {
-			ix.setFlag(a, ix.cellOf[g.Head(a)])
+			c := ix.cellOf[g.Head(a)]
+			ix.setFlag(a, c)
+			crosses = crosses || c != ix.cellOf[u]
+		}
+		if crosses {
+			boundary = append(boundary, graph.VertexID(u))
 		}
 	}
 
-	// Boundary vertices per cell.
-	boundary := make([][]graph.VertexID, ix.grid.NumCells())
-	for u := 0; u < n; u++ {
-		cu := ix.cellOf[u]
-		isBoundary := false
-		g.Neighbors(graph.VertexID(u), func(v graph.VertexID, _ graph.Weight, _ int32) bool {
-			if ix.cellOf[v] != cu {
-				isBoundary = true
-				return false
-			}
-			return true
-		})
-		if isBoundary {
-			boundary[cu] = append(boundary[cu], graph.VertexID(u))
-		}
+	// One sweep per boundary vertex b; the arcs tight toward b get the flag
+	// of b's cell. Each worker sets flags in words of its own, OR-ed into
+	// the index once all sweeps are done.
+	h := opts.Hierarchy
+	if h == nil {
+		h = ch.Build(g, ch.Options{})
 	}
-
-	// One Dijkstra per boundary vertex; tight arcs toward it get the
-	// cell's flag. Workers own a context each; flag words are written with
-	// atomic-free partitioning per cell (each cell processed by exactly
-	// one worker would still race on shared arcs across cells), so flag
-	// updates go through a mutex-guarded merge per search instead.
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	cellCh := make(chan int, opts.Workers*2)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := dijkstra.NewContext(g)
-			local := make([]int32, 0, 1024) // arcs to flag for the current cell
-			for cell := range cellCh {
-				local = local[:0]
-				for _, b := range boundary[cell] {
-					ctx.Run([]graph.VertexID{b}, dijkstra.Options{})
-					for u := 0; u < n; u++ {
-						du := ctx.Dist(graph.VertexID(u))
-						if du >= graph.Infinity {
-							continue
-						}
-						lo, hi := g.ArcsOf(graph.VertexID(u))
-						for a := lo; a < hi; a++ {
-							if ctx.Dist(g.Head(a))+int64(g.ArcWeight(a)) == du {
-								local = append(local, a)
-							}
-						}
+	parts := make([][]uint64, opts.Workers)
+	par.Each(opts.Workers, len(boundary), func(w int) func(int) {
+		sw := h.NewSweeper()
+		flags := make([]uint64, len(ix.flags))
+		parts[w] = flags
+		return func(i int) {
+			b := boundary[i]
+			word, bit := int(ix.cellOf[b])/64, uint64(1)<<(uint(ix.cellOf[b])%64)
+			dist := sw.Run(b) // d(b, ·) = d(·, b): the graph is undirected
+			for u := 0; u < n; u++ {
+				du := dist[u]
+				if du >= graph.Infinity {
+					continue
+				}
+				lo, hi := g.ArcsOf(graph.VertexID(u))
+				for a := lo; a < hi; a++ {
+					if dist[g.Head(a)]+int64(g.ArcWeight(a)) == du {
+						flags[int(a)*ix.words+word] |= bit
 					}
 				}
-				mu.Lock()
-				for _, a := range local {
-					ix.setFlag(a, int32(cell))
-				}
-				mu.Unlock()
 			}
-		}()
+		}
+	})
+	for _, flags := range parts {
+		for i, f := range flags {
+			ix.flags[i] |= f
+		}
 	}
-	for cell := 0; cell < ix.grid.NumCells(); cell++ {
-		cellCh <- cell
-	}
-	close(cellCh)
-	wg.Wait()
 
 	ix.buildTime = time.Since(start)
 	return ix

@@ -85,7 +85,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		inputs = append(inputs, input{name, g})
 	}
 	for seed := int64(1); seed <= 40; seed++ {
-		inputs = append(inputs, input{fmt.Sprintf("messy%d", seed), messyGraph(seed)})
+		inputs = append(inputs, input{fmt.Sprintf("messy%d", seed), testutil.MessyGraph(seed)})
 	}
 	// Ordering by depth alone contracts into a dense graph: the reference
 	// needs 2 s on NH and 22 s at 9000 vertices for that one cell.
@@ -145,7 +145,7 @@ func upArc(h *Hierarchy, from, to graph.VertexID) int32 {
 // one arc per head, heads ascending.
 func TestShortcutHalvesAreUpwardArcs(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		g := messyGraph(seed)
+		g := testutil.MessyGraph(seed)
 		h := Build(g, Options{})
 		shortcuts := 0
 		for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {

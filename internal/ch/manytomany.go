@@ -28,7 +28,8 @@ import (
 //
 // The paper uses CH to accelerate the preprocessing of TNR, SILC and PCPD
 // (§4.1); our TNR preprocessing uses these routines to fill its access-node
-// distance tables.
+// distance tables, and SILC and PCPD (and arc-flags) the one-to-all sweeps
+// of sweep.go.
 
 // ManyToMany computes the full distance table between sources and targets.
 // table[i][j] is dist(sources[i], targets[j]), or graph.Infinity when

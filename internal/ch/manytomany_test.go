@@ -11,53 +11,9 @@ import (
 	"roadnet/internal/cancel"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/gen"
-	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 )
-
-// messyGraph returns a seeded random graph made to be awkward for the
-// bucket algorithm: several components of different density, isolated
-// vertices, parallel edges of different weight and long runs of unit-weight
-// edges, which produce ties at every level of the hierarchy. (The graph
-// layer rejects weights below 1, so unit weights are as close to zero-weight
-// edges as a graph here gets; the strict '<' of the stall test is what they
-// exercise.)
-func messyGraph(seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(0)
-	components := 2 + rng.Intn(3)
-	for c := 0; c < components; c++ {
-		base := b.NumVertices()
-		size := 1 + rng.Intn(120)
-		maxWeight := 1
-		if rng.Intn(3) > 0 {
-			maxWeight = 1 + rng.Intn(40)
-		}
-		for i := 0; i < size; i++ {
-			b.AddVertex(geom.Point{X: int32(rng.Intn(1 << 12)), Y: int32(rng.Intn(1 << 12))})
-		}
-		edge := func(u, v int) {
-			if u != v {
-				_ = b.AddEdge(graph.VertexID(base+u), graph.VertexID(base+v), graph.Weight(1+rng.Intn(maxWeight)))
-			}
-		}
-		for v := 1; v < size; v++ {
-			edge(v, rng.Intn(v))
-		}
-		for i := rng.Intn(2 * size); i > 0; i-- {
-			u, v := rng.Intn(size), rng.Intn(size)
-			edge(u, v)
-			if rng.Intn(4) == 0 {
-				edge(v, u) // parallel edge, independently weighted
-			}
-		}
-	}
-	for i := rng.Intn(4); i > 0; i-- {
-		b.AddVertex(geom.Point{}) // isolated
-	}
-	return b.Build()
-}
 
 // randomVertices draws count vertex ids of an n-vertex graph, repeats
 // allowed.
@@ -138,7 +94,7 @@ func checkEach(t testing.TB, label string, want [][]int64, run func(fn func(si, 
 // outlives its call shows up in the next one whatever sync.Pool does.
 func TestManyToManyDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		g := messyGraph(seed)
+		g := testutil.MessyGraph(seed)
 		h := Build(g, Options{})
 		n := g.NumVertices()
 		sc := newM2MScratch(n)

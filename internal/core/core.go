@@ -142,7 +142,8 @@ type Config struct {
 	// ArcFlags holds the arc-flags configuration.
 	ArcFlags arcflags.Options
 	// Hierarchy optionally shares a prebuilt CH across methods (used by
-	// the harness so TNR preprocessing does not rebuild it).
+	// the harness so the preprocessing of TNR, SILC, PCPD and arc-flags
+	// does not rebuild it).
 	Hierarchy *ch.Hierarchy
 }
 
@@ -160,38 +161,34 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 		ix = &chIndex{h: h}
 	case MethodTNR:
 		opts := cfg.TNR
-		if opts.Hierarchy == nil {
-			opts.Hierarchy = cfg.Hierarchy
-		}
-		var chBuild time.Duration
-		if opts.Hierarchy == nil {
-			// Built here and not left to tnr.Build, which knows no CH
-			// options: cfg.CH governs the hierarchy inside TNR as it
-			// does MethodCH's.
-			opts.Hierarchy = ch.Build(g, cfg.CH)
-			chBuild = opts.Hierarchy.BuildTime()
-		}
+		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
 		t, err := tnr.Build(g, opts)
 		if err != nil {
 			return nil, err
 		}
 		ix = &tnrIndex{t: t, chBuild: chBuild}
 	case MethodSILC:
-		s, err := silc.Build(g, cfg.SILC)
+		opts := cfg.SILC
+		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
+		s, err := silc.Build(g, opts)
 		if err != nil {
 			return nil, err
 		}
-		ix = &silcIndex{s: s}
+		ix = &silcIndex{s: s, chBuild: chBuild}
 	case MethodPCPD:
-		p, err := pcpd.Build(g, cfg.PCPD)
+		opts := cfg.PCPD
+		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
+		p, err := pcpd.Build(g, opts)
 		if err != nil {
 			return nil, err
 		}
-		ix = &pcpdIndex{p: p}
+		ix = &pcpdIndex{p: p, chBuild: chBuild}
 	case MethodALT:
 		ix = &altIndex{a: alt.Build(g, cfg.ALT)}
 	case MethodArcFlags:
-		ix = &arcFlagsIndex{a: arcflags.Build(g, cfg.ArcFlags)}
+		opts := cfg.ArcFlags
+		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
+		ix = &arcFlagsIndex{a: arcflags.Build(g, opts), chBuild: chBuild}
 	default:
 		return nil, fmt.Errorf("core: unknown method %q", method)
 	}
@@ -200,6 +197,24 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 			ErrIndexTooLarge, method, ix.Stats().IndexBytes, cfg.MaxIndexBytes)
 	}
 	return ix, nil
+}
+
+// fillHierarchy sets *h, the Hierarchy option of TNR, SILC, PCPD or
+// arc-flags, to the hierarchy that technique's preprocessing runs on: left
+// alone when the options name one, else the shared cfg.Hierarchy, else one
+// built here — and not left to the technique's Build, which knows no CH
+// options: cfg.CH governs the hierarchy inside every technique as it does
+// MethodCH's. It returns the build time of a hierarchy made here, which is
+// part of the index's Stats().BuildTime.
+func (cfg Config) fillHierarchy(g *graph.Graph, h **ch.Hierarchy) time.Duration {
+	if *h == nil {
+		*h = cfg.Hierarchy
+	}
+	if *h != nil {
+		return 0
+	}
+	*h = ch.Build(g, cfg.CH)
+	return (*h).BuildTime()
 }
 
 // Measurement is one timing row of a figure: a method's average query time
@@ -369,6 +384,7 @@ func SILCOf(ix Index) *silc.Index {
 
 type silcIndex struct {
 	s       *silc.Index
+	chBuild time.Duration   // see tnrIndex.chBuild
 	backing *binio.FlatFile // see chIndex.backing
 }
 
@@ -391,10 +407,13 @@ func (ix *silcIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64)
 // its own concurrency-safe searcher.
 func (ix *silcIndex) NewSearcher() Searcher { return ix.s }
 func (ix *silcIndex) Stats() Stats {
-	return Stats{Method: MethodSILC, BuildTime: ix.s.BuildTime(), IndexBytes: ix.s.SizeBytes()}
+	return Stats{Method: MethodSILC, BuildTime: ix.chBuild + ix.s.BuildTime(), IndexBytes: ix.s.SizeBytes()}
 }
 
-type pcpdIndex struct{ p *pcpd.Index }
+type pcpdIndex struct {
+	p       *pcpd.Index
+	chBuild time.Duration // see tnrIndex.chBuild
+}
 
 func (ix *pcpdIndex) Method() Method { return MethodPCPD }
 func (ix *pcpdIndex) Distance(s, t graph.VertexID) int64 {
@@ -408,7 +427,7 @@ func (ix *pcpdIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64)
 // its own concurrency-safe searcher.
 func (ix *pcpdIndex) NewSearcher() Searcher { return ix.p }
 func (ix *pcpdIndex) Stats() Stats {
-	return Stats{Method: MethodPCPD, BuildTime: ix.p.BuildTime(), IndexBytes: ix.p.SizeBytes()}
+	return Stats{Method: MethodPCPD, BuildTime: ix.chBuild + ix.p.BuildTime(), IndexBytes: ix.p.SizeBytes()}
 }
 
 type altIndex struct{ a *alt.Index }
@@ -425,7 +444,10 @@ func (ix *altIndex) Stats() Stats {
 	return Stats{Method: MethodALT, BuildTime: ix.a.BuildTime(), IndexBytes: ix.a.SizeBytes()}
 }
 
-type arcFlagsIndex struct{ a *arcflags.Index }
+type arcFlagsIndex struct {
+	a       *arcflags.Index
+	chBuild time.Duration // see tnrIndex.chBuild
+}
 
 func (ix *arcFlagsIndex) Method() Method { return MethodArcFlags }
 func (ix *arcFlagsIndex) Distance(s, t graph.VertexID) int64 {
@@ -436,5 +458,5 @@ func (ix *arcFlagsIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, in
 }
 func (ix *arcFlagsIndex) NewSearcher() Searcher { return ix.a.NewSearcher() }
 func (ix *arcFlagsIndex) Stats() Stats {
-	return Stats{Method: MethodArcFlags, BuildTime: ix.a.BuildTime(), IndexBytes: ix.a.SizeBytes()}
+	return Stats{Method: MethodArcFlags, BuildTime: ix.chBuild + ix.a.BuildTime(), IndexBytes: ix.a.SizeBytes()}
 }

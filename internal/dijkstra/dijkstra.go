@@ -3,8 +3,10 @@
 // generation-stamped search context makes repeated queries cheap: arrays are
 // allocated once per context and invalidated in O(1) between queries.
 //
-// The unidirectional search doubles as the ground truth in tests and as the
-// workhorse of the preprocessing phases of TNR, SILC and PCPD.
+// The unidirectional search doubles as the ground truth in tests and runs
+// the target-stopped access-node searches of TNR's preprocessing and ALT's
+// few landmark sweeps. The one-to-all sweeps of SILC, PCPD and arc-flags,
+// one per vertex, go through the hierarchy instead (ch.Sweeper).
 package dijkstra
 
 import (
@@ -91,15 +93,6 @@ func (c *Context) Reached(v graph.VertexID) bool { return c.gen[v] == c.cur }
 // Settled returns the vertices settled by the last search in settle order.
 // The slice is reused between runs; callers must not retain it.
 func (c *Context) Settled() []graph.VertexID { return c.settled }
-
-// Parent returns the predecessor of v on the shortest-path tree of the last
-// search, or -1 for sources and unreached vertices.
-func (c *Context) Parent(v graph.VertexID) graph.VertexID {
-	if c.gen[v] != c.cur {
-		return -1
-	}
-	return c.parent[v]
-}
 
 // PathTo reconstructs the path from the source of the last search to t as a
 // vertex sequence, or nil if t was not reached.

@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/gen"
-	"roadnet/internal/geom"
 	"roadnet/internal/graph"
+	"roadnet/internal/testutil"
 )
 
 // refDecomposer is the decomposition as Appendix D states it and as Build
@@ -35,7 +35,7 @@ func refBuild(g *graph.Graph) *Index {
 	n := g.NumVertices()
 	ix := newIndex(g, 16)
 	d := &refDecomposer{
-		shared:    &shared{ix: ix, n: n, hop: buildFirstHops(g, 1), order: mortonOrder(ix.code)},
+		shared:    &shared{ix: ix, n: n, hop: buildFirstHops(ch.Build(g, ch.Options{}), 1), order: mortonOrder(ix.code)},
 		vertStamp: make([]uint32, n),
 		edgeStamp: make([]uint32, 2*g.NumEdges()),
 	}
@@ -259,69 +259,12 @@ func treeDigest(root *node) uint64 {
 	return h.Sum64()
 }
 
-// messyGraph returns a seeded random graph made to be awkward for the
-// decomposition: several components of different density (ψ = none and
-// mixed pairs of squares), isolated vertices, parallel edges of different
-// weight (an edge ψ must name the right one), long runs of unit-weight
-// edges (ties between equally short paths) and vertices stacked on one
-// point, some of them across components (collision tables).
-func messyGraph(seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(0)
-	point := func() geom.Point {
-		return geom.Point{X: int32(rng.Intn(1 << 10)), Y: int32(rng.Intn(1 << 10))}
-	}
-	var pts []geom.Point
-	add := func(p geom.Point) {
-		pts = append(pts, p)
-		b.AddVertex(p)
-	}
-	stack := point()
-	for c := 2 + rng.Intn(3); c > 0; c-- {
-		base := b.NumVertices()
-		size := 1 + rng.Intn(60)
-		maxWeight := 1
-		if rng.Intn(3) > 0 {
-			maxWeight = 1 + rng.Intn(40)
-		}
-		for i := 0; i < size; i++ {
-			switch k := rng.Intn(8); {
-			case k == 0:
-				add(stack)
-			case k == 1 && i > 0:
-				add(pts[base+rng.Intn(i)])
-			default:
-				add(point())
-			}
-		}
-		edge := func(u, v int) {
-			if u != v {
-				_ = b.AddEdge(graph.VertexID(base+u), graph.VertexID(base+v), graph.Weight(1+rng.Intn(maxWeight)))
-			}
-		}
-		for v := 1; v < size; v++ {
-			edge(v, rng.Intn(v))
-		}
-		for i := rng.Intn(2 * size); i > 0; i-- {
-			u, v := rng.Intn(size), rng.Intn(size)
-			edge(u, v)
-			if rng.Intn(4) == 0 {
-				edge(v, u) // parallel edge, independently weighted
-			}
-		}
-	}
-	for i := rng.Intn(4); i > 0; i-- {
-		add(stack) // isolated
-	}
-	return b.Build()
-}
-
 // TestBuildMatchesReference requires Build's tree, whatever the worker
 // count, to be the reference's: same digest, same counts, same size.
 func TestBuildMatchesReference(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	for seed := int64(1); seed <= 12; seed++ {
-		graphs[fmt.Sprintf("messy%d", seed)] = messyGraph(seed)
+		graphs[fmt.Sprintf("messy%d", seed)] = testutil.MessyGraph(seed)
 	}
 	de, err := gen.GeneratePreset("DE")
 	if err != nil {
@@ -348,6 +291,34 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenDigests pins the trees, and with them the first-hop matrix they
+// decompose: the canonical one of ch.Sweeper. A change of the rule or of
+// the decomposition regenerates the table in the commit that argues why.
+func TestGoldenDigests(t *testing.T) {
+	testutil.GoldenDigests(t, map[string]uint64{
+		"DE":      0x7d960ed9a6080ac1,
+		"NH":      0x7b847f7e9c0244f0,
+		"messy1":  0xa4d4baf5d2563ec7,
+		"messy2":  0xf80bdae4a5ad1753,
+		"messy3":  0x20cea31fc33bcd31,
+		"messy4":  0x01f56abefb0a0a83,
+		"messy5":  0x137be3f12c51c821,
+		"messy6":  0x86b1c73ff1df3203,
+		"messy7":  0xa55135ac8fa5fd4f,
+		"messy8":  0x361d1a1697606adc,
+		"messy9":  0xcf7933134c4e8b25,
+		"messy10": 0x20a6ac0367576654,
+		"messy11": 0xca13da39e665f1ab,
+		"messy12": 0x6ea4303976b2c2e2,
+	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
+		ix, err := Build(g, Options{Workers: workers, Hierarchy: ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return treeDigest(ix.root)
+	})
 }
 
 // TestCoherenceWorkCount gates the work of the common-element test as a

@@ -37,12 +37,14 @@
 //
 // # Build cost
 //
-// Build runs n Dijkstra sweeps for the first-hop matrix (n² B), labels the
-// n in-trees (4n² B: two uint16 per (target, vertex), hence n ≤ 65535) and
-// decomposes; all three stages run on Options.Workers goroutines, and the
-// tree does not depend on their scheduling. The matrix and the labels are
-// released before Build returns, so peak build memory is 5n² B plus the
-// tree (SizeBytes) — 29 MB + 60 MB at n = 2400, 2 GB at the default MaxN.
+// Build makes n hierarchy sweeps for the first-hop matrix (n² B; the
+// canonical first hops of ch.Sweeper, so the tree is a function of the graph
+// and not of the hierarchy swept), labels the n in-trees (4n² B: two uint16
+// per (target, vertex), hence n ≤ 65535) and decomposes; all three stages
+// run on Options.Workers goroutines, and the tree does not depend on their
+// scheduling. The matrix and the labels are released before Build returns,
+// so peak build memory is still 5n² B plus the tree (SizeBytes) — 29 MB +
+// 60 MB at n = 2400, 2 GB at the default MaxN.
 //
 // # Queries
 //
@@ -58,16 +60,16 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"roadnet/internal/cancel"
-	"roadnet/internal/dijkstra"
+	"roadnet/internal/ch"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
+	"roadnet/internal/par"
 )
 
-const noHop = 0xff
+const noHop = ch.NoHop
 
 // noLabel is pre[t][v] of a vertex with no path to t; its end is 0, so it
 // fails the membership check from either side.
@@ -84,9 +86,13 @@ type Options struct {
 	// whatever MaxN says.
 	MaxN int
 	// Workers bounds the parallelism of all three preprocessing stages —
-	// the Dijkstra sweeps, the path labels and the decomposition (default
+	// the hierarchy sweeps, the path labels and the decomposition (default
 	// GOMAXPROCS). The index does not depend on it.
 	Workers int
+	// Hierarchy optionally supplies a contraction hierarchy of the graph
+	// for the sweeps; Build makes one with default options when nil. The
+	// index does not depend on which hierarchy it is.
+	Hierarchy *ch.Hierarchy
 }
 
 // psi encodes the common element of a path-coherent pair.
@@ -132,9 +138,9 @@ type Index struct {
 	checks    int64 // path-membership checks the build made
 }
 
-// Build constructs the PCPD index; it runs one Dijkstra per vertex to build
-// the first-hop matrix, labels the resulting in-trees and then runs the
-// recursive pair decomposition.
+// Build constructs the PCPD index; it sweeps the hierarchy once per vertex
+// to build the first-hop matrix, labels the resulting in-trees and then runs
+// the recursive pair decomposition.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	start := time.Now()
 	n := g.NumVertices()
@@ -163,8 +169,13 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
+	h := opts.Hierarchy
+	if h == nil {
+		h = ch.Build(g, ch.Options{})
+	}
+
 	ix := newIndex(g, opts.Bits)
-	hop := buildFirstHops(g, opts.Workers)
+	hop := buildFirstHops(h, opts.Workers)
 	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, opts.Workers), order: mortonOrder(ix.code)}
 	ix.root = sh.decomposeAll(quad{0, ix.norm.CodeSpaceSize(), 0, n}, opts.Workers)
 	ix.buildTime = time.Since(start)
@@ -195,55 +206,16 @@ func mortonOrder(code []uint32) []graph.VertexID {
 	return order
 }
 
-// eachIndex calls fn(i) for every i in [0, n) from workers goroutines and
-// returns when all calls have; mk makes one goroutine's fn, so that fn can
-// own scratch.
-func eachIndex(workers, n int, mk func() func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn := mk()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // buildFirstHops computes the n × n first-hop matrix: hop[s*n+t] is the
 // adjacency slot of the first edge of the canonical shortest path s -> t.
-func buildFirstHops(g *graph.Graph, workers int) []uint8 {
-	n := g.NumVertices()
+func buildFirstHops(h *ch.Hierarchy, workers int) []uint8 {
+	n := h.Graph().NumVertices()
 	hop := make([]uint8, n*n)
-	eachIndex(workers, n, func() func(int) {
-		ctx := dijkstra.NewContext(g)
-		return func(i int) {
-			v := graph.VertexID(i)
-			row := hop[i*n : (i+1)*n]
-			for k := range row {
-				row[k] = noHop
-			}
-			ctx.Run([]graph.VertexID{v}, dijkstra.Options{})
-			lo, hi := g.ArcsOf(v)
-			for _, u := range ctx.Settled() {
-				if u == v {
-					continue
-				}
-				if p := ctx.Parent(u); p == v {
-					for a := lo; a < hi; a++ {
-						if g.Head(a) == u && int64(g.ArcWeight(a)) == ctx.Dist(u) {
-							row[u] = uint8(a - lo)
-							break
-						}
-					}
-				} else {
-					row[u] = row[p]
-				}
-			}
+	par.Each(workers, n, func(int) func(int) {
+		sw := h.NewSweeper()
+		return func(s int) {
+			sw.Run(graph.VertexID(s))
+			sw.FirstHops(hop[s*n : (s+1)*n])
 		}
 	})
 	return hop
@@ -255,7 +227,7 @@ func buildFirstHops(g *graph.Graph, workers int) []uint8 {
 func buildLabels(g *graph.Graph, hop []uint8, workers int) []uint16 {
 	n := g.NumVertices()
 	lab := make([]uint16, 2*n*n)
-	eachIndex(workers, n, func() func(int) {
+	par.Each(workers, n, func(int) func(int) {
 		// The children of p are the list child[p], sibling[child[p]], ...
 		child := make([]int32, n)
 		sibling := make([]int32, n)

@@ -12,6 +12,12 @@
 // A shortest-path query walks the path hop by hop — O(k log n) for a path
 // of k edges — and a distance query computes the path and returns its
 // length, exactly as the paper evaluates it.
+//
+// Which first hop a source records where several shortest paths exist is
+// the canonical-first-hop rule of ch.Sweeper, a function of the graph alone:
+// Build makes one hierarchy sweep per source and colors by
+// Sweeper.FirstHops, so the index depends neither on the hierarchy it is
+// given nor on Options.Workers.
 package silc
 
 import (
@@ -22,18 +28,18 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"roadnet/internal/binio"
-	"roadnet/internal/dijkstra"
+	"roadnet/internal/ch"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
+	"roadnet/internal/par"
 )
 
 // noHop marks targets with no first hop (unreachable vertices and the
 // source itself).
-const noHop = 0xff
+const noHop = ch.NoHop
 
 // maxDegree is the largest vertex degree SILC's one-byte color encoding
 // supports; road networks are degree-bounded far below this (§2).
@@ -49,6 +55,10 @@ type Options struct {
 	// bound (4 bytes per interval), enabling NearestK distance-browsing
 	// queries (see knn.go).
 	EnableNearest bool
+	// Hierarchy optionally supplies a contraction hierarchy of the graph
+	// for the all-pairs sweeps; Build makes one with default options when
+	// nil. The index does not depend on which hierarchy it is.
+	Hierarchy *ch.Hierarchy
 }
 
 // Index is a built SILC index.
@@ -87,7 +97,7 @@ type Index struct {
 // invalidMinDist marks regions with no reachable vertex.
 const invalidMinDist = int32(math.MaxInt32)
 
-// Build constructs the SILC index for g by running one Dijkstra per vertex
+// Build constructs the SILC index for g by one hierarchy sweep per vertex
 // (the all-pairs preprocessing of §3.4).
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	start := time.Now()
@@ -106,6 +116,10 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	h := opts.Hierarchy
+	if h == nil {
+		h = ch.Build(g, ch.Options{})
 	}
 
 	ix := &Index{
@@ -133,35 +147,17 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	excTarget := make([][]int32, n)
 	excColor := make([][]uint8, n)
 
-	var wg sync.WaitGroup
-	vch := make(chan graph.VertexID, opts.Workers*4)
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := newSourceBuilder(ix, order, excTarget, excColor)
-			for v := range vch {
-				if err := b.build(v); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	for v := 0; v < n; v++ {
-		vch <- graph.VertexID(v)
-	}
-	close(vch)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	par.Each(opts.Workers, n, func(int) func(int) {
+		b := &sourceBuilder{
+			ix:        ix,
+			order:     order,
+			sw:        h.NewSweeper(),
+			hop:       make([]uint8, n),
+			excTarget: excTarget,
+			excColor:  excColor,
+		}
+		return func(v int) { b.build(graph.VertexID(v)) }
+	})
 	for v := 0; v < n; v++ {
 		ix.intervals += int64(len(ix.starts[v]))
 	}
@@ -176,7 +172,8 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 type sourceBuilder struct {
 	ix    *Index
 	order []graph.VertexID
-	ctx   *dijkstra.Context
+	sw    *ch.Sweeper
+	dist  []int64 // distance per target from the current source
 	hop   []uint8 // first-hop slot per target for the current source
 
 	starts   []uint32
@@ -189,52 +186,10 @@ type sourceBuilder struct {
 	excColor  [][]uint8
 }
 
-func newSourceBuilder(ix *Index, order []graph.VertexID, excTarget [][]int32, excColor [][]uint8) *sourceBuilder {
-	return &sourceBuilder{
-		ix:        ix,
-		order:     order,
-		ctx:       dijkstra.NewContext(ix.g),
-		hop:       make([]uint8, ix.g.NumVertices()),
-		excTarget: excTarget,
-		excColor:  excColor,
-	}
-}
-
 // build computes the first-hop coloring for source v and compresses it.
-func (b *sourceBuilder) build(v graph.VertexID) error {
-	g := b.ix.g
-	b.ctx.Run([]graph.VertexID{v}, dijkstra.Options{})
-	for i := range b.hop {
-		b.hop[i] = noHop
-	}
-	// First hops propagate down the shortest-path tree in settle order.
-	lo, _ := g.ArcsOf(v)
-	for _, u := range b.ctx.Settled() {
-		if u == v {
-			continue
-		}
-		p := b.ctx.Parent(u)
-		if p == v {
-			// Find the adjacency slot of the tree edge's head u with the
-			// smallest weight realizing the tree distance.
-			slot := -1
-			g.Neighbors(v, func(w graph.VertexID, wt graph.Weight, _ int32) bool {
-				if w == u && b.ctx.Dist(u) == int64(wt) {
-					slot = int(indexOfArc(g, v, u, wt) - lo)
-					return false
-				}
-				return true
-			})
-			if slot < 0 {
-				// The tree edge exists by construction; fall back to any
-				// arc to u.
-				slot = int(indexOfArc(g, v, u, -1) - lo)
-			}
-			b.hop[u] = uint8(slot)
-		} else {
-			b.hop[u] = b.hop[p]
-		}
-	}
+func (b *sourceBuilder) build(v graph.VertexID) {
+	b.dist = b.sw.Run(v)
+	b.sw.FirstHops(b.hop)
 
 	b.starts = b.starts[:0]
 	b.colors = b.colors[:0]
@@ -256,19 +211,6 @@ func (b *sourceBuilder) build(v graph.VertexID) error {
 			b.excColor[v][i] = b.hop[u]
 		}
 	}
-	return nil
-}
-
-// indexOfArc returns the arc index of an arc v->u (with weight wt when wt
-// is non-negative).
-func indexOfArc(g *graph.Graph, v, u graph.VertexID, wt graph.Weight) int32 {
-	lo, hi := g.ArcsOf(v)
-	for a := lo; a < hi; a++ {
-		if g.Head(a) == u && (wt < 0 || g.ArcWeight(a) == wt) {
-			return a
-		}
-	}
-	return lo
 }
 
 // emit appends a region start, merging adjacent same-color regions. minD
@@ -296,7 +238,7 @@ func (b *sourceBuilder) regionMinDist(idxLo, idxHi int) int32 {
 	}
 	minD := invalidMinDist
 	for i := idxLo; i < idxHi; i++ {
-		if d := b.ctx.Dist(b.order[i]); d < graph.Infinity && int32(d) < minD {
+		if d := b.dist[b.order[i]]; d < graph.Infinity && int32(d) < minD {
 			minD = int32(d)
 		}
 	}

@@ -5,6 +5,8 @@
 package testutil
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"roadnet/internal/dijkstra"
@@ -66,6 +68,100 @@ func Figure1() *graph.Graph {
 // vertices, suitable for exhaustive ground-truth comparison.
 func SmallRoad(n int, seed int64) *graph.Graph {
 	return gen.Generate(gen.Params{N: n, Seed: seed})
+}
+
+// MessyGraph returns a seeded random graph made to be awkward for every
+// technique, the one source of adversarial graphs: several components of
+// different density (unreachable pairs), isolated vertices, parallel edges
+// of different weight (an answer must name the right one), long runs of
+// unit-weight edges — ties between equally short paths at every level of a
+// hierarchy; the graph layer rejects weights below 1, so unit weights are
+// as close to zero-weight edges as a graph here gets — and vertices stacked
+// on one point, some of them across components.
+func MessyGraph(seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(0)
+	point := func() geom.Point {
+		return geom.Point{X: int32(rng.Intn(1 << 10)), Y: int32(rng.Intn(1 << 10))}
+	}
+	var pts []geom.Point
+	add := func(p geom.Point) {
+		pts = append(pts, p)
+		b.AddVertex(p)
+	}
+	stack := point()
+	for c := 2 + rng.Intn(3); c > 0; c-- {
+		base := b.NumVertices()
+		size := 1 + rng.Intn(60)
+		maxWeight := 1
+		if rng.Intn(3) > 0 {
+			maxWeight = 1 + rng.Intn(40)
+		}
+		for i := 0; i < size; i++ {
+			switch k := rng.Intn(8); {
+			case k == 0:
+				add(stack)
+			case k == 1 && i > 0:
+				add(pts[base+rng.Intn(i)])
+			default:
+				add(point())
+			}
+		}
+		edge := func(u, v int) {
+			if u != v {
+				_ = b.AddEdge(graph.VertexID(base+u), graph.VertexID(base+v), graph.Weight(1+rng.Intn(maxWeight)))
+			}
+		}
+		for v := 1; v < size; v++ {
+			edge(v, rng.Intn(v))
+		}
+		for i := rng.Intn(2 * size); i > 0; i-- {
+			u, v := rng.Intn(size), rng.Intn(size)
+			edge(u, v)
+			if rng.Intn(4) == 0 {
+				edge(v, u) // parallel edge, independently weighted
+			}
+		}
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		add(stack) // isolated
+	}
+	return b.Build()
+}
+
+// GoldenDigests holds an index build to a table of digests over the graphs
+// every such table covers: the DE and NH presets (NH not with -short) and
+// MessyGraph seeds 1 to 12. build returns the digest of the index of g built
+// on the given number of workers over a hierarchy contracted with the given
+// witness settle limit (0: the default); each graph is built on 1, 2 and 8
+// workers and over a limit-4 hierarchy, and all four digests must be the
+// table's — the index is a function of the graph, not of the scheduling or
+// of the hierarchy swept.
+func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64) {
+	graphs := map[string]*graph.Graph{}
+	for seed := int64(1); seed <= 12; seed++ {
+		graphs[fmt.Sprintf("messy%d", seed)] = MessyGraph(seed)
+	}
+	presets := []string{"DE"}
+	if !testing.Short() {
+		presets = append(presets, "NH")
+	}
+	for _, name := range presets {
+		g, err := gen.GeneratePreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[name] = g
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			for _, cell := range [][2]int{{1, 0}, {2, 0}, {8, 0}, {1, 4}} {
+				if got := build(t, g, cell[0], cell[1]); got != want[name] {
+					t.Errorf("workers=%d witness limit=%d: digest %#016x, table says %#016x", cell[0], cell[1], got, want[name])
+				}
+			}
+		})
+	}
 }
 
 // DistanceFunc answers a distance query; PathFunc a shortest-path query.

@@ -3,12 +3,12 @@ package tnr
 import (
 	"runtime"
 	"sort"
-	"sync"
 
 	"roadnet/internal/ch"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
+	"roadnet/internal/par"
 )
 
 // buildLayer constructs one grid level: cell assignment, outer-shell vertex
@@ -35,40 +35,22 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 
 	// Per-cell access-node vertex lists, computed in parallel.
 	cellAccess := make([][]graph.VertexID, l.grid.NumCells())
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > l.grid.NumCells() {
-		workers = l.grid.NumCells()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	cellCh := make(chan int, workers*4)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker := newAccessWorker(g, l)
-			for cell := range cellCh {
-				if len(cellVerts[cell]) == 0 || len(vout[cell]) == 0 {
-					continue
-				}
-				switch alg {
-				case AccessFlawedBast:
-					cellAccess[cell] = worker.flawedAccessNodes(int32(cell), cellVerts[cell])
-				default:
-					cellAccess[cell] = worker.correctedAccessNodes(int32(cell), cellVerts[cell], vout[cell])
-				}
-				// Distances from every cell vertex to every access node.
-				worker.fillVertexDistances(cellVerts[cell], cellAccess[cell], l.vaDist)
+	par.Each(runtime.GOMAXPROCS(0), l.grid.NumCells(), func(int) func(int) {
+		worker := newAccessWorker(g, l)
+		return func(cell int) {
+			if len(cellVerts[cell]) == 0 || len(vout[cell]) == 0 {
+				return
 			}
-		}()
-	}
-	for cell := 0; cell < l.grid.NumCells(); cell++ {
-		cellCh <- cell
-	}
-	close(cellCh)
-	wg.Wait()
+			switch alg {
+			case AccessFlawedBast:
+				cellAccess[cell] = worker.flawedAccessNodes(int32(cell), cellVerts[cell])
+			default:
+				cellAccess[cell] = worker.correctedAccessNodes(int32(cell), cellVerts[cell], vout[cell])
+			}
+			// Distances from every cell vertex to every access node.
+			worker.fillVertexDistances(cellVerts[cell], cellAccess[cell], l.vaDist)
+		}
+	})
 
 	// Assemble the distinct global access-node list and per-cell indices.
 	anIndex := make(map[graph.VertexID]int32)
