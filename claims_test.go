@@ -149,6 +149,28 @@ func TestClaimTNRAnswersFarFromTables(t *testing.T) {
 	}
 }
 
+func TestClaimTNRPathIsOrderKLookups(t *testing.T) {
+	// §3.3: a TNR path query costs O(k) distance queries, k the vertices on
+	// the path. As a count: the pair-table cells read per emitted vertex
+	// stay within a constant of the access nodes per cell, |A| — a few tail
+	// fills of |A(t)| cells each — where one Equation 1 sweep per hop would
+	// already be |A|².
+	e := claims(t)
+	tnrIx := core.TNROf(e.indexes[core.MethodTNR])
+	sr := tnrIx.NewSearcher()
+	var lookups, vertices int
+	for _, p := range e.far.Pairs {
+		path, _ := sr.ShortestPath(p.S, p.T)
+		lookups += sr.LookupsLast()
+		vertices += len(path)
+	}
+	perVertex, perCell := float64(lookups)/float64(vertices), tnrIx.MeanAccessNodesPerCell()
+	t.Logf("TNR far paths: %.1f table cells per emitted vertex, %.1f access nodes per cell", perVertex, perCell)
+	if lookups == 0 || perVertex > 8*perCell {
+		t.Errorf("§3.3: %.1f table cells per emitted vertex, want at most 8 × |A| = %.1f (and more than none)", perVertex, 8*perCell)
+	}
+}
+
 func TestClaimCHPathsSlowerThanDistances(t *testing.T) {
 	// §4.6: CH shortest-path queries pay for shortcut unpacking.
 	e := claims(t)

@@ -30,7 +30,8 @@ func drain(t *testing.T, it graph.PathIterator, err error) []graph.VertexID {
 
 // streamConfigs lists every index configuration with a distinct path
 // pipeline: the seven methods plus the TNR variants that exercise the
-// Dijkstra fallback tail and the flawed-access materializing branch.
+// Dijkstra fallback tail and the flawed-access variant, whose paths come
+// from the fallback.
 func streamConfigs() map[string]struct {
 	method core.Method
 	cfg    core.Config

@@ -129,15 +129,10 @@ func MessyGraph(seed int64) *graph.Graph {
 	return b.Build()
 }
 
-// GoldenDigests holds an index build to a table of digests over the graphs
-// every such table covers: the DE and NH presets (NH not with -short) and
-// MessyGraph seeds 1 to 12. build returns the digest of the index of g built
-// on the given number of workers over a hierarchy contracted with the given
-// witness settle limit (0: the default); each graph is built on 1, 2 and 8
-// workers and over a limit-4 hierarchy, and all four digests must be the
-// table's — the index is a function of the graph, not of the scheduling or
-// of the hierarchy swept.
-func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64) {
+// Graphs returns the graphs every differential and golden test covers, by
+// name: the DE and NH presets (NH not with -short) and MessyGraph seeds 1 to
+// 12 as messy1..messy12.
+func Graphs(t *testing.T) map[string]*graph.Graph {
 	graphs := map[string]*graph.Graph{}
 	for seed := int64(1); seed <= 12; seed++ {
 		graphs[fmt.Sprintf("messy%d", seed)] = MessyGraph(seed)
@@ -153,7 +148,18 @@ func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T
 		}
 		graphs[name] = g
 	}
-	for name, g := range graphs {
+	return graphs
+}
+
+// GoldenDigests holds an index build to a table of digests over Graphs.
+// build returns the digest of the index of g built on the given number of
+// workers over a hierarchy contracted with the given witness settle limit
+// (0: the default); each graph is built on 1, 2 and 8 workers and over a
+// limit-4 hierarchy, and all four digests must be the table's — the index
+// is a function of the graph, not of the scheduling or of the hierarchy
+// swept.
+func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64) {
+	for name, g := range Graphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, cell := range [][2]int{{1, 0}, {2, 0}, {8, 0}, {1, 4}} {
 				if got := build(t, g, cell[0], cell[1]); got != want[name] {

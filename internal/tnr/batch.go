@@ -9,28 +9,19 @@ import (
 
 // This file implements the TNR batch accelerator. A sources×targets
 // distance matrix over the transit-node tables vectorizes naturally: the
-// per-endpoint work of Equation 1 — fetching the cell's access-node set,
+// target's work in Equation 1 — fetching the cell's access-node set,
 // dropping unreachable access nodes, and gathering the vertex-to-access
-// distances — depends only on the endpoint, so BatchDistance hoists it out
-// of the |S|×|T| pair loop and computes it at most once per endpoint per
-// layer (lazily, so layers no pair answers from are never hoisted). What
-// remains per pair is the pure table-lookup sweep over the compacted access
-// lists. Pairs that fail the locality filter are answered by the searcher's
-// fallback technique with the batch context propagated.
+// distances into an operand — depends only on the target, so BatchDistance
+// hoists it out of the |S|×|T| pair loop and computes it at most once per
+// target per layer (lazily, so layers no pair answers from are never
+// hoisted). What remains per pair is the table sweep of equation1. Pairs
+// that fail the locality filter are answered by the searcher's fallback
+// technique with the batch context propagated.
 
-// endpointAccess is one endpoint's compacted Equation 1 operand on one grid
-// layer: the global access-node indices with a finite vertex-to-access
-// distance, and those distances widened to int64 once instead of per pair.
-type endpointAccess struct {
-	an []int32
-	d  []int64
-}
-
-// lazyAccess memoizes accessOf per endpoint on one layer: the operand is
-// still computed at most once per endpoint (the batch win), but only for
-// endpoints whose pairs actually answer from that layer's table — a batch
-// of coarse-only or mostly-local pairs skips the other layers' hoisting
-// entirely.
+// lazyAccess memoizes the operands of a batch's targets on one layer: each
+// is computed at most once (the batch win), but only for targets whose
+// pairs actually answer from that layer's table — a batch of coarse-only
+// or mostly-local pairs skips the other layers' hoisting entirely.
 type lazyAccess struct {
 	l    *layer
 	vs   []graph.VertexID
@@ -44,68 +35,17 @@ func newLazyAccess(l *layer, vs []graph.VertexID) lazyAccess {
 
 func (la *lazyAccess) at(i int) endpointAccess {
 	if !la.done[i] {
-		la.ea[i] = accessOf(la.l, la.vs[i])
+		la.ea[i].set(la.l, la.vs[i])
 		la.done[i] = true
 	}
 	return la.ea[i]
 }
 
-// accessOf compacts v's access-node set on l.
-func accessOf(l *layer, v graph.VertexID) endpointAccess {
-	ans := l.cellAN[l.cellOf[v]]
-	va := l.vaDist[v]
-	ea := endpointAccess{an: make([]int32, 0, len(ans)), d: make([]int64, 0, len(ans))}
-	for i, a := range ans {
-		if va[i] == invalidDist {
-			continue
-		}
-		ea.an = append(ea.an, a)
-		ea.d = append(ea.d, int64(va[i]))
-	}
-	return ea
-}
-
-// batchDistance evaluates Equation 1 from the compacted operands. It
-// returns exactly the value of layer.distance for the same pair: both take
-// the minimum of ds + table(ai, aj) + dt over the same finite entries.
-func (l *layer) batchDistance(src, tgt endpointAccess) int64 {
-	best := graph.Infinity
-	if l.table != nil {
-		count := len(l.anList)
-		for i, ai := range src.an {
-			ds := src.d[i]
-			row := l.table[int(ai)*count : (int(ai)+1)*count]
-			for j, aj := range tgt.an {
-				mid := row[aj]
-				if mid == invalidDist {
-					continue
-				}
-				if total := ds + int64(mid) + tgt.d[j]; total < best {
-					best = total
-				}
-			}
-		}
-		return best
-	}
-	for i, ai := range src.an {
-		ds := src.d[i]
-		for j, aj := range tgt.an {
-			mid := l.anPairDist(ai, aj)
-			if mid >= graph.Infinity {
-				continue
-			}
-			if total := ds + mid + tgt.d[j]; total < best {
-				best = total
-			}
-		}
-	}
-	return best
-}
-
 // BatchDistance computes the full sources×targets distance matrix:
 // table[i][j] = dist(sources[i], targets[j]), graph.Infinity for
-// unreachable pairs. Table-answerable pairs run the hoisted Equation 1
-// sweep above; local pairs fall back to the searcher's fallback technique.
+// unreachable pairs. Table-answerable pairs run the Equation 1 sweep over
+// the hoisted operands; local pairs fall back to the searcher's fallback
+// technique.
 // Results are bit-identical to per-pair Distance calls, and the searcher's
 // TableQueries/FallbackQueries counters advance exactly as they would for
 // the equivalent per-pair queries. The sweep polls ctx every
@@ -121,11 +61,9 @@ func (sr *Searcher) BatchDistance(ctx context.Context, sources, targets []graph.
 		return table, nil
 	}
 
-	srcCoarse := newLazyAccess(ix.coarse, sources)
 	tgtCoarse := newLazyAccess(ix.coarse, targets)
-	var srcFine, tgtFine lazyAccess
+	var tgtFine lazyAccess
 	if ix.fine != nil {
-		srcFine = newLazyAccess(ix.fine, sources)
 		tgtFine = newLazyAccess(ix.fine, targets)
 	}
 
@@ -137,21 +75,22 @@ func (sr *Searcher) BatchDistance(ctx context.Context, sources, targets []graph.
 				return nil, err
 			}
 			pairs++
-			switch {
-			case ix.coarse.localityPasses(s, t):
-				sr.countTable()
-				row[j] = ix.coarse.batchDistance(srcCoarse.at(i), tgtCoarse.at(j))
-			case ix.fine != nil && ix.fine.localityPasses(s, t):
-				sr.countTable()
-				row[j] = ix.fine.batchDistance(srcFine.at(i), tgtFine.at(j))
-			default:
+			l := ix.tableLayer(s, t)
+			if l == nil {
 				sr.countFallback()
 				d, err := sr.fallbackDistance(ctx, s, t)
 				if err != nil {
 					return nil, err
 				}
 				row[j] = d
+				continue
 			}
+			sr.countTable()
+			tgt := &tgtCoarse
+			if l == ix.fine {
+				tgt = &tgtFine
+			}
+			row[j] = sr.equation1(l, s, tgt.at(j))
 		}
 		table[i] = row
 	}

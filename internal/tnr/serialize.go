@@ -206,7 +206,7 @@ func layerFromFlat(f *binio.FlatFile, mr *binio.Reader, g *graph.Graph, gridSize
 			return fail(err)
 		}
 		if l.table == nil {
-			// Preserve the dense marker (anPairDist branches on table != nil)
+			// Preserve the dense marker (minPlus branches on table != nil)
 			// even for a degenerate layer with no access nodes.
 			l.table = []int32{}
 		}

@@ -18,12 +18,54 @@
 // edge crosses a shell iff exactly one endpoint lies inside the block. The
 // locality filter passes for cells more than 4 cells apart (Chebyshev), in
 // which case Equation 1 answers the query from the precomputed tables.
+//
+// # Path queries
+//
+// A shortest-path query is the walk of §3.3: from the current vertex, whose
+// distance to t is known, the next vertex is the first neighbor v with
+// w(cur, v) + dist(v, t) = dist(cur, t), each dist(v, t) evaluated from
+// the tables, until the walk enters t's locality and the fallback
+// technique streams the rest (pathiter.go). What the walk does not repeat
+// is the half of Equation 1 that depends on t alone. With A(v) the access
+// nodes of v's cell,
+//
+//	dist(v, t) = min over a in A(v) of d(v, a) + tail(a)
+//	tail(a)    = min over b in A(t) of T[a][b] + d(b, t)
+//
+// and tail(a) is the same for every vertex of every hop of one walk, while
+// neighboring cells share most of their access nodes. A Searcher keeps it
+// in a tail memo: one slot per access node of the layer, generation-stamped
+// so that opening a walk is one increment, filled with one |A(t)|-cell
+// sweep the first time the walk meets a and read back afterwards (the sweep
+// reads T[b][a], the table being symmetric, so one walk keeps to the rows
+// of A(t)). There is one memo per layer — a hybrid walk that drops from the
+// coarse to the fine grid keeps both — at 12 bytes per access node,
+// allocated by the first walk that uses the layer; a searcher that answers
+// only distance queries allocates none.
+//
+// An evaluation stops at the first access node whose candidate equals
+// dist(cur, t) - w(cur, v). That value is a lower bound on dist(v, t) by
+// the triangle inequality and every candidate is the length of a v-t walk,
+// an upper bound, so an equal one is the minimum and the access nodes after
+// it need no tail. The vertex the walk just left is not evaluated at all:
+// weights are at least 1, so it cannot be closer to t. Neither changes
+// which neighbor is chosen. The argument holds on exact tables only, which
+// is why an index built with AccessFlawedBast answers path queries from the
+// fallback.
+//
+// On NH (GridSize 32, 20.1 access nodes per non-empty cell) the 500 Q10
+// pairs of workload seed 1 emit 57.79 vertices per path and read 4 740 table
+// cells per path, 82.0 per emitted vertex — 256 tail fills for 81 neighbor
+// evaluations; one full Equation 1 sweep per neighbor per hop read 39 060,
+// 675.9 per vertex. LookupsLast reports the count per query and
+// TestWalkWorkCount pins it.
 package tnr
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -153,22 +195,41 @@ type Searcher struct {
 	// precomputed tables.
 	FallbackQueries, TableQueries int
 
-	// Path-production scratch, reused across queries: walk is the lazy
-	// table-walk iterator handed out by OpenPath, pathIter wraps the
-	// materialized path of the flawed-access variant (which may retract).
+	// lookups counts the pair-table cells the current query has read; see
+	// LookupsLast. countTable and countFallback, which open every query,
+	// reset it.
+	lookups int
+
+	// tgt is the target operand of a Distance sweep. walk is the lazy
+	// table-walk iterator handed out by OpenPath and memo its per-layer
+	// tail memos (coarse, fine), allocated by the first walk that uses the
+	// layer. pathHint is the length of the last materialized path, the
+	// capacity the next one starts from.
+	tgt      endpointAccess
 	walk     tableWalkIter
-	pathIter graph.SlicePath
+	memo     [2]tailMemo
+	pathHint int
 }
+
+// LookupsLast returns the number of pair-table cells the last query read:
+// |A(s)|·|A(t)| for a distance answered from the tables, the tail fills of
+// a path walk (|A(t)| cells per access node met, see pathiter.go), and 0
+// for a query the fallback answered; after a BatchDistance, its last pair.
+// It is TNR's machine-independent cost measure, next to SettledLast on the
+// searching techniques.
+func (sr *Searcher) LookupsLast() int { return sr.lookups }
 
 // countTable records one query answered from the precomputed tables, on
 // both the searcher's own counter and the index-wide atomic aggregate.
 func (sr *Searcher) countTable() {
+	sr.lookups = 0
 	sr.TableQueries++
 	sr.ix.tableN.Add(1)
 }
 
 // countFallback records one query answered by the fallback technique.
 func (sr *Searcher) countFallback() {
+	sr.lookups = 0
 	sr.FallbackQueries++
 	sr.ix.fallbackN.Add(1)
 }
@@ -212,32 +273,6 @@ func (l *layer) cellCoords(cellIdx int32) (col, row int) {
 	return int(cellIdx) % l.grid.Cols, int(cellIdx) / l.grid.Cols
 }
 
-// anPairDist returns dist(anList[i], anList[j]) from the dense or sparse
-// table, or Infinity when absent.
-func (l *layer) anPairDist(i, j int32) int64 {
-	if l.table != nil {
-		d := l.table[int(i)*len(l.anList)+int(j)]
-		if d == invalidDist {
-			return graph.Infinity
-		}
-		return int64(d)
-	}
-	partners := l.sparsePartner[i]
-	lo, hi := 0, len(partners)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if partners[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(partners) && partners[lo] == j {
-		return int64(l.sparseDist[i][lo])
-	}
-	return graph.Infinity
-}
-
 // localityPasses reports whether the layer's tables can answer a query
 // between the cells of s and t: the cells must lie beyond each other's
 // outer shells.
@@ -248,29 +283,66 @@ func (l *layer) localityPasses(s, t graph.VertexID) bool {
 	return geom.ChebyshevCellDist(sc, sr, tc, tr) > outerRadius
 }
 
-// distance evaluates Equation 1 over this layer's tables. It must only be
-// called when localityPasses(s, t).
-func (l *layer) distance(s, t graph.VertexID) int64 {
-	ansS := l.cellAN[l.cellOf[s]]
-	ansT := l.cellAN[l.cellOf[t]]
-	best := graph.Infinity
-	for i, ai := range ansS {
-		ds := l.vaDist[s][i]
-		if ds == invalidDist {
-			continue
+// endpointAccess is one endpoint's compacted Equation 1 operand on one grid
+// layer: per access node b of its cell with a finite vertex-to-access
+// distance, where b's row of the pair table starts (dense layer) or b
+// itself (sparse layer), and that distance widened to int64 once.
+type endpointAccess struct {
+	row []int
+	d   []int64
+}
+
+// set makes ea the operand of v on l, reusing its capacity.
+func (ea *endpointAccess) set(l *layer, v graph.VertexID) {
+	ans, va := l.cellAN[l.cellOf[v]], l.vaDist[v]
+	ea.row, ea.d = slices.Grow(ea.row[:0], len(ans)), slices.Grow(ea.d[:0], len(ans))
+	stride := 1
+	if l.table != nil {
+		stride = len(l.anList)
+	}
+	for i, b := range ans {
+		if va[i] != invalidDist {
+			ea.row = append(ea.row, int(b)*stride)
+			ea.d = append(ea.d, int64(va[i]))
 		}
-		for j, aj := range ansT {
-			dt := l.vaDist[t][j]
-			if dt == invalidDist {
-				continue
+	}
+}
+
+// minPlus is the inner loop of Equation 1, the only code that reads a pair
+// table: min over op's access nodes b of T[b][a] + d(b, ·), Infinity when
+// no b reaches a. It reads column a of the rows of op — T is symmetric, the
+// graph being undirected (TestPairTablesSymmetric) — so a caller that
+// sweeps many a against one op, a distance query over A(s) or a path walk
+// over every access node it meets, stays inside the same |op| rows.
+func (l *layer) minPlus(a int32, op endpointAccess) int64 {
+	best := graph.Infinity
+	if l.table != nil {
+		col := l.table[a:]
+		for j, row := range op.row {
+			if mid := col[row]; mid != invalidDist {
+				best = min(best, int64(mid)+op.d[j])
 			}
-			mid := l.anPairDist(ai, aj)
-			if mid >= graph.Infinity {
-				continue
-			}
-			if total := int64(ds) + mid + int64(dt); total < best {
-				best = total
-			}
+		}
+		return best
+	}
+	for j, b := range op.row {
+		if k, ok := slices.BinarySearch(l.sparsePartner[b], a); ok {
+			best = min(best, int64(l.sparseDist[b][k])+op.d[j])
+		}
+	}
+	return best
+}
+
+// equation1 evaluates Equation 1 for s against the operand of t on l:
+// min over s's access nodes a of d(s, a) + minPlus(a, tgt). It must only be
+// called when l.localityPasses(s, t).
+func (sr *Searcher) equation1(l *layer, s graph.VertexID, tgt endpointAccess) int64 {
+	va := l.vaDist[s]
+	best := graph.Infinity
+	for i, a := range l.cellAN[l.cellOf[s]] {
+		if va[i] != invalidDist {
+			sr.lookups += len(tgt.row)
+			best = min(best, int64(va[i])+l.minPlus(a, tgt))
 		}
 	}
 	return best
@@ -351,14 +423,10 @@ func (sr *Searcher) DistanceContext(ctx context.Context, s, t graph.VertexID) (i
 	if err := ctx.Err(); err != nil {
 		return graph.Infinity, err
 	}
-	ix := sr.ix
-	if ix.coarse.localityPasses(s, t) {
+	if l := sr.ix.tableLayer(s, t); l != nil {
 		sr.countTable()
-		return ix.coarse.distance(s, t), nil
-	}
-	if ix.fine != nil && ix.fine.localityPasses(s, t) {
-		sr.countTable()
-		return ix.fine.distance(s, t), nil
+		sr.tgt.set(l, t)
+		return sr.equation1(l, s, sr.tgt), nil
 	}
 	sr.countFallback()
 	return sr.fallbackDistance(ctx, s, t)
@@ -373,22 +441,23 @@ func (ix *Index) Distance(s, t graph.VertexID) int64 {
 	return d
 }
 
+// tableLayer returns the layer whose tables answer the query — the coarse
+// grid when s and t lie beyond each other's outer shells on it, else the
+// fine grid of a hybrid index on the same test — or nil for a local query.
+func (ix *Index) tableLayer(s, t graph.VertexID) *layer {
+	if ix.coarse.localityPasses(s, t) {
+		return ix.coarse
+	}
+	if ix.fine != nil && ix.fine.localityPasses(s, t) {
+		return ix.fine
+	}
+	return nil
+}
+
 // CanAnswerFromTables reports whether the query would be answered from the
 // precomputed tables (used by the experiment harness to split timings).
 func (ix *Index) CanAnswerFromTables(s, t graph.VertexID) bool {
-	if ix.coarse.localityPasses(s, t) {
-		return true
-	}
-	return ix.fine != nil && ix.fine.localityPasses(s, t)
-}
-
-// tableDistance answers from tables only; callers must have checked
-// CanAnswerFromTables.
-func (ix *Index) tableDistance(s, t graph.VertexID) int64 {
-	if ix.coarse.localityPasses(s, t) {
-		return ix.coarse.distance(s, t)
-	}
-	return ix.fine.distance(s, t)
+	return ix.tableLayer(s, t) != nil
 }
 
 // ShortestPath answers a shortest-path query. Per §3.3, while the current
@@ -403,35 +472,24 @@ func (sr *Searcher) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) 
 // ShortestPathContext is ShortestPath with cancellation: the hop-by-hop
 // table walk polls ctx every cancel.Interval hops and the fallback searches
 // poll it every cancel.Interval settled vertices; both abort with ctx's
-// error. It is a thin collector over the lazy table walk of pathiter.go —
-// the one behavior a collector can add is the Appendix B retraction: when
-// the walk aborts with errTableMismatch (flawed access nodes only), the
-// walked prefix is discarded and a full fallback search answers instead.
+// error. It is a thin collector over the lazy table walk of pathiter.go.
 func (sr *Searcher) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, graph.Infinity, err
 	}
-	ix := sr.ix
-	if !ix.CanAnswerFromTables(s, t) {
+	if !sr.walks(s, t) {
 		sr.countFallback()
 		return sr.fallbackPath(ctx, s, t)
 	}
-	sr.countTable()
-	total := ix.tableDistance(s, t)
+	total := sr.openWalk(ctx, s, t)
 	if total >= graph.Infinity {
 		return nil, graph.Infinity, nil
 	}
-	sr.walk = tableWalkIter{sr: sr, ctx: ctx, cur: s, t: t, remaining: total}
-	path, err := graph.AppendPath(nil, &sr.walk)
-	if err == errTableMismatch {
-		// The tables and the fallback disagree; this cannot happen with a
-		// correct access-node computation, but the flawed Appendix B
-		// variant can reach this point. Trust the fallback, which is exact.
-		return sr.fallbackPath(ctx, s, t)
-	}
+	path, err := graph.AppendPath(make([]graph.VertexID, 0, sr.pathHint), &sr.walk)
 	if err != nil {
 		return nil, graph.Infinity, err
 	}
+	sr.pathHint = len(path)
 	return path, total, nil
 }
 
