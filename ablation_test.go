@@ -1,4 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the design choices the technique packages' docs
+// call out:
 //
 //   - the CH contraction-order heuristic (edge difference + deleted
 //     neighbors + depth vs single-term orderings),
@@ -16,6 +17,7 @@ import (
 	"roadnet/internal/ch"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
+	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 
@@ -41,7 +43,7 @@ func ablationPairs(b *testing.B, g *graph.Graph) []workload.Pair {
 func benchCHOrdering(b *testing.B, opts ch.Options) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
-	h := ch.Build(g, opts)
+	h := testutil.Must(ch.Build(g, opts))
 	b.ReportMetric(float64(h.NumShortcuts()), "shortcuts")
 	s := h.NewSearcher()
 	b.ResetTimer()
@@ -68,7 +70,7 @@ func BenchmarkAblationCHOrderingDepthOnly(b *testing.B) {
 func benchCHWitnessLimit(b *testing.B, limit int) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
-	h := ch.Build(g, ch.Options{WitnessSettleLimit: limit})
+	h := testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: limit}))
 	b.ReportMetric(float64(h.NumShortcuts()), "shortcuts")
 	s := h.NewSearcher()
 	b.ResetTimer()
@@ -82,7 +84,7 @@ func benchCHWitnessLimit(b *testing.B, limit int) {
 func benchCHStalling(b *testing.B, disable bool) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	s.DisableStalling = disable
 	b.ResetTimer()
@@ -102,16 +104,17 @@ func BenchmarkAblationCHWitness1000(b *testing.B) { benchCHWitnessLimit(b, 1000)
 func benchTNRGrid(b *testing.B, gridSize int, hybrid bool) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	ix, err := tnr.Build(g, tnr.Options{GridSize: gridSize, Hybrid: hybrid, Hierarchy: h})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB")
+	sr := ix.NewSearcher()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		ix.Distance(p.S, p.T)
+		sr.Distance(p.S, p.T)
 	}
 }
 
@@ -125,10 +128,11 @@ func benchALTLandmarks(b *testing.B, k int) {
 	pairs := ablationPairs(b, g)
 	ix := altpkg.Build(g, altpkg.Options{NumLandmarks: k})
 	b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB")
+	sr := ix.NewSearcher()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		ix.Distance(p.S, p.T)
+		sr.Distance(p.S, p.T)
 	}
 }
 
@@ -141,12 +145,13 @@ func BenchmarkAblationALT32Landmarks(b *testing.B) { benchALTLandmarks(b, 32) }
 func benchArcFlags(b *testing.B, gridSize int) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
-	ix := arcflagspkg.Build(g, arcflagspkg.Options{GridSize: gridSize})
+	ix := testutil.Must(arcflagspkg.Build(g, arcflagspkg.Options{GridSize: gridSize}))
 	b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB")
+	sr := ix.NewSearcher()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		ix.Distance(p.S, p.T)
+		sr.Distance(p.S, p.T)
 	}
 }
 

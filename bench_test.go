@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per artifact; see DESIGN.md for the experiment index).
+// (one benchmark per artifact; `spexp -list` prints the experiment index).
 //
 // Each iteration performs the complete experiment — dataset generation,
 // preprocessing, and the timed query workload — on reduced dataset sizes so
@@ -16,6 +16,7 @@ import (
 	"roadnet/internal/core"
 	"roadnet/internal/exp"
 	"roadnet/internal/gen"
+	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 )
@@ -82,7 +83,7 @@ func env(b *testing.B) *benchEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hierarchy := ch.Build(g, ch.Options{})
+	hierarchy := testutil.Must(ch.Build(g, ch.Options{}))
 	e := &benchEnv{
 		pairsNear: sets[1].Pairs,
 		pairsFar:  sets[len(sets)-1].Pairs,
@@ -148,14 +149,14 @@ func BenchmarkBuildCH(b *testing.B) {
 	b.ResetTimer()
 	var h *ch.Hierarchy
 	for i := 0; i < b.N; i++ {
-		h = ch.Build(g, ch.Options{})
+		h = testutil.Must(ch.Build(g, ch.Options{}))
 	}
 	b.ReportMetric(float64(h.NumShortcuts()), "shortcuts")
 }
 
 func BenchmarkBuildTNR(b *testing.B) {
 	g := gen.Generate(gen.Params{N: 9000, Seed: 104})
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tnr.Build(g, tnr.Options{GridSize: 16, Hierarchy: h}); err != nil {

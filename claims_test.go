@@ -11,6 +11,7 @@ import (
 	"roadnet/internal/core"
 	"roadnet/internal/gen"
 	"roadnet/internal/pcpd"
+	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 )
@@ -35,7 +36,7 @@ func claims(t *testing.T) *claimsEnvT {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	e := &claimsEnvT{
 		indexes: map[core.Method]core.Index{},
 		near:    sets[0],
@@ -93,7 +94,7 @@ func TestClaimSILCAndPCPDPreprocessingHeavy(t *testing.T) {
 	// each then has to produce, compared as a count and not on the clock:
 	// Morton intervals against decomposition-tree nodes.
 	intervals := core.SILCOf(e.indexes[core.MethodSILC]).NumIntervals()
-	// A PCPD index is its own searcher (core's pcpdIndex.NewSearcher).
+	// A PCPD index is its own searcher (see core's newIndex).
 	nodes := e.indexes[core.MethodPCPD].NewSearcher().(*pcpd.Index).NumNodes()
 	t.Logf("%d PCPD tree nodes, %d SILC intervals", nodes, intervals)
 	if nodes < intervals {
@@ -130,10 +131,10 @@ func TestClaimTNREqualsCHOnNearQueries(t *testing.T) {
 	// rather than on timings.
 	e := claims(t)
 	tnrIx := core.TNROf(e.indexes[core.MethodTNR])
-	before := tnrIx.FallbackQueries
+	_, before := tnrIx.QueryCounts()
 	core.MeasureDistance(e.indexes[core.MethodTNR], e.near)
-	fallbacks := tnrIx.FallbackQueries - before
-	if fallbacks != len(e.near.Pairs) {
+	_, after := tnrIx.QueryCounts()
+	if fallbacks := int(after - before); fallbacks != len(e.near.Pairs) {
 		t.Errorf("§4.5: %d of %d near queries used the fallback; expected all", fallbacks, len(e.near.Pairs))
 	}
 }
@@ -141,10 +142,10 @@ func TestClaimTNREqualsCHOnNearQueries(t *testing.T) {
 func TestClaimTNRAnswersFarFromTables(t *testing.T) {
 	e := claims(t)
 	tnrIx := core.TNROf(e.indexes[core.MethodTNR])
-	before := tnrIx.TableQueries
+	before, _ := tnrIx.QueryCounts()
 	core.MeasureDistance(e.indexes[core.MethodTNR], e.far)
-	tables := tnrIx.TableQueries - before
-	if tables != len(e.far.Pairs) {
+	after, _ := tnrIx.QueryCounts()
+	if tables := int(after - before); tables != len(e.far.Pairs) {
 		t.Errorf("§4.5: %d of %d far queries answered from tables; expected all", tables, len(e.far.Pairs))
 	}
 }

@@ -6,8 +6,8 @@
 //	spexp -exp f8 -datasets DE,NH,ME,CO -queries 1000
 //	spexp -exp all -full -queries 10000     # the paper's full workload
 //
-// Each experiment id maps to a paper artifact (t1, t2, f6..f17, b); see
-// DESIGN.md for the index.
+// Each experiment id maps to a paper artifact (t1, t2, f6..f17, b);
+// spexp -list prints the index.
 package main
 
 import (

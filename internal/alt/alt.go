@@ -17,7 +17,6 @@ import (
 	"roadnet/internal/cancel"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/graph"
-	"roadnet/internal/pq"
 )
 
 // Options configures Build.
@@ -31,10 +30,8 @@ type Options struct {
 
 // Index is a built ALT index. The landmark tables are immutable after
 // Build, so one Index may be shared by any number of goroutines; per-query
-// mutable state lives in a Searcher (create one per goroutine with
-// NewSearcher). The Index's own Distance/ShortestPath methods delegate to
-// one internal default Searcher and are therefore not safe for concurrent
-// use.
+// mutable state lives in a searcher (create one per goroutine with
+// NewSearcher).
 type Index struct {
 	g         *graph.Graph
 	landmarks []graph.VertexID
@@ -43,41 +40,13 @@ type Index struct {
 	distTo [][]int64
 
 	buildTime time.Duration
-
-	// def is the default searcher backing the Index's own query methods.
-	def *Searcher
 }
 
-// Searcher is a reusable A* query context over an Index. It is not safe
-// for concurrent use; create one per goroutine.
-type Searcher struct {
-	ix *Index
-
-	dist        []int64
-	parent      []int32
-	gen         []uint32
-	cur         uint32
-	heap        *pq.Heap
-	settledLast int
-
-	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath
-	// and the path collector: the parent walk is assembled into pathBuf
-	// (reused across queries) and streamed from pathIter.
-	pathBuf  []graph.VertexID
-	pathIter graph.SlicePath
-}
-
-// NewSearcher returns a fresh query context sharing ix's immutable
-// landmark tables.
-func (ix *Index) NewSearcher() *Searcher {
-	n := ix.g.NumVertices()
-	return &Searcher{
-		ix:     ix,
-		dist:   make([]int64, n),
-		parent: make([]int32, n),
-		gen:    make([]uint32, n),
-		heap:   pq.New(n),
-	}
+// NewSearcher returns a fresh A* query context sharing ix's immutable
+// landmark tables: the shared goal-directed searcher around ix's settle
+// loop.
+func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
+	return dijkstra.NewGoalSearcher(ix.g.NumVertices(), ix.settle)
 }
 
 // Build selects landmarks by farthest-point traversal and precomputes the
@@ -132,17 +101,6 @@ func Build(g *graph.Graph, opts Options) *Index {
 	return ix
 }
 
-// defSearcher lazily creates the default searcher, so indexes queried only
-// through NewSearcher/pools never pay for its O(n) arrays. Lazy without a
-// lock is fine: the Index's own query methods are single-goroutine by
-// contract.
-func (ix *Index) defSearcher() *Searcher {
-	if ix.def == nil {
-		ix.def = ix.NewSearcher()
-	}
-	return ix.def
-}
-
 // potential returns the ALT lower bound on dist(v, t).
 func (ix *Index) potential(v, t graph.VertexID) int64 {
 	var best int64
@@ -160,151 +118,41 @@ func (ix *Index) potential(v, t graph.VertexID) int64 {
 	return best
 }
 
-func (s *Searcher) reset() {
-	s.cur++
-	if s.cur == 0 {
-		for i := range s.gen {
-			s.gen[i] = 0
-		}
-		s.cur = 1
-	}
-	s.heap.Clear()
-}
-
-// runCtx executes A* from src to t and returns whether t was settled,
-// with cancellation: the search polls ctx every
-// cancel.Interval settled vertices and aborts with its error.
-func (s *Searcher) runCtx(ctx context.Context, src, t graph.VertexID) (bool, error) {
-	ix := s.ix
-	s.reset()
-	s.settledLast = 0
-	s.gen[src] = s.cur
-	s.dist[src] = 0
-	s.parent[src] = -1
-	s.heap.Push(src, ix.potential(src, t))
-	for !s.heap.Empty() {
-		if err := cancel.Poll(ctx, s.settledLast); err != nil {
+// settle is ALT's dijkstra.SettleFunc: A* from src to t, keyed by the
+// label plus the landmark lower bound on the rest of the way.
+func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t graph.VertexID) (bool, error) {
+	s.Gen[src] = s.Cur
+	s.Dist[src] = 0
+	s.Parent[src] = -1
+	s.Heap.Push(src, ix.potential(src, t))
+	for !s.Heap.Empty() {
+		if err := cancel.Poll(ctx, s.Settled); err != nil {
 			return false, err
 		}
-		v, _ := s.heap.Pop()
-		s.settledLast++
+		v, _ := s.Heap.Pop()
+		s.Settled++
 		if v == t {
 			return true, nil
 		}
-		d := s.dist[v]
+		d := s.Dist[v]
 		lo, hi := ix.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
 			w := ix.g.Head(a)
 			nd := d + int64(ix.g.ArcWeight(a))
-			if s.gen[w] != s.cur {
-				s.gen[w] = s.cur
-				s.dist[w] = nd
-				s.parent[w] = int32(v)
-				s.heap.Push(w, nd+ix.potential(w, t))
-			} else if nd < s.dist[w] && s.heap.Contains(w) {
-				s.dist[w] = nd
-				s.parent[w] = int32(v)
-				s.heap.Push(w, nd+ix.potential(w, t))
+			if s.Gen[w] != s.Cur {
+				s.Gen[w] = s.Cur
+				s.Dist[w] = nd
+				s.Parent[w] = int32(v)
+				s.Heap.Push(w, nd+ix.potential(w, t))
+			} else if nd < s.Dist[w] && s.Heap.Contains(w) {
+				s.Dist[w] = nd
+				s.Parent[w] = int32(v)
+				s.Heap.Push(w, nd+ix.potential(w, t))
 			}
 		}
 	}
 	return false, nil
 }
-
-// Distance answers a distance query.
-func (s *Searcher) Distance(src, t graph.VertexID) int64 {
-	d, _ := s.DistanceContext(context.Background(), src, t)
-	return d
-}
-
-// ShortestPath answers a shortest-path query.
-func (s *Searcher) ShortestPath(src, t graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := s.ShortestPathContext(context.Background(), src, t)
-	return path, d
-}
-
-// DistanceContext is Distance with cancellation (see runCtx). An
-// already-cancelled context aborts before any work, trivial s == t
-// queries included.
-func (s *Searcher) DistanceContext(ctx context.Context, src, t graph.VertexID) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return graph.Infinity, err
-	}
-	if src == t {
-		return 0, nil
-	}
-	found, err := s.runCtx(ctx, src, t)
-	if err != nil {
-		return graph.Infinity, err
-	}
-	if !found {
-		return graph.Infinity, nil
-	}
-	return s.dist[t], nil
-}
-
-// ShortestPathContext is ShortestPath with cancellation (see runCtx). It
-// is a thin collector over OpenPath: the iterator is drained into a fresh
-// caller-owned slice.
-func (s *Searcher) ShortestPathContext(ctx context.Context, src, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	it, d, err := s.OpenPath(ctx, src, t)
-	if err != nil || it == nil {
-		return nil, graph.Infinity, err
-	}
-	path, err := graph.AppendPath(make([]graph.VertexID, 0, len(s.pathBuf)), it)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	return path, d, nil
-}
-
-// OpenPath runs the A* query and returns a PathIterator over the shortest
-// path plus its length, or (nil, Infinity, nil) when t is unreachable. The
-// parent walk is assembled into searcher-owned scratch, so streaming a
-// path allocates nothing in steady state; the iterator is invalidated by
-// this searcher's next query.
-func (s *Searcher) OpenPath(ctx context.Context, src, t graph.VertexID) (graph.PathIterator, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, graph.Infinity, err
-	}
-	if src == t {
-		s.pathBuf = append(s.pathBuf[:0], src)
-		s.pathIter.Reset(s.pathBuf)
-		return &s.pathIter, 0, nil
-	}
-	found, err := s.runCtx(ctx, src, t)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	if !found {
-		return nil, graph.Infinity, nil
-	}
-	rev := s.pathBuf[:0]
-	for v := t; v >= 0; v = graph.VertexID(s.parent[v]) {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	s.pathBuf = rev
-	s.pathIter.Reset(rev)
-	return &s.pathIter, s.dist[t], nil
-}
-
-// SettledLast reports the vertices settled by the last query.
-func (s *Searcher) SettledLast() int { return s.settledLast }
-
-// Distance answers a distance query on the default searcher.
-func (ix *Index) Distance(s, t graph.VertexID) int64 { return ix.defSearcher().Distance(s, t) }
-
-// ShortestPath answers a shortest-path query on the default searcher.
-func (ix *Index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.defSearcher().ShortestPath(s, t)
-}
-
-// SettledLast reports the vertices settled by the default searcher's last
-// query.
-func (ix *Index) SettledLast() int { return ix.defSearcher().SettledLast() }
 
 // NumLandmarks returns the number of selected landmarks.
 func (ix *Index) NumLandmarks() int { return len(ix.landmarks) }

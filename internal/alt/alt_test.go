@@ -12,21 +12,21 @@ import (
 
 func TestALTExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
-	ix := alt.Build(g, alt.Options{NumLandmarks: 3})
+	ix := alt.Build(g, alt.Options{NumLandmarks: 3}).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
 }
 
 func TestALTRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 401)
-	ix := alt.Build(g, alt.Options{})
+	ix := alt.Build(g, alt.Options{}).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 91), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 93), ix.ShortestPath)
 }
 
 func TestALTAdversarialGraph(t *testing.T) {
 	g := gen.RandomConnected(150, 300, 40, 401)
-	ix := alt.Build(g, alt.Options{NumLandmarks: 8})
+	ix := alt.Build(g, alt.Options{NumLandmarks: 8}).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 400, 97), ix.Distance)
 }
 
@@ -34,7 +34,7 @@ func TestALTPrunesSearchSpace(t *testing.T) {
 	// The landmark bounds must direct the search: ALT should settle fewer
 	// vertices than plain Dijkstra on long queries.
 	g := testutil.SmallRoad(2500, 403)
-	ix := alt.Build(g, alt.Options{})
+	ix := alt.Build(g, alt.Options{}).NewSearcher()
 	ctx := dijkstra.NewContext(g)
 	var altTotal, dijTotal int
 	for _, p := range testutil.SamplePairs(g, 30, 99) {
@@ -59,7 +59,7 @@ func TestALTDisconnected(t *testing.T) {
 	_ = b.AddEdge(0, 1, 2)
 	_ = b.AddEdge(2, 3, 2)
 	g := b.Build()
-	ix := alt.Build(g, alt.Options{NumLandmarks: 2})
+	ix := alt.Build(g, alt.Options{NumLandmarks: 2}).NewSearcher()
 	if d := ix.Distance(0, 3); d != graph.Infinity {
 		t.Errorf("cross-component distance = %d, want Infinity", d)
 	}

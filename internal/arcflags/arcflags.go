@@ -25,10 +25,10 @@ import (
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/ch"
+	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/par"
-	"roadnet/internal/pq"
 )
 
 // Options configures Build.
@@ -45,10 +45,8 @@ type Options struct {
 
 // Index is a built arc-flags index. The flag tables are immutable after
 // Build, so one Index may be shared by any number of goroutines; per-query
-// mutable state lives in a Searcher (create one per goroutine with
-// NewSearcher). The Index's own Distance/ShortestPath methods delegate to
-// one internal default Searcher and are therefore not safe for concurrent
-// use.
+// mutable state lives in a searcher (create one per goroutine with
+// NewSearcher).
 type Index struct {
 	g      *graph.Graph
 	grid   geom.Grid
@@ -58,45 +56,18 @@ type Index struct {
 	flags []uint64
 
 	buildTime time.Duration
-
-	// def is the default searcher backing the Index's own query methods.
-	def *Searcher
 }
 
-// Searcher is a reusable flag-pruned Dijkstra context over an Index. It is
-// not safe for concurrent use; create one per goroutine.
-type Searcher struct {
-	ix *Index
-
-	dist        []int64
-	parent      []int32
-	gen         []uint32
-	cur         uint32
-	heap        *pq.Heap
-	settledLast int
-
-	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath
-	// and the path collector: the parent walk is assembled into pathBuf
-	// (reused across queries) and streamed from pathIter.
-	pathBuf  []graph.VertexID
-	pathIter graph.SlicePath
+// NewSearcher returns a fresh flag-pruned Dijkstra context sharing ix's
+// immutable flag tables: the shared goal-directed searcher around ix's
+// settle loop.
+func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
+	return dijkstra.NewGoalSearcher(ix.g.NumVertices(), ix.settle)
 }
 
-// NewSearcher returns a fresh query context sharing ix's immutable flag
-// tables.
-func (ix *Index) NewSearcher() *Searcher {
-	n := ix.g.NumVertices()
-	return &Searcher{
-		ix:     ix,
-		dist:   make([]int64, n),
-		parent: make([]int32, n),
-		gen:    make([]uint32, n),
-		heap:   pq.New(n),
-	}
-}
-
-// Build computes arc flags for g.
-func Build(g *graph.Graph, opts Options) *Index {
+// Build computes arc flags for g. It fails only when it has to make the
+// hierarchy itself and ch.Build does.
+func Build(g *graph.Graph, opts Options) (*Index, error) {
 	start := time.Now()
 	if opts.GridSize <= 0 {
 		opts.GridSize = 8
@@ -138,7 +109,10 @@ func Build(g *graph.Graph, opts Options) *Index {
 	// the index once all sweeps are done.
 	h := opts.Hierarchy
 	if h == nil {
-		h = ch.Build(g, ch.Options{})
+		var err error
+		if h, err = ch.Build(g, ch.Options{}); err != nil {
+			return nil, err
+		}
 	}
 	parts := make([][]uint64, opts.Workers)
 	par.Each(opts.Workers, len(boundary), func(w int) func(int) {
@@ -170,18 +144,7 @@ func Build(g *graph.Graph, opts Options) *Index {
 	}
 
 	ix.buildTime = time.Since(start)
-	return ix
-}
-
-// defSearcher lazily creates the default searcher, so indexes queried only
-// through NewSearcher/pools never pay for its O(n) arrays. Lazy without a
-// lock is fine: the Index's own query methods are single-goroutine by
-// contract.
-func (ix *Index) defSearcher() *Searcher {
-	if ix.def == nil {
-		ix.def = ix.NewSearcher()
-	}
-	return ix.def
+	return ix, nil
 }
 
 func (ix *Index) setFlag(arc int32, cell int32) {
@@ -192,34 +155,20 @@ func (ix *Index) hasFlag(arc int32, cell int32) bool {
 	return ix.flags[int(arc)*ix.words+int(cell)/64]&(1<<(uint(cell)%64)) != 0
 }
 
-func (s *Searcher) reset() {
-	s.cur++
-	if s.cur == 0 {
-		for i := range s.gen {
-			s.gen[i] = 0
-		}
-		s.cur = 1
-	}
-	s.heap.Clear()
-}
-
-// runCtx executes the flag-pruned Dijkstra from src toward t, polling ctx
-// every cancel.Interval settled vertices and aborting with its error.
-func (s *Searcher) runCtx(ctx context.Context, src, t graph.VertexID) (bool, error) {
-	ix := s.ix
-	s.reset()
-	s.settledLast = 0
+// settle is arc-flags' dijkstra.SettleFunc: Dijkstra from src toward t
+// that relaxes only the arcs flagged for t's cell.
+func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t graph.VertexID) (bool, error) {
 	target := ix.cellOf[t]
-	s.gen[src] = s.cur
-	s.dist[src] = 0
-	s.parent[src] = -1
-	s.heap.Push(src, 0)
-	for !s.heap.Empty() {
-		if err := cancel.Poll(ctx, s.settledLast); err != nil {
+	s.Gen[src] = s.Cur
+	s.Dist[src] = 0
+	s.Parent[src] = -1
+	s.Heap.Push(src, 0)
+	for !s.Heap.Empty() {
+		if err := cancel.Poll(ctx, s.Settled); err != nil {
 			return false, err
 		}
-		v, d := s.heap.Pop()
-		s.settledLast++
+		v, d := s.Heap.Pop()
+		s.Settled++
 		if v == t {
 			return true, nil
 		}
@@ -230,115 +179,20 @@ func (s *Searcher) runCtx(ctx context.Context, src, t graph.VertexID) (bool, err
 			}
 			w := ix.g.Head(a)
 			nd := d + int64(ix.g.ArcWeight(a))
-			if s.gen[w] != s.cur {
-				s.gen[w] = s.cur
-				s.dist[w] = nd
-				s.parent[w] = int32(v)
-				s.heap.Push(w, nd)
-			} else if nd < s.dist[w] && s.heap.Contains(w) {
-				s.dist[w] = nd
-				s.parent[w] = int32(v)
-				s.heap.Push(w, nd)
+			if s.Gen[w] != s.Cur {
+				s.Gen[w] = s.Cur
+				s.Dist[w] = nd
+				s.Parent[w] = int32(v)
+				s.Heap.Push(w, nd)
+			} else if nd < s.Dist[w] && s.Heap.Contains(w) {
+				s.Dist[w] = nd
+				s.Parent[w] = int32(v)
+				s.Heap.Push(w, nd)
 			}
 		}
 	}
 	return false, nil
 }
-
-// Distance answers a distance query.
-func (s *Searcher) Distance(src, t graph.VertexID) int64 {
-	d, _ := s.DistanceContext(context.Background(), src, t)
-	return d
-}
-
-// ShortestPath answers a shortest-path query.
-func (s *Searcher) ShortestPath(src, t graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := s.ShortestPathContext(context.Background(), src, t)
-	return path, d
-}
-
-// DistanceContext is Distance with cancellation (see runCtx). An
-// already-cancelled context aborts before any work, trivial s == t
-// queries included.
-func (s *Searcher) DistanceContext(ctx context.Context, src, t graph.VertexID) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return graph.Infinity, err
-	}
-	if src == t {
-		return 0, nil
-	}
-	found, err := s.runCtx(ctx, src, t)
-	if err != nil {
-		return graph.Infinity, err
-	}
-	if !found {
-		return graph.Infinity, nil
-	}
-	return s.dist[t], nil
-}
-
-// ShortestPathContext is ShortestPath with cancellation (see runCtx). It
-// is a thin collector over OpenPath: the iterator is drained into a fresh
-// caller-owned slice.
-func (s *Searcher) ShortestPathContext(ctx context.Context, src, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	it, d, err := s.OpenPath(ctx, src, t)
-	if err != nil || it == nil {
-		return nil, graph.Infinity, err
-	}
-	path, err := graph.AppendPath(make([]graph.VertexID, 0, len(s.pathBuf)), it)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	return path, d, nil
-}
-
-// OpenPath runs the flag-pruned query and returns a PathIterator over the
-// shortest path plus its length, or (nil, Infinity, nil) when t is
-// unreachable. The parent walk is assembled into searcher-owned scratch,
-// so streaming a path allocates nothing in steady state; the iterator is
-// invalidated by this searcher's next query.
-func (s *Searcher) OpenPath(ctx context.Context, src, t graph.VertexID) (graph.PathIterator, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, graph.Infinity, err
-	}
-	if src == t {
-		s.pathBuf = append(s.pathBuf[:0], src)
-		s.pathIter.Reset(s.pathBuf)
-		return &s.pathIter, 0, nil
-	}
-	found, err := s.runCtx(ctx, src, t)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	if !found {
-		return nil, graph.Infinity, nil
-	}
-	rev := s.pathBuf[:0]
-	for v := t; v >= 0; v = graph.VertexID(s.parent[v]) {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	s.pathBuf = rev
-	s.pathIter.Reset(rev)
-	return &s.pathIter, s.dist[t], nil
-}
-
-// SettledLast reports the vertices settled by the last query.
-func (s *Searcher) SettledLast() int { return s.settledLast }
-
-// Distance answers a distance query on the default searcher.
-func (ix *Index) Distance(s, t graph.VertexID) int64 { return ix.defSearcher().Distance(s, t) }
-
-// ShortestPath answers a shortest-path query on the default searcher.
-func (ix *Index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.defSearcher().ShortestPath(s, t)
-}
-
-// SettledLast reports the vertices settled by the default searcher's last
-// query.
-func (ix *Index) SettledLast() int { return ix.defSearcher().SettledLast() }
 
 // BuildTime returns the preprocessing duration.
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }

@@ -12,14 +12,14 @@ import (
 
 func TestArcFlagsExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
-	ix := arcflags.Build(g, arcflags.Options{GridSize: 2})
+	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 2})).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
 }
 
 func TestArcFlagsRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 701)
-	ix := arcflags.Build(g, arcflags.Options{GridSize: 8})
+	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 8})).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 101), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 103), ix.ShortestPath)
 }
@@ -28,13 +28,13 @@ func TestArcFlagsAdversarialGraph(t *testing.T) {
 	// Ties are common in random graphs; the tight-arc flags must cover
 	// them.
 	g := gen.RandomConnected(150, 300, 16, 701)
-	ix := arcflags.Build(g, arcflags.Options{GridSize: 4})
+	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 4})).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g)[:4000], ix.Distance)
 }
 
 func TestArcFlagsPruneSearch(t *testing.T) {
 	g := testutil.SmallRoad(2500, 703)
-	ix := arcflags.Build(g, arcflags.Options{GridSize: 8})
+	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 8})).NewSearcher()
 	ctx := dijkstra.NewContext(g)
 	var flagged, plain int
 	for _, p := range testutil.SamplePairs(g, 30, 107) {
@@ -59,7 +59,7 @@ func TestArcFlagsDisconnected(t *testing.T) {
 	_ = b.AddEdge(0, 1, 1)
 	_ = b.AddEdge(2, 3, 1)
 	g := b.Build()
-	ix := arcflags.Build(g, arcflags.Options{GridSize: 2})
+	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 2})).NewSearcher()
 	if d := ix.Distance(0, 3); d != graph.Infinity {
 		t.Errorf("cross-component distance = %d", d)
 	}
@@ -67,7 +67,7 @@ func TestArcFlagsDisconnected(t *testing.T) {
 
 func TestArcFlagsStats(t *testing.T) {
 	g := testutil.SmallRoad(400, 707)
-	ix := arcflags.Build(g, arcflags.Options{})
+	ix := testutil.Must(arcflags.Build(g, arcflags.Options{}))
 	if ix.SizeBytes() <= 0 || ix.BuildTime() <= 0 {
 		t.Error("stats must be positive")
 	}

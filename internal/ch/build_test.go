@@ -21,7 +21,7 @@ import (
 // settled-vertex counts differ from build to build.
 func TestBuildDeterministic(t *testing.T) {
 	g := testutil.SmallRoad(1600, 31)
-	a, b := Build(g, Options{}), Build(g, Options{})
+	a, b := testutil.Must(Build(g, Options{})), testutil.Must(Build(g, Options{}))
 	b.buildTime = a.buildTime // the one field that is a clock reading
 	var abuf, bbuf bytes.Buffer
 	if err := a.Save(&abuf); err != nil {
@@ -95,7 +95,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			if opts == (Options{DepthWeight: 1}) && in.g.NumVertices() > depthOnlyMax {
 				continue
 			}
-			got, want := Build(in.g, opts), refBuild(in.g, opts)
+			got, want := testutil.Must(Build(in.g, opts)), refBuild(in.g, opts)
 			if got.numShortcuts != want.numShortcuts {
 				t.Errorf("%s %+v: %d shortcuts, reference %d", in.name, opts, got.numShortcuts, want.numShortcuts)
 			}
@@ -117,7 +117,7 @@ func TestWitnessWorkCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := Build(g, Options{}).work
+	w := testutil.Must(Build(g, Options{})).work
 	t.Logf("%d simulations, %d witness searches, %d settled, %d adjacency entries scanned",
 		w.simulations, w.searches, w.settled, w.scanned)
 	if w.searches > 280_000 {
@@ -146,7 +146,7 @@ func upArc(h *Hierarchy, from, to graph.VertexID) int32 {
 func TestShortcutHalvesAreUpwardArcs(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		g := testutil.MessyGraph(seed)
-		h := Build(g, Options{})
+		h := testutil.Must(Build(g, Options{}))
 		shortcuts := 0
 		for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
 			for a := h.firstUp[u]; a < h.firstUp[u+1]; a++ {
@@ -195,7 +195,7 @@ func TestShortcutHalvesAreUpwardArcs(t *testing.T) {
 // three trailing i32 ones — and requires the answers of the built index.
 func TestLoadsFileWithUnpackSections(t *testing.T) {
 	g := testutil.SmallRoad(900, 835)
-	h := Build(g, Options{})
+	h := testutil.Must(Build(g, Options{}))
 	fw := binio.NewFlatWriter(Fourcc)
 	mw := fw.Meta()
 	mw.Magic(chMagic)

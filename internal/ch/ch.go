@@ -34,6 +34,7 @@ package ch
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -103,8 +104,14 @@ type halfEdge struct {
 	middle int32
 }
 
-// Build constructs the hierarchy for g.
-func Build(g *graph.Graph, opts Options) *Hierarchy {
+// Build constructs the hierarchy for g. It fails, with an error wrapping
+// graph.ErrWeightOverflow, when a shortcut it has to insert is too long to
+// store. No pass over g ahead of the contraction can tell: a shortcut's
+// weight is bounded by nothing short of the contraction itself, since a
+// budgeted witness search may miss the witness that would have made it
+// unnecessary — so the check sits where the sum is narrowed, and Build has
+// an error result.
+func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	n := g.NumVertices()
@@ -165,9 +172,13 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 
 		// Contract v: the re-evaluation just simulated exactly this.
 		for _, sc := range ws.shortcuts {
-			addOrImprove(&adj[sc.u], halfEdge{to: sc.w, w: sc.weight, middle: int32(v)})
-			addOrImprove(&adj[sc.w], halfEdge{to: sc.u, w: sc.weight, middle: int32(v)})
-			finalEdges = append(finalEdges, finalEdge{u: sc.u, v: sc.w, w: sc.weight, middle: int32(v)})
+			w, err := graph.NarrowWeight(sc.weight)
+			if err != nil {
+				return nil, fmt.Errorf("ch: shortcut {%d, %d} through %d: %w", sc.u, sc.w, v, err)
+			}
+			addOrImprove(&adj[sc.u], halfEdge{to: sc.w, w: w, middle: int32(v)})
+			addOrImprove(&adj[sc.w], halfEdge{to: sc.u, w: w, middle: int32(v)})
+			finalEdges = append(finalEdges, finalEdge{u: sc.u, v: sc.w, w: w, middle: int32(v)})
 		}
 		h.numShortcuts += len(ws.shortcuts)
 
@@ -232,7 +243,7 @@ func Build(g *graph.Graph, opts Options) *Hierarchy {
 	}
 
 	h.buildTime = time.Since(start)
-	return h
+	return h, nil
 }
 
 // addOrImprove inserts e into the adjacency list, or lowers the weight of an

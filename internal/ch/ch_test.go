@@ -12,7 +12,7 @@ import (
 
 func TestCHFigure1Examples(t *testing.T) {
 	g := testutil.Figure1()
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	// The paper's worked query: dist(v3, v7) = 6.
 	if d := s.Distance(testutil.V3, testutil.V7); d != 6 {
@@ -30,7 +30,7 @@ func TestCHFigure1Examples(t *testing.T) {
 
 func TestCHExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), s.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), s.ShortestPath)
@@ -38,14 +38,14 @@ func TestCHExhaustiveFigure1(t *testing.T) {
 
 func TestCHRoadNetworkDistances(t *testing.T) {
 	g := testutil.SmallRoad(1600, 31)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 400, 9), s.Distance)
 }
 
 func TestCHRoadNetworkPaths(t *testing.T) {
 	g := testutil.SmallRoad(900, 33)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 11), s.ShortestPath)
 }
@@ -54,7 +54,7 @@ func TestCHAdversarialGraph(t *testing.T) {
 	// Non-planar random graph: heuristics are useless but answers must stay
 	// exact.
 	g := gen.RandomConnected(200, 400, 50, 77)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 500, 13), s.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 17), s.ShortestPath)
@@ -73,7 +73,7 @@ func TestCHTinyGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Build()
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	if d := s.Distance(0, 2); d != 9 {
 		t.Errorf("dist(0, 2) = %d, want 9", d)
@@ -98,7 +98,7 @@ func TestCHDisconnected(t *testing.T) {
 	_ = b.AddEdge(0, 1, 1)
 	_ = b.AddEdge(2, 3, 1)
 	g := b.Build()
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	if d := s.Distance(0, 3); d < graph.Infinity {
 		t.Errorf("dist across components = %d, want Infinity", d)
@@ -110,7 +110,7 @@ func TestCHDisconnected(t *testing.T) {
 
 func TestCHUnpackedPathHasNoShortcuts(t *testing.T) {
 	g := testutil.SmallRoad(900, 41)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	for _, p := range testutil.SamplePairs(g, 100, 19) {
 		path, d := s.ShortestPath(p[0], p[1])
@@ -129,7 +129,7 @@ func TestCHSearchSpaceSmallerThanBidirectional(t *testing.T) {
 	// The point of CH (§3.2): it avoids visiting low-ranked vertices, so its
 	// search space must be far below the bidirectional baseline's.
 	g := testutil.SmallRoad(2500, 43)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	bi := dijkstra.NewBidirectional(g)
 	var chSettled, biSettled int
@@ -143,21 +143,9 @@ func TestCHSearchSpaceSmallerThanBidirectional(t *testing.T) {
 	}
 }
 
-func TestCHConvenienceOneShotQueries(t *testing.T) {
-	g := testutil.Figure1()
-	h := ch.Build(g, ch.Options{})
-	if d := h.Distance(testutil.V3, testutil.V7); d != 6 {
-		t.Errorf("Hierarchy.Distance = %d, want 6", d)
-	}
-	path, d := h.ShortestPath(testutil.V3, testutil.V7)
-	if d != 6 || dijkstra.PathWeight(g, path) != 6 {
-		t.Errorf("Hierarchy.ShortestPath = %v, %d", path, d)
-	}
-}
-
 func TestCHStatsReporting(t *testing.T) {
 	g := testutil.SmallRoad(400, 47)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	if h.SizeBytes() <= 0 {
 		t.Error("SizeBytes must be positive")
 	}
@@ -184,8 +172,8 @@ func TestCHStatsReporting(t *testing.T) {
 func TestCHWitnessLimitVariants(t *testing.T) {
 	// A tiny witness budget adds more shortcuts but must stay exact.
 	g := testutil.SmallRoad(400, 53)
-	loose := ch.Build(g, ch.Options{WitnessSettleLimit: 2})
-	tight := ch.Build(g, ch.Options{WitnessSettleLimit: 1000})
+	loose := testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: 2}))
+	tight := testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: 1000}))
 	if loose.NumShortcuts() < tight.NumShortcuts() {
 		t.Errorf("budget 2 made %d shortcuts, budget 1000 made %d; expected more with smaller budget",
 			loose.NumShortcuts(), tight.NumShortcuts())
@@ -196,7 +184,7 @@ func TestCHWitnessLimitVariants(t *testing.T) {
 
 func TestCHManyToMany(t *testing.T) {
 	g := testutil.SmallRoad(900, 59)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	sources := []graph.VertexID{0, 5, 17, 101, 333}
 	targets := []graph.VertexID{2, 5, 60, 200, 400, 512}
 	table := h.ManyToMany(sources, targets)
@@ -212,7 +200,7 @@ func TestCHManyToMany(t *testing.T) {
 
 func TestCHStallingAgreesWithNoStalling(t *testing.T) {
 	g := testutil.SmallRoad(1600, 61)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	stalling := h.NewSearcher()
 	plain := h.NewSearcher()
 	plain.DisableStalling = true
@@ -235,7 +223,7 @@ func TestCHStallingAgreesWithNoStalling(t *testing.T) {
 
 func TestCHManyToManyEmpty(t *testing.T) {
 	g := testutil.Figure1()
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	if tbl := h.ManyToMany(nil, nil); len(tbl) != 0 {
 		t.Errorf("empty many-to-many returned %v", tbl)
 	}

@@ -8,6 +8,7 @@ import (
 	"roadnet/internal/ch"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
+	"roadnet/internal/testutil"
 )
 
 var (
@@ -24,7 +25,7 @@ func benchCA(b *testing.B, count int, seed int64) (*ch.Hierarchy, []graph.Vertex
 		if err != nil {
 			b.Fatal(err)
 		}
-		caHierarchy = ch.Build(g, ch.Options{})
+		caHierarchy = testutil.Must(ch.Build(g, ch.Options{}))
 	})
 	rng := rand.New(rand.NewSource(seed))
 	nodes := make([]graph.VertexID, count)

@@ -95,7 +95,7 @@ func checkEach(t testing.TB, label string, want [][]int64, run func(fn func(si, 
 func TestManyToManyDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		g := testutil.MessyGraph(seed)
-		h := Build(g, Options{})
+		h := testutil.Must(Build(g, Options{}))
 		n := g.NumVertices()
 		sc := newM2MScratch(n)
 		for i, shape := range m2mShapes(rand.New(rand.NewSource(seed)), n) {
@@ -146,7 +146,7 @@ func (c *pollLimitedContext) Err() error {
 // correctly each time.
 func TestManyToManyCancelledScratchStaysValid(t *testing.T) {
 	g := testutil.SmallRoad(1200, 71)
-	h := Build(g, Options{})
+	h := testutil.Must(Build(g, Options{}))
 	rng := rand.New(rand.NewSource(72))
 	nodes := randomVertices(rng, g.NumVertices(), 40)
 	follow := m2mShapes(rng, g.NumVertices())[3]
@@ -189,7 +189,7 @@ func TestManyToManyCancelledScratchStaysValid(t *testing.T) {
 // root would pass for labels of the other.
 func TestManyToManyGenerationWrap(t *testing.T) {
 	g := testutil.SmallRoad(600, 5)
-	h := Build(g, Options{})
+	h := testutil.Must(Build(g, Options{}))
 	rng := rand.New(rand.NewSource(6))
 	first := randomVertices(rng, g.NumVertices(), 20)
 	second := randomVertices(rng, g.NumVertices(), 3) // stamped up to MaxUint32
@@ -219,7 +219,7 @@ func TestManyToManyGenerationWrap(t *testing.T) {
 // between callers with different shapes; run it under -race.
 func TestManyToManyConcurrent(t *testing.T) {
 	g := testutil.SmallRoad(1500, 73)
-	h := Build(g, Options{})
+	h := testutil.Must(Build(g, Options{}))
 	shapes := m2mShapes(rand.New(rand.NewSource(74)), g.NumVertices())
 	wants := make([][][]int64, len(shapes))
 	for i, shape := range shapes {
@@ -254,7 +254,7 @@ func TestManyToManyAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	g := testutil.SmallRoad(2000, 41)
-	h := Build(g, Options{})
+	h := testutil.Must(Build(g, Options{}))
 	nodes := randomVertices(rand.New(rand.NewSource(42)), g.NumVertices(), 32)
 	sources, targets := nodes[:16], nodes[16:]
 	ctx := context.Background()
@@ -268,8 +268,8 @@ func TestManyToManyAllocs(t *testing.T) {
 	}
 }
 
-// TestManyToManyStallCount is a count gate in the manner of
-// knn_prune_ratio: over fixed roots on a fixed preset, the bucket deposits
+// TestManyToManyStallCount is a count gate in the manner of core's
+// TestKNNPruneWorkCount: over fixed roots on a fixed preset, the bucket deposits
 // one upward search makes must stay at or below half its unstalled search
 // space. The unstalled space is counted here, not by a switch in the
 // algorithm: an upward Dijkstra run to exhaustion settles exactly the
@@ -282,7 +282,7 @@ func TestManyToManyStallCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Build(g, Options{})
+	h := testutil.Must(Build(g, Options{}))
 	roots := randomVertices(rand.New(rand.NewSource(7)), g.NumVertices(), 200)
 
 	sc := newM2MScratch(g.NumVertices())

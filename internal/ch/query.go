@@ -215,14 +215,3 @@ func (s *Searcher) ShortestPathContext(ctx context.Context, from, to graph.Verte
 	}
 	return path, d, nil
 }
-
-// Distance is a convenience one-shot query allocating a transient Searcher.
-// Prefer NewSearcher for repeated queries.
-func (h *Hierarchy) Distance(from, to graph.VertexID) int64 {
-	return h.NewSearcher().Distance(from, to)
-}
-
-// ShortestPath is a convenience one-shot path query.
-func (h *Hierarchy) ShortestPath(from, to graph.VertexID) ([]graph.VertexID, int64) {
-	return h.NewSearcher().ShortestPath(from, to)
-}

@@ -13,7 +13,7 @@ import (
 
 func TestCHSerializationRoundtrip(t *testing.T) {
 	g := testutil.SmallRoad(900, 801)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	var buf bytes.Buffer
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestCHSerializationRoundtrip(t *testing.T) {
 func TestCHSerializationRejectsWrongGraph(t *testing.T) {
 	g := testutil.SmallRoad(400, 803)
 	other := testutil.SmallRoad(900, 805)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	var buf bytes.Buffer
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestCHSerializationRejectsWrongGraph(t *testing.T) {
 
 func TestCHSerializationRejectsCorruption(t *testing.T) {
 	g := testutil.SmallRoad(400, 807)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	var buf bytes.Buffer
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestCHSerializationRejectsCorruption(t *testing.T) {
 
 func TestCHVersionErrors(t *testing.T) {
 	g := testutil.SmallRoad(400, 833)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 
 	// Flat container with a future version must surface binio.ErrVersion.
 	var v2 bytes.Buffer

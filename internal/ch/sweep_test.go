@@ -79,7 +79,7 @@ func FuzzSweepAgrees(f *testing.F) {
 		if tightBudget {
 			opts.WitnessSettleLimit = 4
 		}
-		sw := Build(g, opts).NewSweeper()
+		sw := testutil.Must(Build(g, opts)).NewSweeper()
 		all, dist := allPairs(g)
 		checkSweeps(t, g, sw, dist, all[int(source)%len(all):][:1])
 		hops := checkSweeps(t, g, sw, dist, all)
@@ -109,7 +109,7 @@ func FuzzSweepAgrees(f *testing.F) {
 func TestSweepLoadedHierarchy(t *testing.T) {
 	g := testutil.MessyGraph(3)
 	var buf bytes.Buffer
-	if err := Build(g, Options{}).Save(&buf); err != nil {
+	if err := testutil.Must(Build(g, Options{})).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadHierarchy(&buf, g)
@@ -127,7 +127,7 @@ func TestSweepAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	g := testutil.SmallRoad(2000, 41)
-	sw := Build(g, Options{}).NewSweeper()
+	sw := testutil.Must(Build(g, Options{})).NewSweeper()
 	row := make([]uint8, g.NumVertices())
 	s := graph.VertexID(0)
 	run := func() {
@@ -151,7 +151,7 @@ func BenchmarkSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sw := Build(g, Options{}).NewSweeper()
+	sw := testutil.Must(Build(g, Options{})).NewSweeper()
 	row := make([]uint8, g.NumVertices())
 	for _, hops := range []bool{false, true} {
 		name := "run"

@@ -5,10 +5,12 @@ import (
 	"roadnet/internal/pq"
 )
 
-// shortcut is one edge contraction of a vertex would add.
+// shortcut is one edge contraction of a vertex would add. The weight is the
+// sum of two edge weights, not yet known to fit one: Build narrows it when
+// it inserts the shortcut.
 type shortcut struct {
 	u, w   graph.VertexID
-	weight int32
+	weight int64
 }
 
 // buildWork counts what preprocessing did; the counts depend on the graph
@@ -76,7 +78,7 @@ func (ws *witnessSearcher) simulate(v graph.VertexID) int {
 			if ws.distOf(ew.to) <= through {
 				continue // witness found: no shortcut needed
 			}
-			ws.shortcuts = append(ws.shortcuts, shortcut{u: eu.to, w: ew.to, weight: int32(through)})
+			ws.shortcuts = append(ws.shortcuts, shortcut{u: eu.to, w: ew.to, weight: through})
 		}
 	}
 	return len(ws.shortcuts)

@@ -19,9 +19,9 @@ var ErrInjected = errors.New("chaos: injected query failure")
 // the index), which is the point: a test arms one fault and asserts the
 // process survives whichever request draws it.
 //
-// The wrapper deliberately does not forward the optional acceleration
-// interfaces (batch, lazy paths) — faulty deployments degrade to the
-// simple code paths, and so do these tests.
+// The wrapper deliberately does not forward the optional batch
+// acceleration interface — faulty deployments degrade to the simple code
+// path, and so do these tests.
 type FlakyIndex struct {
 	core.Index
 	panics atomic.Int64 // queries left to panic
@@ -63,8 +63,7 @@ func takeToken(c *atomic.Int64) bool {
 }
 
 // inject runs the armed faults that apply to every query shape: the stall
-// and the panic. Error injection is handled by the Context variants, the
-// only signatures that can express it.
+// and the panic.
 func (f *FlakyIndex) inject() {
 	if d := f.delay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
@@ -72,6 +71,16 @@ func (f *FlakyIndex) inject() {
 	if takeToken(&f.panics) {
 		panic("chaos: injected searcher panic")
 	}
+}
+
+// injectFailing is inject for the context-carrying queries, the only
+// signatures that can express an error: it also draws an armed failure.
+func (f *FlakyIndex) injectFailing() error {
+	f.inject()
+	if takeToken(&f.fails) {
+		return ErrInjected
+	}
+	return nil
 }
 
 type flakySearcher struct {
@@ -90,17 +99,22 @@ func (s *flakySearcher) ShortestPath(a, b graph.VertexID) ([]graph.VertexID, int
 }
 
 func (s *flakySearcher) DistanceContext(ctx context.Context, a, b graph.VertexID) (int64, error) {
-	s.idx.inject()
-	if takeToken(&s.idx.fails) {
-		return 0, ErrInjected
+	if err := s.idx.injectFailing(); err != nil {
+		return 0, err
 	}
 	return s.Searcher.DistanceContext(ctx, a, b)
 }
 
 func (s *flakySearcher) ShortestPathContext(ctx context.Context, a, b graph.VertexID) ([]graph.VertexID, int64, error) {
-	s.idx.inject()
-	if takeToken(&s.idx.fails) {
-		return nil, graph.Infinity, ErrInjected
+	if err := s.idx.injectFailing(); err != nil {
+		return nil, graph.Infinity, err
 	}
 	return s.Searcher.ShortestPathContext(ctx, a, b)
+}
+
+func (s *flakySearcher) OpenPath(ctx context.Context, a, b graph.VertexID) (core.PathIterator, int64, error) {
+	if err := s.idx.injectFailing(); err != nil {
+		return nil, graph.Infinity, err
+	}
+	return s.Searcher.OpenPath(ctx, a, b)
 }

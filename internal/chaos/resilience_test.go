@@ -2,10 +2,12 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,13 +54,35 @@ func TestInjectedFailureAnswersErrorThenRecovers(t *testing.T) {
 	ts := httptest.NewServer(server.New(g, fl).Handler())
 	defer ts.Close()
 
-	url := ts.URL + "/v1/distance?from=0&to=150"
-	fl.FailNext(1)
-	if status := getStatus(t, url); status < 400 {
-		t.Fatalf("armed request: status %d, want an error status", status)
+	// The route is answered through OpenPath, the distance through
+	// DistanceContext.
+	for _, url := range []string{ts.URL + "/v1/distance?from=0&to=150", ts.URL + "/v1/route?from=0&to=150"} {
+		fl.FailNext(1)
+		if status := getStatus(t, url); status < 400 {
+			t.Fatalf("%s armed: status %d, want an error status", url, status)
+		}
+		if status := getStatus(t, url); status != http.StatusOK {
+			t.Fatalf("%s after failure: status %d, want 200", url, status)
+		}
 	}
-	if status := getStatus(t, url); status != http.StatusOK {
-		t.Fatalf("request after failure: status %d, want 200", status)
+}
+
+// TestFailNextFailsOpenPath: the injector sits on OpenPath itself, so one
+// armed failure is drawn by the next streamed path and by nothing after it.
+func TestFailNextFailsOpenPath(t *testing.T) {
+	_, fl := buildFlaky(t)
+	sr, ctx := fl.NewSearcher(), context.Background()
+	fl.FailNext(1)
+	if it, _, err := sr.OpenPath(ctx, 0, 150); !errors.Is(err, ErrInjected) || it != nil {
+		t.Fatalf("armed OpenPath: it = %v, err = %v; want ErrInjected", it, err)
+	}
+	it, d, err := sr.OpenPath(ctx, 0, 150)
+	if err != nil {
+		t.Fatalf("OpenPath after the failure: %v", err)
+	}
+	path, err := graph.AppendPath(nil, it)
+	if want, wantD := fl.Index.ShortestPath(0, 150); err != nil || d != wantD || !slices.Equal(path, want) {
+		t.Fatalf("OpenPath after the failure = %v, %d, %v; the wrapped index says %v, %d", path, d, err, want, wantD)
 	}
 }
 

@@ -7,27 +7,28 @@ import (
 	"roadnet/internal/testutil"
 )
 
-// fakeBackedIndex stands in for a file-backed index whose backing release
-// fails — the munmap-error path CloseIndex must not swallow.
-type fakeBackedIndex struct {
-	Index
+// failingCloser stands in for a file mapping whose release fails — the
+// munmap-error path CloseIndex must not swallow.
+type failingCloser struct {
 	err   error
 	calls int
 }
 
-func (f *fakeBackedIndex) closeBacking() error {
+func (f *failingCloser) Close() error {
 	f.calls++
 	return f.err
 }
 
 func TestCloseIndexPropagatesBackingError(t *testing.T) {
 	boom := errors.New("munmap: injected failure")
-	f := &fakeBackedIndex{err: boom}
-	if err := CloseIndex(f); !errors.Is(err, boom) {
+	f := &failingCloser{err: boom}
+	ix := newIndex(testutil.Figure1(), nil)
+	ix.backing = f
+	if err := CloseIndex(ix); !errors.Is(err, boom) {
 		t.Fatalf("CloseIndex = %v, want the backing error", err)
 	}
 	if f.calls != 1 {
-		t.Fatalf("closeBacking ran %d times, want 1", f.calls)
+		t.Fatalf("the backing was closed %d times, want 1", f.calls)
 	}
 }
 

@@ -28,9 +28,16 @@ func oracleDistances(g *graph.Graph, pairs [][2]graph.VertexID) []int64 {
 	return want
 }
 
+// querier is the part of Searcher checkQueries asks, which a Pool answers
+// too.
+type querier interface {
+	Distance(s, t graph.VertexID) int64
+	ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64)
+}
+
 // checkQueries runs every pair through sr and compares with the oracle;
 // the first mismatch is reported on errs.
-func checkQueries(g *graph.Graph, sr Searcher, pairs [][2]graph.VertexID, want []int64, errs chan<- error) {
+func checkQueries(g *graph.Graph, sr querier, pairs [][2]graph.VertexID, want []int64, errs chan<- error) {
 	for i, p := range pairs {
 		if d := sr.Distance(p[0], p[1]); d != want[i] {
 			errs <- fmt.Errorf("dist(%d, %d) = %d, want %d", p[0], p[1], d, want[i])

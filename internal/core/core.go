@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"roadnet/internal/alt"
 	"roadnet/internal/arcflags"
-	"roadnet/internal/binio"
 	"roadnet/internal/ch"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/graph"
@@ -55,9 +55,10 @@ type Stats struct {
 // Concurrency contract: the index data of every technique is immutable
 // after BuildIndex/LoadIndex returns, so one Index may be shared by any
 // number of goroutines — but the Distance and ShortestPath methods of the
-// Index itself run on a single internal query context and are NOT safe for
-// concurrent use. For concurrent serving, call NewSearcher once per
-// goroutine (or use a Pool) and query through the Searchers.
+// Index itself run on one default Searcher, created by the first such call,
+// and are NOT safe for concurrent use. For concurrent serving, call
+// NewSearcher once per goroutine (or use a Pool) and query through the
+// Searchers.
 type Index interface {
 	// Method returns the technique's identifier.
 	Method() Method
@@ -101,6 +102,23 @@ type Searcher interface {
 	DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error)
 	// ShortestPathContext is ShortestPath with cancellation.
 	ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error)
+	// OpenPath is ShortestPathContext with the path streamed instead of
+	// materialized. It reports the path length up front (streaming
+	// consumers emit it before the vertices) and returns:
+	//
+	//   - (nil, Infinity, err) when the underlying search was cancelled;
+	//   - (nil, Infinity, nil) when t is unreachable from s;
+	//   - (it, d, nil) otherwise, with it yielding the full path s..t.
+	//
+	// Every technique but PCPD, whose recursion builds the path outside-in,
+	// produces the vertices lazily; the sequence is bit-identical to
+	// ShortestPathContext's either way. The iterator reads the searcher's
+	// per-query state: it is invalidated by the searcher's next query and
+	// must be drained (or abandoned) before the searcher is reused or
+	// returned to a Pool. Iterators poll ctx at bounded intervals while
+	// expanding, surfacing cancellation through Err after a short
+	// Next()=false tail.
+	OpenPath(ctx context.Context, s, t graph.VertexID) (PathIterator, int64, error)
 }
 
 // BatchDistancer is the per-technique batch acceleration contract: a
@@ -149,52 +167,52 @@ type Config struct {
 
 // BuildIndex constructs the index for a method under cfg.
 func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
-	var ix Index
+	var (
+		tech    technique
+		chBuild time.Duration
+		err     error
+	)
 	switch method {
 	case MethodDijkstra:
-		ix = &dijkstraIndex{g: g, bi: dijkstra.NewBidirectional(g)}
 	case MethodCH:
 		h := cfg.Hierarchy
 		if h == nil {
-			h = ch.Build(g, cfg.CH)
+			h, err = ch.Build(g, cfg.CH)
 		}
-		ix = &chIndex{h: h}
+		tech = h
 	case MethodTNR:
 		opts := cfg.TNR
-		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
-		t, err := tnr.Build(g, opts)
-		if err != nil {
-			return nil, err
+		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
+			tech, err = tnr.Build(g, opts)
 		}
-		ix = &tnrIndex{t: t, chBuild: chBuild}
 	case MethodSILC:
 		opts := cfg.SILC
-		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
-		s, err := silc.Build(g, opts)
-		if err != nil {
-			return nil, err
+		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
+			tech, err = silc.Build(g, opts)
 		}
-		ix = &silcIndex{s: s, chBuild: chBuild}
 	case MethodPCPD:
 		opts := cfg.PCPD
-		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
-		p, err := pcpd.Build(g, opts)
-		if err != nil {
-			return nil, err
+		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
+			tech, err = pcpd.Build(g, opts)
 		}
-		ix = &pcpdIndex{p: p, chBuild: chBuild}
 	case MethodALT:
-		ix = &altIndex{a: alt.Build(g, cfg.ALT)}
+		tech = alt.Build(g, cfg.ALT)
 	case MethodArcFlags:
 		opts := cfg.ArcFlags
-		chBuild := cfg.fillHierarchy(g, &opts.Hierarchy)
-		ix = &arcFlagsIndex{a: arcflags.Build(g, opts), chBuild: chBuild}
+		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
+			tech, err = arcflags.Build(g, opts)
+		}
 	default:
 		return nil, fmt.Errorf("core: unknown method %q", method)
 	}
-	if cfg.MaxIndexBytes > 0 && ix.Stats().IndexBytes > cfg.MaxIndexBytes {
+	if err != nil {
+		return nil, err
+	}
+	ix := newIndex(g, tech)
+	ix.chBuild = chBuild
+	if size := ix.Stats().IndexBytes; cfg.MaxIndexBytes > 0 && size > cfg.MaxIndexBytes {
 		return nil, fmt.Errorf("%w: %s needs %d bytes, ceiling %d",
-			ErrIndexTooLarge, method, ix.Stats().IndexBytes, cfg.MaxIndexBytes)
+			ErrIndexTooLarge, method, size, cfg.MaxIndexBytes)
 	}
 	return ix, nil
 }
@@ -206,15 +224,19 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 // options: cfg.CH governs the hierarchy inside every technique as it does
 // MethodCH's. It returns the build time of a hierarchy made here, which is
 // part of the index's Stats().BuildTime.
-func (cfg Config) fillHierarchy(g *graph.Graph, h **ch.Hierarchy) time.Duration {
+func (cfg Config) fillHierarchy(g *graph.Graph, h **ch.Hierarchy) (time.Duration, error) {
 	if *h == nil {
 		*h = cfg.Hierarchy
 	}
 	if *h != nil {
-		return 0
+		return 0, nil
 	}
-	*h = ch.Build(g, cfg.CH)
-	return (*h).BuildTime()
+	built, err := ch.Build(g, cfg.CH)
+	if err != nil {
+		return 0, err
+	}
+	*h = built
+	return built.BuildTime(), nil
 }
 
 // Measurement is one timing row of a figure: a method's average query time
@@ -270,193 +292,116 @@ func micros(d time.Duration, n int) float64 {
 	return float64(d.Microseconds()) / float64(n)
 }
 
-// --- adapters ---
-
-type dijkstraIndex struct {
-	g  *graph.Graph
-	bi *dijkstra.Bidirectional
+// technique is what every technique's own index value (*ch.Hierarchy,
+// *tnr.Index, *silc.Index, *pcpd.Index, *alt.Index, *arcflags.Index)
+// reports about itself.
+type technique interface {
+	BuildTime() time.Duration
+	SizeBytes() int64
 }
 
-func (ix *dijkstraIndex) Method() Method { return MethodDijkstra }
-func (ix *dijkstraIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.bi.Query(s, t).Dist
-}
-func (ix *dijkstraIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.bi.ShortestPath(s, t)
-}
-func (ix *dijkstraIndex) NewSearcher() Searcher { return dijkstra.NewBidirectional(ix.g) }
-func (ix *dijkstraIndex) Stats() Stats {
-	return Stats{Method: MethodDijkstra}
-}
-
-type chIndex struct {
-	h *ch.Hierarchy
-	// s is the default searcher backing the Index's own query methods,
-	// created lazily so loading an index allocates nothing per-vertex
-	// until the single-goroutine convenience API is actually used (pools
-	// and NewSearcher never touch it). Lazy without a lock is fine: the
-	// Index's own query methods are single-goroutine by contract.
-	s *ch.Searcher
-	// backing is the flat container a mapped hierarchy's arrays alias
-	// (LoadIndexFile); nil otherwise. See CloseIndex.
-	backing *binio.FlatFile
+// index is the one Index implementation: a technique's index value, the
+// way to make searchers over it, and the one default searcher behind the
+// Index's own Distance and ShortestPath.
+type index struct {
+	method Method
+	// tech is the technique's index value, nil for the baseline, which has
+	// none. HierarchyOf, TNROf, SILCOf and SaveIndex unwrap it.
+	tech        technique
+	newSearcher func() Searcher
+	// chBuild is the build time of a hierarchy BuildIndex made for tech's
+	// preprocessing, part of Stats().BuildTime.
+	chBuild time.Duration
+	// backing is the flat container (*binio.FlatFile) a mapped index's
+	// arrays alias (LoadIndexFile); nil otherwise. See CloseIndex.
+	backing io.Closer
+	// def is created by the first Distance or ShortestPath call, so building
+	// or loading an index allocates no per-vertex search state (pools and
+	// NewSearcher never touch it). Lazy without a lock is fine: the Index's
+	// own query methods are single-goroutine by contract.
+	def Searcher
 }
 
-func (ix *chIndex) def() *ch.Searcher {
-	if ix.s == nil {
-		ix.s = ix.h.NewSearcher()
+// newIndex wraps tech, a technique's index value over g, or the baseline
+// when tech is nil.
+func newIndex(g *graph.Graph, tech technique) *index {
+	ix := &index{tech: tech}
+	switch t := tech.(type) {
+	case nil:
+		ix.method = MethodDijkstra
+		ix.newSearcher = func() Searcher { return dijkstra.NewBidirectional(g) }
+	case *ch.Hierarchy:
+		ix.method = MethodCH
+		ix.newSearcher = func() Searcher { return t.NewSearcher() }
+	case *tnr.Index:
+		ix.method = MethodTNR
+		ix.newSearcher = func() Searcher { return t.NewSearcher() }
+	case *silc.Index:
+		// SILC and PCPD queries only read the immutable index, so the index
+		// value is its own concurrency-safe searcher.
+		ix.method = MethodSILC
+		ix.newSearcher = func() Searcher { return t }
+	case *pcpd.Index:
+		ix.method = MethodPCPD
+		ix.newSearcher = func() Searcher { return t }
+	case *alt.Index:
+		ix.method = MethodALT
+		ix.newSearcher = func() Searcher { return t.NewSearcher() }
+	case *arcflags.Index:
+		ix.method = MethodArcFlags
+		ix.newSearcher = func() Searcher { return t.NewSearcher() }
+	default:
+		panic(fmt.Sprintf("core: no method for %T", tech))
 	}
-	return ix.s
+	return ix
 }
 
-func (ix *chIndex) closeBacking() error {
-	if ix.backing == nil {
-		return nil
+func (ix *index) Method() Method        { return ix.method }
+func (ix *index) NewSearcher() Searcher { return ix.newSearcher() }
+
+func (ix *index) defaultSearcher() Searcher {
+	if ix.def == nil {
+		ix.def = ix.newSearcher()
 	}
-	return ix.backing.Close()
+	return ix.def
 }
 
-func (ix *chIndex) Method() Method { return MethodCH }
-func (ix *chIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.def().Distance(s, t)
-}
-func (ix *chIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.def().ShortestPath(s, t)
-}
-func (ix *chIndex) NewSearcher() Searcher { return ix.h.NewSearcher() }
-func (ix *chIndex) Stats() Stats {
-	return Stats{Method: MethodCH, BuildTime: ix.h.BuildTime(), IndexBytes: ix.h.SizeBytes()}
+func (ix *index) Distance(s, t graph.VertexID) int64 { return ix.defaultSearcher().Distance(s, t) }
+
+func (ix *index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
+	return ix.defaultSearcher().ShortestPath(s, t)
 }
 
-// Hierarchy exposes the underlying CH for reuse by the harness.
-func (ix *chIndex) Hierarchy() *ch.Hierarchy { return ix.h }
-
-// HierarchyOf extracts the contraction hierarchy from a CH index built by
-// BuildIndex, for sharing with TNR preprocessing.
-func HierarchyOf(ix Index) *ch.Hierarchy {
-	if c, ok := ix.(*chIndex); ok {
-		return c.h
+func (ix *index) Stats() Stats {
+	st := Stats{Method: ix.method}
+	if ix.tech != nil {
+		st.BuildTime = ix.chBuild + ix.tech.BuildTime()
+		st.IndexBytes = ix.tech.SizeBytes()
 	}
-	return nil
+	return st
 }
 
-type tnrIndex struct {
-	t       *tnr.Index
-	chBuild time.Duration   // of the hierarchy BuildIndex built for t, part of Stats().BuildTime
-	backing *binio.FlatFile // see chIndex.backing
-}
-
-func (ix *tnrIndex) closeBacking() error {
-	if ix.backing == nil {
-		return nil
+// techOf returns the technique value inside an Index made by this package,
+// as a T, or the zero T (nil) when ix wraps something else.
+func techOf[T technique](ix Index) T {
+	var zero T
+	if in, ok := ix.(*index); ok {
+		if t, ok := in.tech.(T); ok {
+			return t
+		}
 	}
-	return ix.backing.Close()
+	return zero
 }
 
-func (ix *tnrIndex) Method() Method { return MethodTNR }
-func (ix *tnrIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.t.Distance(s, t)
-}
-func (ix *tnrIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.t.ShortestPath(s, t)
-}
-func (ix *tnrIndex) NewSearcher() Searcher { return ix.t.NewSearcher() }
-func (ix *tnrIndex) Stats() Stats {
-	return Stats{Method: MethodTNR, BuildTime: ix.chBuild + ix.t.BuildTime(), IndexBytes: ix.t.SizeBytes()}
-}
+// HierarchyOf extracts the contraction hierarchy from a CH index, for
+// sharing with the preprocessing of the other techniques; nil for other
+// methods.
+func HierarchyOf(ix Index) *ch.Hierarchy { return techOf[*ch.Hierarchy](ix) }
 
-// TNROf extracts the TNR index (for fallback statistics).
-func TNROf(ix Index) *tnr.Index {
-	if t, ok := ix.(*tnrIndex); ok {
-		return t.t
-	}
-	return nil
-}
+// TNROf extracts the TNR index (for fallback statistics); nil for other
+// methods.
+func TNROf(ix Index) *tnr.Index { return techOf[*tnr.Index](ix) }
 
 // SILCOf extracts the SILC index from a SILC-method Index, exposing its
 // extras (NearestK distance browsing); nil for other methods.
-func SILCOf(ix Index) *silc.Index {
-	if s, ok := ix.(*silcIndex); ok {
-		return s.s
-	}
-	return nil
-}
-
-type silcIndex struct {
-	s       *silc.Index
-	chBuild time.Duration   // see tnrIndex.chBuild
-	backing *binio.FlatFile // see chIndex.backing
-}
-
-func (ix *silcIndex) closeBacking() error {
-	if ix.backing == nil {
-		return nil
-	}
-	return ix.backing.Close()
-}
-
-func (ix *silcIndex) Method() Method { return MethodSILC }
-func (ix *silcIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.s.Distance(s, t)
-}
-func (ix *silcIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.s.ShortestPath(s, t)
-}
-
-// SILC queries only read the immutable interval tables, so the index is
-// its own concurrency-safe searcher.
-func (ix *silcIndex) NewSearcher() Searcher { return ix.s }
-func (ix *silcIndex) Stats() Stats {
-	return Stats{Method: MethodSILC, BuildTime: ix.chBuild + ix.s.BuildTime(), IndexBytes: ix.s.SizeBytes()}
-}
-
-type pcpdIndex struct {
-	p       *pcpd.Index
-	chBuild time.Duration // see tnrIndex.chBuild
-}
-
-func (ix *pcpdIndex) Method() Method { return MethodPCPD }
-func (ix *pcpdIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.p.Distance(s, t)
-}
-func (ix *pcpdIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.p.ShortestPath(s, t)
-}
-
-// PCPD queries only read the immutable decomposition tree, so the index is
-// its own concurrency-safe searcher.
-func (ix *pcpdIndex) NewSearcher() Searcher { return ix.p }
-func (ix *pcpdIndex) Stats() Stats {
-	return Stats{Method: MethodPCPD, BuildTime: ix.chBuild + ix.p.BuildTime(), IndexBytes: ix.p.SizeBytes()}
-}
-
-type altIndex struct{ a *alt.Index }
-
-func (ix *altIndex) Method() Method { return MethodALT }
-func (ix *altIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.a.Distance(s, t)
-}
-func (ix *altIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.a.ShortestPath(s, t)
-}
-func (ix *altIndex) NewSearcher() Searcher { return ix.a.NewSearcher() }
-func (ix *altIndex) Stats() Stats {
-	return Stats{Method: MethodALT, BuildTime: ix.a.BuildTime(), IndexBytes: ix.a.SizeBytes()}
-}
-
-type arcFlagsIndex struct {
-	a       *arcflags.Index
-	chBuild time.Duration // see tnrIndex.chBuild
-}
-
-func (ix *arcFlagsIndex) Method() Method { return MethodArcFlags }
-func (ix *arcFlagsIndex) Distance(s, t graph.VertexID) int64 {
-	return ix.a.Distance(s, t)
-}
-func (ix *arcFlagsIndex) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.a.ShortestPath(s, t)
-}
-func (ix *arcFlagsIndex) NewSearcher() Searcher { return ix.a.NewSearcher() }
-func (ix *arcFlagsIndex) Stats() Stats {
-	return Stats{Method: MethodArcFlags, BuildTime: ix.chBuild + ix.a.BuildTime(), IndexBytes: ix.a.SizeBytes()}
-}
+func SILCOf(ix Index) *silc.Index { return techOf[*silc.Index](ix) }

@@ -95,8 +95,8 @@ func TestHierarchySharing(t *testing.T) {
 func TestTNRHierarchyFollowsCHConfig(t *testing.T) {
 	g := testutil.SmallRoad(900, 513)
 	opts := ch.Options{WitnessSettleLimit: 2}
-	want := ch.Build(g, opts).NumShortcuts()
-	if def := ch.Build(g, ch.Options{}).NumShortcuts(); def == want {
+	want := testutil.Must(ch.Build(g, opts)).NumShortcuts()
+	if def := testutil.Must(ch.Build(g, ch.Options{})).NumShortcuts(); def == want {
 		t.Fatalf("settle limit 2 and the default both give %d shortcuts; the test needs them to differ", def)
 	}
 	ix, err := core.BuildIndex(core.MethodTNR, g, core.Config{CH: opts})

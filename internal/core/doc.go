@@ -12,7 +12,10 @@
 //   - The Index/Searcher contract (core.go): immutable index data shared
 //     across goroutines, mutable per-query state confined to searchers,
 //     context-polling cancellation at bounded intervals in every search
-//     loop.
+//     loop. One type implements Index for all seven techniques; its own
+//     Distance and ShortestPath run on one default searcher, created by
+//     the first call, so building or loading an index allocates no search
+//     state.
 //   - Pool (pool.go): reusable searchers for request-per-goroutine
 //     servers — optionally bounded (WithMaxSearchers), pre-warmed
 //     (Prewarm) and instrumented (WithMetrics); the distance hot path
@@ -20,8 +23,9 @@
 //   - Batch acceleration (batch dispatch in pool.go): the per-technique
 //     many-to-many algorithms behind DistanceMatrix, all bit-identical to
 //     per-pair queries.
-//   - Streaming paths (path.go): lazy PathIterators over every
-//     technique's native path production.
+//   - Streaming paths: OpenPath is part of Searcher, a lazy PathIterator
+//     over every technique's own path production (PCPD streams from a
+//     materialized walk).
 //   - The spatial tier (spatial.go): an R-tree locator composed with the
 //     network engines for point location, network k-NN and range queries.
 //   - Persistence (serialize.go, loadfile.go): the flat container, read

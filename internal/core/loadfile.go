@@ -67,29 +67,14 @@ func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, 
 	if err != nil {
 		return nil, info, err
 	}
-	var idx Index
+	var tech technique
 	switch method {
 	case MethodCH:
-		h, herr := ch.HierarchyFromFlat(f, g)
-		if herr != nil {
-			err = herr
-		} else {
-			idx = &chIndex{h: h, backing: f}
-		}
+		tech, err = ch.HierarchyFromFlat(f, g)
 	case MethodTNR:
-		t, terr := tnr.IndexFromFlat(f, g)
-		if terr != nil {
-			err = terr
-		} else {
-			idx = &tnrIndex{t: t, backing: f}
-		}
+		tech, err = tnr.IndexFromFlat(f, g)
 	case MethodSILC:
-		s, serr := silc.IndexFromFlat(f, g)
-		if serr != nil {
-			err = serr
-		} else {
-			idx = &silcIndex{s: s, backing: f}
-		}
+		tech, err = silc.IndexFromFlat(f, g)
 	default:
 		err = fmt.Errorf("core: method %s does not support serialization", method)
 	}
@@ -97,6 +82,8 @@ func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, 
 		f.Close()
 		return nil, info, fmt.Errorf("%s: %w", path, err)
 	}
+	idx := newIndex(g, tech)
+	idx.backing = f
 	info.Mapped = f.Mapped()
 	info.SizeBytes = f.SizeBytes()
 	info.Verified = f.Verified()
@@ -110,9 +97,8 @@ func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, 
 // a no-op for built, stream-loaded and unmapped indexes, so callers may
 // defer it unconditionally.
 func CloseIndex(ix Index) error {
-	type backed interface{ closeBacking() error }
-	if b, ok := ix.(backed); ok {
-		return b.closeBacking()
+	if in, ok := ix.(*index); ok && in.backing != nil {
+		return in.backing.Close()
 	}
 	return nil
 }

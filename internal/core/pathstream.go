@@ -12,41 +12,8 @@ import (
 // serving layers use.
 type PathIterator = graph.PathIterator
 
-// PathStreamer is the lazy path-production contract: a Searcher
-// additionally implements it when the technique can yield the shortest path
-// vertex-by-vertex without materializing it first. OpenPath reports the
-// path length up front (streaming consumers emit it before the vertices)
-// and returns:
-//
-//   - (nil, Infinity, err) when the underlying search was cancelled;
-//   - (nil, Infinity, nil) when t is unreachable from s;
-//   - (it, d, nil) otherwise, with it yielding the full path s..t lazily.
-//
-// The iterator reads the searcher's per-query state: it is invalidated by
-// the searcher's next query and must be drained (or abandoned) before the
-// searcher is reused or returned to a Pool. Iterators poll ctx at bounded
-// intervals while expanding, surfacing cancellation through Err after a
-// short Next()=false tail.
-type PathStreamer interface {
-	OpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error)
-}
-
-// OpenPath streams the shortest path from s to t through sr, using the
-// technique's native lazy iterator when sr implements PathStreamer and
-// falling back to materializing through ShortestPathContext otherwise
-// (PCPD's recursion builds the path outside-in, so it has no native
-// streamer). The two produce bit-identical vertex sequences; only the
-// resident memory differs.
-func OpenPath(ctx context.Context, sr Searcher, s, t graph.VertexID) (graph.PathIterator, int64, error) {
-	if ps, ok := sr.(PathStreamer); ok {
-		return ps.OpenPath(ctx, s, t)
-	}
-	path, d, err := sr.ShortestPathContext(ctx, s, t)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	if path == nil {
-		return nil, graph.Infinity, nil
-	}
-	return graph.NewSlicePath(path), d, nil
+// OpenPath streams the shortest path from s to t through sr; see
+// Searcher.OpenPath, which it calls.
+func OpenPath(ctx context.Context, sr Searcher, s, t graph.VertexID) (PathIterator, int64, error) {
+	return sr.OpenPath(ctx, s, t)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"roadnet/internal/chaos"
 	"roadnet/internal/core"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
@@ -28,27 +29,41 @@ func drain(t *testing.T, it graph.PathIterator, err error) []graph.VertexID {
 	return path
 }
 
-// streamConfigs lists every index configuration with a distinct path
-// pipeline: the seven methods plus the TNR variants that exercise the
-// Dijkstra fallback tail and the flawed-access variant, whose paths come
-// from the fallback.
-func streamConfigs() map[string]struct {
+// streamConfig is one index configuration of the streaming tests; build
+// makes its index.
+type streamConfig struct {
 	method core.Method
 	cfg    core.Config
-} {
-	return map[string]struct {
-		method core.Method
-		cfg    core.Config
-	}{
-		"dijkstra":     {core.MethodDijkstra, core.Config{}},
-		"ch":           {core.MethodCH, core.Config{}},
-		"tnr":          {core.MethodTNR, core.Config{TNR: tnr.Options{GridSize: 8}}},
-		"tnr-dijkstra": {core.MethodTNR, core.Config{TNR: tnr.Options{GridSize: 8, Fallback: tnr.FallbackDijkstra}}},
-		"tnr-flawed":   {core.MethodTNR, core.Config{TNR: tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast}}},
-		"silc":         {core.MethodSILC, core.Config{}},
-		"pcpd":         {core.MethodPCPD, core.Config{}},
-		"alt":          {core.MethodALT, core.Config{}},
-		"arcflags":     {core.MethodArcFlags, core.Config{}},
+	// flaky wraps the index in the fault injector, armed with nothing: its
+	// searchers stand between the caller and OpenPath.
+	flaky bool
+}
+
+func (tc streamConfig) build(g *graph.Graph) (core.Index, error) {
+	ix, err := core.BuildIndex(tc.method, g, tc.cfg)
+	if err == nil && tc.flaky {
+		ix = chaos.Wrap(ix)
+	}
+	return ix, err
+}
+
+// streamConfigs lists every index configuration with a distinct path
+// pipeline: the seven methods (PCPD's OpenPath streams a materialized
+// walk), the TNR variants that exercise the Dijkstra fallback tail and the
+// flawed-access variant, whose paths come from the fallback, and a CH index
+// behind the fault injector.
+func streamConfigs() map[string]streamConfig {
+	return map[string]streamConfig{
+		"ch-flaky":     {method: core.MethodCH, flaky: true},
+		"dijkstra":     {method: core.MethodDijkstra},
+		"ch":           {method: core.MethodCH},
+		"tnr":          {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8}}},
+		"tnr-dijkstra": {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8, Fallback: tnr.FallbackDijkstra}}},
+		"tnr-flawed":   {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast}}},
+		"silc":         {method: core.MethodSILC},
+		"pcpd":         {method: core.MethodPCPD},
+		"alt":          {method: core.MethodALT},
+		"arcflags":     {method: core.MethodArcFlags},
 	}
 }
 
@@ -63,7 +78,7 @@ func TestOpenPathBitIdenticalToShortestPath(t *testing.T) {
 	ctx := context.Background()
 	for name, tc := range streamConfigs() {
 		t.Run(name, func(t *testing.T) {
-			ix, err := core.BuildIndex(tc.method, g, tc.cfg)
+			ix, err := tc.build(g)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
@@ -112,7 +127,7 @@ func TestOpenPathUnreachable(t *testing.T) {
 	ctx := context.Background()
 	for name, tc := range streamConfigs() {
 		t.Run(name, func(t *testing.T) {
-			ix, err := core.BuildIndex(tc.method, g, tc.cfg)
+			ix, err := tc.build(g)
 			if err != nil {
 				t.Skipf("method does not build on a disconnected graph: %v", err)
 			}
@@ -141,7 +156,7 @@ func TestOpenPathCancelledBeforeStart(t *testing.T) {
 	cancelFn()
 	for name, tc := range streamConfigs() {
 		t.Run(name, func(t *testing.T) {
-			ix, err := core.BuildIndex(tc.method, g, tc.cfg)
+			ix, err := tc.build(g)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}

@@ -30,6 +30,9 @@ func (stubSearcher) DistanceContext(ctx context.Context, s, t graph.VertexID) (i
 func (stubSearcher) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
 	return []graph.VertexID{s, t}, 0, nil
 }
+func (stubSearcher) OpenPath(ctx context.Context, s, t graph.VertexID) (PathIterator, int64, error) {
+	return graph.NewSlicePath([]graph.VertexID{s, t}), 0, nil
+}
 
 func (ix *countingIndex) Method() Method { return MethodDijkstra }
 func (ix *countingIndex) Distance(s, t graph.VertexID) int64 {
@@ -175,7 +178,9 @@ func TestPoolBoundedServesExactAnswers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			checkQueries(g, poolSearcher{pool}, pairs, want, errs)
+			// Every query checks a searcher out and back in, maximizing
+			// contention on the bounded pool.
+			checkQueries(g, pool, pairs, want, errs)
 		}()
 	}
 	wg.Wait()
@@ -185,20 +190,4 @@ func TestPoolBoundedServesExactAnswers(t *testing.T) {
 			t.Error(err)
 		}
 	}
-}
-
-// poolSearcher adapts a Pool to the Searcher interface for checkQueries:
-// every query checks a searcher out and back in, maximizing contention on
-// the bounded pool.
-type poolSearcher struct{ p *Pool }
-
-func (ps poolSearcher) Distance(s, t graph.VertexID) int64 { return ps.p.Distance(s, t) }
-func (ps poolSearcher) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ps.p.ShortestPath(s, t)
-}
-func (ps poolSearcher) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error) {
-	return ps.p.DistanceContext(ctx, s, t)
-}
-func (ps poolSearcher) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	return ps.p.ShortestPathContext(ctx, s, t)
 }

@@ -144,7 +144,7 @@ func TestPropertyTriangleInequality(t *testing.T) {
 // multiple goroutines through per-goroutine searchers.
 func TestCHConcurrentSearchers(t *testing.T) {
 	g := testutil.SmallRoad(900, 613)
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	ctx := dijkstra.NewContext(g)
 	pairs := testutil.SamplePairs(g, 64, 5)
 	want := make([]int64, len(pairs))

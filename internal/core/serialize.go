@@ -14,41 +14,33 @@ import (
 // expensive preprocessing: CH, TNR and SILC. The baseline needs no index,
 // and PCPD/ALT/ArcFlags rebuild quickly relative to their size on disk.
 func SaveIndex(ix Index, w io.Writer) error {
-	switch v := ix.(type) {
-	case *chIndex:
-		return v.h.Save(w)
-	case *tnrIndex:
-		return v.t.Save(w)
-	case *silcIndex:
-		return v.s.Save(w)
-	default:
-		return fmt.Errorf("core: method %s does not support serialization", ix.Method())
+	if in, ok := ix.(*index); ok {
+		if s, ok := in.tech.(interface{ Save(io.Writer) error }); ok {
+			return s.Save(w)
+		}
 	}
+	return fmt.Errorf("core: method %s does not support serialization", ix.Method())
 }
 
 // LoadIndex deserializes an index of the given method and re-attaches it
 // to g, which must be the network the index was built on.
 func LoadIndex(method Method, r io.Reader, g *graph.Graph) (Index, error) {
+	var (
+		tech technique
+		err  error
+	)
 	switch method {
 	case MethodCH:
-		h, err := ch.ReadHierarchy(r, g)
-		if err != nil {
-			return nil, err
-		}
-		return &chIndex{h: h}, nil
+		tech, err = ch.ReadHierarchy(r, g)
 	case MethodTNR:
-		t, err := tnr.ReadIndex(r, g)
-		if err != nil {
-			return nil, err
-		}
-		return &tnrIndex{t: t}, nil
+		tech, err = tnr.ReadIndex(r, g)
 	case MethodSILC:
-		s, err := silc.ReadIndex(r, g)
-		if err != nil {
-			return nil, err
-		}
-		return &silcIndex{s: s}, nil
+		tech, err = silc.ReadIndex(r, g)
 	default:
-		return nil, fmt.Errorf("core: method %s does not support serialization", method)
+		err = fmt.Errorf("core: method %s does not support serialization", method)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(g, tech), nil
 }

@@ -33,6 +33,7 @@ func runAppendixB(l *lab, w io.Writer) error {
 			return err
 		}
 		ctx := dijkstra.NewContext(g)
+		flawedSr, correctedSr := flawed.NewSearcher(), corrected.NewSearcher()
 		var flawedWrong, correctedWrong, queries int
 		for _, p := range probes {
 			if !corrected.CanAnswerFromTables(p[0], p[1]) {
@@ -40,10 +41,10 @@ func runAppendixB(l *lab, w io.Writer) error {
 			}
 			queries++
 			want := ctx.Distance(p[0], p[1])
-			if flawed.Distance(p[0], p[1]) != want {
+			if flawedSr.Distance(p[0], p[1]) != want {
 				flawedWrong++
 			}
-			if corrected.Distance(p[0], p[1]) != want {
+			if correctedSr.Distance(p[0], p[1]) != want {
 				correctedWrong++
 			}
 		}

@@ -1,11 +1,11 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§4 and Appendix E) as plain-text tables. Each experiment is a named unit
-// runnable via cmd/spexp or the root benchmark suite; DESIGN.md maps each
+// runnable via cmd/spexp or the root benchmark suite; All maps each
 // experiment id to the paper artifact it reproduces.
 //
 // Absolute numbers differ from the paper (scaled synthetic datasets, Go on
 // different hardware); the comparative shapes are what the experiments
-// reproduce. EXPERIMENTS.md records paper-vs-measured for every artifact.
+// reproduce.
 package exp
 
 import (
@@ -190,7 +190,10 @@ func (l *lab) hierarchy(name string) (*ch.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := ch.Build(g, ch.Options{})
+	h, err := ch.Build(g, ch.Options{})
+	if err != nil {
+		return nil, err
+	}
 	l.hierarchies[name] = h
 	return h, nil
 }

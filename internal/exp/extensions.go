@@ -39,10 +39,15 @@ func runExtensions(l *lab, w io.Writer) error {
 		chTime := timePairs(far.Pairs, func(s, t int32) { chSearch.Distance(s, t) })
 
 		altIx := alt.Build(g, alt.Options{NumLandmarks: 16})
-		altTime := timePairs(far.Pairs, func(s, t int32) { altIx.Distance(s, t) })
+		altSearch := altIx.NewSearcher()
+		altTime := timePairs(far.Pairs, func(s, t int32) { altSearch.Distance(s, t) })
 
-		afIx := arcflags.Build(g, arcflags.Options{GridSize: 8})
-		afTime := timePairs(far.Pairs, func(s, t int32) { afIx.Distance(s, t) })
+		afIx, err := arcflags.Build(g, arcflags.Options{GridSize: 8})
+		if err != nil {
+			return err
+		}
+		afSearch := afIx.NewSearcher()
+		afTime := timePairs(far.Pairs, func(s, t int32) { afSearch.Distance(s, t) })
 
 		fmt.Fprintf(tw, "%s\t%d\t%s / %.2f / %s\t%s / %.2f / %s\t%s / %.2f / %s\n",
 			name, g.NumVertices(),

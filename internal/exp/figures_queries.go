@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"roadnet/internal/core"
-	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 )
 
@@ -204,15 +203,13 @@ func tnrVariantFigure(l *lab, w io.Writer, title string, path bool) error {
 		if err != nil {
 			return err
 		}
-		indexes := make([]*tnr.Index, len(variants))
+		indexes := make([]core.Index, len(variants))
 		for i, v := range variants {
 			opts := v.opts
 			opts.Hierarchy = h
-			ix, err := tnr.Build(g, opts)
-			if err != nil {
+			if indexes[i], err = core.BuildIndex(core.MethodTNR, g, core.Config{TNR: opts}); err != nil {
 				return err
 			}
-			indexes[i] = ix
 		}
 		fmt.Fprintf(w, "\n(%s)\n", name)
 		tw := newTable(w)
@@ -224,8 +221,8 @@ func tnrVariantFigure(l *lab, w io.Writer, title string, path bool) error {
 		for _, qs := range sets {
 			fmt.Fprintf(tw, "%s", qs.Name)
 			for _, ix := range indexes {
-				v := timeTNR(ix, qs, path)
-				fmt.Fprintf(tw, "\t%s", fmtMicros(v, true))
+				v, ok := measure(ix, qs, path)
+				fmt.Fprintf(tw, "\t%s", fmtMicros(v, ok))
 			}
 			fmt.Fprintln(tw)
 		}
@@ -234,30 +231,6 @@ func tnrVariantFigure(l *lab, w io.Writer, title string, path bool) error {
 		}
 	}
 	return nil
-}
-
-func timeTNR(ix *tnr.Index, qs workload.QuerySet, path bool) float64 {
-	adapter := tnrTimer{ix: ix}
-	if path {
-		return core.MeasurePath(adapter, qs).AvgMicros
-	}
-	return core.MeasureDistance(adapter, qs).AvgMicros
-}
-
-// tnrTimer adapts a raw tnr.Index to core.Index for the measurement
-// helpers.
-type tnrTimer struct{ ix *tnr.Index }
-
-func (t tnrTimer) Method() core.Method { return core.MethodTNR }
-func (t tnrTimer) Distance(s, u int32) int64 {
-	return t.ix.Distance(s, u)
-}
-func (t tnrTimer) ShortestPath(s, u int32) ([]int32, int64) {
-	return t.ix.ShortestPath(s, u)
-}
-func (t tnrTimer) NewSearcher() core.Searcher { return t.ix.NewSearcher() }
-func (t tnrTimer) Stats() core.Stats {
-	return core.Stats{Method: core.MethodTNR, BuildTime: t.ix.BuildTime(), IndexBytes: t.ix.SizeBytes()}
 }
 
 func runFigure14(l *lab, w io.Writer) error {

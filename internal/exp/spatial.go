@@ -23,8 +23,9 @@ import (
 //     targets-mode search that stops once all geometric candidates are
 //     proven.
 //
-// Both counts are deterministic — the same pruning the CI knn_prune_ratio
-// gate watches, measured across dataset sizes instead of one fixture.
+// Both counts are deterministic — the same pruning core's
+// TestKNNPruneWorkCount gates in CI, measured across dataset sizes instead
+// of one fixture.
 func runSpatial(l *lab, w io.Writer) error {
 	const (
 		numQueries = 64

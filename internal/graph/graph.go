@@ -7,9 +7,20 @@
 // are travel times; coordinates come from the companion DIMACS ".co" files
 // and are required by TNR's grid, SILC's and PCPD's quadtrees, and the
 // L-infinity workload generator.
+//
+// # Weights
+//
+// Edge weights are at least 1 (Builder.AddEdge rejects anything else), and
+// queries compute distances in int64, so any path length fits. What an index
+// stores is narrower: CH shortcut weights and TNR's distance tables are
+// Weight cells, with math.MaxInt32 kept for "no distance". Every distance an
+// index stores must therefore be below math.MaxInt32; preprocessing narrows
+// through NarrowWeight and refuses, with ErrWeightOverflow, a network on
+// which one is not, instead of building an index that answers wrongly.
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -22,6 +33,19 @@ type VertexID = int32
 
 // Weight is an edge weight (travel time) in arbitrary integer units.
 type Weight = int32
+
+// ErrWeightOverflow reports a distance too long for an index to store; see
+// the package doc.
+var ErrWeightOverflow = errors.New("graph: distance does not fit a stored weight")
+
+// NarrowWeight converts a distance to the Weight an index stores it as, or
+// fails with ErrWeightOverflow when it is not below math.MaxInt32.
+func NarrowWeight(d int64) (Weight, error) {
+	if d >= math.MaxInt32 {
+		return 0, fmt.Errorf("%w: %d", ErrWeightOverflow, d)
+	}
+	return Weight(d), nil
+}
 
 // Infinity is the distance reported for unreachable vertex pairs.
 // It is small enough that Infinity+Infinity does not overflow int64.

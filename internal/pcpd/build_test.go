@@ -35,7 +35,7 @@ func refBuild(g *graph.Graph) *Index {
 	n := g.NumVertices()
 	ix := newIndex(g, 16)
 	d := &refDecomposer{
-		shared:    &shared{ix: ix, n: n, hop: buildFirstHops(ch.Build(g, ch.Options{}), 1), order: mortonOrder(ix.code)},
+		shared:    &shared{ix: ix, n: n, hop: buildFirstHops(testutil.Must(ch.Build(g, ch.Options{})), 1), order: mortonOrder(ix.code)},
 		vertStamp: make([]uint32, n),
 		edgeStamp: make([]uint32, 2*g.NumEdges()),
 	}
@@ -66,18 +66,8 @@ func (d *refDecomposer) decompose(a, b quad) *node {
 			}
 		}
 		return nd
-	case a.splittable():
-		nd := &node{kind: kindSplitA, children: make([]*node, 4)}
-		for qa := uint64(0); qa < 4; qa++ {
-			nd.children[qa] = d.decompose(d.child(a, qa), b)
-		}
-		return nd
-	case b.splittable():
-		nd := &node{kind: kindSplitB, children: make([]*node, 4)}
-		for qb := uint64(0); qb < 4; qb++ {
-			nd.children[qb] = d.decompose(a, d.child(b, qb))
-		}
-		return nd
+	case a.splittable() || b.splittable():
+		panic("pcpd: squares of unequal span") // see Build's decompose
 	default:
 		nd := &node{kind: kindTable, table: map[[2]graph.VertexID]psiValue{}}
 		for i := a.idxLo; i < a.idxHi; i++ {
@@ -313,7 +303,7 @@ func TestGoldenDigests(t *testing.T) {
 		"messy11": 0xca13da39e665f1ab,
 		"messy12": 0x6ea4303976b2c2e2,
 	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
-		ix, err := Build(g, Options{Workers: workers, Hierarchy: ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})})
+		ix, err := Build(g, Options{Workers: workers, Hierarchy: testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit}))})
 		if err != nil {
 			t.Fatal(err)
 		}

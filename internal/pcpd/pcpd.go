@@ -108,12 +108,12 @@ const (
 
 type nodeKind uint8
 
+// The values are what the golden tree digests hash; 2 and 3 were one-sided
+// splits, which cannot occur (see decompose).
 const (
-	kindLeaf    nodeKind = iota // a path-coherent pair: psi applies
-	kindSplit16                 // both squares split: children[qa*4+qb]
-	kindSplitA                  // only X split: children[qa]
-	kindSplitB                  // only Y split: children[qb]
-	kindTable                   // same-cell coordinate collisions: per-pair psi
+	kindLeaf    nodeKind = 0 // a path-coherent pair: psi applies
+	kindSplit16 nodeKind = 1 // both squares split: children[qa*4+qb]
+	kindTable   nodeKind = 4 // same-cell coordinate collisions: per-pair psi
 )
 
 type node struct {
@@ -171,7 +171,10 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 
 	h := opts.Hierarchy
 	if h == nil {
-		h = ch.Build(g, ch.Options{})
+		var err error
+		if h, err = ch.Build(g, ch.Options{}); err != nil {
+			return nil, err
+		}
 	}
 
 	ix := newIndex(g, opts.Bits)
@@ -389,8 +392,9 @@ func (d *decomposer) decompose(a, b quad, depth int) *node {
 		d.numPairs++
 		return &node{kind: kindLeaf, psi: psi}
 	}
-	switch {
-	case a.splittable() && b.splittable():
+	// Both squares start as the root span and child quarters both, so
+	// a.span == b.span at every pair: they split together or not at all.
+	if a.splittable() {
 		nd := &node{kind: kindSplit16, children: make([]*node, 16)}
 		for qa := uint64(0); qa < 4; qa++ {
 			ca := d.child(a, qa)
@@ -402,33 +406,20 @@ func (d *decomposer) decompose(a, b quad, depth int) *node {
 			}
 		}
 		return nd
-	case a.splittable():
-		nd := &node{kind: kindSplitA, children: make([]*node, 4)}
-		for qa := uint64(0); qa < 4; qa++ {
-			d.sub(&nd.children[qa], d.child(a, qa), b, depth+1)
-		}
-		return nd
-	case b.splittable():
-		nd := &node{kind: kindSplitB, children: make([]*node, 4)}
-		for qb := uint64(0); qb < 4; qb++ {
-			d.sub(&nd.children[qb], a, d.child(b, qb), depth+1)
-		}
-		return nd
-	default:
-		// Coordinate collisions: several vertices share both unit cells.
-		nd := &node{kind: kindTable, table: map[[2]graph.VertexID]psiValue{}}
-		for i := a.idxLo; i < a.idxHi; i++ {
-			for j := b.idxLo; j < b.idxHi; j++ {
-				s, t := d.order[i], d.order[j]
-				if s == t {
-					continue
-				}
-				nd.table[[2]graph.VertexID{s, t}] = d.pairPsi(s, t)
-			}
-		}
-		d.numPairs += int64(len(nd.table))
-		return nd
 	}
+	// Coordinate collisions: several vertices share both unit cells.
+	nd := &node{kind: kindTable, table: map[[2]graph.VertexID]psiValue{}}
+	for i := a.idxLo; i < a.idxHi; i++ {
+		for j := b.idxLo; j < b.idxHi; j++ {
+			s, t := d.order[i], d.order[j]
+			if s == t {
+				continue
+			}
+			nd.table[[2]graph.VertexID{s, t}] = d.pairPsi(s, t)
+		}
+	}
+	d.numPairs += int64(len(nd.table))
+	return nd
 }
 
 // nextArc returns the arc the canonical path from v toward t leaves v on;
@@ -576,9 +567,9 @@ func (d *decomposer) pairPsi(s, t graph.VertexID) psiValue {
 
 // lookup descends the tree to the unique node covering (s, t).
 func (ix *Index) lookup(s, t graph.VertexID) psiValue {
-	span := uint64(ix.norm.CodeSpaceSize())
+	span := uint64(ix.norm.CodeSpaceSize()) // of both squares, see decompose
 	cs, ct := uint64(ix.code[s]), uint64(ix.code[t])
-	aLo, bLo, aSpan, bSpan := uint64(0), uint64(0), span, span
+	aLo, bLo := uint64(0), uint64(0)
 	nd := ix.root
 	for nd != nil {
 		switch nd.kind {
@@ -590,23 +581,12 @@ func (ix *Index) lookup(s, t graph.VertexID) psiValue {
 			}
 			return psiNone
 		case kindSplit16:
-			aSpan /= 4
-			bSpan /= 4
-			qa := (cs - aLo) / aSpan
-			qb := (ct - bLo) / bSpan
-			aLo += qa * aSpan
-			bLo += qb * bSpan
+			span /= 4
+			qa := (cs - aLo) / span
+			qb := (ct - bLo) / span
+			aLo += qa * span
+			bLo += qb * span
 			nd = nd.children[qa*4+qb]
-		case kindSplitA:
-			aSpan /= 4
-			qa := (cs - aLo) / aSpan
-			aLo += qa * aSpan
-			nd = nd.children[qa]
-		case kindSplitB:
-			bSpan /= 4
-			qb := (ct - bLo) / bSpan
-			bLo += qb * bSpan
-			nd = nd.children[qb]
 		}
 	}
 	return psiNone
@@ -696,6 +676,17 @@ func (ix *Index) ShortestPathContext(ctx context.Context, s, t graph.VertexID) (
 		return nil, graph.Infinity, nil
 	}
 	return path, total, nil
+}
+
+// OpenPath answers the query and streams the materialized path: the
+// recursion assembles a path outside-in, so PCPD has nothing to produce
+// lazily. It returns (nil, Infinity, nil) when t is unreachable.
+func (ix *Index) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error) {
+	path, d, err := ix.ShortestPathContext(ctx, s, t)
+	if err != nil || path == nil {
+		return nil, graph.Infinity, err
+	}
+	return graph.NewSlicePath(path), d, nil
 }
 
 // Distance computes the shortest path and returns its length (§3.5: PCPD

@@ -3,19 +3,15 @@
 // coordinate to the nearest vertex, enumerate vertices in a rectangle or
 // radius, seed network k-NN with geometric candidates).
 //
-// Two build paths are supported: Insert grows the tree one entry at a time
-// with Guttman's quadratic split, and BulkLoad packs a full entry set with
-// Sort-Tile-Recursive (STR), which yields near-full nodes and a tighter
-// tree than repeated insertion. Node capacity is configurable; both paths
-// produce the same immutable query structure. Save/LoadFile persist a tree
-// in the flat v2 container (see internal/binio), so deployments bulk-load
-// once and mmap at every startup.
+// BulkLoad packs a full entry set with Sort-Tile-Recursive (STR), which
+// yields near-full nodes; node capacity is configurable. Save/LoadFile
+// persist a tree in the flat container (see internal/binio), so deployments
+// bulk-load once and mmap at every startup.
 //
 // Concurrency contract (same as every index in this repository): a Tree is
-// immutable once built — Insert must not be called after the tree is shared
-// — and all query methods are read-only, so any number of goroutines may
-// query one Tree concurrently. Per-query iteration state lives in a
-// Browser, one per goroutine.
+// immutable once built and all query methods are read-only, so any number
+// of goroutines may query one Tree concurrently. Per-query iteration state
+// lives in a Browser, one per goroutine.
 //
 // Distances are squared Euclidean in int64. Like the rest of the geometry
 // in this repository they assume DIMACS micro-degree coordinate magnitudes

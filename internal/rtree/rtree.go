@@ -10,10 +10,6 @@ import (
 // DefaultMaxEntries is the default node capacity M.
 const DefaultMaxEntries = 16
 
-// minFillDivisor sets the minimum node fill m = M/minFillDivisor used by
-// the quadratic split (Guttman suggests m <= M/2).
-const minFillDivisor = 2
-
 // Entry is one indexed point with an opaque 32-bit identifier (vertex id,
 // POI id, ...). Its layout is three int32s, so entry arrays serialize as
 // flat i32 sections and load back as zero-copy casts (binio.CastStructs).
@@ -26,7 +22,7 @@ type Entry struct {
 type Options struct {
 	// MaxEntries is the node capacity M (children per internal node,
 	// entries per leaf). 0 means DefaultMaxEntries; values below 4 are
-	// raised to 4 so the quadratic split always has two viable groups.
+	// raised to 4.
 	MaxEntries int
 }
 
@@ -42,8 +38,7 @@ func (o Options) capacity() int {
 }
 
 // node is one R-tree node. Nodes are addressed by index into Tree.nodes so
-// the whole structure serializes as flat arrays and survives reallocation
-// during growth.
+// the whole structure serializes as flat arrays.
 type node struct {
 	rect geom.Rect
 	leaf bool
@@ -51,24 +46,15 @@ type node struct {
 	ents []Entry // entries (leaves)
 }
 
-// Tree is an R-tree over point entries. The zero value is not usable; use
-// New or BulkLoad.
+// Tree is an R-tree over point entries, immutable once BulkLoad or LoadFile
+// has returned it. The zero value is not usable.
 type Tree struct {
 	max     int
-	min     int
 	nodes   []node
 	root    int32
 	size    int
 	height  int // levels, 1 for a lone leaf root
 	backing *binio.FlatFile
-}
-
-// New returns an empty tree ready for Insert.
-func New(opts Options) *Tree {
-	m := opts.capacity()
-	t := &Tree{max: m, min: m / minFillDivisor, root: 0, height: 1}
-	t.nodes = append(t.nodes, node{leaf: true})
-	return t
 }
 
 // Len returns the number of entries.
@@ -91,17 +77,6 @@ func (t *Tree) Bounds() geom.Rect {
 
 func pointRect(p geom.Point) geom.Rect {
 	return geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
-}
-
-// area returns the rectangle area as a float64. Areas are split/descent
-// heuristics only, so float rounding cannot affect query correctness.
-func area(r geom.Rect) float64 {
-	return float64(r.Width()) * float64(r.Height())
-}
-
-// enlargement returns how much r must grow (in area) to cover s.
-func enlargement(r, s geom.Rect) float64 {
-	return area(r.Union(s)) - area(r)
 }
 
 // DistSq returns the squared Euclidean distance between two points.
@@ -128,209 +103,16 @@ func minDistSq(p geom.Point, r geom.Rect) int64 {
 	return dx*dx + dy*dy
 }
 
-// --- incremental insertion (quadratic split) ---------------------------
-
-// Insert adds one entry. It must not be called once the tree is shared
-// across goroutines (build first, then serve — the PR-1 contract).
-func (t *Tree) Insert(e Entry) {
-	split, ok := t.insert(t.root, e)
-	if ok {
-		// Root split: grow the tree by one level.
-		old := t.root
-		t.nodes = append(t.nodes, node{
-			rect: t.nodes[old].rect.Union(t.nodes[split].rect),
-			kids: []int32{old, split},
-		})
-		t.root = int32(len(t.nodes) - 1)
-		t.height++
-	}
-	t.size++
-}
-
-// insert descends to a leaf, adds e, and splits overflowing nodes on the
-// way back up. It returns the index of the new sibling when node ni split.
-func (t *Tree) insert(ni int32, e Entry) (int32, bool) {
-	n := &t.nodes[ni]
-	if n.leaf {
-		if len(n.ents) == 0 {
-			n.rect = pointRect(e.P)
-		} else {
-			n.rect = n.rect.Union(pointRect(e.P))
-		}
-		n.ents = append(n.ents, e)
-		if len(n.ents) > t.max {
-			return t.splitLeaf(ni), true
-		}
-		return 0, false
-	}
-	ci := t.chooseSubtree(n, e.P)
-	child := n.kids[ci]
-	sib, split := t.insert(child, e)
-	n = &t.nodes[ni] // t.nodes may have been reallocated by the recursion
-	n.rect = n.rect.Union(pointRect(e.P))
-	if split {
-		n.kids = append(n.kids, sib)
-		if len(n.kids) > t.max {
-			return t.splitInternal(ni), true
-		}
-	}
-	return 0, false
-}
-
-// chooseSubtree picks the child whose rectangle needs the least area
-// enlargement to cover p (ties: smaller area, then lower child index).
-func (t *Tree) chooseSubtree(n *node, p geom.Point) int {
-	pr := pointRect(p)
-	best := 0
-	bestEnl := enlargement(t.nodes[n.kids[0]].rect, pr)
-	bestArea := area(t.nodes[n.kids[0]].rect)
-	for i := 1; i < len(n.kids); i++ {
-		r := t.nodes[n.kids[i]].rect
-		enl := enlargement(r, pr)
-		if enl < bestEnl || (enl == bestEnl && area(r) < bestArea) {
-			best, bestEnl, bestArea = i, enl, area(r)
-		}
-	}
-	return best
-}
-
-// splitLeaf splits an overflowing leaf with the quadratic algorithm and
-// returns the index of the new sibling.
-func (t *Tree) splitLeaf(ni int32) int32 {
-	ents := t.nodes[ni].ents
-	rects := make([]geom.Rect, len(ents))
-	for i, e := range ents {
-		rects[i] = pointRect(e.P)
-	}
-	ga, gb := t.quadraticSplit(rects)
-	a := node{leaf: true, ents: make([]Entry, 0, len(ga))}
-	b := node{leaf: true, ents: make([]Entry, 0, len(gb))}
-	for _, i := range ga {
-		a.ents = append(a.ents, ents[i])
-	}
-	for _, i := range gb {
-		b.ents = append(b.ents, ents[i])
-	}
-	a.rect = groupRect(rects, ga)
-	b.rect = groupRect(rects, gb)
-	t.nodes[ni] = a
-	t.nodes = append(t.nodes, b)
-	return int32(len(t.nodes) - 1)
-}
-
-// splitInternal splits an overflowing internal node.
-func (t *Tree) splitInternal(ni int32) int32 {
-	kids := t.nodes[ni].kids
-	rects := make([]geom.Rect, len(kids))
-	for i, k := range kids {
-		rects[i] = t.nodes[k].rect
-	}
-	ga, gb := t.quadraticSplit(rects)
-	a := node{kids: make([]int32, 0, len(ga))}
-	b := node{kids: make([]int32, 0, len(gb))}
-	for _, i := range ga {
-		a.kids = append(a.kids, kids[i])
-	}
-	for _, i := range gb {
-		b.kids = append(b.kids, kids[i])
-	}
-	a.rect = groupRect(rects, ga)
-	b.rect = groupRect(rects, gb)
-	t.nodes[ni] = a
-	t.nodes = append(t.nodes, b)
-	return int32(len(t.nodes) - 1)
-}
-
-func groupRect(rects []geom.Rect, idx []int) geom.Rect {
-	r := rects[idx[0]]
-	for _, i := range idx[1:] {
-		r = r.Union(rects[i])
-	}
-	return r
-}
-
-// quadraticSplit distributes the rectangle indices into two groups per
-// Guttman: pick the pair of seeds wasting the most area together, then
-// repeatedly assign the rectangle with the greatest preference for one
-// group, honoring the minimum fill m.
-func (t *Tree) quadraticSplit(rects []geom.Rect) (ga, gb []int) {
-	// PickSeeds: maximize dead space d = area(union) - area(a) - area(b).
-	sa, sb := 0, 1
-	worst := -1.0
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			d := area(rects[i].Union(rects[j])) - area(rects[i]) - area(rects[j])
-			if d > worst {
-				worst, sa, sb = d, i, j
-			}
-		}
-	}
-	ga = append(ga, sa)
-	gb = append(gb, sb)
-	ra, rb := rects[sa], rects[sb]
-	rest := make([]int, 0, len(rects)-2)
-	for i := range rects {
-		if i != sa && i != sb {
-			rest = append(rest, i)
-		}
-	}
-	for len(rest) > 0 {
-		// If one group must take everything left to reach minimum fill,
-		// assign the remainder wholesale.
-		if len(ga)+len(rest) <= t.min {
-			ga = append(ga, rest...)
-			for _, i := range rest {
-				ra = ra.Union(rects[i])
-			}
-			break
-		}
-		if len(gb)+len(rest) <= t.min {
-			gb = append(gb, rest...)
-			for _, i := range rest {
-				rb = rb.Union(rects[i])
-			}
-			break
-		}
-		// PickNext: the rectangle with the greatest |enlargement(a) -
-		// enlargement(b)| has the strongest preference; resolve it now.
-		pick, pickAt := 0, 0
-		maxDiff := -1.0
-		for at, i := range rest {
-			diff := enlargement(ra, rects[i]) - enlargement(rb, rects[i])
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > maxDiff {
-				maxDiff, pick, pickAt = diff, i, at
-			}
-		}
-		rest = append(rest[:pickAt], rest[pickAt+1:]...)
-		da := enlargement(ra, rects[pick])
-		db := enlargement(rb, rects[pick])
-		toA := da < db ||
-			(da == db && (area(ra) < area(rb) || (area(ra) == area(rb) && len(ga) <= len(gb))))
-		if toA {
-			ga = append(ga, pick)
-			ra = ra.Union(rects[pick])
-		} else {
-			gb = append(gb, pick)
-			rb = rb.Union(rects[pick])
-		}
-	}
-	return ga, gb
-}
-
 // --- STR bulk load ------------------------------------------------------
 
 // BulkLoad builds a tree over all entries with the Sort-Tile-Recursive
 // packing of Leutenegger et al.: sort by x, cut into vertical slabs, sort
 // each slab by y, pack runs of M entries per leaf, then repeat one level up
-// over the leaf rectangles. Nodes come out near-full, so the tree is
-// shallower and tighter than one grown by insertion. The input slice is
+// over the leaf rectangles. Nodes come out near-full. The input slice is
 // not retained and may be reused by the caller.
 func BulkLoad(entries []Entry, opts Options) *Tree {
 	m := opts.capacity()
-	t := &Tree{max: m, min: m / minFillDivisor}
+	t := &Tree{max: m}
 	if len(entries) == 0 {
 		t.nodes = append(t.nodes, node{leaf: true})
 		t.height = 1

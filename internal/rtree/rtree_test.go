@@ -26,14 +26,6 @@ func randomEntries(n int, seed int64) []Entry {
 	return ents
 }
 
-func insertBuilt(ents []Entry, opts Options) *Tree {
-	t := New(opts)
-	for _, e := range ents {
-		t.Insert(e)
-	}
-	return t
-}
-
 // oracleNearestK is the linear-scan ground truth: all entries sorted by
 // (squared distance, ID).
 func oracleNearestK(ents []Entry, p geom.Point, k int) []Entry {
@@ -106,15 +98,12 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 }
 
 // TestOracleQueries cross-checks every query kind against a linear scan,
-// for both build paths and several node capacities.
+// for several node capacities.
 func TestOracleQueries(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 17, 64, 500} {
 		for _, cap := range []int{4, 5, 16} {
 			ents := randomEntries(n, int64(1000*n+cap))
-			builds := map[string]*Tree{
-				"bulk":   BulkLoad(ents, Options{MaxEntries: cap}),
-				"insert": insertBuilt(ents, Options{MaxEntries: cap}),
-			}
+			builds := map[string]*Tree{"bulk": BulkLoad(ents, Options{MaxEntries: cap})}
 			rng := rand.New(rand.NewSource(int64(n + cap)))
 			for name, tr := range builds {
 				checkTreeInvariants(t, tr)
@@ -222,21 +211,20 @@ func equalEntries(a, b []Entry) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	for _, tr := range []*Tree{New(Options{}), BulkLoad(nil, Options{})} {
-		if tr.Len() != 0 || tr.Height() != 1 {
-			t.Fatalf("empty tree: Len=%d Height=%d", tr.Len(), tr.Height())
-		}
-		if _, _, ok := tr.Nearest(geom.Point{}); ok {
-			t.Fatal("Nearest on empty tree returned ok")
-		}
-		if got := tr.NearestK(geom.Point{}, 3); len(got) != 0 {
-			t.Fatalf("NearestK on empty tree returned %v", got)
-		}
-		tr.Search(geom.Rect{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}, func(Entry) bool {
-			t.Fatal("Search on empty tree called fn")
-			return false
-		})
+	tr := BulkLoad(nil, Options{})
+	if tr.Len() != 0 || tr.Height() != 1 {
+		t.Fatalf("empty tree: Len=%d Height=%d", tr.Len(), tr.Height())
 	}
+	if _, _, ok := tr.Nearest(geom.Point{}); ok {
+		t.Fatal("Nearest on empty tree returned ok")
+	}
+	if got := tr.NearestK(geom.Point{}, 3); len(got) != 0 {
+		t.Fatalf("NearestK on empty tree returned %v", got)
+	}
+	tr.Search(geom.Rect{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}, func(Entry) bool {
+		t.Fatal("Search on empty tree called fn")
+		return false
+	})
 }
 
 func TestSearchEarlyStop(t *testing.T) {

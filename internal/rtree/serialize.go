@@ -149,7 +149,6 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 
 	t := &Tree{
 		max:    int(maxEnts),
-		min:    int(maxEnts) / minFillDivisor,
 		root:   int32(root),
 		size:   int(size),
 		height: int(height),

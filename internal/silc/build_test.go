@@ -31,7 +31,7 @@ func TestGoldenDigests(t *testing.T) {
 		"messy11": 0x8515f883e568889f,
 		"messy12": 0x57754ee25e568957,
 	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
-		ix, err := Build(g, Options{Workers: workers, Hierarchy: ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})})
+		ix, err := Build(g, Options{Workers: workers, Hierarchy: testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit}))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,10 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 	h := opts.Hierarchy
 	if h == nil {
-		h = ch.Build(g, ch.Options{})
+		var err error
+		if h, err = ch.Build(g, ch.Options{}); err != nil {
+			return nil, err
+		}
 	}
 
 	ix := &Index{

@@ -7,6 +7,7 @@ package testutil
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"roadnet/internal/dijkstra"
@@ -14,6 +15,28 @@ import (
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 )
+
+// Must returns v, the result of a build the test cannot go on without, and
+// panics on err: Must(ch.Build(g, opts)).
+func Must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// AllocBytesPerRun returns the mean number of bytes f allocates per call,
+// over runs calls after one to warm up: testing.AllocsPerRun for sizes.
+func AllocBytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 // Figure-1 vertex ids, zero-based: V1 = paper's v1, etc.
 const (

@@ -1,6 +1,7 @@
 package tnr
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 
@@ -35,8 +36,10 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 
 	// Per-cell access-node vertex lists, computed in parallel.
 	cellAccess := make([][]graph.VertexID, l.grid.NumCells())
-	par.Each(runtime.GOMAXPROCS(0), l.grid.NumCells(), func(int) func(int) {
+	workers := make([]*accessWorker, runtime.GOMAXPROCS(0))
+	par.Each(len(workers), l.grid.NumCells(), func(w int) func(int) {
 		worker := newAccessWorker(g, l)
+		workers[w] = worker
 		return func(cell int) {
 			if len(cellVerts[cell]) == 0 || len(vout[cell]) == 0 {
 				return
@@ -51,6 +54,12 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 			worker.fillVertexDistances(cellVerts[cell], cellAccess[cell], l.vaDist)
 		}
 	})
+
+	for _, w := range workers {
+		if w.err != nil {
+			return nil, w.err
+		}
+	}
 
 	// Assemble the distinct global access-node list and per-cell indices.
 	anIndex := make(map[graph.VertexID]int32)
@@ -68,8 +77,7 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 		l.cellAN[cell] = idxs
 	}
 
-	fillPairTable(l, h, dense)
-	return l, nil
+	return l, fillPairTable(l, h, dense)
 }
 
 // outerShellVertices returns, per cell C, the endpoints of the edges that
@@ -134,6 +142,7 @@ type accessWorker struct {
 	gen     uint32
 	stack   []graph.VertexID
 	anSet   map[graph.VertexID]bool
+	err     error // the first distance too long for a table cell, see narrow
 }
 
 func newAccessWorker(g *graph.Graph, l *layer) *accessWorker {
@@ -230,7 +239,7 @@ func (w *accessWorker) fillVertexDistances(verts, access []graph.VertexID, vaDis
 		row := make([]int32, len(access))
 		for i, a := range access {
 			if d := w.ctx.Dist(a); d < graph.Infinity {
-				row[i] = int32(d)
+				row[i] = narrow(d, &w.err)
 			} else {
 				row[i] = invalidDist
 			}
@@ -244,10 +253,10 @@ func (w *accessWorker) fillVertexDistances(verts, access []graph.VertexID, vaDis
 // fine layer of a hybrid stores only pairs within 15 fine cells (Chebyshev),
 // the maximum range a mid-range query can ask for (Appendix E.1 stores only
 // pairs whose outer shells overlap, for the same reason).
-func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) {
+func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) (err error) {
 	count := len(l.anList)
 	if count == 0 {
-		return
+		return nil
 	}
 	if dense {
 		l.table = make([]int32, count*count)
@@ -255,9 +264,9 @@ func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) {
 			l.table[i] = invalidDist
 		}
 		h.ManyToManyEach(l.anList, l.anList, func(si, ti int, d int64) {
-			l.table[si*count+ti] = int32(d)
+			l.table[si*count+ti] = narrow(d, &err)
 		})
-		return
+		return err
 	}
 	const sparseRange = 15
 	l.sparsePartner = make([][]int32, count)
@@ -273,7 +282,7 @@ func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) {
 			return
 		}
 		l.sparsePartner[si] = append(l.sparsePartner[si], int32(ti))
-		l.sparseDist[si] = append(l.sparseDist[si], int32(d))
+		l.sparseDist[si] = append(l.sparseDist[si], narrow(d, &err))
 	})
 	// ManyToManyEach reports targets in bucket order, not sorted; sort each
 	// partner list for binary search.
@@ -294,4 +303,15 @@ func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) {
 		l.sparsePartner[i] = sp
 		l.sparseDist[i] = sd
 	}
+	return err
+}
+
+// narrow returns the distance d as a table cell; the first d that does not
+// fit one is kept in *err (graph.ErrWeightOverflow), which fails the build.
+func narrow(d int64, err *error) int32 {
+	w, e := graph.NarrowWeight(d)
+	if e != nil && *err == nil {
+		*err = fmt.Errorf("tnr: %w", e)
+	}
+	return w
 }

@@ -46,9 +46,9 @@ func (la *lazyAccess) at(i int) endpointAccess {
 // unreachable pairs. Table-answerable pairs run the Equation 1 sweep over
 // the hoisted operands; local pairs fall back to the searcher's fallback
 // technique.
-// Results are bit-identical to per-pair Distance calls, and the searcher's
-// TableQueries/FallbackQueries counters advance exactly as they would for
-// the equivalent per-pair queries. The sweep polls ctx every
+// Results are bit-identical to per-pair Distance calls, and the index's
+// QueryCounts advance exactly as they would for the equivalent per-pair
+// queries. The sweep polls ctx every
 // cancel.Interval pairs and the fallback searches poll it internally; on
 // cancellation the partial matrix is discarded and ctx's error returned.
 func (sr *Searcher) BatchDistance(ctx context.Context, sources, targets []graph.VertexID) ([][]int64, error) {

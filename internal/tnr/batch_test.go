@@ -25,11 +25,12 @@ func batchEndpoints(g *graph.Graph, count int, seed int64) (sources, targets []g
 // to be bit-identical.
 func checkBatchBitIdentical(t *testing.T, ix *tnr.Index, sources, targets []graph.VertexID) {
 	t.Helper()
-	batch := ix.NewSearcher()
-	table, err := batch.BatchDistance(context.Background(), sources, targets)
+	table0, fallback0 := ix.QueryCounts()
+	table, err := ix.NewSearcher().BatchDistance(context.Background(), sources, targets)
 	if err != nil {
 		t.Fatalf("BatchDistance: %v", err)
 	}
+	table1, fallback1 := ix.QueryCounts()
 	if len(table) != len(sources) {
 		t.Fatalf("BatchDistance returned %d rows, want %d", len(table), len(sources))
 	}
@@ -45,9 +46,10 @@ func checkBatchBitIdentical(t *testing.T, ix *tnr.Index, sources, targets []grap
 		}
 	}
 	// The acceleration must also account its queries like per-pair ones.
-	if batch.TableQueries != perPair.TableQueries || batch.FallbackQueries != perPair.FallbackQueries {
-		t.Errorf("batch counters (table %d, fallback %d) != per-pair (table %d, fallback %d)",
-			batch.TableQueries, batch.FallbackQueries, perPair.TableQueries, perPair.FallbackQueries)
+	table2, fallback2 := ix.QueryCounts()
+	if table1-table0 != table2-table1 || fallback1-fallback0 != fallback2-fallback1 {
+		t.Errorf("batch counted (table %d, fallback %d), per-pair (table %d, fallback %d)",
+			table1-table0, fallback1-fallback0, table2-table1, fallback2-fallback1)
 	}
 }
 

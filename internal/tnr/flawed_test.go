@@ -77,7 +77,7 @@ func TestAppendixBFlawedTNRGivesWrongAnswer(t *testing.T) {
 	if !flawed.CanAnswerFromTables(v1, v6) {
 		t.Fatal("v1 and v6 should pass the locality filter (fixture broken)")
 	}
-	if got := flawed.Distance(v1, v6); got == want {
+	if got := flawed.NewSearcher().Distance(v1, v6); got == want {
 		t.Errorf("flawed TNR answered dist(v1, v6) = %d correctly; the Appendix B defect did not manifest", got)
 	}
 }
@@ -88,12 +88,12 @@ func TestAppendixBCorrectedTNRStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := corrected.Distance(v1, v6); got != 10 {
+	if got := corrected.NewSearcher().Distance(v1, v6); got != 10 {
 		t.Errorf("corrected TNR dist(v1, v6) = %d, want 10", got)
 	}
 	// The corrected method must be exact on every pair of this adversarial
 	// graph, not just the counterexample pair.
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), corrected.Distance)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), corrected.NewSearcher().Distance)
 }
 
 func TestFlawedTNRWorksOnBenignNetworks(t *testing.T) {
@@ -109,7 +109,7 @@ func TestFlawedTNRWorksOnBenignNetworks(t *testing.T) {
 	pairs := testutil.SamplePairs(g, 200, 67)
 	correct := 0
 	for _, p := range pairs {
-		if flawed.Distance(p[0], p[1]) == ctx.Distance(p[0], p[1]) {
+		if flawed.NewSearcher().Distance(p[0], p[1]) == ctx.Distance(p[0], p[1]) {
 			correct++
 		}
 	}

@@ -27,8 +27,8 @@ func TestTNRSerializationRoundtrip(t *testing.T) {
 	if c1 != c2 {
 		t.Errorf("access nodes %d != %d after roundtrip", c2, c1)
 	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 141), ix2.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 50, 143), ix2.ShortestPath)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 141), ix2.NewSearcher().Distance)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 50, 143), ix2.NewSearcher().ShortestPath)
 }
 
 func TestTNRSerializationHybrid(t *testing.T) {
@@ -46,7 +46,7 @@ func TestTNRSerializationHybrid(t *testing.T) {
 	if fine == 0 {
 		t.Error("hybrid fine layer lost in roundtrip")
 	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 147), ix2.Distance)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 147), ix2.NewSearcher().Distance)
 }
 
 func TestTNRSerializationRejectsWrongGraph(t *testing.T) {

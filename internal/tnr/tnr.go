@@ -140,10 +140,8 @@ const invalidDist = math.MaxInt32
 // Index is a built transit-node-routing index. The grid tables and the
 // fallback hierarchy are immutable after Build, so one Index may be shared
 // by any number of goroutines; per-query mutable state (the fallback search
-// contexts and the query counters) lives in a Searcher — create one per
-// goroutine with NewSearcher. The Index's own Distance/ShortestPath methods
-// delegate to one internal default Searcher and are therefore not safe for
-// concurrent use.
+// contexts and the walk memos) lives in a Searcher — create one per
+// goroutine with NewSearcher.
 type Index struct {
 	g    *graph.Graph
 	opts Options
@@ -155,20 +153,10 @@ type Index struct {
 
 	buildTime time.Duration
 
-	// def is the default searcher backing the Index's own query methods.
-	def *Searcher
-
-	// FallbackQueries counts queries answered by the fallback technique
-	// since the index was built; TableQueries counts queries answered from
-	// the precomputed tables. The Figure 9/11 analyses rely on this split.
-	// They mirror the default searcher's counters and only cover queries
-	// issued through the Index's own methods.
-	FallbackQueries, TableQueries int
-
-	// tableN and fallbackN aggregate the same split across every searcher
-	// over this index, atomically, so a concurrent server can report its
-	// live fallback ratio (see QueryCounts). One atomic add per query is
-	// noise next to even a table lookup's O(|AN|²) work.
+	// tableN counts the queries answered from the precomputed tables and
+	// fallbackN those answered by the fallback technique, across every
+	// searcher over this index (see QueryCounts). One atomic add per query
+	// is noise next to even a table lookup's O(|AN|²) work.
 	tableN, fallbackN atomic.Int64
 }
 
@@ -183,17 +171,12 @@ func (ix *Index) QueryCounts() (table, fallback int64) {
 
 // Searcher is a reusable query context over an Index: it owns the mutable
 // fallback search state (a CH searcher or a bidirectional Dijkstra,
-// matching the configured Fallback) and counts how its queries were
-// answered. It is not safe for concurrent use; create one per goroutine.
+// matching the configured Fallback). It is not safe for concurrent use;
+// create one per goroutine.
 type Searcher struct {
 	ix       *Index
 	chSearch *ch.Searcher            // non-nil under FallbackCH
 	bi       *dijkstra.Bidirectional // non-nil under FallbackDijkstra
-
-	// FallbackQueries counts queries this searcher answered with the
-	// fallback technique; TableQueries counts queries answered from the
-	// precomputed tables.
-	FallbackQueries, TableQueries int
 
 	// lookups counts the pair-table cells the current query has read; see
 	// LookupsLast. countTable and countFallback, which open every query,
@@ -219,18 +202,15 @@ type Searcher struct {
 // searching techniques.
 func (sr *Searcher) LookupsLast() int { return sr.lookups }
 
-// countTable records one query answered from the precomputed tables, on
-// both the searcher's own counter and the index-wide atomic aggregate.
+// countTable records one query answered from the precomputed tables.
 func (sr *Searcher) countTable() {
 	sr.lookups = 0
-	sr.TableQueries++
 	sr.ix.tableN.Add(1)
 }
 
 // countFallback records one query answered by the fallback technique.
 func (sr *Searcher) countFallback() {
 	sr.lookups = 0
-	sr.FallbackQueries++
 	sr.ix.fallbackN.Add(1)
 }
 
@@ -357,7 +337,10 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 	h := opts.Hierarchy
 	if h == nil {
-		h = ch.Build(g, ch.Options{})
+		var err error
+		if h, err = ch.Build(g, ch.Options{}); err != nil {
+			return nil, err
+		}
 	}
 	ix := &Index{
 		g:         g,
@@ -377,17 +360,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 	ix.buildTime = time.Since(start)
 	return ix, nil
-}
-
-// defSearcher lazily creates the default searcher, so indexes queried only
-// through NewSearcher/pools never pay for its fallback search context.
-// Lazy without a lock is fine: the Index's own query methods are
-// single-goroutine by contract.
-func (ix *Index) defSearcher() *Searcher {
-	if ix.def == nil {
-		ix.def = ix.NewSearcher()
-	}
-	return ix.def
 }
 
 // fallbackDistance answers a query with the configured fallback technique,
@@ -430,15 +402,6 @@ func (sr *Searcher) DistanceContext(ctx context.Context, s, t graph.VertexID) (i
 	}
 	sr.countFallback()
 	return sr.fallbackDistance(ctx, s, t)
-}
-
-// Distance answers a distance query on the default searcher.
-func (ix *Index) Distance(s, t graph.VertexID) int64 {
-	def := ix.defSearcher()
-	d := def.Distance(s, t)
-	ix.FallbackQueries = def.FallbackQueries
-	ix.TableQueries = def.TableQueries
-	return d
 }
 
 // tableLayer returns the layer whose tables answer the query — the coarse
@@ -491,15 +454,6 @@ func (sr *Searcher) ShortestPathContext(ctx context.Context, s, t graph.VertexID
 	}
 	sr.pathHint = len(path)
 	return path, total, nil
-}
-
-// ShortestPath answers a shortest-path query on the default searcher.
-func (ix *Index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	def := ix.defSearcher()
-	path, d := def.ShortestPath(s, t)
-	ix.FallbackQueries = def.FallbackQueries
-	ix.TableQueries = def.TableQueries
-	return path, d
 }
 
 // Hierarchy returns the contraction hierarchy used for preprocessing and,

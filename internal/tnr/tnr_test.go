@@ -21,7 +21,7 @@ func buildTNR(t *testing.T, g *graph.Graph, opts tnr.Options) *tnr.Index {
 func TestTNRDistancesExactRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(1600, 71)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 16})
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 400, 31), ix.Distance)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 400, 31), ix.NewSearcher().Distance)
 }
 
 func TestTNRUsesTablesForFarQueries(t *testing.T) {
@@ -45,12 +45,12 @@ func TestTNRUsesTablesForFarQueries(t *testing.T) {
 	if !ix.CanAnswerFromTables(s, tt) {
 		t.Fatalf("corner-to-corner query should pass the locality filter")
 	}
-	before := ix.TableQueries
+	before, _ := ix.QueryCounts()
 	want := dijkstra.NewContext(g).Distance(s, tt)
-	if got := ix.Distance(s, tt); got != want {
+	if got := ix.NewSearcher().Distance(s, tt); got != want {
 		t.Errorf("table-answered distance = %d, want %d", got, want)
 	}
-	if ix.TableQueries != before+1 {
+	if after, _ := ix.QueryCounts(); after != before+1 {
 		t.Errorf("query should have been counted as table-answered")
 	}
 }
@@ -65,12 +65,12 @@ func TestTNRFallsBackForLocalQueries(t *testing.T) {
 	if ix.CanAnswerFromTables(s, tt) {
 		t.Fatal("adjacent vertices should not pass the locality filter")
 	}
-	before := ix.FallbackQueries
+	_, before := ix.QueryCounts()
 	want := dijkstra.NewContext(g).Distance(s, tt)
-	if got := ix.Distance(s, tt); got != want {
+	if got := ix.NewSearcher().Distance(s, tt); got != want {
 		t.Errorf("fallback distance = %d, want %d", got, want)
 	}
-	if ix.FallbackQueries != before+1 {
+	if _, after := ix.QueryCounts(); after != before+1 {
 		t.Error("query should have been counted as fallback")
 	}
 }
@@ -78,21 +78,21 @@ func TestTNRFallsBackForLocalQueries(t *testing.T) {
 func TestTNRShortestPathsExact(t *testing.T) {
 	g := testutil.SmallRoad(1600, 79)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 16})
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 37), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 37), ix.NewSearcher().ShortestPath)
 }
 
 func TestTNRWithDijkstraFallback(t *testing.T) {
 	g := testutil.SmallRoad(900, 83)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 16, Fallback: tnr.FallbackDijkstra})
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 41), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), ix.ShortestPath)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 41), ix.NewSearcher().Distance)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), ix.NewSearcher().ShortestPath)
 }
 
 func TestTNRHybridGrid(t *testing.T) {
 	g := testutil.SmallRoad(1600, 89)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 8, Hybrid: true})
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 47), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 53), ix.ShortestPath)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 47), ix.NewSearcher().Distance)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 53), ix.NewSearcher().ShortestPath)
 }
 
 func TestTNRHybridAnswersMoreFromTables(t *testing.T) {
@@ -118,10 +118,10 @@ func TestTNRHybridAnswersMoreFromTables(t *testing.T) {
 func TestTNRSameVertexAndAdjacent(t *testing.T) {
 	g := testutil.SmallRoad(400, 97)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 8})
-	if d := ix.Distance(5, 5); d != 0 {
+	if d := ix.NewSearcher().Distance(5, 5); d != 0 {
 		t.Errorf("dist(v, v) = %d, want 0", d)
 	}
-	p, d := ix.ShortestPath(5, 5)
+	p, d := ix.NewSearcher().ShortestPath(5, 5)
 	if d != 0 || len(p) != 1 {
 		t.Errorf("path(v, v) = %v, %d", p, d)
 	}
@@ -159,7 +159,7 @@ func TestTNRReusesProvidedHierarchy(t *testing.T) {
 	if ix2.Hierarchy() != h {
 		t.Error("provided hierarchy was not reused")
 	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 61), ix2.Distance)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 61), ix2.NewSearcher().Distance)
 }
 
 func TestTNREmptyGraphRejected(t *testing.T) {

@@ -119,7 +119,7 @@ func withFallback(ix *Index, fb Fallback) *Index {
 
 // eachWalkIndex builds every (grid size, hybrid) index of the matrix over g.
 func eachWalkIndex(t *testing.T, g *graph.Graph, fn func(ix *Index)) {
-	h := ch.Build(g, ch.Options{})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
 	for _, grid := range []int{4, 8, 32} {
 		for _, hybrid := range []bool{false, true} {
 			ix, err := Build(g, Options{GridSize: grid, Hybrid: hybrid, Hierarchy: h})

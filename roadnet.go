@@ -33,9 +33,9 @@
 // search state (distance labels, generation counters, priority queues)
 // lives in per-goroutine query contexts:
 //
-//   - Index.Distance and Index.ShortestPath run on one internal context and
-//     are NOT safe for concurrent use — they are the convenient
-//     single-goroutine API.
+//   - Index.Distance and Index.ShortestPath run on the index's one default
+//     searcher, created by the first such call, and are NOT safe for
+//     concurrent use — they are the convenient single-goroutine API.
 //
 //   - Index.NewSearcher returns an independent Searcher; searchers from
 //     separate calls may run queries concurrently, and a searcher is
@@ -82,11 +82,12 @@
 //
 // # Streaming paths
 //
-// OpenPath yields a path vertex-by-vertex through a PathIterator instead
-// of materializing it, so consumers (the HTTP batch-route streamer in
-// internal/server, cmd/spserve) hold only a bounded window of even a
-// continent-length path. The streamed vertex sequence is bit-identical to
-// ShortestPath's.
+// OpenPath, a method of every Searcher, yields a path vertex-by-vertex
+// through a PathIterator instead of materializing it, so consumers (the
+// HTTP batch-route streamer in internal/server, cmd/spserve) hold only a
+// bounded window of even a continent-length path. The streamed vertex
+// sequence is bit-identical to ShortestPath's. PCPD, whose recursion
+// assembles a path outside-in, streams from a materialized walk.
 //
 // # Spatial queries
 //
@@ -174,13 +175,12 @@ type Searcher = core.Searcher
 // must be drained (or abandoned) before the searcher is reused.
 type PathIterator = core.PathIterator
 
-// OpenPath streams the shortest path from s to t through sr without
-// materializing it: the distance is reported up front and the vertices
-// come lazily from the technique's native iterator (CH shortcut
-// unpacking, SILC first-hop walks, TNR table-walk stitching, the
-// Dijkstra-family parent walks). Techniques with no lazy production
-// (PCPD) fall back to materializing internally; the vertex sequence is
-// bit-identical either way. It returns (nil, Infinity, err) on
+// OpenPath is sr.OpenPath: it streams the shortest path from s to t without
+// materializing it. The distance is reported up front and the vertices
+// come lazily from the technique's own iterator (CH shortcut unpacking,
+// SILC first-hop walks, TNR table-walk stitching, the Dijkstra-family
+// parent walks; PCPD alone streams from a materialized walk). The vertex
+// sequence is bit-identical to ShortestPathContext's. It returns (nil, Infinity, err) on
 // cancellation, (nil, Infinity, nil) when t is unreachable from s, and
 // (it, d, nil) otherwise. Iterators poll ctx at the same bounded
 // intervals as the Context query variants.
