@@ -91,6 +91,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers the /debug/pprof handlers on the -pprof-addr listener's mux
 	"os"
@@ -100,6 +101,7 @@ import (
 	"time"
 
 	"roadnet"
+	"roadnet/internal/binio"
 	"roadnet/internal/core"
 	"roadnet/internal/server"
 )
@@ -186,7 +188,7 @@ func main() {
 	// off disk. Loads that skipped verification (or legacy checksum-less
 	// files) clear it.
 	health := server.NewHealth()
-	health.SetVerified(idxVerified && g.Verified() && loc.Tree().Verified())
+	health.SetVerified(idxVerified && g.Backing().Verified() && loc.Tree().Backing().Verified())
 	if degraded != "" {
 		health.SetDegraded(degraded)
 	}
@@ -283,18 +285,18 @@ func main() {
 func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useMmap bool, openOpts []roadnet.OpenOption, cfg roadnet.Config) (idx core.Index, info roadnet.LoadInfo, verified bool, degraded string, err error) {
 	if indexPath != "" {
 		if _, statErr := os.Stat(indexPath); statErr == nil {
+			start := time.Now()
 			idx, info, err := roadnet.LoadIndexFile(method, indexPath, g, useMmap, openOpts...)
 			if err == nil {
-				fmt.Printf("load: index %s via %s in %v (%d KB on disk)\n",
-					indexPath, info.Mode(), info.LoadTime.Round(time.Microsecond), info.SizeBytes/1024)
+				logLoad("index", indexPath, info.Mapped, info.SizeBytes, start)
 				return idx, info, info.Verified, "", nil
 			}
 			if !errors.Is(err, roadnet.ErrCorrupt) {
-				return nil, info, false, "", fmt.Errorf("loading %s: %w", indexPath, err)
+				return nil, info, false, "", fmt.Errorf("load: %w", err)
 			}
 			degraded = fmt.Sprintf("index file %s is corrupt, serving exact Dijkstra answers", indexPath)
-			fmt.Fprintf(os.Stderr, "load: %s: %v\ndegraded: falling back to a Dijkstra index; rebuild the file and restart to restore %s\n",
-				indexPath, err, method)
+			fmt.Fprintf(os.Stderr, "load: %v\ndegraded: falling back to a Dijkstra index; rebuild the file and restart to restore %s\n",
+				err, method)
 			fallback, buildErr := roadnet.NewIndex(roadnet.Dijkstra, g, roadnet.Config{})
 			if buildErr != nil {
 				return nil, roadnet.LoadInfo{}, false, "", buildErr
@@ -307,17 +309,29 @@ func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useM
 		return nil, roadnet.LoadInfo{}, false, "", err
 	}
 	if indexPath != "" {
-		f, err := os.Create(indexPath)
+		err := saveCache("index", indexPath, func(w io.Writer) error { return roadnet.SaveIndex(idx, w) })
 		if err != nil {
 			return nil, roadnet.LoadInfo{}, false, "", err
 		}
-		defer f.Close()
-		if err := roadnet.SaveIndex(idx, f); err != nil {
-			return nil, roadnet.LoadInfo{}, false, "", fmt.Errorf("saving %s: %w", indexPath, err)
-		}
-		fmt.Printf("saved index to %s\n", indexPath)
 	}
 	return idx, roadnet.LoadInfo{}, true, "", nil
+}
+
+// logLoad prints the line every cache load reports: what was loaded from
+// where, over which path (mmap or heap), how long it took and how big it is.
+func logLoad(kind, path string, mapped bool, sizeBytes int64, start time.Time) {
+	fmt.Printf("load: %s %s via %s in %v (%d KB on disk)\n",
+		kind, path, binio.Mode(mapped), time.Since(start).Round(time.Microsecond), sizeBytes/1024)
+}
+
+// saveCache writes one cache file through binio.WriteFile, so the file
+// appears under path complete or not at all, and reports it.
+func saveCache(kind, path string, save func(io.Writer) error) error {
+	if err := binio.WriteFile(path, save); err != nil {
+		return fmt.Errorf("saving %s: %w", path, err)
+	}
+	fmt.Printf("saved %s to %s\n", kind, path)
+	return nil
 }
 
 // registerLoadMetrics publishes the startup load path as gauges, set once:
@@ -353,32 +367,21 @@ func loadOrBuildLocator(g *roadnet.Graph, rtreePath string, useMmap bool, openOp
 			start := time.Now()
 			t, err := roadnet.LoadRTreeFile(rtreePath, useMmap, openOpts...)
 			if err != nil {
-				return nil, fmt.Errorf("loading %s: %w", rtreePath, err)
+				return nil, fmt.Errorf("load: %w", err)
 			}
 			loc, err := roadnet.NewSpatialLocatorFromTree(g, t)
 			if err != nil {
 				return nil, fmt.Errorf("%s does not match the graph: %w", rtreePath, err)
 			}
-			mode := "heap"
-			if t.Mapped() {
-				mode = "mmap"
-			}
-			fmt.Printf("load: rtree %s via %s in %v (%d vertices)\n",
-				rtreePath, mode, time.Since(start).Round(time.Microsecond), t.Len())
+			logLoad("rtree", rtreePath, t.Backing().Mapped(), t.Backing().SizeBytes(), start)
 			return loc, nil
 		}
 	}
 	loc := roadnet.NewSpatialLocator(g)
 	if rtreePath != "" {
-		f, err := os.Create(rtreePath)
-		if err != nil {
+		if err := saveCache("rtree", rtreePath, loc.Tree().Save); err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		if err := roadnet.SaveRTree(f, loc.Tree()); err != nil {
-			return nil, fmt.Errorf("saving %s: %w", rtreePath, err)
-		}
-		fmt.Printf("saved rtree to %s\n", rtreePath)
 	}
 	return loc, nil
 }
@@ -392,13 +395,9 @@ func loadGraph(preset, grPath, coPath, graphPath string, useMmap bool, openOpts 
 			start := time.Now()
 			g, err := roadnet.LoadGraphFile(graphPath, useMmap, openOpts...)
 			if err != nil {
-				return nil, fmt.Errorf("loading %s: %w", graphPath, err)
+				return nil, fmt.Errorf("load: %w", err)
 			}
-			mode := "heap"
-			if g.Mapped() {
-				mode = "mmap"
-			}
-			fmt.Printf("load: graph %s via %s in %v\n", graphPath, mode, time.Since(start).Round(time.Microsecond))
+			logLoad("graph", graphPath, g.Backing().Mapped(), g.Backing().SizeBytes(), start)
 			return g, nil
 		}
 	}
@@ -407,15 +406,9 @@ func loadGraph(preset, grPath, coPath, graphPath string, useMmap bool, openOpts 
 		return nil, err
 	}
 	if graphPath != "" {
-		f, err := os.Create(graphPath)
-		if err != nil {
+		if err := saveCache("graph", graphPath, g.Save); err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		if err := roadnet.SaveGraph(f, g); err != nil {
-			return nil, fmt.Errorf("saving %s: %w", graphPath, err)
-		}
-		fmt.Printf("saved graph to %s\n", graphPath)
 	}
 	return g, nil
 }

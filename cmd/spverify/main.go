@@ -102,7 +102,7 @@ func audit(path string, quiet bool) (auditVerdict, error) {
 
 	if !quiet {
 		fmt.Printf("%s: %s, %d sections, %d bytes, %s\n",
-			path, fourccString(f.Fourcc()), f.NumSections(), f.SizeBytes(), mode(f))
+			path, binio.FourccString(f.Fourcc()), f.NumSections(), f.SizeBytes(), binio.Mode(f.Mapped()))
 	}
 	if !f.HasChecksums() {
 		return auditUnauditable, errors.New("no checksums (written before checksum support); rewrite the file to upgrade it")
@@ -124,21 +124,4 @@ func audit(path string, quiet bool) (auditVerdict, error) {
 		}
 	}
 	return auditOK, nil
-}
-
-func mode(f *binio.FlatFile) string {
-	if f.Mapped() {
-		return "mmap"
-	}
-	return "heap"
-}
-
-func fourccString(fc uint32) string {
-	b := []byte{byte(fc), byte(fc >> 8), byte(fc >> 16), byte(fc >> 24)}
-	for i, c := range b {
-		if c < 0x20 || c > 0x7e {
-			b[i] = '?'
-		}
-	}
-	return string(b)
 }

@@ -8,11 +8,16 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"roadnet"
 	"roadnet/internal/chaos"
@@ -35,7 +40,7 @@ func commandPath(t *testing.T, name string) string {
 			t.Fatal(err)
 		}
 		out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-			"./cmd/spexp", "./cmd/genmap", "./cmd/sproute", "./cmd/spverify").CombinedOutput()
+			"./cmd/spexp", "./cmd/genmap", "./cmd/sproute", "./cmd/spverify", "./cmd/spserve").CombinedOutput()
 		if err != nil {
 			builtCommands.fail = string(out)
 			t.Fatalf("building commands: %v\n%s", err, out)
@@ -156,5 +161,90 @@ func TestSpverifyVerdicts(t *testing.T) {
 		if exit != tc.exit || !strings.Contains(string(out), tc.says) {
 			t.Errorf("%s: exit %d, want %d with %q in the output:\n%s", tc.name, exit, tc.exit, tc.says, out)
 		}
+	}
+}
+
+// bootSpserve runs spserve on the DE preset with its three caches in dir
+// until /readyz answers, stops it with SIGTERM and returns what it printed.
+func bootSpserve(t *testing.T, dir string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	var out bytes.Buffer
+	cmd := exec.Command(commandPath(t, "spserve"), "-preset", "DE", "-method", "ch", "-addr", addr,
+		"-index", filepath.Join(dir, "ch.idx"), "-graph", filepath.Join(dir, "graph.bin"), "-rtree", filepath.Join(dir, "rtree.bin"))
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	ready := false
+	for deadline := time.Now().Add(30 * time.Second); !ready && time.Now().Before(deadline); {
+		select {
+		case err := <-exited:
+			t.Fatalf("spserve exited before it was ready: %v\n%s", err, out.String())
+		case <-time.After(20 * time.Millisecond):
+		}
+		if resp, err := http.Get("http://" + addr + "/readyz"); err == nil {
+			ready = resp.StatusCode == http.StatusOK
+			resp.Body.Close()
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-exited; err != nil || !ready {
+		t.Fatalf("spserve: ready=%v, exit %v\n%s", ready, err, out.String())
+	}
+	return out.String()
+}
+
+// TestSpserveCachesSurviveRestart boots spserve twice over one cache
+// directory: the first boot must leave exactly the three cache files (no
+// temporary ones) that spverify passes, and the second must load all three,
+// its "load:" lines naming each path once.
+func TestSpserveCachesSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	first := bootSpserve(t, dir)
+	if strings.Contains(first, "load:") {
+		t.Errorf("the first boot loaded a cache from an empty directory:\n%s", first)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, paths []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+		paths = append(paths, filepath.Join(dir, e.Name()))
+	}
+	sort.Strings(names)
+	if strings.Join(names, " ") != "ch.idx graph.bin rtree.bin" {
+		t.Fatalf("the cache directory holds %v, want exactly ch.idx, graph.bin and rtree.bin", names)
+	}
+	if out := runCommand(t, "spverify", paths...); strings.Count(out, ": ok\n") < 3 {
+		t.Errorf("spverify did not pass the three caches:\n%s", out)
+	}
+
+	second := bootSpserve(t, dir)
+	for kind, name := range map[string]string{"graph": "graph.bin", "index": "ch.idx", "rtree": "rtree.bin"} {
+		path := filepath.Join(dir, name)
+		var line string
+		for _, l := range strings.Split(second, "\n") {
+			if strings.HasPrefix(l, "load: "+kind+" ") {
+				line = l
+			}
+		}
+		if strings.Count(line, path) != 1 || !strings.Contains(line, " via ") {
+			t.Errorf("the second boot's load line for %s is %q, want one naming %s once:\n%s", kind, line, path, second)
+		}
+	}
+	if strings.Contains(second, "saved ") {
+		t.Errorf("the second boot rewrote a cache it should have loaded:\n%s", second)
 	}
 }

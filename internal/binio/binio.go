@@ -74,13 +74,18 @@ func (w *Writer) Err() error { return w.err }
 
 // Reader wraps a buffered reader with sticky error handling. It is bounded
 // by the number of bytes known to remain in the input; a read past that
-// budget fails with ErrCorrupt.
+// budget fails with ErrCorrupt. A Reader from FlatFile.Decode also hands
+// out that container's sections (flat.go) under the same sticky error, so a
+// loader reads everything and checks Err once.
 type Reader struct {
 	r   *bufio.Reader
 	err error
 	buf [8]byte
 	// remaining is the byte budget left.
 	remaining int64
+	// f is the container whose sections this Reader serves; nil for a
+	// Reader over a bare stream.
+	f *FlatFile
 }
 
 // NewReaderLimit returns a Reader on r that treats size as the number of

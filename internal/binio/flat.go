@@ -286,13 +286,13 @@ type FlatFile struct {
 	closed   atomic.Bool   // makes Close idempotent, even under races
 	verified atomic.Bool   // a full Verify pass has succeeded
 	unmap    func() error  // non-nil when Close must release an mmap
-	verifyT  time.Duration // time OpenFlat spent verifying (0: deferred)
+	verifyT  time.Duration // time OpenFlat spent verifying (0: skipped)
 }
 
 // VerifyTime reports how long OpenFlat spent verifying checksums, for
-// startup observability (zero when verification was deferred or skipped).
-// Later explicit Verify calls are not included — the caller timing an
-// audit pass can time it directly.
+// startup observability (zero when verification was skipped). Later
+// explicit Verify calls are not included — the caller timing an audit pass
+// can time it directly.
 func (f *FlatFile) VerifyTime() time.Duration { return f.verifyT }
 
 type parsedSection struct {
@@ -311,9 +311,7 @@ func IsFlat(b []byte) bool {
 // (data is mmap'd or otherwise long-lived), section accessors cast in
 // place where alignment and host endianness allow; otherwise they copy.
 // The returned FlatFile keeps a reference to data either way. Checksummed
-// containers are verified eagerly — ParseFlat serves the stream-read
-// paths, where the bytes are already resident and the verification pass
-// is one CRC sweep; OpenFlat controls the policy for mapped files.
+// containers are verified before ParseFlat returns.
 func ParseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 	f, err := parseFlat(data, zeroCopy)
 	if err != nil {
@@ -387,36 +385,21 @@ func parseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 // OpenOption configures OpenFlat.
 type OpenOption func(*openOptions)
 
-type verifyPolicy int
+type openOptions struct{ skipVerify bool }
 
-const (
-	verifyAuto   verifyPolicy = iota // heap reads verify, mapped files defer
-	verifyAlways                     // verify at open regardless of backing
-	verifyNever                      // never verify at open
-)
-
-type openOptions struct{ verify verifyPolicy }
-
-// WithVerify forces a full checksum verification at open, even for mapped
-// files. Verifying a mapping faults every page once, trading the
-// O(#sections) cold start for certainty that the bytes are intact —
-// the trade a server should make at boot, and the bench-gated zero-copy
-// load path should not.
-func WithVerify() OpenOption { return func(o *openOptions) { o.verify = verifyAlways } }
-
-// WithoutVerify skips checksum verification at open even for heap reads.
-// Corruption is then caught only by the O(1) structural checks (or by an
-// explicit Verify call later — spverify audits files this way).
-func WithoutVerify() OpenOption { return func(o *openOptions) { o.verify = verifyNever } }
+// WithoutVerify skips checksum verification at open. A mapped open then
+// stays O(#sections) — no data page is touched — and corruption is caught
+// only by the O(1) structural checks (or by an explicit Verify call later:
+// spverify audits files this way).
+func WithoutVerify() OpenOption { return func(o *openOptions) { o.skipVerify = true } }
 
 // OpenFlat maps (or, where mmap is unavailable, reads) the file at path
 // and parses it as a flat container. The caller must Close the returned
 // file once every slice obtained from it is unreachable.
 //
-// Verification policy: by default a heap-read file is verified eagerly
-// (the read already paid a full pass over the bytes) while a mapped file
-// defers verification so startup stays O(#sections) — call Verify, or
-// open WithVerify, to audit it. WithoutVerify skips both.
+// Every checksum is verified before OpenFlat returns, for heap reads and
+// mappings alike (verifying a mapping faults every page once), unless
+// WithoutVerify is passed. Errors name path.
 func OpenFlat(path string, preferMmap bool, opts ...OpenOption) (*FlatFile, error) {
 	var o openOptions
 	for _, opt := range opts {
@@ -427,7 +410,7 @@ func OpenFlat(path string, preferMmap bool, opts ...OpenOption) (*FlatFile, erro
 		return nil, err
 	}
 	f, err := parseFlat(data, true)
-	if err == nil && (o.verify == verifyAlways || (o.verify == verifyAuto && unmap == nil)) {
+	if err == nil && !o.skipVerify {
 		start := time.Now()
 		err = f.Verify()
 		f.verifyT = time.Since(start)
@@ -445,9 +428,10 @@ func OpenFlat(path string, preferMmap bool, opts ...OpenOption) (*FlatFile, erro
 // Close releases the underlying mapping, if any. Slices obtained from the
 // file must not be used afterwards. Close is idempotent — a second call
 // returns nil without touching the released mapping — and when two
-// goroutines race it, exactly one performs the release.
+// goroutines race it, exactly one performs the release. Closing a nil
+// file, the backing of an object built in this process, is a no-op.
 func (f *FlatFile) Close() error {
-	if f.closed.Swap(true) {
+	if f == nil || f.closed.Swap(true) {
 		return nil
 	}
 	unmap := f.unmap
@@ -487,9 +471,10 @@ func (f *FlatFile) Verify() error {
 // Verified reports whether the container carries checksums and a full
 // Verify pass has succeeded — i.e. the bytes are known-good, not merely
 // structurally plausible. It is false for checksum-less legacy files,
-// which cannot be audited.
+// which cannot be audited, and true for a nil file: an object built in
+// this process has no disk bytes to distrust.
 func (f *FlatFile) Verified() bool {
-	return f.HasChecksums() && f.verified.Load()
+	return f == nil || f.HasChecksums() && f.verified.Load()
 }
 
 // VerifyHeader checks the CRC covering the fixed header, the section
@@ -523,14 +508,33 @@ func (f *FlatFile) VerifySection(i int) error {
 }
 
 // Mapped reports whether the file is backed by an mmap (as opposed to a
-// heap buffer).
-func (f *FlatFile) Mapped() bool { return f.unmap != nil }
+// heap buffer, or to nothing for a nil file).
+func (f *FlatFile) Mapped() bool { return f != nil && f.unmap != nil }
+
+// Mode renders a load path — mapped or not — for logs.
+func Mode(mapped bool) string {
+	if mapped {
+		return "mmap"
+	}
+	return "heap"
+}
 
 // SizeBytes returns the container size.
 func (f *FlatFile) SizeBytes() int64 { return int64(len(f.data)) }
 
 // Fourcc returns the container's index-type tag.
 func (f *FlatFile) Fourcc() uint32 { return f.fourcc }
+
+// FourccString renders a fourcc tag for messages, e.g. "CH  ".
+func FourccString(fourcc uint32) string {
+	b := []byte{byte(fourcc), byte(fourcc >> 8), byte(fourcc >> 16), byte(fourcc >> 24)}
+	for i, c := range b {
+		if c < 0x20 || c > 0x7e {
+			b[i] = '?'
+		}
+	}
+	return string(b)
+}
 
 // NumSections returns the number of sections.
 func (f *FlatFile) NumSections() int { return len(f.secs) }
@@ -563,10 +567,19 @@ func (f *FlatFile) CoveredHeaderLen() int64 {
 	return f.metaEnd + 4
 }
 
-// Meta returns a Reader over the metadata blob, bounded by its length so
-// corrupt length prefixes cannot trigger oversized allocations.
-func (f *FlatFile) Meta() *Reader {
-	return NewReaderLimit(&sliceReader{b: f.meta}, int64(len(f.meta)))
+// Decode starts reading the container as the kind tagged fourcc whose meta
+// blob opens with magic, failing the returned Reader if it is another
+// kind. The Reader reads the blob's scalars in order — bounded by the
+// blob's length, so corrupt length prefixes cannot trigger oversized
+// allocations — and the sections by index.
+func (f *FlatFile) Decode(fourcc uint32, magic string) *Reader {
+	r := NewReaderLimit(&sliceReader{b: f.meta}, int64(len(f.meta)))
+	r.f = f
+	if f.fourcc != fourcc {
+		r.err = fmt.Errorf("container holds %q, want %q", FourccString(f.fourcc), FourccString(fourcc))
+	}
+	r.Magic(magic)
+	return r
 }
 
 // sliceReader is a minimal in-memory io.Reader.
@@ -591,50 +604,44 @@ func (f *FlatFile) section(i int, kind SectionKind) ([]byte, error) {
 	return f.secs[i].data, nil
 }
 
-// U8 returns section i as a byte slice (always zero-copy).
-func (f *FlatFile) U8(i int) ([]uint8, error) {
-	return f.section(i, SectionU8)
-}
-
-// I32 returns section i as an []int32, casting in place when possible.
-func (f *FlatFile) I32(i int) ([]int32, error) {
-	b, err := f.section(i, SectionI32)
-	if err != nil {
-		return nil, err
+// section is the sticky form of FlatFile.section.
+func (r *Reader) section(i int, kind SectionKind) []byte {
+	if r.err != nil {
+		return nil
 	}
-	return castI32(b, f.zeroCopy), nil
+	var b []byte
+	b, r.err = r.f.section(i, kind)
+	return b
 }
 
-// U32 returns section i as a []uint32, casting in place when possible.
-func (f *FlatFile) U32(i int) ([]uint32, error) {
-	b, err := f.section(i, SectionU32)
-	if err != nil {
-		return nil, err
-	}
-	return i32AsU32(castI32(b, f.zeroCopy)), nil
+// U8s returns section i as a byte slice (always zero-copy).
+func (r *Reader) U8s(i int) []uint8 { return r.section(i, SectionU8) }
+
+// I32s returns section i as an []int32, casting in place when possible.
+func (r *Reader) I32s(i int) []int32 { return castI32(r.section(i, SectionI32), r.f.zeroCopy) }
+
+// U32s returns section i as a []uint32, casting in place when possible.
+func (r *Reader) U32s(i int) []uint32 {
+	return i32AsU32(castI32(r.section(i, SectionU32), r.f.zeroCopy))
 }
 
-// I64 returns section i as an []int64, casting in place when possible.
-func (f *FlatFile) I64(i int) ([]int64, error) {
-	b, err := f.section(i, SectionI64)
-	if err != nil {
-		return nil, err
-	}
-	return castI64(b, f.zeroCopy), nil
-}
+// I64s returns section i as an []int64, casting in place when possible.
+func (r *Reader) I64s(i int) []int64 { return castI64(r.section(i, SectionI64), r.f.zeroCopy) }
 
-// NestedFlat parses U8 section i as an embedded flat container. The nested
+// Nested parses U8 section i as an embedded flat container. The nested
 // file shares the parent's backing (do not Close the parent first) and
 // inherits its zero-copy mode; closing the nested file is a no-op. The
 // nested container is not verified here: its bytes are the parent
 // section's payload, so the parent's checksum already covers them and a
 // second CRC pass would fault the nested pages at load time for nothing.
-func (f *FlatFile) NestedFlat(i int) (*FlatFile, error) {
-	b, err := f.section(i, SectionU8)
-	if err != nil {
-		return nil, err
+func (r *Reader) Nested(i int) *FlatFile {
+	b := r.section(i, SectionU8)
+	if r.err != nil {
+		return nil
 	}
-	return parseFlat(b, f.zeroCopy)
+	var f *FlatFile
+	f, r.err = parseFlat(b, r.f.zeroCopy)
+	return f
 }
 
 // --- raw little-endian views -------------------------------------------

@@ -163,7 +163,7 @@ func TestFlatChecksummedTruncation(t *testing.T) {
 
 // TestFlatNestedCoveredByParent checks that corruption inside a nested
 // container is caught by the parent's section checksum even though
-// NestedFlat itself never verifies.
+// Reader.Nested itself never verifies.
 func TestFlatNestedCoveredByParent(t *testing.T) {
 	inner := NewFlatWriter(testFourcc)
 	inner.Meta().Magic("NEST")
@@ -185,12 +185,14 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, err := f.NestedFlat(0)
-	if err != nil {
+	d := f.Decode(testFourcc, "OUTR")
+	nested := d.Nested(0)
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := nested.I32(0); err != nil || len(s) != 3 || s[2] != 6 {
-		t.Fatalf("nested I32(0) = %v, %v", s, err)
+	nd := nested.Decode(testFourcc, "NEST")
+	if s := nd.I32s(0); nd.Err() != nil || len(s) != 3 || s[2] != 6 {
+		t.Fatalf("nested I32s(0) = %v, %v", s, nd.Err())
 	}
 
 	// Corrupt a byte inside the nested container's payload region.
@@ -206,10 +208,9 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 	}
 }
 
+// TestOpenFlatVerifyPolicy pins the one policy: an open verifies, heap or
+// mapped, unless WithoutVerify — and then an explicit Verify still can.
 func TestOpenFlatVerifyPolicy(t *testing.T) {
-	if !MmapSupported {
-		t.Skip("needs mmap to exercise the deferred-verify path")
-	}
 	data := buildTestFlat(t)
 	f, err := parseFlat(data, false)
 	if err != nil {
@@ -230,52 +231,56 @@ func TestOpenFlatVerifyPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Heap read: verified eagerly by default.
-	if _, err := OpenFlat(path, false); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("heap open of corrupt file: err = %v, want ErrCorrupt", err)
-	}
-	// Heap read with WithoutVerify: loads, but an explicit Verify catches it.
-	ff, err := OpenFlat(path, false, WithoutVerify())
-	if err != nil {
-		t.Fatalf("heap open WithoutVerify: %v", err)
-	}
-	if err := ff.Verify(); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("explicit Verify: err = %v, want ErrCorrupt", err)
-	}
-	ff.Close()
-	// Mapped: deferred by default — open succeeds, Verify catches it.
-	fm, err := OpenFlat(path, true)
-	if err != nil {
-		t.Fatalf("mmap open of corrupt file should defer verification: %v", err)
-	}
-	if !fm.Mapped() {
-		t.Skip("mmap not actually used on this filesystem")
-	}
-	if err := fm.Verify(); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("mapped Verify: err = %v, want ErrCorrupt", err)
-	}
-	fm.Close()
-	// Mapped with WithVerify: rejected at open.
-	if _, err := OpenFlat(path, true, WithVerify()); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("mmap open WithVerify: err = %v, want ErrCorrupt", err)
+	for _, mmap := range []bool{false, true} {
+		if _, err := OpenFlat(path, mmap); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("open of corrupt file (mmap=%v): err = %v, want ErrCorrupt", mmap, err)
+		}
+		// WithoutVerify: opens, reports itself unverified, and an explicit
+		// Verify catches the flip.
+		f, err := OpenFlat(path, mmap, WithoutVerify())
+		if err != nil {
+			t.Fatalf("open WithoutVerify (mmap=%v): %v", mmap, err)
+		}
+		if f.Verified() {
+			t.Errorf("WithoutVerify open (mmap=%v) claims Verified", mmap)
+		}
+		if err := f.Verify(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("explicit Verify (mmap=%v): err = %v, want ErrCorrupt", mmap, err)
+		}
+		f.Close()
 	}
 
-	// A pristine file passes under every policy.
+	// A pristine file passes under both policies.
 	good := filepath.Join(t.TempDir(), "good.flat")
 	if err := os.WriteFile(good, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]OpenOption{nil, {WithVerify()}, {WithoutVerify()}} {
+	for _, opts := range [][]OpenOption{nil, {WithoutVerify()}} {
 		for _, mmap := range []bool{false, true} {
 			fg, err := OpenFlat(good, mmap, opts...)
 			if err != nil {
 				t.Fatalf("pristine open (mmap=%v, %d opts): %v", mmap, len(opts), err)
 			}
-			if err := fg.Verify(); err != nil {
-				t.Errorf("pristine Verify (mmap=%v): %v", mmap, err)
+			if fg.Verified() != (opts == nil) {
+				t.Errorf("pristine open (mmap=%v, %d opts): Verified = %v", mmap, len(opts), fg.Verified())
+			}
+			if err := fg.Verify(); err != nil || !fg.Verified() {
+				t.Errorf("pristine Verify (mmap=%v): %v, Verified = %v", mmap, err, fg.Verified())
 			}
 			fg.Close()
 		}
+	}
+}
+
+// TestNilFlatFile pins what a nil backing answers for an object built in
+// this process: not mapped, verified, nothing to close.
+func TestNilFlatFile(t *testing.T) {
+	var f *FlatFile
+	if f.Mapped() || !f.Verified() {
+		t.Errorf("nil file: Mapped=%v Verified=%v", f.Mapped(), f.Verified())
+	}
+	if err := f.Close(); err != nil {
+		t.Errorf("nil file: Close = %v", err)
 	}
 }
 

@@ -43,36 +43,30 @@ func checkTestFlat(t *testing.T, f *FlatFile) {
 	if f.NumSections() != 5 {
 		t.Fatalf("NumSections = %d", f.NumSections())
 	}
-	mr := f.Meta()
-	mr.Magic("META")
-	if v := mr.I64(); v != 12345 {
+	d := f.Decode(testFourcc, "META")
+	if v := d.I64(); v != 12345 {
 		t.Errorf("meta I64 = %d", v)
 	}
-	if v := mr.I32(); v != -8 {
+	if v := d.I32(); v != -8 {
 		t.Errorf("meta I32 = %d", v)
 	}
-	if err := mr.Err(); err != nil {
+	if s32 := d.I32s(0); len(s32) != 3 || s32[1] != -2 {
+		t.Errorf("I32s(0) = %v", s32)
+	}
+	if u32 := d.U32s(1); len(u32) != 4 || u32[3] != 40 {
+		t.Errorf("U32s(1) = %v", u32)
+	}
+	if u8 := d.U8s(2); string(u8) != "payload" {
+		t.Errorf("U8s(2) = %q", u8)
+	}
+	if s64 := d.I64s(3); len(s64) != 2 || s64[0] != 1<<40 {
+		t.Errorf("I64s(3) = %v", s64)
+	}
+	if empty := d.I32s(4); len(empty) != 0 {
+		t.Errorf("I32s(4) = %v", empty)
+	}
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
-	}
-	s32, err := f.I32(0)
-	if err != nil || len(s32) != 3 || s32[1] != -2 {
-		t.Errorf("I32(0) = %v, %v", s32, err)
-	}
-	u32, err := f.U32(1)
-	if err != nil || len(u32) != 4 || u32[3] != 40 {
-		t.Errorf("U32(1) = %v, %v", u32, err)
-	}
-	u8, err := f.U8(2)
-	if err != nil || string(u8) != "payload" {
-		t.Errorf("U8(2) = %q, %v", u8, err)
-	}
-	s64, err := f.I64(3)
-	if err != nil || len(s64) != 2 || s64[0] != 1<<40 {
-		t.Errorf("I64(3) = %v, %v", s64, err)
-	}
-	empty, err := f.I32(4)
-	if err != nil || len(empty) != 0 {
-		t.Errorf("I32(4) = %v, %v", empty, err)
 	}
 }
 
@@ -113,8 +107,9 @@ func TestFlatZeroCopyAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s32, err := f.I32(0)
-	if err != nil {
+	d := f.Decode(testFourcc, "META")
+	s32 := d.I32s(0)
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := f.section(0, SectionI32)
@@ -147,11 +142,35 @@ func TestFlatSectionKindMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.U8(0); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("U8 over i32 section: err = %v", err)
+	d := f.Decode(testFourcc, "META")
+	if s := d.U8s(0); s != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("U8s over i32 section: %v, err = %v", s, d.Err())
 	}
-	if _, err := f.I32(99); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("out-of-range section: err = %v", err)
+	// The error is sticky: a read that would succeed now returns nothing.
+	if s := d.I32s(0); s != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("read after a failed one: %v, err = %v", s, d.Err())
+	}
+	d = f.Decode(testFourcc, "META")
+	if s := d.I32s(99); s != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("out-of-range section: %v, err = %v", s, d.Err())
+	}
+}
+
+// TestDecodeWrongKind: a container of another fourcc, or whose meta blob
+// opens with another magic, fails the Reader before anything is read.
+func TestDecodeWrongKind(t *testing.T) {
+	f, err := ParseFlat(buildTestFlat(t), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.Decode(0x20204843, "META") // "CH  "
+	if s := d.I32s(0); s != nil || d.Err() == nil {
+		t.Errorf("wrong fourcc: section %v, err = %v", s, d.Err())
+	} else if msg := d.Err().Error(); !strings.Contains(msg, `"TEST"`) || !strings.Contains(msg, `"CH  "`) {
+		t.Errorf("wrong fourcc error should name both kinds: %v", d.Err())
+	}
+	if d := f.Decode(testFourcc, "ATEM"); d.Err() == nil {
+		t.Error("wrong meta magic accepted")
 	}
 }
 
@@ -185,23 +204,20 @@ func TestFlatTruncations(t *testing.T) {
 		if err != nil {
 			continue // rejected at parse time: good
 		}
-		ok := true
+		d := f.Decode(testFourcc, "META")
 		for i := 0; i < f.NumSections(); i++ {
 			switch f.secs[i].kind {
 			case SectionI32:
-				_, err = f.I32(i)
+				d.I32s(i)
 			case SectionU32:
-				_, err = f.U32(i)
+				d.U32s(i)
 			case SectionU8:
-				_, err = f.U8(i)
+				d.U8s(i)
 			case SectionI64:
-				_, err = f.I64(i)
-			}
-			if err != nil {
-				ok = false
+				d.I64s(i)
 			}
 		}
-		if ok {
+		if d.Err() == nil {
 			t.Errorf("truncation to %d bytes (of %d) was accepted", cut, len(data))
 		}
 	}
@@ -240,8 +256,9 @@ func TestFlatNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, err := outer.NestedFlat(0)
-	if err != nil {
+	d := outer.Decode(0x5453454e, "")
+	nested := d.Nested(0)
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	checkTestFlat(t, nested)

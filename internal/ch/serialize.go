@@ -50,15 +50,7 @@ func (h *Hierarchy) Save(w io.Writer) error {
 // the zero-copy mmap path. A stream that is not a flat container is
 // binio.ErrNotFlat.
 func ReadHierarchy(r io.Reader, g *graph.Graph) (*Hierarchy, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ch: reading index: %w", err)
-	}
-	f, err := binio.ParseFlat(data, true)
-	if err != nil {
-		return nil, fmt.Errorf("ch: %w", err)
-	}
-	return HierarchyFromFlat(f, g)
+	return binio.Read(r, func(f *binio.FlatFile) (*Hierarchy, error) { return HierarchyFromFlat(f, g) })
 }
 
 // HierarchyFromFlat builds a hierarchy over the sections of f. The
@@ -66,45 +58,23 @@ func ReadHierarchy(r io.Reader, g *graph.Graph) (*Hierarchy, error) {
 // past the fifth are ignored: files from before the unpack table was dropped
 // carry three unused ones.
 func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
-	if f.Fourcc() != Fourcc {
-		return nil, fmt.Errorf("ch: flat container fourcc %#x is not a contraction hierarchy", f.Fourcc())
-	}
-	mr := f.Meta()
-	mr.Magic(chMagic)
-	n := mr.I64()
-	m := mr.I64()
-	numShortcuts := mr.I64()
-	buildNs := mr.I64()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("ch: reading header: %w", err)
+	d := f.Decode(Fourcc, chMagic)
+	n := d.I64()
+	m := d.I64()
+	h := &Hierarchy{g: g}
+	h.numShortcuts = int(d.I64())
+	h.buildTime = time.Duration(d.I64())
+	h.rank = d.I32s(0)
+	h.firstUp = d.I32s(1)
+	h.upHead = d.I32s(2)
+	h.upWeight = d.I32s(3)
+	h.upMiddle = d.I32s(4)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("ch: %w", err)
 	}
 	if n != int64(g.NumVertices()) || m != int64(g.NumEdges()) {
 		return nil, fmt.Errorf("ch: index was built for a %dx%d graph, got %dx%d",
 			n, m, g.NumVertices(), g.NumEdges())
-	}
-	h := &Hierarchy{
-		g:            g,
-		numShortcuts: int(numShortcuts),
-		buildTime:    time.Duration(buildNs),
-	}
-	var err error
-	read := func(i int) []int32 {
-		if err != nil {
-			return nil
-		}
-		var s []int32
-		if s, err = f.I32(i); err != nil {
-			err = fmt.Errorf("ch: %w", err)
-		}
-		return s
-	}
-	h.rank = read(0)
-	h.firstUp = read(1)
-	h.upHead = read(2)
-	h.upWeight = read(3)
-	h.upMiddle = read(4)
-	if err != nil {
-		return nil, err
 	}
 	// O(1) structural checks. Loads deliberately run no per-element scan so
 	// a mapped index touches no data pages at startup; the sections are

@@ -312,8 +312,8 @@ type index struct {
 	// chBuild is the build time of a hierarchy BuildIndex made for tech's
 	// preprocessing, part of Stats().BuildTime.
 	chBuild time.Duration
-	// backing is the flat container (*binio.FlatFile) a mapped index's
-	// arrays alias (LoadIndexFile); nil otherwise. See CloseIndex.
+	// backing is the flat container (*binio.FlatFile) a loaded index's
+	// arrays alias (fromFlat); nil for a built one. See CloseIndex.
 	backing io.Closer
 	// def is created by the first Distance or ShortestPath call, so building
 	// or loading an index allocates no per-vertex search state (pools and

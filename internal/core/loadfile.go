@@ -1,14 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"roadnet/internal/binio"
-	"roadnet/internal/ch"
 	"roadnet/internal/graph"
-	"roadnet/internal/silc"
-	"roadnet/internal/tnr"
 )
 
 // LoadInfo describes how an index came off disk, for startup observability
@@ -35,14 +31,6 @@ type LoadInfo struct {
 	VerifyTime time.Duration
 }
 
-// Mode renders the load path as a short label for logs.
-func (li LoadInfo) Mode() string {
-	if li.Mapped {
-		return "mmap"
-	}
-	return "heap"
-}
-
 // LoadIndexFile loads an index of the given method from path, re-attaching
 // it to g. The file is opened through binio.OpenFlat: with preferMmap (and
 // platform support) it is mapped and the index aliases the mapping —
@@ -54,48 +42,36 @@ func (li LoadInfo) Mode() string {
 // Indexes whose LoadInfo.Mapped is true hold the mapping open; release it
 // with CloseIndex when the index is retired.
 //
-// By default every checksum in the file is verified before the index
-// serves a query, mapped or not: a flipped byte fails the load with
-// binio.ErrCorrupt instead of producing silently wrong shortest paths (the
-// caller may then fall back to a plain Dijkstra pool — see spserve's
-// degraded mode). Pass binio.WithoutVerify to skip the sweep and keep
-// mapped loads O(#sections); LoadInfo.Verified records which happened.
+// Every checksum in the file is verified before the index serves a query,
+// mapped or not: a flipped byte fails the load with binio.ErrCorrupt
+// instead of producing silently wrong shortest paths (the caller may then
+// fall back to a plain Dijkstra pool — see spserve's degraded mode). Pass
+// binio.WithoutVerify to skip the sweep and keep mapped loads
+// O(#sections); LoadInfo.Verified records which happened.
 func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, opts ...binio.OpenOption) (Index, LoadInfo, error) {
 	start := time.Now()
-	info := LoadInfo{Path: path}
-	f, err := binio.OpenFlat(path, preferMmap, append([]binio.OpenOption{binio.WithVerify()}, opts...)...)
+	var file *binio.FlatFile
+	ix, err := binio.Load(path, preferMmap, func(f *binio.FlatFile) (Index, error) {
+		file = f
+		return fromFlat(method, f, g)
+	}, opts...)
 	if err != nil {
-		return nil, info, err
+		return nil, LoadInfo{Path: path}, err
 	}
-	var tech technique
-	switch method {
-	case MethodCH:
-		tech, err = ch.HierarchyFromFlat(f, g)
-	case MethodTNR:
-		tech, err = tnr.IndexFromFlat(f, g)
-	case MethodSILC:
-		tech, err = silc.IndexFromFlat(f, g)
-	default:
-		err = fmt.Errorf("core: method %s does not support serialization", method)
-	}
-	if err != nil {
-		f.Close()
-		return nil, info, fmt.Errorf("%s: %w", path, err)
-	}
-	idx := newIndex(g, tech)
-	idx.backing = f
-	info.Mapped = f.Mapped()
-	info.SizeBytes = f.SizeBytes()
-	info.Verified = f.Verified()
-	info.VerifyTime = f.VerifyTime()
-	info.LoadTime = time.Since(start)
-	return idx, info, nil
+	return ix, LoadInfo{
+		Path:       path,
+		Mapped:     file.Mapped(),
+		SizeBytes:  file.SizeBytes(),
+		LoadTime:   time.Since(start),
+		Verified:   file.Verified(),
+		VerifyTime: file.VerifyTime(),
+	}, nil
 }
 
 // CloseIndex releases any file mapping a LoadIndexFile-loaded index holds.
-// The index (and every searcher over it) must not be used afterwards. It is
-// a no-op for built, stream-loaded and unmapped indexes, so callers may
-// defer it unconditionally.
+// The index (and every searcher over it) must not be used afterwards. It
+// releases nothing for built, stream-loaded and unmapped indexes, so
+// callers may defer it unconditionally.
 func CloseIndex(ix Index) error {
 	if in, ok := ix.(*index); ok && in.backing != nil {
 		return in.backing.Close()

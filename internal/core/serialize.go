@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"roadnet/internal/binio"
 	"roadnet/internal/ch"
 	"roadnet/internal/graph"
 	"roadnet/internal/silc"
@@ -25,22 +26,31 @@ func SaveIndex(ix Index, w io.Writer) error {
 // LoadIndex deserializes an index of the given method and re-attaches it
 // to g, which must be the network the index was built on.
 func LoadIndex(method Method, r io.Reader, g *graph.Graph) (Index, error) {
+	return binio.Read(r, func(f *binio.FlatFile) (Index, error) { return fromFlat(method, f, g) })
+}
+
+// fromFlat builds method's index over the open container f: the one
+// per-method switch of both load paths. The index keeps f as its backing
+// (see CloseIndex).
+func fromFlat(method Method, f *binio.FlatFile, g *graph.Graph) (Index, error) {
 	var (
 		tech technique
 		err  error
 	)
 	switch method {
 	case MethodCH:
-		tech, err = ch.ReadHierarchy(r, g)
+		tech, err = ch.HierarchyFromFlat(f, g)
 	case MethodTNR:
-		tech, err = tnr.ReadIndex(r, g)
+		tech, err = tnr.IndexFromFlat(f, g)
 	case MethodSILC:
-		tech, err = silc.ReadIndex(r, g)
+		tech, err = silc.IndexFromFlat(f, g)
 	default:
 		err = fmt.Errorf("core: method %s does not support serialization", method)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(g, tech), nil
+	ix := newIndex(g, tech)
+	ix.backing = f
+	return ix, nil
 }

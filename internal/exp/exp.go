@@ -9,6 +9,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
+	"roadnet/internal/binio"
 	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/gen"
@@ -255,7 +257,7 @@ func (l *lab) index(m core.Method, name string) (core.Index, error) {
 		TNR:           tnr.Options{GridSize: l.cfg.TNRGridSize},
 	}
 	ix, err := core.BuildIndex(m, g, cfg)
-	if err == core.ErrIndexTooLarge || (err != nil && errorsIsTooLarge(err)) {
+	if errors.Is(err, core.ErrIndexTooLarge) {
 		return nil, nil
 	}
 	if err != nil {
@@ -295,29 +297,7 @@ func saveIndexFile(ix core.Index, path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := core.SaveIndex(ix, f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func errorsIsTooLarge(err error) bool {
-	for err != nil {
-		if err == core.ErrIndexTooLarge {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	return binio.WriteFile(path, func(w io.Writer) error { return core.SaveIndex(ix, w) })
 }
 
 func (l *lab) linfSets(name string) ([]workload.QuerySet, error) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -51,7 +52,7 @@ func runSpatial(l *lab, w io.Writer) error {
 			SILC:          silc.Options{EnableNearest: true},
 		})
 		if err != nil || ix == nil {
-			if err != nil && !errorsIsTooLarge(err) {
+			if err != nil && !errors.Is(err, core.ErrIndexTooLarge) {
 				return err
 			}
 			continue

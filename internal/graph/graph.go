@@ -77,8 +77,8 @@ type Graph struct {
 	numEdges int
 	bounds   geom.Rect
 
-	// backing is the flat container a mapped graph's arrays alias
-	// (LoadFile); nil for built or stream-read graphs. See Close.
+	// backing is the flat container a loaded graph's arrays alias
+	// (GraphFromFlat); nil for built graphs. See Close.
 	backing *binio.FlatFile
 }
 

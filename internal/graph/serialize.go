@@ -41,21 +41,10 @@ func (g *Graph) Save(w io.Writer) error {
 	return err
 }
 
-// ReadGraph reads a graph written by Save from a stream. This is the
-// copying path: the whole container is read onto the heap and the arrays
-// cast (or decoded) from that buffer. Use LoadFile to map the file
+// ReadGraph reads a graph written by Save from a stream: the copying path,
+// the whole container goes onto the heap. Use LoadFile to map the file
 // instead.
-func ReadGraph(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	f, err := binio.ParseFlat(data, true)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	return GraphFromFlat(f)
-}
+func ReadGraph(r io.Reader) (*Graph, error) { return binio.Read(r, GraphFromFlat) }
 
 // LoadFile maps (or, with preferMmap false or where unsupported, reads)
 // the graph file at path. A mapped graph's arrays alias the page cache:
@@ -63,61 +52,34 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 // process serving the same file. Call Close on the returned graph when it
 // is no longer used.
 //
-// By default the file's checksums are verified before the graph is used —
-// a flipped byte fails the load with binio.ErrCorrupt instead of routing
-// over a silently wrong network. Pass binio.WithoutVerify to skip the
+// The file's checksums are verified before the graph is used — a flipped
+// byte fails the load with binio.ErrCorrupt instead of routing over a
+// silently wrong network. Pass binio.WithoutVerify to skip the
 // verification sweep (mapped loads then stay O(#sections)).
 func LoadFile(path string, preferMmap bool, opts ...binio.OpenOption) (*Graph, error) {
-	f, err := binio.OpenFlat(path, preferMmap, append([]binio.OpenOption{binio.WithVerify()}, opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	g, err := GraphFromFlat(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	g.backing = f
-	return g, nil
+	return binio.Load(path, preferMmap, GraphFromFlat, opts...)
 }
 
 // GraphFromFlat builds a graph over the sections of f. The graph aliases
-// f's data; f must stay open for the graph's lifetime.
+// f's data and keeps f as its backing; f must stay open for the graph's
+// lifetime.
 func GraphFromFlat(f *binio.FlatFile) (*Graph, error) {
-	if f.Fourcc() != GraphFourcc {
-		return nil, fmt.Errorf("graph: container holds %s, not a road network", fourccString(f.Fourcc()))
-	}
-	mr := f.Meta()
-	mr.Magic(graphMeta)
-	n := mr.I64()
-	m := mr.I64()
-	var bounds geom.Rect
-	bounds.MinX = mr.I32()
-	bounds.MinY = mr.I32()
-	bounds.MaxX = mr.I32()
-	bounds.MaxY = mr.I32()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
-	}
-	g := &Graph{numEdges: int(m), bounds: bounds}
-	var err error
-	if g.firstOut, err = f.I32(0); err != nil {
+	d := f.Decode(GraphFourcc, graphMeta)
+	n := d.I64()
+	m := d.I64()
+	g := &Graph{numEdges: int(m), backing: f}
+	g.bounds.MinX = d.I32()
+	g.bounds.MinY = d.I32()
+	g.bounds.MaxX = d.I32()
+	g.bounds.MaxY = d.I32()
+	g.firstOut = d.I32s(0)
+	g.head = d.I32s(1)
+	g.weight = d.I32s(2)
+	g.edgeID = d.I32s(3)
+	g.coords = binio.CastStructs[geom.Point](d.I32s(4))
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	if g.head, err = f.I32(1); err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	if g.weight, err = f.I32(2); err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	if g.edgeID, err = f.I32(3); err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	rawCoords, err := f.I32(4)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	g.coords = binio.CastStructs[geom.Point](rawCoords)
 
 	// O(1) structural checks; the arrays themselves are trusted to the
 	// format (they were produced by Save) and are not scanned, so a mapped
@@ -136,27 +98,15 @@ func GraphFromFlat(f *binio.FlatFile) (*Graph, error) {
 	return g, nil
 }
 
+// Backing returns the flat container the graph was loaded from, nil for a
+// built graph. It answers whether the graph's arrays are mapped and whether
+// its bytes are verified (a nil backing is: nothing came off disk).
+func (g *Graph) Backing() *binio.FlatFile { return g.backing }
+
 // Close releases the file mapping behind a graph returned by LoadFile. The
 // graph (and every index attached to it) must not be used afterwards. It
 // is a no-op for built or stream-read graphs.
-func (g *Graph) Close() error {
-	if g.backing == nil {
-		return nil
-	}
-	b := g.backing
-	g.backing = nil
-	return b.Close()
-}
-
-// Mapped reports whether the graph's arrays alias an mmap'd file.
-func (g *Graph) Mapped() bool { return g.backing != nil && g.backing.Mapped() }
-
-// Verified reports whether the graph's bytes are known-good: either it was
-// built or stream-parsed in this process (no disk bytes to distrust), or
-// its backing file carried checksums that passed verification. It is false
-// for file loads that skipped verification and for checksum-less legacy
-// files.
-func (g *Graph) Verified() bool { return g.backing == nil || g.backing.Verified() }
+func (g *Graph) Close() error { return g.backing.Close() }
 
 // pointsAsI32 reinterprets the coordinate array as its int32 layout
 // (geom.Point is exactly two int32s).
@@ -165,15 +115,4 @@ func pointsAsI32(pts []geom.Point) []int32 {
 		return nil
 	}
 	return unsafe.Slice((*int32)(unsafe.Pointer(&pts[0])), 2*len(pts))
-}
-
-// fourccString renders a fourcc tag for error messages.
-func fourccString(fourcc uint32) string {
-	b := []byte{byte(fourcc), byte(fourcc >> 8), byte(fourcc >> 16), byte(fourcc >> 24)}
-	for i, c := range b {
-		if c < 0x20 || c > 0x7e {
-			b[i] = '?'
-		}
-	}
-	return fmt.Sprintf("%q", b)
 }

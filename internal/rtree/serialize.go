@@ -62,81 +62,39 @@ func (t *Tree) Save(w io.Writer) error {
 
 // ReadTree reads a tree written by Save from a stream (the copying path;
 // use LoadFile to map the file instead).
-func ReadTree(r io.Reader) (*Tree, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	f, err := binio.ParseFlat(data, true)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	return TreeFromFlat(f)
-}
+func ReadTree(r io.Reader) (*Tree, error) { return binio.Read(r, TreeFromFlat) }
 
 // LoadFile maps (or, with preferMmap false or where unsupported, reads)
 // the tree file at path. Call Close on the returned tree when it is no
 // longer used.
 //
-// By default the file's checksums are verified before the tree is used;
-// pass binio.WithoutVerify to skip the sweep and keep mapped loads
+// The file's checksums are verified before the tree is used; pass
+// binio.WithoutVerify to skip the sweep and keep mapped loads
 // O(#sections).
 func LoadFile(path string, preferMmap bool, opts ...binio.OpenOption) (*Tree, error) {
-	f, err := binio.OpenFlat(path, preferMmap, append([]binio.OpenOption{binio.WithVerify()}, opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	t, err := TreeFromFlat(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	t.backing = f
-	return t, nil
+	return binio.Load(path, preferMmap, TreeFromFlat, opts...)
 }
 
 // TreeFromFlat builds a tree over the sections of f. The tree's child and
-// entry arrays alias f's data; f must stay open for the tree's lifetime,
-// and the tree must not be Inserted into (loaded trees are query-only).
+// entry arrays alias f's data and the tree keeps f as its backing; f must
+// stay open for the tree's lifetime, and the tree must not be Inserted into
+// (loaded trees are query-only).
 func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
-	if f.Fourcc() != Fourcc {
-		return nil, fmt.Errorf("rtree: container holds %q, not an R-tree", fourccString(f.Fourcc()))
-	}
-	mr := f.Meta()
-	mr.Magic(treeMeta)
-	maxEnts := mr.I64()
-	size := mr.I64()
-	height := mr.I64()
-	root := mr.I64()
-	nNodes := mr.I64()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("rtree: reading header: %w", err)
-	}
-	rects, err := f.I32(0)
-	if err != nil {
+	d := f.Decode(Fourcc, treeMeta)
+	maxEnts := d.I64()
+	size := d.I64()
+	height := d.I64()
+	root := d.I64()
+	nNodes := d.I64()
+	rects := d.I32s(0)
+	leaf := d.U8s(1)
+	kidOff := d.I64s(2)
+	kidsRaw := d.I32s(3)
+	entOff := d.I64s(4)
+	ents := binio.CastStructs[Entry](d.I32s(5))
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
-	leaf, err := f.U8(1)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	kidOff, err := f.I64(2)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	kidsRaw, err := f.I32(3)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	entOff, err := f.I64(4)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	entsRaw, err := f.I32(5)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: %w", err)
-	}
-	ents := binio.CastStructs[Entry](entsRaw)
 
 	if nNodes <= 0 || maxEnts < 4 || size < 0 || height < 1 ||
 		root < 0 || root >= nNodes ||
@@ -148,11 +106,12 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 	}
 
 	t := &Tree{
-		max:    int(maxEnts),
-		root:   int32(root),
-		size:   int(size),
-		height: int(height),
-		nodes:  make([]node, nNodes),
+		max:     int(maxEnts),
+		root:    int32(root),
+		size:    int(size),
+		height:  int(height),
+		nodes:   make([]node, nNodes),
+		backing: f,
 	}
 	for i := int64(0); i < nNodes; i++ {
 		ka, kb := kidOff[i], kidOff[i+1]
@@ -176,32 +135,10 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 	return t, nil
 }
 
+// Backing returns the flat container the tree was loaded from, nil for a
+// bulk-loaded tree (see graph.Graph.Backing).
+func (t *Tree) Backing() *binio.FlatFile { return t.backing }
+
 // Close releases the file mapping behind a tree returned by LoadFile. The
 // tree must not be used afterwards. It is a no-op for built trees.
-func (t *Tree) Close() error {
-	if t.backing == nil {
-		return nil
-	}
-	b := t.backing
-	t.backing = nil
-	return b.Close()
-}
-
-// Mapped reports whether the tree's arrays alias an mmap'd file.
-func (t *Tree) Mapped() bool { return t.backing != nil && t.backing.Mapped() }
-
-// Verified reports whether the tree's bytes are known-good: either it was
-// bulk-loaded in this process, or its backing file carried checksums that
-// passed verification. It is false for file loads that skipped
-// verification and for checksum-less legacy files.
-func (t *Tree) Verified() bool { return t.backing == nil || t.backing.Verified() }
-
-func fourccString(fourcc uint32) string {
-	b := []byte{byte(fourcc), byte(fourcc >> 8), byte(fourcc >> 16), byte(fourcc >> 24)}
-	for i, c := range b {
-		if c < 0x20 || c > 0x7e {
-			b[i] = '?'
-		}
-	}
-	return string(b)
-}
+func (t *Tree) Close() error { return t.backing.Close() }

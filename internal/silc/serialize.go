@@ -65,33 +65,34 @@ func (ix *Index) Save(w io.Writer) error {
 // core.LoadIndexFile for the zero-copy mmap path. A stream that is not a
 // flat container is binio.ErrNotFlat.
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("silc: reading index: %w", err)
-	}
-	f, err := binio.ParseFlat(data, true)
-	if err != nil {
-		return nil, fmt.Errorf("silc: %w", err)
-	}
-	return IndexFromFlat(f, g)
+	return binio.Read(r, func(f *binio.FlatFile) (*Index, error) { return IndexFromFlat(f, g) })
 }
 
 // IndexFromFlat builds an index over the sections of f. The index aliases
 // f's data; f must stay open for its lifetime.
 func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
-	if f.Fourcc() != Fourcc {
-		return nil, fmt.Errorf("silc: flat container fourcc %#x is not a SILC index", f.Fourcc())
+	d := f.Decode(Fourcc, silcMagic)
+	n := d.I64()
+	m := d.I64()
+	bits := uint(d.U8())
+	ix := &Index{g: g}
+	ix.buildTime = time.Duration(d.I64())
+	ix.intervals = d.I64()
+	hasNearest := d.U8() != 0
+	rowOff, startsData, colorsData := d.I64s(0), d.U32s(1), d.U8s(2)
+	var minDistData []int32
+	if hasNearest {
+		minDistData = d.I32s(3)
+		ix.order = d.I32s(5)
 	}
-	mr := f.Meta()
-	mr.Magic(silcMagic)
-	n := mr.I64()
-	m := mr.I64()
-	bits := uint(mr.U8())
-	buildNs := mr.I64()
-	intervals := mr.I64()
-	hasNearest := mr.U8() != 0
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("silc: reading header: %w", err)
+	ix.code = d.U32s(4)
+	ix.excOff = d.I64s(6)
+	ix.excTarget = d.I32s(7)
+	ix.excColor = d.U8s(8)
+	fail := func(err error) (*Index, error) { return nil, fmt.Errorf("silc: %w", err) }
+	err := d.Err()
+	if err != nil {
+		return fail(err)
 	}
 	if n != int64(g.NumVertices()) || m != int64(g.NumEdges()) {
 		return nil, fmt.Errorf("silc: index was built for a %dx%d graph, got %dx%d",
@@ -100,26 +101,7 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if bits < 1 || bits > 16 {
 		return nil, fmt.Errorf("silc: implausible normalizer bits %d", bits)
 	}
-	ix := &Index{
-		g:         g,
-		norm:      geom.NewNormalizer(g.Bounds(), bits),
-		buildTime: time.Duration(buildNs),
-		intervals: intervals,
-	}
-	var err error
-	fail := func(err error) (*Index, error) { return nil, fmt.Errorf("silc: %w", err) }
-	rowOff, err := f.I64(0)
-	if err != nil {
-		return fail(err)
-	}
-	startsData, err := f.U32(1)
-	if err != nil {
-		return fail(err)
-	}
-	colorsData, err := f.U8(2)
-	if err != nil {
-		return fail(err)
-	}
+	ix.norm = geom.NewNormalizer(g.Bounds(), bits)
 	// O(1) structural checks; per-element scans are deliberately skipped so
 	// a mapped load touches no data pages.
 	if int64(len(rowOff))-1 != n {
@@ -135,10 +117,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 		return fail(err)
 	}
 	if hasNearest {
-		minDistData, err := f.I32(3)
-		if err != nil {
-			return fail(err)
-		}
 		if len(minDistData) != len(startsData) {
 			return nil, fmt.Errorf("%w: silc minDist section does not match the interval tables", binio.ErrCorrupt)
 		}
@@ -146,28 +124,11 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 			return fail(err)
 		}
 	}
-	if ix.code, err = f.U32(4); err != nil {
-		return fail(err)
-	}
 	if int64(len(ix.code)) != n {
 		return nil, fmt.Errorf("silc: code table sized for a different graph")
 	}
-	if hasNearest {
-		if ix.order, err = f.I32(5); err != nil {
-			return fail(err)
-		}
-		if int64(len(ix.order)) != n {
-			return nil, fmt.Errorf("silc: order table sized for a different graph")
-		}
-	}
-	if ix.excOff, err = f.I64(6); err != nil {
-		return fail(err)
-	}
-	if ix.excTarget, err = f.I32(7); err != nil {
-		return fail(err)
-	}
-	if ix.excColor, err = f.U8(8); err != nil {
-		return fail(err)
+	if hasNearest && int64(len(ix.order)) != n {
+		return nil, fmt.Errorf("silc: order table sized for a different graph")
 	}
 	if int64(len(ix.excOff))-1 != n {
 		return nil, fmt.Errorf("%w: silc exception offsets sized for a different graph", binio.ErrCorrupt)

@@ -87,35 +87,24 @@ func addLayer(fw *binio.FlatWriter, mw *binio.Writer, l *layer) {
 // core.LoadIndexFile for the zero-copy mmap path. A stream that is not a
 // flat container is binio.ErrNotFlat.
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tnr: reading index: %w", err)
-	}
-	f, err := binio.ParseFlat(data, true)
-	if err != nil {
-		return nil, fmt.Errorf("tnr: %w", err)
-	}
-	return IndexFromFlat(f, g)
+	return binio.Read(r, func(f *binio.FlatFile) (*Index, error) { return IndexFromFlat(f, g) })
 }
 
 // IndexFromFlat builds an index over the sections of f. The index aliases
 // f's data; f must stay open for its lifetime.
 func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
-	if f.Fourcc() != Fourcc {
-		return nil, fmt.Errorf("tnr: flat container fourcc %#x is not a TNR index", f.Fourcc())
-	}
-	mr := f.Meta()
-	mr.Magic(tnrMagic)
-	n := mr.I64()
-	m := mr.I64()
+	d := f.Decode(Fourcc, tnrMagic)
+	n := d.I64()
+	m := d.I64()
 	var opts Options
-	opts.GridSize = int(mr.I32())
-	opts.Hybrid = mr.U8() != 0
-	opts.Fallback = Fallback(mr.U8())
-	opts.Access = AccessAlgorithm(mr.U8())
-	buildTime := time.Duration(mr.I64())
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("tnr: reading header: %w", err)
+	opts.GridSize = int(d.I32())
+	opts.Hybrid = d.U8() != 0
+	opts.Fallback = Fallback(d.U8())
+	opts.Access = AccessAlgorithm(d.U8())
+	buildTime := time.Duration(d.I64())
+	chFile := d.Nested(0)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("tnr: %w", err)
 	}
 	if n != int64(g.NumVertices()) || m != int64(g.NumEdges()) {
 		return nil, fmt.Errorf("tnr: index was built for a %dx%d graph, got %dx%d",
@@ -124,11 +113,11 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if opts.GridSize < 1 || opts.GridSize > 1<<14 {
 		return nil, fmt.Errorf("tnr: implausible grid size %d", opts.GridSize)
 	}
-
-	chFile, err := f.NestedFlat(0)
-	if err != nil {
-		return nil, fmt.Errorf("tnr: embedded hierarchy: %w", err)
+	if opts.Fallback > FallbackDijkstra || opts.Access > AccessFlawedBast {
+		return nil, fmt.Errorf("%w: tnr fallback %d or access algorithm %d is not one this reader knows",
+			binio.ErrCorrupt, opts.Fallback, opts.Access)
 	}
+
 	h, err := ch.HierarchyFromFlat(chFile, g)
 	if err != nil {
 		return nil, fmt.Errorf("tnr: embedded hierarchy: %w", err)
@@ -141,11 +130,11 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 		hierarchy: h,
 		buildTime: buildTime,
 	}
-	if ix.coarse, err = layerFromFlat(f, mr, g, opts.GridSize, 1); err != nil {
+	if ix.coarse, err = layerFromFlat(d, g, opts.GridSize, 1); err != nil {
 		return nil, err
 	}
 	if opts.Hybrid {
-		if ix.fine, err = layerFromFlat(f, mr, g, opts.GridSize*2, 11); err != nil {
+		if ix.fine, err = layerFromFlat(d, g, opts.GridSize*2, 11); err != nil {
 			return nil, err
 		}
 	}
@@ -156,43 +145,32 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 // The outer slices of the ragged tables are views into the (possibly
 // mapped) data sections: one header allocation each, no element copies or
 // scans, so a mapped load touches no data pages.
-func layerFromFlat(f *binio.FlatFile, mr *binio.Reader, g *graph.Graph, gridSize, base int) (*layer, error) {
-	dense := mr.U8()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("tnr: reading layer header: %w", err)
-	}
+func layerFromFlat(d *binio.Reader, g *graph.Graph, gridSize, base int) (*layer, error) {
+	dense := d.U8() != 0
 	l := &layer{grid: geom.NewGrid(g.Bounds(), gridSize, gridSize)}
-	fail := func(err error) (*layer, error) { return nil, fmt.Errorf("tnr: reading layer: %w", err) }
-	var err error
-	if l.anList, err = f.I32(base); err != nil {
-		return fail(err)
+	l.anList = d.I32s(base)
+	l.cellOf = d.I32s(base + 1)
+	cellOff, cellData := d.I64s(base+2), d.I32s(base+3)
+	vaOff, vaData := d.I64s(base+4), d.I32s(base+5)
+	var sparseOff []int64
+	var partnerData, distData []int32
+	if dense {
+		l.table = d.I32s(base + 6)
+	} else {
+		sparseOff, partnerData, distData = d.I64s(base+7), d.I32s(base+8), d.I32s(base+9)
 	}
-	if l.cellOf, err = f.I32(base + 1); err != nil {
+	fail := func(err error) (*layer, error) { return nil, fmt.Errorf("tnr: reading layer: %w", err) }
+	err := d.Err()
+	if err != nil {
 		return fail(err)
 	}
 	if len(l.cellOf) != g.NumVertices() {
 		return nil, fmt.Errorf("%w: tnr cellOf sized for a different graph", binio.ErrCorrupt)
 	}
-	cellOff, err := f.I64(base + 2)
-	if err != nil {
-		return fail(err)
-	}
-	cellData, err := f.I32(base + 3)
-	if err != nil {
-		return fail(err)
-	}
 	if int64(len(cellOff)-1) != int64(l.grid.NumCells()) {
 		return nil, fmt.Errorf("tnr: layer has %d cells, grid expects %d", len(cellOff)-1, l.grid.NumCells())
 	}
 	if l.cellAN, err = binio.Unflatten(cellOff, cellData); err != nil {
-		return fail(err)
-	}
-	vaOff, err := f.I64(base + 4)
-	if err != nil {
-		return fail(err)
-	}
-	vaData, err := f.I32(base + 5)
-	if err != nil {
 		return fail(err)
 	}
 	if len(vaOff)-1 != g.NumVertices() {
@@ -201,10 +179,7 @@ func layerFromFlat(f *binio.FlatFile, mr *binio.Reader, g *graph.Graph, gridSize
 	if l.vaDist, err = binio.Unflatten(vaOff, vaData); err != nil {
 		return fail(err)
 	}
-	if dense != 0 {
-		if l.table, err = f.I32(base + 6); err != nil {
-			return fail(err)
-		}
+	if dense {
 		if l.table == nil {
 			// Preserve the dense marker (minPlus branches on table != nil)
 			// even for a degenerate layer with no access nodes.
@@ -215,18 +190,6 @@ func layerFromFlat(f *binio.FlatFile, mr *binio.Reader, g *graph.Graph, gridSize
 				len(l.table), len(l.anList))
 		}
 	} else {
-		sparseOff, err := f.I64(base + 7)
-		if err != nil {
-			return fail(err)
-		}
-		partnerData, err := f.I32(base + 8)
-		if err != nil {
-			return fail(err)
-		}
-		distData, err := f.I32(base + 9)
-		if err != nil {
-			return fail(err)
-		}
 		if len(sparseOff)-1 != len(l.anList) {
 			return nil, fmt.Errorf("tnr: sparse table rows %d do not match %d access nodes",
 				len(sparseOff)-1, len(l.anList))

@@ -284,15 +284,12 @@ var ErrCorrupt = binio.ErrCorrupt
 // currently whether their checksums are verified during the load.
 type OpenOption = binio.OpenOption
 
-// WithVerify forces a full checksum verification at load (the default for
-// every file loader in this package): a flipped byte on disk fails the
-// load with a corruption error instead of producing silently wrong paths.
-func WithVerify() OpenOption { return binio.WithVerify() }
-
-// WithoutVerify skips checksum verification at load. Mapped loads then
-// stay O(#sections) — no page of a multi-GB index is touched until a
-// query needs it — at the cost of trusting the bytes. Corruption can
-// still be audited later with the spverify tool.
+// WithoutVerify skips the checksum verification every file loader in this
+// package otherwise runs (a flipped byte on disk fails the load with a
+// corruption error instead of producing silently wrong paths). Mapped
+// loads then stay O(#sections) — no page of a multi-GB index is touched
+// until a query needs it — at the cost of trusting the bytes. Corruption
+// can still be audited later with the spverify tool.
 func WithoutVerify() OpenOption { return binio.WithoutVerify() }
 
 // LoadIndexFile loads an index from a file written by SaveIndex. The file
