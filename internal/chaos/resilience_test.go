@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,8 +49,9 @@ func TestInjectedPanicAnswers500ThenRecovers(t *testing.T) {
 }
 
 // TestInjectedFailureAnswersErrorThenRecovers: an error returned by the
-// search surfaces as a non-2xx response, not a hang or a wrong answer, and
-// the server keeps serving.
+// search is the server's failure, not the client's — 500 with the cause
+// kept out of the body, never the 499/503 of a cut-short query — not a hang
+// or a wrong answer, and the server keeps serving.
 func TestInjectedFailureAnswersErrorThenRecovers(t *testing.T) {
 	g, fl := buildFlaky(t)
 	ts := httptest.NewServer(server.New(g, fl).Handler())
@@ -58,12 +61,53 @@ func TestInjectedFailureAnswersErrorThenRecovers(t *testing.T) {
 	// DistanceContext.
 	for _, url := range []string{ts.URL + "/v1/distance?from=0&to=150", ts.URL + "/v1/route?from=0&to=150"} {
 		fl.FailNext(1)
-		if status := getStatus(t, url); status < 400 {
-			t.Fatalf("%s armed: status %d, want an error status", url, status)
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || string(body) != `{"error":"internal server error"}`+"\n" {
+			t.Fatalf("%s armed: status %d, body %s; want 500 and no cause", url, resp.StatusCode, body)
 		}
 		if status := getStatus(t, url); status != http.StatusOK {
 			t.Fatalf("%s after failure: status %d, want 200", url, status)
 		}
+	}
+}
+
+// armOnWrite arms one query failure the moment the first response bytes
+// reach the wire — deterministically after the stream has committed.
+type armOnWrite struct {
+	http.ResponseWriter
+	fl   *FlakyIndex
+	once sync.Once
+}
+
+func (a *armOnWrite) Write(p []byte) (int, error) {
+	a.once.Do(func() { a.fl.FailNext(1) })
+	return a.ResponseWriter.Write(p)
+}
+
+// TestInjectedFailureMidStreamTruncatesInBand: once an NDJSON batch route
+// has flushed its first row the 200 is on the wire, so a search failing on
+// the second cell cannot become a 500 — the stream stays well-formed and
+// ends with the in-band truncation marker instead of {"done":true}.
+func TestInjectedFailureMidStreamTruncatesInBand(t *testing.T) {
+	g, fl := buildFlaky(t)
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch/route", strings.NewReader(`{"sources":[0,1],"targets":[150]}`))
+	req.Header.Set("Accept", "application/x-ndjson")
+	rec := httptest.NewRecorder()
+	server.New(g, fl).Handler().ServeHTTP(&armOnWrite{ResponseWriter: rec, fl: fl}, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want the committed 200", rec.Code)
+	}
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	if want := `{"truncated":true,"error":"` + ErrInjected.Error() + `"}`; len(lines) != 3 || lines[2] != want {
+		t.Fatalf("stream = %q; want header, one cell, then %s", lines, want)
+	}
+	if !strings.HasPrefix(lines[1], `{"i":0,"j":0,"reachable":true,`) {
+		t.Fatalf("first cell = %s", lines[1])
 	}
 }
 

@@ -23,13 +23,11 @@ import (
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/rtree"
+	"roadnet/internal/silc"
 )
 
 // Neighbor is one result of a network k-NN or range query.
-type Neighbor struct {
-	V    graph.VertexID
-	Dist int64
-}
+type Neighbor = silc.Neighbor
 
 // SpatialOption configures a SpatialLocator.
 type SpatialOption func(*spatialConfig)
@@ -161,14 +159,7 @@ func (l *SpatialLocator) KNearest(ctx context.Context, idx Index, s graph.Vertex
 		// k+1 geometric candidates: s itself is among them and is skipped.
 		seeds := l.NearestVertices(l.g.Coord(s), k+1)
 		res, _, err := sx.NearestKPruned(ctx, s, k, seeds)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Neighbor, len(res))
-		for i, nb := range res {
-			out[i] = Neighbor{V: nb.V, Dist: nb.Dist}
-		}
-		return out, nil
+		return res, err
 	}
 	l.knnDijkstra.Add(1)
 	c := l.dctx.Get().(*dijkstra.Context)

@@ -40,22 +40,39 @@
 // route answers are always computed per pair so they are path-identical to
 // sequential /v1/route calls.
 //
-// Cancellation: every handler propagates r.Context() into the query, and
-// every technique's search loop polls it at bounded intervals (see the
-// core.Searcher cancellation contract), so a client that disconnects or
-// times out stops burning server CPU within a bounded number of search
-// steps — even mid-way through a long fallback search or a large batch
-// matrix. An aborted request is answered with 499 (client closed request)
-// or 503 (deadline exceeded); a disconnected client never reads it, but
-// tests and proxies do.
+// # The request path
+//
+// Every request takes one path, written once in request.go: serve (the one
+// responseWriter wrapper, recording the status that reached the wire, which
+// panic recovery, the request metrics and the batch stream all read) → rate
+// limit → deadline (both optional) → mux → queryRoute → the endpoint's
+// parse and run steps. queryRoute is the adapter every query endpoint is
+// registered through: it parses the query string once, runs parse (strict
+// body decoding, the vertex range check and coordinate snapping are each
+// one shared function), counts the query — after validation, before
+// admission to the searcher pool — runs it, and is the only caller of
+// writeError. Pattern and query kind are static per route, so queryRoute
+// is the attachment point for ROADMAP item 1: stage timers, the request id
+// and the access-log line go there.
+//
+// Steps report failure by returning an error. A typed {status, message}
+// is what the client got wrong (400, 404, 413). A context error means the
+// query was cut short — every run step propagates r.Context() into the
+// query, and every technique's search loop polls it at bounded intervals
+// (see the core.Searcher cancellation contract), so a client that
+// disconnects or times out stops burning server CPU within a bounded
+// number of search steps — and is answered 499 (client closed request) or
+// 503 + Retry-After (deadline exceeded); a disconnected client never reads
+// it, but tests and proxies do. Any other error is the server's own: 500,
+// the cause to the log, not the client.
 //
 // # Observability
 //
 // WithMetrics wires a metrics.Registry through every layer and serves it
 // at GET /metrics in Prometheus text format: per-endpoint request counts,
-// latency histograms and the in-flight gauge (recorded by the outermost
-// middleware, so panic-recovery 500s and rate-limit 429s are counted like
-// any other answer), per-technique query counters, batch stream
+// latency histograms and the in-flight gauge (recorded by serve, so
+// panic-recovery 500s and rate-limit 429s are counted like any other
+// answer), per-technique query counters, batch stream
 // accounting (pairs, streamed rows, truncations, vertex-budget hits),
 // searcher-pool occupancy, and the draining/degraded/verified serving
 // state. The scrape endpoint is exempt from rate limiting, like the

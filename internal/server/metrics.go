@@ -1,16 +1,15 @@
-// Server instrumentation: the /metrics exposition and the middleware that
-// feeds it. The paper's whole contribution is careful measurement of query
-// techniques; this file is the serve-time counterpart — every layer the
-// request passes through (admission, pool, technique dispatch, streaming)
-// reports what it did, in Prometheus text format, without locks on any hot
-// path. docs/METRICS.md is the operator-facing reference for every name
-// registered here.
+// Server instrumentation: the /metrics exposition and the instruments the
+// request path (request.go) feeds. The paper's whole contribution is careful
+// measurement of query techniques; this file is the serve-time counterpart
+// — every layer the request passes through (admission, pool, technique
+// dispatch, streaming) reports what it did, in Prometheus text format,
+// without locks on any hot path. docs/METRICS.md is the operator-facing
+// reference for every name registered here.
 package server
 
 import (
 	"net/http"
 	"strconv"
-	"time"
 
 	"roadnet/internal/core"
 	"roadnet/internal/metrics"
@@ -39,22 +38,16 @@ type serverMetrics struct {
 	requests *metrics.CounterVec
 	latency  *metrics.HistogramVec
 
-	// queries maps a query kind ("distance", "route", ...) to its
-	// pre-resolved child of roadnet_queries_total, so the per-request path
-	// is one map lookup and one atomic add.
-	queries map[string]*metrics.Counter
+	// queries is roadnet_queries_total; each queryRoute resolves its kind's
+	// child once, at registration (see queryCounter).
+	queries *metrics.CounterVec
+	method  string
 
 	// Batch accounting, children pre-resolved per endpoint.
 	pairs      map[string]*metrics.Histogram
 	rows       map[string]*metrics.Counter
 	truncation map[string]*metrics.Counter
 	budgetHits *metrics.Counter
-}
-
-// queryKinds are the label values of roadnet_queries_total's kind label,
-// one per query-serving endpoint.
-var queryKinds = []string{
-	"distance", "route", "nearest", "knn", "within", "batch_distance", "batch_route",
 }
 
 // batchEndpoints are the label values of the batch accounting families.
@@ -76,14 +69,10 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		"Wall-clock time from the first middleware to the response, by route pattern.",
 		metrics.LatencyBuckets, "endpoint")
 
-	method := string(s.idx.Method())
-	qv := reg.CounterVec("roadnet_queries_total",
+	m.method = string(s.idx.Method())
+	m.queries = reg.CounterVec("roadnet_queries_total",
 		"Queries answered, by serving technique and query kind.",
 		"method", "kind")
-	m.queries = make(map[string]*metrics.Counter, len(queryKinds))
-	for _, k := range queryKinds {
-		m.queries[k] = qv.With(method, k)
-	}
 
 	pairs := reg.HistogramVec("roadnet_batch_pairs",
 		"Sources x targets pairs per accepted batch request (the _sum is total pairs answered).",
@@ -149,13 +138,13 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-// countQuery records one query of the given kind against the serving
-// technique. kind must be one of queryKinds.
-func (m *serverMetrics) countQuery(kind string) {
+// queryCounter returns the roadnet_queries_total child of one query kind
+// under the serving technique, nil when metrics are disabled.
+func (m *serverMetrics) queryCounter(kind string) *metrics.Counter {
 	if m == nil {
-		return
+		return nil
 	}
-	m.queries[kind].Inc()
+	return m.queries.With(m.method, kind)
 }
 
 // observeBatch records an accepted batch request's pair count.
@@ -190,40 +179,9 @@ func (m *serverMetrics) countBudgetHit() {
 	m.budgetHits.Inc()
 }
 
-// statusWriter remembers the response status for the request counter. The
-// zero status means the handler never wrote — net/http sends an implicit
-// 200 for that. Flush and Unwrap keep streaming and ResponseController
-// working through the wrapper, exactly like trackingWriter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
 // codeLabel folds a status code into the label set of
 // roadnet_http_requests_total: the operationally distinct codes (429 rate
-// limited, 499 client gone, 500 panic, 503 overloaded/draining) stay
+// limited, 499 client gone, 500 server fault, 503 overloaded/draining) stay
 // exact, everything else is its class — per-code label cardinality without
 // losing the codes dashboards alert on.
 func codeLabel(code int) string {
@@ -238,30 +196,4 @@ func codeLabel(code int) string {
 	default:
 		return strconv.Itoa(code/100) + "xx"
 	}
-}
-
-// instrument is the outermost middleware: it resolves the route pattern,
-// tracks the in-flight gauge, and on the way out — including the unwind of
-// a deliberate mid-stream abort panic — records the latency histogram and
-// the (endpoint, code) request counter. It must wrap recoverPanics so the
-// 500 a recovered panic writes is observed like any other response.
-func (s *Server) instrument(mux *http.ServeMux, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Resolve the pattern without dispatching: unregistered paths
-		// collapse into one "other" label instead of minting a metric
-		// child per probe URL a scanner throws at us.
-		_, pattern := mux.Handler(r)
-		if pattern == "" {
-			pattern = "other"
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		s.m.inflight.Inc()
-		defer func() {
-			s.m.inflight.Dec()
-			s.m.latency.With(pattern).Observe(time.Since(start).Seconds())
-			s.m.requests.With(pattern, codeLabel(sw.code)).Inc()
-		}()
-		next.ServeHTTP(sw, r)
-	})
 }

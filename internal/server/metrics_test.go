@@ -1,12 +1,14 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"roadnet/internal/core"
 	"roadnet/internal/metrics"
@@ -84,6 +86,46 @@ func TestMetricsRequestAccounting(t *testing.T) {
 	wantLine(t, out, `roadnet_http_requests_in_flight 1`)
 	// The default pool under a metrics-enabled server reports occupancy.
 	wantLine(t, out, `roadnet_pool_in_use 0`)
+
+	t.Run("counted before admission", queryCountedBeforeAdmission)
+}
+
+// queryCountedBeforeAdmission pins the one counting rule for every kind: a
+// validated request is a query from the moment it is accepted, whether or
+// not it is ever admitted to the searcher pool. The pool's only searcher
+// is held and the request's deadline has passed, so /v1/knn answers 503
+// from the pool wait — and still counts, like the /v1/route beside it.
+func queryCountedBeforeAdmission(t *testing.T) {
+	g := testutil.SmallRoad(400, 953)
+	idx, err := core.BuildIndex(core.MethodCH, g, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := core.NewPool(idx, core.WithMaxSearchers(1))
+	held, err := pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Put(held)
+	h := server.New(g, idx, server.WithPool(pool), server.WithMetrics(metrics.NewRegistry())).Handler()
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	for _, c := range [][3]string{
+		{http.MethodPost, "/v1/knn", `{"source":0,"k":3}`},
+		{http.MethodPost, "/v1/within", `{"source":0,"radius":50}`},
+		{http.MethodGet, "/v1/route?from=0&to=5", ""},
+	} {
+		if rec := serveWithContext(expired, h, c[0], c[1], c[2]); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s %s with the pool exhausted: status %d, want 503", c[0], c[1], rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	out := rec.Body.String()
+	wantLine(t, out, `roadnet_queries_total{method="ch",kind="knn"} 1`)
+	wantLine(t, out, `roadnet_queries_total{method="ch",kind="within"} 1`)
+	wantLine(t, out, `roadnet_queries_total{method="ch",kind="route"} 1`)
+	wantLine(t, out, `roadnet_http_requests_total{endpoint="POST /v1/knn",code="503"} 1`)
 }
 
 // TestMetricsRateLimited checks a 429 keeps its exact code label and that

@@ -1,86 +1,20 @@
-// Resilience middleware: panic recovery and per-client admission control.
-//
-// Recovery keeps one failing request from killing the process: a handler
-// panic is logged with its stack and answered 500 (when the response is
-// still unsent) or the connection is aborted (when a partial response is
-// already on the wire — forging a well-formed tail would be worse). The
-// http.ErrAbortHandler sentinel passes through untouched: it is the
-// streaming code's own deliberate abort signal, already handled by
-// net/http without a stack dump.
-//
-// Rate limiting is a token bucket per client (first X-Forwarded-For hop,
-// else the RemoteAddr host), so one greedy client saturating its budget
-// cannot starve the searcher pool for everyone else. Over-budget requests
-// get 429 with a Retry-After telling the client when a token will be
-// available. Health probes are exempt — a load balancer must never be
-// told to back off from /readyz.
+// Per-client admission control: a token bucket per client (first
+// X-Forwarded-For hop, else the RemoteAddr host), so one greedy client
+// saturating its budget cannot starve the searcher pool for everyone else.
+// Over-budget requests get 429 with a Retry-After telling the client when
+// a token will be available. Health probes are exempt — a load balancer
+// must never be told to back off from /readyz.
 package server
 
 import (
-	"log"
 	"math"
 	"net"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
-
-// trackingWriter remembers whether any part of the response reached the
-// wire, which decides how a panic can be reported. It forwards Flush and
-// exposes Unwrap so http.ResponseController keeps working through it.
-type trackingWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (t *trackingWriter) WriteHeader(code int) {
-	t.wrote = true
-	t.ResponseWriter.WriteHeader(code)
-}
-
-func (t *trackingWriter) Write(p []byte) (int, error) {
-	t.wrote = true
-	return t.ResponseWriter.Write(p)
-}
-
-func (t *trackingWriter) Flush() {
-	if f, ok := t.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (t *trackingWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
-
-// recoverPanics is the outermost middleware: a panicking handler answers
-// 500 and the process keeps serving.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tw := &trackingWriter{ResponseWriter: w}
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler {
-				// A deliberate mid-stream abort (see stream.go), not a bug:
-				// let net/http kill the connection quietly.
-				panic(v)
-			}
-			log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			if !tw.wrote {
-				writeJSON(tw, http.StatusInternalServerError, errorResponse{"internal server error"})
-				return
-			}
-			// The status line is already on the wire; aborting the
-			// connection is the only honest signal left.
-			panic(http.ErrAbortHandler)
-		}()
-		next.ServeHTTP(tw, r)
-	})
-}
 
 // rateLimiter hands out request tokens per client key. Buckets refill
 // continuously at qps up to burst; idle buckets are swept once they are

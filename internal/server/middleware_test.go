@@ -77,7 +77,7 @@ func TestRateLimiterSweepsIdleBuckets(t *testing.T) {
 
 func TestRecoverPanicsAnswers500AndKeepsServing(t *testing.T) {
 	var fail bool
-	h := recoverPanics(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := new(Server).serve(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fail {
 			panic("injected handler bug")
 		}
@@ -114,7 +114,7 @@ func TestRecoverPanicsAnswers500AndKeepsServing(t *testing.T) {
 // the streaming code's deliberate connection abort must stay a connection
 // abort, not become a logged 500.
 func TestRecoverPanicsPassesAbortHandler(t *testing.T) {
-	h := recoverPanics(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := new(Server).serve(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
@@ -137,7 +137,7 @@ func TestRecoverPanicsPassesAbortHandler(t *testing.T) {
 // once response bytes are on the wire a panic cannot honestly become a
 // 500, so the connection dies instead.
 func TestRecoverPanicsAfterCommitAbortsConnection(t *testing.T) {
-	h := recoverPanics(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := new(Server).serve(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, `{"partial":`)
 		w.(http.Flusher).Flush()

@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -216,23 +213,21 @@ func New(g *graph.Graph, idx core.Index, opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the HTTP handler with all routes registered, wrapped in
-// the resilience middleware chain: instrumentation outermost when metrics
-// are enabled (so the request counter sees what every inner layer — panic
-// recovery included — actually answered), then panic recovery (a crashing
-// handler answers 500 and the process keeps serving), then per-client
-// admission control (when configured), then the per-request deadline
-// (when configured), then the routes.
+// Handler returns the HTTP handler: serve on top (the one response writer,
+// panic recovery, and the request metrics, which therefore see what every
+// inner layer answered), then per-client admission control and the
+// per-request deadline (each when configured), then the routes, every query
+// endpoint behind the queryRoute adapter. See request.go.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/distance", s.handleDistance)
-	mux.HandleFunc("GET /v1/route", s.handleRoute)
-	mux.HandleFunc("GET /v1/nearest", s.handleNearest)
+	queryRoute(s, mux, "GET /v1/distance", "distance", parsePair(s.vertexParam), s.distance)
+	queryRoute(s, mux, "GET /v1/route", "route", parsePair(s.endpointParam), s.route)
+	queryRoute(s, mux, "GET /v1/nearest", "nearest", s.parseNearest, s.nearest)
+	queryRoute(s, mux, "POST /v1/knn", "knn", s.parseKNN, s.knn)
+	queryRoute(s, mux, "POST /v1/within", "within", s.parseWithin, s.within)
+	queryRoute(s, mux, "POST /v1/batch/distance", "batch_distance", s.parseBatch(s.maxBatchPairs), s.batchDistance)
+	queryRoute(s, mux, "POST /v1/batch/route", "batch_route", s.parseBatch(s.maxBatchRoutePairs), s.batchRoute)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/knn", s.handleKNN)
-	mux.HandleFunc("POST /v1/within", s.handleWithin)
-	mux.HandleFunc("POST /v1/batch/distance", s.handleBatchDistance)
-	mux.HandleFunc("POST /v1/batch/route", s.handleBatchRoute)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if s.m != nil {
@@ -249,91 +244,67 @@ func (s *Server) Handler() http.Handler {
 	if s.limiter != nil {
 		h = s.rateLimit(h)
 	}
-	h = recoverPanics(h)
-	if s.m != nil {
-		h = s.instrument(mux, h)
-	}
-	return h
+	return s.serve(mux, h)
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// pairQuery is a validated point-to-point request.
+type pairQuery struct{ from, to graph.VertexID }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeAborted reports a query cut short by its context: 503 for a served
-// deadline (the request-timeout middleware, or a bounded pool that stayed
-// exhausted until the deadline), 499 for a client that went away. The 503
-// carries a Retry-After so clients back off instead of hot-retrying into
-// the same overload.
-func writeAborted(w http.ResponseWriter, err error) {
-	status := statusClientClosedRequest
-	if errors.Is(err, context.DeadlineExceeded) {
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, errorResponse{"query aborted: " + err.Error()})
-}
-
-func (s *Server) vertexParam(r *http.Request, name string) (graph.VertexID, error) {
-	raw := r.URL.Query().Get(name)
+// vertexParam resolves one endpoint given as a vertex id (?from=ID).
+func (s *Server) vertexParam(query url.Values, name string) (graph.VertexID, error) {
+	raw := query.Get(name)
 	if raw == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
+		return 0, badRequest("missing parameter %q", name)
 	}
 	id, err := strconv.ParseInt(raw, 10, 32)
 	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
+		return 0, badRequest("parameter %q: %v", name, err)
 	}
-	if id < 0 || id >= int64(s.g.NumVertices()) {
-		return 0, fmt.Errorf("vertex %d out of range [0, %d)", id, s.g.NumVertices())
-	}
-	return graph.VertexID(id), nil
+	return s.vertex(id)
 }
 
-// distanceResponse reports one distance query. Distance must not carry
-// omitempty: a from == to query answers a legitimate distance of 0, and
-// omitempty would drop the field from exactly that response, so clients
-// reading the raw JSON could not tell "zero" from "absent". Distance is
-// meaningful only when Reachable is true (it is 0 otherwise).
-type distanceResponse struct {
-	From      graph.VertexID `json:"from"`
-	To        graph.VertexID `json:"to"`
-	Reachable bool           `json:"reachable"`
-	Distance  int64          `json:"distance"`
+// endpointParam resolves one route endpoint: a vertex id (?from=ID) or a
+// coordinate snapped to its nearest vertex (?from_x=X&from_y=Y).
+func (s *Server) endpointParam(query url.Values, name string) (graph.VertexID, error) {
+	xs, ys := query.Get(name+"_x"), query.Get(name+"_y")
+	if query.Get(name) != "" {
+		if xs != "" || ys != "" {
+			return 0, badRequest("give either %q or %s_x/%s_y, not both", name, name, name)
+		}
+		return s.vertexParam(query, name)
+	}
+	if xs == "" && ys == "" {
+		return 0, badRequest("missing parameter %q (or %s_x and %s_y)", name, name, name)
+	}
+	x, errX := strconv.ParseInt(xs, 10, 32)
+	y, errY := strconv.ParseInt(ys, 10, 32)
+	if errX != nil || errY != nil {
+		return 0, badRequest("parameters %s_x and %s_y must both be integers", name, name)
+	}
+	v, ok := s.snap(int32(x), int32(y))
+	if !ok {
+		return 0, badRequest("cannot snap %s_x/%s_y: empty graph", name, name)
+	}
+	return v, nil
 }
 
-func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
-	from, err := s.vertexParam(r, "from")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
+// parsePair returns the parse step of a point-to-point endpoint: from and
+// to, each resolved by param.
+func parsePair(param func(url.Values, string) (graph.VertexID, error)) func(http.ResponseWriter, *http.Request, url.Values) (pairQuery, error) {
+	return func(_ http.ResponseWriter, _ *http.Request, query url.Values) (q pairQuery, err error) {
+		if q.from, err = param(query, "from"); err == nil {
+			q.to, err = param(query, "to")
+		}
+		return q, err
 	}
-	to, err := s.vertexParam(r, "to")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	s.m.countQuery("distance")
-	d, err := s.pool.DistanceContext(r.Context(), from, to)
-	if err != nil {
-		writeAborted(w, err)
-		return
-	}
-	resp := distanceResponse{From: from, To: to, Reachable: d < graph.Infinity}
-	if resp.Reachable {
-		resp.Distance = d
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// routeResponse reports one path query. Distance has no omitempty for the
-// same reason as distanceResponse: a from == to route has distance 0 and
-// the field must still appear.
+// routeResponse reports one point-to-point query; a distance query leaves
+// Vertices and Coords empty. Distance must not carry omitempty: a from ==
+// to query answers a legitimate distance of 0, and omitempty would drop
+// the field from exactly that response, so clients reading the raw JSON
+// could not tell "zero" from "absent". Distance is meaningful only when
+// Reachable is true (it is 0 otherwise).
 type routeResponse struct {
 	From      graph.VertexID   `json:"from"`
 	To        graph.VertexID   `json:"to"`
@@ -343,63 +314,34 @@ type routeResponse struct {
 	Coords    [][2]int32       `json:"coords,omitempty"`
 }
 
-// endpointParam resolves one route endpoint: a vertex id (?from=ID) or a
-// coordinate snapped to its nearest vertex (?from_x=X&from_y=Y) through
-// the R-tree locator.
-func (s *Server) endpointParam(r *http.Request, name string) (graph.VertexID, error) {
-	q := r.URL.Query()
-	if q.Get(name) != "" {
-		if q.Get(name+"_x") != "" || q.Get(name+"_y") != "" {
-			return 0, fmt.Errorf("give either %q or %s_x/%s_y, not both", name, name, name)
-		}
-		return s.vertexParam(r, name)
+func (s *Server) distance(w *responseWriter, r *http.Request, q pairQuery) error {
+	d, err := s.pool.DistanceContext(r.Context(), q.from, q.to)
+	if err != nil {
+		return err
 	}
-	xs, ys := q.Get(name+"_x"), q.Get(name+"_y")
-	if xs == "" && ys == "" {
-		return 0, fmt.Errorf("missing parameter %q (or %s_x and %s_y)", name, name, name)
+	resp := routeResponse{From: q.from, To: q.to, Reachable: d < graph.Infinity}
+	if resp.Reachable {
+		resp.Distance = d
 	}
-	x, errX := strconv.ParseInt(xs, 10, 32)
-	y, errY := strconv.ParseInt(ys, 10, 32)
-	if errX != nil || errY != nil {
-		return 0, fmt.Errorf("parameters %s_x and %s_y must both be integers", name, name)
-	}
-	v := s.spatial.NearestVertex(geom.Point{X: int32(x), Y: int32(y)})
-	if v < 0 {
-		return 0, fmt.Errorf("cannot snap %s_x/%s_y: empty graph", name, name)
-	}
-	return v, nil
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-// handleRoute answers one shortest-path query. The endpoints may be vertex
-// ids or raw coordinates (from_x/from_y, to_x/to_y) snapped to their
-// nearest vertices. The response is filled from the lazy PathIterator in a
-// single pass — vertices and coords grow together as the path streams out
-// of the searcher, instead of materializing the whole path first and
-// walking it again for coordinates.
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	from, err := s.endpointParam(r, "from")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	to, err := s.endpointParam(r, "to")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	s.m.countQuery("route")
+// route answers one shortest-path query. The response is filled from the
+// lazy PathIterator in a single pass — vertices and coords grow together
+// as the path streams out of the searcher, instead of materializing the
+// whole path first and walking it again for coordinates.
+func (s *Server) route(w *responseWriter, r *http.Request, q pairQuery) error {
 	sr, err := s.pool.GetContext(r.Context())
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
 	defer s.pool.Put(sr)
-	it, d, err := core.OpenPath(r.Context(), sr, from, to)
+	it, d, err := core.OpenPath(r.Context(), sr, q.from, q.to)
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
-	resp := routeResponse{From: from, To: to, Reachable: it != nil}
+	resp := routeResponse{From: q.from, To: q.to, Reachable: it != nil}
 	if it != nil {
 		resp.Distance = d
 		for {
@@ -412,11 +354,11 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			resp.Coords = append(resp.Coords, [2]int32{p.X, p.Y})
 		}
 		if err := it.Err(); err != nil {
-			writeAborted(w, err)
-			return
+			return err
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // batchRequest asks for all pairs of Sources x Targets; both batch
@@ -427,157 +369,155 @@ type batchRequest struct {
 }
 
 // batchDistanceResponse carries the matrix: Distances[i][j] is
-// dist(Sources[i], Targets[j]), with -1 marking unreachable pairs.
+// dist(Sources[i], Targets[j]), with -1 marking unreachable pairs. The
+// stream writes these bytes without building the value; the byte-identity
+// test encodes it as the reference.
 type batchDistanceResponse struct {
 	Sources   []graph.VertexID `json:"sources"`
 	Targets   []graph.VertexID `json:"targets"`
 	Distances [][]int64        `json:"distances"`
 }
 
+// batchQuery is a validated batchRequest.
+type batchQuery struct{ sources, targets []graph.VertexID }
+
 // vertexList validates raw ids from a batch request.
 func (s *Server) vertexList(name string, raw []int64) ([]graph.VertexID, error) {
 	out := make([]graph.VertexID, len(raw))
 	for i, id := range raw {
-		if id < 0 || id >= int64(s.g.NumVertices()) {
-			return nil, fmt.Errorf("%s[%d]: vertex %d out of range [0, %d)",
-				name, i, id, s.g.NumVertices())
+		v, err := s.vertex(id)
+		if err != nil {
+			return nil, badRequest("%s[%d]: %v", name, i, err)
 		}
-		out[i] = graph.VertexID(id)
+		out[i] = v
 	}
 	return out, nil
 }
 
-// decodeBatch parses and validates a batch request body against the
-// endpoint's pair limit, writing the error response itself on failure.
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, maxPairs int) (sources, targets []graph.VertexID, ok bool) {
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		// A body over the MaxBytesReader limit is not malformed JSON — it
-		// is a too-large request, and the status must say so (413, not 400)
-		// so clients know shrinking the batch will help.
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{err.Error()})
-			return nil, nil, false
+// parseBatch returns the parse step of a batch endpoint with the given
+// pair limit.
+func (s *Server) parseBatch(maxPairs int) func(http.ResponseWriter, *http.Request, url.Values) (batchQuery, error) {
+	return func(w http.ResponseWriter, r *http.Request, _ url.Values) (q batchQuery, err error) {
+		var req batchRequest
+		if err := s.decodeStrict(w, r, &req); err != nil {
+			return q, err
 		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
-		return nil, nil, false
+		// Cap each list as well as the product: a huge list paired with an
+		// empty one has product zero but would still burn CPU in validation.
+		// The product is taken in int64 so it cannot wrap on 32-bit platforms.
+		if len(req.Sources) > maxPairs || len(req.Targets) > maxPairs ||
+			int64(len(req.Sources))*int64(len(req.Targets)) > int64(maxPairs) {
+			return q, badRequest("batch of %d x %d pairs exceeds the %d-pair limit",
+				len(req.Sources), len(req.Targets), maxPairs)
+		}
+		if q.sources, err = s.vertexList("sources", req.Sources); err == nil {
+			q.targets, err = s.vertexList("targets", req.Targets)
+		}
+		return q, err
 	}
-	// Decode stops at the end of the first JSON value; anything but EOF
-	// after it is trailing garbage (a second object, stray tokens), which
-	// a strict API must reject rather than silently ignore.
-	if _, err := dec.Token(); err != io.EOF {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: trailing data after request object"})
-		return nil, nil, false
-	}
-	// Cap each list as well as the product: a huge list paired with an
-	// empty one has product zero but would still burn CPU in validation.
-	// The product is taken in int64 so it cannot wrap on 32-bit platforms.
-	if len(req.Sources) > maxPairs || len(req.Targets) > maxPairs ||
-		int64(len(req.Sources))*int64(len(req.Targets)) > int64(maxPairs) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
-			"batch of %d x %d pairs exceeds the %d-pair limit",
-			len(req.Sources), len(req.Targets), maxPairs)})
-		return nil, nil, false
-	}
-	sources, err := s.vertexList("sources", req.Sources)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return nil, nil, false
-	}
-	targets, err = s.vertexList("targets", req.Targets)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return nil, nil, false
-	}
-	return sources, targets, true
 }
 
-// handleBatchDistance answers a sources x targets distance matrix in one
+// batchDistance answers a sources x targets distance matrix in one
 // request, dispatching to the index's batch accelerator (CH bucket
 // many-to-many, TNR table sweep, SILC shared-prefix walks, or pooled
 // point-to-point; see core.Pool.BatchDistance). The matrix is computed by
 // the accelerator in one piece — that is what makes it fast — but the
-// response is streamed through the deferred-commit buffer (see stream.go),
-// byte-identical to the old json.Encoder document, and clients sending
-// "Accept: application/x-ndjson" get a row-per-line framing with a
-// {"done":true} terminator instead.
-func (s *Server) handleBatchDistance(w http.ResponseWriter, r *http.Request) {
-	sources, targets, ok := s.decodeBatch(w, r, s.maxBatchPairs)
-	if !ok {
-		return
-	}
-	s.m.countQuery("batch_distance")
-	s.m.observeBatch("batch_distance", len(sources)*len(targets))
-	table, err := s.pool.BatchDistance(r.Context(), sources, targets)
+// response is streamed through the fixed-size buffer of stream.go: one
+// document byte-identical to json.Encoder's for batchDistanceResponse, or,
+// for clients sending "Accept: application/x-ndjson", one
+// {"i":N,"distances":[...]} line per source row (flushed row by row, so a
+// consumer can pipeline) and a final {"done":true}.
+func (s *Server) batchDistance(w *responseWriter, r *http.Request, q batchQuery) error {
+	s.m.observeBatch("batch_distance", len(q.sources)*len(q.targets))
+	table, err := s.pool.BatchDistance(r.Context(), q.sources, q.targets)
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
-	for _, row := range table {
+	st := s.newStream(w, r, `,"distances":[`, q)
+	for i, row := range table {
+		if st.lines {
+			st.writeString(`{"i":`)
+			st.writeInt(int64(i))
+			st.writeString(`,"distances":`)
+		} else if i > 0 {
+			st.writeByte(',')
+		}
+		st.writeByte('[')
 		for j, d := range row {
-			if d >= graph.Infinity {
-				row[j] = -1
+			if j > 0 {
+				st.writeByte(',')
 			}
+			if d >= graph.Infinity {
+				d = -1
+			}
+			st.writeInt(d)
+		}
+		st.writeByte(']')
+		if st.lines {
+			st.writeString("}\n")
+			_ = st.bw.Flush()
 		}
 	}
-	if wantsNDJSON(r) {
-		s.streamBatchDistanceNDJSON(w, sources, targets, table)
-		return
-	}
-	s.streamBatchDistanceJSON(w, sources, targets, table)
+	st.end()
+	s.m.countRows("batch_distance", len(table))
+	return nil
 }
 
-// batchRouteEntry is one cell of the batch route matrix. Distance has no
-// omitempty (see distanceResponse); the field order and tags here define
-// the wire shape the streaming writer of stream.go reproduces byte for
-// byte — change them together.
-type batchRouteEntry struct {
-	Reachable bool             `json:"reachable"`
-	Distance  int64            `json:"distance"`
-	Vertices  []graph.VertexID `json:"vertices,omitempty"`
-}
-
-// batchRouteResponse carries the path matrix: Routes[i][j] is the shortest
-// path from Sources[i] to Targets[j].
-type batchRouteResponse struct {
-	Sources []graph.VertexID    `json:"sources"`
-	Targets []graph.VertexID    `json:"targets"`
-	Routes  [][]batchRouteEntry `json:"routes"`
-}
-
-// handleBatchRoute answers a sources x targets matrix of full shortest
-// paths in one request, under the same guards as batch distance but a
-// lower pair cap (route cells carry whole paths, not one int64). Cells are
-// produced one lazy PathIterator at a time on one pooled searcher and
-// streamed straight into the response (see stream.go), so every cell is
+// batchRoute answers a sources x targets matrix of full shortest paths in
+// one request, under the same guards as batch distance but a lower pair
+// cap (route cells carry whole paths, not one int64). Cells are produced
+// one lazy PathIterator at a time on one pooled searcher and streamed
+// straight into the response (see stream.go), so every cell is
 // bit-identical to the corresponding sequential /v1/route answer while
 // resident memory stays bounded by the stream buffer, independent of path
-// length and matrix size. Clients sending "Accept: application/x-ndjson"
-// get the row-by-row NDJSON framing instead of one JSON document; both
-// modes observe the total-vertex budget. The request context is polled
-// inside every path query, aborting the batch mid-flight when the client
-// goes away.
-func (s *Server) handleBatchRoute(w http.ResponseWriter, r *http.Request) {
-	sources, targets, ok := s.decodeBatch(w, r, s.maxBatchRoutePairs)
-	if !ok {
-		return
-	}
-	s.m.countQuery("batch_route")
-	s.m.observeBatch("batch_route", len(sources)*len(targets))
+// length and matrix size. Both framings observe the total-vertex budget.
+// The request context is polled inside every path query, aborting the
+// batch mid-flight when the client goes away.
+func (s *Server) batchRoute(w *responseWriter, r *http.Request, q batchQuery) error {
+	s.m.observeBatch("batch_route", len(q.sources)*len(q.targets))
 	sr, err := s.pool.GetContext(r.Context())
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
 	defer s.pool.Put(sr)
-	if wantsNDJSON(r) {
-		s.streamBatchRouteNDJSON(w, r, sr, sources, targets)
-		return
+	st := s.newStream(w, r, `,"routes":[`, q)
+	cells := 0
+	for i, src := range q.sources {
+		if !st.lines {
+			if i > 0 {
+				st.writeByte(',')
+			}
+			st.writeByte('[')
+		}
+		for j, tgt := range q.targets {
+			it, d, err := core.OpenPath(r.Context(), sr, src, tgt)
+			if err == nil {
+				err = st.cell(i, j, it, d)
+			}
+			if err != nil {
+				return st.fail(err, cells)
+			}
+			cells++
+		}
+		if st.lines {
+			// Row boundary: push finished rows to slow consumers.
+			_ = st.bw.Flush()
+		} else {
+			st.writeByte(']')
+		}
 	}
-	s.streamBatchRouteJSON(w, r, sr, sources, targets)
+	st.end()
+	s.m.countRows("batch_route", cells)
+	return nil
+}
+
+func (s *Server) parseNearest(_ http.ResponseWriter, _ *http.Request, query url.Values) (geom.Point, error) {
+	x, errX := strconv.ParseInt(query.Get("x"), 10, 32)
+	y, errY := strconv.ParseInt(query.Get("y"), 10, 32)
+	if errX != nil || errY != nil {
+		return geom.Point{}, badRequest("parameters x and y must be integers")
+	}
+	return geom.Point{X: int32(x), Y: int32(y)}, nil
 }
 
 type nearestResponse struct {
@@ -586,24 +526,15 @@ type nearestResponse struct {
 	Y      int32          `json:"y"`
 }
 
-// handleNearest snaps a coordinate to its nearest vertex via the R-tree
-// locator (best-first MBR browsing; ties broken by smaller vertex id).
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	x, errX := strconv.ParseInt(q.Get("x"), 10, 32)
-	y, errY := strconv.ParseInt(q.Get("y"), 10, 32)
-	if errX != nil || errY != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"parameters x and y must be integers"})
-		return
-	}
-	s.m.countQuery("nearest")
-	v := s.spatial.NearestVertex(geom.Point{X: int32(x), Y: int32(y)})
-	if v < 0 {
-		writeJSON(w, http.StatusNotFound, errorResponse{"empty graph"})
-		return
+// nearest snaps a coordinate to its nearest vertex.
+func (s *Server) nearest(w *responseWriter, _ *http.Request, at geom.Point) error {
+	v, ok := s.snap(at.X, at.Y)
+	if !ok {
+		return &apiError{http.StatusNotFound, "empty graph"}
 	}
 	p := s.g.Coord(v)
 	writeJSON(w, http.StatusOK, nearestResponse{Vertex: v, X: p.X, Y: p.Y})
+	return nil
 }
 
 type statsResponse struct {

@@ -10,14 +10,10 @@ package server
 // deadline and client disconnects like every other query.
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 
 	"roadnet/internal/core"
-	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 )
 
@@ -33,104 +29,74 @@ type spatialPoint struct {
 // resolve validates the point and returns the query vertex.
 func (p *spatialPoint) resolve(s *Server) (graph.VertexID, error) {
 	switch {
+	case p.Source != nil && (p.X != nil || p.Y != nil):
+		return 0, badRequest(`give either "source" or "x"/"y", not both`)
 	case p.Source != nil:
-		if p.X != nil || p.Y != nil {
-			return 0, errors.New(`give either "source" or "x"/"y", not both`)
-		}
-		id := *p.Source
-		if id < 0 || id >= int64(s.g.NumVertices()) {
-			return 0, fmt.Errorf("vertex %d out of range [0, %d)", id, s.g.NumVertices())
-		}
-		return graph.VertexID(id), nil
-	case p.X != nil && p.Y != nil:
-		v := s.spatial.NearestVertex(geom.Point{X: *p.X, Y: *p.Y})
-		if v < 0 {
-			return 0, errors.New("cannot snap coordinate: empty graph")
-		}
-		return v, nil
-	default:
-		return 0, errors.New(`need "source", or both "x" and "y"`)
+		return s.vertex(*p.Source)
+	case p.X == nil || p.Y == nil:
+		return 0, badRequest(`need "source", or both "x" and "y"`)
 	}
+	v, ok := s.snap(*p.X, *p.Y)
+	if !ok {
+		return 0, badRequest("cannot snap coordinate: empty graph")
+	}
+	return v, nil
 }
 
-// decodeStrict decodes exactly one JSON object into v under the batch-body
-// byte limit, writing the error response itself on failure (413 for an
-// oversized body, 400 otherwise).
-func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{err.Error()})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: trailing data after request object"})
-		return false
-	}
-	return true
-}
-
+// knnRequest is the /v1/knn body; parseKNN leaves the resolved query
+// vertex in src.
 type knnRequest struct {
 	spatialPoint
-	K int `json:"k"`
+	K   int `json:"k"`
+	src graph.VertexID
 }
 
-// neighborEntry is one (vertex, network distance) result.
-type neighborEntry struct {
-	Vertex   graph.VertexID `json:"vertex"`
-	Distance int64          `json:"distance"`
+func (s *Server) parseKNN(w http.ResponseWriter, r *http.Request, _ url.Values) (req knnRequest, err error) {
+	if err = s.decodeStrict(w, r, &req); err != nil {
+		return req, err
+	}
+	if req.K < 1 || req.K > s.maxKNN {
+		return req, badRequest("k must be in [1, %d], got %d", s.maxKNN, req.K)
+	}
+	req.src, err = req.resolve(s)
+	return req, err
 }
 
 type knnResponse struct {
 	Source    graph.VertexID  `json:"source"`
 	K         int             `json:"k"`
-	Neighbors []neighborEntry `json:"neighbors"`
+	Neighbors []core.Neighbor `json:"neighbors"`
 }
 
-// handleKNN answers the k vertices nearest to the query point by network
+// nonNil keeps an empty answer encoding as [] rather than null.
+func nonNil(nbs []core.Neighbor) []core.Neighbor {
+	if nbs == nil {
+		return []core.Neighbor{}
+	}
+	return nbs
+}
+
+// knn answers the k vertices nearest to the query point by network
 // distance, ordered by (distance, id) — bit-identical across index
 // techniques (the acceptance contract of the spatial tier). The query
 // holds a pool searcher slot for admission control even on the paths that
 // do not use it, so a bounded pool bounds spatial work too.
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req knnRequest
-	if !s.decodeStrict(w, r, &req) {
-		return
-	}
-	if req.K < 1 || req.K > s.maxKNN {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
-			"k must be in [1, %d], got %d", s.maxKNN, req.K)})
-		return
-	}
-	src, err := req.resolve(s)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
+func (s *Server) knn(w *responseWriter, r *http.Request, req knnRequest) error {
 	sr, err := s.pool.GetContext(r.Context())
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
 	defer s.pool.Put(sr)
-	s.m.countQuery("knn")
-	neighbors, err := s.spatial.KNearest(r.Context(), s.idx, src, req.K)
+	neighbors, err := s.spatial.KNearest(r.Context(), s.idx, req.src, req.K)
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
-	resp := knnResponse{Source: src, K: req.K, Neighbors: make([]neighborEntry, len(neighbors))}
-	for i, nb := range neighbors {
-		resp.Neighbors[i] = neighborEntry{Vertex: nb.V, Distance: nb.Dist}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, knnResponse{Source: req.src, K: req.K, Neighbors: nonNil(neighbors)})
+	return nil
 }
 
+// withinRequest is the /v1/within body; parseWithin leaves the resolved
+// query vertex in src and the effective cap in Limit.
 type withinRequest struct {
 	spatialPoint
 	// Radius is the network-distance bound (required, positive).
@@ -143,6 +109,24 @@ type withinRequest struct {
 	// Limit caps the neighbor count (0 = the server's maximum). Values
 	// above the server's maximum are clamped to it.
 	Limit int `json:"limit"`
+	src   graph.VertexID
+}
+
+func (s *Server) parseWithin(w http.ResponseWriter, r *http.Request, _ url.Values) (req withinRequest, err error) {
+	if err = s.decodeStrict(w, r, &req); err != nil {
+		return req, err
+	}
+	if req.Radius < 1 {
+		return req, badRequest("radius must be positive, got %d", req.Radius)
+	}
+	if req.EuclidRadius < 0 {
+		return req, badRequest("euclid_radius must not be negative, got %d", req.EuclidRadius)
+	}
+	if req.Limit <= 0 || req.Limit > s.maxWithinResults {
+		req.Limit = s.maxWithinResults
+	}
+	req.src, err = req.resolve(s)
+	return req, err
 }
 
 type withinResponse struct {
@@ -150,60 +134,31 @@ type withinResponse struct {
 	Radius    int64           `json:"radius"`
 	Count     int             `json:"count"`
 	Truncated bool            `json:"truncated"`
-	Neighbors []neighborEntry `json:"neighbors"`
+	Neighbors []core.Neighbor `json:"neighbors"`
 }
 
-// handleWithin answers the vertices within a network distance of the query
-// point via a bounded Dijkstra, ordered by (distance, id). Truncated
-// responses (over the limit) keep the closest neighbors and say so.
-func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
-	var req withinRequest
-	if !s.decodeStrict(w, r, &req) {
-		return
-	}
-	if req.Radius < 1 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
-			"radius must be positive, got %d", req.Radius)})
-		return
-	}
-	if req.EuclidRadius < 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
-			"euclid_radius must not be negative, got %d", req.EuclidRadius)})
-		return
-	}
-	limit := req.Limit
-	if limit <= 0 || limit > s.maxWithinResults {
-		limit = s.maxWithinResults
-	}
-	src, err := req.resolve(s)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
+// within answers the vertices within a network distance of the query point
+// via a bounded Dijkstra, ordered by (distance, id). Truncated responses
+// (over the limit) keep the closest neighbors and say so.
+func (s *Server) within(w *responseWriter, r *http.Request, req withinRequest) error {
 	sr, err := s.pool.GetContext(r.Context())
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
 	defer s.pool.Put(sr)
-	s.m.countQuery("within")
-	neighbors, truncated, err := s.spatial.Within(r.Context(), src, req.Radius, core.WithinOptions{
+	neighbors, truncated, err := s.spatial.Within(r.Context(), req.src, req.Radius, core.WithinOptions{
 		EuclidRadius: req.EuclidRadius,
-		MaxResults:   limit,
+		MaxResults:   req.Limit,
 	})
 	if err != nil {
-		writeAborted(w, err)
-		return
+		return err
 	}
-	resp := withinResponse{
-		Source:    src,
+	writeJSON(w, http.StatusOK, withinResponse{
+		Source:    req.src,
 		Radius:    req.Radius,
 		Count:     len(neighbors),
 		Truncated: truncated,
-		Neighbors: make([]neighborEntry, len(neighbors)),
-	}
-	for i, nb := range neighbors {
-		resp.Neighbors[i] = neighborEntry{Vertex: nb.V, Distance: nb.Dist}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Neighbors: nonNil(neighbors),
+	})
+	return nil
 }

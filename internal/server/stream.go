@@ -1,25 +1,25 @@
-// Batch-route response streaming. Both response modes drain one lazy
-// core.PathIterator at a time into a fixed-size buffer, so serving a batch
-// of long paths keeps resident memory bounded by the buffer, not by path
-// length or matrix size:
+// Batch response streaming. Both batch endpoints write through one
+// fixed-size buffer in one of two framings, chosen once per request:
 //
-//   - JSON mode writes the exact bytes json.Encoder would produce for
-//     batchRouteResponse (the shape of the pre-streaming implementation,
-//     trailing newline included), so clients cannot tell the difference.
-//   - NDJSON mode (Accept: application/x-ndjson) frames the same data as
-//     one JSON object per line: a header line with the echoed id lists,
-//     one line per matrix cell carrying its i/j indices, and a final
-//     status line — {"done":true} on success, or a {"truncated":...}
-//     marker when the stream was cut short, so a consumer always knows
-//     whether it saw the whole matrix.
+//   - JSON document (the default): the exact bytes json.Encoder would
+//     produce for {"sources":[...],"targets":[...],"<matrix>":[[...],...]}
+//     (trailing newline included), so clients cannot tell it is streamed.
+//   - NDJSON lines (Accept: application/x-ndjson): a header line with the
+//     echoed id lists, one line per matrix row (distances) or per matrix
+//     cell carrying its i/j indices (routes), and a final status line —
+//     {"done":true} on success, or a {"truncated":...} marker when the
+//     stream was cut short, so a consumer always knows whether it saw the
+//     whole matrix.
 //
-// Error handling is two-phase. While the response still fits the buffer
-// nothing has been sent, and an aborted query is reported with a real
-// status (499/503 per writeAborted, 413 for a blown vertex budget). Once
-// the buffer has spilled the 200 header is on the wire: JSON mode then
-// aborts the connection (http.ErrAbortHandler), which is the only honest
-// signal a single-document format has left, while NDJSON mode stays
-// well-formed by closing the current cell with "truncated":true and
+// Batch route drains one lazy core.PathIterator at a time into the buffer,
+// so serving long paths keeps resident memory bounded by the buffer, not by
+// path length or matrix size. Its error handling is two-phase. While the
+// response still fits the buffer nothing has been sent, and a failed query
+// is reported with a real status (see writeError; 413 for a blown vertex
+// budget). Once the buffer has spilled the 200 header is on the wire: the
+// JSON document then aborts the connection (http.ErrAbortHandler), which is
+// the only honest signal a single-document format has left, while NDJSON
+// stays well-formed by closing the current cell with "truncated":true and
 // appending the marker line.
 package server
 
@@ -27,12 +27,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
-	"roadnet/internal/core"
 	"roadnet/internal/graph"
 )
 
@@ -44,43 +42,41 @@ const streamBufSize = 32 << 10
 // errVertexBudget aborts a batch whose paths exceed the response budget.
 var errVertexBudget = errors.New("batch route response exceeds the vertex budget")
 
-// wantsNDJSON reports whether the client asked for the NDJSON framing.
-func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// commitWriter passes writes through to the ResponseWriter and remembers
-// that it did: once committed, the status line is on the wire and error
-// reporting must switch to the in-band strategies described above.
-type commitWriter struct {
-	w         http.ResponseWriter
-	committed bool
-}
-
-func (c *commitWriter) Write(p []byte) (int, error) {
-	c.committed = true
-	return c.w.Write(p)
-}
-
-// routeStream is the shared streaming state of one batch-route response.
-type routeStream struct {
-	cw      commitWriter
+// stream is the state of one batch response.
+type stream struct {
+	w       *responseWriter
+	m       *serverMetrics
 	bw      *bufio.Writer
-	budget  int64
+	lines   bool  // NDJSON lines; false = one JSON document
+	budget  int64 // path vertices the response may still carry
 	scratch []byte
 }
 
-func (s *Server) newRouteStream(w http.ResponseWriter) *routeStream {
-	st := &routeStream{cw: commitWriter{w: w}, budget: s.routeVertexBudget}
-	st.bw = bufio.NewWriterSize(&st.cw, streamBufSize)
-	st.scratch = make([]byte, 0, 20)
+// newStream picks the framing the client asked for and writes the part
+// both share: the echoed id lists, then either matrix — the opening of the
+// document's matrix member — or the end of the NDJSON header line.
+func (s *Server) newStream(w *responseWriter, r *http.Request, matrix string, q batchQuery) *stream {
+	st := &stream{w: w, m: s.m, budget: s.routeVertexBudget, scratch: make([]byte, 0, 20),
+		lines: strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")}
+	st.bw = bufio.NewWriterSize(w, streamBufSize)
+	st.writeString(`{"sources":`)
+	st.writeIDList(q.sources)
+	st.writeString(`,"targets":`)
+	st.writeIDList(q.targets)
+	if st.lines {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		st.writeString("}\n")
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		st.writeString(matrix)
+	}
 	return st
 }
 
-func (st *routeStream) writeString(s string) { _, _ = st.bw.WriteString(s) }
-func (st *routeStream) writeByte(b byte)     { _ = st.bw.WriteByte(b) }
+func (st *stream) writeString(s string) { _, _ = st.bw.WriteString(s) }
+func (st *stream) writeByte(b byte)     { _ = st.bw.WriteByte(b) }
 
-func (st *routeStream) writeInt(v int64) {
+func (st *stream) writeInt(v int64) {
 	st.scratch = strconv.AppendInt(st.scratch[:0], v, 10)
 	_, _ = st.bw.Write(st.scratch)
 }
@@ -88,7 +84,7 @@ func (st *routeStream) writeInt(v int64) {
 // writeIDList writes a vertex id list with the exact bytes encoding/json
 // produces for []graph.VertexID (the lists come from vertexList and are
 // never nil, so the encoder would print [] for empty ones, as we do).
-func (st *routeStream) writeIDList(ids []graph.VertexID) {
+func (st *stream) writeIDList(ids []graph.VertexID) {
 	st.writeByte('[')
 	for i, v := range ids {
 		if i > 0 {
@@ -99,39 +95,39 @@ func (st *routeStream) writeIDList(ids []graph.VertexID) {
 	st.writeByte(']')
 }
 
-// abort reports err for a stream that has not committed any bytes: the
-// buffer is discarded and a real error status is written instead. The
-// caller must have checked !st.cw.committed.
-func (st *routeStream) abort(err error) {
-	st.bw.Reset(&st.cw)
-	if errors.Is(err, errVertexBudget) {
-		writeJSON(st.cw.w, http.StatusRequestEntityTooLarge, errorResponse{
-			err.Error() + "; request fewer pairs, or stream with Accept: application/x-ndjson"})
-		return
+// cell drains one OpenPath iterator into the stream as cell (i, j) of the
+// route matrix: {"reachable":R,"distance":D,"vertices":[...]}, vertices
+// omitted when unreachable — byte-identical to json.Marshal of a struct
+// with those tags — as element j of its row (JSON document) or as a line
+// of its own carrying "i" and "j" (NDJSON). It returns a non-nil error when
+// the walk aborted or the budget ran out; an NDJSON line is then already
+// closed with a "truncated":true member, a JSON document is left mid-array
+// for fail to abandon.
+func (st *stream) cell(i, j int, it graph.PathIterator, d int64) error {
+	end := "}"
+	if st.lines {
+		end = "}\n"
+		st.writeString(`{"i":`)
+		st.writeInt(int64(i))
+		st.writeString(`,"j":`)
+		st.writeInt(int64(j))
+		st.writeByte(',')
+	} else {
+		if j > 0 {
+			st.writeByte(',')
+		}
+		st.writeByte('{')
 	}
-	writeAborted(st.cw.w, err)
-}
-
-// streamCell drains one OpenPath iterator into the stream as a
-// batchRouteEntry object (byte-identical to its json.Marshal form). The
-// prefix parameter carries the NDJSON "i"/"j" members ("" in JSON mode).
-// It returns a non-nil error when the walk aborted or the budget ran out;
-// in NDJSON mode the cell object is then already closed with a
-// "truncated":true member, in JSON mode the document is left mid-array for
-// the caller to abandon.
-func (st *routeStream) streamCell(prefix string, it graph.PathIterator, d int64, ndjson bool) error {
-	st.writeByte('{')
-	st.writeString(prefix)
 	if it == nil {
-		st.writeString(`"reachable":false,"distance":0}`)
+		st.writeString(`"reachable":false,"distance":0`)
+		st.writeString(end)
 		return nil
 	}
 	st.writeString(`"reachable":true,"distance":`)
 	st.writeInt(d)
 	st.writeString(`,"vertices":[`)
-	first := true
 	var fail error
-	for {
+	for first := true; ; first = false {
 		v, ok := it.Next()
 		if !ok {
 			fail = it.Err()
@@ -145,192 +141,55 @@ func (st *routeStream) streamCell(prefix string, it graph.PathIterator, d int64,
 		if !first {
 			st.writeByte(',')
 		}
-		first = false
 		st.writeInt(int64(v))
 	}
-	if fail != nil && ndjson {
-		st.writeString(`],"truncated":true}`)
-		return fail
-	}
 	if fail != nil {
+		if st.lines {
+			st.writeString("],\"truncated\":true}\n")
+		}
 		return fail
 	}
-	st.writeString("]}")
+	st.writeByte(']')
+	st.writeString(end)
 	return nil
 }
 
-// writeI64List writes one distance row with the exact bytes encoding/json
-// produces for a []int64 (null for a nil row, [] for an empty one).
-func (st *routeStream) writeI64List(row []int64) {
-	if row == nil {
-		st.writeString("null")
-		return
-	}
-	st.writeByte('[')
-	for j, d := range row {
-		if j > 0 {
-			st.writeByte(',')
-		}
-		st.writeInt(d)
-	}
-	st.writeByte(']')
-}
-
-// streamBatchDistanceJSON writes the single-document batch distance
-// response with the exact bytes json.Encoder would produce for
-// batchDistanceResponse — but through the fixed-size stream buffer. The
-// encoder materializes the entire document before its single Write, which
-// at the 2^20-pair cap is tens of MB of transient heap per request; this
-// path keeps encoding residency at streamBufSize no matter the matrix.
-func (s *Server) streamBatchDistanceJSON(w http.ResponseWriter, sources, targets []graph.VertexID, table [][]int64) {
-	w.Header().Set("Content-Type", "application/json")
-	st := s.newRouteStream(w)
-	st.writeString(`{"sources":`)
-	st.writeIDList(sources)
-	st.writeString(`,"targets":`)
-	st.writeIDList(targets)
-	st.writeString(`,"distances":`)
-	if table == nil {
-		st.writeString("null")
+// end closes a complete response.
+func (st *stream) end() {
+	if st.lines {
+		st.writeString("{\"done\":true}\n")
 	} else {
-		st.writeByte('[')
-		for i, row := range table {
-			if i > 0 {
-				st.writeByte(',')
-			}
-			st.writeI64List(row)
-		}
-		st.writeByte(']')
+		st.writeString("]}\n")
 	}
-	st.writeString("}\n")
 	_ = st.bw.Flush()
-	s.m.countRows("batch_distance", len(table))
 }
 
-// streamBatchDistanceNDJSON streams the matrix as one header line echoing
-// the id lists, one {"i":N,"distances":[...]} line per source row (flushed
-// row by row, so a consumer can pipeline), and a final {"done":true}
-// marker that distinguishes a complete matrix from a cut-short stream.
-func (s *Server) streamBatchDistanceNDJSON(w http.ResponseWriter, sources, targets []graph.VertexID, table [][]int64) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	st := s.newRouteStream(w)
-	st.writeString(`{"sources":`)
-	st.writeIDList(sources)
-	st.writeString(`,"targets":`)
-	st.writeIDList(targets)
-	st.writeString("}\n")
-	for i, row := range table {
-		st.writeString(`{"i":`)
-		st.writeInt(int64(i))
-		st.writeString(`,"distances":`)
-		st.writeI64List(row)
-		st.writeString("}\n")
-		_ = st.bw.Flush()
+// fail ends a batch route response that err cut short after cells whole
+// cells. While nothing has been sent the buffer is discarded and the error
+// returned for the route adapter to answer with a real status. Otherwise
+// the NDJSON stream ends with its in-band marker line, and the JSON
+// document — a 200 header and a partial document on the wire — kills the
+// connection, the only way left to signal failure without forging a
+// well-formed-but-wrong response.
+func (st *stream) fail(err error, cells int) error {
+	budget := errors.Is(err, errVertexBudget)
+	if budget {
+		st.m.countBudgetHit()
 	}
-	st.writeString("{\"done\":true}\n")
-	_ = st.bw.Flush()
-	s.m.countRows("batch_distance", len(table))
-}
-
-// streamBatchRouteJSON streams the classic single-document response.
-func (s *Server) streamBatchRouteJSON(w http.ResponseWriter, r *http.Request, sr core.Searcher, sources, targets []graph.VertexID) {
-	w.Header().Set("Content-Type", "application/json")
-	st := s.newRouteStream(w)
-	st.writeString(`{"sources":`)
-	st.writeIDList(sources)
-	st.writeString(`,"targets":`)
-	st.writeIDList(targets)
-	st.writeString(`,"routes":[`)
-	cells := 0
-	for i, src := range sources {
-		if i > 0 {
-			st.writeByte(',')
+	if st.w.status == 0 {
+		st.bw.Reset(st.w)
+		if budget {
+			return &apiError{http.StatusRequestEntityTooLarge,
+				err.Error() + "; request fewer pairs, or stream with Accept: application/x-ndjson"}
 		}
-		st.writeByte('[')
-		for j, tgt := range targets {
-			if j > 0 {
-				st.writeByte(',')
-			}
-			it, d, err := core.OpenPath(r.Context(), sr, src, tgt)
-			if err == nil {
-				err = st.streamCell("", it, d, false)
-			}
-			if err != nil {
-				if errors.Is(err, errVertexBudget) {
-					s.m.countBudgetHit()
-				}
-				if !st.cw.committed {
-					st.abort(err)
-					return
-				}
-				s.m.countRows("batch_route", cells)
-				s.m.countTruncation("json")
-				// The 200 header and a partial document are on the wire;
-				// killing the connection is the only way left to signal
-				// failure without forging a well-formed-but-wrong response.
-				panic(http.ErrAbortHandler)
-			}
-			cells++
-		}
-		st.writeByte(']')
+		return err
 	}
-	st.writeString("]}\n")
-	_ = st.bw.Flush()
-	s.m.countRows("batch_route", cells)
-}
-
-// streamBatchRouteNDJSON streams the line-framed response mode.
-func (s *Server) streamBatchRouteNDJSON(w http.ResponseWriter, r *http.Request, sr core.Searcher, sources, targets []graph.VertexID) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	st := s.newRouteStream(w)
-	st.writeString(`{"sources":`)
-	st.writeIDList(sources)
-	st.writeString(`,"targets":`)
-	st.writeIDList(targets)
-	st.writeString("}\n")
-	cells := 0
-	for i, src := range sources {
-		for j, tgt := range targets {
-			it, d, err := core.OpenPath(r.Context(), sr, src, tgt)
-			if err != nil {
-				// The search itself aborted; no cell line was started.
-				if !st.cw.committed {
-					st.abort(err)
-					return
-				}
-				s.m.countRows("batch_route", cells)
-				s.m.countTruncation("ndjson")
-				st.truncate(err)
-				return
-			}
-			prefix := fmt.Sprintf(`"i":%d,"j":%d,`, i, j)
-			if err := st.streamCell(prefix, it, d, true); err != nil {
-				if errors.Is(err, errVertexBudget) {
-					s.m.countBudgetHit()
-				}
-				if !st.cw.committed {
-					st.abort(err)
-					return
-				}
-				st.writeByte('\n')
-				s.m.countRows("batch_route", cells)
-				s.m.countTruncation("ndjson")
-				st.truncate(err)
-				return
-			}
-			st.writeByte('\n')
-			cells++
-		}
-		// Row boundary: push finished rows to slow consumers.
-		_ = st.bw.Flush()
+	st.m.countRows("batch_route", cells)
+	if !st.lines {
+		st.m.countTruncation("json")
+		panic(http.ErrAbortHandler)
 	}
-	st.writeString("{\"done\":true}\n")
-	_ = st.bw.Flush()
-	s.m.countRows("batch_route", cells)
-}
-
-// truncate ends a committed NDJSON stream with its in-band marker line.
-func (st *routeStream) truncate(err error) {
+	st.m.countTruncation("ndjson")
 	line, _ := json.Marshal(struct {
 		Truncated bool   `json:"truncated"`
 		Error     string `json:"error"`
@@ -338,4 +197,5 @@ func (st *routeStream) truncate(err error) {
 	_, _ = st.bw.Write(line)
 	st.writeByte('\n')
 	_ = st.bw.Flush()
+	return nil
 }

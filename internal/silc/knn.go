@@ -22,10 +22,13 @@ import (
 // to a bounded-Dijkstra oracle ranked the same way, whatever the region
 // scan order.
 
-// Neighbor is one result of a NearestK query.
+// Neighbor is one (vertex, network distance) result of a k-NN or range
+// query — the module's only such type: core and the roadnet facade alias
+// it, and the JSON tags are the wire shape of the server's /v1/knn and
+// /v1/within answers.
 type Neighbor struct {
-	V    graph.VertexID
-	Dist int64
+	V    graph.VertexID `json:"vertex"`
+	Dist int64          `json:"distance"`
 }
 
 // NearestEnabled reports whether the index was built with

@@ -387,15 +387,7 @@ func NearestK(idx Index, s VertexID, k int) ([]Neighbor, error) {
 	if sx == nil {
 		return nil, fmt.Errorf("roadnet: NearestK requires a SILC index")
 	}
-	res, err := sx.NearestK(s, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(res))
-	for i, nb := range res {
-		out[i] = Neighbor{V: nb.V, Dist: nb.Dist}
-	}
-	return out, nil
+	return sx.NearestK(s, k)
 }
 
 // Point is a planar vertex coordinate.
