@@ -11,6 +11,7 @@ import (
 	"roadnet/internal/core"
 	"roadnet/internal/gen"
 	"roadnet/internal/pcpd"
+	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
@@ -93,8 +94,8 @@ func TestClaimSILCAndPCPDPreprocessingHeavy(t *testing.T) {
 	// SILC and PCPD run the same n Dijkstra sweeps; what differs is what
 	// each then has to produce, compared as a count and not on the clock:
 	// Morton intervals against decomposition-tree nodes.
-	intervals := core.SILCOf(e.indexes[core.MethodSILC]).NumIntervals()
-	// A PCPD index is its own searcher (see core's newIndex).
+	// A SILC or PCPD index is its own searcher (see core's newIndex).
+	intervals := e.indexes[core.MethodSILC].NewSearcher().(*silc.Index).NumIntervals()
 	nodes := e.indexes[core.MethodPCPD].NewSearcher().(*pcpd.Index).NumNodes()
 	t.Logf("%d PCPD tree nodes, %d SILC intervals", nodes, intervals)
 	if nodes < intervals {

@@ -38,10 +38,9 @@
 //
 // The spatial tier (coordinate snapping, /v1/knn, /v1/within) runs on an
 // R-tree over the vertex coordinates, bulk-loaded at startup or mmap'd
-// from a -rtree cache file. /v1/knn answers by exact network distance —
-// SILC distance browsing with R-tree candidate pruning when the index was
-// built with -knn (method silc), bounded Dijkstra otherwise; answers are
-// bit-identical either way. -request-timeout bounds every request's
+// from a -rtree cache file. /v1/knn and /v1/within answer by exact network
+// distance from one bounded Dijkstra, whatever -method serves the
+// point-to-point endpoints. -request-timeout bounds every request's
 // wall-clock time.
 //
 // Batch routes are streamed row-by-row from lazy path iterators, so the
@@ -120,7 +119,6 @@ func main() {
 		prewarm     = flag.Int("prewarm", runtime.GOMAXPROCS(0), "searchers to build before serving, so the first burst pays no allocations (guaranteed to stay warm only with -pool-max; unbounded pools may drop idle searchers at GC)")
 		routeBudget = flag.Int64("route-vertex-budget", server.DefaultBatchRouteVertexBudget, "max total path vertices one batch-route request may stream (JSON responses over budget get 413; NDJSON responses truncate in-band)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "wall-clock bound per request (0 = none); requests over it abort with 503")
-		knnNearest  = flag.Bool("knn", false, "build the SILC per-region nearest bounds that accelerate /v1/knn (method silc only; grows the index)")
 		rtreePath   = flag.String("rtree", "", "R-tree file: load (mmap) if present, else bulk-load from the graph and save")
 		knnMax      = flag.Int("knn-max", server.DefaultMaxKNN, "max k accepted by /v1/knn")
 		withinMax   = flag.Int("within-max", server.DefaultMaxWithinResults, "max neighbors one /v1/within response may carry (larger answers truncate)")
@@ -145,9 +143,7 @@ func main() {
 	}
 	fmt.Printf("network: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
-	cfg := roadnet.Config{}
-	cfg.SILC.EnableNearest = *knnNearest
-	idx, loadInfo, idxVerified, degraded, err := buildOrLoad(roadnet.Method(*method), g, *indexPath, *useMmap, openOpts, cfg)
+	idx, loadInfo, idxVerified, degraded, err := buildOrLoad(roadnet.Method(*method), g, *indexPath, *useMmap, openOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -282,7 +278,7 @@ func main() {
 // ("" when healthy); verified reports whether the index bytes are
 // known-good (built in-process, or checksum-verified off disk); info is
 // the zero LoadInfo when the index was built rather than loaded.
-func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useMmap bool, openOpts []roadnet.OpenOption, cfg roadnet.Config) (idx core.Index, info roadnet.LoadInfo, verified bool, degraded string, err error) {
+func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useMmap bool, openOpts []roadnet.OpenOption) (idx core.Index, info roadnet.LoadInfo, verified bool, degraded string, err error) {
 	if indexPath != "" {
 		if _, statErr := os.Stat(indexPath); statErr == nil {
 			start := time.Now()
@@ -304,7 +300,7 @@ func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useM
 			return fallback, roadnet.LoadInfo{}, true, degraded, nil
 		}
 	}
-	idx, err = roadnet.NewIndex(method, g, cfg)
+	idx, err = roadnet.NewIndex(method, g, roadnet.Config{})
 	if err != nil {
 		return nil, roadnet.LoadInfo{}, false, "", err
 	}

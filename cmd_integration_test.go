@@ -145,6 +145,8 @@ func TestSpverifyVerdicts(t *testing.T) {
 		says string
 	}{
 		{"clean", []string{clean}, 0, ": ok"},
+		// A SILC file of a build that still filled the now-reserved sections.
+		{"nearest-era file", []string{"internal/silc/testdata/figure1_nearest.idx"}, 0, ": ok"},
 		{"byte flipped", []string{flipped}, 1, "CORRUPT"},
 		{"no checksums", []string{noChecksums}, 0, "unauditable"},
 		{"no checksums, strict", []string{"-strict", noChecksums}, 1, "unauditable"},

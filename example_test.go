@@ -1,6 +1,7 @@
 package roadnet_test
 
 import (
+	"context"
 	"fmt"
 
 	"roadnet"
@@ -36,17 +37,11 @@ func ExampleDistanceMatrix() {
 	// Output: 2 3 true
 }
 
-// ExampleNearestK finds the nearest vertices by network distance with a
-// SILC index built for distance browsing.
-func ExampleNearestK() {
+// ExampleSpatialLocator_KNearest finds the nearest vertices by network
+// distance; no index is needed, the locator runs one bounded search.
+func ExampleSpatialLocator_KNearest() {
 	g := roadnet.Generate(roadnet.GenParams{N: 500, Seed: 3})
-	idx, err := roadnet.NewIndex(roadnet.SILC, g, roadnet.Config{
-		SILC: roadnet.SILCOptions{EnableNearest: true},
-	})
-	if err != nil {
-		panic(err)
-	}
-	nearest, err := roadnet.NearestK(idx, 42, 3)
+	nearest, err := roadnet.NewSpatialLocator(g).KNearest(context.Background(), 42, 3)
 	if err != nil {
 		panic(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -48,24 +49,18 @@ func main() {
 			method, best, bestDist, float64(elapsed.Microseconds()), len(restaurants))
 	}
 
-	// Bonus (Appendix A): SILC supports k-nearest-neighbor queries over
-	// *all* vertices, not just a candidate list — "which 5 points in the
-	// network are closest to me?" Build on a smaller map (SILC is an
-	// all-pairs index).
-	small := roadnet.Generate(roadnet.GenParams{N: 2500, Seed: 8})
-	silcIdx, err := roadnet.NewIndex(roadnet.SILC, small, roadnet.Config{
-		SILC: roadnet.SILCOptions{EnableNearest: true},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Bonus (Appendix A): k-nearest-neighbor queries over *all* vertices,
+	// not just a candidate list — "which 5 points in the network are
+	// closest to me?" With every vertex a candidate, the 5 nearest are the
+	// first 5 a Dijkstra from q settles, so the locator asks no index.
 	q := roadnet.VertexID(1234)
+	loc := roadnet.NewSpatialLocator(g)
 	start := time.Now()
-	nearest, err := roadnet.NearestK(silcIdx, q, 5)
+	nearest, err := loc.KNearest(context.Background(), q, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nSILC 5-nearest-neighbors of vertex %d (%.1f microsec):\n",
+	fmt.Printf("\n5-nearest-neighbors of vertex %d (%.1f microsec):\n",
 		q, float64(time.Since(start).Microseconds()))
 	for i, nb := range nearest {
 		fmt.Printf("  %d. vertex %-6d travel time %d\n", i+1, nb.V, nb.Dist)

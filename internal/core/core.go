@@ -124,11 +124,14 @@ type Searcher interface {
 // BatchDistancer is the per-technique batch acceleration contract: a
 // Searcher additionally implements it when the technique can answer a full
 // sources×targets distance matrix faster than |S|×|T| independent
-// point-to-point queries. TNR implements it with one table-lookup sweep
-// whose per-endpoint access-node operands are computed once per endpoint,
-// and SILC with target-wise walks that memoize shared path suffixes; CH
-// batches are routed to the hierarchy's bucket many-to-many algorithm by
-// Pool.BatchDistance before this interface is consulted.
+// point-to-point queries — measurably so, against the per-pair loop of
+// Pool.BatchDistance it displaces. SILC implements it with target-wise
+// walks that memoize shared path suffixes (2.0–3.5× on NH,
+// BenchmarkSILCBatchDistance against BenchmarkSILCPerPair); CH batches are
+// routed to the hierarchy's bucket many-to-many algorithm by
+// Pool.BatchDistance before this interface is consulted. A TNR sweep that
+// hoisted each target's access-node operand out of the pair loop did not
+// resolve against that loop and was removed.
 //
 // table[i][j] must be dist(sources[i], targets[j]) with graph.Infinity for
 // unreachable pairs, bit-identical to per-pair DistanceContext calls, and
@@ -306,7 +309,7 @@ type technique interface {
 type index struct {
 	method Method
 	// tech is the technique's index value, nil for the baseline, which has
-	// none. HierarchyOf, TNROf, SILCOf and SaveIndex unwrap it.
+	// none. HierarchyOf, TNROf and SaveIndex unwrap it.
 	tech        technique
 	newSearcher func() Searcher
 	// chBuild is the build time of a hierarchy BuildIndex made for tech's
@@ -401,7 +404,3 @@ func HierarchyOf(ix Index) *ch.Hierarchy { return techOf[*ch.Hierarchy](ix) }
 // TNROf extracts the TNR index (for fallback statistics); nil for other
 // methods.
 func TNROf(ix Index) *tnr.Index { return techOf[*tnr.Index](ix) }
-
-// SILCOf extracts the SILC index from a SILC-method Index, exposing its
-// extras (NearestK distance browsing); nil for other methods.
-func SILCOf(ix Index) *silc.Index { return techOf[*silc.Index](ix) }

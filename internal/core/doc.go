@@ -26,8 +26,8 @@
 //   - Streaming paths: OpenPath is part of Searcher, a lazy PathIterator
 //     over every technique's own path production (PCPD streams from a
 //     materialized walk).
-//   - The spatial tier (spatial.go): an R-tree locator composed with the
-//     network engines for point location, network k-NN and range queries.
+//   - The spatial tier (spatial.go): an R-tree locator for point location
+//     plus bounded Dijkstra searches for network k-NN and range queries.
 //   - Persistence (serialize.go, loadfile.go): the flat container, read
 //     from a stream or mapped zero-copy, with checksum verification.
 package core

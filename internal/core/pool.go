@@ -289,11 +289,13 @@ func (p *Pool) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]
 //   - CH: the bucket many-to-many algorithm of Knopp et al. — one upward
 //     search per endpoint instead of |S|×|T| point-to-point queries (used
 //     when both lists have more than one element; smaller shapes gain
-//     nothing from the bucket pass).
-//   - TNR, SILC: the technique's BatchDistancer fast path (one table-lookup
-//     sweep with per-endpoint operands hoisted; target-wise walks with
-//     shared path-suffix memoization).
-//   - Everything else: per-pair DistanceContext on one pooled searcher.
+//     nothing from the bucket pass). 12× the per-pair loop at 16×16 and 47×
+//     at 64×64 on CA; the benchmark's serve_batch workload runs it.
+//   - SILC: its BatchDistancer, target-wise walks with shared path-suffix
+//     memoization — 2.0× at 16×16 to 3.5× at 64×1 on NH
+//     (BenchmarkSILCBatchDistance against BenchmarkSILCPerPair).
+//   - Everything else, TNR included: per-pair DistanceContext on one pooled
+//     searcher.
 //
 // Every path polls ctx at bounded intervals; on cancellation the partial
 // work is discarded and ctx's error returned. All paths return matrices

@@ -6,40 +6,31 @@ package core
 // k-nearest neighbors — the "nearest restaurant at driving distance"
 // workload of the paper's Appendix A) and /v1/within (network range).
 //
-// Geometry only ever *prunes* here, it never decides: k-NN answers are
-// ranked by exact network distance and are bit-identical whether they come
-// from SILC distance browsing seeded with R-tree candidates or from the
-// bounded-Dijkstra fallback, and a range query's geometric pre-filter only
-// narrows which vertices the bounded search must prove.
+// Geometry only ever *prunes* here, it never decides: both network queries
+// are one bounded Dijkstra from the query vertex whatever index serves the
+// point-to-point endpoints — every vertex is an object here, so the ball of
+// the k nearest vertices (or of the radius) is the answer itself and no
+// index has anything to prune — and a range query's geometric pre-filter
+// only narrows which vertices the bounded search must prove.
 
 import (
 	"context"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/rtree"
-	"roadnet/internal/silc"
 )
 
-// Neighbor is one result of a network k-NN or range query.
-type Neighbor = silc.Neighbor
-
-// SpatialOption configures a SpatialLocator.
-type SpatialOption func(*spatialConfig)
-
-type spatialConfig struct {
-	nodeCap int
-}
-
-// WithRTreeNodeCapacity sets the R-tree node capacity (default
-// rtree.DefaultMaxEntries).
-func WithRTreeNodeCapacity(m int) SpatialOption {
-	return func(c *spatialConfig) { c.nodeCap = m }
+// Neighbor is one (vertex, network distance) result of a k-NN or range
+// query; the JSON tags are the wire shape of the server's /v1/knn and
+// /v1/within answers.
+type Neighbor struct {
+	V    graph.VertexID `json:"vertex"`
+	Dist int64          `json:"distance"`
 }
 
 // SpatialLocator snaps coordinates to vertices and answers network k-NN
@@ -49,38 +40,18 @@ func WithRTreeNodeCapacity(m int) SpatialOption {
 type SpatialLocator struct {
 	g    *graph.Graph
 	tree *rtree.Tree
-	dctx sync.Pool // *dijkstra.Context for the bounded-search paths
-
-	// k-NN dispatch counters: how many KNearest calls ran the SILC
-	// distance-browsing fast path (seeded) versus the bounded-Dijkstra
-	// fallback. The answers are bit-identical either way; the ratio tells
-	// an operator whether the index they deployed is actually serving the
-	// fast path (see KNNCounts).
-	knnSeeded   atomic.Int64
-	knnDijkstra atomic.Int64
-}
-
-// KNNCounts reports how KNearest queries were dispatched: seeded through
-// SILC distance browsing, or answered by the bounded-Dijkstra fallback.
-// Safe for concurrent use.
-func (l *SpatialLocator) KNNCounts() (seeded, dijkstra int64) {
-	return l.knnSeeded.Load(), l.knnDijkstra.Load()
+	dctx sync.Pool // *dijkstra.Context for the bounded searches
 }
 
 // NewSpatialLocator bulk-loads (STR) an R-tree over g's vertex
 // coordinates.
-func NewSpatialLocator(g *graph.Graph, opts ...SpatialOption) *SpatialLocator {
-	var cfg spatialConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func NewSpatialLocator(g *graph.Graph) *SpatialLocator {
 	coords := g.Coords()
 	ents := make([]rtree.Entry, len(coords))
 	for v, p := range coords {
 		ents[v] = rtree.Entry{P: p, ID: int32(v)}
 	}
-	tree := rtree.BulkLoad(ents, rtree.Options{MaxEntries: cfg.nodeCap})
-	return newSpatialLocator(g, tree)
+	return newSpatialLocator(g, rtree.BulkLoad(ents, rtree.Options{}))
 }
 
 // NewSpatialLocatorFromTree wraps a prebuilt (typically mmap-loaded)
@@ -116,18 +87,6 @@ func (l *SpatialLocator) NearestVertex(p geom.Point) graph.VertexID {
 	return graph.VertexID(e.ID)
 }
 
-// NearestVertices returns the k geometrically nearest vertices to p in
-// (Euclidean distance, id) order — the geometric candidates that seed
-// network k-NN pruning.
-func (l *SpatialLocator) NearestVertices(p geom.Point, k int) []graph.VertexID {
-	ents := l.tree.NearestK(p, k)
-	out := make([]graph.VertexID, len(ents))
-	for i, e := range ents {
-		out[i] = graph.VertexID(e.ID)
-	}
-	return out
-}
-
 // VerticesWithinRadius returns the vertices within Euclidean distance
 // radius of p, in ascending id order.
 func (l *SpatialLocator) VerticesWithinRadius(p geom.Point, radius int64) []graph.VertexID {
@@ -141,27 +100,16 @@ func (l *SpatialLocator) VerticesWithinRadius(p geom.Point, radius int64) []grap
 }
 
 // KNearest returns the k vertices nearest to s by network distance,
-// excluding s, ordered by (distance, id). When idx is a SILC index built
-// with EnableNearest the query uses distance browsing seeded with R-tree
-// geometric candidates (the seeds tighten the k-th-candidate bound before
-// any region is scanned); otherwise it falls back to a bounded Dijkstra.
-// Both paths rank by (distance, id), so the answer is bit-identical across
-// techniques. ctx cancels mid-query.
-func (l *SpatialLocator) KNearest(ctx context.Context, idx Index, s graph.VertexID, k int) ([]Neighbor, error) {
+// excluding s, ordered by (distance, id), via a Dijkstra that stops once k
+// vertices and the ties of the k-th distance are settled. ctx cancels
+// mid-query.
+func (l *SpatialLocator) KNearest(ctx context.Context, s graph.VertexID, k int) ([]Neighbor, error) {
 	if n := l.g.NumVertices(); k > n-1 {
 		k = n - 1
 	}
 	if k <= 0 {
 		return nil, nil
 	}
-	if sx := SILCOf(idx); sx != nil && sx.NearestEnabled() {
-		l.knnSeeded.Add(1)
-		// k+1 geometric candidates: s itself is among them and is skipped.
-		seeds := l.NearestVertices(l.g.Coord(s), k+1)
-		res, _, err := sx.NearestKPruned(ctx, s, k, seeds)
-		return res, err
-	}
-	l.knnDijkstra.Add(1)
 	c := l.dctx.Get().(*dijkstra.Context)
 	defer l.dctx.Put(c)
 	vs, err := c.KNearest(ctx, s, k)

@@ -12,80 +12,77 @@ import (
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/rtree"
-	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 )
 
-// oracleKNN is the ground truth for network k-NN: a fresh Dijkstra
-// context's bounded search, ranked by (distance, id).
+// oracleKNN is the ground truth for network k-NN, sharing no stop rule with
+// the bounded search: a full Dijkstra sweep from s, every reached vertex
+// ranked by (distance, id), the first k kept.
 func oracleKNN(g *graph.Graph, s graph.VertexID, k int) []core.Neighbor {
 	c := dijkstra.NewContext(g)
-	vs, err := c.KNearest(context.Background(), s, k)
-	if err != nil {
-		panic(err)
+	c.Run([]graph.VertexID{s}, dijkstra.Options{})
+	var out []core.Neighbor
+	for _, v := range c.Settled() {
+		if v != s {
+			out = append(out, core.Neighbor{V: v, Dist: c.Dist(v)})
+		}
 	}
-	out := make([]core.Neighbor, len(vs))
-	for i, v := range vs {
-		out[i] = core.Neighbor{V: v, Dist: c.Dist(v)}
+	sortNeighbors(out)
+	if len(out) > k {
+		out = out[:k]
 	}
 	return out
 }
 
+// sortNeighbors orders nbs by (distance, id), the order of every answer.
+func sortNeighbors(nbs []core.Neighbor) {
+	sort.Slice(nbs, func(i, j int) bool {
+		if nbs[i].Dist != nbs[j].Dist {
+			return nbs[i].Dist < nbs[j].Dist
+		}
+		return nbs[i].V < nbs[j].V
+	})
+}
+
 // TestKNearestBitIdenticalAcrossTechniques checks the acceptance
-// criterion: /v1/knn's engine answers bit-identically to the
-// bounded-Dijkstra oracle on randomized graphs, whatever index backs it —
-// including the SILC distance-browsing fast path, seeded and unseeded.
+// criterion: /v1/knn's engine answers bit-identically to the full-sweep
+// oracle on randomized graphs, and every technique's own Distance to each
+// neighbor is the distance the answer reports.
 func TestKNearestBitIdenticalAcrossTechniques(t *testing.T) {
 	g := testutil.SmallRoad(300, 8801)
 	loc := core.NewSpatialLocator(g)
 	rng := rand.New(rand.NewSource(42))
 
 	methods := append(core.AllMethods(), core.MethodALT, core.MethodArcFlags)
-	indexes := make(map[string]core.Index)
+	indexes := make(map[core.Method]core.Index)
 	for _, m := range methods {
 		ix, err := core.BuildIndex(m, g, core.Config{TNR: tnr.Options{GridSize: 8}})
 		if err != nil {
 			t.Fatalf("build %s: %v", m, err)
 		}
-		indexes[string(m)] = ix
+		indexes[m] = ix
 	}
-	// The accelerated path: SILC with per-region nearest bounds.
-	ixNearest, err := core.BuildIndex(core.MethodSILC, g, core.Config{
-		SILC: silc.Options{EnableNearest: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sx := core.SILCOf(ixNearest); sx == nil || !sx.NearestEnabled() {
-		t.Fatal("EnableNearest index does not report NearestEnabled")
-	}
-	indexes["silc+nearest"] = ixNearest
 
 	for trial := 0; trial < 25; trial++ {
 		s := graph.VertexID(rng.Intn(g.NumVertices()))
 		k := rng.Intn(12) + 1
-		want := oracleKNN(g, s, k)
-		for name, ix := range indexes {
-			got, err := loc.KNearest(context.Background(), ix, s, k)
-			if err != nil {
-				t.Fatalf("%s: KNearest(%d, %d): %v", name, s, k, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: KNearest(%d, %d) returned %d neighbors, oracle %d\n got %v\nwant %v",
-					name, s, k, len(got), len(want), got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: KNearest(%d, %d)[%d] = %+v, oracle %+v\n got %v\nwant %v",
-						name, s, k, i, got[i], want[i], got, want)
+		got, err := loc.KNearest(context.Background(), s, k)
+		if err != nil {
+			t.Fatalf("KNearest(%d, %d): %v", s, k, err)
+		}
+		checkNeighbors(t, "knn", got, oracleKNN(g, s, k))
+		for m, ix := range indexes {
+			for _, nb := range got {
+				if d := ix.Distance(s, nb.V); d != nb.Dist {
+					t.Fatalf("%s: Distance(%d, %d) = %d, KNearest reports %d", m, s, nb.V, d, nb.Dist)
 				}
 			}
 		}
 	}
 
 	// k past the vertex count clamps.
-	got, err := loc.KNearest(context.Background(), indexes["silc+nearest"], 0, g.NumVertices()+50)
+	got, err := loc.KNearest(context.Background(), 0, g.NumVertices()+50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +118,7 @@ func TestWithinMatchesOracle(t *testing.T) {
 				want = append(want, core.Neighbor{V: vid, Dist: d})
 			}
 		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].Dist != want[j].Dist {
-				return want[i].Dist < want[j].Dist
-			}
-			return want[i].V < want[j].V
-		})
+		sortNeighbors(want)
 
 		got, truncated, err := loc.Within(context.Background(), s, radius, core.WithinOptions{})
 		if err != nil {
@@ -153,6 +145,17 @@ func TestWithinMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkNeighbors(t, "within+prefilter", gotGeo, wantGeo)
+
+		// A Euclidean radius whose square overflows int64 (from
+		// ceil(sqrt(MaxInt64)) up) covers the map: it filters nothing.
+		for _, huge := range []int64{3037000500, 4e9, 1 << 40} {
+			gotAll, _, err := loc.Within(context.Background(), s, radius,
+				core.WithinOptions{EuclidRadius: huge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkNeighbors(t, "within+huge prefilter", gotAll, want)
+		}
 
 		// MaxResults truncates the sorted prefix.
 		if len(want) > 3 {
@@ -209,13 +212,9 @@ func TestNearestVertexMatchesScan(t *testing.T) {
 func TestSpatialCancellation(t *testing.T) {
 	g := testutil.SmallRoad(300, 8804)
 	loc := core.NewSpatialLocator(g)
-	ix, err := core.BuildIndex(core.MethodDijkstra, g, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := loc.KNearest(ctx, ix, 0, 5); err == nil {
+	if _, err := loc.KNearest(ctx, 0, 5); err == nil {
 		t.Error("KNearest on cancelled context succeeded")
 	}
 	if _, _, err := loc.Within(ctx, 0, 1<<40, core.WithinOptions{}); err == nil {
@@ -228,12 +227,6 @@ func TestSpatialCancellation(t *testing.T) {
 func TestSpatialConcurrent(t *testing.T) {
 	g := testutil.SmallRoad(200, 8805)
 	loc := core.NewSpatialLocator(g)
-	ix, err := core.BuildIndex(core.MethodSILC, g, core.Config{
-		SILC: silc.Options{EnableNearest: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := oracleKNN(g, 7, 5)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -241,7 +234,7 @@ func TestSpatialConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				got, err := loc.KNearest(context.Background(), ix, 7, 5)
+				got, err := loc.KNearest(context.Background(), 7, 5)
 				if err != nil {
 					t.Error(err)
 					return

@@ -193,9 +193,10 @@ func (c *Context) RunContext(ctx context.Context, sources []graph.VertexID, opt 
 // excluding s itself, ordered by (distance, id) ascending — the bounded
 // search settles until k vertices are found, then keeps settling ties of
 // the k-th distance so the (distance, id)-minimal set is exact. Distances
-// are available via Dist afterwards. This is the oracle the spatial tier
-// falls back to when the index cannot accelerate k-NN, and the ground
-// truth its accelerated answers must match bit for bit.
+// are available via Dist afterwards. This is the one search behind the
+// spatial tier's k-NN: every vertex is a candidate, so the ball it settles
+// is the answer and no index can prune it (TestKNearestSettledCount pins
+// the ball's size).
 func (c *Context) KNearest(ctx context.Context, s graph.VertexID, k int) ([]graph.VertexID, error) {
 	if k <= 0 {
 		return nil, nil

@@ -1,6 +1,9 @@
 package dijkstra_test
 
 import (
+	"cmp"
+	"context"
+	"slices"
 	"testing"
 
 	"roadnet/internal/dijkstra"
@@ -212,5 +215,48 @@ func TestPathWeightRejectsFakePath(t *testing.T) {
 	}
 	if w := dijkstra.PathWeight(g, []graph.VertexID{testutil.V3, testutil.V1, testutil.V8}); w != 2 {
 		t.Errorf("valid path weight = %d, want 2", w)
+	}
+}
+
+// TestKNearestSettledCount pins the work of the one search that serves
+// network k-NN, in the paper's machine-independent unit: vertices settled
+// over a fixed query set, the source, the k neighbors and the ties of the
+// k-th distance each time. The answers are held to a full sweep ranked by
+// (distance, id), which shares no stop rule with KNearest. Stopping at the
+// k-th vertex without settling its ties changes an answer here; never
+// stopping changes only the count.
+func TestKNearestSettledCount(t *testing.T) {
+	const (
+		k       = 10
+		sources = 64
+	)
+	g := testutil.SmallRoad(800, 4242)
+	c, sweep := dijkstra.NewContext(g), dijkstra.NewContext(g)
+	settled := 0
+	for i := 0; i < sources; i++ {
+		s := graph.VertexID((i * 257) % g.NumVertices())
+		got, err := c.KNearest(context.Background(), s, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled += len(c.Settled())
+
+		sweep.Run([]graph.VertexID{s}, dijkstra.Options{})
+		want := slices.DeleteFunc(slices.Clone(sweep.Settled()), func(v graph.VertexID) bool { return v == s })
+		slices.SortFunc(want, func(a, b graph.VertexID) int {
+			return cmp.Or(cmp.Compare(sweep.Dist(a), sweep.Dist(b)), cmp.Compare(a, b))
+		})
+		want = want[:k]
+		if !slices.Equal(got, want) {
+			t.Fatalf("KNearest(%d, %d) = %v, full sweep ranks %v", s, k, got, want)
+		}
+		for _, v := range got {
+			if c.Dist(v) != sweep.Dist(v) {
+				t.Fatalf("KNearest(%d, %d): Dist(%d) = %d, full sweep %d", s, k, v, c.Dist(v), sweep.Dist(v))
+			}
+		}
+	}
+	if want := 706; settled != want {
+		t.Errorf("%d k-NN queries settled %d vertices, pinned at %d", sources, settled, want)
 	}
 }

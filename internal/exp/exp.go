@@ -135,7 +135,7 @@ func All() []Experiment {
 		{ID: "f16", Paper: "Figure 16", Title: "distance queries vs n (R sets)", run: runFigure16},
 		{ID: "f17", Paper: "Figure 17", Title: "shortest path queries vs n (R sets)", run: runFigure17},
 		{ID: "ext", Paper: "Appendix A", Title: "related-work extensions (ALT, Arc Flags) vs CH", run: runExtensions},
-		{ID: "knn", Paper: "Appendix A (NN queries)", Title: "geometric pruning of network k-NN and range queries", run: runSpatial},
+		{ID: "knn", Paper: "Appendix A (NN queries)", Title: "vertices settled by network k-NN and range queries", run: runSpatial},
 	}
 }
 

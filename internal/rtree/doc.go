@@ -1,7 +1,7 @@
 // Package rtree implements an R-tree over planar integer points — the
 // spatial access method behind the server's point-location tier (snap a
 // coordinate to the nearest vertex, enumerate vertices in a rectangle or
-// radius, seed network k-NN with geometric candidates).
+// radius).
 //
 // BulkLoad packs a full entry set with Sort-Tile-Recursive (STR), which
 // yields near-full nodes; node capacity is configurable. Save/LoadFile

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 
 	"roadnet/internal/binio"
@@ -284,7 +285,13 @@ func (t *Tree) SearchRadius(p geom.Point, radius int64, fn func(Entry, int64) bo
 	if t.size == 0 || radius < 0 {
 		return true
 	}
-	return t.searchRadius(t.root, p, radius*radius, fn)
+	// The radius comes from clients: saturate its square, which wraps from
+	// ceil(sqrt(MaxInt64)) up and would then match nothing.
+	rr := int64(math.MaxInt64)
+	if radius < 3037000500 {
+		rr = radius * radius
+	}
+	return t.searchRadius(t.root, p, rr, fn)
 }
 
 func (t *Tree) searchRadius(ni int32, p geom.Point, rr int64, fn func(Entry, int64) bool) bool {
@@ -314,24 +321,6 @@ func (t *Tree) searchRadius(ni int32, p geom.Point, rr int64, fn func(Entry, int
 func (t *Tree) Nearest(p geom.Point) (e Entry, distSq int64, ok bool) {
 	b := t.NewBrowser(p)
 	return b.Next()
-}
-
-// NearestK returns the k entries nearest to p, ordered by (squared
-// distance, ID) ascending. Fewer are returned when the tree holds fewer.
-func (t *Tree) NearestK(p geom.Point, k int) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	b := t.NewBrowser(p)
-	out := make([]Entry, 0, k)
-	for len(out) < k {
-		e, _, ok := b.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // Browser enumerates entries in order of increasing Euclidean distance

@@ -43,6 +43,20 @@ func oracleNearestK(ents []Entry, p geom.Point, k int) []Entry {
 	return s
 }
 
+// browseK drains the first k entries of a Browser at p.
+func browseK(tr *Tree, p geom.Point, k int) []Entry {
+	b := tr.NewBrowser(p)
+	var out []Entry
+	for len(out) < k {
+		e, _, ok := b.Next()
+		if !ok {
+			break
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
 func sortByID(s []Entry) {
 	sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
 }
@@ -156,10 +170,10 @@ func TestOracleQueries(t *testing.T) {
 
 					// k-NN vs scan, exact order.
 					k := rng.Intn(n+3) + 1
-					knn := tr.NearestK(p, k)
+					knn := browseK(tr, p, k)
 					oracle := oracleNearestK(ents, p, k)
 					if !equalEntries(knn, oracle) {
-						t.Fatalf("%s n=%d cap=%d NearestK(%+v,%d):\n got %v\nwant %v", name, n, cap, p, k, knn, oracle)
+						t.Fatalf("%s n=%d cap=%d browseK(%+v,%d):\n got %v\nwant %v", name, n, cap, p, k, knn, oracle)
 					}
 				}
 
@@ -218,8 +232,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.Nearest(geom.Point{}); ok {
 		t.Fatal("Nearest on empty tree returned ok")
 	}
-	if got := tr.NearestK(geom.Point{}, 3); len(got) != 0 {
-		t.Fatalf("NearestK on empty tree returned %v", got)
+	if got := browseK(tr, geom.Point{}, 3); len(got) != 0 {
+		t.Fatalf("Browser on empty tree returned %v", got)
 	}
 	tr.Search(geom.Rect{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}, func(Entry) bool {
 		t.Fatal("Search on empty tree called fn")
@@ -267,8 +281,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 			}
 			checkTreeInvariants(t, tr)
 			p := geom.Point{X: 3, Y: -1}
-			if !equalEntries(tr.NearestK(p, 10), orig.NearestK(p, 10)) {
-				t.Fatalf("n=%d: loaded NearestK differs", n)
+			if !equalEntries(browseK(tr, p, 10), browseK(orig, p, 10)) {
+				t.Fatalf("n=%d: loaded Browser order differs", n)
 			}
 			var a, b []Entry
 			r := geom.Rect{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}

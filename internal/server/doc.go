@@ -19,10 +19,8 @@
 // O(log n), not a grid scan), /v1/route accepts from_x/from_y (to_x/to_y)
 // coordinate endpoints snapped the same way, and /v1/knn + /v1/within
 // answer the Appendix A "nearest restaurant at driving distance" workload:
-// k-NN by network distance (SILC distance browsing seeded with R-tree
-// candidates when the index supports it, bounded Dijkstra otherwise — the
-// answers are bit-identical either way) and network range with an optional
-// R-tree geometric pre-filter.
+// k-NN by network distance and network range with an optional R-tree
+// geometric pre-filter, both one bounded Dijkstra whatever the index.
 //
 // Concurrency: the index data of every technique is immutable after
 // construction, so the server shares one Index across all request

@@ -193,6 +193,7 @@ var goldenCases = []goldenCase{
 	post("within/limit-truncates", "/v1/within", `{"source":0,"radius":100,"limit":2}`),
 	post("within/server-limit-truncates", "/v1/within", `{"source":0,"radius":100}`).on("limits"),
 	post("within/euclid", "/v1/within", `{"x":0,"y":0,"radius":100,"euclid_radius":15}`),
+	post("within/euclid-square-overflows", "/v1/within", `{"source":0,"radius":25,"euclid_radius":4000000000}`),
 	post("within/nothing-in-range", "/v1/within", `{"source":0,"radius":1}`),
 	post("within/radius-zero", "/v1/within", `{"source":0,"radius":0}`),
 	post("within/radius-missing", "/v1/within", `{"source":0}`),

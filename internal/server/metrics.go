@@ -9,6 +9,8 @@ package server
 
 import (
 	"net/http"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 
 	"roadnet/internal/core"
@@ -109,9 +111,8 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		"1 when every byte behind the serving state was built in-process or checksum-verified at load.",
 		func() float64 { return boolGauge(h.Verified()) })
 
-	// Technique-level dispatch counters. TNR's table/fallback split is the
-	// live analogue of the paper's Figure 9/11 locality analysis; the k-NN
-	// split shows whether the SILC fast path actually serves /v1/knn.
+	// TNR's table/fallback split is the live analogue of the paper's
+	// Figure 9/11 locality analysis.
 	if t := core.TNROf(s.idx); t != nil {
 		reg.CounterFunc("roadnet_tnr_table_queries_total",
 			"TNR queries answered from the precomputed transit-node tables, across all searchers.",
@@ -120,15 +121,39 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			"TNR queries answered by the fallback technique (local pairs), across all searchers.",
 			func() float64 { _, fb := t.QueryCounts(); return float64(fb) })
 	}
-	loc := s.spatial
-	reg.CounterFunc("roadnet_knn_silc_seeded_total",
-		"/v1/knn queries dispatched to SILC distance browsing seeded with R-tree candidates.",
-		func() float64 { seeded, _ := loc.KNNCounts(); return float64(seeded) })
-	reg.CounterFunc("roadnet_knn_dijkstra_total",
-		"/v1/knn queries answered by the bounded-Dijkstra fallback.",
-		func() float64 { _, dij := loc.KNNCounts(); return float64(dij) })
+
+	// What is running, and the health of the runtime under it — read from
+	// runtime/metrics at scrape time, nothing on a request path.
+	reg.GaugeVec("roadnet_build_info",
+		"Constant 1, labelled with the Go version of the binary and the serving technique.",
+		"go_version", "method").With(runtime.Version(), m.method).Set(1)
+	reg.GaugeFunc("roadnet_go_goroutines",
+		"Live goroutines.",
+		runtimeValue("/sched/goroutines:goroutines"))
+	reg.GaugeFunc("roadnet_go_heap_inuse_bytes",
+		"Bytes of heap occupied by live objects and dead objects the collector has not yet freed.",
+		runtimeValue("/memory/classes/heap/objects:bytes"))
+	reg.CounterFunc("roadnet_go_gc_pause_cpu_seconds_total",
+		"Estimated CPU seconds the program has spent paused by the garbage collector (pause time x GOMAXPROCS).",
+		runtimeValue("/cpu/classes/gc/pause:cpu-seconds"))
 
 	return m
+}
+
+// runtimeValue returns a scrape-time reader of one scalar runtime/metrics
+// sample, 0 if this runtime does not export the name.
+func runtimeValue(name string) func() float64 {
+	return func() float64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		switch v := sample[0].Value; v.Kind() {
+		case rtmetrics.KindUint64:
+			return float64(v.Uint64())
+		case rtmetrics.KindFloat64:
+			return v.Float64()
+		}
+		return 0
+	}
 }
 
 func boolGauge(b bool) float64 {

@@ -6,6 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +169,32 @@ func TestMetricsHealthGauges(t *testing.T) {
 	wantLine(t, out, "roadnet_server_draining 1")
 	wantLine(t, out, "roadnet_server_degraded 1")
 	wantLine(t, out, "roadnet_index_verified 0")
+}
+
+// TestMetricsBuildInfoAndRuntime checks what /metrics says about the
+// process itself: which binary and technique, and the runtime readings — a
+// process serving this scrape has goroutines and a heap, and a collector
+// that may not have paused it yet. The k-NN dispatch families left with the
+// fork they counted.
+func TestMetricsBuildInfoAndRuntime(t *testing.T) {
+	ts, _ := newMetricsServer(t)
+	out := scrape(t, ts)
+	wantLine(t, out, `roadnet_build_info{go_version="`+runtime.Version()+`",method="ch"} 1`)
+	for name, min := range map[string]float64{
+		"roadnet_go_goroutines":                 1,
+		"roadnet_go_heap_inuse_bytes":           1,
+		"roadnet_go_gc_pause_cpu_seconds_total": 0,
+	} {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(out)
+		if m == nil {
+			t.Errorf("exposition has no %s sample; got:\n%s", name, out)
+		} else if v, err := strconv.ParseFloat(m[1], 64); err != nil || v < min {
+			t.Errorf("%s = %q, want at least %v", name, m[1], min)
+		}
+	}
+	if strings.Contains(out, "roadnet_knn_") {
+		t.Errorf("exposition still serves a roadnet_knn_* family:\n%s", out)
+	}
 }
 
 // TestMetricsBatchAccounting checks the pair histogram and streamed-row

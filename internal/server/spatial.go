@@ -77,17 +77,17 @@ func nonNil(nbs []core.Neighbor) []core.Neighbor {
 }
 
 // knn answers the k vertices nearest to the query point by network
-// distance, ordered by (distance, id) — bit-identical across index
-// techniques (the acceptance contract of the spatial tier). The query
-// holds a pool searcher slot for admission control even on the paths that
-// do not use it, so a bounded pool bounds spatial work too.
+// distance, ordered by (distance, id), via the locator's bounded Dijkstra
+// whatever technique the index is. The query holds a pool searcher slot it
+// does not use, for admission control, so a bounded pool bounds spatial
+// work too.
 func (s *Server) knn(w *responseWriter, r *http.Request, req knnRequest) error {
 	sr, err := s.pool.GetContext(r.Context())
 	if err != nil {
 		return err
 	}
 	defer s.pool.Put(sr)
-	neighbors, err := s.spatial.KNearest(r.Context(), s.idx, req.src, req.K)
+	neighbors, err := s.spatial.KNearest(r.Context(), req.src, req.K)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"roadnet/internal/graph"
 	"roadnet/internal/rtree"
 	"roadnet/internal/server"
-	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 )
@@ -77,8 +76,8 @@ func oracleServerKNN(g *graph.Graph, s graph.VertexID, k int) []struct {
 }
 
 // TestKNNEndpointBitIdenticalAcrossTechniques serves /v1/knn from every
-// technique (plus the SILC EnableNearest fast path) and requires answers
-// bit-identical to the bounded-Dijkstra oracle on a randomized graph.
+// technique and requires answers bit-identical to the bounded-Dijkstra
+// oracle on a randomized graph.
 func TestKNNEndpointBitIdenticalAcrossTechniques(t *testing.T) {
 	g := testutil.SmallRoad(250, 4411)
 	configs := []struct {
@@ -90,7 +89,6 @@ func TestKNNEndpointBitIdenticalAcrossTechniques(t *testing.T) {
 		{"ch", core.MethodCH, core.Config{}},
 		{"tnr", core.MethodTNR, core.Config{TNR: tnr.Options{GridSize: 8}}},
 		{"silc", core.MethodSILC, core.Config{}},
-		{"silc+nearest", core.MethodSILC, core.Config{SILC: silc.Options{EnableNearest: true}}},
 		{"pcpd", core.MethodPCPD, core.Config{}},
 		{"alt", core.MethodALT, core.Config{}},
 		{"arcflags", core.MethodArcFlags, core.Config{}},
@@ -308,7 +306,7 @@ func TestRequestTimeout(t *testing.T) {
 // meaningful under -race.
 func TestSpatialEndpointsConcurrent(t *testing.T) {
 	g := testutil.SmallRoad(200, 4414)
-	idx, err := core.BuildIndex(core.MethodSILC, g, core.Config{SILC: silc.Options{EnableNearest: true}})
+	idx, err := core.BuildIndex(core.MethodSILC, g, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,14 @@ import (
 //
 // Save writes the flat container: the per-source interval tables — the
 // O(n sqrt n) bulk of the index — are stored as shared offsets plus
-// concatenated starts/colors/minDist sections a loader can mmap and view
-// in place, and the exception runs are written as the index holds them.
+// concatenated starts/colors sections a loader can mmap and view in place,
+// and the exception runs are written as the index holds them.
+//
+// One meta byte and sections 3 and 5 are reserved: they carried per-interval
+// distance bounds and a Morton vertex order for a k-NN path since removed.
+// Save writes the byte 0 and the sections empty, as it always did for an
+// index without them; IndexFromFlat reads past all three, so a file written
+// with them still loads.
 
 const silcMagic = "ROADNET-SILC\n"
 
@@ -35,24 +41,16 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.U8(uint8(ix.norm.Bits()))
 	mw.I64(ix.buildTime.Nanoseconds())
 	mw.I64(ix.intervals)
-	hasNearest := uint8(0)
-	if ix.minDist != nil {
-		hasNearest = 1
-	}
-	mw.U8(hasNearest)
+	mw.U8(0) // reserved
 
 	rowOff, startsData := binio.Flatten(ix.starts)
 	_, colorsData := binio.Flatten(ix.colors)
 	fw.I64Section(rowOff)
 	fw.U32Section(startsData)
 	fw.U8Section(colorsData)
-	var minDistData []int32
-	if hasNearest != 0 {
-		_, minDistData = binio.Flatten(ix.minDist)
-	}
-	fw.I32Section(minDistData)
+	fw.I32Section(nil) // reserved
 	fw.U32Section(ix.code)
-	fw.I32Section(ix.order)
+	fw.I32Section(nil) // reserved
 	fw.I64Section(ix.excOff)
 	fw.I32Section(ix.excTarget)
 	fw.U8Section(ix.excColor)
@@ -78,13 +76,8 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	ix := &Index{g: g}
 	ix.buildTime = time.Duration(d.I64())
 	ix.intervals = d.I64()
-	hasNearest := d.U8() != 0
+	d.U8() // reserved
 	rowOff, startsData, colorsData := d.I64s(0), d.U32s(1), d.U8s(2)
-	var minDistData []int32
-	if hasNearest {
-		minDistData = d.I32s(3)
-		ix.order = d.I32s(5)
-	}
 	ix.code = d.U32s(4)
 	ix.excOff = d.I64s(6)
 	ix.excTarget = d.I32s(7)
@@ -116,19 +109,8 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if ix.colors, err = binio.Unflatten(rowOff, colorsData); err != nil {
 		return fail(err)
 	}
-	if hasNearest {
-		if len(minDistData) != len(startsData) {
-			return nil, fmt.Errorf("%w: silc minDist section does not match the interval tables", binio.ErrCorrupt)
-		}
-		if ix.minDist, err = binio.Unflatten(rowOff, minDistData); err != nil {
-			return fail(err)
-		}
-	}
 	if int64(len(ix.code)) != n {
 		return nil, fmt.Errorf("silc: code table sized for a different graph")
-	}
-	if hasNearest && int64(len(ix.order)) != n {
-		return nil, fmt.Errorf("silc: order table sized for a different graph")
 	}
 	if int64(len(ix.excOff))-1 != n {
 		return nil, fmt.Errorf("%w: silc exception offsets sized for a different graph", binio.ErrCorrupt)

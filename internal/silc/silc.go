@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -51,10 +50,6 @@ type Options struct {
 	Bits uint
 	// Workers bounds preprocessing parallelism (default GOMAXPROCS).
 	Workers int
-	// EnableNearest additionally records a per-region minimum-distance
-	// bound (4 bytes per interval), enabling NearestK distance-browsing
-	// queries (see knn.go).
-	EnableNearest bool
 	// Hierarchy optionally supplies a contraction hierarchy of the graph
 	// for the all-pairs sweeps; Build makes one with default options when
 	// nil. The index does not depend on which hierarchy it is.
@@ -84,18 +79,9 @@ type Index struct {
 	// code[v] is the Morton code of v.
 	code []uint32
 
-	// NearestK support (EnableNearest): order holds the vertices sorted by
-	// Morton code; minDist[v][i] lower-bounds the network distance from v
-	// to every vertex of region i (invalidMinDist for unreachable regions).
-	order   []graph.VertexID
-	minDist [][]int32
-
 	buildTime time.Duration
 	intervals int64
 }
-
-// invalidMinDist marks regions with no reachable vertex.
-const invalidMinDist = int32(math.MaxInt32)
 
 // Build constructs the SILC index for g by one hierarchy sweep per vertex
 // (the all-pairs preprocessing of §3.4).
@@ -141,10 +127,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		order[i] = graph.VertexID(i)
 	}
 	sort.Slice(order, func(i, j int) bool { return ix.code[order[i]] < ix.code[order[j]] })
-	if opts.EnableNearest {
-		ix.order = order
-		ix.minDist = make([][]int32, n)
-	}
 
 	// Per-source exception rows, flattened into the index once all are in.
 	excTarget := make([][]int32, n)
@@ -176,13 +158,11 @@ type sourceBuilder struct {
 	ix    *Index
 	order []graph.VertexID
 	sw    *ch.Sweeper
-	dist  []int64 // distance per target from the current source
 	hop   []uint8 // first-hop slot per target for the current source
 
-	starts   []uint32
-	colors   []uint8
-	minDists []int32          // used when EnableNearest
-	exc      []graph.VertexID // exception targets of the current source
+	starts []uint32
+	colors []uint8
+	exc    []graph.VertexID // exception targets of the current source
 
 	// Build's per-source exception rows; each source writes only its own.
 	excTarget [][]int32
@@ -191,20 +171,16 @@ type sourceBuilder struct {
 
 // build computes the first-hop coloring for source v and compresses it.
 func (b *sourceBuilder) build(v graph.VertexID) {
-	b.dist = b.sw.Run(v)
+	b.sw.Run(v)
 	b.sw.FirstHops(b.hop)
 
 	b.starts = b.starts[:0]
 	b.colors = b.colors[:0]
-	b.minDists = b.minDists[:0]
 	b.exc = b.exc[:0]
 	b.rec(v, 0, uint64(b.ix.norm.CodeSpaceSize()), 0, len(b.order))
 
 	b.ix.starts[v] = append([]uint32(nil), b.starts...)
 	b.ix.colors[v] = append([]uint8(nil), b.colors...)
-	if b.ix.minDist != nil {
-		b.ix.minDist[v] = append([]int32(nil), b.minDists...)
-	}
 	if len(b.exc) > 0 {
 		// Each vertex lies in one leaf cell, so targets are distinct.
 		slices.Sort(b.exc)
@@ -216,36 +192,13 @@ func (b *sourceBuilder) build(v graph.VertexID) {
 	}
 }
 
-// emit appends a region start, merging adjacent same-color regions. minD
-// is the minimum source distance over the region's vertices, maintained
-// only when NearestK support is enabled.
-func (b *sourceBuilder) emit(code uint64, color uint8, minD int32) {
+// emit appends a region start, merging adjacent same-color regions.
+func (b *sourceBuilder) emit(code uint64, color uint8) {
 	if len(b.colors) > 0 && b.colors[len(b.colors)-1] == color {
-		if b.ix.minDist != nil && minD < b.minDists[len(b.minDists)-1] {
-			b.minDists[len(b.minDists)-1] = minD
-		}
 		return
 	}
 	b.starts = append(b.starts, uint32(code))
 	b.colors = append(b.colors, color)
-	if b.ix.minDist != nil {
-		b.minDists = append(b.minDists, minD)
-	}
-}
-
-// regionMinDist computes the minimum source distance over
-// order[idxLo:idxHi], or invalidMinDist when nothing is reachable.
-func (b *sourceBuilder) regionMinDist(idxLo, idxHi int) int32 {
-	if b.ix.minDist == nil {
-		return invalidMinDist
-	}
-	minD := invalidMinDist
-	for i := idxLo; i < idxHi; i++ {
-		if d := b.dist[b.order[i]]; d < graph.Infinity && int32(d) < minD {
-			minD = int32(d)
-		}
-	}
-	return minD
 }
 
 // rec performs the quadtree subdivision of the Morton code range
@@ -278,14 +231,14 @@ func (b *sourceBuilder) rec(src graph.VertexID, codeLo, codeSpan uint64, idxLo, 
 		return // only the source lives here
 	}
 	if uniform {
-		b.emit(codeLo, color, b.regionMinDist(idxLo, idxHi))
+		b.emit(codeLo, color)
 		return
 	}
 	if codeSpan <= 1 {
 		// Coordinate collision: distinct vertices share one cell with
 		// different colors. Emit the first color and record the others as
 		// exceptions.
-		b.emit(codeLo, color, b.regionMinDist(idxLo, idxHi))
+		b.emit(codeLo, color)
 		for i := idxLo; i < idxHi; i++ {
 			u := b.order[i]
 			if u != src && b.hop[u] != color {
@@ -422,14 +375,10 @@ func (ix *Index) SizeBytes() int64 {
 	var size int64
 	for v := range ix.starts {
 		size += int64(len(ix.starts[v]))*5 + 48
-		if ix.minDist != nil {
-			size += int64(len(ix.minDist[v])) * 4
-		}
 	}
 	size += int64(len(ix.excTarget)) * 5
 	size += int64(len(ix.excOff)) * 8
 	size += int64(len(ix.code)) * 4
-	size += int64(len(ix.order)) * 4
 	return size
 }
 

@@ -197,9 +197,8 @@ type Searcher struct {
 // LookupsLast returns the number of pair-table cells the last query read:
 // |A(s)|·|A(t)| for a distance answered from the tables, the tail fills of
 // a path walk (|A(t)| cells per access node met, see pathiter.go), and 0
-// for a query the fallback answered; after a BatchDistance, its last pair.
-// It is TNR's machine-independent cost measure, next to SettledLast on the
-// searching techniques.
+// for a query the fallback answered. It is TNR's machine-independent cost
+// measure, next to SettledLast on the searching techniques.
 func (sr *Searcher) LookupsLast() int { return sr.lookups }
 
 // countTable records one query answered from the precomputed tables.

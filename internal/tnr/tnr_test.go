@@ -1,6 +1,8 @@
 package tnr_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"roadnet/internal/dijkstra"
@@ -167,4 +169,41 @@ func TestTNREmptyGraphRejected(t *testing.T) {
 	if _, err := tnr.Build(b.Build(), tnr.Options{}); err == nil {
 		t.Error("empty graph should be rejected")
 	}
+}
+
+func TestTNRSearcherContextCancelled(t *testing.T) {
+	g := testutil.SmallRoad(900, 73)
+	for _, fb := range []tnr.Fallback{tnr.FallbackCH, tnr.FallbackDijkstra} {
+		ix := buildTNR(t, g, tnr.Options{GridSize: 16, Fallback: fb})
+		sr := ix.NewSearcher()
+		ctx, cancelFn := context.WithCancel(context.Background())
+		cancelFn()
+		// A local pair exercises the fallback search, which must observe the
+		// cancelled context before doing any work.
+		s, tgt := localPair(ix, g)
+		if _, err := sr.DistanceContext(ctx, s, tgt); !errors.Is(err, context.Canceled) {
+			t.Errorf("fallback %v: DistanceContext err = %v, want context.Canceled", fb, err)
+		}
+		if _, _, err := sr.ShortestPathContext(ctx, s, tgt); !errors.Is(err, context.Canceled) {
+			t.Errorf("fallback %v: ShortestPathContext err = %v, want context.Canceled", fb, err)
+		}
+		// The searcher remains valid for reuse after an abort.
+		testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 20, 479), sr.Distance)
+	}
+}
+
+// localPair finds a pair the tables cannot answer, forcing the fallback.
+func localPair(ix *tnr.Index, g *graph.Graph) (graph.VertexID, graph.VertexID) {
+	for _, p := range testutil.SamplePairs(g, 256, 487) {
+		if p[0] != p[1] && !ix.CanAnswerFromTables(p[0], p[1]) {
+			return p[0], p[1]
+		}
+	}
+	// Adjacent vertices always fail the locality filter.
+	var s, t graph.VertexID
+	g.Neighbors(0, func(v graph.VertexID, _ graph.Weight, _ int32) bool {
+		s, t = 0, v
+		return false
+	})
+	return s, t
 }

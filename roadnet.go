@@ -68,17 +68,19 @@
 //
 // DistanceMatrix (and Pool.BatchDistance) answer a full sources×targets
 // distance matrix with the best accelerator the index offers. The
-// per-technique acceleration matrix:
+// per-technique acceleration matrix, each accelerator with the factor over
+// the per-pair loop it was kept for:
 //
 //	CH        bucket many-to-many (Knopp et al.): one upward search per
-//	          endpoint instead of |S|×|T| point-to-point queries
-//	TNR       one table-lookup sweep; each endpoint's access-node set and
-//	          distances are computed once, not once per pair
+//	          endpoint instead of |S|×|T| point-to-point queries; 12× at
+//	          16×16 and 47× at 64×64 on CA (the benchmark's serve_batch
+//	          workload runs it)
 //	SILC      target-wise path walks with shared-suffix memoization: hops
-//	          shared by several sources' paths are walked once
+//	          shared by several sources' paths are walked once; 2.0–3.5×
+//	          on NH (BenchmarkSILCBatchDistance in internal/silc)
 //	others    per-pair queries on one reusable searcher
 //
-// All accelerators return matrices bit-identical to per-pair queries.
+// Both accelerators return matrices bit-identical to per-pair queries.
 //
 // # Streaming paths
 //
@@ -93,20 +95,18 @@
 //
 // NewSpatialLocator builds the spatial query tier: an immutable R-tree
 // over the vertex coordinates answering point location (NearestVertex —
-// snap a raw coordinate to the network), geometric candidate generation,
-// and, composed with the network engines, network-distance k-nearest
-// neighbors (KNearest, SILC-accelerated when the index was built with
-// SILCOptions{EnableNearest: true}) and network range queries (Within,
-// with an optional Euclidean pre-filter). Geometry only ever prunes
-// candidates; every returned distance is an exact network distance, and
-// answers are bit-identical across index techniques. SaveRTree and
+// snap a raw coordinate to the network) and radius search, and, on a
+// bounded Dijkstra from the query vertex, network-distance k-nearest
+// neighbors (KNearest) and network range queries (Within, with an optional
+// Euclidean pre-filter). Geometry only ever prunes candidates; every
+// returned distance is an exact network distance, and the answers do not
+// depend on which index serves the point-to-point queries. SaveRTree and
 // LoadRTreeFile persist the tree in the flat v2 mmap format alongside the
 // graph and index caches.
 package roadnet
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"roadnet/internal/alt"
@@ -357,8 +357,8 @@ func WriteDIMACS(gr, co io.Writer, g *Graph) error {
 
 // DistanceMatrix computes all source-target distances with the best
 // accelerator the index offers (see the package comment's acceleration
-// matrix: CH bucket many-to-many, TNR table sweep, SILC shared-prefix
-// walks, per-pair queries otherwise). Unreachable pairs hold Infinity.
+// matrix: CH bucket many-to-many, SILC shared-suffix walks, per-pair
+// queries otherwise). Unreachable pairs hold Infinity.
 func DistanceMatrix(idx Index, sources, targets []VertexID) [][]int64 {
 	table, _ := DistanceMatrixContext(context.Background(), idx, sources, targets)
 	return table
@@ -376,45 +376,21 @@ func DistanceMatrixContext(ctx context.Context, idx Index, sources, targets []Ve
 // ordered by (distance, id).
 type Neighbor = core.Neighbor
 
-// NearestK answers a k-nearest-neighbor query by network distance: the k
-// vertices closest to s, ascending. It requires a SILC index built with
-// SILCOptions{EnableNearest: true} (the paper's Appendix A notes SILC's
-// suitability for nearest-neighbor queries). For a technique-independent
-// k-NN engine (with SILC acceleration when available), use a
-// SpatialLocator's KNearest.
-func NearestK(idx Index, s VertexID, k int) ([]Neighbor, error) {
-	sx := core.SILCOf(idx)
-	if sx == nil {
-		return nil, fmt.Errorf("roadnet: NearestK requires a SILC index")
-	}
-	return sx.NearestK(s, k)
-}
-
 // Point is a planar vertex coordinate.
 type Point = geom.Point
 
 // SpatialLocator is the spatial query tier over one graph: an immutable
-// R-tree over the vertex coordinates (point location, geometric k-NN and
-// radius search) composed with the network-distance engines (KNearest,
-// Within). Geometry only ever prunes; network distances decide. A locator
+// R-tree over the vertex coordinates (point location and radius search)
+// plus the bounded network searches (KNearest, Within). Geometry only ever prunes; network distances decide. A locator
 // is safe for concurrent use.
 type SpatialLocator = core.SpatialLocator
-
-// SpatialOption configures NewSpatialLocator.
-type SpatialOption = core.SpatialOption
-
-// WithRTreeNodeCapacity sets the R-tree node capacity (default 16,
-// minimum 4).
-func WithRTreeNodeCapacity(m int) SpatialOption { return core.WithRTreeNodeCapacity(m) }
 
 // WithinOptions tunes SpatialLocator.Within: an optional Euclidean
 // pre-filter radius and a result cap.
 type WithinOptions = core.WithinOptions
 
 // NewSpatialLocator bulk-loads an R-tree over g's vertex coordinates.
-func NewSpatialLocator(g *Graph, opts ...SpatialOption) *SpatialLocator {
-	return core.NewSpatialLocator(g, opts...)
-}
+func NewSpatialLocator(g *Graph) *SpatialLocator { return core.NewSpatialLocator(g) }
 
 // RTree is an immutable R-tree over (point, id) entries — the geometric
 // index behind SpatialLocator, reusable standalone. See internal/rtree for

@@ -2,6 +2,7 @@ package roadnet_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"roadnet"
@@ -94,31 +95,24 @@ func TestFacadeDistanceMatrix(t *testing.T) {
 
 func TestFacadeNearestK(t *testing.T) {
 	g := roadnet.Generate(roadnet.GenParams{N: 400, Seed: 6})
-	idx, err := roadnet.NewIndex(roadnet.SILC, g, roadnet.Config{
-		SILC: roadnet.SILCOptions{EnableNearest: true},
-	})
+	idx, err := roadnet.NewIndex(roadnet.CH, g, roadnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := roadnet.NearestK(idx, 10, 3)
+	res, err := roadnet.NewSpatialLocator(g).KNearest(context.Background(), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 3 {
-		t.Fatalf("NearestK returned %d results", len(res))
+		t.Fatalf("KNearest returned %d results", len(res))
 	}
 	for i, nb := range res {
 		if want := idx.Distance(10, nb.V); want != nb.Dist {
 			t.Errorf("result %d: dist %d, index says %d", i, nb.Dist, want)
 		}
-	}
-	// Non-SILC index must be rejected.
-	chIdx, err := roadnet.NewIndex(roadnet.CH, g, roadnet.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := roadnet.NearestK(chIdx, 10, 3); err == nil {
-		t.Error("NearestK on a CH index should error")
+		if i > 0 && nb.Dist < res[i-1].Dist {
+			t.Errorf("result %d: dist %d after %d", i, nb.Dist, res[i-1].Dist)
+		}
 	}
 }
 
