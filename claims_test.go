@@ -94,9 +94,8 @@ func TestClaimSILCAndPCPDPreprocessingHeavy(t *testing.T) {
 	// SILC and PCPD run the same n Dijkstra sweeps; what differs is what
 	// each then has to produce, compared as a count and not on the clock:
 	// Morton intervals against decomposition-tree nodes.
-	// A SILC or PCPD index is its own searcher (see core's newIndex).
-	intervals := e.indexes[core.MethodSILC].NewSearcher().(*silc.Index).NumIntervals()
-	nodes := e.indexes[core.MethodPCPD].NewSearcher().(*pcpd.Index).NumNodes()
+	intervals := e.indexes[core.MethodSILC].NewSearcher().(*silc.Searcher).NumIntervals()
+	nodes := e.indexes[core.MethodPCPD].NewSearcher().(*pcpd.Searcher).NumNodes()
 	t.Logf("%d PCPD tree nodes, %d SILC intervals", nodes, intervals)
 	if nodes < intervals {
 		t.Errorf("§4.3/§4.7: PCPD preprocessing should exceed SILC's: %d tree nodes against %d intervals", nodes, intervals)
@@ -162,7 +161,7 @@ func TestClaimTNRPathIsOrderKLookups(t *testing.T) {
 	sr := tnrIx.NewSearcher()
 	var lookups, vertices int
 	for _, p := range e.far.Pairs {
-		path, _ := sr.ShortestPath(p.S, p.T)
+		path, _ := testutil.Path(sr.OpenPath, p.S, p.T)
 		lookups += sr.LookupsLast()
 		vertices += len(path)
 	}

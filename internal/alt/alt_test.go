@@ -14,14 +14,14 @@ func TestALTExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
 	ix := alt.Build(g, alt.Options{NumLandmarks: 3}).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
 }
 
 func TestALTRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 401)
 	ix := alt.Build(g, alt.Options{}).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 91), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 93), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 93), ix.OpenPath)
 }
 
 func TestALTAdversarialGraph(t *testing.T) {
@@ -63,7 +63,7 @@ func TestALTDisconnected(t *testing.T) {
 	if d := ix.Distance(0, 3); d != graph.Infinity {
 		t.Errorf("cross-component distance = %d, want Infinity", d)
 	}
-	if p, _ := ix.ShortestPath(0, 3); p != nil {
+	if p, _ := testutil.Path(ix.OpenPath, 0, 3); p != nil {
 		t.Errorf("cross-component path = %v", p)
 	}
 }

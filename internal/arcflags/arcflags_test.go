@@ -14,14 +14,14 @@ func TestArcFlagsExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
 	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 2})).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
 }
 
 func TestArcFlagsRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 701)
 	ix := testutil.Must(arcflags.Build(g, arcflags.Options{GridSize: 8})).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 101), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 103), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 103), ix.OpenPath)
 }
 
 func TestArcFlagsAdversarialGraph(t *testing.T) {

@@ -222,7 +222,7 @@ func TestLoadsFileWithUnpackSections(t *testing.T) {
 	}
 	s := old.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 137), s.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 139), s.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 139), s.OpenPath)
 }
 
 // refBuild is Build as it was before the preprocessing rewrite, kept verbatim

@@ -19,7 +19,7 @@ func TestCHFigure1Examples(t *testing.T) {
 		t.Errorf("dist(v3, v7) = %d, want 6", d)
 	}
 	// And the path must unpack to original edges only.
-	path, d := s.ShortestPath(testutil.V3, testutil.V7)
+	path, d := testutil.Path(s.OpenPath, testutil.V3, testutil.V7)
 	if d != 6 {
 		t.Errorf("path dist(v3, v7) = %d, want 6", d)
 	}
@@ -33,7 +33,7 @@ func TestCHExhaustiveFigure1(t *testing.T) {
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), s.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), s.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), s.OpenPath)
 }
 
 func TestCHRoadNetworkDistances(t *testing.T) {
@@ -47,7 +47,7 @@ func TestCHRoadNetworkPaths(t *testing.T) {
 	g := testutil.SmallRoad(900, 33)
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 11), s.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 11), s.OpenPath)
 }
 
 func TestCHAdversarialGraph(t *testing.T) {
@@ -57,7 +57,7 @@ func TestCHAdversarialGraph(t *testing.T) {
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 500, 13), s.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 17), s.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 17), s.OpenPath)
 }
 
 func TestCHTinyGraphs(t *testing.T) {
@@ -78,14 +78,14 @@ func TestCHTinyGraphs(t *testing.T) {
 	if d := s.Distance(0, 2); d != 9 {
 		t.Errorf("dist(0, 2) = %d, want 9", d)
 	}
-	path, d := s.ShortestPath(0, 2)
+	path, d := testutil.Path(s.OpenPath, 0, 2)
 	if d != 9 || len(path) != 3 {
 		t.Errorf("path = %v dist %d, want [0 1 2] 9", path, d)
 	}
 	if d := s.Distance(1, 1); d != 0 {
 		t.Errorf("dist(v, v) = %d, want 0", d)
 	}
-	if p, d := s.ShortestPath(1, 1); d != 0 || len(p) != 1 {
+	if p, d := testutil.Path(s.OpenPath, 1, 1); d != 0 || len(p) != 1 {
 		t.Errorf("path(v, v) = %v %d", p, d)
 	}
 }
@@ -103,7 +103,7 @@ func TestCHDisconnected(t *testing.T) {
 	if d := s.Distance(0, 3); d < graph.Infinity {
 		t.Errorf("dist across components = %d, want Infinity", d)
 	}
-	if p, _ := s.ShortestPath(0, 3); p != nil {
+	if p, _ := testutil.Path(s.OpenPath, 0, 3); p != nil {
 		t.Errorf("path across components = %v, want nil", p)
 	}
 }
@@ -113,7 +113,7 @@ func TestCHUnpackedPathHasNoShortcuts(t *testing.T) {
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	s := h.NewSearcher()
 	for _, p := range testutil.SamplePairs(g, 100, 19) {
-		path, d := s.ShortestPath(p[0], p[1])
+		path, d := testutil.Path(s.OpenPath, p[0], p[1])
 		if d >= graph.Infinity {
 			continue
 		}
@@ -218,7 +218,7 @@ func TestCHStallingAgreesWithNoStalling(t *testing.T) {
 		t.Errorf("stalling settled %d > plain %d; expected pruning", stalledSettled, plainSettled)
 	}
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 41), stalling.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), stalling.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), stalling.OpenPath)
 }
 
 func TestCHManyToManyEmpty(t *testing.T) {

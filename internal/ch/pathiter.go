@@ -2,6 +2,7 @@ package ch
 
 import (
 	"context"
+	"slices"
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/graph"
@@ -81,52 +82,22 @@ func (it *unpackIter) Err() error { return it.err }
 // iterator reads the searcher's parent arrays and scratch buffers and is
 // invalidated by this searcher's next query.
 func (s *Searcher) OpenPath(ctx context.Context, from, to graph.VertexID) (graph.PathIterator, int64, error) {
-	if err := s.runCtx(ctx, from, to); err != nil {
+	if err := s.runCtx(ctx, from, to); err != nil || s.lastMeet < 0 {
 		return nil, graph.Infinity, err
 	}
-	return s.openPathFromLast(ctx, from, to)
-}
-
-// openPathFromLast builds the augmented path of the last run call into
-// searcher scratch and returns the lazy unpack iterator over it.
-func (s *Searcher) openPathFromLast(ctx context.Context, from, to graph.VertexID) (graph.PathIterator, int64, error) {
-	if s.lastMeet < 0 {
-		if from == to && s.lastDist == 0 {
-			return s.singleVertexIter(from), 0, nil
+	// Augmented path: from -> meet (side 0, reversed) then meet -> to. A
+	// from == to query ran no search, and its path is the one vertex.
+	aug := append(s.augBuf[:0], s.lastMeet)
+	if from != to {
+		for v := s.parent[0][s.lastMeet]; v >= 0; v = s.parent[0][v] {
+			aug = append(aug, v)
 		}
-		return nil, graph.Infinity, nil
-	}
-	if from == to {
-		return s.singleVertexIter(from), 0, nil
-	}
-	// Augmented path: from -> meet (side 0, reversed) then meet -> to.
-	up := s.upBuf[:0]
-	for v := s.lastMeet; v >= 0; v = s.parent[0][v] {
-		up = append(up, v)
-		if s.parent[0][v] < 0 {
-			break
-		}
-	}
-	s.upBuf = up
-	aug := s.augBuf[:0]
-	for i := len(up) - 1; i >= 0; i-- {
-		aug = append(aug, up[i])
-	}
-	for v := s.parent[1][s.lastMeet]; v >= 0; v = s.parent[1][v] {
-		aug = append(aug, v)
-		if s.parent[1][v] < 0 {
-			break
+		slices.Reverse(aug)
+		for v := s.parent[1][s.lastMeet]; v >= 0; v = s.parent[1][v] {
+			aug = append(aug, v)
 		}
 	}
 	s.augBuf = aug
 	s.unpack = unpackIter{h: s.h, ctx: ctx, aug: aug, stack: s.unpack.stack[:0]}
 	return &s.unpack, s.lastDist, nil
-}
-
-// singleVertexIter returns an iterator over the trivial one-vertex path,
-// reusing searcher scratch.
-func (s *Searcher) singleVertexIter(v graph.VertexID) graph.PathIterator {
-	s.augBuf = append(s.augBuf[:0], v)
-	s.pathIter.Reset(s.augBuf)
-	return &s.pathIter
 }

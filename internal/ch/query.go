@@ -43,13 +43,10 @@ type Searcher struct {
 	settledCount int
 
 	// Path-production scratch, reused across queries so streaming a path
-	// allocates nothing in steady state: upBuf holds the side-0 parent
-	// chain, augBuf the augmented (shortcut-level) path, unpack the lazy
-	// expansion iterator and pathIter the trivial single-vertex case.
-	upBuf    []graph.VertexID
-	augBuf   []graph.VertexID
-	unpack   unpackIter
-	pathIter graph.SlicePath
+	// allocates nothing in steady state: augBuf holds the augmented
+	// (shortcut-level) path and unpack the lazy expansion iterator over it.
+	augBuf []graph.VertexID
+	unpack unpackIter
 }
 
 // NewSearcher returns a fresh query context for h.
@@ -192,26 +189,4 @@ func (h *Hierarchy) stalled(v graph.VertexID, d int64, dist []int64, gen []uint3
 		}
 	}
 	return false
-}
-
-// ShortestPath returns the exact shortest path in the original graph
-// (shortcuts unpacked) and its length.
-func (s *Searcher) ShortestPath(from, to graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := s.ShortestPathContext(context.Background(), from, to)
-	return path, d
-}
-
-// ShortestPathContext is ShortestPath with cancellation (see
-// DistanceContext). It is a thin collector over OpenPath: the lazy unpack
-// iterator is drained into a fresh caller-owned slice.
-func (s *Searcher) ShortestPathContext(ctx context.Context, from, to graph.VertexID) ([]graph.VertexID, int64, error) {
-	it, d, err := s.OpenPath(ctx, from, to)
-	if err != nil || it == nil {
-		return nil, graph.Infinity, err
-	}
-	path, err := graph.AppendPath(make([]graph.VertexID, 0, 2*len(s.augBuf)), it)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	return path, d, nil
 }

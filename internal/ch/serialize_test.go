@@ -27,7 +27,7 @@ func TestCHSerializationRoundtrip(t *testing.T) {
 	}
 	s := h2.NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 131), s.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 133), s.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 133), s.OpenPath)
 }
 
 func TestCHSerializationRejectsWrongGraph(t *testing.T) {

@@ -93,23 +93,11 @@ func (s *flakySearcher) Distance(a, b graph.VertexID) int64 {
 	return s.Searcher.Distance(a, b)
 }
 
-func (s *flakySearcher) ShortestPath(a, b graph.VertexID) ([]graph.VertexID, int64) {
-	s.idx.inject()
-	return s.Searcher.ShortestPath(a, b)
-}
-
 func (s *flakySearcher) DistanceContext(ctx context.Context, a, b graph.VertexID) (int64, error) {
 	if err := s.idx.injectFailing(); err != nil {
 		return 0, err
 	}
 	return s.Searcher.DistanceContext(ctx, a, b)
-}
-
-func (s *flakySearcher) ShortestPathContext(ctx context.Context, a, b graph.VertexID) ([]graph.VertexID, int64, error) {
-	if err := s.idx.injectFailing(); err != nil {
-		return nil, graph.Infinity, err
-	}
-	return s.Searcher.ShortestPathContext(ctx, a, b)
 }
 
 func (s *flakySearcher) OpenPath(ctx context.Context, a, b graph.VertexID) (core.PathIterator, int64, error) {

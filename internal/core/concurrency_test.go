@@ -28,22 +28,15 @@ func oracleDistances(g *graph.Graph, pairs [][2]graph.VertexID) []int64 {
 	return want
 }
 
-// querier is the part of Searcher checkQueries asks, which a Pool answers
-// too.
-type querier interface {
-	Distance(s, t graph.VertexID) int64
-	ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64)
-}
-
 // checkQueries runs every pair through sr and compares with the oracle;
 // the first mismatch is reported on errs.
-func checkQueries(g *graph.Graph, sr querier, pairs [][2]graph.VertexID, want []int64, errs chan<- error) {
+func checkQueries(g *graph.Graph, sr Searcher, pairs [][2]graph.VertexID, want []int64, errs chan<- error) {
 	for i, p := range pairs {
 		if d := sr.Distance(p[0], p[1]); d != want[i] {
 			errs <- fmt.Errorf("dist(%d, %d) = %d, want %d", p[0], p[1], d, want[i])
 			return
 		}
-		path, d := sr.ShortestPath(p[0], p[1])
+		path, d := testutil.Path(sr.OpenPath, p[0], p[1])
 		if d != want[i] {
 			errs <- fmt.Errorf("path dist(%d, %d) = %d, want %d", p[0], p[1], d, want[i])
 			return
@@ -67,7 +60,24 @@ func checkQueries(g *graph.Graph, sr querier, pairs [][2]graph.VertexID, want []
 	errs <- nil
 }
 
-// TestConcurrentSearchers fires concurrent Distance and ShortestPath
+// checkPooled is checkQueries through pool: a searcher is checked out for
+// each pair and back in after it, so searchers change owners between
+// queries.
+func checkPooled(g *graph.Graph, pool *Pool, pairs [][2]graph.VertexID, want []int64, errs chan<- error) {
+	one := make(chan error, 1)
+	for i := range pairs {
+		sr := pool.Get()
+		checkQueries(g, sr, pairs[i:i+1], want[i:i+1], one)
+		pool.Put(sr)
+		if err := <-one; err != nil {
+			errs <- err
+			return
+		}
+	}
+	errs <- nil
+}
+
+// TestConcurrentSearchers fires concurrent Distance and OpenPath
 // queries from 8 goroutines — each with its own Searcher — against every
 // technique and checks all answers against the sequential Dijkstra oracle.
 // Run under -race, this is the proof of the searcher-per-goroutine
@@ -124,17 +134,7 @@ func TestConcurrentPool(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for i, p := range pairs {
-						if d := pool.Distance(p[0], p[1]); d != want[i] {
-							errs <- fmt.Errorf("pooled dist(%d, %d) = %d, want %d", p[0], p[1], d, want[i])
-							return
-						}
-						if _, d := pool.ShortestPath(p[0], p[1]); d != want[i] {
-							errs <- fmt.Errorf("pooled path dist(%d, %d) = %d, want %d", p[0], p[1], d, want[i])
-							return
-						}
-					}
-					errs <- nil
+					checkPooled(g, pool, pairs, want, errs)
 				}()
 			}
 			wg.Wait()
@@ -170,8 +170,8 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 				if gotD := reused.Distance(p[0], p[1]); gotD != wantD {
 					t.Fatalf("reused dist(%d, %d) = %d, fresh = %d", p[0], p[1], gotD, wantD)
 				}
-				wantPath, wantPD := fresh.ShortestPath(p[0], p[1])
-				gotPath, gotPD := reused.ShortestPath(p[0], p[1])
+				wantPath, wantPD := testutil.Path(fresh.OpenPath, p[0], p[1])
+				gotPath, gotPD := testutil.Path(reused.OpenPath, p[0], p[1])
 				if gotPD != wantPD {
 					t.Fatalf("reused path dist(%d, %d) = %d, fresh = %d", p[0], p[1], gotPD, wantPD)
 				}

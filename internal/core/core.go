@@ -66,7 +66,9 @@ type Index interface {
 	// unreachable pairs.
 	Distance(s, t graph.VertexID) int64
 	// ShortestPath answers a shortest path query (§2), returning the
-	// vertex sequence and the path length, or (nil, graph.Infinity).
+	// vertex sequence and the path length, or (nil, graph.Infinity). It
+	// drains the default searcher's OpenPath into a caller-owned slice,
+	// the one place a path becomes a slice.
 	ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64)
 	// NewSearcher returns a fresh query context sharing the index's
 	// immutable data. Searchers from distinct NewSearcher calls may be
@@ -77,49 +79,53 @@ type Index interface {
 }
 
 // Searcher is a per-goroutine query context over a shared Index: it owns
-// all mutable search state (distance labels, generation counters, heaps),
-// while the index data it reads is immutable. A Searcher is reusable
-// across any number of queries with zero steady-state allocations on the
-// distance hot path, but is not safe for concurrent use — create one per
-// goroutine, or hand them out through a Pool.
-// Cancellation contract: the Context variants poll ctx at bounded
-// intervals (every cancel.Interval settled vertices, path hops, or
-// recursion steps — whichever unit the technique's query loop advances in)
-// and abort with ctx's error. Every technique polls, including the
-// bidirectional-Dijkstra fallback inside TNR, so a cancelled request stops
-// burning CPU within a bounded number of steps no matter which index
-// serves it. A query issued on an already-cancelled context aborts before
-// doing any work, and an aborted Searcher remains valid for reuse.
+// all mutable search state (distance labels, generation counters, heaps,
+// path buffers), while the index data it reads is immutable. It answers
+// the paper's two queries (§2), a distance and a shortest path, the path
+// one way only: streamed through OpenPath. A Searcher is reusable across
+// any number of queries with zero steady-state allocations on the distance
+// hot path and on a drained path, but is not safe for concurrent use —
+// create one per goroutine, or hand them out through a Pool.
+//
+// Cancellation contract: DistanceContext and OpenPath (and the iterators
+// it returns) poll ctx at bounded intervals (every cancel.Interval settled
+// vertices, path hops, or recursion steps — whichever unit the technique's
+// query loop advances in) and abort with ctx's error. Every technique
+// polls, including the bidirectional-Dijkstra fallback inside TNR, so a
+// cancelled request stops burning CPU within a bounded number of steps no
+// matter which index serves it. A query issued on an already-cancelled
+// context aborts before doing any work, and an aborted Searcher remains
+// valid for reuse.
 type Searcher interface {
 	// Distance answers a distance query, returning graph.Infinity for
 	// unreachable pairs.
 	Distance(s, t graph.VertexID) int64
-	// ShortestPath answers a shortest path query, returning the vertex
-	// sequence and the path length, or (nil, graph.Infinity).
-	ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64)
 	// DistanceContext is Distance with cancellation: it polls ctx at
 	// bounded intervals and aborts with its error.
 	DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error)
-	// ShortestPathContext is ShortestPath with cancellation.
-	ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error)
-	// OpenPath is ShortestPathContext with the path streamed instead of
-	// materialized. It reports the path length up front (streaming
-	// consumers emit it before the vertices) and returns:
+	// OpenPath answers a shortest path query with the path streamed. It
+	// reports the path length up front (streaming consumers emit it before
+	// the vertices) and returns:
 	//
 	//   - (nil, Infinity, err) when the underlying search was cancelled;
 	//   - (nil, Infinity, nil) when t is unreachable from s;
 	//   - (it, d, nil) otherwise, with it yielding the full path s..t.
 	//
-	// Every technique but PCPD, whose recursion builds the path outside-in,
-	// produces the vertices lazily; the sequence is bit-identical to
-	// ShortestPathContext's either way. The iterator reads the searcher's
-	// per-query state: it is invalidated by the searcher's next query and
-	// must be drained (or abandoned) before the searcher is reused or
-	// returned to a Pool. Iterators poll ctx at bounded intervals while
-	// expanding, surfacing cancellation through Err after a short
-	// Next()=false tail.
+	// CH (shortcut unpacking) and TNR (the table walk) produce the vertices
+	// lazily; the other techniques assemble the path in searcher-owned
+	// scratch first. The iterator reads the searcher's per-query state: it
+	// is invalidated by the searcher's next query and must be drained (or
+	// abandoned) before the searcher is reused or returned to a Pool.
+	// Iterators poll ctx at bounded intervals while expanding, surfacing
+	// cancellation through Err after a short Next()=false tail.
 	OpenPath(ctx context.Context, s, t graph.VertexID) (PathIterator, int64, error)
 }
+
+// PathIterator streams the vertices of one shortest path in order. It is
+// defined in the leaf package internal/graph (so technique packages can
+// implement it without importing core) and re-exported here as the name the
+// serving layers use.
+type PathIterator = graph.PathIterator
 
 // BatchDistancer is the per-technique batch acceleration contract: a
 // Searcher additionally implements it when the technique can answer a full
@@ -144,6 +150,13 @@ type BatchDistancer interface {
 // ErrIndexTooLarge is returned when an index exceeds the configured memory
 // ceiling, mirroring the paper's 24 GB main-memory rule.
 var ErrIndexTooLarge = errors.New("core: index exceeds the memory ceiling")
+
+// ErrFlawedTNR is returned by BuildIndex and the loaders for a TNR index
+// whose access nodes are not tnr.AccessCorrected: Bast et al.'s flawed
+// computation answers some distances wrongly (Appendix B), so no serving
+// configuration may select it. The Appendix B experiment builds it with
+// tnr.Build directly.
+var ErrFlawedTNR = errors.New("core: TNR with flawed access nodes cannot serve queries")
 
 // Config tunes index construction for the evaluation.
 type Config struct {
@@ -185,6 +198,9 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 		tech = h
 	case MethodTNR:
 		opts := cfg.TNR
+		if opts.Access != tnr.AccessCorrected {
+			return nil, ErrFlawedTNR
+		}
 		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
 			tech, err = tnr.Build(g, opts)
 		}
@@ -320,9 +336,11 @@ type index struct {
 	backing io.Closer
 	// def is created by the first Distance or ShortestPath call, so building
 	// or loading an index allocates no per-vertex search state (pools and
-	// NewSearcher never touch it). Lazy without a lock is fine: the Index's
-	// own query methods are single-goroutine by contract.
-	def Searcher
+	// NewSearcher never touch it), and pathBuf is the scratch ShortestPath
+	// drains def's paths into. Lazy without a lock is fine: the Index's own
+	// query methods are single-goroutine by contract.
+	def     Searcher
+	pathBuf []graph.VertexID
 }
 
 // newIndex wraps tech, a technique's index value over g, or the baseline
@@ -340,13 +358,11 @@ func newIndex(g *graph.Graph, tech technique) *index {
 		ix.method = MethodTNR
 		ix.newSearcher = func() Searcher { return t.NewSearcher() }
 	case *silc.Index:
-		// SILC and PCPD queries only read the immutable index, so the index
-		// value is its own concurrency-safe searcher.
 		ix.method = MethodSILC
-		ix.newSearcher = func() Searcher { return t }
+		ix.newSearcher = func() Searcher { return t.NewSearcher() }
 	case *pcpd.Index:
 		ix.method = MethodPCPD
-		ix.newSearcher = func() Searcher { return t }
+		ix.newSearcher = func() Searcher { return t.NewSearcher() }
 	case *alt.Index:
 		ix.method = MethodALT
 		ix.newSearcher = func() Searcher { return t.NewSearcher() }
@@ -371,8 +387,22 @@ func (ix *index) defaultSearcher() Searcher {
 
 func (ix *index) Distance(s, t graph.VertexID) int64 { return ix.defaultSearcher().Distance(s, t) }
 
+// ShortestPath drains the default searcher's OpenPath into the index's
+// scratch buffer and returns an exact-size copy: one allocation per
+// reachable query, whatever the technique.
 func (ix *index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return ix.defaultSearcher().ShortestPath(s, t)
+	it, d, err := ix.defaultSearcher().OpenPath(context.Background(), s, t)
+	if err != nil || it == nil {
+		return nil, graph.Infinity
+	}
+	buf, err := graph.AppendPath(ix.pathBuf[:0], it)
+	if err != nil {
+		return nil, graph.Infinity
+	}
+	ix.pathBuf = buf
+	path := make([]graph.VertexID, len(buf))
+	copy(path, buf)
+	return path, d
 }
 
 func (ix *index) Stats() Stats {

@@ -26,7 +26,7 @@ func TestAllMethodsAgreeOnRoadNetwork(t *testing.T) {
 		}
 		t.Run(string(m), func(t *testing.T) {
 			testutil.CheckDistancesAgainstDijkstra(t, g, pairs, ix.Distance)
-			testutil.CheckPathsAgainstDijkstra(t, g, pairs[:50], ix.ShortestPath)
+			testutil.CheckPathsAgainstDijkstra(t, g, pairs[:50], ix.NewSearcher().OpenPath)
 		})
 	}
 }

@@ -12,10 +12,12 @@
 //   - The Index/Searcher contract (core.go): immutable index data shared
 //     across goroutines, mutable per-query state confined to searchers,
 //     context-polling cancellation at bounded intervals in every search
-//     loop. One type implements Index for all seven techniques; its own
-//     Distance and ShortestPath run on one default searcher, created by
-//     the first call, so building or loading an index allocates no search
-//     state.
+//     loop. A Searcher answers Distance, DistanceContext and OpenPath, a
+//     path only ever as a PathIterator. One type implements Index for all
+//     seven techniques; its own Distance and ShortestPath run on one
+//     default searcher, created by the first call, so building or loading
+//     an index allocates no search state, and Index.ShortestPath is the
+//     one place a path becomes a slice.
 //   - Pool (pool.go): reusable searchers for request-per-goroutine
 //     servers — optionally bounded (WithMaxSearchers), pre-warmed
 //     (Prewarm) and instrumented (WithMetrics); the distance hot path
@@ -23,9 +25,9 @@
 //   - Batch acceleration (batch dispatch in pool.go): the per-technique
 //     many-to-many algorithms behind DistanceMatrix, all bit-identical to
 //     per-pair queries.
-//   - Streaming paths: OpenPath is part of Searcher, a lazy PathIterator
-//     over every technique's own path production (PCPD streams from a
-//     materialized walk).
+//   - Streaming paths: OpenPath returns a PathIterator over every
+//     technique's own path production — lazy for CH and TNR, a reused
+//     searcher buffer for the others.
 //   - The spatial tier (spatial.go): an R-tree locator for point location
 //     plus bounded Dijkstra searches for network k-NN and range queries.
 //   - Persistence (serialize.go, loadfile.go): the flat container, read

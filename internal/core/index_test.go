@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func TestDefaultSearcherLazyAndExact(t *testing.T) {
 				t.Fatalf("Index.Distance(%d, %d) = %d, a fresh searcher says %d", p[0], p[1], got, want)
 			}
 			gotPath, gotD := ix.ShortestPath(p[0], p[1])
-			wantPath, wantD := fresh.ShortestPath(p[0], p[1])
+			wantPath, wantD := testutil.Path(fresh.OpenPath, p[0], p[1])
 			if gotD != wantD || !slices.Equal(gotPath, wantPath) {
 				t.Fatalf("Index.ShortestPath(%d, %d) differs from a fresh searcher's", p[0], p[1])
 			}
@@ -81,6 +82,25 @@ func TestDefaultSearcherLazyAndExact(t *testing.T) {
 				check(t, loaded)
 			})
 		}
+	}
+}
+
+// TestFlawedTNRRefused: no serving configuration may select the flawed
+// Appendix B access nodes. BuildIndex refuses the option, and a file saved
+// from such an index — tnr.Build makes one, as the Appendix B experiment
+// does — does not load.
+func TestFlawedTNRRefused(t *testing.T) {
+	g := testutil.SmallRoad(400, 977)
+	opts := tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast}
+	if _, err := BuildIndex(MethodTNR, g, Config{TNR: opts}); !errors.Is(err, ErrFlawedTNR) {
+		t.Errorf("BuildIndex: err = %v, want ErrFlawedTNR", err)
+	}
+	var buf bytes.Buffer
+	if err := testutil.Must(tnr.Build(g, opts)).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(MethodTNR, &buf, g); !errors.Is(err, ErrFlawedTNR) {
+		t.Errorf("LoadIndex: err = %v, want ErrFlawedTNR", err)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestLoadIndexFileOracle(t *testing.T) {
 				t.Errorf("%s: CloseIndex: %v", tc.name, err)
 			}
 		}
-		testutil.CheckPathsAgainstDijkstra(t, g, pathPairs, built.ShortestPath)
+		testutil.CheckPathsAgainstDijkstra(t, g, pathPairs, built.NewSearcher().OpenPath)
 	}
 }
 

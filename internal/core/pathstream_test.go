@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,10 +49,8 @@ func (tc streamConfig) build(g *graph.Graph) (core.Index, error) {
 }
 
 // streamConfigs lists every index configuration with a distinct path
-// pipeline: the seven methods (PCPD's OpenPath streams a materialized
-// walk), the TNR variants that exercise the Dijkstra fallback tail and the
-// flawed-access variant, whose paths come from the fallback, and a CH index
-// behind the fault injector.
+// pipeline: the seven methods, the TNR variant that exercises the Dijkstra
+// fallback tail, and a CH index behind the fault injector.
 func streamConfigs() map[string]streamConfig {
 	return map[string]streamConfig{
 		"ch-flaky":     {method: core.MethodCH, flaky: true},
@@ -59,7 +58,6 @@ func streamConfigs() map[string]streamConfig {
 		"ch":           {method: core.MethodCH},
 		"tnr":          {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8}}},
 		"tnr-dijkstra": {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8, Fallback: tnr.FallbackDijkstra}}},
-		"tnr-flawed":   {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast}}},
 		"silc":         {method: core.MethodSILC},
 		"pcpd":         {method: core.MethodPCPD},
 		"alt":          {method: core.MethodALT},
@@ -68,8 +66,8 @@ func streamConfigs() map[string]streamConfig {
 }
 
 // TestOpenPathBitIdenticalToShortestPath is the streaming oracle: for every
-// technique (and every TNR variant with a distinct pipeline), draining the
-// lazy iterator must reproduce the materialized ShortestPathContext answer
+// technique (and every TNR variant with a distinct pipeline), draining a
+// fresh searcher's iterator must reproduce the Index.ShortestPath answer
 // vertex for vertex, including the trivial from == to path.
 func TestOpenPathBitIdenticalToShortestPath(t *testing.T) {
 	g := testutil.SmallRoad(400, 601)
@@ -83,16 +81,12 @@ func TestOpenPathBitIdenticalToShortestPath(t *testing.T) {
 				t.Fatalf("build: %v", err)
 			}
 			srStream := ix.NewSearcher()
-			srMat := ix.NewSearcher()
 			for _, p := range pairs {
 				s, tt := p[0], p[1]
-				it, dStream, err := core.OpenPath(ctx, srStream, s, tt)
+				it, dStream, err := srStream.OpenPath(ctx, s, tt)
 				streamed := drain(t, it, err)
-				want, dWant, err := srMat.ShortestPathContext(ctx, s, tt)
-				if err != nil {
-					t.Fatalf("ShortestPathContext(%d, %d): %v", s, tt, err)
-				}
-				if dStream != dWant && !(want == nil && dStream >= graph.Infinity) {
+				want, dWant := ix.ShortestPath(s, tt)
+				if dStream != dWant {
 					t.Fatalf("dist(%d, %d): streamed %d, materialized %d", s, tt, dStream, dWant)
 				}
 				if len(streamed) != len(want) {
@@ -132,7 +126,7 @@ func TestOpenPathUnreachable(t *testing.T) {
 				t.Skipf("method does not build on a disconnected graph: %v", err)
 			}
 			sr := ix.NewSearcher()
-			it, d, err := core.OpenPath(ctx, sr, 0, 3)
+			it, d, err := sr.OpenPath(ctx, 0, 3)
 			if err != nil {
 				t.Fatalf("OpenPath: %v", err)
 			}
@@ -140,7 +134,7 @@ func TestOpenPathUnreachable(t *testing.T) {
 				t.Errorf("unreachable pair: it = %v, d = %d; want nil iterator and Infinity", it, d)
 			}
 			// The searcher must remain usable after the unreachable answer.
-			it, d, err = core.OpenPath(ctx, sr, 0, 1)
+			it, d, err = sr.OpenPath(ctx, 0, 1)
 			if path := drain(t, it, err); len(path) != 2 || d != 1 {
 				t.Errorf("follow-up path = %v dist %d, want [0 1] dist 1", path, d)
 			}
@@ -160,7 +154,7 @@ func TestOpenPathCancelledBeforeStart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			it, _, err := core.OpenPath(cctx, ix.NewSearcher(), 0, graph.VertexID(g.NumVertices()-1))
+			it, _, err := ix.NewSearcher().OpenPath(cctx, 0, graph.VertexID(g.NumVertices()-1))
 			if err == nil {
 				t.Errorf("pre-cancelled OpenPath: it = %v, err = nil; want context error", it)
 			}
@@ -170,8 +164,10 @@ func TestOpenPathCancelledBeforeStart(t *testing.T) {
 
 // TestOpenPathMidStreamCancellation cancels while the iterator is being
 // drained on a path long enough to cross the polling interval, and expects
-// the stream to stop with the context's error rather than run to the end.
-// The line graph makes the path length (1200 vertices) deterministic.
+// the stream to stop with the context's error rather than run to the end:
+// on the two techniques that produce the vertices lazily, CH's shortcut
+// unpacking and TNR's table walk. The line graph makes the path length
+// (1200 vertices) deterministic.
 func TestOpenPathMidStreamCancellation(t *testing.T) {
 	const n = 1200
 	b := graph.NewBuilder(n)
@@ -184,7 +180,7 @@ func TestOpenPathMidStreamCancellation(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	for _, method := range []core.Method{core.MethodCH, core.MethodSILC} {
+	for _, method := range []core.Method{core.MethodCH, core.MethodTNR} {
 		t.Run(string(method), func(t *testing.T) {
 			ix, err := core.BuildIndex(method, g, core.Config{})
 			if err != nil {
@@ -192,7 +188,7 @@ func TestOpenPathMidStreamCancellation(t *testing.T) {
 			}
 			cctx, cancelFn := context.WithCancel(context.Background())
 			defer cancelFn()
-			it, d, err := core.OpenPath(cctx, ix.NewSearcher(), 0, n-1)
+			it, d, err := ix.NewSearcher().OpenPath(cctx, 0, n-1)
 			if err != nil || it == nil {
 				t.Fatalf("OpenPath: it = %v, d = %d, err = %v", it, d, err)
 			}
@@ -218,7 +214,8 @@ func TestOpenPathMidStreamCancellation(t *testing.T) {
 
 // TestOpenPathConcurrentStreaming runs many goroutines streaming through
 // per-goroutine searchers over one shared index, under -race. Each
-// goroutine checks its streamed paths against its own materialized answers.
+// goroutine checks its streamed paths against Index.ShortestPath's, asked
+// before the goroutines start.
 func TestOpenPathConcurrentStreaming(t *testing.T) {
 	g := testutil.SmallRoad(300, 619)
 	pairs := testutil.SamplePairs(g, 40, 631)
@@ -229,16 +226,19 @@ func TestOpenPathConcurrentStreaming(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
+			want := make([][]graph.VertexID, len(pairs))
+			for i, p := range pairs {
+				want[i], _ = ix.ShortestPath(p[0], p[1])
+			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 8)
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					srStream := ix.NewSearcher()
-					srMat := ix.NewSearcher()
-					for _, p := range pairs {
-						it, dStream, err := core.OpenPath(ctx, srStream, p[0], p[1])
+					sr := ix.NewSearcher()
+					for i, p := range pairs {
+						it, _, err := sr.OpenPath(ctx, p[0], p[1])
 						if err != nil {
 							errs <- err
 							return
@@ -250,21 +250,9 @@ func TestOpenPathConcurrentStreaming(t *testing.T) {
 								return
 							}
 						}
-						want, dWant, err := srMat.ShortestPathContext(ctx, p[0], p[1])
-						if err != nil {
-							errs <- err
+						if !slices.Equal(streamed, want[i]) {
+							t.Errorf("pair (%d, %d): streamed %v, Index.ShortestPath %v", p[0], p[1], streamed, want[i])
 							return
-						}
-						if dStream != dWant || len(streamed) != len(want) {
-							t.Errorf("pair (%d, %d): streamed (%d vertices, dist %d) != materialized (%d, %d)",
-								p[0], p[1], len(streamed), dStream, len(want), dWant)
-							return
-						}
-						for i := range want {
-							if streamed[i] != want[i] {
-								t.Errorf("pair (%d, %d): vertex %d differs", p[0], p[1], i)
-								return
-							}
 						}
 					}
 				}()

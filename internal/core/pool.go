@@ -27,9 +27,8 @@ import (
 // Prewarm builds searchers ahead of the first request burst, so that burst
 // does not pay one O(n)-array allocation per concurrent request.
 //
-// Either check out a searcher explicitly (Get/Put) to amortize the
-// checkout over several queries, or use the Distance/ShortestPath
-// convenience methods, which wrap one query each.
+// Check a searcher out (Get/Put) for any query; DistanceContext and
+// BatchDistance wrap the checkout around one distance query or one matrix.
 type Pool struct {
 	idx  Index
 	pool sync.Pool
@@ -239,22 +238,6 @@ func (p *Pool) Prewarm(n int) int {
 	return len(warmed)
 }
 
-// Distance answers one distance query on a pooled searcher.
-func (p *Pool) Distance(s, t graph.VertexID) int64 {
-	sr := p.Get()
-	d := sr.Distance(s, t)
-	p.Put(sr)
-	return d
-}
-
-// ShortestPath answers one shortest-path query on a pooled searcher.
-func (p *Pool) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	sr := p.Get()
-	path, d := sr.ShortestPath(s, t)
-	p.Put(sr)
-	return path, d
-}
-
 // DistanceContext answers one distance query on a pooled searcher with
 // cancellation (see the Searcher cancellation contract). The searcher is
 // returned to the pool even when the query aborts — an aborted searcher
@@ -267,18 +250,6 @@ func (p *Pool) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64,
 	d, err := sr.DistanceContext(ctx, s, t)
 	p.Put(sr)
 	return d, err
-}
-
-// ShortestPathContext answers one shortest-path query on a pooled searcher
-// with cancellation.
-func (p *Pool) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	sr, err := p.GetContext(ctx)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	path, d, err := sr.ShortestPathContext(ctx, s, t)
-	p.Put(sr)
-	return path, d, err
 }
 
 // BatchDistance computes the full sources×targets distance matrix with the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -25,11 +26,12 @@ func benchPool(tb testing.TB) (*Pool, [][2]graph.VertexID) {
 func BenchmarkPoolDistanceCH(b *testing.B) {
 	pool, pairs := benchPool(b)
 	pool.Put(pool.Get()) // warm the pool
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		pool.Distance(p[0], p[1])
+		pool.DistanceContext(ctx, p[0], p[1])
 	}
 }
 
@@ -38,13 +40,14 @@ func BenchmarkPoolDistanceCH(b *testing.B) {
 func BenchmarkPoolDistanceCHParallel(b *testing.B) {
 	pool, pairs := benchPool(b)
 	pool.Put(pool.Get())
+	ctx := context.Background()
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			p := pairs[int(next.Add(1))%len(pairs)]
-			pool.Distance(p[0], p[1])
+			pool.DistanceContext(ctx, p[0], p[1])
 		}
 	})
 }
@@ -57,11 +60,12 @@ func TestPoolDistanceAllocs(t *testing.T) {
 	}
 	pool, pairs := benchPool(t)
 	pool.Put(pool.Get()) // warm the pool
+	ctx := context.Background()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		p := pairs[i%len(pairs)]
 		i++
-		pool.Distance(p[0], p[1])
+		pool.DistanceContext(ctx, p[0], p[1])
 	})
 	if allocs != 0 {
 		t.Errorf("pooled CH Distance allocates %.0f times per query, want 0", allocs)

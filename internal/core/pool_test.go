@@ -21,17 +21,13 @@ type countingIndex struct {
 type stubSearcher struct{}
 
 func (stubSearcher) Distance(s, t graph.VertexID) int64 { return 0 }
-func (stubSearcher) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	return []graph.VertexID{s, t}, 0
-}
 func (stubSearcher) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error) {
 	return 0, nil
 }
-func (stubSearcher) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	return []graph.VertexID{s, t}, 0, nil
-}
 func (stubSearcher) OpenPath(ctx context.Context, s, t graph.VertexID) (PathIterator, int64, error) {
-	return graph.NewSlicePath([]graph.VertexID{s, t}), 0, nil
+	it := new(graph.SlicePath)
+	it.Reset([]graph.VertexID{s, t})
+	return it, 0, nil
 }
 
 func (ix *countingIndex) Method() Method { return MethodDijkstra }
@@ -180,7 +176,7 @@ func TestPoolBoundedServesExactAnswers(t *testing.T) {
 			defer wg.Done()
 			// Every query checks a searcher out and back in, maximizing
 			// contention on the bounded pool.
-			checkQueries(g, pool, pairs, want, errs)
+			checkPooled(g, pool, pairs, want, errs)
 		}()
 	}
 	wg.Wait()

@@ -41,7 +41,11 @@ func fromFlat(method Method, f *binio.FlatFile, g *graph.Graph) (Index, error) {
 	case MethodCH:
 		tech, err = ch.HierarchyFromFlat(f, g)
 	case MethodTNR:
-		tech, err = tnr.IndexFromFlat(f, g)
+		var t *tnr.Index
+		if t, err = tnr.IndexFromFlat(f, g); err == nil && t.Access() != tnr.AccessCorrected {
+			err = ErrFlawedTNR
+		}
+		tech = t
 	case MethodSILC:
 		tech, err = silc.IndexFromFlat(f, g)
 	default:

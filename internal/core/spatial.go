@@ -36,7 +36,8 @@ type Neighbor struct {
 // SpatialLocator snaps coordinates to vertices and answers network k-NN
 // and range queries over one graph. The R-tree is immutable after
 // construction and every method is safe for concurrent use: per-query
-// state lives in rtree.Browsers and in a pool of Dijkstra contexts.
+// state lives on the stack of the R-tree descents and in a pool of
+// Dijkstra contexts.
 type SpatialLocator struct {
 	g    *graph.Graph
 	tree *rtree.Tree

@@ -2,6 +2,7 @@ package dijkstra
 
 import (
 	"context"
+	"slices"
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/graph"
@@ -24,10 +25,10 @@ type Bidirectional struct {
 	cur    [2]uint32
 	heap   [2]*pq.Heap
 
-	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath
-	// and the path collectors: the parent walk is assembled into pathBuf
-	// (reused across queries, so steady-state path production allocates
-	// nothing) and streamed from pathIter.
+	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath:
+	// the parent walk is assembled into pathBuf (reused across queries, so
+	// steady-state path production allocates nothing) and streamed from
+	// pathIter.
 	pathBuf  []graph.VertexID
 	pathIter graph.SlicePath
 }
@@ -88,8 +89,8 @@ type Result struct {
 	Settled int
 }
 
-// Query computes the shortest-path distance between s and t. The returned
-// Result's Meet vertex can be passed to Path to reconstruct the path.
+// Query computes the shortest-path distance between s and t; OpenPath
+// reconstructs the path through the Result's Meet vertex.
 func (b *Bidirectional) Query(s, t graph.VertexID) Result {
 	r, _ := b.QueryContext(context.Background(), s, t)
 	return r
@@ -163,49 +164,6 @@ func (b *Bidirectional) QueryContext(ctx context.Context, s, t graph.VertexID) (
 	return Result{Dist: best, Meet: meet, Settled: settled}, nil
 }
 
-// fillPath assembles the s-t path of the last Query call into the
-// searcher-owned scratch buffer and returns it (nil when unreachable).
-// The slice is invalidated by the next path reconstruction.
-func (b *Bidirectional) fillPath(r Result) []graph.VertexID {
-	if r.Meet < 0 {
-		return nil
-	}
-	fwd := b.pathBuf[:0]
-	if !b.reached(0, r.Meet) {
-		// s == t query: the search never ran, the path is the single vertex.
-		fwd = append(fwd, r.Meet)
-		b.pathBuf = fwd
-		return fwd
-	}
-	for v := r.Meet; v >= 0; v = b.parent[0][v] {
-		fwd = append(fwd, v)
-		if b.parent[0][v] < 0 {
-			break
-		}
-	}
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
-	}
-	for v := b.parent[1][r.Meet]; v >= 0; v = b.parent[1][v] {
-		fwd = append(fwd, v)
-		if b.parent[1][v] < 0 {
-			break
-		}
-	}
-	b.pathBuf = fwd
-	return fwd
-}
-
-// Path reconstructs the s-t path of the last Query call from its Result as
-// a caller-owned slice. It returns nil when the result was unreachable.
-func (b *Bidirectional) Path(r Result) []graph.VertexID {
-	scratch := b.fillPath(r)
-	if scratch == nil {
-		return nil
-	}
-	return append(make([]graph.VertexID, 0, len(scratch)), scratch...)
-}
-
 // OpenPath runs the query and returns a PathIterator over the shortest
 // path plus its length, or (nil, Infinity, nil) when t is unreachable. The
 // parent walk is assembled into searcher-owned scratch, so streaming a
@@ -213,13 +171,21 @@ func (b *Bidirectional) Path(r Result) []graph.VertexID {
 // this searcher's next query.
 func (b *Bidirectional) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error) {
 	r, err := b.QueryContext(ctx, s, t)
-	if err != nil {
+	if err != nil || r.Meet < 0 {
 		return nil, graph.Infinity, err
 	}
-	if r.Dist >= graph.Infinity {
-		return nil, graph.Infinity, nil
+	path := append(b.pathBuf[:0], r.Meet)
+	if s != t { // else the search never ran and the path is the one vertex
+		for v := b.parent[0][r.Meet]; v >= 0; v = b.parent[0][v] {
+			path = append(path, v)
+		}
+		slices.Reverse(path)
+		for v := b.parent[1][r.Meet]; v >= 0; v = b.parent[1][v] {
+			path = append(path, v)
+		}
 	}
-	b.pathIter.Reset(b.fillPath(r))
+	b.pathBuf = path
+	b.pathIter.Reset(path)
 	return &b.pathIter, r.Dist, nil
 }
 
@@ -228,32 +194,8 @@ func (b *Bidirectional) Distance(s, t graph.VertexID) int64 {
 	return b.Query(s, t).Dist
 }
 
-// ShortestPath is a convenience wrapper returning the path and distance.
-func (b *Bidirectional) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	r := b.Query(s, t)
-	if r.Dist >= graph.Infinity {
-		return nil, graph.Infinity
-	}
-	return b.Path(r), r.Dist
-}
-
 // DistanceContext is Distance with cancellation (see QueryContext).
 func (b *Bidirectional) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error) {
 	r, err := b.QueryContext(ctx, s, t)
 	return r.Dist, err
-}
-
-// ShortestPathContext is ShortestPath with cancellation (see QueryContext).
-// It is a thin collector over OpenPath: the iterator is drained into a
-// fresh caller-owned slice.
-func (b *Bidirectional) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	it, d, err := b.OpenPath(ctx, s, t)
-	if err != nil || it == nil {
-		return nil, graph.Infinity, err
-	}
-	path, err := graph.AppendPath(make([]graph.VertexID, 0, len(b.pathBuf)), it)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	return path, d, nil
 }

@@ -171,17 +171,16 @@ func TestBidirectionalMatchesDijkstraOnAdversarialGraph(t *testing.T) {
 func TestBidirectionalPaths(t *testing.T) {
 	g := testutil.SmallRoad(400, 13)
 	bi := dijkstra.NewBidirectional(g)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 2), bi.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 2), bi.OpenPath)
 }
 
 func TestBidirectionalSameVertex(t *testing.T) {
 	g := testutil.Figure1()
 	bi := dijkstra.NewBidirectional(g)
-	r := bi.Query(testutil.V4, testutil.V4)
-	if r.Dist != 0 {
+	if r := bi.Query(testutil.V4, testutil.V4); r.Dist != 0 {
 		t.Errorf("dist(v, v) = %d, want 0", r.Dist)
 	}
-	if p := bi.Path(r); len(p) != 1 || p[0] != testutil.V4 {
+	if p, _ := testutil.Path(bi.OpenPath, testutil.V4, testutil.V4); len(p) != 1 || p[0] != testutil.V4 {
 		t.Errorf("path(v, v) = %v, want [v4]", p)
 	}
 }

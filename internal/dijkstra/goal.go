@@ -76,12 +76,6 @@ func (s *GoalSearcher) Distance(src, t graph.VertexID) int64 {
 	return d
 }
 
-// ShortestPath answers a shortest-path query.
-func (s *GoalSearcher) ShortestPath(src, t graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := s.ShortestPathContext(context.Background(), src, t)
-	return path, d
-}
-
 // DistanceContext is Distance with cancellation (see SettleFunc). An
 // already-cancelled context aborts before any work, trivial src == t
 // queries included.
@@ -97,21 +91,6 @@ func (s *GoalSearcher) DistanceContext(ctx context.Context, src, t graph.VertexI
 		return graph.Infinity, err
 	}
 	return s.Dist[t], nil
-}
-
-// ShortestPathContext is ShortestPath with cancellation. It is a thin
-// collector over OpenPath: the iterator is drained into a fresh
-// caller-owned slice.
-func (s *GoalSearcher) ShortestPathContext(ctx context.Context, src, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	it, d, err := s.OpenPath(ctx, src, t)
-	if err != nil || it == nil {
-		return nil, graph.Infinity, err
-	}
-	path, err := graph.AppendPath(make([]graph.VertexID, 0, len(s.pathBuf)), it)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	return path, d, nil
 }
 
 // OpenPath runs the query and returns a PathIterator over the shortest path

@@ -1,11 +1,11 @@
 package graph
 
 // PathIterator yields the vertices of one shortest path in order, on
-// demand. It is the composable unit of the streaming path pipeline: CH
-// shortcut unpacking, SILC first-hop walks, TNR access-node stitching and
-// the Dijkstra-family parent walks all produce one, and consumers (the
-// HTTP batch-route streamer, the materializing collectors) drain it
-// without ever holding more than a bounded window of the path.
+// demand. It is the one form in which a searcher answers a path query: CH
+// shortcut unpacking and TNR access-node stitching produce the vertices
+// lazily, the Dijkstra-family parent walks, SILC's first-hop walk and
+// PCPD's recursion from a buffer the searcher reuses, and consumers (the
+// HTTP route streamers, core's one slice collector) drain it.
 //
 // Protocol: Next returns the path's vertices front to back, one per call,
 // then reports false. After a false, Err distinguishes normal exhaustion
@@ -29,18 +29,11 @@ type PathIterator interface {
 }
 
 // SlicePath is a PathIterator over an already-materialized vertex
-// sequence. It is the adapter between the slice-returning ShortestPath
-// world and the streaming one: techniques with no lazy production (and
-// searcher-owned scratch buffers, which are materialized but reused) wrap
-// their slices in one.
+// sequence: the techniques with no lazy production keep one beside the
+// scratch buffer they assemble each path in, and Reset it per query.
 type SlicePath struct {
 	path []VertexID
 	at   int
-}
-
-// NewSlicePath returns an iterator over path.
-func NewSlicePath(path []VertexID) *SlicePath {
-	return &SlicePath{path: path}
 }
 
 // Reset re-targets the iterator at path, reusing the receiver so
@@ -64,8 +57,8 @@ func (it *SlicePath) Next() (VertexID, bool) {
 func (it *SlicePath) Err() error { return nil }
 
 // AppendPath drains it into dst and returns the extended slice — the
-// collector turning an iterator back into the classic materialized path.
-// On an aborted walk it returns (nil, it.Err()).
+// collector turning an iterator into a materialized path. On an aborted
+// walk it returns (nil, it.Err()).
 func AppendPath(dst []VertexID, it PathIterator) ([]VertexID, error) {
 	for {
 		v, ok := it.Next()

@@ -648,45 +648,38 @@ func (ix *Index) appendPath(w *walker, path *[]graph.VertexID, s, t graph.Vertex
 	}
 }
 
-// ShortestPath answers a shortest-path query by recursive decomposition
-// (§3.5), returning the vertex path and its length.
-func (ix *Index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := ix.ShortestPathContext(context.Background(), s, t)
-	return path, d
+// Searcher is a query context over a shared Index: Distance and
+// DistanceContext are the Index's, promoted, and OpenPath runs the
+// recursive decomposition into the searcher's path buffer. A Searcher is
+// not safe for concurrent use; create one per goroutine.
+type Searcher struct {
+	*Index
+	path     []graph.VertexID
+	pathIter graph.SlicePath
 }
 
-// ShortestPathContext is ShortestPath with cancellation: the recursion
-// polls ctx every cancel.Interval recursion steps and aborts with its
-// error.
-func (ix *Index) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
+// NewSearcher returns a fresh query context over ix.
+func (ix *Index) NewSearcher() *Searcher { return &Searcher{Index: ix} }
+
+// OpenPath answers a shortest-path query by recursive decomposition
+// (§3.5) and returns an iterator over the path plus its length, or (nil,
+// Infinity, nil) when t is unreachable. The recursion assembles the path
+// outside-in, so it is complete in the searcher's buffer before the first
+// vertex is yielded; the iterator is invalidated by this searcher's next
+// query. The recursion polls ctx every cancel.Interval steps and aborts
+// with its error.
+func (sr *Searcher) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, graph.Infinity, err
 	}
-	if s == t {
-		return []graph.VertexID{s}, 0, nil
-	}
-	path := []graph.VertexID{s}
+	sr.path = append(sr.path[:0], s)
 	var total int64
 	w := walker{ctx: ctx}
-	ok := ix.appendPath(&w, &path, s, t, &total, 0)
-	if w.err != nil {
+	if !sr.appendPath(&w, &sr.path, s, t, &total, 0) {
 		return nil, graph.Infinity, w.err
 	}
-	if !ok {
-		return nil, graph.Infinity, nil
-	}
-	return path, total, nil
-}
-
-// OpenPath answers the query and streams the materialized path: the
-// recursion assembles a path outside-in, so PCPD has nothing to produce
-// lazily. It returns (nil, Infinity, nil) when t is unreachable.
-func (ix *Index) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error) {
-	path, d, err := ix.ShortestPathContext(ctx, s, t)
-	if err != nil || path == nil {
-		return nil, graph.Infinity, err
-	}
-	return graph.NewSlicePath(path), d, nil
+	sr.pathIter.Reset(sr.path)
+	return &sr.pathIter, total, nil
 }
 
 // Distance computes the shortest path and returns its length (§3.5: PCPD
@@ -696,7 +689,7 @@ func (ix *Index) Distance(s, t graph.VertexID) int64 {
 	return d
 }
 
-// DistanceContext is Distance with cancellation (see ShortestPathContext).
+// DistanceContext is Distance with cancellation (see OpenPath).
 // An already-cancelled context aborts before any work, trivial s == t
 // queries included.
 func (ix *Index) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error) {

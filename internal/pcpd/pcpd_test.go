@@ -22,28 +22,28 @@ func TestPCPDExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }
 
 func TestPCPDRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(400, 301)
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 400, 81), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 83), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 83), ix.NewSearcher().OpenPath)
 }
 
 func TestPCPDExhaustiveSmallRoad(t *testing.T) {
 	g := testutil.SmallRoad(100, 307)
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }
 
 func TestPCPDAdversarialGraph(t *testing.T) {
 	g := gen.RandomConnected(120, 200, 30, 311)
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 89), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 89), ix.NewSearcher().OpenPath)
 }
 
 func TestPCPDCoordinateCollisions(t *testing.T) {
@@ -60,7 +60,7 @@ func TestPCPDCoordinateCollisions(t *testing.T) {
 	g := b.Build()
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }
 
 func TestPCPDDisconnected(t *testing.T) {
@@ -75,7 +75,7 @@ func TestPCPDDisconnected(t *testing.T) {
 	g := b.Build()
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }
 
 func TestPCPDGuards(t *testing.T) {
@@ -117,7 +117,7 @@ func TestPCPDSameVertex(t *testing.T) {
 	if d := ix.Distance(2, 2); d != 0 {
 		t.Errorf("dist(v, v) = %d", d)
 	}
-	if p, d := ix.ShortestPath(2, 2); d != 0 || len(p) != 1 {
+	if p, d := testutil.Path(ix.NewSearcher().OpenPath, 2, 2); d != 0 || len(p) != 1 {
 		t.Errorf("path(v, v) = %v, %d", p, d)
 	}
 }

@@ -9,9 +9,9 @@
 // bulk-load once and mmap at every startup.
 //
 // Concurrency contract (same as every index in this repository): a Tree is
-// immutable once built and all query methods are read-only, so any number
-// of goroutines may query one Tree concurrently. Per-query iteration state
-// lives in a Browser, one per goroutine.
+// immutable once built and all query methods are read-only and keep their
+// state on the stack, so any number of goroutines may query one Tree
+// concurrently.
 //
 // Distances are squared Euclidean in int64. Like the rest of the geometry
 // in this repository they assume DIMACS micro-degree coordinate magnitudes

@@ -88,7 +88,8 @@ func DistSq(p, q geom.Point) int64 {
 }
 
 // minDistSq returns the squared Euclidean distance from p to the nearest
-// point of r — the classic MINDIST lower bound driving best-first browsing.
+// point of r — the classic MINDIST lower bound that prunes Nearest and
+// SearchRadius.
 func minDistSq(p geom.Point, r geom.Rect) int64 {
 	var dx, dy int64
 	if p.X < r.MinX {
@@ -317,114 +318,55 @@ func (t *Tree) searchRadius(ni int32, p geom.Point, rr int64, fn func(Entry, int
 
 // Nearest returns the entry nearest to p by Euclidean distance (ties
 // broken by smaller ID) and its squared distance. ok is false on an empty
-// tree.
+// tree. It allocates nothing: a depth-first branch-and-bound descent that
+// visits each node's children in order of MINDIST and skips a child only
+// when its MINDIST exceeds the best distance found — an equal one may hold
+// an entry with a smaller ID.
 func (t *Tree) Nearest(p geom.Point) (e Entry, distSq int64, ok bool) {
-	b := t.NewBrowser(p)
-	return b.Next()
-}
-
-// Browser enumerates entries in order of increasing Euclidean distance
-// from a query point — Hjaltason & Samet's incremental best-first browsing
-// over MINDIST-ordered node rectangles, the geometric analogue of the
-// paper's distance browsing (Appendix A). A Browser holds the per-query
-// priority queue; it is cheap to create and must not be shared across
-// goroutines.
-type Browser struct {
-	t    *Tree
-	p    geom.Point
-	heap []browseItem
-}
-
-// browseItem is a heap element: an entry (node == -1) keyed by its exact
-// squared distance, or a node keyed by the MINDIST of its rectangle.
-type browseItem struct {
-	key  int64
-	node int32 // -1: ent is an entry; otherwise a node index
-	ent  Entry
-}
-
-// less orders the browse heap by (key, nodes-before-entries, entry ID).
-// Expanding nodes before emitting equal-key entries keeps the output in
-// strict (distance, ID) order even when an unexpanded node could still
-// yield an equal-distance entry with a smaller ID.
-func (b *Browser) less(x, y browseItem) bool {
-	if x.key != y.key {
-		return x.key < y.key
+	if t.size == 0 {
+		return Entry{}, 0, false
 	}
-	xe, ye := x.node < 0, y.node < 0
-	if xe != ye {
-		return ye // node sorts before entry at equal key
-	}
-	if xe {
-		return x.ent.ID < y.ent.ID
-	}
-	return x.node < y.node
+	best := candidate{d: math.MaxInt64}
+	t.nearest(t.root, p, &best)
+	return best.e, best.d, true
 }
 
-// NewBrowser starts an incremental nearest-neighbor scan from p.
-func (t *Tree) NewBrowser(p geom.Point) *Browser {
-	b := &Browser{t: t, p: p}
-	if t.size > 0 {
-		b.push(browseItem{key: minDistSq(p, t.nodes[t.root].rect), node: t.root})
-	}
-	return b
+// candidate is the best entry a Nearest descent has found so far.
+type candidate struct {
+	e Entry
+	d int64
 }
 
-// Next returns the next entry in (distance, ID) order, its squared
-// distance, and false once the tree is exhausted.
-func (b *Browser) Next() (Entry, int64, bool) {
-	for len(b.heap) > 0 {
-		it := b.pop()
-		if it.node < 0 {
-			return it.ent, it.key, true
-		}
-		n := &b.t.nodes[it.node]
-		if n.leaf {
-			for _, e := range n.ents {
-				b.push(browseItem{key: DistSq(b.p, e.P), node: -1, ent: e})
-			}
-		} else {
-			for _, k := range n.kids {
-				b.push(browseItem{key: minDistSq(b.p, b.t.nodes[k].rect), node: k})
+func (t *Tree) nearest(ni int32, p geom.Point, best *candidate) {
+	n := &t.nodes[ni]
+	if n.leaf {
+		for _, e := range n.ents {
+			if d := DistSq(p, e.P); d < best.d || d == best.d && e.ID < best.e.ID {
+				best.e, best.d = e, d
 			}
 		}
+		return
 	}
-	return Entry{}, 0, false
-}
-
-func (b *Browser) push(it browseItem) {
-	b.heap = append(b.heap, it)
-	i := len(b.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !b.less(b.heap[i], b.heap[parent]) {
-			break
-		}
-		b.heap[i], b.heap[parent] = b.heap[parent], b.heap[i]
-		i = parent
+	// Children are ordered in batches that fit an array on the stack; one
+	// batch covers a node of the default capacity.
+	type child struct {
+		d  int64
+		ni int32
 	}
-}
-
-func (b *Browser) pop() browseItem {
-	top := b.heap[0]
-	last := len(b.heap) - 1
-	b.heap[0] = b.heap[last]
-	b.heap = b.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(b.heap) {
-			break
+	var buf [DefaultMaxEntries]child
+	for lo := 0; lo < len(n.kids); lo += len(buf) {
+		batch := buf[:0]
+		for _, k := range n.kids[lo:min(lo+len(buf), len(n.kids))] {
+			batch = append(batch, child{minDistSq(p, t.nodes[k].rect), k})
+			for i := len(batch) - 1; i > 0 && batch[i].d < batch[i-1].d; i-- {
+				batch[i], batch[i-1] = batch[i-1], batch[i]
+			}
 		}
-		c := l
-		if r < len(b.heap) && b.less(b.heap[r], b.heap[l]) {
-			c = r
+		for _, c := range batch {
+			if c.d > best.d {
+				break
+			}
+			t.nearest(c.ni, p, best)
 		}
-		if !b.less(b.heap[c], b.heap[i]) {
-			break
-		}
-		b.heap[i], b.heap[c] = b.heap[c], b.heap[i]
-		i = c
 	}
-	return top
 }

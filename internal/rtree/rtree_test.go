@@ -26,35 +26,16 @@ func randomEntries(n int, seed int64) []Entry {
 	return ents
 }
 
-// oracleNearestK is the linear-scan ground truth: all entries sorted by
-// (squared distance, ID).
-func oracleNearestK(ents []Entry, p geom.Point, k int) []Entry {
-	s := append([]Entry(nil), ents...)
-	sort.Slice(s, func(i, j int) bool {
-		di, dj := DistSq(p, s[i].P), DistSq(p, s[j].P)
-		if di != dj {
-			return di < dj
+// oracleNearest is the linear-scan ground truth of Nearest: the entry of
+// least (squared distance, ID).
+func oracleNearest(ents []Entry, p geom.Point) Entry {
+	best := ents[0]
+	for _, e := range ents[1:] {
+		if d, bd := DistSq(p, e.P), DistSq(p, best.P); d < bd || d == bd && e.ID < best.ID {
+			best = e
 		}
-		return s[i].ID < s[j].ID
-	})
-	if len(s) > k {
-		s = s[:k]
 	}
-	return s
-}
-
-// browseK drains the first k entries of a Browser at p.
-func browseK(tr *Tree, p geom.Point, k int) []Entry {
-	b := tr.NewBrowser(p)
-	var out []Entry
-	for len(out) < k {
-		e, _, ok := b.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
+	return best
 }
 
 func sortByID(s []Entry) {
@@ -167,37 +148,20 @@ func TestOracleQueries(t *testing.T) {
 					if !equalEntries(got, want) {
 						t.Fatalf("%s n=%d cap=%d radius %d at %+v: got %v want %v", name, n, cap, rad, p, got, want)
 					}
-
-					// k-NN vs scan, exact order.
-					k := rng.Intn(n+3) + 1
-					knn := browseK(tr, p, k)
-					oracle := oracleNearestK(ents, p, k)
-					if !equalEntries(knn, oracle) {
-						t.Fatalf("%s n=%d cap=%d browseK(%+v,%d):\n got %v\nwant %v", name, n, cap, p, k, knn, oracle)
-					}
 				}
 
-				// Browser enumerates everything in strict (distSq, ID) order.
-				p := geom.Point{X: 1, Y: -2}
-				b := tr.NewBrowser(p)
-				all := make([]Entry, 0, n)
-				lastD, lastID := int64(-1), int32(-1)
-				for {
-					e, d, ok := b.Next()
-					if !ok {
-						break
+				// Nearest vs scan at every point of the entries' span and a
+				// margin around it: ties between subtrees at equal MINDIST
+				// are common there, and the smaller ID must win them.
+				half := int32(n/2+4)/2 + 2
+				for x := -half; x <= half && n > 0; x++ {
+					for y := -half; y <= half; y++ {
+						p := geom.Point{X: x, Y: y}
+						e, d, ok := tr.Nearest(p)
+						if want := oracleNearest(ents, p); !ok || e != want || d != DistSq(p, e.P) {
+							t.Fatalf("%s n=%d cap=%d Nearest(%+v) = %v, %d, %v; want %v", name, n, cap, p, e, d, ok, want)
+						}
 					}
-					if d != DistSq(p, e.P) {
-						t.Fatalf("browser distSq %d for %+v, want %d", d, e, DistSq(p, e.P))
-					}
-					if d < lastD || (d == lastD && e.ID <= lastID) {
-						t.Fatalf("browser order violated at (%d,%d) after (%d,%d)", d, e.ID, lastD, lastID)
-					}
-					lastD, lastID = d, e.ID
-					all = append(all, e)
-				}
-				if len(all) != n {
-					t.Fatalf("%s n=%d cap=%d: browser yielded %d entries", name, n, cap, len(all))
 				}
 			}
 		}
@@ -232,13 +196,25 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.Nearest(geom.Point{}); ok {
 		t.Fatal("Nearest on empty tree returned ok")
 	}
-	if got := browseK(tr, geom.Point{}, 3); len(got) != 0 {
-		t.Fatalf("Browser on empty tree returned %v", got)
-	}
 	tr.Search(geom.Rect{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}, func(Entry) bool {
 		t.Fatal("Search on empty tree called fn")
 		return false
 	})
+}
+
+// TestNearestAllocs pins Nearest, the snap behind every coordinate
+// request, at zero allocations.
+func TestNearestAllocs(t *testing.T) {
+	ents := randomEntries(5000, 11)
+	tr := BulkLoad(ents, Options{})
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Nearest(ents[i%len(ents)].P)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Nearest: %.0f allocations per query, want 0", allocs)
+	}
 }
 
 func TestSearchEarlyStop(t *testing.T) {
@@ -280,9 +256,11 @@ func TestSerializeRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: loaded Len=%d Height=%d Max=%d", n, tr.Len(), tr.Height(), tr.MaxEntries())
 			}
 			checkTreeInvariants(t, tr)
-			p := geom.Point{X: 3, Y: -1}
-			if !equalEntries(browseK(tr, p, 10), browseK(orig, p, 10)) {
-				t.Fatalf("n=%d: loaded Browser order differs", n)
+			for _, p := range []geom.Point{{X: 3, Y: -1}, {X: -40, Y: 7}, {}} {
+				e, d, ok := tr.Nearest(p)
+				if we, wd, wok := orig.Nearest(p); e != we || d != wd || ok != wok {
+					t.Fatalf("n=%d: loaded Nearest(%+v) = %v, %d, %v; built %v, %d, %v", n, p, e, d, ok, we, wd, wok)
+				}
 			}
 			var a, b []Entry
 			r := geom.Rect{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}

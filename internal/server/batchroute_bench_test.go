@@ -82,11 +82,15 @@ func batchRouteMaterialized(tb testing.TB) func() {
 		for si, src := range sources {
 			row := make([]entry, len(targets))
 			for ti, tgt := range targets {
-				path, d, err := sr.ShortestPathContext(ctx, src, tgt)
+				it, d, err := sr.OpenPath(ctx, src, tgt)
 				if err != nil {
 					tb.Fatal(err)
 				}
-				if path != nil {
+				if it != nil {
+					path, err := graph.AppendPath(nil, it)
+					if err != nil {
+						tb.Fatal(err)
+					}
 					row[ti] = entry{Reachable: true, Distance: d, Vertices: path}
 				}
 			}
@@ -119,7 +123,7 @@ func BenchmarkBatchRouteMaterialized(b *testing.B) { benchOp(b, batchRouteMateri
 // TestBatchRouteStreamedAllocs is the bounded-residency gate of batch-route
 // streaming: over the same long-path matrix a streamed request must
 // allocate at least ten times fewer bytes than the materialize-then-encode
-// equivalent (about 45 times, measured), or path streaming has regressed
+// equivalent (about 30 times, measured), or path streaming has regressed
 // into buffering whole matrices again. Sizes, not speeds: the ratio does
 // not depend on the machine.
 func TestBatchRouteStreamedAllocs(t *testing.T) {

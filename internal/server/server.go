@@ -337,7 +337,7 @@ func (s *Server) route(w *responseWriter, r *http.Request, q pairQuery) error {
 		return err
 	}
 	defer s.pool.Put(sr)
-	it, d, err := core.OpenPath(r.Context(), sr, q.from, q.to)
+	it, d, err := sr.OpenPath(r.Context(), q.from, q.to)
 	if err != nil {
 		return err
 	}
@@ -490,7 +490,7 @@ func (s *Server) batchRoute(w *responseWriter, r *http.Request, q batchQuery) er
 			st.writeByte('[')
 		}
 		for j, tgt := range q.targets {
-			it, d, err := core.OpenPath(r.Context(), sr, src, tgt)
+			it, d, err := sr.OpenPath(r.Context(), src, tgt)
 			if err == nil {
 				err = st.cell(i, j, it, d)
 			}

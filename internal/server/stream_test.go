@@ -111,15 +111,10 @@ func materializedBatchRoute(t *testing.T, idx core.Index, sources, targets []gra
 		Targets []graph.VertexID `json:"targets"`
 		Routes  [][]entry        `json:"routes"`
 	}{Sources: sources, Targets: targets, Routes: make([][]entry, len(sources))}
-	sr := idx.NewSearcher()
 	for i, src := range sources {
 		row := make([]entry, len(targets))
 		for j, tgt := range targets {
-			path, d, err := sr.ShortestPathContext(context.Background(), src, tgt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path != nil {
+			if path, d := idx.ShortestPath(src, tgt); path != nil {
 				row[j] = entry{Reachable: true, Distance: d, Vertices: path}
 			}
 		}

@@ -18,10 +18,10 @@ import (
 // road networks, where routes funnel into arterials) pay for the shared
 // hops only once instead of once per source.
 
-// batchScratch is the recycled memo state of one BatchDistance call. The
-// SILC index is its own (stateless, shared) searcher, so the O(|V|) memo
-// cannot live there; pooling it keeps steady-state batches from allocating
-// and zeroing 12 bytes per graph vertex on every request.
+// batchScratch is the recycled memo state of one BatchDistance call, a
+// method of the shared Index that a Searcher only promotes, so the O(|V|)
+// memo cannot live in either; pooling it keeps steady-state batches from
+// allocating and zeroing 12 bytes per graph vertex on every request.
 type batchScratch struct {
 	memoDist []int64
 	memoGen  []uint32

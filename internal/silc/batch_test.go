@@ -117,7 +117,7 @@ func TestSILCContextCancelled(t *testing.T) {
 	if _, err := ix.DistanceContext(ctx, 0, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("DistanceContext err = %v, want context.Canceled", err)
 	}
-	if _, _, err := ix.ShortestPathContext(ctx, 0, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("ShortestPathContext err = %v, want context.Canceled", err)
+	if _, _, err := ix.NewSearcher().OpenPath(ctx, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("OpenPath err = %v, want context.Canceled", err)
 	}
 }

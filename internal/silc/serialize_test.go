@@ -28,7 +28,7 @@ func TestSILCSerializationRoundtrip(t *testing.T) {
 		t.Errorf("intervals %d != %d after roundtrip", ix2.NumIntervals(), ix.NumIntervals())
 	}
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 151), ix2.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 153), ix2.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 153), ix2.NewSearcher().OpenPath)
 }
 
 func TestSILCSerializationWithExceptions(t *testing.T) {
@@ -105,5 +105,5 @@ func TestLoadsNearestEraFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }

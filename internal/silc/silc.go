@@ -21,8 +21,6 @@
 package silc
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -294,71 +292,6 @@ func (ix *Index) lookup(cur, target graph.VertexID) uint8 {
 		return noHop
 	}
 	return ix.colors[cur][i-1]
-}
-
-// ShortestPath walks the path from s to t hop by hop (§3.4), returning the
-// vertex sequence and its length, or (nil, Infinity) when unreachable.
-func (ix *Index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := ix.ShortestPathContext(context.Background(), s, t)
-	return path, d
-}
-
-// ShortestPathContext is ShortestPath with cancellation: the hop-by-hop
-// walk polls ctx every cancel.Interval hops and aborts with its error. It
-// is a thin collector over the lazy walk iterator — one pass, with the
-// path length accumulated as the walk advances.
-func (ix *Index) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, graph.Infinity, err
-	}
-	it := walkIter{ix: ix, ctx: ctx, cur: s, t: t}
-	var path []graph.VertexID
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		path = append(path, v)
-	}
-	switch {
-	case it.err == nil:
-		return path, it.total, nil
-	case errors.Is(it.err, errNoPath):
-		return nil, graph.Infinity, nil
-	default:
-		return nil, graph.Infinity, it.err
-	}
-}
-
-// Distance computes the path and returns its length (§3.4: SILC answers a
-// distance query by first computing the shortest path).
-func (ix *Index) Distance(s, t graph.VertexID) int64 {
-	d, _ := ix.DistanceContext(context.Background(), s, t)
-	return d
-}
-
-// DistanceContext is Distance with cancellation: the hop-by-hop walk polls
-// ctx every cancel.Interval hops and aborts with its error. It drains the
-// same lazy walk the path queries stream, discarding the vertices and
-// keeping the accumulated length — so the two can never disagree.
-func (ix *Index) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return graph.Infinity, err
-	}
-	it := walkIter{ix: ix, ctx: ctx, cur: s, t: t}
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	switch {
-	case it.err == nil:
-		return it.total, nil
-	case errors.Is(it.err, errNoPath):
-		return graph.Infinity, nil
-	default:
-		return graph.Infinity, it.err
-	}
 }
 
 // NumIntervals returns the total number of stored Morton intervals; the

@@ -26,13 +26,13 @@ func TestSILCFigure1Partition(t *testing.T) {
 	ix := build(t, g)
 	behindV6 := []graph.VertexID{testutil.V4, testutil.V5, testutil.V6, testutil.V7}
 	for _, target := range behindV6 {
-		path, _ := ix.ShortestPath(testutil.V8, target)
+		path, _ := testutil.Path(ix.NewSearcher().OpenPath, testutil.V8, target)
 		if len(path) < 2 || path[1] != testutil.V6 {
 			t.Errorf("path v8 -> v%d should leave through v6, got %v", target+1, path)
 		}
 	}
 	for _, target := range []graph.VertexID{testutil.V1, testutil.V3} {
-		path, _ := ix.ShortestPath(testutil.V8, target)
+		path, _ := testutil.Path(ix.NewSearcher().OpenPath, testutil.V8, target)
 		if len(path) < 2 || path[1] != testutil.V1 {
 			t.Errorf("path v8 -> v%d should leave through v1, got %v", target+1, path)
 		}
@@ -43,14 +43,14 @@ func TestSILCExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }
 
 func TestSILCRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 201)
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 71), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 73), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 73), ix.NewSearcher().OpenPath)
 }
 
 func TestSILCAdversarialGraph(t *testing.T) {
@@ -58,7 +58,7 @@ func TestSILCAdversarialGraph(t *testing.T) {
 	g := gen.RandomConnected(150, 250, 40, 203)
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g)[:3000], ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 79), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 79), ix.NewSearcher().OpenPath)
 }
 
 func TestSILCCoordinateCollisions(t *testing.T) {
@@ -77,7 +77,7 @@ func TestSILCCoordinateCollisions(t *testing.T) {
 	g := b.Build()
 	ix := build(t, g)
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }
 
 func TestSILCDisconnected(t *testing.T) {
@@ -93,7 +93,7 @@ func TestSILCDisconnected(t *testing.T) {
 	if d := ix.Distance(0, 2); d != graph.Infinity {
 		t.Errorf("distance across components = %d, want Infinity", d)
 	}
-	if p, _ := ix.ShortestPath(0, 3); p != nil {
+	if p, _ := testutil.Path(ix.NewSearcher().OpenPath, 0, 3); p != nil {
 		t.Errorf("path across components = %v, want nil", p)
 	}
 	if d := ix.Distance(0, 1); d != 3 {
@@ -148,7 +148,7 @@ func TestSILCSameVertex(t *testing.T) {
 	if d := ix.Distance(3, 3); d != 0 {
 		t.Errorf("dist(v, v) = %d", d)
 	}
-	if p, d := ix.ShortestPath(3, 3); d != 0 || len(p) != 1 {
+	if p, d := testutil.Path(ix.NewSearcher().OpenPath, 3, 3); d != 0 || len(p) != 1 {
 		t.Errorf("path(v, v) = %v, %d", p, d)
 	}
 }

@@ -5,6 +5,7 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -196,8 +197,28 @@ func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T
 // DistanceFunc answers a distance query; PathFunc a shortest-path query.
 type DistanceFunc func(s, t graph.VertexID) int64
 
-// PathFunc returns a vertex path and its length.
-type PathFunc func(s, t graph.VertexID) ([]graph.VertexID, int64)
+// PathFunc opens a shortest-path query: the signature of every searcher's
+// OpenPath.
+type PathFunc func(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error)
+
+// Path drains f's iterator over the shortest s-t path into a fresh slice
+// and returns it with its length, or (nil, graph.Infinity) when t is
+// unreachable. It panics on an error, which a query on a background
+// context does not return.
+func Path(f PathFunc, s, t graph.VertexID) ([]graph.VertexID, int64) {
+	it, d, err := f(context.Background(), s, t)
+	var path []graph.VertexID
+	if err == nil && it != nil {
+		path, err = graph.AppendPath(nil, it)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("testutil: path(%d, %d): %v", s, t, err))
+	}
+	if it == nil {
+		return nil, graph.Infinity
+	}
+	return path, d
+}
 
 // CheckDistancesAgainstDijkstra compares dist(s, t) from the technique under
 // test with ground truth for the given pairs.
@@ -222,7 +243,7 @@ func CheckPathsAgainstDijkstra(t *testing.T, g *graph.Graph, pairs [][2]graph.Ve
 	for _, p := range pairs {
 		s, tt := p[0], p[1]
 		want := ctx.Distance(s, tt)
-		path, dist := f(s, tt)
+		path, dist := Path(f, s, tt)
 		if want >= graph.Infinity {
 			if dist < graph.Infinity {
 				t.Errorf("path(%d, %d): reported distance %d for unreachable pair", s, tt, dist)

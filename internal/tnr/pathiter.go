@@ -214,7 +214,9 @@ func (it *tableWalkIter) Err() error { return it.err }
 // OpenPath returns a PathIterator over the shortest path from s to t plus
 // its length, or (nil, Infinity, nil) when t is unreachable. Far pairs
 // stream the lazy table walk stitched onto the fallback's iterator; local
-// pairs stream the fallback directly.
+// pairs stream the fallback directly. The table walk polls ctx every
+// cancel.Interval hops and the fallback searches every cancel.Interval
+// settled vertices; both abort with ctx's error.
 func (sr *Searcher) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, graph.Infinity, err
@@ -223,19 +225,12 @@ func (sr *Searcher) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.Pa
 		sr.countFallback()
 		return sr.fallbackOpenPath(ctx, s, t)
 	}
-	total := sr.openWalk(ctx, s, t)
-	if total >= graph.Infinity {
-		return nil, graph.Infinity, nil
-	}
-	return &sr.walk, total, nil
-}
-
-// openWalk starts sr.walk from s to t, a pair that walks, and returns
-// dist(s, t): Infinity when t is unreachable and there is nothing to walk.
-func (sr *Searcher) openWalk(ctx context.Context, s, t graph.VertexID) int64 {
 	sr.countTable()
 	sr.memo[0].open, sr.memo[1].open = false, false
 	sr.walk = tableWalkIter{sr: sr, ctx: ctx, cur: s, prev: -1, t: t}
 	sr.walk.remaining = sr.dist(sr.walk.memoFor(s), s, -1)
-	return sr.walk.remaining
+	if sr.walk.remaining >= graph.Infinity {
+		return nil, graph.Infinity, nil
+	}
+	return &sr.walk, sr.walk.remaining, nil
 }

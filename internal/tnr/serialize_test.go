@@ -28,7 +28,7 @@ func TestTNRSerializationRoundtrip(t *testing.T) {
 		t.Errorf("access nodes %d != %d after roundtrip", c2, c1)
 	}
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 141), ix2.NewSearcher().Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 50, 143), ix2.NewSearcher().ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 50, 143), ix2.NewSearcher().OpenPath)
 }
 
 func TestTNRSerializationHybrid(t *testing.T) {

@@ -186,12 +186,10 @@ type Searcher struct {
 	// tgt is the target operand of a Distance sweep. walk is the lazy
 	// table-walk iterator handed out by OpenPath and memo its per-layer
 	// tail memos (coarse, fine), allocated by the first walk that uses the
-	// layer. pathHint is the length of the last materialized path, the
-	// capacity the next one starts from.
-	tgt      endpointAccess
-	walk     tableWalkIter
-	memo     [2]tailMemo
-	pathHint int
+	// layer.
+	tgt  endpointAccess
+	walk tableWalkIter
+	memo [2]tailMemo
 }
 
 // LookupsLast returns the number of pair-table cells the last query read:
@@ -371,13 +369,6 @@ func (sr *Searcher) fallbackDistance(ctx context.Context, s, t graph.VertexID) (
 	return sr.chSearch.DistanceContext(ctx, s, t)
 }
 
-func (sr *Searcher) fallbackPath(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	if sr.bi != nil {
-		return sr.bi.ShortestPathContext(ctx, s, t)
-	}
-	return sr.chSearch.ShortestPathContext(ctx, s, t)
-}
-
 // Distance answers a distance query (§3.3): Equation 1 over the coarse
 // tables when the cells are far apart, the fine tables (hybrid mode) for
 // mid-range queries, and the fallback technique otherwise.
@@ -422,38 +413,8 @@ func (ix *Index) CanAnswerFromTables(s, t graph.VertexID) bool {
 	return ix.tableLayer(s, t) != nil
 }
 
-// ShortestPath answers a shortest-path query. Per §3.3, while the current
-// vertex is far from t the next hop is the neighbor v minimizing
-// w(cur, v) + dist(v, t) with dist evaluated from the tables (O(k) distance
-// queries); the local remainder is delegated to the fallback technique.
-func (sr *Searcher) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
-	path, d, _ := sr.ShortestPathContext(context.Background(), s, t)
-	return path, d
-}
-
-// ShortestPathContext is ShortestPath with cancellation: the hop-by-hop
-// table walk polls ctx every cancel.Interval hops and the fallback searches
-// poll it every cancel.Interval settled vertices; both abort with ctx's
-// error. It is a thin collector over the lazy table walk of pathiter.go.
-func (sr *Searcher) ShortestPathContext(ctx context.Context, s, t graph.VertexID) ([]graph.VertexID, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, graph.Infinity, err
-	}
-	if !sr.walks(s, t) {
-		sr.countFallback()
-		return sr.fallbackPath(ctx, s, t)
-	}
-	total := sr.openWalk(ctx, s, t)
-	if total >= graph.Infinity {
-		return nil, graph.Infinity, nil
-	}
-	path, err := graph.AppendPath(make([]graph.VertexID, 0, sr.pathHint), &sr.walk)
-	if err != nil {
-		return nil, graph.Infinity, err
-	}
-	sr.pathHint = len(path)
-	return path, total, nil
-}
+// Access returns the access-node computation the index was built with.
+func (ix *Index) Access() AccessAlgorithm { return ix.opts.Access }
 
 // Hierarchy returns the contraction hierarchy used for preprocessing and,
 // under FallbackCH, for local queries.

@@ -80,21 +80,21 @@ func TestTNRFallsBackForLocalQueries(t *testing.T) {
 func TestTNRShortestPathsExact(t *testing.T) {
 	g := testutil.SmallRoad(1600, 79)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 16})
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 37), ix.NewSearcher().ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 37), ix.NewSearcher().OpenPath)
 }
 
 func TestTNRWithDijkstraFallback(t *testing.T) {
 	g := testutil.SmallRoad(900, 83)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 16, Fallback: tnr.FallbackDijkstra})
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 41), ix.NewSearcher().Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), ix.NewSearcher().ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), ix.NewSearcher().OpenPath)
 }
 
 func TestTNRHybridGrid(t *testing.T) {
 	g := testutil.SmallRoad(1600, 89)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 8, Hybrid: true})
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 47), ix.NewSearcher().Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 53), ix.NewSearcher().ShortestPath)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 53), ix.NewSearcher().OpenPath)
 }
 
 func TestTNRHybridAnswersMoreFromTables(t *testing.T) {
@@ -123,7 +123,7 @@ func TestTNRSameVertexAndAdjacent(t *testing.T) {
 	if d := ix.NewSearcher().Distance(5, 5); d != 0 {
 		t.Errorf("dist(v, v) = %d, want 0", d)
 	}
-	p, d := ix.NewSearcher().ShortestPath(5, 5)
+	p, d := testutil.Path(ix.NewSearcher().OpenPath, 5, 5)
 	if d != 0 || len(p) != 1 {
 		t.Errorf("path(v, v) = %v, %d", p, d)
 	}
@@ -184,8 +184,8 @@ func TestTNRSearcherContextCancelled(t *testing.T) {
 		if _, err := sr.DistanceContext(ctx, s, tgt); !errors.Is(err, context.Canceled) {
 			t.Errorf("fallback %v: DistanceContext err = %v, want context.Canceled", fb, err)
 		}
-		if _, _, err := sr.ShortestPathContext(ctx, s, tgt); !errors.Is(err, context.Canceled) {
-			t.Errorf("fallback %v: ShortestPathContext err = %v, want context.Canceled", fb, err)
+		if _, _, err := sr.OpenPath(ctx, s, tgt); !errors.Is(err, context.Canceled) {
+			t.Errorf("fallback %v: OpenPath err = %v, want context.Canceled", fb, err)
 		}
 		// The searcher remains valid for reuse after an abort.
 		testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 20, 479), sr.Distance)

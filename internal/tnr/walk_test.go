@@ -78,12 +78,9 @@ func refWalk(ix *Index, fb *Searcher, s, t graph.VertexID) ([]graph.VertexID, in
 			}
 		}
 		if local || next < 0 {
-			rest, d, err := fb.fallbackPath(context.Background(), cur, t)
-			if err == nil && d != remaining {
-				err = fmt.Errorf("reference walk %d->%d: fallback says %d from %d, tables %d", s, t, d, cur, remaining)
-			}
-			if err != nil {
-				return nil, 0, work, err
+			rest, d := testutil.Path(fb.fallbackOpenPath, cur, t)
+			if d != remaining {
+				return nil, 0, work, fmt.Errorf("reference walk %d->%d: fallback says %d from %d, tables %d", s, t, d, cur, remaining)
 			}
 			return append(path, rest[1:]...), total, work, nil
 		}
@@ -297,9 +294,9 @@ func TestWalkWorkCount(t *testing.T) {
 	}
 }
 
-// TestTNRPathAllocs pins the steady-state allocations of a materialized far
-// path: the result slice, sized from the previous answer, and nothing else
-// of this package (the fallback's tail iterator may add one).
+// TestTNRPathAllocs pins a far path drained through OpenPath at zero
+// steady-state allocations: the table walk, its tail memos and the
+// fallback's tail iterator all live in the searcher.
 func TestTNRPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -314,11 +311,15 @@ func TestTNRPathAllocs(t *testing.T) {
 	s, tgt := pairs[i][0], pairs[i][1]
 	sr := ix.NewSearcher()
 	want := dijkstra.NewContext(g).Distance(s, tgt)
-	if _, d := sr.ShortestPath(s, tgt); d != want {
+	if _, d := drainWalk(t, sr, s, tgt); d != want {
 		t.Fatalf("dist(%d, %d) = %d, want %d", s, tgt, d, want)
 	}
-	allocs := testing.AllocsPerRun(20, func() { sr.ShortestPath(s, tgt) })
-	if allocs > 2 {
-		t.Errorf("far path query: %.0f allocations, want at most 2", allocs)
+	allocs := testing.AllocsPerRun(20, func() {
+		it, _, _ := sr.OpenPath(context.Background(), s, tgt)
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("far path query: %.0f allocations, want 0", allocs)
 	}
 }

@@ -49,14 +49,16 @@
 //
 //     pool := roadnet.NewPool(idx, roadnet.WithMaxSearchers(64))
 //     pool.Prewarm(8)
-//     go func() { dist := pool.Distance(42, 4711) }()
-//     go func() { path, dist := pool.ShortestPath(7, 11) }()
+//     sr := pool.Get() // in each goroutine
+//     dist := sr.Distance(42, 4711)
+//     it, d, err := roadnet.OpenPath(ctx, sr, 7, 11) // drain it, then
+//     pool.Put(sr)
 //
 // # Cancellation
 //
-// Every Searcher (and Pool) offers Context variants — DistanceContext and
-// ShortestPathContext — that poll the context at bounded intervals (every
-// 256 settled vertices, path hops, or recursion steps, depending on the
+// A Searcher's DistanceContext and OpenPath (and Pool.DistanceContext and
+// Pool.BatchDistance) poll the context at bounded intervals (every 256
+// settled vertices, path hops, or recursion steps, depending on the
 // technique) and abort with the context's error. The polling reaches every
 // search loop, including the bidirectional-Dijkstra fallback inside TNR,
 // so a cancelled request stops consuming CPU within a bounded number of
@@ -84,12 +86,14 @@
 //
 // # Streaming paths
 //
-// OpenPath, a method of every Searcher, yields a path vertex-by-vertex
-// through a PathIterator instead of materializing it, so consumers (the
-// HTTP batch-route streamer in internal/server, cmd/spserve) hold only a
-// bounded window of even a continent-length path. The streamed vertex
-// sequence is bit-identical to ShortestPath's. PCPD, whose recursion
-// assembles a path outside-in, streams from a materialized walk.
+// OpenPath, a method of every Searcher and the one way a searcher answers
+// a path query, yields a path vertex-by-vertex through a PathIterator, so
+// consumers (the HTTP batch-route streamer in internal/server,
+// cmd/spserve) copy nothing they do not keep. CH and TNR produce the
+// vertices lazily, so resident state stays bounded by a continent-length
+// path's shortcut nesting, not its length; the other techniques walk the
+// path into a buffer their searcher reuses. Index.ShortestPath drains the
+// same iterator into a slice, bit-identical to the stream.
 //
 // # Spatial queries
 //
@@ -175,17 +179,17 @@ type Searcher = core.Searcher
 // must be drained (or abandoned) before the searcher is reused.
 type PathIterator = core.PathIterator
 
-// OpenPath is sr.OpenPath: it streams the shortest path from s to t without
-// materializing it. The distance is reported up front and the vertices
-// come lazily from the technique's own iterator (CH shortcut unpacking,
-// SILC first-hop walks, TNR table-walk stitching, the Dijkstra-family
-// parent walks; PCPD alone streams from a materialized walk). The vertex
-// sequence is bit-identical to ShortestPathContext's. It returns (nil, Infinity, err) on
+// OpenPath is sr.OpenPath: it streams the shortest path from s to t. The
+// distance is reported up front and the vertices come from the technique's
+// own iterator (CH shortcut unpacking and TNR table-walk stitching, lazily;
+// the parent walks of the Dijkstra family, SILC's first-hop walk and PCPD's
+// recursion, from the searcher's path buffer). The vertex sequence is
+// bit-identical to Index.ShortestPath's. It returns (nil, Infinity, err) on
 // cancellation, (nil, Infinity, nil) when t is unreachable from s, and
-// (it, d, nil) otherwise. Iterators poll ctx at the same bounded
-// intervals as the Context query variants.
+// (it, d, nil) otherwise. Iterators poll ctx at the same bounded intervals
+// as DistanceContext.
 func OpenPath(ctx context.Context, sr Searcher, s, t VertexID) (PathIterator, int64, error) {
-	return core.OpenPath(ctx, sr, s, t)
+	return sr.OpenPath(ctx, s, t)
 }
 
 // Pool hands out reusable Searchers over one shared Index so any number
