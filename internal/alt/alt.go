@@ -5,6 +5,12 @@
 // lower bound max_L |dist(L, t) - dist(L, v)| derived from the triangle
 // inequality.
 //
+// The landmark table is vertex-major: the L distances of one vertex are one
+// contiguous run, so the bound at v reads one run of L words (128 bytes at
+// the default 16) beside the target's. A queued vertex keeps its bound in
+// its heap key, key = dist + bound, so lowering its label re-keys it without
+// reading the table again.
+//
 // The paper cites prior results showing ALT is dominated by CH in both
 // space and query time; this implementation exists so that the claim can be
 // checked on our testbed (see the ablation benchmarks).
@@ -17,6 +23,7 @@ import (
 	"roadnet/internal/cancel"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/graph"
+	"roadnet/internal/pq"
 )
 
 // Options configures Build.
@@ -35,9 +42,8 @@ type Options struct {
 type Index struct {
 	g         *graph.Graph
 	landmarks []graph.VertexID
-	// distTo[l][v] = dist(landmarks[l], v); the graph is undirected, so one
-	// table serves both bound directions.
-	distTo [][]int64
+	// table[v*L+l] = dist(landmarks[l], v) for L = len(landmarks).
+	table []int64
 
 	buildTime time.Duration
 }
@@ -73,6 +79,7 @@ func Build(g *graph.Graph, opts Options) *Index {
 		minDist[i] = graph.Infinity
 	}
 	cur := first
+	var rows [][]int64 // rows[l][v], transposed into the table at the end
 	for len(ix.landmarks) < opts.NumLandmarks {
 		ix.landmarks = append(ix.landmarks, cur)
 		ctx.Run([]graph.VertexID{cur}, dijkstra.Options{})
@@ -80,7 +87,7 @@ func Build(g *graph.Graph, opts Options) *Index {
 		for v := 0; v < n; v++ {
 			row[v] = ctx.Dist(graph.VertexID(v))
 		}
-		ix.distTo = append(ix.distTo, row)
+		rows = append(rows, row)
 		next := graph.VertexID(-1)
 		var nextDist int64 = -1
 		for v := 0; v < n; v++ {
@@ -97,15 +104,29 @@ func Build(g *graph.Graph, opts Options) *Index {
 		}
 		cur = next
 	}
+	k := len(ix.landmarks)
+	ix.table = make([]int64, n*k)
+	for l, row := range rows {
+		for v, d := range row {
+			ix.table[v*k+l] = d
+		}
+	}
 	ix.buildTime = time.Since(start)
 	return ix
 }
 
-// potential returns the ALT lower bound on dist(v, t).
-func (ix *Index) potential(v, t graph.VertexID) int64 {
+// row returns v's landmark distances.
+func (ix *Index) row(v graph.VertexID) []int64 {
+	k := len(ix.landmarks)
+	return ix.table[int(v)*k : int(v)*k+k]
+}
+
+// potential returns the ALT lower bound on dist(v, t), where rt is t's row.
+func (ix *Index) potential(v graph.VertexID, rt []int64) int64 {
+	rv := ix.row(v)[:len(rt)]
 	var best int64
-	for l := range ix.landmarks {
-		dv, dt := ix.distTo[l][v], ix.distTo[l][t]
+	for l, dt := range rt {
+		dv := rv[l]
 		if dv >= graph.Infinity || dt >= graph.Infinity {
 			continue
 		}
@@ -121,33 +142,29 @@ func (ix *Index) potential(v, t graph.VertexID) int64 {
 // settle is ALT's dijkstra.SettleFunc: A* from src to t, keyed by the
 // label plus the landmark lower bound on the rest of the way.
 func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t graph.VertexID) (bool, error) {
-	s.Gen[src] = s.Cur
-	s.Dist[src] = 0
-	s.Parent[src] = -1
-	s.Heap.Push(src, ix.potential(src, t))
-	for !s.Heap.Empty() {
+	q, rt := &s.Search, ix.row(t)
+	q.Labels[src] = pq.Label{Dist: 0, Parent: -1, Gen: q.Cur}
+	q.Push(src, ix.potential(src, rt))
+	for !q.Empty() {
 		if err := cancel.Poll(ctx, s.Settled); err != nil {
 			return false, err
 		}
-		v, _ := s.Heap.Pop()
+		v, _ := q.Pop()
 		s.Settled++
 		if v == t {
 			return true, nil
 		}
-		d := s.Dist[v]
+		d := q.Labels[v].Dist
 		lo, hi := ix.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
 			w := ix.g.Head(a)
 			nd := d + int64(ix.g.ArcWeight(a))
-			if s.Gen[w] != s.Cur {
-				s.Gen[w] = s.Cur
-				s.Dist[w] = nd
-				s.Parent[w] = int32(v)
-				s.Heap.Push(w, nd+ix.potential(w, t))
-			} else if nd < s.Dist[w] && s.Heap.Contains(w) {
-				s.Dist[w] = nd
-				s.Parent[w] = int32(v)
-				s.Heap.Push(w, nd+ix.potential(w, t))
+			if l := &q.Labels[w]; l.Gen != q.Cur {
+				*l = pq.Label{Dist: nd, Parent: v, Gen: q.Cur}
+				q.Push(w, nd+ix.potential(w, rt))
+			} else if nd < l.Dist && q.Contains(w) {
+				q.Push(w, q.Key(w)-l.Dist+nd) // the key holds w's bound
+				l.Dist, l.Parent = nd, v
 			}
 		}
 	}
@@ -162,9 +179,5 @@ func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the landmark table footprint.
 func (ix *Index) SizeBytes() int64 {
-	var size int64
-	for _, row := range ix.distTo {
-		size += int64(len(row)) * 8
-	}
-	return size + int64(len(ix.landmarks))*4
+	return int64(len(ix.table))*8 + int64(len(ix.landmarks))*4
 }

@@ -83,3 +83,12 @@ func TestALTStats(t *testing.T) {
 		t.Errorf("landmarks %d exceed vertex count", tiny.NumLandmarks())
 	}
 }
+
+// TestGoalSearcherGenerationWrap runs the goal-directed searcher through
+// ALT's settle loop, which writes its labels itself.
+func TestGoalSearcherGenerationWrap(t *testing.T) {
+	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
+		s := alt.Build(g, alt.Options{}).NewSearcher()
+		return s.Distance, func(stamp uint32) { s.Search.Cur = stamp }
+	})
+}

@@ -159,35 +159,21 @@ func (ix *Index) hasFlag(arc int32, cell int32) bool {
 // that relaxes only the arcs flagged for t's cell.
 func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t graph.VertexID) (bool, error) {
 	target := ix.cellOf[t]
-	s.Gen[src] = s.Cur
-	s.Dist[src] = 0
-	s.Parent[src] = -1
-	s.Heap.Push(src, 0)
-	for !s.Heap.Empty() {
+	q := &s.Search
+	q.Visit(src, 0, -1)
+	for !q.Empty() {
 		if err := cancel.Poll(ctx, s.Settled); err != nil {
 			return false, err
 		}
-		v, d := s.Heap.Pop()
+		v, d := q.Pop()
 		s.Settled++
 		if v == t {
 			return true, nil
 		}
 		lo, hi := ix.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
-			if !ix.hasFlag(a, target) {
-				continue
-			}
-			w := ix.g.Head(a)
-			nd := d + int64(ix.g.ArcWeight(a))
-			if s.Gen[w] != s.Cur {
-				s.Gen[w] = s.Cur
-				s.Dist[w] = nd
-				s.Parent[w] = int32(v)
-				s.Heap.Push(w, nd)
-			} else if nd < s.Dist[w] && s.Heap.Contains(w) {
-				s.Dist[w] = nd
-				s.Parent[w] = int32(v)
-				s.Heap.Push(w, nd)
+			if ix.hasFlag(a, target) {
+				q.Visit(ix.g.Head(a), d+int64(ix.g.ArcWeight(a)), v)
 			}
 		}
 	}

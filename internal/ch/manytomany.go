@@ -108,15 +108,11 @@ type deposit struct {
 type bucketSpan struct{ lo, hi int32 }
 
 // m2mScratch is everything one many-to-many call needs besides the
-// hierarchy itself: 28 bytes per vertex plus 32 bytes per bucket deposit.
+// hierarchy itself: 32 bytes per vertex plus 32 bytes per bucket deposit.
 // Every run leaves it reusable, a cancelled one included.
 type m2mScratch struct {
-	// Upward search state. gen[v] == cur marks dist[v] as belonging to the
-	// search in progress.
-	dist []int64
-	gen  []uint32
-	cur  uint32
-	heap *pq.Heap
+	// q is the state of the upward search in progress.
+	q pq.Search
 	// settled lists the unstalled vertices of the last forward search in
 	// settling order; totalSettled counts every pop of the run for
 	// cancel.Poll.
@@ -141,9 +137,7 @@ type m2mScratch struct {
 
 func newM2MScratch(n int) *m2mScratch {
 	return &m2mScratch{
-		dist: make([]int64, n),
-		gen:  make([]uint32, n),
-		heap: pq.New(n),
+		q:    pq.NewSearch(n),
 		span: make([]bucketSpan, n),
 	}
 }
@@ -221,37 +215,21 @@ func (sc *m2mScratch) buildBuckets() {
 // the unstalled vertices it settles, with their labels and tagged target, to
 // out.
 func (sc *m2mScratch) upward(ctx context.Context, h *Hierarchy, root graph.VertexID, target int32, out []deposit) ([]deposit, error) {
-	sc.cur++
-	if sc.cur == 0 {
-		clear(sc.gen)
-		sc.cur = 1
-	}
-	cur, dist, gen, heap := sc.cur, sc.dist, sc.gen, sc.heap
-	heap.Clear() // a cancelled search leaves its frontier behind
-	gen[root] = cur
-	dist[root] = 0
-	heap.Push(root, 0)
-	for !heap.Empty() {
+	q := &sc.q
+	q.Reset() // a cancelled search leaves its frontier behind
+	q.Visit(root, 0, -1)
+	for !q.Empty() {
 		if err := cancel.Poll(ctx, sc.totalSettled); err != nil {
 			return out, err
 		}
-		v, d := heap.Pop()
+		v, d := q.Pop()
 		sc.totalSettled++
-		if h.stalled(v, d, dist, gen, cur) {
+		if h.stalled(v, d, q) {
 			continue
 		}
 		out = append(out, deposit{v, target, d})
 		for a, hi := h.firstUp[v], h.firstUp[v+1]; a < hi; a++ {
-			w := h.upHead[a]
-			nd := d + int64(h.upWeight[a])
-			if gen[w] != cur {
-				gen[w] = cur
-				dist[w] = nd
-				heap.Push(w, nd)
-			} else if nd < dist[w] && heap.Contains(w) {
-				dist[w] = nd
-				heap.Push(w, nd)
-			}
+			q.Visit(h.upHead[a], d+int64(h.upWeight[a]), v)
 		}
 	}
 	return out, nil

@@ -207,12 +207,21 @@ func TestManyToManyGenerationWrap(t *testing.T) {
 		})
 	}
 	check("before wrap", first)
-	sc.cur = math.MaxUint32 - 3
+	sc.q.Cur = math.MaxUint32 - 3
 	check("across wrap", second)
-	if sc.cur >= math.MaxUint32-3 {
-		t.Fatalf("stamp %d did not wrap", sc.cur)
+	if sc.q.Cur >= math.MaxUint32-3 {
+		t.Fatalf("stamp %d did not wrap", sc.q.Cur)
 	}
 	check("after wrap", first)
+}
+
+// TestSearcherGenerationWrap is the point-to-point searcher's counterpart of
+// the test above: both sides' stamps cross the wrap.
+func TestSearcherGenerationWrap(t *testing.T) {
+	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
+		s := testutil.Must(Build(g, Options{})).NewSearcher()
+		return s.Distance, func(stamp uint32) { s.side[0].Cur, s.side[1].Cur = stamp, stamp }
+	})
 }
 
 // TestManyToManyConcurrent shares one hierarchy, and so one scratch pool,

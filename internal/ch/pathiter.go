@@ -89,13 +89,9 @@ func (s *Searcher) OpenPath(ctx context.Context, from, to graph.VertexID) (graph
 	// from == to query ran no search, and its path is the one vertex.
 	aug := append(s.augBuf[:0], s.lastMeet)
 	if from != to {
-		for v := s.parent[0][s.lastMeet]; v >= 0; v = s.parent[0][v] {
-			aug = append(aug, v)
-		}
+		aug = s.side[0].AppendParents(aug, s.lastMeet)
 		slices.Reverse(aug)
-		for v := s.parent[1][s.lastMeet]; v >= 0; v = s.parent[1][v] {
-			aug = append(aug, v)
-		}
+		aug = s.side[1].AppendParents(aug, s.lastMeet)
 	}
 	s.augBuf = aug
 	s.unpack = unpackIter{h: s.h, ctx: ctx, aug: aug, stack: s.unpack.stack[:0]}

@@ -29,11 +29,9 @@ type Searcher struct {
 	// DisableStalling turns off the stall-on-demand optimization.
 	DisableStalling bool
 
-	dist   [2][]int64
-	parent [2][]int32
-	gen    [2][]uint32
-	cur    [2]uint32
-	heap   [2]*pq.Heap
+	// side[0] is the upward search from the source, side[1] the one from
+	// the target.
+	side [2]pq.Search
 
 	// lastMeet caches the meeting vertex of the last query for path
 	// reconstruction.
@@ -52,43 +50,15 @@ type Searcher struct {
 // NewSearcher returns a fresh query context for h.
 func (h *Hierarchy) NewSearcher() *Searcher {
 	n := h.g.NumVertices()
-	s := &Searcher{h: h, lastMeet: -1}
-	for side := 0; side < 2; side++ {
-		s.dist[side] = make([]int64, n)
-		s.parent[side] = make([]int32, n)
-		s.gen[side] = make([]uint32, n)
-		s.heap[side] = pq.New(n)
-	}
-	return s
+	return &Searcher{h: h, lastMeet: -1, side: [2]pq.Search{pq.NewSearch(n), pq.NewSearch(n)}}
 }
 
 func (s *Searcher) reset() {
-	for side := 0; side < 2; side++ {
-		s.cur[side]++
-		if s.cur[side] == 0 {
-			for i := range s.gen[side] {
-				s.gen[side][i] = 0
-			}
-			s.cur[side] = 1
-		}
-		s.heap[side].Clear()
-	}
+	s.side[0].Reset()
+	s.side[1].Reset()
 	s.lastMeet = -1
 	s.lastDist = graph.Infinity
 	s.settledCount = 0
-}
-
-func (s *Searcher) visit(side int, v graph.VertexID, d int64, parent int32) {
-	if s.gen[side][v] != s.cur[side] {
-		s.gen[side][v] = s.cur[side]
-		s.dist[side][v] = d
-		s.parent[side][v] = parent
-		s.heap[side].Push(v, d)
-	} else if d < s.dist[side][v] && s.heap[side].Contains(v) {
-		s.dist[side][v] = d
-		s.parent[side][v] = parent
-		s.heap[side].Push(v, d)
-	}
 }
 
 // Distance returns dist(s, t), or graph.Infinity when t is unreachable.
@@ -126,8 +96,8 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 		s.lastMeet = from
 		return nil
 	}
-	s.visit(0, from, 0, -1)
-	s.visit(1, to, 0, -1)
+	s.side[0].Visit(from, 0, -1)
+	s.side[1].Visit(to, 0, -1)
 	h := s.h
 	best := graph.Infinity
 	meet := graph.VertexID(-1)
@@ -137,11 +107,11 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 			return err
 		}
 		k0, k1 := graph.Infinity, graph.Infinity
-		if !s.heap[0].Empty() {
-			_, k0 = s.heap[0].Min()
+		if !s.side[0].Empty() {
+			_, k0 = s.side[0].Min()
 		}
-		if !s.heap[1].Empty() {
-			_, k1 = s.heap[1].Min()
+		if !s.side[1].Empty() {
+			_, k1 = s.side[1].Min()
 		}
 		if k0 >= best && k1 >= best {
 			break
@@ -150,27 +120,27 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 		if k1 < k0 {
 			side = 1
 		}
-		if s.heap[side].Empty() {
+		if s.side[side].Empty() {
 			side = 1 - side
 		}
-		v, d := s.heap[side].Pop()
+		q, other := &s.side[side], &s.side[1-side]
+		v, d := q.Pop()
 		s.settledCount++
 		// Meeting check: v settled in this side; if the other side has
 		// reached it, the concatenation is a candidate.
-		other := 1 - side
-		if s.gen[other][v] == s.cur[other] {
-			if total := d + s.dist[other][v]; total < best {
+		if l := other.Labels[v]; l.Gen == other.Cur {
+			if total := d + l.Dist; total < best {
 				best = total
 				meet = v
 			}
 		}
 		// Stall-on-demand: a shorter path to v through a higher-ranked
 		// neighbor proves v's outgoing arcs useless for shortest paths.
-		if !s.DisableStalling && h.stalled(v, d, s.dist[side], s.gen[side], s.cur[side]) {
+		if !s.DisableStalling && h.stalled(v, d, q) {
 			continue
 		}
 		for a := h.firstUp[v]; a < h.firstUp[v+1]; a++ {
-			s.visit(side, h.upHead[a], d+int64(h.upWeight[a]), int32(v))
+			q.Visit(h.upHead[a], d+int64(h.upWeight[a]), v)
 		}
 	}
 	s.lastDist = best
@@ -180,11 +150,12 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 
 // stalled is the stall-on-demand test shared by the point-to-point and the
 // many-to-many upward searches: v, settled at label d, is stalled when some
-// reached upward neighbour w (gen[w] == cur) offers dist[w] + w(v, w) < d.
-// Arcs are symmetric, so the shorter path through w proves d inexact.
-func (h *Hierarchy) stalled(v graph.VertexID, d int64, dist []int64, gen []uint32, cur uint32) bool {
+// upward neighbour w reached by search q offers dist[w] + w(v, w) < d. Arcs
+// are symmetric, so the shorter path through w proves d inexact.
+func (h *Hierarchy) stalled(v graph.VertexID, d int64, q *pq.Search) bool {
+	labels, cur := q.Labels, q.Cur
 	for a, hi := h.firstUp[v], h.firstUp[v+1]; a < hi; a++ {
-		if w := h.upHead[a]; gen[w] == cur && dist[w]+int64(h.upWeight[a]) < d {
+		if l := &labels[h.upHead[a]]; l.Gen == cur && l.Dist+int64(h.upWeight[a]) < d {
 			return true
 		}
 	}

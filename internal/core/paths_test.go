@@ -136,3 +136,31 @@ func TestPathAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestDistanceAllocs pins a warm searcher's distance query at zero
+// allocations on every technique, over the Q10 pairs of the NH fixture;
+// TestPoolDistanceAllocs pins the same through the pool for CH alone.
+func TestDistanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	fx := nhPaths(t)
+	q10 := fx.sets[len(fx.sets)-1].Pairs
+	ctx := context.Background()
+	for _, m := range concurrencyMethods {
+		t.Run(string(m), func(t *testing.T) {
+			sr := fx.idx[m].NewSearcher()
+			allocs := testing.AllocsPerRun(5, func() {
+				for _, p := range q10 {
+					sr.Distance(p.S, p.T)
+					if _, err := sr.DistanceContext(ctx, p.S, p.T); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm Distance: %.2f allocations per query, want 0", allocs/float64(2*len(q10)))
+			}
+		})
+	}
+}

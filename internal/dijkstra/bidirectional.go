@@ -18,12 +18,8 @@ import (
 // A Bidirectional is not safe for concurrent use.
 type Bidirectional struct {
 	g *graph.Graph
-
-	dist   [2][]int64
-	parent [2][]int32
-	gen    [2][]uint32
-	cur    [2]uint32
-	heap   [2]*pq.Heap
+	// side[0] searches from s, side[1] from t.
+	side [2]pq.Search
 
 	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath:
 	// the parent walk is assembled into pathBuf (reused across queries, so
@@ -36,44 +32,7 @@ type Bidirectional struct {
 // NewBidirectional returns a reusable bidirectional searcher on g.
 func NewBidirectional(g *graph.Graph) *Bidirectional {
 	n := g.NumVertices()
-	b := &Bidirectional{g: g}
-	for side := 0; side < 2; side++ {
-		b.dist[side] = make([]int64, n)
-		b.parent[side] = make([]int32, n)
-		b.gen[side] = make([]uint32, n)
-		b.heap[side] = pq.New(n)
-	}
-	return b
-}
-
-func (b *Bidirectional) reset() {
-	for side := 0; side < 2; side++ {
-		b.cur[side]++
-		if b.cur[side] == 0 {
-			for i := range b.gen[side] {
-				b.gen[side][i] = 0
-			}
-			b.cur[side] = 1
-		}
-		b.heap[side].Clear()
-	}
-}
-
-func (b *Bidirectional) visit(side int, v graph.VertexID, d int64, parent int32) {
-	if b.gen[side][v] != b.cur[side] {
-		b.gen[side][v] = b.cur[side]
-		b.dist[side][v] = d
-		b.parent[side][v] = parent
-		b.heap[side].Push(v, d)
-	} else if d < b.dist[side][v] && b.heap[side].Contains(v) {
-		b.dist[side][v] = d
-		b.parent[side][v] = parent
-		b.heap[side].Push(v, d)
-	}
-}
-
-func (b *Bidirectional) reached(side int, v graph.VertexID) bool {
-	return b.gen[side][v] == b.cur[side]
+	return &Bidirectional{g: g, side: [2]pq.Search{pq.NewSearch(n), pq.NewSearch(n)}}
 }
 
 // Result carries the outcome of one bidirectional query.
@@ -106,28 +65,29 @@ func (b *Bidirectional) QueryContext(ctx context.Context, s, t graph.VertexID) (
 	if err := ctx.Err(); err != nil {
 		return Result{Dist: graph.Infinity, Meet: -1}, err
 	}
-	b.reset()
+	b.side[0].Reset()
+	b.side[1].Reset()
 	if s == t {
 		return Result{Dist: 0, Meet: s}, nil
 	}
-	b.visit(0, s, 0, -1)
-	b.visit(1, t, 0, -1)
+	b.side[0].Visit(s, 0, -1)
+	b.side[1].Visit(t, 0, -1)
 
 	best := graph.Infinity
 	meet := graph.VertexID(-1)
 	settled := 0
 
-	for !b.heap[0].Empty() || !b.heap[1].Empty() {
+	for !b.side[0].Empty() || !b.side[1].Empty() {
 		if err := cancel.Poll(ctx, settled); err != nil {
 			return Result{Dist: graph.Infinity, Meet: -1, Settled: settled}, err
 		}
 		// Alternate by smaller queue head; a finished side stops expanding.
 		k0, k1 := graph.Infinity, graph.Infinity
-		if !b.heap[0].Empty() {
-			_, k0 = b.heap[0].Min()
+		if !b.side[0].Empty() {
+			_, k0 = b.side[0].Min()
 		}
-		if !b.heap[1].Empty() {
-			_, k1 = b.heap[1].Min()
+		if !b.side[1].Empty() {
+			_, k1 = b.side[1].Min()
 		}
 		// Termination: with best maintained on every arc relaxation, no
 		// undiscovered s-t path can be shorter than topF + topB, so the two
@@ -141,17 +101,17 @@ func (b *Bidirectional) QueryContext(ctx context.Context, s, t graph.VertexID) (
 		if k1 < k0 {
 			side = 1
 		}
-		v, d := b.heap[side].Pop()
+		q, other := &b.side[side], &b.side[1-side]
+		v, d := q.Pop()
 		settled++
-		other := 1 - side
 		lo, hi := b.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
 			w := b.g.Head(a)
 			nd := d + int64(b.g.ArcWeight(a))
-			b.visit(side, w, nd, int32(v))
+			q.Visit(w, nd, v)
 			// Check for a crossing through w.
-			if b.reached(other, w) {
-				if total := nd + b.dist[other][w]; total < best {
+			if l := other.Labels[w]; l.Gen == other.Cur {
+				if total := nd + l.Dist; total < best {
 					best = total
 					meet = w
 				}
@@ -176,13 +136,9 @@ func (b *Bidirectional) OpenPath(ctx context.Context, s, t graph.VertexID) (grap
 	}
 	path := append(b.pathBuf[:0], r.Meet)
 	if s != t { // else the search never ran and the path is the one vertex
-		for v := b.parent[0][r.Meet]; v >= 0; v = b.parent[0][v] {
-			path = append(path, v)
-		}
+		path = b.side[0].AppendParents(path, r.Meet)
 		slices.Reverse(path)
-		for v := b.parent[1][r.Meet]; v >= 0; v = b.parent[1][v] {
-			path = append(path, v)
-		}
+		path = b.side[1].AppendParents(path, r.Meet)
 	}
 	b.pathBuf = path
 	b.pathIter.Reset(path)

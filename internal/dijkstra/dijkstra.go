@@ -1,7 +1,9 @@
 // Package dijkstra implements Dijkstra's algorithm and the bidirectional
-// variant of Pohl that the paper uses as its baseline (§3.1). A reusable,
-// generation-stamped search context makes repeated queries cheap: arrays are
-// allocated once per context and invalidated in O(1) between queries.
+// variant of Pohl that the paper uses as its baseline (§3.1), and
+// GoalSearcher, the shell ALT and arc-flags run their settle loops in. Each
+// searches on a pq.Search per direction, one 16-byte label per vertex beside
+// the heap, allocated once per searcher and invalidated between queries by
+// its generation stamp, so a query costs what it settles.
 //
 // The unidirectional search doubles as the ground truth in tests and runs
 // the target-stopped access-node searches of TNR's preprocessing and ALT's
@@ -11,6 +13,7 @@ package dijkstra
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"roadnet/internal/cancel"
@@ -22,14 +25,10 @@ import (
 // fixed graph. A Context is not safe for concurrent use; create one context
 // per goroutine.
 type Context struct {
-	g      *graph.Graph
-	dist   []int64
-	parent []int32 // arc-entering predecessor vertex, -1 at sources
-	gen    []uint32
-	cur    uint32
-	heap   *pq.Heap
+	g *graph.Graph
+	q pq.Search
 
-	// target marking, generation-stamped so Run does not pay O(n) setup
+	// target marking, stamped with q.Cur so Run does not pay O(n) setup
 	targetGen []uint32
 
 	// settled vertices of the last run, in settle order
@@ -41,10 +40,7 @@ func NewContext(g *graph.Graph) *Context {
 	n := g.NumVertices()
 	return &Context{
 		g:         g,
-		dist:      make([]int64, n),
-		parent:    make([]int32, n),
-		gen:       make([]uint32, n),
-		heap:      pq.New(n),
+		q:         pq.NewSearch(n),
 		targetGen: make([]uint32, n),
 	}
 }
@@ -53,42 +49,23 @@ func NewContext(g *graph.Graph) *Context {
 func (c *Context) Graph() *graph.Graph { return c.g }
 
 func (c *Context) reset() {
-	c.cur++
-	if c.cur == 0 { // uint32 wrap: invalidate everything explicitly
-		for i := range c.gen {
-			c.gen[i] = 0
-			c.targetGen[i] = 0
-		}
-		c.cur = 1
+	if c.q.Reset() {
+		clear(c.targetGen)
 	}
-	c.heap.Clear()
 	c.settled = c.settled[:0]
-}
-
-func (c *Context) visit(v graph.VertexID, d int64, parent int32) {
-	if c.gen[v] != c.cur {
-		c.gen[v] = c.cur
-		c.dist[v] = d
-		c.parent[v] = parent
-		c.heap.Push(v, d)
-	} else if d < c.dist[v] && c.heap.Contains(v) {
-		c.dist[v] = d
-		c.parent[v] = parent
-		c.heap.Push(v, d)
-	}
 }
 
 // Dist returns the distance of v computed by the last search, or
 // graph.Infinity if v was not reached.
 func (c *Context) Dist(v graph.VertexID) int64 {
-	if c.gen[v] != c.cur {
+	if !c.q.Reached(v) {
 		return graph.Infinity
 	}
-	return c.dist[v]
+	return c.q.Labels[v].Dist
 }
 
 // Reached reports whether v was reached (settled or queued) by the last search.
-func (c *Context) Reached(v graph.VertexID) bool { return c.gen[v] == c.cur }
+func (c *Context) Reached(v graph.VertexID) bool { return c.q.Reached(v) }
 
 // Settled returns the vertices settled by the last search in settle order.
 // The slice is reused between runs; callers must not retain it.
@@ -97,17 +74,12 @@ func (c *Context) Settled() []graph.VertexID { return c.settled }
 // PathTo reconstructs the path from the source of the last search to t as a
 // vertex sequence, or nil if t was not reached.
 func (c *Context) PathTo(t graph.VertexID) []graph.VertexID {
-	if c.gen[t] != c.cur {
+	if !c.q.Reached(t) {
 		return nil
 	}
-	var rev []graph.VertexID
-	for v := t; v >= 0; v = c.parent[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	path := c.q.AppendParents([]graph.VertexID{t}, t)
+	slices.Reverse(path)
+	return path
 }
 
 // Options controls optional termination rules of Run.
@@ -144,24 +116,24 @@ func (c *Context) Run(sources []graph.VertexID, opt Options) int {
 func (c *Context) RunContext(ctx context.Context, sources []graph.VertexID, opt Options) (int, error) {
 	c.reset()
 	for _, s := range sources {
-		c.visit(s, 0, -1)
+		c.q.Visit(s, 0, -1)
 	}
 	remaining := 0
 	haveTargets := opt.Targets != nil
 	if haveTargets {
 		for _, t := range opt.Targets {
-			if c.targetGen[t] != c.cur {
-				c.targetGen[t] = c.cur
+			if c.targetGen[t] != c.q.Cur {
+				c.targetGen[t] = c.q.Cur
 				remaining++
 			}
 		}
 	}
 	tieBound := int64(-1)
-	for !c.heap.Empty() {
+	for !c.q.Empty() {
 		if err := cancel.Poll(ctx, len(c.settled)); err != nil {
 			return len(c.settled), err
 		}
-		v, d := c.heap.Pop()
+		v, d := c.q.Pop()
 		if opt.MaxDist > 0 && d > opt.MaxDist {
 			return len(c.settled), nil
 		}
@@ -169,7 +141,7 @@ func (c *Context) RunContext(ctx context.Context, sources []graph.VertexID, opt 
 			return len(c.settled), nil
 		}
 		c.settled = append(c.settled, v)
-		if haveTargets && c.targetGen[v] == c.cur {
+		if haveTargets && c.targetGen[v] == c.q.Cur {
 			remaining--
 			if remaining == 0 {
 				if !opt.SettleTies {
@@ -183,7 +155,7 @@ func (c *Context) RunContext(ctx context.Context, sources []graph.VertexID, opt 
 		}
 		lo, hi := c.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
-			c.visit(c.g.Head(a), d+int64(c.g.ArcWeight(a)), int32(v))
+			c.q.Visit(c.g.Head(a), d+int64(c.g.ArcWeight(a)), v)
 		}
 	}
 	return len(c.settled), nil
@@ -202,14 +174,14 @@ func (c *Context) KNearest(ctx context.Context, s graph.VertexID, k int) ([]grap
 		return nil, nil
 	}
 	c.reset()
-	c.visit(s, 0, -1)
+	c.q.Visit(s, 0, -1)
 	out := make([]graph.VertexID, 0, k)
 	bound := int64(-1)
-	for !c.heap.Empty() {
+	for !c.q.Empty() {
 		if err := cancel.Poll(ctx, len(c.settled)); err != nil {
 			return nil, err
 		}
-		v, d := c.heap.Pop()
+		v, d := c.q.Pop()
 		if bound >= 0 && d > bound {
 			break
 		}
@@ -222,12 +194,12 @@ func (c *Context) KNearest(ctx context.Context, s graph.VertexID, k int) ([]grap
 		}
 		lo, hi := c.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
-			c.visit(c.g.Head(a), d+int64(c.g.ArcWeight(a)), int32(v))
+			c.q.Visit(c.g.Head(a), d+int64(c.g.ArcWeight(a)), v)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if c.dist[out[i]] != c.dist[out[j]] {
-			return c.dist[out[i]] < c.dist[out[j]]
+		if di, dj := c.q.Labels[out[i]].Dist, c.q.Labels[out[j]].Dist; di != dj {
+			return di < dj
 		}
 		return out[i] < out[j]
 	})

@@ -259,3 +259,17 @@ func TestKNearestSettledCount(t *testing.T) {
 		t.Errorf("%d k-NN queries settled %d vertices, pinned at %d", sources, settled, want)
 	}
 }
+
+func TestContextGenerationWrap(t *testing.T) {
+	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
+		c := dijkstra.NewContext(g)
+		return c.Distance, c.SetStamp
+	})
+}
+
+func TestBidirectionalGenerationWrap(t *testing.T) {
+	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
+		b := dijkstra.NewBidirectional(g)
+		return b.Distance, b.SetStamp
+	})
+}

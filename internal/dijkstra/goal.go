@@ -9,12 +9,12 @@ import (
 )
 
 // SettleFunc is a goal-directed technique's settle loop: a unidirectional
-// search from src on the labels of s that returns whether t was settled,
-// leaving Dist[t] and the Parent chain behind it. The loop owns everything
+// search from src on s.Search that returns whether t was settled, leaving
+// t's label and the parent chain behind it. The loop owns everything
 // that makes the technique what it is — the heap key, which arcs it relaxes
 // — and must count settled vertices in s.Settled and poll ctx every
 // cancel.Interval of them, aborting with ctx's error. GoalSearcher has
-// already stamped a fresh generation when it calls the loop.
+// already reset s.Search when it calls the loop.
 type SettleFunc func(ctx context.Context, s *GoalSearcher, src, t graph.VertexID) (found bool, err error)
 
 // GoalSearcher is the searcher shared by the goal-directed unidirectional
@@ -27,13 +27,8 @@ type SettleFunc func(ctx context.Context, s *GoalSearcher, src, t graph.VertexID
 //
 // A GoalSearcher is not safe for concurrent use; create one per goroutine.
 type GoalSearcher struct {
-	// Dist[v] and Parent[v] are set for the current query iff
-	// Gen[v] == Cur; Parent is -1 at the source.
-	Dist   []int64
-	Parent []int32
-	Gen    []uint32
-	Cur    uint32
-	Heap   *pq.Heap
+	// Search holds the labels and the frontier of the current query.
+	Search pq.Search
 	// Settled counts the vertices the current query has settled.
 	Settled int
 
@@ -49,23 +44,12 @@ type GoalSearcher struct {
 // NewGoalSearcher returns a searcher for graphs of n vertices that answers
 // queries with settle.
 func NewGoalSearcher(n int, settle SettleFunc) *GoalSearcher {
-	return &GoalSearcher{
-		Dist:   make([]int64, n),
-		Parent: make([]int32, n),
-		Gen:    make([]uint32, n),
-		Heap:   pq.New(n),
-		settle: settle,
-	}
+	return &GoalSearcher{Search: pq.NewSearch(n), settle: settle}
 }
 
-// run opens a fresh generation and runs the settle loop.
+// run starts a fresh search and runs the settle loop.
 func (s *GoalSearcher) run(ctx context.Context, src, t graph.VertexID) (bool, error) {
-	s.Cur++
-	if s.Cur == 0 { // uint32 wrap: invalidate everything explicitly
-		clear(s.Gen)
-		s.Cur = 1
-	}
-	s.Heap.Clear()
+	s.Search.Reset()
 	s.Settled = 0
 	return s.settle(ctx, s, src, t)
 }
@@ -90,7 +74,7 @@ func (s *GoalSearcher) DistanceContext(ctx context.Context, src, t graph.VertexI
 	if err != nil || !found {
 		return graph.Infinity, err
 	}
-	return s.Dist[t], nil
+	return s.Search.Labels[t].Dist, nil
 }
 
 // OpenPath runs the query and returns a PathIterator over the shortest path
@@ -111,14 +95,11 @@ func (s *GoalSearcher) OpenPath(ctx context.Context, src, t graph.VertexID) (gra
 	if err != nil || !found {
 		return nil, graph.Infinity, err
 	}
-	rev := s.pathBuf[:0]
-	for v := t; v >= 0; v = graph.VertexID(s.Parent[v]) {
-		rev = append(rev, v)
-	}
+	rev := s.Search.AppendParents(append(s.pathBuf[:0], t), t)
 	slices.Reverse(rev)
 	s.pathBuf = rev
 	s.pathIter.Reset(rev)
-	return &s.pathIter, s.Dist[t], nil
+	return &s.pathIter, s.Search.Labels[t].Dist, nil
 }
 
 // SettledLast reports the vertices settled by the last query.

@@ -116,3 +116,57 @@ func TestHeapRandomMixedOps(t *testing.T) {
 		t.Fatalf("length mismatch: heap %d, model %d", h.Len(), len(model))
 	}
 }
+
+// TestPopOrderDigest pins the order of every pop, ties included, over a run
+// of pushes, decrease-keys, increase-keys and pops: keys in [0, 64) tie
+// constantly and random ids hit queued ids both ways. The digest is FNV-1a
+// over each popped (id, key); it was generated with the swap-based heap
+// this package had before its hole-sifting one, and a heap that breaks a
+// tie differently fails it.
+func TestPopOrderDigest(t *testing.T) {
+	const want = 0x57ca22ffb514fe21
+	rng := rand.New(rand.NewSource(7))
+	h := New(4096)
+	sum := uint64(14695981039346656037)
+	for i := 0; i < 1<<18; i++ {
+		if (i%3 == 2 || h.Len() > 1000) && !h.Empty() {
+			id, key := h.Pop()
+			sum = (sum ^ uint64(id)) * 1099511628211
+			sum = (sum ^ uint64(key)) * 1099511628211
+			continue
+		}
+		h.Push(int32(rng.Intn(4096)), rng.Int63n(64))
+	}
+	if sum != want {
+		t.Errorf("pop-order digest %#016x, want %#016x", sum, uint64(want))
+	}
+}
+
+// BenchmarkPushPop is the benchmark's pq.push_pop sequence: 2^20 pushes,
+// key changes and pops over 2^16 ids with 40-bit keys, two pushes to a pop
+// until the heap is 4096 deep, then one to one. ns/op is per heap operation.
+func BenchmarkPushPop(b *testing.B) {
+	const ops, ids = 1 << 20, 1 << 16
+	rng := rand.New(rand.NewSource(20120501))
+	type op struct {
+		id  int32
+		key int64
+	}
+	seq := make([]op, ops)
+	for i := range seq {
+		seq[i] = op{int32(rng.Intn(ids)), rng.Int63n(1 << 40)}
+	}
+	h := New(ids)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		h.Clear()
+		for i, o := range seq {
+			if (i%3 == 2 || h.Len() > 4096) && !h.Empty() {
+				h.Pop()
+				continue
+			}
+			h.Push(o.id, o.key)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/heap-op")
+}

@@ -7,8 +7,10 @@ package testutil
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"roadnet/internal/dijkstra"
@@ -260,6 +262,28 @@ func CheckPathsAgainstDijkstra(t *testing.T, g *graph.Graph, pairs [][2]graph.Ve
 		}
 		if w := dijkstra.PathWeight(g, path); w != want {
 			t.Errorf("path(%d, %d): edges sum to %d, want %d (path %v)", s, tt, w, want, path)
+		}
+	}
+}
+
+// CheckAcrossGenerationWrap holds a searcher's generation-stamped labels to
+// the wrap of their uint32 stamp. On MessyGraph seeds 1 to 4, open returns a
+// fresh searcher's distance query and a setter of its stamp. For each
+// sampled pair the stamp is set to MaxUint32-1 and the searcher answers the
+// pair and then, across the wrap, the pair half the sample away, each
+// against plain Dijkstra. A wrap that does not clear the labels leaves the
+// second query the labels of the previous round's second query, at the
+// stamp it runs under. Pairs with s == t are left out: a searcher may answer
+// them without starting a search, and its round would not cross the wrap.
+func CheckAcrossGenerationWrap(t *testing.T, open func(g *graph.Graph) (f DistanceFunc, setStamp func(uint32))) {
+	t.Helper()
+	for seed := int64(1); seed <= 4; seed++ {
+		g := MessyGraph(seed)
+		f, setStamp := open(g)
+		pairs := slices.DeleteFunc(SamplePairs(g, 64, seed), func(p [2]graph.VertexID) bool { return p[0] == p[1] })
+		for i, p := range pairs {
+			setStamp(math.MaxUint32 - 1)
+			CheckDistancesAgainstDijkstra(t, g, [][2]graph.VertexID{p, pairs[(i+len(pairs)/2)%len(pairs)]}, f)
 		}
 	}
 }
