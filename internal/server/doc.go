@@ -45,13 +45,18 @@
 // panic recovery, the request metrics and the batch stream all read) → rate
 // limit → deadline (both optional) → mux → queryRoute → the endpoint's
 // parse and run steps. queryRoute is the adapter every query endpoint is
-// registered through: it parses the query string once, runs parse (strict
+// registered through: it runs parse (the raw query string read key by key
+// through params, with url.ParseQuery's rules and no url.Values; strict
 // body decoding, the vertex range check and coordinate snapping are each
 // one shared function), counts the query — after validation, before
 // admission to the searcher pool — runs it, and is the only caller of
-// writeError. Pattern and query kind are static per route, so queryRoute
-// is the attachment point for ROADMAP item 1: stage timers, the request id
-// and the access-log line go there.
+// writeError. The query kind is static per route, so queryRoute is where
+// per-stage timers, the request id and the access-log line attach.
+//
+// Every answer, error bodies and batch streams included, is appended into a
+// pooled buffer by the one writer of writer.go and sent by reply.send (in
+// chunks by the stream's flush): the one encode and write site, where those
+// stages' timers attach. encoding/json remains only in decodeStrict.
 //
 // Steps report failure by returning an error. A typed {status, message}
 // is what the client got wrong (400, 404, 413). A context error means the
@@ -75,6 +80,7 @@
 // searcher-pool occupancy, and the draining/degraded/verified serving
 // state. The scrape endpoint is exempt from rate limiting, like the
 // health probes. All instrumentation is atomic adds on the request path —
-// no locks, no allocations — and a server built without WithMetrics pays
+// no locks, no allocations (each route keeps its children once resolved;
+// TestRequestAllocs holds it) — and a server built without WithMetrics pays
 // only nil checks. docs/METRICS.md documents every metric name.
 package server

@@ -54,47 +54,26 @@ func (h *Health) SetVerified(v bool) { h.verified.Store(v) }
 // Verified reports the last SetVerified value.
 func (h *Health) Verified() bool { return h.verified.Load() }
 
-// healthzResponse is the liveness body: the process is up and the handler
-// chain is answering.
-type healthzResponse struct {
-	OK bool `json:"ok"`
-}
-
-// readyzResponse is the readiness body. Verified and the failure flags use
-// omitempty so the steady-state healthy answer stays minimal:
-// {"ready":true,"verified":true}.
-type readyzResponse struct {
-	Ready    bool   `json:"ready"`
-	Draining bool   `json:"draining,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	Verified bool   `json:"verified,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-}
-
 // handleHealthz is liveness: 200 as long as the process can run a handler.
 // A supervisor restarts the process when this stops answering; it must not
 // depend on index state, so it never returns anything but 200.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthzResponse{OK: true})
+	rp := newReply()
+	rp.send(w, http.StatusOK, append(rp.b, `{"ok":true}`...))
 }
 
 // handleReadyz is readiness: 200 while the node wants traffic, 503 once it
 // is draining. Degraded mode stays ready — exact answers from the Dijkstra
-// fallback beat no answers — but is flagged for operators.
+// fallback beat no answers — but is flagged for operators (see
+// appendReadyz for the body).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	h := s.health
-	resp := readyzResponse{
-		Ready:    !h.Draining(),
-		Draining: h.Draining(),
-		Degraded: h.Degraded(),
-		Verified: h.verified.Load(),
-	}
-	if reason, ok := h.reason.Load().(string); ok {
-		resp.Reason = reason
-	}
+	draining := h.Draining()
+	reason, _ := h.reason.Load().(string)
 	status := http.StatusOK
-	if !resp.Ready {
+	if draining {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	rp := newReply()
+	rp.send(w, status, appendReadyz(rp.b, draining, h.Degraded(), h.Verified(), reason))
 }

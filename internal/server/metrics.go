@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"runtime"
 	rtmetrics "runtime/metrics"
-	"strconv"
+	"slices"
+	"sync/atomic"
+	"time"
 
 	"roadnet/internal/core"
 	"roadnet/internal/metrics"
@@ -204,21 +206,47 @@ func (m *serverMetrics) countBudgetHit() {
 	m.budgetHits.Inc()
 }
 
-// codeLabel folds a status code into the label set of
-// roadnet_http_requests_total: the operationally distinct codes (429 rate
-// limited, 499 client gone, 500 server fault, 503 overloaded/draining) stay
-// exact, everything else is its class — per-code label cardinality without
-// losing the codes dashboards alert on.
-func codeLabel(code int) string {
-	switch code {
-	case 0:
-		return "2xx" // handler wrote nothing; net/http sends 200
-	case http.StatusTooManyRequests,
-		statusClientClosedRequest,
-		http.StatusInternalServerError,
-		http.StatusServiceUnavailable:
-		return strconv.Itoa(code)
-	default:
-		return strconv.Itoa(code/100) + "xx"
+// codeLabels is the code label set of roadnet_http_requests_total: the
+// operationally distinct statuses exact (429 rate limited, 499 client gone,
+// 500 server fault, 503 overloaded/draining), every other one its class.
+var codeLabels = [...]string{"429", "499", "500", "503", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
+
+// codeSlot indexes codeLabels by a status net/http accepts (100 to 999), or
+// by 0: nothing was written, and net/http sends 200.
+func codeSlot(code int) int {
+	exact := [...]int{http.StatusTooManyRequests, statusClientClosedRequest,
+		http.StatusInternalServerError, http.StatusServiceUnavailable}
+	if i := slices.Index(exact[:], code); i >= 0 {
+		return i
 	}
+	if code == 0 {
+		code = http.StatusOK
+	}
+	return len(exact) - 1 + code/100
+}
+
+// routeMetrics holds one endpoint's children of the latency and request
+// families, each resolved when first observed (a series appears on first
+// use) and kept, so a request resolves no label values.
+type routeMetrics struct {
+	pattern string
+	latency atomic.Pointer[metrics.Histogram]
+	codes   [len(codeLabels)]atomic.Pointer[metrics.Counter]
+}
+
+// observe records one answered request: its latency and its status.
+func (rm *routeMetrics) observe(m *serverMetrics, status int, took time.Duration) {
+	h := rm.latency.Load()
+	if h == nil {
+		h = m.latency.With(rm.pattern)
+		rm.latency.Store(h)
+	}
+	h.Observe(took.Seconds())
+	i := codeSlot(status)
+	c := rm.codes[i].Load()
+	if c == nil {
+		c = m.requests.With(rm.pattern, codeLabels[i])
+		rm.codes[i].Store(c)
+	}
+	c.Inc()
 }

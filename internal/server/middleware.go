@@ -122,8 +122,8 @@ func (s *Server) rateLimit(next http.Handler) http.Handler {
 		}
 		if ok, retry := s.limiter.allow(clientKey(r)); !ok {
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			writeJSON(w, http.StatusTooManyRequests,
-				errorResponse{"rate limit exceeded; retry after " + strconv.Itoa(retry) + "s"})
+			sendError(w, http.StatusTooManyRequests,
+				"rate limit exceeded; retry after "+strconv.Itoa(retry)+"s")
 			return
 		}
 		next.ServeHTTP(w, r)

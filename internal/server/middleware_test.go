@@ -77,11 +77,11 @@ func TestRateLimiterSweepsIdleBuckets(t *testing.T) {
 
 func TestRecoverPanicsAnswers500AndKeepsServing(t *testing.T) {
 	var fail bool
-	h := new(Server).serve(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := new(Server).serve(nil, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fail {
 			panic("injected handler bug")
 		}
-		writeJSON(w, http.StatusOK, healthzResponse{OK: true})
+		new(Server).handleHealthz(w, r)
 	}))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -114,7 +114,7 @@ func TestRecoverPanicsAnswers500AndKeepsServing(t *testing.T) {
 // the streaming code's deliberate connection abort must stay a connection
 // abort, not become a logged 500.
 func TestRecoverPanicsPassesAbortHandler(t *testing.T) {
-	h := new(Server).serve(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := new(Server).serve(nil, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
@@ -137,7 +137,7 @@ func TestRecoverPanicsPassesAbortHandler(t *testing.T) {
 // once response bytes are on the wire a panic cannot honestly become a
 // 500, so the connection dies instead.
 func TestRecoverPanicsAfterCommitAbortsConnection(t *testing.T) {
-	h := new(Server).serve(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := new(Server).serve(nil, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, `{"partial":`)
 		w.(http.Flusher).Flush()
@@ -177,6 +177,20 @@ func TestClientKey(t *testing.T) {
 	for _, c := range cases {
 		if got := clientKey(mk(c.remote, c.xff)); got != c.want {
 			t.Errorf("clientKey(remote=%q, xff=%q) = %q, want %q", c.remote, c.xff, got, c.want)
+		}
+	}
+}
+
+// TestCodeSlot pins the code label serve records for each status: the
+// four operationally distinct codes exact, every other status its class,
+// and a handler that wrote nothing as the 200 net/http sends.
+func TestCodeSlot(t *testing.T) {
+	for code, want := range map[int]string{
+		0: "2xx", 103: "1xx", 200: "2xx", 204: "2xx", 304: "3xx", 400: "4xx", 404: "4xx",
+		413: "4xx", 429: "429", 499: "499", 500: "500", 502: "5xx", 503: "503", 599: "5xx", 999: "9xx",
+	} {
+		if got := codeLabels[codeSlot(code)]; got != want {
+			t.Errorf("status %d: code label %q, want %q", code, got, want)
 		}
 	}
 }

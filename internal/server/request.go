@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"roadnet/internal/geom"
@@ -53,8 +54,9 @@ func (w *responseWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter 
 // recovers panics and, with metrics enabled, tracks the in-flight gauge and
 // records latency and the (endpoint, code) counter on the way out — after
 // recovery, so a recovered panic's 500 is counted like any other answer,
-// and also during the unwind of a deliberate mid-stream abort.
-func (s *Server) serve(mux *http.ServeMux, next http.Handler) http.Handler {
+// and also during the unwind of a deliberate mid-stream abort, into the
+// series of the pattern mux routes the request to.
+func (s *Server) serve(mux *http.ServeMux, series map[string]*routeMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rw := &responseWriter{ResponseWriter: w}
 		if m := s.m; m != nil {
@@ -62,15 +64,15 @@ func (s *Server) serve(mux *http.ServeMux, next http.Handler) http.Handler {
 			// collapse into one "other" label instead of minting a metric
 			// child per probe URL a scanner throws at us.
 			_, pattern := mux.Handler(r)
-			if pattern == "" {
-				pattern = "other"
+			rm := series[pattern]
+			if rm == nil {
+				rm = series["other"]
 			}
 			start := time.Now()
 			m.inflight.Inc()
 			defer func() {
 				m.inflight.Dec()
-				m.latency.With(pattern).Observe(time.Since(start).Seconds())
-				m.requests.With(pattern, codeLabel(rw.status)).Inc()
+				rm.observe(m, rw.status, time.Since(start))
 			}()
 		}
 		defer recoverPanic(rw, r)
@@ -96,25 +98,25 @@ func recoverPanic(w *responseWriter, r *http.Request) {
 	if w.status != 0 {
 		panic(http.ErrAbortHandler)
 	}
-	writeJSON(w, http.StatusInternalServerError, errorResponse{"internal server error"})
+	sendError(w, http.StatusInternalServerError, "internal server error")
 }
 
-// queryRoute registers pattern as a query endpoint counted under kind in
-// roadnet_queries_total. Its handler is the only place a query request is
-// sequenced: the query string is parsed, once; parse validates the request
-// into a Q — a failure there is the client's and is not a query — the
-// query is counted, before admission to the searcher pool; run answers it.
-// Either step fails by returning an error, and only this handler calls
-// writeError. Pattern and kind are static per route, so ROADMAP item 1
-// attaches here: stage timers around parse and run, the request id and the
+// queryRoute returns the handler of a query endpoint counted under kind in
+// roadnet_queries_total. It is the only place a query request is
+// sequenced: parse validates the request — its query string, read key by
+// key through params, and its body — into a Q; a failure there is the
+// client's and is not a query. The query is counted, before admission to
+// the searcher pool; run answers it. Either step fails by returning an
+// error, and only this handler calls writeError. The kind is static per
+// route, so per-stage timers around parse and run, the request id and the
 // access-log line belong in this closure.
-func queryRoute[Q any](s *Server, mux *http.ServeMux, pattern, kind string,
-	parse func(w http.ResponseWriter, r *http.Request, query url.Values) (Q, error),
-	run func(w *responseWriter, r *http.Request, q Q) error) {
+func queryRoute[Q any](s *Server, kind string,
+	parse func(w http.ResponseWriter, r *http.Request, query params) (Q, error),
+	run func(w *responseWriter, r *http.Request, q Q) error) http.HandlerFunc {
 	queries := s.m.queryCounter(kind)
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
 		rw := w.(*responseWriter) // installed by serve
-		q, err := parse(rw, r, r.URL.Query())
+		q, err := parse(rw, r, params(r.URL.RawQuery))
 		if err == nil {
 			if queries != nil {
 				queries.Inc()
@@ -124,7 +126,31 @@ func queryRoute[Q any](s *Server, mux *http.ServeMux, pattern, kind string,
 		if err != nil {
 			writeError(rw, r, err)
 		}
-	})
+	}
+}
+
+// params is a request's raw query string, read key by key: no url.Values.
+type params string
+
+// get returns the first value of key, or "", by url.ParseQuery's rules:
+// pairs split at '&', a pair holding ';' or failing to unescape skipped.
+// It allocates only to unescape a key or value holding an escape.
+func (p params) get(key string) string {
+	for rest := string(p); rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // apiError is a failure with a status of its own: what a parse step
@@ -139,16 +165,6 @@ func (e *apiError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) error {
 	return &apiError{http.StatusBadRequest, fmt.Sprintf(format, args...)}
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError answers a request whose step returned err: an apiError with
@@ -170,7 +186,7 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	default:
 		log.Printf("server: %s %s: %v", r.Method, r.URL.Path, err)
 	}
-	writeJSON(w, status, errorResponse{msg})
+	sendError(w, status, msg)
 }
 
 // decodeStrict decodes exactly one JSON object into v under the batch-body

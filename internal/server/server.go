@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -219,19 +218,26 @@ func New(g *graph.Graph, idx core.Index, opts ...Option) *Server {
 // per-request deadline (each when configured), then the routes, every query
 // endpoint behind the queryRoute adapter. See request.go.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	queryRoute(s, mux, "GET /v1/distance", "distance", parsePair(s.vertexParam), s.distance)
-	queryRoute(s, mux, "GET /v1/route", "route", parsePair(s.endpointParam), s.route)
-	queryRoute(s, mux, "GET /v1/nearest", "nearest", s.parseNearest, s.nearest)
-	queryRoute(s, mux, "POST /v1/knn", "knn", s.parseKNN, s.knn)
-	queryRoute(s, mux, "POST /v1/within", "within", s.parseWithin, s.within)
-	queryRoute(s, mux, "POST /v1/batch/distance", "batch_distance", s.parseBatch(s.maxBatchPairs), s.batchDistance)
-	queryRoute(s, mux, "POST /v1/batch/route", "batch_route", s.parseBatch(s.maxBatchRoutePairs), s.batchRoute)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	routes := map[string]http.Handler{
+		"GET /v1/distance":        queryRoute(s, "distance", parsePair(s.vertexParam), s.distance),
+		"GET /v1/route":           queryRoute(s, "route", parsePair(s.endpointParam), s.route),
+		"GET /v1/nearest":         queryRoute(s, "nearest", s.parseNearest, s.nearest),
+		"POST /v1/knn":            queryRoute(s, "knn", s.parseKNN, s.knn),
+		"POST /v1/within":         queryRoute(s, "within", s.parseWithin, s.within),
+		"POST /v1/batch/distance": queryRoute(s, "batch_distance", s.parseBatch(s.maxBatchPairs), s.batchDistance),
+		"POST /v1/batch/route":    queryRoute(s, "batch_route", s.parseBatch(s.maxBatchRoutePairs), s.batchRoute),
+		"GET /v1/stats":           http.HandlerFunc(s.handleStats),
+		"GET /healthz":            http.HandlerFunc(s.handleHealthz),
+		"GET /readyz":             http.HandlerFunc(s.handleReadyz),
+	}
 	if s.m != nil {
-		mux.Handle("GET /metrics", s.m.reg.Handler())
+		routes["GET /metrics"] = s.m.reg.Handler()
+	}
+	mux := http.NewServeMux()
+	series := map[string]*routeMetrics{"other": {pattern: "other"}}
+	for pattern, h := range routes {
+		mux.Handle(pattern, h)
+		series[pattern] = &routeMetrics{pattern: pattern}
 	}
 	var h http.Handler = mux
 	if s.requestTimeout > 0 {
@@ -244,15 +250,15 @@ func (s *Server) Handler() http.Handler {
 	if s.limiter != nil {
 		h = s.rateLimit(h)
 	}
-	return s.serve(mux, h)
+	return s.serve(mux, series, h)
 }
 
 // pairQuery is a validated point-to-point request.
 type pairQuery struct{ from, to graph.VertexID }
 
 // vertexParam resolves one endpoint given as a vertex id (?from=ID).
-func (s *Server) vertexParam(query url.Values, name string) (graph.VertexID, error) {
-	raw := query.Get(name)
+func (s *Server) vertexParam(query params, name string) (graph.VertexID, error) {
+	raw := query.get(name)
 	if raw == "" {
 		return 0, badRequest("missing parameter %q", name)
 	}
@@ -265,9 +271,9 @@ func (s *Server) vertexParam(query url.Values, name string) (graph.VertexID, err
 
 // endpointParam resolves one route endpoint: a vertex id (?from=ID) or a
 // coordinate snapped to its nearest vertex (?from_x=X&from_y=Y).
-func (s *Server) endpointParam(query url.Values, name string) (graph.VertexID, error) {
-	xs, ys := query.Get(name+"_x"), query.Get(name+"_y")
-	if query.Get(name) != "" {
+func (s *Server) endpointParam(query params, name string) (graph.VertexID, error) {
+	xs, ys := query.get(name+"_x"), query.get(name+"_y")
+	if query.get(name) != "" {
 		if xs != "" || ys != "" {
 			return 0, badRequest("give either %q or %s_x/%s_y, not both", name, name, name)
 		}
@@ -290,8 +296,8 @@ func (s *Server) endpointParam(query url.Values, name string) (graph.VertexID, e
 
 // parsePair returns the parse step of a point-to-point endpoint: from and
 // to, each resolved by param.
-func parsePair(param func(url.Values, string) (graph.VertexID, error)) func(http.ResponseWriter, *http.Request, url.Values) (pairQuery, error) {
-	return func(_ http.ResponseWriter, _ *http.Request, query url.Values) (q pairQuery, err error) {
+func parsePair(param func(params, string) (graph.VertexID, error)) func(http.ResponseWriter, *http.Request, params) (pairQuery, error) {
+	return func(_ http.ResponseWriter, _ *http.Request, query params) (q pairQuery, err error) {
 		if q.from, err = param(query, "from"); err == nil {
 			q.to, err = param(query, "to")
 		}
@@ -299,38 +305,19 @@ func parsePair(param func(url.Values, string) (graph.VertexID, error)) func(http
 	}
 }
 
-// routeResponse reports one point-to-point query; a distance query leaves
-// Vertices and Coords empty. Distance must not carry omitempty: a from ==
-// to query answers a legitimate distance of 0, and omitempty would drop
-// the field from exactly that response, so clients reading the raw JSON
-// could not tell "zero" from "absent". Distance is meaningful only when
-// Reachable is true (it is 0 otherwise).
-type routeResponse struct {
-	From      graph.VertexID   `json:"from"`
-	To        graph.VertexID   `json:"to"`
-	Reachable bool             `json:"reachable"`
-	Distance  int64            `json:"distance"`
-	Vertices  []graph.VertexID `json:"vertices,omitempty"`
-	Coords    [][2]int32       `json:"coords,omitempty"`
-}
-
 func (s *Server) distance(w *responseWriter, r *http.Request, q pairQuery) error {
 	d, err := s.pool.DistanceContext(r.Context(), q.from, q.to)
 	if err != nil {
 		return err
 	}
-	resp := routeResponse{From: q.from, To: q.to, Reachable: d < graph.Infinity}
-	if resp.Reachable {
-		resp.Distance = d
-	}
-	writeJSON(w, http.StatusOK, resp)
+	rp := newReply()
+	rp.send(w, http.StatusOK, append(appendPair(rp.b, q, d < graph.Infinity, d), '}'))
 	return nil
 }
 
-// route answers one shortest-path query. The response is filled from the
-// lazy PathIterator in a single pass — vertices and coords grow together
-// as the path streams out of the searcher, instead of materializing the
-// whole path first and walking it again for coordinates.
+// route answers one shortest-path query, written straight off the lazy
+// PathIterator in a single pass (see appendRoute): the path is never
+// materialized.
 func (s *Server) route(w *responseWriter, r *http.Request, q pairQuery) error {
 	sr, err := s.pool.GetContext(r.Context())
 	if err != nil {
@@ -341,23 +328,13 @@ func (s *Server) route(w *responseWriter, r *http.Request, q pairQuery) error {
 	if err != nil {
 		return err
 	}
-	resp := routeResponse{From: q.from, To: q.to, Reachable: it != nil}
-	if it != nil {
-		resp.Distance = d
-		for {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			p := s.g.Coord(v)
-			resp.Vertices = append(resp.Vertices, v)
-			resp.Coords = append(resp.Coords, [2]int32{p.X, p.Y})
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
+	rp := newReply()
+	doc, err := appendRoute(rp.b, s.g, q, it, d)
+	if err != nil {
+		rp.free()
+		return err
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rp.send(w, http.StatusOK, doc)
 	return nil
 }
 
@@ -366,16 +343,6 @@ func (s *Server) route(w *responseWriter, r *http.Request, q pairQuery) error {
 type batchRequest struct {
 	Sources []int64 `json:"sources"`
 	Targets []int64 `json:"targets"`
-}
-
-// batchDistanceResponse carries the matrix: Distances[i][j] is
-// dist(Sources[i], Targets[j]), with -1 marking unreachable pairs. The
-// stream writes these bytes without building the value; the byte-identity
-// test encodes it as the reference.
-type batchDistanceResponse struct {
-	Sources   []graph.VertexID `json:"sources"`
-	Targets   []graph.VertexID `json:"targets"`
-	Distances [][]int64        `json:"distances"`
 }
 
 // batchQuery is a validated batchRequest.
@@ -396,8 +363,8 @@ func (s *Server) vertexList(name string, raw []int64) ([]graph.VertexID, error) 
 
 // parseBatch returns the parse step of a batch endpoint with the given
 // pair limit.
-func (s *Server) parseBatch(maxPairs int) func(http.ResponseWriter, *http.Request, url.Values) (batchQuery, error) {
-	return func(w http.ResponseWriter, r *http.Request, _ url.Values) (q batchQuery, err error) {
+func (s *Server) parseBatch(maxPairs int) func(http.ResponseWriter, *http.Request, params) (batchQuery, error) {
+	return func(w http.ResponseWriter, r *http.Request, _ params) (q batchQuery, err error) {
 		var req batchRequest
 		if err := s.decodeStrict(w, r, &req); err != nil {
 			return q, err
@@ -423,7 +390,7 @@ func (s *Server) parseBatch(maxPairs int) func(http.ResponseWriter, *http.Reques
 // point-to-point; see core.Pool.BatchDistance). The matrix is computed by
 // the accelerator in one piece — that is what makes it fast — but the
 // response is streamed through the fixed-size buffer of stream.go: one
-// document byte-identical to json.Encoder's for batchDistanceResponse, or,
+// {"sources":[...],"targets":[...],"distances":[[...],...]} document, or,
 // for clients sending "Accept: application/x-ndjson", one
 // {"i":N,"distances":[...]} line per source row (flushed row by row, so a
 // consumer can pipeline) and a final {"done":true}.
@@ -435,28 +402,7 @@ func (s *Server) batchDistance(w *responseWriter, r *http.Request, q batchQuery)
 	}
 	st := s.newStream(w, r, `,"distances":[`, q)
 	for i, row := range table {
-		if st.lines {
-			st.writeString(`{"i":`)
-			st.writeInt(int64(i))
-			st.writeString(`,"distances":`)
-		} else if i > 0 {
-			st.writeByte(',')
-		}
-		st.writeByte('[')
-		for j, d := range row {
-			if j > 0 {
-				st.writeByte(',')
-			}
-			if d >= graph.Infinity {
-				d = -1
-			}
-			st.writeInt(d)
-		}
-		st.writeByte(']')
-		if st.lines {
-			st.writeString("}\n")
-			_ = st.bw.Flush()
-		}
+		st.row(i, row)
 	}
 	st.end()
 	s.m.countRows("batch_distance", len(table))
@@ -484,10 +430,7 @@ func (s *Server) batchRoute(w *responseWriter, r *http.Request, q batchQuery) er
 	cells := 0
 	for i, src := range q.sources {
 		if !st.lines {
-			if i > 0 {
-				st.writeByte(',')
-			}
-			st.writeByte('[')
+			st.b = append(append(st.b, sep(i)...), '[')
 		}
 		for j, tgt := range q.targets {
 			it, d, err := sr.OpenPath(r.Context(), src, tgt)
@@ -501,9 +444,9 @@ func (s *Server) batchRoute(w *responseWriter, r *http.Request, q batchQuery) er
 		}
 		if st.lines {
 			// Row boundary: push finished rows to slow consumers.
-			_ = st.bw.Flush()
+			st.flush()
 		} else {
-			st.writeByte(']')
+			st.b = append(st.b, ']')
 		}
 	}
 	st.end()
@@ -511,19 +454,13 @@ func (s *Server) batchRoute(w *responseWriter, r *http.Request, q batchQuery) er
 	return nil
 }
 
-func (s *Server) parseNearest(_ http.ResponseWriter, _ *http.Request, query url.Values) (geom.Point, error) {
-	x, errX := strconv.ParseInt(query.Get("x"), 10, 32)
-	y, errY := strconv.ParseInt(query.Get("y"), 10, 32)
+func (s *Server) parseNearest(_ http.ResponseWriter, _ *http.Request, query params) (geom.Point, error) {
+	x, errX := strconv.ParseInt(query.get("x"), 10, 32)
+	y, errY := strconv.ParseInt(query.get("y"), 10, 32)
 	if errX != nil || errY != nil {
 		return geom.Point{}, badRequest("parameters x and y must be integers")
 	}
 	return geom.Point{X: int32(x), Y: int32(y)}, nil
-}
-
-type nearestResponse struct {
-	Vertex graph.VertexID `json:"vertex"`
-	X      int32          `json:"x"`
-	Y      int32          `json:"y"`
 }
 
 // nearest snaps a coordinate to its nearest vertex.
@@ -532,26 +469,14 @@ func (s *Server) nearest(w *responseWriter, _ *http.Request, at geom.Point) erro
 	if !ok {
 		return &apiError{http.StatusNotFound, "empty graph"}
 	}
-	p := s.g.Coord(v)
-	writeJSON(w, http.StatusOK, nearestResponse{Vertex: v, X: p.X, Y: p.Y})
+	rp := newReply()
+	rp.send(w, http.StatusOK, appendNearest(rp.b, v, s.g.Coord(v)))
 	return nil
-}
-
-type statsResponse struct {
-	Method      string `json:"method"`
-	Vertices    int    `json:"vertices"`
-	Edges       int    `json:"edges"`
-	IndexBytes  int64  `json:"index_bytes"`
-	BuildMillis int64  `json:"build_millis"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.idx.Stats()
-	writeJSON(w, http.StatusOK, statsResponse{
-		Method:      string(st.Method),
-		Vertices:    s.g.NumVertices(),
-		Edges:       s.g.NumEdges(),
-		IndexBytes:  st.IndexBytes,
-		BuildMillis: st.BuildTime.Milliseconds(),
-	})
+	rp := newReply()
+	rp.send(w, http.StatusOK, appendStats(rp.b, string(st.Method), s.g.NumVertices(), s.g.NumEdges(),
+		st.IndexBytes, st.BuildTime.Milliseconds()))
 }

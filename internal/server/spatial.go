@@ -11,7 +11,6 @@ package server
 
 import (
 	"net/http"
-	"net/url"
 
 	"roadnet/internal/core"
 	"roadnet/internal/graph"
@@ -51,7 +50,7 @@ type knnRequest struct {
 	src graph.VertexID
 }
 
-func (s *Server) parseKNN(w http.ResponseWriter, r *http.Request, _ url.Values) (req knnRequest, err error) {
+func (s *Server) parseKNN(w http.ResponseWriter, r *http.Request, _ params) (req knnRequest, err error) {
 	if err = s.decodeStrict(w, r, &req); err != nil {
 		return req, err
 	}
@@ -60,20 +59,6 @@ func (s *Server) parseKNN(w http.ResponseWriter, r *http.Request, _ url.Values) 
 	}
 	req.src, err = req.resolve(s)
 	return req, err
-}
-
-type knnResponse struct {
-	Source    graph.VertexID  `json:"source"`
-	K         int             `json:"k"`
-	Neighbors []core.Neighbor `json:"neighbors"`
-}
-
-// nonNil keeps an empty answer encoding as [] rather than null.
-func nonNil(nbs []core.Neighbor) []core.Neighbor {
-	if nbs == nil {
-		return []core.Neighbor{}
-	}
-	return nbs
 }
 
 // knn answers the k vertices nearest to the query point by network
@@ -91,7 +76,8 @@ func (s *Server) knn(w *responseWriter, r *http.Request, req knnRequest) error {
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, knnResponse{Source: req.src, K: req.K, Neighbors: nonNil(neighbors)})
+	rp := newReply()
+	rp.send(w, http.StatusOK, appendKNN(rp.b, req.src, req.K, neighbors))
 	return nil
 }
 
@@ -112,7 +98,7 @@ type withinRequest struct {
 	src   graph.VertexID
 }
 
-func (s *Server) parseWithin(w http.ResponseWriter, r *http.Request, _ url.Values) (req withinRequest, err error) {
+func (s *Server) parseWithin(w http.ResponseWriter, r *http.Request, _ params) (req withinRequest, err error) {
 	if err = s.decodeStrict(w, r, &req); err != nil {
 		return req, err
 	}
@@ -127,14 +113,6 @@ func (s *Server) parseWithin(w http.ResponseWriter, r *http.Request, _ url.Value
 	}
 	req.src, err = req.resolve(s)
 	return req, err
-}
-
-type withinResponse struct {
-	Source    graph.VertexID  `json:"source"`
-	Radius    int64           `json:"radius"`
-	Count     int             `json:"count"`
-	Truncated bool            `json:"truncated"`
-	Neighbors []core.Neighbor `json:"neighbors"`
 }
 
 // within answers the vertices within a network distance of the query point
@@ -153,12 +131,7 @@ func (s *Server) within(w *responseWriter, r *http.Request, req withinRequest) e
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, withinResponse{
-		Source:    req.src,
-		Radius:    req.Radius,
-		Count:     len(neighbors),
-		Truncated: truncated,
-		Neighbors: nonNil(neighbors),
-	})
+	rp := newReply()
+	rp.send(w, http.StatusOK, appendWithin(rp.b, req.src, req.Radius, truncated, neighbors))
 	return nil
 }

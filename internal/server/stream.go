@@ -1,5 +1,5 @@
-// Batch response streaming. Both batch endpoints write through one
-// fixed-size buffer in one of two framings, chosen once per request:
+// Batch response streaming. Both batch endpoints append into one pooled
+// reply buffer (writer.go) in one of two framings, chosen once per request:
 //
 //   - JSON document (the default): the exact bytes json.Encoder would
 //     produce for {"sources":[...],"targets":[...],"<matrix>":[[...],...]}
@@ -7,127 +7,131 @@
 //   - NDJSON lines (Accept: application/x-ndjson): a header line with the
 //     echoed id lists, one line per matrix row (distances) or per matrix
 //     cell carrying its i/j indices (routes), and a final status line —
-//     {"done":true} on success, or a {"truncated":...} marker when the
-//     stream was cut short, so a consumer always knows whether it saw the
-//     whole matrix.
+//     {"done":true}, or a {"truncated":...} marker when the stream was cut
+//     short, so a consumer always knows whether it saw the whole matrix.
 //
-// Batch route drains one lazy core.PathIterator at a time into the buffer,
-// so serving long paths keeps resident memory bounded by the buffer, not by
-// path length or matrix size. Its error handling is two-phase. While the
-// response still fits the buffer nothing has been sent, and a failed query
-// is reported with a real status (see writeError; 413 for a blown vertex
-// budget). Once the buffer has spilled the 200 header is on the wire: the
-// JSON document then aborts the connection (http.ErrAbortHandler), which is
-// the only honest signal a single-document format has left, while NDJSON
-// stays well-formed by closing the current cell with "truncated":true and
-// appending the marker line.
+// The buffer goes out in streamBufSize chunks as it fills, and whole at
+// NDJSON row boundaries and at the end, so resident memory is bounded by
+// the buffer, not by path length or matrix size: batch route drains one
+// lazy core.PathIterator at a time into it. Errors are two-phase. While
+// the response fits one chunk nothing has been sent, and a failed query
+// gets a real status (413 for a blown vertex budget). After, the JSON
+// document aborts the connection (http.ErrAbortHandler), the only honest
+// signal a single document has left, while NDJSON closes the current cell
+// with "truncated":true and appends the marker line.
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"roadnet/internal/graph"
 )
 
-// streamBufSize is the response buffer size. Small batches complete inside
-// the buffer (keeping real error statuses available); anything larger
-// streams through it with bounded residency.
+// streamBufSize is the chunk the stream writes in.
 const streamBufSize = 32 << 10
 
 // errVertexBudget aborts a batch whose paths exceed the response budget.
 var errVertexBudget = errors.New("batch route response exceeds the vertex budget")
 
-// stream is the state of one batch response.
+// stream is the state of one batch response; the embedded reply holds
+// what has not been written yet.
 type stream struct {
-	w       *responseWriter
-	m       *serverMetrics
-	bw      *bufio.Writer
-	lines   bool  // NDJSON lines; false = one JSON document
-	budget  int64 // path vertices the response may still carry
-	scratch []byte
+	*reply
+	w      *responseWriter
+	m      *serverMetrics
+	lines  bool  // NDJSON lines; false = one JSON document
+	budget int64 // path vertices the response may still carry
 }
 
-// newStream picks the framing the client asked for and writes the part
+// newStream picks the framing the client asked for and appends the part
 // both share: the echoed id lists, then either matrix — the opening of the
 // document's matrix member — or the end of the NDJSON header line.
 func (s *Server) newStream(w *responseWriter, r *http.Request, matrix string, q batchQuery) *stream {
-	st := &stream{w: w, m: s.m, budget: s.routeVertexBudget, scratch: make([]byte, 0, 20),
+	st := &stream{reply: newReply(), w: w, m: s.m, budget: s.routeVertexBudget,
 		lines: strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")}
-	st.bw = bufio.NewWriterSize(w, streamBufSize)
-	st.writeString(`{"sources":`)
-	st.writeIDList(q.sources)
-	st.writeString(`,"targets":`)
-	st.writeIDList(q.targets)
+	st.b = appendIDs(st.b, `{"sources":`, q.sources)
+	st.b = appendIDs(st.b, `,"targets":`, q.targets)
 	if st.lines {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		st.writeString("}\n")
+		st.b = append(st.b, "}\n"...)
 	} else {
-		w.Header().Set("Content-Type", "application/json")
-		st.writeString(matrix)
+		w.Header()["Content-Type"] = jsonContentType
+		st.b = append(st.b, matrix...)
 	}
+	st.spill()
 	return st
 }
 
-func (st *stream) writeString(s string) { _, _ = st.bw.WriteString(s) }
-func (st *stream) writeByte(b byte)     { _ = st.bw.WriteByte(b) }
-
-func (st *stream) writeInt(v int64) {
-	st.scratch = strconv.AppendInt(st.scratch[:0], v, 10)
-	_, _ = st.bw.Write(st.scratch)
+// spill writes the buffer's leading streamBufSize chunks once more bytes
+// follow them, as a bufio.Writer of that size would. It runs after every
+// element and before fail asks whether anything was sent.
+func (st *stream) spill() {
+	for len(st.b) > streamBufSize {
+		_, _ = st.w.Write(st.b[:streamBufSize])
+		st.b = st.b[:copy(st.b, st.b[streamBufSize:])]
+	}
 }
 
-// writeIDList writes a vertex id list with the exact bytes encoding/json
-// produces for []graph.VertexID (the lists come from vertexList and are
-// never nil, so the encoder would print [] for empty ones, as we do).
-func (st *stream) writeIDList(ids []graph.VertexID) {
-	st.writeByte('[')
-	for i, v := range ids {
-		if i > 0 {
-			st.writeByte(',')
-		}
-		st.writeInt(int64(v))
+// flush writes everything buffered: at NDJSON row boundaries, so slow
+// consumers see finished rows, and at the end.
+func (st *stream) flush() {
+	st.spill()
+	if len(st.b) > 0 {
+		_, _ = st.w.Write(st.b)
+		st.b = st.b[:0]
 	}
-	st.writeByte(']')
+}
+
+// row appends row i of the distance matrix, -1 marking unreachable pairs,
+// as a matrix element or as a {"i":N,"distances":[...]} line.
+func (st *stream) row(i int, row []int64) {
+	if st.lines {
+		st.b = appendInt(st.b, `{"i":`, int64(i))
+		st.b = append(st.b, `,"distances":`...)
+	} else if i > 0 {
+		st.b = append(st.b, ',')
+	}
+	st.b = append(st.b, '[')
+	for k, d := range row {
+		if d >= graph.Infinity {
+			d = -1
+		}
+		st.b = appendInt(st.b, sep(k), d)
+		st.spill()
+	}
+	st.b = append(st.b, ']')
+	if st.lines {
+		st.b = append(st.b, "}\n"...)
+		st.flush()
+	}
 }
 
 // cell drains one OpenPath iterator into the stream as cell (i, j) of the
-// route matrix: {"reachable":R,"distance":D,"vertices":[...]}, vertices
-// omitted when unreachable — byte-identical to json.Marshal of a struct
-// with those tags — as element j of its row (JSON document) or as a line
-// of its own carrying "i" and "j" (NDJSON). It returns a non-nil error when
-// the walk aborted or the budget ran out; an NDJSON line is then already
-// closed with a "truncated":true member, a JSON document is left mid-array
-// for fail to abandon.
+// route matrix, {"reachable":R,"distance":D,"vertices":[...]} with the
+// vertices omitted when unreachable, as element j of its row or as a line
+// carrying "i" and "j". An aborted walk or a spent budget returns an error,
+// the NDJSON line closed with "truncated":true, the document left for fail.
 func (st *stream) cell(i, j int, it graph.PathIterator, d int64) error {
 	end := "}"
 	if st.lines {
 		end = "}\n"
-		st.writeString(`{"i":`)
-		st.writeInt(int64(i))
-		st.writeString(`,"j":`)
-		st.writeInt(int64(j))
-		st.writeByte(',')
+		st.b = appendInt(st.b, `{"i":`, int64(i))
+		st.b = appendInt(st.b, `,"j":`, int64(j))
+		st.b = append(st.b, ',')
 	} else {
-		if j > 0 {
-			st.writeByte(',')
-		}
-		st.writeByte('{')
+		st.b = append(append(st.b, sep(j)...), '{')
 	}
 	if it == nil {
-		st.writeString(`"reachable":false,"distance":0`)
-		st.writeString(end)
+		st.b = append(st.b, `"reachable":false,"distance":0`...)
+		st.b = append(st.b, end...)
 		return nil
 	}
-	st.writeString(`"reachable":true,"distance":`)
-	st.writeInt(d)
-	st.writeString(`,"vertices":[`)
+	st.b = appendInt(st.b, `"reachable":true,"distance":`, d)
+	st.b = append(st.b, `,"vertices":[`...)
 	var fail error
-	for first := true; ; first = false {
+	for n := 0; ; n++ {
 		v, ok := it.Next()
 		if !ok {
 			fail = it.Err()
@@ -138,46 +142,44 @@ func (st *stream) cell(i, j int, it graph.PathIterator, d int64) error {
 			break
 		}
 		st.budget--
-		if !first {
-			st.writeByte(',')
-		}
-		st.writeInt(int64(v))
+		st.b = appendInt(st.b, sep(n), int64(v))
+		st.spill()
 	}
 	if fail != nil {
 		if st.lines {
-			st.writeString("],\"truncated\":true}\n")
+			st.b = append(st.b, "],\"truncated\":true}\n"...)
 		}
 		return fail
 	}
-	st.writeByte(']')
-	st.writeString(end)
+	st.b = append(st.b, ']')
+	st.b = append(st.b, end...)
 	return nil
 }
 
 // end closes a complete response.
 func (st *stream) end() {
 	if st.lines {
-		st.writeString("{\"done\":true}\n")
+		st.b = append(st.b, "{\"done\":true}\n"...)
 	} else {
-		st.writeString("]}\n")
+		st.b = append(st.b, "]}\n"...)
 	}
-	_ = st.bw.Flush()
+	st.flush()
+	st.free()
 }
 
 // fail ends a batch route response that err cut short after cells whole
 // cells. While nothing has been sent the buffer is discarded and the error
-// returned for the route adapter to answer with a real status. Otherwise
-// the NDJSON stream ends with its in-band marker line, and the JSON
-// document — a 200 header and a partial document on the wire — kills the
-// connection, the only way left to signal failure without forging a
-// well-formed-but-wrong response.
+// returned, for the route adapter to answer with a real status. Otherwise
+// NDJSON ends with its marker line and the JSON document, a 200 header
+// and a partial document on the wire, kills the connection.
 func (st *stream) fail(err error, cells int) error {
+	st.spill()
 	budget := errors.Is(err, errVertexBudget)
 	if budget {
 		st.m.countBudgetHit()
 	}
 	if st.w.status == 0 {
-		st.bw.Reset(st.w)
+		st.free()
 		if budget {
 			return &apiError{http.StatusRequestEntityTooLarge,
 				err.Error() + "; request fewer pairs, or stream with Accept: application/x-ndjson"}
@@ -190,12 +192,9 @@ func (st *stream) fail(err error, cells int) error {
 		panic(http.ErrAbortHandler)
 	}
 	st.m.countTruncation("ndjson")
-	line, _ := json.Marshal(struct {
-		Truncated bool   `json:"truncated"`
-		Error     string `json:"error"`
-	}{true, err.Error()})
-	_, _ = st.bw.Write(line)
-	st.writeByte('\n')
-	_ = st.bw.Flush()
+	st.b = appendString(st.b, `{"truncated":true,"error":`, err.Error())
+	st.b = append(st.b, "}\n"...)
+	st.flush()
+	st.free()
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"roadnet/internal/core"
 	"roadnet/internal/graph"
+	"roadnet/internal/metrics"
 	"roadnet/internal/server"
 	"roadnet/internal/testutil"
 )
@@ -99,4 +100,34 @@ func BenchmarkBatchDistance(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRouteHandler measures one in-process /v1/route by coordinates,
+// metrics on as spserve serves it: two R-tree snaps, the CH search, shortcut
+// unpacking and the append writer, without sockets — the handler's share
+// of a served route, reproducible with go test -bench.
+func BenchmarkRouteHandler(b *testing.B) {
+	g := testutil.SmallRoad(2000, 41)
+	idx, err := core.BuildIndex(core.MethodCH, g, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := server.New(g, idx, server.WithMetrics(metrics.NewRegistry())).Handler()
+	pairs := testutil.SamplePairs(g, 256, 43)
+	reqs := make([]*http.Request, len(pairs))
+	for i, p := range pairs {
+		from, to := g.Coord(p[0]), g.Coord(p[1])
+		reqs[i] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/route?from_x=%d&from_y=%d&to_x=%d&to_y=%d",
+			from.X, from.Y, to.X, to.Y), nil)
+		rec := httptest.NewRecorder()
+		if h.ServeHTTP(rec, reqs[i]); rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d", reqs[i].URL, rec.Code)
+		}
+	}
+	w := &discardResponse{h: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%len(reqs)])
+	}
 }
