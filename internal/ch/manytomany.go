@@ -2,6 +2,7 @@ package ch
 
 import (
 	"context"
+	"slices"
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/graph"
@@ -11,9 +12,21 @@ import (
 // This file implements the bucket many-to-many algorithm of Knopp et al.:
 // one backward upward search per target deposits (target index, distance)
 // entries at every vertex it reaches; one forward upward search per source
-// then scans the buckets of the vertices it reaches. Because every shortest
-// path in a contraction hierarchy has a peak vertex reached by both upward
-// searches, the minimum over common vertices is exact.
+// then scans the bucket of each vertex as it settles it. Because every
+// shortest path in a contraction hierarchy has a peak vertex reached by both
+// upward searches, the minimum over common vertices is exact.
+//
+// A forward search stops once its row is full, the way the point-to-point
+// search stops when its frontier keys reach the best distance (§3.2): when
+// every target has a finite entry and the next key is at least the row's
+// largest entry, every vertex left settles at a label no smaller than any
+// entry, so no bucket scan can lower one. The stop fires only after every
+// target has been touched, so a row's cells are emitted in the order the
+// full search would have touched them. Random endpoints far apart rarely
+// fill a row before the top of the hierarchy; endpoints in one region, the
+// shape of a dispatch matrix, fill it well below. The backward searches are
+// not bounded: no bound on a target's largest distance exists before the
+// forward searches have run.
 //
 // Both kinds of search apply stall-on-demand exactly as Searcher.runCtx
 // does: a settled vertex v with a reached upward neighbour w such that
@@ -96,8 +109,7 @@ type bucketEntry struct {
 
 // deposit is one unstalled vertex settled by the upward search from
 // targets[target]: a bucketEntry on its way into the CSR, still carrying the
-// vertex whose bucket it belongs to. Forward searches record what they
-// settle in the same shape and leave target unused.
+// vertex whose bucket it belongs to.
 type deposit struct {
 	vertex graph.VertexID
 	target int32
@@ -108,15 +120,13 @@ type deposit struct {
 type bucketSpan struct{ lo, hi int32 }
 
 // m2mScratch is everything one many-to-many call needs besides the
-// hierarchy itself: 32 bytes per vertex plus 32 bytes per bucket deposit.
-// Every run leaves it reusable, a cancelled one included.
+// hierarchy itself: 28 bytes per vertex (label, heap position, bucket span)
+// plus 32 bytes per bucket deposit (the deposit and its entry). Every run
+// leaves it reusable, a cancelled one included.
 type m2mScratch struct {
-	// q is the state of the upward search in progress.
-	q pq.Search
-	// settled lists the unstalled vertices of the last forward search in
-	// settling order; totalSettled counts every pop of the run for
-	// cancel.Poll.
-	settled      []deposit
+	// q is the state of the upward search in progress; totalSettled counts
+	// every pop of the run, backward and forward, for cancel.Poll.
+	q            pq.Search
 	totalSettled int
 
 	// Bucket store. The backward searches collect deposits; a counting sort
@@ -129,8 +139,10 @@ type m2mScratch struct {
 	span     []bucketSpan
 	reached  []graph.VertexID
 
-	// row is the per-source result row, graph.Infinity everywhere between
-	// searches; touched lists the targets a search lowered.
+	// row is the per-source result row, as long as the widest batch run so
+	// far and graph.Infinity everywhere between forward searches; a run uses
+	// its first len(targets) cells. touched lists, in the order the search
+	// first lowered them, the target indices that hold a finite entry.
 	row     []int64
 	touched []int32
 }
@@ -150,9 +162,8 @@ func (sc *m2mScratch) run(ctx context.Context, h *Hierarchy, sources, targets []
 	sc.deposits = sc.deposits[:0]
 	sc.totalSettled = 0
 
-	var err error
 	for ti, t := range targets {
-		if sc.deposits, err = sc.upward(ctx, h, t, int32(ti), sc.deposits); err != nil {
+		if err := sc.backward(ctx, h, t, int32(ti)); err != nil {
 			return err
 		}
 	}
@@ -161,26 +172,17 @@ func (sc *m2mScratch) run(ctx context.Context, h *Hierarchy, sources, targets []
 	for len(sc.row) < len(targets) {
 		sc.row = append(sc.row, graph.Infinity)
 	}
-	row := sc.row
+	row := sc.row[:len(targets)]
 	for si, s := range sources {
-		if sc.settled, err = sc.upward(ctx, h, s, 0, sc.settled[:0]); err != nil {
-			return err
-		}
-		sc.touched = sc.touched[:0]
-		for _, e := range sc.settled {
-			b := sc.span[e.vertex]
-			for _, be := range sc.entries[b.lo:b.hi] {
-				if total := e.dist + be.dist; total < row[be.target] {
-					if row[be.target] == graph.Infinity {
-						sc.touched = append(sc.touched, be.target)
-					}
-					row[be.target] = total
-				}
-			}
-		}
+		err := sc.forward(ctx, h, s, row)
 		for _, ti := range sc.touched {
-			fn(si, int(ti), row[ti])
+			if err == nil {
+				fn(si, int(ti), row[ti])
+			}
 			row[ti] = graph.Infinity
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -211,26 +213,80 @@ func (sc *m2mScratch) buildBuckets() {
 	}
 }
 
-// upward runs one upward search with stall-on-demand from root and appends
-// the unstalled vertices it settles, with their labels and tagged target, to
-// out.
-func (sc *m2mScratch) upward(ctx context.Context, h *Hierarchy, root graph.VertexID, target int32, out []deposit) ([]deposit, error) {
+// backward runs the upward search with stall-on-demand from root, the
+// target with index target, to exhaustion, and deposits every unstalled
+// vertex it settles with its label.
+func (sc *m2mScratch) backward(ctx context.Context, h *Hierarchy, root graph.VertexID, target int32) error {
 	q := &sc.q
 	q.Reset() // a cancelled search leaves its frontier behind
 	q.Visit(root, 0, -1)
 	for !q.Empty() {
 		if err := cancel.Poll(ctx, sc.totalSettled); err != nil {
-			return out, err
+			return err
 		}
 		v, d := q.Pop()
 		sc.totalSettled++
 		if h.stalled(v, d, q) {
 			continue
 		}
-		out = append(out, deposit{v, target, d})
+		sc.deposits = append(sc.deposits, deposit{v, target, d})
 		for a, hi := h.firstUp[v], h.firstUp[v+1]; a < hi; a++ {
 			q.Visit(h.upHead[a], d+int64(h.upWeight[a]), v)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// forward runs the upward search with stall-on-demand from root, scans the
+// bucket of every unstalled vertex into row as it settles it, and records in
+// sc.touched the target indices it gives a finite entry. It stops before a
+// pop whose key is at least bound, the largest entry of the row once every
+// target has one: every vertex left settles at a label no smaller, so no
+// scan could lower an entry. Cancelled, it returns ctx's error with row and
+// sc.touched as far as it got.
+//
+// bound is graph.Infinity until the last target is first reached, which no
+// key reaches, and is taken then over row alone — never over all of sc.row,
+// whose cells past len(targets) stay graph.Infinity and would switch the
+// stop off. It is recomputed only when the entry equal to it is lowered;
+// lowering a smaller entry leaves it the maximum.
+func (sc *m2mScratch) forward(ctx context.Context, h *Hierarchy, root graph.VertexID, row []int64) error {
+	q := &sc.q
+	q.Reset()
+	q.Visit(root, 0, -1)
+	sc.touched = sc.touched[:0]
+	bound := graph.Infinity
+	for !q.Empty() {
+		if _, key := q.Min(); key >= bound {
+			break
+		}
+		if err := cancel.Poll(ctx, sc.totalSettled); err != nil {
+			return err
+		}
+		v, d := q.Pop()
+		sc.totalSettled++
+		if h.stalled(v, d, q) {
+			continue
+		}
+		b := sc.span[v]
+		for _, be := range sc.entries[b.lo:b.hi] {
+			total, old := d+be.dist, row[be.target]
+			if total >= old {
+				continue
+			}
+			row[be.target] = total
+			if old == graph.Infinity {
+				sc.touched = append(sc.touched, be.target)
+				if len(sc.touched) == len(row) {
+					bound = slices.Max(row)
+				}
+			} else if old == bound {
+				bound = slices.Max(row)
+			}
+		}
+		for a, hi := h.firstUp[v], h.firstUp[v+1]; a < hi; a++ {
+			q.Visit(h.upHead[a], d+int64(h.upWeight[a]), v)
+		}
+	}
+	return nil
 }

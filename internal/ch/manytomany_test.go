@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,8 +27,12 @@ func randomVertices(rng *rand.Rand, n, count int) []graph.VertexID {
 }
 
 // m2mShapes returns the endpoint-list shapes every implementation of the
-// bucket algorithm has to survive.
-func m2mShapes(rng *rand.Rand, n int) [][2][]graph.VertexID {
+// bucket algorithm has to survive. The last two are regional: sources and
+// targets within a few hops of one root, so forward searches fill their rows
+// early and stop; and the same with one target in another component added,
+// so no row is ever full and no search may stop.
+func m2mShapes(rng *rand.Rand, g *graph.Graph) [][2][]graph.VertexID {
+	n := g.NumVertices()
 	pick := func(count int) []graph.VertexID { return randomVertices(rng, n, count) }
 	many := 2 + rng.Intn(24)
 	same := pick(many)
@@ -36,7 +41,7 @@ func m2mShapes(rng *rand.Rand, n int) [][2][]graph.VertexID {
 	shared := pick(many)
 	overlap := pick(many)
 	overlap[rng.Intn(many)] = shared[rng.Intn(many)]
-	return [][2][]graph.VertexID{
+	shapes := [][2][]graph.VertexID{
 		{pick(1), pick(1)},
 		{pick(1), pick(many)},
 		{pick(many), pick(1)},
@@ -45,6 +50,92 @@ func m2mShapes(rng *rand.Rand, n int) [][2][]graph.VertexID {
 		{same, same},          // sources == targets
 		{shared, overlap},     // one vertex in both lists
 	}
+
+	root := graph.VertexID(rng.Intn(n))
+	ball := hopBall(g, root, 2*many)
+	half := (len(ball) + 1) / 2
+	sources, targets := ball[:half], ball[len(ball)-half:]
+	shapes = append(shapes, [2][]graph.VertexID{sources, targets})
+
+	inComponent := make([]bool, n)
+	for _, v := range hopBall(g, root, n) {
+		inComponent[v] = true
+	}
+	var far []graph.VertexID
+	for v, in := range inComponent {
+		if !in {
+			far = append(far, graph.VertexID(v))
+		}
+	}
+	if len(far) > 0 {
+		at := rng.Intn(len(targets) + 1)
+		targets = slices.Insert(slices.Clone(targets), at, far[rng.Intn(len(far))])
+	}
+	return append(shapes, [2][]graph.VertexID{sources, targets})
+}
+
+// hopBall lists up to count vertices of g in breadth-first order from root,
+// root first.
+func hopBall(g *graph.Graph, root graph.VertexID, count int) []graph.VertexID {
+	ball := []graph.VertexID{root}
+	seen := map[graph.VertexID]bool{root: true}
+	for i := 0; i < len(ball) && len(ball) < count; i++ {
+		lo, hi := g.ArcsOf(ball[i])
+		for a := lo; a < hi && len(ball) < count; a++ {
+			if w := g.Head(a); !seen[w] {
+				seen[w] = true
+				ball = append(ball, w)
+			}
+		}
+	}
+	return ball
+}
+
+// regionalBatch draws a side×side batch as the serve_batch workload does
+// (bench/traffic.go): the vertices in a square around a random vertex, the
+// square's half-width doubling from 1/16 of the map's extent until it holds
+// 2·side of them, shuffled and split. A linear scan fills the square where
+// the workload asks an R-tree.
+func regionalBatch(rng *rand.Rand, g *graph.Graph, side int) (sources, targets []graph.VertexID) {
+	bounds := g.Bounds()
+	extent := max(bounds.Width(), bounds.Height())
+	centre := g.Coord(graph.VertexID(rng.Intn(g.NumVertices())))
+	var region []graph.VertexID
+	for half := extent/16 + 1; len(region) < 2*side && half <= 2*extent; half *= 2 {
+		region = region[:0]
+		for v, p := range g.Coords() {
+			dx, dy := int64(p.X)-int64(centre.X), int64(p.Y)-int64(centre.Y)
+			if max(dx, -dx) <= half && max(dy, -dy) <= half {
+				region = append(region, graph.VertexID(v))
+			}
+		}
+	}
+	rng.Shuffle(len(region), func(a, b int) { region[a], region[b] = region[b], region[a] })
+	k := min(side, len(region)/2)
+	return region[:k], region[k : 2*k]
+}
+
+var (
+	caOnce      sync.Once
+	caHierarchy *Hierarchy
+	caErr       error
+)
+
+// buildCA builds the CA preset's hierarchy once per test binary, for the
+// count gates and the benchmarks.
+func buildCA(tb testing.TB) *Hierarchy {
+	tb.Helper()
+	caOnce.Do(func() {
+		g, err := gen.GeneratePreset("CA")
+		if err == nil {
+			caHierarchy, err = Build(g, Options{})
+		}
+		caErr = err
+	})
+	if caErr != nil {
+		tb.Fatal(caErr)
+	}
+	return caHierarchy
 }
 
 // oracleTable answers the matrix with one plain Dijkstra per source.
@@ -98,7 +189,7 @@ func TestManyToManyDifferential(t *testing.T) {
 		h := testutil.Must(Build(g, Options{}))
 		n := g.NumVertices()
 		sc := newM2MScratch(n)
-		for i, shape := range m2mShapes(rand.New(rand.NewSource(seed)), n) {
+		for i, shape := range m2mShapes(rand.New(rand.NewSource(seed)), g) {
 			sources, targets := shape[0], shape[1]
 			label := fmt.Sprintf("seed %d shape %d (%dx%d)", seed, i, len(sources), len(targets))
 			want := oracleTable(g, sources, targets)
@@ -149,7 +240,7 @@ func TestManyToManyCancelledScratchStaysValid(t *testing.T) {
 	h := testutil.Must(Build(g, Options{}))
 	rng := rand.New(rand.NewSource(72))
 	nodes := randomVertices(rng, g.NumVertices(), 40)
-	follow := m2mShapes(rng, g.NumVertices())[3]
+	follow := m2mShapes(rng, g)[3]
 	want := oracleTable(g, follow[0], follow[1])
 	sc := newM2MScratch(g.NumVertices())
 	forwardCancels := 0
@@ -229,7 +320,7 @@ func TestSearcherGenerationWrap(t *testing.T) {
 func TestManyToManyConcurrent(t *testing.T) {
 	g := testutil.SmallRoad(1500, 73)
 	h := testutil.Must(Build(g, Options{}))
-	shapes := m2mShapes(rand.New(rand.NewSource(74)), g.NumVertices())
+	shapes := m2mShapes(rand.New(rand.NewSource(74)), g)
 	wants := make([][][]int64, len(shapes))
 	for i, shape := range shapes {
 		wants[i] = oracleTable(g, shape[0], shape[1])
@@ -287,11 +378,8 @@ func TestManyToManyStallCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CA hierarchy")
 	}
-	g, err := gen.GeneratePreset("CA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := testutil.Must(Build(g, Options{}))
+	h := buildCA(t)
+	g := h.Graph()
 	roots := randomVertices(rand.New(rand.NewSource(7)), g.NumVertices(), 200)
 
 	sc := newM2MScratch(g.NumVertices())
@@ -323,4 +411,114 @@ func TestManyToManyStallCount(t *testing.T) {
 	if 2*deposits > unstalled {
 		t.Errorf("%d deposits for an unstalled search space of %d: stalling prunes less than half", deposits, unstalled)
 	}
+}
+
+// TestManyToManySettledCount is the count gate of the per-row stop: over 64
+// regional 16×16 batches on CA, drawn as the serve_batch workload draws
+// them, the forward searches must pop at most half as many vertices as the
+// backward searches, which run to exhaustion; without the stop the two are
+// about equal. A wider batch runs first on the same scratch, so a bound
+// taken over the scratch's whole row, rather than the batch's share of it,
+// meets stale graph.Infinity cells and never stops a search.
+func TestManyToManySettledCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CA hierarchy")
+	}
+	h := buildCA(t)
+	g := h.Graph()
+	rng := rand.New(rand.NewSource(9))
+	ctx := context.Background()
+	sc := newM2MScratch(g.NumVertices())
+	wide := randomVertices(rng, g.NumVertices(), 40)
+	if err := sc.run(ctx, h, wide[:4], wide, func(int, int, int64) {}); err != nil {
+		t.Fatal(err)
+	}
+
+	forward, backward := 0, 0
+	for range 64 {
+		sources, targets := regionalBatch(rng, g, 16)
+		if err := sc.run(ctx, h, sources, targets, func(int, int, int64) {}); err != nil {
+			t.Fatal(err)
+		}
+		pops := sc.totalSettled
+		// The backward searches again, alone, count their share of the pops.
+		sc.totalSettled = 0
+		for ti, v := range targets {
+			if err := sc.backward(ctx, h, v, int32(ti)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		backward += sc.totalSettled
+		forward += pops - sc.totalSettled
+	}
+	t.Logf("per batch: %.1f forward pops, %.1f backward pops (ratio %.2f)",
+		float64(forward)/64, float64(backward)/64, float64(forward)/float64(backward))
+	if 2*forward > backward {
+		t.Errorf("forward searches popped %d vertices against %d backward: the per-row stop saves less than half", forward, backward)
+	}
+}
+
+// decodeEnds reads a batch off fuzzer bytes: 1 + data[0]%32 sources, then
+// 1 + data[1]%32 targets, each the next byte mod n (0 once the bytes run
+// out). MessyGraph has fewer than 256 vertices, so a byte reaches every one.
+func decodeEnds(data []byte, n int) (sources, targets []graph.VertexID) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	ns, nt := 1+at(0)%32, 1+at(1)%32
+	ends := make([]graph.VertexID, ns+nt)
+	for i := range ends {
+		ends[i] = graph.VertexID(at(2+i) % n)
+	}
+	return ends[:ns], ends[ns:]
+}
+
+// FuzzManyToManyAgrees builds the hierarchy of a messy graph, with the
+// default witness budget or one so tight that many shortcuts are
+// superfluous, and holds a fuzzer-chosen batch to plain Dijkstra through
+// ManyToManyContext, through ManyToManyEach (every finite cell exactly
+// once) and through one scratch that answers the batch, its transpose and
+// the batch again, so a row cell or bucket left behind by a batch of
+// another width shows in the next one.
+func FuzzManyToManyAgrees(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, tightBudget bool, ends []byte) {
+		g := testutil.MessyGraph(seed)
+		opts := Options{}
+		if tightBudget {
+			opts.WitnessSettleLimit = 4
+		}
+		h := testutil.Must(Build(g, opts))
+		_, dist := allPairs(g)
+		sources, targets := decodeEnds(ends, g.NumVertices())
+		want := func(sources, targets []graph.VertexID) [][]int64 {
+			table := make([][]int64, len(sources))
+			for i, s := range sources {
+				for _, v := range targets {
+					table[i] = append(table[i], dist[s][v])
+				}
+			}
+			return table
+		}
+
+		table, err := h.ManyToManyContext(context.Background(), sources, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want(sources, targets); !slices.EqualFunc(table, w, slices.Equal) {
+			t.Fatalf("ManyToManyContext(%v, %v) = %v, want %v", sources, targets, table, w)
+		}
+		checkEach(t, "each", want(sources, targets), func(fn func(si, ti int, d int64)) error {
+			h.ManyToManyEach(sources, targets, fn)
+			return nil
+		})
+		sc := newM2MScratch(g.NumVertices())
+		for i, batch := range [][2][]graph.VertexID{{sources, targets}, {targets, sources}, {sources, targets}} {
+			checkEach(t, fmt.Sprintf("one scratch, batch %d", i), want(batch[0], batch[1]), func(fn func(si, ti int, d int64)) error {
+				return sc.run(context.Background(), h, batch[0], batch[1], fn)
+			})
+		}
+	})
 }

@@ -260,8 +260,10 @@ func (p *Pool) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64,
 //   - CH: the bucket many-to-many algorithm of Knopp et al. — one upward
 //     search per endpoint instead of |S|×|T| point-to-point queries (used
 //     when both lists have more than one element; smaller shapes gain
-//     nothing from the bucket pass). 12× the per-pair loop at 16×16 and 47×
-//     at 64×64 on CA; the benchmark's serve_batch workload runs it.
+//     nothing from the bucket pass). 13× the per-pair loop at 16×16 and
+//     41–44× at 64×64 on random CA vertices, 5× on the regional 16×16
+//     batches of the benchmark's serve_batch workload
+//     (BenchmarkManyToManyVsPerPair in internal/ch).
 //   - SILC: its BatchDistancer, target-wise walks with shared path-suffix
 //     memoization — 2.0× at 16×16 to 3.5× at 64×1 on NH
 //     (BenchmarkSILCBatchDistance against BenchmarkSILCPerPair).

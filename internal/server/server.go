@@ -386,8 +386,8 @@ func (s *Server) parseBatch(maxPairs int) func(http.ResponseWriter, *http.Reques
 
 // batchDistance answers a sources x targets distance matrix in one
 // request, dispatching to the index's batch accelerator (CH bucket
-// many-to-many, TNR table sweep, SILC shared-prefix walks, or pooled
-// point-to-point; see core.Pool.BatchDistance). The matrix is computed by
+// many-to-many, SILC shared-suffix walks, or pooled point-to-point, TNR
+// included; see core.Pool.BatchDistance). The matrix is computed by
 // the accelerator in one piece — that is what makes it fast — but the
 // response is streamed through the fixed-size buffer of stream.go: one
 // {"sources":[...],"targets":[...],"distances":[[...],...]} document, or,

@@ -74,9 +74,10 @@
 // the per-pair loop it was kept for:
 //
 //	CH        bucket many-to-many (Knopp et al.): one upward search per
-//	          endpoint instead of |S|×|T| point-to-point queries; 12× at
-//	          16×16 and 47× at 64×64 on CA (the benchmark's serve_batch
-//	          workload runs it)
+//	          endpoint instead of |S|×|T| point-to-point queries; 13× at
+//	          16×16 and 41–44× at 64×64 on random CA vertices, 5× on the
+//	          regional 16×16 batches the benchmark's serve_batch workload
+//	          sends (BenchmarkManyToManyVsPerPair in internal/ch)
 //	SILC      target-wise path walks with shared-suffix memoization: hops
 //	          shared by several sources' paths are walked once; 2.0–3.5×
 //	          on NH (BenchmarkSILCBatchDistance in internal/silc)
