@@ -6,6 +6,7 @@ package roadnet_test
 
 import (
 	"testing"
+	"time"
 
 	"roadnet/internal/ch"
 	"roadnet/internal/core"
@@ -54,12 +55,19 @@ func claims(t *testing.T) *claimsEnvT {
 	return e
 }
 
-// timeSet returns the mean per-query time of a method on a set.
+// timeSet returns the mean per-query wall time of a method on a set, in
+// microseconds.
 func timeSet(e *claimsEnvT, m core.Method, qs workload.QuerySet, path bool) float64 {
-	if path {
-		return core.MeasurePath(e.indexes[m], qs).AvgMicros
+	ix := e.indexes[m]
+	start := time.Now()
+	for _, p := range qs.Pairs {
+		if path {
+			ix.ShortestPath(p.S, p.T)
+		} else {
+			ix.Distance(p.S, p.T)
+		}
 	}
-	return core.MeasureDistance(e.indexes[m], qs).AvgMicros
+	return float64(time.Since(start).Microseconds()) / float64(len(qs.Pairs))
 }
 
 func TestClaimDijkstraSlowestOnFarQueries(t *testing.T) {
@@ -132,7 +140,9 @@ func TestClaimTNREqualsCHOnNearQueries(t *testing.T) {
 	e := claims(t)
 	tnrIx := core.TNROf(e.indexes[core.MethodTNR])
 	_, before := tnrIx.QueryCounts()
-	core.MeasureDistance(e.indexes[core.MethodTNR], e.near)
+	for _, p := range e.near.Pairs {
+		e.indexes[core.MethodTNR].Distance(p.S, p.T)
+	}
 	_, after := tnrIx.QueryCounts()
 	if fallbacks := int(after - before); fallbacks != len(e.near.Pairs) {
 		t.Errorf("§4.5: %d of %d near queries used the fallback; expected all", fallbacks, len(e.near.Pairs))
@@ -143,7 +153,9 @@ func TestClaimTNRAnswersFarFromTables(t *testing.T) {
 	e := claims(t)
 	tnrIx := core.TNROf(e.indexes[core.MethodTNR])
 	before, _ := tnrIx.QueryCounts()
-	core.MeasureDistance(e.indexes[core.MethodTNR], e.far)
+	for _, p := range e.far.Pairs {
+		e.indexes[core.MethodTNR].Distance(p.S, p.T)
+	}
 	after, _ := tnrIx.QueryCounts()
 	if tables := int(after - before); tables != len(e.far.Pairs) {
 		t.Errorf("§4.5: %d of %d far queries answered from tables; expected all", tables, len(e.far.Pairs))

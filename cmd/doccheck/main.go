@@ -1,6 +1,6 @@
 // Command doccheck keeps the markdown documentation honest. For each
-// given file (default: README.md and docs/*.md) it checks two things that
-// rot silently:
+// given file (default: README.md, EXPERIMENTS.md and docs/*.md) it checks
+// two things that rot silently:
 //
 //   - Every fenced ```go code block must parse. Blocks that are not
 //     complete files are wrapped in a synthetic package/function first, so
@@ -36,7 +36,7 @@ func main() {
 
 	files := flag.Args()
 	if len(files) == 0 {
-		files = append(files, "README.md")
+		files = append(files, "README.md", "EXPERIMENTS.md")
 		docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
 		if err == nil {
 			files = append(files, docs...)

@@ -1,13 +1,9 @@
-// Command spexp regenerates the paper's tables and figures as text tables.
+// Command spexp regenerates the paper's tables and figures as Markdown
+// tables of counts; its default run is the committed EXPERIMENTS.md:
 //
-// Usage:
-//
+//	go run ./cmd/spexp > EXPERIMENTS.md
 //	spexp -list
-//	spexp -exp f8 -datasets DE,NH,ME,CO -queries 1000
-//	spexp -exp all -full -queries 10000     # the paper's full workload
-//
-// Each experiment id maps to a paper artifact (t1, t2, f6..f17, b);
-// spexp -list prints the index.
+//	spexp -full -queries 10000     # the paper's full workload
 package main
 
 import (
@@ -15,9 +11,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"roadnet"
 	"roadnet/internal/exp"
 	"roadnet/internal/gen"
 )
@@ -26,70 +20,52 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "list available experiments and exit")
 		expIDs   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		datasets = flag.String("datasets", "", "comma-separated dataset presets (default: the five smallest)")
+		datasets = flag.String("datasets", "DE,NH,ME,CO,FL", "comma-separated dataset presets")
 		full     = flag.Bool("full", false, "use all ten Table 1 dataset presets")
 		queries  = flag.Int("queries", 1000, "queries per Q/R set (the paper uses 10000)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		maxMB    = flag.Int64("maxmem", 1536, "index memory ceiling in MB (the paper's analogue is 24 GB)")
 		grid     = flag.Int("grid", 32, "TNR coarse grid size (the paper's analogue of 128)")
-		cacheDir = flag.String("cachedir", "", "persist built CH/TNR/SILC indexes here and reuse them across runs")
-		useMmap  = flag.Bool("mmap", roadnet.MmapSupported, "mmap cached index files instead of reading them onto the heap")
 	)
 	flag.Parse()
 
-	if *list {
-		for _, e := range exp.All() {
-			fmt.Printf("%-4s %-11s %s\n", e.ID, e.Paper, e.Title)
+	var ids []string
+	for _, e := range exp.All() {
+		if *list {
+			fmt.Printf("%-21s %-23s %s\n", e.ID, e.Paper, e.Title)
 		}
+		ids = append(ids, strings.Fields(e.ID)[0])
+	}
+	if *list {
 		return
 	}
-
-	cfg := exp.Config{
-		QueriesPerSet: *queries,
-		Seed:          *seed,
-		MaxIndexBytes: *maxMB << 20,
-		TNRGridSize:   *grid,
-		CacheDir:      *cacheDir,
-		CacheMmap:     *useMmap,
+	if *expIDs != "all" {
+		ids = strings.FieldsFunc(*expIDs, func(r rune) bool { return r == ',' || r == ' ' })
+		for _, id := range ids {
+			if _, err := exp.ByID(id); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+		}
 	}
-	switch {
-	case *datasets != "":
-		cfg.Datasets = strings.Split(*datasets, ",")
-	case *full:
+
+	cfg := exp.Config{Datasets: strings.Split(*datasets, ","), QueriesPerSet: *queries, Seed: *seed, MaxIndexBytes: *maxMB << 20, TNRGridSize: *grid}
+	if *full {
+		cfg.Datasets = nil
 		for _, p := range gen.Presets {
 			cfg.Datasets = append(cfg.Datasets, p.Name)
 		}
 	}
 
-	var selected []exp.Experiment
-	if *expIDs == "all" {
-		selected = exp.All()
-	} else {
-		for _, id := range strings.Split(*expIDs, ",") {
-			e, err := exp.ByID(strings.TrimSpace(id))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	// One Runner shares datasets, hierarchies and indexes across all
-	// selected experiments; without it the all-pairs preprocessing of
-	// SILC/PCPD would be repeated per experiment.
+	fmt.Printf("# Experiments\n\nGenerated by `%s`. Every number is a count, so a run\n",
+		strings.Join(append([]string{"go run ./cmd/spexp"}, os.Args[1:]...), " "))
+	fmt.Println("prints the same bytes on any machine; running time is measured by bench/.")
 	runner := exp.NewRunner(cfg)
-	for i, e := range selected {
-		if i > 0 {
-			fmt.Println()
-			fmt.Println(strings.Repeat("=", 72))
-			fmt.Println()
-		}
-		start := time.Now()
-		if err := runner.Run(e.ID, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.ID, err)
+	for _, id := range ids {
+		fmt.Println()
+		if err := runner.Run(id, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Printf("\n[%s completed in %.1fs]\n", e.ID, time.Since(start).Seconds())
 	}
 }

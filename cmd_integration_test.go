@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -59,19 +60,28 @@ func runCommand(t *testing.T, name string, args ...string) string {
 	return string(out)
 }
 
+// TestSpexpList: -list names every artifact of the paper's evaluation by
+// the id spexp -exp takes.
 func TestSpexpList(t *testing.T) {
-	out := runCommand(t, "spexp", "-list")
-	for _, id := range []string{"t1", "t2", "f6", "f17", "b", "ext"} {
-		if !strings.Contains(out, id) {
+	out := strings.Fields(runCommand(t, "spexp", "-list"))
+	for _, id := range []string{"t1", "t2", "f6", "f7", "f8", "f9", "f10", "f11", "f13", "f14", "f15", "f16", "f17", "b", "ext", "knn"} {
+		if !slices.Contains(out, id) {
 			t.Errorf("spexp -list missing experiment %q:\n%s", id, out)
 		}
 	}
 }
 
+// TestSpexpRunsSingleExperiment: an id that is one slicing of a merged
+// table prints that table, under a heading that says how to regenerate it.
 func TestSpexpRunsSingleExperiment(t *testing.T) {
-	out := runCommand(t, "spexp", "-exp", "t1", "-datasets", "DE", "-queries", "10")
-	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "Delaware") {
-		t.Errorf("unexpected t1 output:\n%s", out)
+	out := runCommand(t, "spexp", "-exp", "f9", "-datasets", "DE", "-queries", "10")
+	for _, want := range []string{"`go run ./cmd/spexp -exp f9 -datasets DE -queries 10`", "## Figures 8-11", "### DE\n", "|Q10|", "|R10|"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("spexp -exp f9 output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "Table 1") {
+		t.Errorf("spexp -exp f9 printed more than its experiment:\n%s", out)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"roadnet/internal/pcpd"
 	"roadnet/internal/silc"
 	"roadnet/internal/tnr"
-	"roadnet/internal/workload"
 )
 
 // Method identifies one of the evaluated techniques.
@@ -256,59 +255,6 @@ func (cfg Config) fillHierarchy(g *graph.Graph, h **ch.Hierarchy) (time.Duration
 	}
 	*h = built
 	return built.BuildTime(), nil
-}
-
-// Measurement is one timing row of a figure: a method's average query time
-// on one query set.
-type Measurement struct {
-	Method  Method
-	SetName string
-	Queries int
-	// AvgMicros is the mean per-query wall time in microseconds, the unit
-	// of every running-time figure in the paper.
-	AvgMicros float64
-}
-
-// MeasureDistance times distance queries over a query set.
-func MeasureDistance(ix Index, qs workload.QuerySet) Measurement {
-	start := time.Now()
-	var sink int64
-	for _, p := range qs.Pairs {
-		sink += ix.Distance(p.S, p.T)
-	}
-	elapsed := time.Since(start)
-	_ = sink
-	return Measurement{
-		Method:    ix.Method(),
-		SetName:   qs.Name,
-		Queries:   len(qs.Pairs),
-		AvgMicros: micros(elapsed, len(qs.Pairs)),
-	}
-}
-
-// MeasurePath times shortest-path queries over a query set.
-func MeasurePath(ix Index, qs workload.QuerySet) Measurement {
-	start := time.Now()
-	var sink int
-	for _, p := range qs.Pairs {
-		path, _ := ix.ShortestPath(p.S, p.T)
-		sink += len(path)
-	}
-	elapsed := time.Since(start)
-	_ = sink
-	return Measurement{
-		Method:    ix.Method(),
-		SetName:   qs.Name,
-		Queries:   len(qs.Pairs),
-		AvgMicros: micros(elapsed, len(qs.Pairs)),
-	}
-}
-
-func micros(d time.Duration, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(d.Microseconds()) / float64(n)
 }
 
 // technique is what every technique's own index value (*ch.Hierarchy,

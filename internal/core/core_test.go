@@ -9,7 +9,6 @@ import (
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
-	"roadnet/internal/workload"
 )
 
 func TestAllMethodsAgreeOnRoadNetwork(t *testing.T) {
@@ -108,29 +107,6 @@ func TestTNRHierarchyFollowsCHConfig(t *testing.T) {
 	}
 	if st, inner := ix.Stats(), core.TNROf(ix); st.BuildTime <= inner.BuildTime() {
 		t.Errorf("Stats().BuildTime %v does not include the hierarchy build (TNR alone %v)", st.BuildTime, inner.BuildTime())
-	}
-}
-
-func TestMeasurements(t *testing.T) {
-	g := testutil.SmallRoad(900, 511)
-	sets, err := workload.LInfSets(g, workload.Config{PairsPerSet: 20, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := core.BuildIndex(core.MethodCH, g, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := core.MeasureDistance(ix, sets[0])
-	if m.Queries != len(sets[0].Pairs) || m.Method != core.MethodCH || m.SetName != "Q1" {
-		t.Errorf("measurement metadata wrong: %+v", m)
-	}
-	if m.AvgMicros < 0 {
-		t.Errorf("negative time: %+v", m)
-	}
-	p := core.MeasurePath(ix, sets[0])
-	if p.Queries != len(sets[0].Pairs) {
-		t.Errorf("path measurement metadata wrong: %+v", p)
 	}
 }
 

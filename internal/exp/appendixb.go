@@ -17,13 +17,12 @@ import (
 // sampled outer-shell ring — the flawed method returns incorrect distances,
 // while the corrected method stays exact.
 func runAppendixB(l *lab, w io.Writer) error {
-	cfg := l.cfg
-	fmt.Fprintln(w, "Appendix B: flawed vs corrected TNR access-node computation")
+	fmt.Fprintln(w, "## Appendix B: flawed vs corrected TNR access-node computation")
+	fmt.Fprintln(w)
 	fmt.Fprintln(w, "(queries with table-answered results compared against Dijkstra ground truth)")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "Network\tqueries\tflawed wrong\tcorrected wrong")
+	header(w, "Network", "queries", "flawed wrong", "corrected wrong")
 	for trial := 0; trial < 3; trial++ {
-		g, probes := appendixBNetwork(cfg.Seed + int64(trial))
+		g, probes := appendixBNetwork(l.cfg.Seed + int64(trial))
 		flawed, err := tnr.Build(g, tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
 		if err != nil {
 			return err
@@ -48,10 +47,7 @@ func runAppendixB(l *lab, w io.Writer) error {
 				correctedWrong++
 			}
 		}
-		fmt.Fprintf(tw, "counterexample-%d\t%d\t%d\t%d\n", trial+1, queries, flawedWrong, correctedWrong)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
+		row(w, fmt.Sprintf("counterexample-%d", trial+1), itoa(queries), itoa(flawedWrong), itoa(correctedWrong))
 	}
 	fmt.Fprintln(w, "\nThe flawed method misses access nodes reachable only through edges that")
 	fmt.Fprintln(w, "jump the sampled ring (Figure 12(b)), so some far queries return wrong")

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"roadnet/internal/dijkstra"
@@ -13,22 +14,14 @@ import (
 // runTable1 reproduces Table 1: the dataset roster. It prints the paper's
 // sizes next to the scaled synthetic analogues actually generated.
 func runTable1(l *lab, w io.Writer) error {
-	fmt.Fprintln(w, "Table 1: Dataset Characteristics (paper datasets vs scaled synthetic analogues)")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "Name\tRegion\tPaper n\tPaper m\tOur n\tOur m (arcs)")
-	for _, name := range l.datasets() {
-		p, err := gen.PresetByName(name)
-		if err != nil {
-			return err
-		}
-		g, err := l.graph(name)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\n",
-			p.Name, p.Region, p.PaperVertices, p.PaperEdges, g.NumVertices(), g.NumArcs())
+	fmt.Fprintln(w, "## Table 1: Dataset Characteristics (paper datasets vs scaled synthetic analogues)")
+	header(w, "Name", "Region", "Paper n", "Paper m", "Our n", "Our m (arcs)")
+	ds, err := l.datasets(false)
+	for _, d := range ds {
+		p, _ := gen.PresetByName(d.name)
+		row(w, p.Name, p.Region, itoa(p.PaperVertices), itoa(p.PaperEdges), itoa(d.g.NumVertices()), itoa(d.g.NumArcs()))
 	}
-	return tw.Flush()
+	return err
 }
 
 // runTable2 reproduces Table 2: the minimum observed ratio
@@ -36,32 +29,24 @@ func runTable1(l *lab, w io.Writer) error {
 // core-disjoint path P' (an upper bound of the PCPD redundancy parameter
 // delta, Appendix C). Ratios at or near 1 explain PCPD's blow-up.
 func runTable2(l *lab, w io.Writer) error {
-	fmt.Fprintln(w, "Table 2: Upper bound of delta (min length(P')/length(P)) per dataset")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "Dataset\tmin ratio\tsampled pairs\tpairs with core-disjoint path")
-	for _, name := range l.datasets() {
-		g, err := l.graph(name)
-		if err != nil {
-			return err
-		}
-		ratio, pairs, found := minCoreDisjointRatio(g, l.cfg.Seed, l.cfg.QueriesPerSet/10+20)
-		if found == 0 {
-			fmt.Fprintf(tw, "%s\t-\t%d\t0\n", name, pairs)
-			continue
-		}
-		fmt.Fprintf(tw, "%s\t%.5f\t%d\t%d\n", name, ratio, pairs, found)
+	fmt.Fprintln(w, "## Table 2: Upper bound of delta (min length(P')/length(P)) per dataset")
+	header(w, "Dataset", "min ratio", "sampled pairs", "pairs with core-disjoint path")
+	ds, err := l.datasets(false)
+	for _, d := range ds {
+		ratio, pairs, found := minCoreDisjointRatio(d.g, l.cfg.Seed, l.cfg.QueriesPerSet/10+20)
+		row(w, d.name, num("%.5f", ratio), itoa(pairs), itoa(found))
 	}
-	return tw.Flush()
+	return err
 }
 
 // minCoreDisjointRatio samples random pairs, computes the shortest path P
 // and the shortest core-disjoint path P' (no interior vertex of P), and
-// returns the minimum observed length ratio.
+// returns the minimum observed length ratio, NaN when no P' was found.
 func minCoreDisjointRatio(g *graph.Graph, seed int64, samples int) (minRatio float64, pairs, found int) {
 	rng := rand.New(rand.NewSource(seed + 17))
 	ctx := dijkstra.NewContext(g)
 	n := g.NumVertices()
-	minRatio = 0
+	minRatio = math.NaN()
 	for i := 0; i < samples; i++ {
 		s := graph.VertexID(rng.Intn(n))
 		t := graph.VertexID(rng.Intn(n))
@@ -77,8 +62,7 @@ func minCoreDisjointRatio(g *graph.Graph, seed int64, samples int) (minRatio flo
 		if dd >= graph.Infinity {
 			continue
 		}
-		ratio := float64(dd) / float64(d)
-		if found == 0 || ratio < minRatio {
+		if ratio := float64(dd) / float64(d); found == 0 || ratio < minRatio {
 			minRatio = ratio
 		}
 		found++

@@ -15,8 +15,8 @@
 //
 // plus ALT (Appendix A) as an extension, together with a synthetic
 // road-network generator, DIMACS file IO, the paper's two query-workload
-// generators, and a benchmark harness that regenerates every table and
-// figure of the evaluation (see cmd/spexp and bench_test.go).
+// generators, and every table and figure of the evaluation regenerated as
+// counts (see cmd/spexp and EXPERIMENTS.md).
 //
 // # Quick start
 //
