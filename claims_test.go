@@ -1,7 +1,8 @@
 // Tests asserting the paper's §4.7 summary claims on our testbed. These are
 // the headline results of the reproduction: if one of them fails, the
-// repository no longer reproduces the paper. Timing assertions use generous
-// margins so they stay robust on slow or noisy machines.
+// repository no longer reproduces the paper. Most compare counts, which
+// repeat exactly; the timing assertions left use generous margins so they
+// stay robust on slow or noisy machines.
 package roadnet_test
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"roadnet/internal/ch"
 	"roadnet/internal/core"
+	"roadnet/internal/dijkstra"
 	"roadnet/internal/gen"
 	"roadnet/internal/pcpd"
 	"roadnet/internal/silc"
@@ -71,11 +73,34 @@ func timeSet(e *claimsEnvT, m core.Method, qs workload.QuerySet, path bool) floa
 }
 
 func TestClaimDijkstraSlowestOnFarQueries(t *testing.T) {
+	// §4.5: on far distance queries every index leaves the bidirectional
+	// search well behind. As counts per query: the vertices Dijkstra
+	// settles against CH's settled vertices, TNR's pair-table cells and
+	// SILC's hops, one interval lookup each.
 	e := claims(t)
-	dij := timeSet(e, core.MethodDijkstra, e.far, false)
-	for _, m := range []core.Method{core.MethodCH, core.MethodTNR, core.MethodSILC} {
-		if v := timeSet(e, m, e.far, false); v*3 > dij {
-			t.Errorf("§4.5: %s (%.1f us) not clearly faster than Dijkstra (%.1f us) on far distance queries", m, v, dij)
+	bi := e.indexes[core.MethodDijkstra].NewSearcher().(*dijkstra.Bidirectional)
+	chSr := core.HierarchyOf(e.indexes[core.MethodCH]).NewSearcher()
+	tnrSr := core.TNROf(e.indexes[core.MethodTNR]).NewSearcher()
+	silcSr := e.indexes[core.MethodSILC].NewSearcher()
+	var dij, chSettled, tnrCells, silcHops int
+	for _, p := range e.far.Pairs {
+		dij += bi.Query(p.S, p.T).Settled
+		chSr.Distance(p.S, p.T)
+		chSettled += chSr.SettledLast()
+		tnrSr.Distance(p.S, p.T)
+		tnrCells += tnrSr.LookupsLast()
+		path, _ := testutil.Path(silcSr.OpenPath, p.S, p.T)
+		silcHops += len(path) - 1
+	}
+	n := float64(len(e.far.Pairs))
+	t.Logf("far queries: Dijkstra %.1f settled, CH %.1f settled, TNR %.1f table cells, SILC %.1f hops",
+		float64(dij)/n, float64(chSettled)/n, float64(tnrCells)/n, float64(silcHops)/n)
+	for _, c := range []struct {
+		what string
+		work int
+	}{{"CH settled vertices", chSettled}, {"TNR table cells", tnrCells}, {"SILC hops", silcHops}} {
+		if c.work*3 > dij {
+			t.Errorf("§4.5: %.1f %s per far query, not clearly below Dijkstra's %.1f settled vertices", float64(c.work)/n, c.what, float64(dij)/n)
 		}
 	}
 }
@@ -185,12 +210,31 @@ func TestClaimTNRPathIsOrderKLookups(t *testing.T) {
 }
 
 func TestClaimCHPathsSlowerThanDistances(t *testing.T) {
-	// §4.6: CH shortest-path queries pay for shortcut unpacking.
+	// §4.6: CH shortest-path queries pay for shortcut unpacking. As counts:
+	// a drained path query runs exactly its distance query's search, then
+	// emits the path's vertices, which on far pairs add at least half as
+	// much again.
 	e := claims(t)
-	dist := timeSet(e, core.MethodCH, e.far, false)
-	path := timeSet(e, core.MethodCH, e.far, true)
-	if path < dist {
-		t.Errorf("§4.6: CH path queries (%.2f us) should cost more than distance queries (%.2f us)", path, dist)
+	sr := core.HierarchyOf(e.indexes[core.MethodCH]).NewSearcher()
+	var settled, emitted, mismatched int
+	for _, p := range e.far.Pairs {
+		sr.Distance(p.S, p.T)
+		distSettled := sr.SettledLast()
+		path, _ := testutil.Path(sr.OpenPath, p.S, p.T)
+		if sr.SettledLast() != distSettled {
+			mismatched++
+		}
+		settled += distSettled
+		emitted += len(path)
+	}
+	n := float64(len(e.far.Pairs))
+	t.Logf("CH far queries: %.1f settled per query, %.1f path vertices emitted", float64(settled)/n, float64(emitted)/n)
+	if mismatched > 0 {
+		t.Errorf("§4.6: %d of %d path queries settled other than their distance query", mismatched, len(e.far.Pairs))
+	}
+	if float64(settled+emitted) < 1.5*float64(settled) {
+		t.Errorf("§4.6: CH path queries (%.1f settled + %.1f emitted) should cost clearly more than distance queries (%.1f settled)",
+			float64(settled)/n, float64(emitted)/n, float64(settled)/n)
 	}
 }
 

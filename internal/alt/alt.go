@@ -146,11 +146,10 @@ func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t gr
 	q.Labels[src] = pq.Label{Dist: 0, Parent: -1, Gen: q.Cur}
 	q.Push(src, ix.potential(src, rt))
 	for !q.Empty() {
-		if err := cancel.Poll(ctx, s.Settled); err != nil {
+		if err := cancel.Poll(ctx, q.Settled); err != nil {
 			return false, err
 		}
 		v, _ := q.Pop()
-		s.Settled++
 		if v == t {
 			return true, nil
 		}

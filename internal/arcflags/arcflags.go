@@ -162,11 +162,10 @@ func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t gr
 	q := &s.Search
 	q.Visit(src, 0, -1)
 	for !q.Empty() {
-		if err := cancel.Poll(ctx, s.Settled); err != nil {
+		if err := cancel.Poll(ctx, q.Settled); err != nil {
 			return false, err
 		}
 		v, d := q.Pop()
-		s.Settled++
 		if v == t {
 			return true, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -106,9 +107,10 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWitnessWorkCount gates the work of one CA build on counts that repeat
-// exactly. refBuild reads 142 073 simulations, 515 402 searches, 12 088 891
-// settled and 155 592 445 entries scanned.
+// TestWitnessWorkCount pins the work of one CA build: the counts repeat
+// exactly, so any change to the witness search's order or stops moves them.
+// The reference build, refBuild, reads 142 073 simulations, 515 402
+// searches, 12 088 891 settled and 155 592 445 entries scanned.
 func TestWitnessWorkCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CA hierarchy")
@@ -117,14 +119,59 @@ func TestWitnessWorkCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := testutil.Must(Build(g, Options{})).work
-	t.Logf("%d simulations, %d witness searches, %d settled, %d adjacency entries scanned",
-		w.simulations, w.searches, w.settled, w.scanned)
-	if w.searches > 280_000 {
-		t.Errorf("%d witness searches, want at most 280000", w.searches)
+	got := testutil.Must(Build(g, Options{})).work
+	want := buildWork{simulations: 102_953, searches: 274_924, settled: 4_121_935, scanned: 19_364_093}
+	if got != want {
+		t.Errorf("CA build work %+v, want %+v", got, want)
 	}
-	if w.scanned > 25_000_000 {
-		t.Errorf("%d adjacency entries scanned, want at most 25000000", w.scanned)
+}
+
+// TestWitnessGenerationWrap runs the witness search across the wrap of its
+// label stamp: simulating every vertex of a messy graph must find the same
+// shortcuts and do the same work from a fresh searcher as from one whose
+// stamp wraps during the run. The wrapping searcher has first simulated
+// every vertex in reverse order, from stamp 1 on, so when the wrap hands
+// those stamps out again, the target marks of other searches carry them.
+func TestWitnessGenerationWrap(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g := testutil.MessyGraph(seed)
+		n := g.NumVertices()
+		adj := make([][]halfEdge, n)
+		for v := range adj {
+			lo, hi := g.ArcsOf(graph.VertexID(v))
+			for a := lo; a < hi; a++ {
+				addOrImprove(&adj[v], halfEdge{to: g.Head(a), w: g.ArcWeight(a), middle: -1})
+			}
+		}
+		simulateAll := func(ws *witnessSearcher) ([][]shortcut, buildWork) {
+			ws.work = buildWork{}
+			found := make([][]shortcut, n)
+			for v := range found {
+				ws.simulate(graph.VertexID(v))
+				found[v] = slices.Clone(ws.shortcuts)
+			}
+			return found, ws.work
+		}
+		limit := Options{}.withDefaults().WitnessSettleLimit
+		want, wantWork := simulateAll(newWitnessSearcher(n, adj, limit))
+
+		ws := newWitnessSearcher(n, adj, limit)
+		for v := n - 1; v >= 0; v-- {
+			ws.simulate(graph.VertexID(v))
+		}
+		ws.q.Cur = math.MaxUint32 - 1
+		got, gotWork := simulateAll(ws)
+		if ws.q.Cur >= math.MaxUint32-1 {
+			t.Fatalf("seed %d: %d searches did not wrap the stamp", seed, wantWork.searches)
+		}
+		if gotWork != wantWork {
+			t.Errorf("seed %d: work %+v across the wrap, %+v fresh", seed, gotWork, wantWork)
+		}
+		for v := range want {
+			if !slices.Equal(got[v], want[v]) {
+				t.Errorf("seed %d: vertex %d needs shortcuts %v across the wrap, %v fresh", seed, v, got[v], want[v])
+			}
+		}
 	}
 }
 

@@ -120,9 +120,10 @@ type deposit struct {
 type bucketSpan struct{ lo, hi int32 }
 
 // m2mScratch is everything one many-to-many call needs besides the
-// hierarchy itself: 28 bytes per vertex (label, heap position, bucket span)
-// plus 32 bytes per bucket deposit (the deposit and its entry). Every run
-// leaves it reusable, a cancelled one included.
+// hierarchy itself: 28 bytes per vertex (16-byte label, 4-byte heap
+// position, 8-byte bucket span) plus 32 bytes per bucket deposit (the
+// 16-byte deposit and its 16-byte entry). Every run leaves it reusable, a
+// cancelled one included.
 type m2mScratch struct {
 	// q is the state of the upward search in progress; totalSettled counts
 	// every pop of the run, backward and forward, for cancel.Poll.

@@ -37,8 +37,6 @@ type Searcher struct {
 	// reconstruction.
 	lastMeet graph.VertexID
 	lastDist int64
-	// settledCount of the last query, for search-space statistics.
-	settledCount int
 
 	// Path-production scratch, reused across queries so streaming a path
 	// allocates nothing in steady state: augBuf holds the augmented
@@ -58,7 +56,6 @@ func (s *Searcher) reset() {
 	s.side[1].Reset()
 	s.lastMeet = -1
 	s.lastDist = graph.Infinity
-	s.settledCount = 0
 }
 
 // Distance returns dist(s, t), or graph.Infinity when t is unreachable.
@@ -77,20 +74,21 @@ func (s *Searcher) DistanceContext(ctx context.Context, from, to graph.VertexID)
 }
 
 // SettledLast returns how many vertices the two upward searches of the last
-// query settled, for search-space comparisons against plain Dijkstra.
-func (s *Searcher) SettledLast() int { return s.settledCount }
+// query settled, for search-space comparisons against plain Dijkstra: 0
+// after a query that searched nothing.
+func (s *Searcher) SettledLast() int { return s.side[0].Settled + s.side[1].Settled }
 
 func (s *Searcher) run(from, to graph.VertexID) {
 	_ = s.runCtx(context.Background(), from, to)
 }
 
 func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
+	s.reset()
 	// Per the cancellation contract, an already-cancelled context aborts
 	// before any work, trivial from == to queries included.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.reset()
 	if from == to {
 		s.lastDist = 0
 		s.lastMeet = from
@@ -103,7 +101,7 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 	meet := graph.VertexID(-1)
 
 	for {
-		if err := cancel.Poll(ctx, s.settledCount); err != nil {
+		if err := cancel.Poll(ctx, s.SettledLast()); err != nil {
 			return err
 		}
 		k0, k1 := graph.Infinity, graph.Infinity
@@ -125,7 +123,6 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 		}
 		q, other := &s.side[side], &s.side[1-side]
 		v, d := q.Pop()
-		s.settledCount++
 		// Meeting check: v settled in this side; if the other side has
 		// reached it, the concatenation is a candidate.
 		if l := other.Labels[v]; l.Gen == other.Cur {

@@ -39,14 +39,15 @@ import (
 const NoHop = 0xff
 
 // Sweeper is the reusable state of one-to-all sweeps over a hierarchy:
-// 16 bytes per vertex and the upward search's queue. It is not safe for
-// concurrent use; create one per goroutine.
+// 32 bytes per vertex — the upward search's 16-byte label and 4-byte heap
+// position, the 8-byte distance row and the 4-byte order. It is not safe
+// for concurrent use; create one per goroutine.
 type Sweeper struct {
 	h     *Hierarchy
 	order []graph.VertexID // every vertex, highest rank first
 	dist  []int64
 	src   graph.VertexID
-	heap  *pq.Heap
+	q     pq.Search
 	stack []graph.VertexID
 }
 
@@ -54,7 +55,7 @@ type Sweeper struct {
 // permutation Build leaves and Save stores.
 func (h *Hierarchy) NewSweeper() *Sweeper {
 	n := len(h.rank)
-	sw := &Sweeper{h: h, order: make([]graph.VertexID, n), dist: make([]int64, n), heap: pq.New(n)}
+	sw := &Sweeper{h: h, order: make([]graph.VertexID, n), dist: make([]int64, n), q: pq.NewSearch(n)}
 	for v, r := range h.rank {
 		sw.order[n-1-int(r)] = graph.VertexID(v)
 	}
@@ -65,20 +66,18 @@ func (h *Hierarchy) NewSweeper() *Sweeper {
 // where there is no path. The slice is the sweeper's and holds until the
 // next Run.
 func (sw *Sweeper) Run(s graph.VertexID) []int64 {
-	h, dist := sw.h, sw.dist
+	h, dist, q := sw.h, sw.dist, &sw.q
 	for v := range dist {
 		dist[v] = graph.Infinity
 	}
 	sw.src = s
-	dist[s] = 0
-	sw.heap.Push(s, 0)
-	for !sw.heap.Empty() {
-		v, d := sw.heap.Pop()
+	q.Reset()
+	q.Visit(s, 0, -1)
+	for !q.Empty() {
+		v, d := q.Pop()
+		dist[v] = d
 		for a, hi := h.firstUp[v], h.firstUp[v+1]; a < hi; a++ {
-			if w, nd := h.upHead[a], d+int64(h.upWeight[a]); nd < dist[w] {
-				dist[w] = nd
-				sw.heap.Push(w, nd)
-			}
+			q.Visit(h.upHead[a], d+int64(h.upWeight[a]), v)
 		}
 	}
 	for _, v := range sw.order {

@@ -30,11 +30,8 @@ type witnessSearcher struct {
 	adj   [][]halfEdge // live (uncontracted) neighbors only
 	limit int
 
-	dist   []int64
-	gen    []uint32 // dist[v] is set iff gen[v] == cur
-	target []uint32 // v is a target of the running search iff target[v] == cur
-	cur    uint32
-	heap   *pq.Heap
+	q      pq.Search
+	target []uint32 // v is a target of the running search iff target[v] == q.Cur
 
 	// shortcuts holds what the last simulate call found, until the next.
 	shortcuts []shortcut
@@ -45,10 +42,8 @@ func newWitnessSearcher(n int, adj [][]halfEdge, limit int) *witnessSearcher {
 	return &witnessSearcher{
 		adj:    adj,
 		limit:  limit,
-		dist:   make([]int64, n),
-		gen:    make([]uint32, n),
+		q:      pq.NewSearch(n),
 		target: make([]uint32, n),
-		heap:   pq.New(n),
 	}
 }
 
@@ -73,6 +68,7 @@ func (ws *witnessSearcher) simulate(v graph.VertexID) int {
 			}
 		}
 		ws.search(eu.to, v, int64(eu.w)+maxTarget, targets)
+		ws.work.settled += int64(ws.q.Settled)
 		for _, ew := range targets {
 			through := int64(eu.w) + int64(ew.w)
 			if ws.distOf(ew.to) <= through {
@@ -85,42 +81,35 @@ func (ws *witnessSearcher) simulate(v graph.VertexID) int {
 }
 
 func (ws *witnessSearcher) distOf(v graph.VertexID) int64 {
-	if ws.gen[v] != ws.cur {
+	if !ws.q.Reached(v) {
 		return graph.Infinity
 	}
-	return ws.dist[v]
+	return ws.q.Labels[v].Dist
 }
 
 // search runs a budgeted Dijkstra from s on the residual graph, excluding
-// vertex banned, stopping at distance > maxDist, after the settle limit, or
-// once every target is settled: a settled distance is final, so the caller
-// reads for each target what the search run to its end would have left.
+// vertex banned, never labelling a vertex beyond maxDist, stopping after the
+// settle limit or once every target is settled: a settled distance is
+// final, so the caller reads for each target what the search run to its end
+// would have left. The pop past the limit counts in q.Settled.
 func (ws *witnessSearcher) search(s, banned graph.VertexID, maxDist int64, targets []halfEdge) {
 	ws.work.searches++
-	ws.cur++
-	if ws.cur == 0 {
-		clear(ws.gen)
+	q := &ws.q
+	if q.Reset() {
 		clear(ws.target)
-		ws.cur = 1
 	}
 	for _, t := range targets {
-		ws.target[t.to] = ws.cur
+		ws.target[t.to] = q.Cur
 	}
 	remaining := len(targets)
-	ws.heap.Clear()
-	ws.gen[s] = ws.cur
-	ws.dist[s] = 0
-	ws.heap.Push(s, 0)
-	last := ws.work.settled + int64(ws.limit) // the count at which the settle limit is spent
-	for !ws.heap.Empty() {
-		v, d := ws.heap.Pop()
-		if d > maxDist {
+	q.Labels[s] = pq.Label{Dist: 0, Parent: -1, Gen: q.Cur}
+	q.Push(s, 0)
+	for !q.Empty() {
+		v, d := q.Pop()
+		if q.Settled > ws.limit {
 			return
 		}
-		if ws.work.settled++; ws.work.settled > last {
-			return
-		}
-		if ws.target[v] == ws.cur {
+		if ws.target[v] == q.Cur {
 			if remaining--; remaining == 0 {
 				return
 			}
@@ -134,13 +123,14 @@ func (ws *witnessSearcher) search(s, banned graph.VertexID, maxDist int64, targe
 			if nd > maxDist {
 				continue
 			}
-			if ws.gen[e.to] != ws.cur {
-				ws.gen[e.to] = ws.cur
-				ws.dist[e.to] = nd
-				ws.heap.Push(e.to, nd)
-			} else if nd < ws.dist[e.to] && ws.heap.Contains(e.to) {
-				ws.dist[e.to] = nd
-				ws.heap.Push(e.to, nd)
+			// Inline rather than q.Visit: most relaxations here label a new
+			// vertex, the case Visit keeps out of line.
+			if l := &q.Labels[e.to]; l.Gen != q.Cur {
+				*l = pq.Label{Dist: nd, Parent: v, Gen: q.Cur}
+				q.Push(e.to, nd)
+			} else if nd < l.Dist && q.Contains(e.to) {
+				l.Dist, l.Parent = nd, v
+				q.Push(e.to, nd)
 			}
 		}
 	}

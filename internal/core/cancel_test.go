@@ -76,6 +76,41 @@ func TestSearcherContextCancelledAllMethods(t *testing.T) {
 	}
 }
 
+// TestSettledLastAfterNoSearch requires SettledLast to read 0 after a query
+// that searched nothing — a trivial s == t query, or one on a context that
+// is already done — on every technique that counts settles, rather than the
+// count of the query before it.
+func TestSettledLastAfterNoSearch(t *testing.T) {
+	g := testutil.SmallRoad(900, 951)
+	p := testutil.SamplePairs(g, 1, 643)[0]
+	cancelled, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	queries := []struct {
+		name string
+		run  func(sr Searcher)
+	}{
+		{"distance s == t", func(sr Searcher) { sr.DistanceContext(context.Background(), p[0], p[0]) }},
+		{"path s == t", func(sr Searcher) { sr.OpenPath(context.Background(), p[0], p[0]) }},
+		{"distance on done context", func(sr Searcher) { sr.DistanceContext(cancelled, p[0], p[1]) }},
+		{"path on done context", func(sr Searcher) { sr.OpenPath(cancelled, p[0], p[1]) }},
+	}
+	indexes := buildAll(t, g)
+	for _, m := range []Method{MethodCH, MethodALT, MethodArcFlags} {
+		for _, q := range queries {
+			sr := indexes[m].NewSearcher()
+			counter := sr.(interface{ SettledLast() int })
+			sr.Distance(p[0], p[1])
+			if counter.SettledLast() == 0 {
+				t.Fatalf("%s: a query between distinct vertices settled nothing", m)
+			}
+			q.run(sr)
+			if n := counter.SettledLast(); n != 0 {
+				t.Errorf("%s, %s: SettledLast = %d, want 0", m, q.name, n)
+			}
+		}
+	}
+}
+
 // TestPoolContextQueries covers the pool's context convenience and the
 // generic (non-accelerated) batch path under cancellation.
 func TestPoolContextQueries(t *testing.T) {

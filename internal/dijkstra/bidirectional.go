@@ -75,11 +75,10 @@ func (b *Bidirectional) QueryContext(ctx context.Context, s, t graph.VertexID) (
 
 	best := graph.Infinity
 	meet := graph.VertexID(-1)
-	settled := 0
 
 	for !b.side[0].Empty() || !b.side[1].Empty() {
-		if err := cancel.Poll(ctx, settled); err != nil {
-			return Result{Dist: graph.Infinity, Meet: -1, Settled: settled}, err
+		if err := cancel.Poll(ctx, b.settled()); err != nil {
+			return Result{Dist: graph.Infinity, Meet: -1, Settled: b.settled()}, err
 		}
 		// Alternate by smaller queue head; a finished side stops expanding.
 		k0, k1 := graph.Infinity, graph.Infinity
@@ -103,7 +102,6 @@ func (b *Bidirectional) QueryContext(ctx context.Context, s, t graph.VertexID) (
 		}
 		q, other := &b.side[side], &b.side[1-side]
 		v, d := q.Pop()
-		settled++
 		lo, hi := b.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {
 			w := b.g.Head(a)
@@ -119,10 +117,13 @@ func (b *Bidirectional) QueryContext(ctx context.Context, s, t graph.VertexID) (
 		}
 	}
 	if meet < 0 {
-		return Result{Dist: graph.Infinity, Meet: -1, Settled: settled}, nil
+		return Result{Dist: graph.Infinity, Meet: -1, Settled: b.settled()}, nil
 	}
-	return Result{Dist: best, Meet: meet, Settled: settled}, nil
+	return Result{Dist: best, Meet: meet, Settled: b.settled()}, nil
 }
+
+// settled is the number of vertices both searches have settled.
+func (b *Bidirectional) settled() int { return b.side[0].Settled + b.side[1].Settled }
 
 // OpenPath runs the query and returns a PathIterator over the shortest
 // path plus its length, or (nil, Infinity, nil) when t is unreachable. The

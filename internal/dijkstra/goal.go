@@ -12,9 +12,9 @@ import (
 // search from src on s.Search that returns whether t was settled, leaving
 // t's label and the parent chain behind it. The loop owns everything
 // that makes the technique what it is — the heap key, which arcs it relaxes
-// — and must count settled vertices in s.Settled and poll ctx every
-// cancel.Interval of them, aborting with ctx's error. GoalSearcher has
-// already reset s.Search when it calls the loop.
+// — and must poll ctx every cancel.Interval settled vertices, reading
+// s.Search.Settled, which the search's Pop counts, and abort with ctx's
+// error. GoalSearcher has already reset s.Search when it calls the loop.
 type SettleFunc func(ctx context.Context, s *GoalSearcher, src, t graph.VertexID) (found bool, err error)
 
 // GoalSearcher is the searcher shared by the goal-directed unidirectional
@@ -29,8 +29,6 @@ type SettleFunc func(ctx context.Context, s *GoalSearcher, src, t graph.VertexID
 type GoalSearcher struct {
 	// Search holds the labels and the frontier of the current query.
 	Search pq.Search
-	// Settled counts the vertices the current query has settled.
-	Settled int
 
 	settle SettleFunc
 
@@ -47,13 +45,6 @@ func NewGoalSearcher(n int, settle SettleFunc) *GoalSearcher {
 	return &GoalSearcher{Search: pq.NewSearch(n), settle: settle}
 }
 
-// run starts a fresh search and runs the settle loop.
-func (s *GoalSearcher) run(ctx context.Context, src, t graph.VertexID) (bool, error) {
-	s.Search.Reset()
-	s.Settled = 0
-	return s.settle(ctx, s, src, t)
-}
-
 // Distance answers a distance query.
 func (s *GoalSearcher) Distance(src, t graph.VertexID) int64 {
 	d, _ := s.DistanceContext(context.Background(), src, t)
@@ -64,13 +55,14 @@ func (s *GoalSearcher) Distance(src, t graph.VertexID) int64 {
 // already-cancelled context aborts before any work, trivial src == t
 // queries included.
 func (s *GoalSearcher) DistanceContext(ctx context.Context, src, t graph.VertexID) (int64, error) {
+	s.Search.Reset()
 	if err := ctx.Err(); err != nil {
 		return graph.Infinity, err
 	}
 	if src == t {
 		return 0, nil
 	}
-	found, err := s.run(ctx, src, t)
+	found, err := s.settle(ctx, s, src, t)
 	if err != nil || !found {
 		return graph.Infinity, err
 	}
@@ -83,6 +75,7 @@ func (s *GoalSearcher) DistanceContext(ctx context.Context, src, t graph.VertexI
 // allocates nothing in steady state; the iterator is invalidated by this
 // searcher's next query.
 func (s *GoalSearcher) OpenPath(ctx context.Context, src, t graph.VertexID) (graph.PathIterator, int64, error) {
+	s.Search.Reset()
 	if err := ctx.Err(); err != nil {
 		return nil, graph.Infinity, err
 	}
@@ -91,7 +84,7 @@ func (s *GoalSearcher) OpenPath(ctx context.Context, src, t graph.VertexID) (gra
 		s.pathIter.Reset(s.pathBuf)
 		return &s.pathIter, 0, nil
 	}
-	found, err := s.run(ctx, src, t)
+	found, err := s.settle(ctx, s, src, t)
 	if err != nil || !found {
 		return nil, graph.Infinity, err
 	}
@@ -102,5 +95,6 @@ func (s *GoalSearcher) OpenPath(ctx context.Context, src, t graph.VertexID) (gra
 	return &s.pathIter, s.Search.Labels[t].Dist, nil
 }
 
-// SettledLast reports the vertices settled by the last query.
-func (s *GoalSearcher) SettledLast() int { return s.Settled }
+// SettledLast reports the vertices settled by the last query: 0 after one
+// that searched nothing.
+func (s *GoalSearcher) SettledLast() int { return s.Search.Settled }

@@ -1,7 +1,7 @@
 // Package pq holds the state every Dijkstra-style search in this repository
 // runs on: an addressable binary min-heap over dense int32 ids (vertex ids)
 // with int64 keys, and Search, that heap paired with one generation-stamped
-// Label per vertex.
+// Label per vertex and the settle count every searcher reports and polls.
 //
 // Layout. The heap is one array of 16-byte (key, id) entries in heap order
 // plus an id -> position index, and sifts move a hole rather than swapping,

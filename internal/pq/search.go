@@ -17,6 +17,9 @@ type Search struct {
 	Heap
 	Labels []Label
 	Cur    uint32
+	// Settled counts the pops of the search in progress: the paper's
+	// machine-independent query cost (§3.1, §4.5).
+	Settled int
 }
 
 // NewSearch returns the state for searches over n vertices.
@@ -24,17 +27,25 @@ func NewSearch(n int) Search {
 	return Search{Heap: *New(n), Labels: make([]Label, n)}
 }
 
-// Reset starts a new search: the heap empties and every label goes stale.
-// It reports whether the stamp wrapped, which cleared every label, so a
-// caller stamping other arrays with Cur knows to clear them too.
+// Reset starts a new search: the heap empties, every label goes stale and
+// Settled is zero. It reports whether the stamp wrapped, which cleared
+// every label, so a caller stamping other arrays with Cur knows to clear
+// them too.
 func (s *Search) Reset() (wrapped bool) {
 	s.Clear()
+	s.Settled = 0
 	if s.Cur++; s.Cur != 0 {
 		return false
 	}
 	clear(s.Labels)
 	s.Cur = 1
 	return true
+}
+
+// Pop is Heap.Pop, counted in Settled.
+func (s *Search) Pop() (id int32, key int64) {
+	s.Settled++
+	return s.Heap.Pop()
 }
 
 // Reached reports whether the search in progress has labelled v.
