@@ -54,12 +54,14 @@
 // # Production resilience
 //
 // Flat-file checksums are verified at load by default (-verify=false
-// defers the sweep, keeping mapped startups O(#sections); spverify audits
-// such files offline). A corrupt index file does not stop the boot: the
-// server falls back to exact answers from a Dijkstra index and reports
-// "degraded":true on /readyz, so the fleet keeps answering while the
-// operator rebuilds the file. GET /healthz is liveness (always 200 while
-// the process serves); GET /readyz is readiness (503 while draining).
+// skips the sweep, keeping mapped startups O(#sections), and trusts the
+// files: audit them with spverify first). A cache of another format
+// version is stale: it is rebuilt from its source and overwritten. A
+// corrupt index file does not stop the boot: the server falls back to
+// exact answers from a Dijkstra index and reports "degraded":true on
+// /readyz, so the fleet keeps answering while the operator rebuilds the
+// file. GET /healthz is liveness (always 200 while the process serves);
+// GET /readyz is readiness (503 while draining).
 // -rate-limit/-rate-burst bound each client's admission (429 with
 // Retry-After beyond the budget), and handler panics answer 500 without
 // taking down the process.
@@ -122,7 +124,7 @@ func main() {
 		rtreePath   = flag.String("rtree", "", "R-tree file: load (mmap) if present, else bulk-load from the graph and save")
 		knnMax      = flag.Int("knn-max", server.DefaultMaxKNN, "max k accepted by /v1/knn")
 		withinMax   = flag.Int("within-max", server.DefaultMaxWithinResults, "max neighbors one /v1/within response may carry (larger answers truncate)")
-		verify      = flag.Bool("verify", true, "verify flat-file checksums at load; -verify=false keeps mapped startups O(#sections) at the cost of trusting the bytes (audit later with spverify)")
+		verify      = flag.Bool("verify", true, "verify flat-file checksums at load; -verify=false keeps mapped startups O(#sections) and trusts the files: a query over damaged bytes may answer wrongly or fail with 500, so run spverify on them before boot")
 		drainWait   = flag.Duration("drain-timeout", 15*time.Second, "max time to let in-flight requests finish after SIGTERM/SIGINT before closing their connections")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-client admission rate in requests/sec (0 = unlimited); clients over their budget get 429 with Retry-After")
 		rateBurst   = flag.Int("rate-burst", 10, "per-client burst allowance when -rate-limit is set")
@@ -181,8 +183,8 @@ func main() {
 
 	// The readiness report's verified flag means: every byte this process
 	// serves from is known-good — built in-process, or checksum-verified
-	// off disk. Loads that skipped verification (or legacy checksum-less
-	// files) clear it.
+	// off disk. A load under -verify=false clears it: those files are
+	// trusted, not known-good.
 	health := server.NewHealth()
 	health.SetVerified(idxVerified && g.Backing().Verified() && loc.Tree().Backing().Verified())
 	if degraded != "" {
@@ -271,10 +273,10 @@ func main() {
 }
 
 // buildOrLoad resolves the serving index. A readable index file is loaded
-// (checksum-verified unless -verify=false); a corrupt one does not stop
-// the boot — the server degrades to exact answers from a Dijkstra index
-// and reports the reason on /readyz, keeping the endpoint answering while
-// the operator rebuilds the file. The degraded return carries that reason
+// (checksum-verified unless -verify=false); a stale one is rebuilt like a
+// missing one; a corrupt one does not stop the boot — the server degrades
+// to exact answers from a Dijkstra index and reports the reason on /readyz,
+// keeping the endpoint answering while the operator rebuilds the file. The degraded return carries that reason
 // ("" when healthy); verified reports whether the index bytes are
 // known-good (built in-process, or checksum-verified off disk); info is
 // the zero LoadInfo when the index was built rather than loaded.
@@ -283,21 +285,22 @@ func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useM
 		if _, statErr := os.Stat(indexPath); statErr == nil {
 			start := time.Now()
 			idx, info, err := roadnet.LoadIndexFile(method, indexPath, g, useMmap, openOpts...)
-			if err == nil {
+			switch {
+			case err == nil:
 				logLoad("index", indexPath, info.Mapped, info.SizeBytes, start)
 				return idx, info, info.Verified, "", nil
-			}
-			if !errors.Is(err, roadnet.ErrCorrupt) {
+			case errors.Is(err, roadnet.ErrCorrupt):
+				degraded = fmt.Sprintf("index file %s is corrupt, serving exact Dijkstra answers", indexPath)
+				fmt.Fprintf(os.Stderr, "load: %v\ndegraded: falling back to a Dijkstra index; rebuild the file and restart to restore %s\n",
+					err, method)
+				fallback, buildErr := roadnet.NewIndex(roadnet.Dijkstra, g, roadnet.Config{})
+				if buildErr != nil {
+					return nil, roadnet.LoadInfo{}, false, "", buildErr
+				}
+				return fallback, roadnet.LoadInfo{}, true, degraded, nil
+			case !stale("index", err):
 				return nil, info, false, "", fmt.Errorf("load: %w", err)
 			}
-			degraded = fmt.Sprintf("index file %s is corrupt, serving exact Dijkstra answers", indexPath)
-			fmt.Fprintf(os.Stderr, "load: %v\ndegraded: falling back to a Dijkstra index; rebuild the file and restart to restore %s\n",
-				err, method)
-			fallback, buildErr := roadnet.NewIndex(roadnet.Dijkstra, g, roadnet.Config{})
-			if buildErr != nil {
-				return nil, roadnet.LoadInfo{}, false, "", buildErr
-			}
-			return fallback, roadnet.LoadInfo{}, true, degraded, nil
 		}
 	}
 	idx, err = roadnet.NewIndex(method, g, roadnet.Config{})
@@ -318,6 +321,17 @@ func buildOrLoad(method roadnet.Method, g *roadnet.Graph, indexPath string, useM
 func logLoad(kind, path string, mapped bool, sizeBytes int64, start time.Time) {
 	fmt.Printf("load: %s %s via %s in %v (%d KB on disk)\n",
 		kind, path, binio.Mode(mapped), time.Since(start).Round(time.Microsecond), sizeBytes/1024)
+}
+
+// stale reports whether a cache failed to load only because another build
+// wrote it in another container version, and if so says that it will be
+// rebuilt from its source and overwritten, like a missing cache.
+func stale(kind string, err error) bool {
+	if !errors.Is(err, roadnet.ErrVersion) {
+		return false
+	}
+	fmt.Fprintf(os.Stderr, "stale: %v; rebuilding the %s from its source\n", err, kind)
+	return true
 }
 
 // saveCache writes one cache file through binio.WriteFile, so the file
@@ -355,22 +369,25 @@ func registerLoadMetrics(reg *roadnet.MetricsRegistry, info roadnet.LoadInfo, st
 }
 
 // loadOrBuildLocator resolves the spatial tier: the R-tree cache when
-// present (mmap'd flat v2, O(#sections) startup), otherwise an STR bulk
-// load over the graph's coordinates — saved back when -rtree is set.
+// present and of this build's version (mmap'd flat v2, O(#sections)
+// startup), otherwise an STR bulk load over the graph's coordinates — saved
+// back when -rtree is set.
 func loadOrBuildLocator(g *roadnet.Graph, rtreePath string, useMmap bool, openOpts []roadnet.OpenOption) (*roadnet.SpatialLocator, error) {
 	if rtreePath != "" {
 		if _, err := os.Stat(rtreePath); err == nil {
 			start := time.Now()
 			t, err := roadnet.LoadRTreeFile(rtreePath, useMmap, openOpts...)
-			if err != nil {
+			if err == nil {
+				loc, err := roadnet.NewSpatialLocatorFromTree(g, t)
+				if err != nil {
+					return nil, fmt.Errorf("%s does not match the graph: %w", rtreePath, err)
+				}
+				logLoad("rtree", rtreePath, t.Backing().Mapped(), t.Backing().SizeBytes(), start)
+				return loc, nil
+			}
+			if !stale("rtree", err) {
 				return nil, fmt.Errorf("load: %w", err)
 			}
-			loc, err := roadnet.NewSpatialLocatorFromTree(g, t)
-			if err != nil {
-				return nil, fmt.Errorf("%s does not match the graph: %w", rtreePath, err)
-			}
-			logLoad("rtree", rtreePath, t.Backing().Mapped(), t.Backing().SizeBytes(), start)
-			return loc, nil
 		}
 	}
 	loc := roadnet.NewSpatialLocator(g)
@@ -382,19 +399,22 @@ func loadOrBuildLocator(g *roadnet.Graph, rtreePath string, useMmap bool, openOp
 	return loc, nil
 }
 
-// loadGraph resolves the network: the binary graph cache when present
-// (mmap'd flat CSR, skipping DIMACS text parsing), otherwise the preset or
-// DIMACS source — saved back to the cache when -graph is set.
+// loadGraph resolves the network: the binary graph cache when present and
+// of this build's version (mmap'd flat CSR, skipping DIMACS text parsing),
+// otherwise the preset or DIMACS source — saved back to the cache when
+// -graph is set.
 func loadGraph(preset, grPath, coPath, graphPath string, useMmap bool, openOpts []roadnet.OpenOption) (*roadnet.Graph, error) {
 	if graphPath != "" {
 		if _, err := os.Stat(graphPath); err == nil {
 			start := time.Now()
 			g, err := roadnet.LoadGraphFile(graphPath, useMmap, openOpts...)
-			if err != nil {
+			if err == nil {
+				logLoad("graph", graphPath, g.Backing().Mapped(), g.Backing().SizeBytes(), start)
+				return g, nil
+			}
+			if !stale("graph", err) {
 				return nil, fmt.Errorf("load: %w", err)
 			}
-			logLoad("graph", graphPath, g.Backing().Mapped(), g.Backing().SizeBytes(), start)
-			return g, nil
 		}
 	}
 	g, err := parseGraph(preset, grPath, coPath)

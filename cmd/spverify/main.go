@@ -4,23 +4,18 @@
 //
 // Usage:
 //
-//	spverify [-q] [-strict] file...
+//	spverify [-q] file...
 //
 // For each file it parses the container structure, then checks the
 // header/table/meta CRC and every section's CRC32C, reporting a verdict
 // per section. The exit status is the fleet-automation contract:
 //
-//	0  every file verified clean (or, without -strict, was unauditable)
+//	0  every file verified clean
 //	1  at least one file is corrupt — structural damage or a checksum
 //	   mismatch; rebuild it from source data before serving from it
 //	2  usage error, or a file could not be read at all — missing,
-//	   unreadable, or not a flat container ("not a roadnet index file")
-//
-// Files written before checksum support carry no checksums; they parse but
-// cannot be audited. By default these are reported as "unauditable" and do
-// not fail the run; -strict treats them as failures, for fleets that
-// require every serving byte to be attestable. Rewriting such a file with the current tools (load it, save
-// it) upgrades it to the checksummed layout.
+//	   unreadable, not a flat container ("not a roadnet index file") or
+//	   of another container version (rebuild it with this build)
 //
 // Auditing maps the file read-only and streams one sequential CRC sweep;
 // a multi-GB index audit allocates almost nothing.
@@ -37,9 +32,8 @@ import (
 
 func main() {
 	quiet := flag.Bool("q", false, "print only failures and the final verdict line")
-	strict := flag.Bool("strict", false, "treat unauditable files (flat files written without checksums) as failures")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: spverify [-q] [-strict] file...\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: spverify [-q] file...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -58,11 +52,6 @@ func main() {
 		switch verdict, err := audit(path, *quiet); verdict {
 		case auditOK:
 			fmt.Printf("%s: ok\n", path)
-		case auditUnauditable:
-			fmt.Printf("%s: unauditable: %v\n", path, err)
-			if *strict {
-				raise(1)
-			}
 		case auditCorrupt:
 			fmt.Fprintf(os.Stderr, "%s: CORRUPT: %v\n", path, err)
 			raise(1)
@@ -78,7 +67,6 @@ type auditVerdict int
 
 const (
 	auditOK auditVerdict = iota
-	auditUnauditable
 	auditCorrupt
 	auditUnreadable
 )
@@ -104,10 +92,6 @@ func audit(path string, quiet bool) (auditVerdict, error) {
 		fmt.Printf("%s: %s, %d sections, %d bytes, %s\n",
 			path, binio.FourccString(f.Fourcc()), f.NumSections(), f.SizeBytes(), binio.Mode(f.Mapped()))
 	}
-	if !f.HasChecksums() {
-		return auditUnauditable, errors.New("no checksums (written before checksum support); rewrite the file to upgrade it")
-	}
-
 	if err := f.VerifyHeader(); err != nil {
 		return auditCorrupt, err
 	}

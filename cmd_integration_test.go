@@ -7,6 +7,7 @@ package roadnet_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -116,7 +117,7 @@ func TestSprouteRejectsBadVertex(t *testing.T) {
 	}
 }
 
-// TestSpverifyVerdicts drives spverify through its four verdicts and the
+// TestSpverifyVerdicts drives spverify through its three verdicts and the
 // exit status each one maps to.
 func TestSpverifyVerdicts(t *testing.T) {
 	g := roadnet.Generate(roadnet.GenParams{N: 300, Seed: 5})
@@ -142,10 +143,13 @@ func TestSpverifyVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clearing the checksum flag (bit 0 of the u32 at offset 20) gives the
-	// layout files had before checksums: same table, CRC slots ignored.
+	// layout files had before checksums, which no reader accepts now.
 	bare := append([]byte(nil), buf.Bytes()...)
 	bare[20] &^= 1
-	noChecksums := write("bare.idx", bare)
+	flagCleared := write("bare.idx", bare)
+	v2 := append([]byte(nil), buf.Bytes()...)
+	v2[12] = 2 // the container version, a u32 at offset 12
+	version2 := write("v2.idx", v2)
 	notFlat := write("stream.idx", []byte("ROADNET-CH\n\x01 and then whatever a v1 stream held"))
 
 	for _, tc := range []struct {
@@ -155,11 +159,10 @@ func TestSpverifyVerdicts(t *testing.T) {
 		says string
 	}{
 		{"clean", []string{clean}, 0, ": ok"},
-		// A SILC file of a build that still filled the now-reserved sections.
-		{"nearest-era file", []string{"internal/silc/testdata/figure1_nearest.idx"}, 0, ": ok"},
+		{"version 2", []string{version2}, 2, "unsupported flat container version"},
 		{"byte flipped", []string{flipped}, 1, "CORRUPT"},
-		{"no checksums", []string{noChecksums}, 0, "unauditable"},
-		{"no checksums, strict", []string{"-strict", noChecksums}, 1, "unauditable"},
+		{"checksum flag cleared", []string{flagCleared}, 1, "CORRUPT"},
+		{"checksum flag cleared, quiet", []string{"-q", flagCleared}, 1, "CORRUPT"},
 		{"not a flat container", []string{notFlat}, 2, "not a roadnet index file"},
 	} {
 		out, err := exec.Command(commandPath(t, "spverify"), tc.args...).CombinedOutput()
@@ -177,8 +180,9 @@ func TestSpverifyVerdicts(t *testing.T) {
 }
 
 // bootSpserve runs spserve on the DE preset with its three caches in dir
-// until /readyz answers, stops it with SIGTERM and returns what it printed.
-func bootSpserve(t *testing.T, dir string) string {
+// until /readyz answers, stops it with SIGTERM and returns what it printed
+// and the /readyz body it answered.
+func bootSpserve(t *testing.T, dir string) (out, readyz string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -186,10 +190,10 @@ func bootSpserve(t *testing.T, dir string) string {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	var out bytes.Buffer
+	var stdout bytes.Buffer
 	cmd := exec.Command(commandPath(t, "spserve"), "-preset", "DE", "-method", "ch", "-addr", addr,
 		"-index", filepath.Join(dir, "ch.idx"), "-graph", filepath.Join(dir, "graph.bin"), "-rtree", filepath.Join(dir, "rtree.bin"))
-	cmd.Stdout, cmd.Stderr = &out, &out
+	cmd.Stdout, cmd.Stderr = &stdout, &stdout
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +203,13 @@ func bootSpserve(t *testing.T, dir string) string {
 	for deadline := time.Now().Add(30 * time.Second); !ready && time.Now().Before(deadline); {
 		select {
 		case err := <-exited:
-			t.Fatalf("spserve exited before it was ready: %v\n%s", err, out.String())
+			t.Fatalf("spserve exited before it was ready: %v\n%s", err, stdout.String())
 		case <-time.After(20 * time.Millisecond):
 		}
 		if resp, err := http.Get("http://" + addr + "/readyz"); err == nil {
 			ready = resp.StatusCode == http.StatusOK
+			body, _ := io.ReadAll(resp.Body)
+			readyz = string(body)
 			resp.Body.Close()
 		}
 	}
@@ -211,9 +217,9 @@ func bootSpserve(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	if err := <-exited; err != nil || !ready {
-		t.Fatalf("spserve: ready=%v, exit %v\n%s", ready, err, out.String())
+		t.Fatalf("spserve: ready=%v, exit %v\n%s", ready, err, stdout.String())
 	}
-	return out.String()
+	return stdout.String(), readyz
 }
 
 // TestSpserveCachesSurviveRestart boots spserve twice over one cache
@@ -222,7 +228,7 @@ func bootSpserve(t *testing.T, dir string) string {
 // its "load:" lines naming each path once.
 func TestSpserveCachesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	first := bootSpserve(t, dir)
+	first, _ := bootSpserve(t, dir)
 	if strings.Contains(first, "load:") {
 		t.Errorf("the first boot loaded a cache from an empty directory:\n%s", first)
 	}
@@ -243,7 +249,7 @@ func TestSpserveCachesSurviveRestart(t *testing.T) {
 		t.Errorf("spverify did not pass the three caches:\n%s", out)
 	}
 
-	second := bootSpserve(t, dir)
+	second, _ := bootSpserve(t, dir)
 	for kind, name := range map[string]string{"graph": "graph.bin", "index": "ch.idx", "rtree": "rtree.bin"} {
 		path := filepath.Join(dir, name)
 		var line string
@@ -258,5 +264,46 @@ func TestSpserveCachesSurviveRestart(t *testing.T) {
 	}
 	if strings.Contains(second, "saved ") {
 		t.Errorf("the second boot rewrote a cache it should have loaded:\n%s", second)
+	}
+}
+
+// TestSpserveRebuildsStaleCaches boots spserve over three caches of another
+// container version: each is rebuilt from its source and overwritten at this
+// build's version, and the node serves verified, not degraded.
+func TestSpserveRebuildsStaleCaches(t *testing.T) {
+	dir := t.TempDir()
+	bootSpserve(t, dir)
+	names := []string{"graph.bin", "ch.idx", "rtree.bin"}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[12] = 2 // the container version, a u32 at offset 12
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	out, readyz := bootSpserve(t, dir)
+	if !strings.Contains(readyz, `"verified":true`) || strings.Contains(readyz, `"degraded":true`) {
+		t.Errorf("/readyz after rebuilding stale caches says %s", readyz)
+	}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if !strings.Contains(out, "stale: "+path+": ") || !strings.Contains(out, "saved ") {
+			t.Errorf("the boot did not report %s stale and rebuild it:\n%s", name, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := data[12]; v != 3 {
+			t.Errorf("%s was left at version %d, want it rewritten at 3", name, v)
+		}
+	}
+	if strings.Count(out, "saved ") != len(names) {
+		t.Errorf("the boot saved %d caches, want %d:\n%s", strings.Count(out, "saved "), len(names), out)
 	}
 }

@@ -15,13 +15,14 @@
 //	offset  size  field
 //	0       8     magic "RNFLAT2\n"
 //	8       4     fourcc — the owning index type ("CH  ", "TNR ", ...)
-//	12      4     container version (currently 2)
+//	12      4     container version (currently 3)
 //	16      4     section count
-//	20      4     flags (reserved, 0)
+//	20      4     flags (FlagChecksums, nothing else)
 //	24      8     meta blob offset
 //	32      8     meta blob length in bytes
-//	40      24×N  section table: {kind u32, pad u32, offset u64, bytes u64}
+//	40      24×N  section table: {kind u32, crc u32, offset u64, bytes u64}
 //	...           meta blob
+//	...     4     CRC32C of the header, table and meta blob
 //	...           sections, each padded to a 64-byte boundary
 //
 // Section offsets are relative to the start of the container, so a flat
@@ -50,8 +51,11 @@ import (
 // FlatMagic identifies a flat v2 container.
 const FlatMagic = "RNFLAT2\n"
 
-// FlatVersion is the container version this package reads and writes.
-const FlatVersion = 2
+// FlatVersion is the container version this package reads and writes. A
+// reader accepts exactly the layout it writes: any other version is
+// ErrVersion, and each kind's loader refuses a section count or meta length
+// other than its Save's (Reader.Done).
+const FlatVersion = 3
 
 // flatAlign is the section alignment; 64 bytes keeps every section start
 // on a cache-line (and, via mmap's page alignment, word-aligned for casts).
@@ -63,13 +67,11 @@ const flatHeaderSize = 40
 // flatEntrySize is one section-table entry.
 const flatEntrySize = 24
 
-// FlagChecksums marks a container that carries CRC32C (Castagnoli)
-// checksums: each section-table entry stores its section's payload CRC in
-// the formerly-reserved pad slot, and a u32 CRC covering the header, the
-// section table and the meta blob follows immediately after the blob.
-// Readers that predate checksums ignore both locations, so checksummed
-// files stay loadable by old binaries, and checksum-less files (flag
-// clear) keep loading here with verification as a no-op.
+// FlagChecksums is the one flags word a container may carry: each
+// section-table entry stores its section's payload CRC32C (Castagnoli), and
+// a u32 CRC covering the header, the section table and the meta blob follows
+// immediately after the blob. A container with any other flags word is
+// ErrCorrupt.
 const FlagChecksums = 1 << 0
 
 // castagnoli is the CRC32C polynomial table; hash/crc32 uses the hardware
@@ -139,11 +141,6 @@ type FlatWriter struct {
 	meta     *Writer
 	metaBuf  sliceWriter
 	sections []flatSection
-	// noChecksums reproduces the pre-checksum v2 layout (flags 0, zero pad
-	// slots). It is reachable only from this package's tests, which use it
-	// to cover the legacy-file acceptance path; production savers always
-	// checksum.
-	noChecksums bool
 }
 
 type flatSection struct {
@@ -205,13 +202,7 @@ func (fw *FlatWriter) WriteTo(w io.Writer) (int64, error) {
 	meta := fw.metaBuf.b
 
 	metaOff := int64(flatHeaderSize + flatEntrySize*len(fw.sections))
-	metaEnd := metaOff + int64(len(meta))
-	var flags uint32
-	if !fw.noChecksums {
-		flags = FlagChecksums
-		metaEnd += 4 // the trailing header/meta CRC32C
-	}
-	cursor := align64(metaEnd)
+	cursor := align64(metaOff + int64(len(meta)) + 4) // + the header/meta CRC32C
 	offsets := make([]int64, len(fw.sections))
 	for i, s := range fw.sections {
 		offsets[i] = cursor
@@ -227,16 +218,12 @@ func (fw *FlatWriter) WriteTo(w io.Writer) (int64, error) {
 	hw.U32(fw.fourcc)
 	hw.U32(FlatVersion)
 	hw.U32(uint32(len(fw.sections)))
-	hw.U32(flags)
+	hw.U32(FlagChecksums)
 	hw.I64(metaOff)
 	hw.I64(int64(len(meta)))
 	for i, s := range fw.sections {
 		hw.U32(uint32(s.kind))
-		if fw.noChecksums {
-			hw.U32(0)
-		} else {
-			hw.U32(crc32.Checksum(s.data, castagnoli))
-		}
+		hw.U32(crc32.Checksum(s.data, castagnoli))
 		hw.I64(offsets[i])
 		hw.I64(int64(len(s.data)))
 	}
@@ -247,14 +234,10 @@ func (fw *FlatWriter) WriteTo(w io.Writer) (int64, error) {
 	bw := NewWriter(w)
 	bw.write(hbuf.b)
 	bw.write(meta)
-	written := metaOff + int64(len(meta))
-	if !fw.noChecksums {
-		crc := crc32.Update(crc32.Checksum(hbuf.b, castagnoli), castagnoli, meta)
-		var cb [4]byte
-		binary.LittleEndian.PutUint32(cb[:], crc)
-		bw.write(cb[:])
-		written += 4
-	}
+	var cb [4]byte
+	binary.LittleEndian.PutUint32(cb[:], crc32.Update(crc32.Checksum(hbuf.b, castagnoli), castagnoli, meta))
+	bw.write(cb[:])
+	written := metaOff + int64(len(meta)) + 4
 	var pad [flatAlign]byte
 	for i, s := range fw.sections {
 		bw.write(pad[:offsets[i]-written])
@@ -278,7 +261,6 @@ func align64(off int64) int64 {
 type FlatFile struct {
 	data     []byte
 	fourcc   uint32
-	flags    uint32
 	metaEnd  int64 // one past the meta blob: where the header CRC lives
 	meta     []byte
 	secs     []parsedSection
@@ -297,7 +279,7 @@ func (f *FlatFile) VerifyTime() time.Duration { return f.verifyT }
 
 type parsedSection struct {
 	kind SectionKind
-	crc  uint32 // stored CRC32C of data; meaningful only with FlagChecksums
+	crc  uint32 // stored CRC32C of data
 	off  int64  // payload offset in the container
 	data []byte
 }
@@ -310,8 +292,8 @@ func IsFlat(b []byte) bool {
 // ParseFlat parses a flat container held in data. When zeroCopy is true
 // (data is mmap'd or otherwise long-lived), section accessors cast in
 // place where alignment and host endianness allow; otherwise they copy.
-// The returned FlatFile keeps a reference to data either way. Checksummed
-// containers are verified before ParseFlat returns.
+// The returned FlatFile keeps a reference to data either way, and every
+// checksum is verified before ParseFlat returns.
 func ParseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 	f, err := parseFlat(data, zeroCopy)
 	if err != nil {
@@ -340,7 +322,9 @@ func parseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 			ErrVersion, v, FlatVersion)
 	}
 	count := int64(le.Uint32(data[16:]))
-	f.flags = le.Uint32(data[20:])
+	if flags := le.Uint32(data[20:]); flags != FlagChecksums {
+		return nil, fmt.Errorf("%w: flags word %#x, want %#x (checksums)", ErrCorrupt, flags, FlagChecksums)
+	}
 	size := int64(len(data))
 	if flatHeaderSize+count*flatEntrySize > size {
 		return nil, fmt.Errorf("%w: section table (%d sections) exceeds file size %d",
@@ -354,9 +338,8 @@ func parseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 	}
 	f.meta = data[metaOff : metaOff+metaLen]
 	f.metaEnd = metaOff + metaLen
-	if f.flags&FlagChecksums != 0 && f.metaEnd+4 > size {
-		return nil, fmt.Errorf("%w: checksummed container truncated before its header checksum",
-			ErrCorrupt)
+	if f.metaEnd+4 > size {
+		return nil, fmt.Errorf("%w: container truncated before its header checksum", ErrCorrupt)
 	}
 	f.secs = make([]parsedSection, count)
 	for i := range f.secs {
@@ -387,10 +370,11 @@ type OpenOption func(*openOptions)
 
 type openOptions struct{ skipVerify bool }
 
-// WithoutVerify skips checksum verification at open. A mapped open then
-// stays O(#sections) — no data page is touched — and corruption is caught
-// only by the O(1) structural checks (or by an explicit Verify call later:
-// spverify audits files this way).
+// WithoutVerify skips checksum verification at open: the caller trusts the
+// file. A mapped open then stays O(#sections) — no data page is touched —
+// and corruption is caught only by the O(1) structural checks; a query over
+// damaged bytes that pass them may answer wrongly or panic. Audit such
+// files first (an explicit Verify, or spverify).
 func WithoutVerify() OpenOption { return func(o *openOptions) { o.skipVerify = true } }
 
 // OpenFlat maps (or, where mmap is unavailable, reads) the file at path
@@ -443,18 +427,11 @@ func (f *FlatFile) Close() error {
 	return nil
 }
 
-// HasChecksums reports whether the container carries CRC32C checksums.
-// Files written before checksum support do not; Verify accepts them as a
-// no-op so legacy files keep loading, and spverify reports them as
-// unauditable rather than corrupt.
-func (f *FlatFile) HasChecksums() bool { return f.flags&FlagChecksums != 0 }
-
 // Verify checks every checksum in the container: the header/table/meta
 // CRC and each section's CRC32C. Nested containers need no separate pass —
 // their bytes live inside a parent section, so the parent's checksum
 // covers them. Verify is read-only and safe to call concurrently; on a
 // mapped file it faults every page once (one sequential sweep).
-// It returns nil for checksum-less containers.
 func (f *FlatFile) Verify() error {
 	if err := f.VerifyHeader(); err != nil {
 		return err
@@ -468,21 +445,14 @@ func (f *FlatFile) Verify() error {
 	return nil
 }
 
-// Verified reports whether the container carries checksums and a full
-// Verify pass has succeeded — i.e. the bytes are known-good, not merely
-// structurally plausible. It is false for checksum-less legacy files,
-// which cannot be audited, and true for a nil file: an object built in
-// this process has no disk bytes to distrust.
-func (f *FlatFile) Verified() bool {
-	return f == nil || f.HasChecksums() && f.verified.Load()
-}
+// Verified reports whether a full Verify pass has succeeded — i.e. the
+// bytes are known-good, not merely structurally plausible. It is true for a
+// nil file: an object built in this process has no disk bytes to distrust.
+func (f *FlatFile) Verified() bool { return f == nil || f.verified.Load() }
 
 // VerifyHeader checks the CRC covering the fixed header, the section
 // table and the meta blob.
 func (f *FlatFile) VerifyHeader() error {
-	if !f.HasChecksums() {
-		return nil
-	}
 	stored := binary.LittleEndian.Uint32(f.data[f.metaEnd:])
 	if got := crc32.Checksum(f.data[:f.metaEnd], castagnoli); got != stored {
 		return fmt.Errorf("%w: header/meta checksum mismatch (stored %08x, computed %08x)",
@@ -493,9 +463,6 @@ func (f *FlatFile) VerifyHeader() error {
 
 // VerifySection checks section i's payload against its stored CRC32C.
 func (f *FlatFile) VerifySection(i int) error {
-	if !f.HasChecksums() {
-		return nil
-	}
 	if i < 0 || i >= len(f.secs) {
 		return fmt.Errorf("%w: section %d out of range (file has %d)", ErrCorrupt, i, len(f.secs))
 	}
@@ -557,15 +524,10 @@ func (f *FlatFile) SectionRange(i int) (off, size int64) {
 // CoveredHeaderLen reports the length of the leading region protected by
 // the header/table/meta CRC — the fixed header, the section table, the
 // meta blob, and the stored CRC itself (whose corruption is equally
-// detectable). It is 0 for checksum-less containers. Together with the
-// SectionRange spans this enumerates every covered byte: only the
-// alignment padding between regions is uncovered (and meaningless).
-func (f *FlatFile) CoveredHeaderLen() int64 {
-	if !f.HasChecksums() {
-		return 0
-	}
-	return f.metaEnd + 4
-}
+// detectable). Together with the SectionRange spans this enumerates every
+// covered byte: only the alignment padding between regions is uncovered
+// (and meaningless).
+func (f *FlatFile) CoveredHeaderLen() int64 { return f.metaEnd + 4 }
 
 // Decode starts reading the container as the kind tagged fourcc whose meta
 // blob opens with magic, failing the returned Reader if it is another
@@ -580,6 +542,19 @@ func (f *FlatFile) Decode(fourcc uint32, magic string) *Reader {
 	}
 	r.Magic(magic)
 	return r
+}
+
+// Done ends a decode begun by Decode. It returns the first error met, or
+// ErrCorrupt when the container is not exactly the layout the loader read:
+// meta bytes left unread, or a section count other than sections. Every
+// loader calls it once, so a file loads only in the layout its Save writes
+// and nothing a newer writer adds is silently ignored.
+func (r *Reader) Done(sections int) error {
+	if r.err == nil && (r.remaining != 0 || len(r.f.secs) != sections) {
+		r.err = fmt.Errorf("%w: %d sections and %d unread meta bytes, want %d and 0",
+			ErrCorrupt, len(r.f.secs), r.remaining, sections)
+	}
+	return r.err
 }
 
 // sliceReader is a minimal in-memory io.Reader.

@@ -2,7 +2,6 @@ package binio
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,88 +10,16 @@ import (
 	"unsafe"
 )
 
-// buildLegacyFlat writes the same container as buildTestFlat but in the
-// pre-checksum layout (flags 0, zeroed pad slots, no trailing CRC).
-func buildLegacyFlat(t *testing.T) []byte {
-	t.Helper()
-	fw := NewFlatWriter(testFourcc)
-	fw.noChecksums = true
-	mw := fw.Meta()
-	mw.Magic("META")
-	mw.I64(12345)
-	mw.I32(-8)
-	fw.I32Section([]int32{1, -2, 3})
-	fw.U32Section([]uint32{10, 20, 30, 40})
-	fw.U8Section([]byte("payload"))
-	fw.I64Section([]int64{1 << 40, -5})
-	fw.I32Section(nil)
-	var buf bytes.Buffer
-	if _, err := fw.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestFlatChecksumRoundtrip(t *testing.T) {
 	data := buildTestFlat(t)
 	f, err := ParseFlat(data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.HasChecksums() {
-		t.Fatal("freshly written container should carry checksums")
-	}
 	if err := f.Verify(); err != nil {
 		t.Fatalf("Verify on pristine container: %v", err)
 	}
 	checkTestFlat(t, f)
-}
-
-func TestFlatLegacyNoChecksumsAccepted(t *testing.T) {
-	data := buildLegacyFlat(t)
-	if flags := binary.LittleEndian.Uint32(data[20:]); flags != 0 {
-		t.Fatalf("legacy layout flags = %#x, want 0", flags)
-	}
-	f, err := ParseFlat(data, false)
-	if err != nil {
-		t.Fatalf("legacy container rejected: %v", err)
-	}
-	if f.HasChecksums() {
-		t.Error("legacy container should report no checksums")
-	}
-	if err := f.Verify(); err != nil {
-		t.Errorf("Verify on checksum-less container should be a no-op, got %v", err)
-	}
-	checkTestFlat(t, f)
-}
-
-// TestFlatChecksumLayoutCompat pins the compatibility claim: a checksummed
-// container differs from the legacy layout only in the flags word, the pad
-// slots and the inserted trailing CRC — everything a pre-checksum reader
-// ignores.
-func TestFlatChecksumLayoutCompat(t *testing.T) {
-	now := buildTestFlat(t)
-	old := buildLegacyFlat(t)
-	fNow, err := ParseFlat(now, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fOld, err := ParseFlat(old, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fNow.NumSections() != fOld.NumSections() {
-		t.Fatalf("section counts diverge: %d vs %d", fNow.NumSections(), fOld.NumSections())
-	}
-	if !bytes.Equal(fNow.meta, fOld.meta) {
-		t.Error("meta blobs diverge between layouts")
-	}
-	for i := 0; i < fNow.NumSections(); i++ {
-		if fNow.secs[i].kind != fOld.secs[i].kind ||
-			!bytes.Equal(fNow.secs[i].data, fOld.secs[i].data) {
-			t.Errorf("section %d payload diverges between layouts", i)
-		}
-	}
 }
 
 // TestFlatChecksumDetectsEveryByteFlip flips every meaningful byte of the

@@ -3,6 +3,7 @@ package binio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,7 +190,7 @@ func TestFlatBadVersion(t *testing.T) {
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("version 9: err = %v", err)
 	}
-	if !strings.Contains(err.Error(), "9") || !strings.Contains(err.Error(), "2") {
+	if !strings.Contains(err.Error(), "9") || !strings.Contains(err.Error(), fmt.Sprint(FlatVersion)) {
 		t.Errorf("version error should name both versions: %v", err)
 	}
 }

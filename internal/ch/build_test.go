@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"roadnet/internal/binio"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
 	"roadnet/internal/pq"
@@ -235,41 +234,6 @@ func TestShortcutHalvesAreUpwardArcs(t *testing.T) {
 			t.Errorf("seed %d: %d shortcuts built, none in the CSR", seed, h.numShortcuts)
 		}
 	}
-}
-
-// TestLoadsFileWithUnpackSections loads a container laid out as Save wrote
-// it before the unpack table was dropped — the five sections of today plus
-// three trailing i32 ones — and requires the answers of the built index.
-func TestLoadsFileWithUnpackSections(t *testing.T) {
-	g := testutil.SmallRoad(900, 835)
-	h := testutil.Must(Build(g, Options{}))
-	fw := binio.NewFlatWriter(Fourcc)
-	mw := fw.Meta()
-	mw.Magic(chMagic)
-	mw.I64(int64(g.NumVertices()))
-	mw.I64(int64(g.NumEdges()))
-	mw.I64(int64(h.numShortcuts))
-	mw.I64(h.buildTime.Nanoseconds())
-	for _, s := range [][]int32{h.rank, h.firstUp, h.upHead, h.upWeight, h.upMiddle} {
-		fw.I32Section(s)
-	}
-	for i := 0; i < 3; i++ {
-		fw.I32Section(h.upHead) // as long as the old triples' arrays; contents unused
-	}
-	var buf bytes.Buffer
-	if _, err := fw.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	old, err := ReadHierarchy(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.SizeBytes() != h.SizeBytes() {
-		t.Errorf("loaded hierarchy is %d bytes, built one %d", old.SizeBytes(), h.SizeBytes())
-	}
-	s := old.NewSearcher()
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 137), s.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 139), s.OpenPath)
 }
 
 // refBuild is Build as it was before the preprocessing rewrite, kept verbatim

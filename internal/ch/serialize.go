@@ -54,9 +54,7 @@ func ReadHierarchy(r io.Reader, g *graph.Graph) (*Hierarchy, error) {
 }
 
 // HierarchyFromFlat builds a hierarchy over the sections of f. The
-// hierarchy aliases f's data; f must stay open for its lifetime. Sections
-// past the fifth are ignored: files from before the unpack table was dropped
-// carry three unused ones.
+// hierarchy aliases f's data; f must stay open for its lifetime.
 func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
 	d := f.Decode(Fourcc, chMagic)
 	n := d.I64()
@@ -69,7 +67,7 @@ func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
 	h.upHead = d.I32s(2)
 	h.upWeight = d.I32s(3)
 	h.upMiddle = d.I32s(4)
-	if err := d.Err(); err != nil {
+	if err := d.Done(5); err != nil {
 		return nil, fmt.Errorf("ch: %w", err)
 	}
 	if n != int64(g.NumVertices()) || m != int64(g.NumEdges()) {

@@ -30,11 +30,7 @@ type Layout struct {
 
 // Covered returns every covered range in file order.
 func (l Layout) Covered() []Range {
-	out := make([]Range, 0, 1+len(l.Sections))
-	if l.Header.Len > 0 {
-		out = append(out, l.Header)
-	}
-	return append(out, l.Sections...)
+	return append([]Range{l.Header}, l.Sections...)
 }
 
 // ReadLayout parses the file's structure without verifying payloads (the

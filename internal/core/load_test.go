@@ -81,7 +81,7 @@ func TestLoadIndexFileOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, size := f.SectionInfo(7); size == 0 {
+			if _, size := f.SectionInfo(5); size == 0 {
 				t.Errorf("%s: no exception targets on disk; the graph does not exercise the runs", tc.name)
 			}
 			f.Close()

@@ -20,9 +20,8 @@ type LoadInfo struct {
 	SizeBytes int64
 	// LoadTime is the wall-clock time from open to a queryable index.
 	LoadTime time.Duration
-	// Verified reports that the file carries checksums and every one was
-	// verified during the load — the index bytes are known-good. False for
-	// pre-checksum files (which cannot be audited) and for loads that
+	// Verified reports that every checksum in the file was verified during
+	// the load — the index bytes are known-good. False for loads that
 	// passed binio.WithoutVerify.
 	Verified bool
 	// VerifyTime is how much of LoadTime the checksum sweep took (zero

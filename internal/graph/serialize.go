@@ -77,7 +77,7 @@ func GraphFromFlat(f *binio.FlatFile) (*Graph, error) {
 	g.weight = d.I32s(2)
 	g.edgeID = d.I32s(3)
 	g.coords = binio.CastStructs[geom.Point](d.I32s(4))
-	if err := d.Err(); err != nil {
+	if err := d.Done(5); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 

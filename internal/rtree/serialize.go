@@ -92,7 +92,7 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 	kidsRaw := d.I32s(3)
 	entOff := d.I64s(4)
 	ents := binio.CastStructs[Entry](d.I32s(5))
-	if err := d.Err(); err != nil {
+	if err := d.Done(6); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
 

@@ -16,20 +16,20 @@ import (
 // table in the commit that argues why.
 func TestGoldenDigests(t *testing.T) {
 	testutil.GoldenDigests(t, map[string]uint64{
-		"DE":      0x4cb85f54300bd9b6,
-		"NH":      0xcd132793621415fa,
-		"messy1":  0xea6a0f4f334bda64,
-		"messy2":  0x273c453705281624,
-		"messy3":  0xc4ebebc2345f0724,
-		"messy4":  0xa28978a6dd9c7dec,
-		"messy5":  0x4497aed17cf7521d,
-		"messy6":  0x141f2f02b8cbc872,
-		"messy7":  0x3b1eee64671a0b85,
-		"messy8":  0x69eebc01eaefc647,
-		"messy9":  0x50216e77a425180e,
-		"messy10": 0x3158e1ee6a35b0f3,
-		"messy11": 0x8515f883e568889f,
-		"messy12": 0x57754ee25e568957,
+		"DE":      0xf97a08a912a31659,
+		"NH":      0xd18c6e5db4f91136,
+		"messy1":  0x60f2cb25a46d5573,
+		"messy2":  0x46cfe20285f105b4,
+		"messy3":  0x93e991d76175e764,
+		"messy4":  0x0d5ecd898d6e8ca0,
+		"messy5":  0xd63b3edb87b3ce23,
+		"messy6":  0xe7926e8a223454d9,
+		"messy7":  0xadd92866af91060f,
+		"messy8":  0xe12ea96213daf8ab,
+		"messy9":  0xac516fc64dc030bd,
+		"messy10": 0x368c7c7915e9583e,
+		"messy11": 0x1ca1c6ca1b78f8c0,
+		"messy12": 0x82d1fabf58443bae,
 	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
 		ix, err := Build(g, Options{Workers: workers, Hierarchy: testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit}))})
 		if err != nil {

@@ -18,12 +18,6 @@ import (
 // O(n sqrt n) bulk of the index — are stored as shared offsets plus
 // concatenated starts/colors sections a loader can mmap and view in place,
 // and the exception runs are written as the index holds them.
-//
-// One meta byte and sections 3 and 5 are reserved: they carried per-interval
-// distance bounds and a Morton vertex order for a k-NN path since removed.
-// Save writes the byte 0 and the sections empty, as it always did for an
-// index without them; IndexFromFlat reads past all three, so a file written
-// with them still loads.
 
 const silcMagic = "ROADNET-SILC\n"
 
@@ -41,16 +35,13 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.U8(uint8(ix.norm.Bits()))
 	mw.I64(ix.buildTime.Nanoseconds())
 	mw.I64(ix.intervals)
-	mw.U8(0) // reserved
 
 	rowOff, startsData := binio.Flatten(ix.starts)
 	_, colorsData := binio.Flatten(ix.colors)
 	fw.I64Section(rowOff)
 	fw.U32Section(startsData)
 	fw.U8Section(colorsData)
-	fw.I32Section(nil) // reserved
 	fw.U32Section(ix.code)
-	fw.I32Section(nil) // reserved
 	fw.I64Section(ix.excOff)
 	fw.I32Section(ix.excTarget)
 	fw.U8Section(ix.excColor)
@@ -76,14 +67,13 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	ix := &Index{g: g}
 	ix.buildTime = time.Duration(d.I64())
 	ix.intervals = d.I64()
-	d.U8() // reserved
 	rowOff, startsData, colorsData := d.I64s(0), d.U32s(1), d.U8s(2)
-	ix.code = d.U32s(4)
-	ix.excOff = d.I64s(6)
-	ix.excTarget = d.I32s(7)
-	ix.excColor = d.U8s(8)
+	ix.code = d.U32s(3)
+	ix.excOff = d.I64s(4)
+	ix.excTarget = d.I32s(5)
+	ix.excColor = d.U8s(6)
 	fail := func(err error) (*Index, error) { return nil, fmt.Errorf("silc: %w", err) }
-	err := d.Err()
+	err := d.Done(7)
 	if err != nil {
 		return fail(err)
 	}

@@ -3,7 +3,6 @@ package silc_test
 import (
 	"bytes"
 	"errors"
-	"os"
 	"testing"
 
 	"roadnet/internal/binio"
@@ -86,24 +85,4 @@ func TestSILCVersionErrors(t *testing.T) {
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}
-}
-
-// TestLoadsNearestEraFile holds the compatibility claim of the reserved
-// sections from a committed file: testdata/figure1_nearest.idx was written
-// by the last build that had a nearest-neighbor option (PR 27, on
-// testutil.Figure1 with the option set, build time zeroed), with the flag
-// byte 1 and sections 3 and 5 filled. It must still load, checksums verified, and answer exactly.
-func TestLoadsNearestEraFile(t *testing.T) {
-	f, err := os.Open("testdata/figure1_nearest.idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	g := testutil.Figure1()
-	ix, err := silc.ReadIndex(f, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.NewSearcher().OpenPath)
 }

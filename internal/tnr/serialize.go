@@ -133,10 +133,15 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if ix.coarse, err = layerFromFlat(d, g, opts.GridSize, 1); err != nil {
 		return nil, err
 	}
+	sections := 11
 	if opts.Hybrid {
 		if ix.fine, err = layerFromFlat(d, g, opts.GridSize*2, 11); err != nil {
 			return nil, err
 		}
+		sections = 21
+	}
+	if err := d.Done(sections); err != nil {
+		return nil, fmt.Errorf("tnr: %w", err)
 	}
 	return ix, nil
 }

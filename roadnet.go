@@ -278,12 +278,18 @@ type LoadInfo = core.LoadInfo
 const MmapSupported = binio.MmapSupported
 
 // ErrCorrupt is wrapped by every load error caused by bytes that do not
-// hold up — failed structural validation or a checksum mismatch. Callers
+// hold up — failed structural validation, a layout other than the one this
+// build writes, or a checksum mismatch. Callers
 // test it with errors.Is to distinguish corruption (rebuild or fall back)
 // from environmental failures (missing file, permissions). spserve's
 // degraded mode keys off it: a corrupt index file falls back to exact
 // Dijkstra answers instead of refusing to boot.
 var ErrCorrupt = binio.ErrCorrupt
+
+// ErrVersion is wrapped by the load error for a file of another container
+// version: a cache written by another build, to be rebuilt from its source
+// (spserve does so at boot).
+var ErrVersion = binio.ErrVersion
 
 // OpenOption tunes how index, graph and R-tree files are opened —
 // currently whether their checksums are verified during the load.
@@ -293,8 +299,9 @@ type OpenOption = binio.OpenOption
 // package otherwise runs (a flipped byte on disk fails the load with a
 // corruption error instead of producing silently wrong paths). Mapped
 // loads then stay O(#sections) — no page of a multi-GB index is touched
-// until a query needs it — at the cost of trusting the bytes. Corruption
-// can still be audited later with the spverify tool.
+// until a query needs it — at the cost of trusting the bytes: a query over
+// damaged bytes may answer wrongly or panic. Audit such files with the
+// spverify tool before serving from them.
 func WithoutVerify() OpenOption { return binio.WithoutVerify() }
 
 // LoadIndexFile loads an index from a file written by SaveIndex. The file
