@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"roadnet"
+	"roadnet/internal/binio"
 	"roadnet/internal/chaos"
 )
 
@@ -299,8 +300,8 @@ func TestSpserveRebuildsStaleCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := data[12]; v != 3 {
-			t.Errorf("%s was left at version %d, want it rewritten at 3", name, v)
+		if v := data[12]; v != binio.FlatVersion {
+			t.Errorf("%s was left at version %d, want it rewritten at %d", name, v, binio.FlatVersion)
 		}
 	}
 	if strings.Count(out, "saved ") != len(names) {

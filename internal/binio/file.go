@@ -21,7 +21,7 @@ func Read[T any](r io.Reader, build func(*FlatFile) (T, error)) (T, error) {
 	if err != nil {
 		return zero, err
 	}
-	f, err := ParseFlat(data, true)
+	f, err := ParseFlat(data)
 	if err != nil {
 		return zero, err
 	}

@@ -55,7 +55,7 @@ const FlatMagic = "RNFLAT2\n"
 // reader accepts exactly the layout it writes: any other version is
 // ErrVersion, and each kind's loader refuses a section count or meta length
 // other than its Save's (Reader.Done).
-const FlatVersion = 3
+const FlatVersion = 4
 
 // flatAlign is the section alignment; 64 bytes keeps every section start
 // on a cache-line (and, via mmap's page alignment, word-aligned for casts).
@@ -254,17 +254,16 @@ func align64(off int64) int64 {
 	return (off + flatAlign - 1) &^ (flatAlign - 1)
 }
 
-// FlatFile is a parsed flat container. When backed by an mmap'd (or
-// otherwise aligned little-endian) buffer, section accessors cast in place
-// and the returned slices alias the buffer: they are valid only until
-// Close and must be treated as immutable.
+// FlatFile is a parsed flat container. On a little-endian host, section
+// accessors cast a word-aligned section in place and the returned slices
+// alias the buffer: they are valid only until Close and must be treated as
+// immutable.
 type FlatFile struct {
 	data     []byte
 	fourcc   uint32
 	metaEnd  int64 // one past the meta blob: where the header CRC lives
 	meta     []byte
 	secs     []parsedSection
-	zeroCopy bool          // sections may alias data
 	closed   atomic.Bool   // makes Close idempotent, even under races
 	verified atomic.Bool   // a full Verify pass has succeeded
 	unmap    func() error  // non-nil when Close must release an mmap
@@ -289,13 +288,12 @@ func IsFlat(b []byte) bool {
 	return len(b) >= len(FlatMagic) && string(b[:len(FlatMagic)]) == FlatMagic
 }
 
-// ParseFlat parses a flat container held in data. When zeroCopy is true
-// (data is mmap'd or otherwise long-lived), section accessors cast in
-// place where alignment and host endianness allow; otherwise they copy.
-// The returned FlatFile keeps a reference to data either way, and every
-// checksum is verified before ParseFlat returns.
-func ParseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
-	f, err := parseFlat(data, zeroCopy)
+// ParseFlat parses a flat container held in data. Section accessors cast
+// in place where alignment and host endianness allow and copy otherwise, so
+// the returned FlatFile keeps data, which must not be modified afterwards.
+// Every checksum is verified before ParseFlat returns.
+func ParseFlat(data []byte) (*FlatFile, error) {
+	f, err := parseFlat(data)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +305,7 @@ func ParseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 
 // parseFlat parses the header and section table without touching (or
 // verifying) the section payloads.
-func parseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
+func parseFlat(data []byte) (*FlatFile, error) {
 	if !IsFlat(data) {
 		return nil, ErrNotFlat
 	}
@@ -315,7 +313,7 @@ func parseFlat(data []byte, zeroCopy bool) (*FlatFile, error) {
 		return nil, fmt.Errorf("%w: flat header truncated at %d bytes", ErrCorrupt, len(data))
 	}
 	le := binary.LittleEndian
-	f := &FlatFile{data: data, zeroCopy: zeroCopy && hostLittleEndian}
+	f := &FlatFile{data: data}
 	f.fourcc = le.Uint32(data[8:])
 	if v := le.Uint32(data[12:]); v != FlatVersion {
 		return nil, fmt.Errorf("%w: file is version %d, this reader supports version %d",
@@ -393,7 +391,7 @@ func OpenFlat(path string, preferMmap bool, opts ...OpenOption) (*FlatFile, erro
 	if err != nil {
 		return nil, err
 	}
-	f, err := parseFlat(data, true)
+	f, err := parseFlat(data)
 	if err == nil && !o.skipVerify {
 		start := time.Now()
 		err = f.Verify()
@@ -593,29 +591,29 @@ func (r *Reader) section(i int, kind SectionKind) []byte {
 func (r *Reader) U8s(i int) []uint8 { return r.section(i, SectionU8) }
 
 // I32s returns section i as an []int32, casting in place when possible.
-func (r *Reader) I32s(i int) []int32 { return castI32(r.section(i, SectionI32), r.f.zeroCopy) }
+func (r *Reader) I32s(i int) []int32 { return castI32(r.section(i, SectionI32)) }
 
 // U32s returns section i as a []uint32, casting in place when possible.
 func (r *Reader) U32s(i int) []uint32 {
-	return i32AsU32(castI32(r.section(i, SectionU32), r.f.zeroCopy))
+	return i32AsU32(castI32(r.section(i, SectionU32)))
 }
 
 // I64s returns section i as an []int64, casting in place when possible.
-func (r *Reader) I64s(i int) []int64 { return castI64(r.section(i, SectionI64), r.f.zeroCopy) }
+func (r *Reader) I64s(i int) []int64 { return castI64(r.section(i, SectionI64)) }
 
 // Nested parses U8 section i as an embedded flat container. The nested
-// file shares the parent's backing (do not Close the parent first) and
-// inherits its zero-copy mode; closing the nested file is a no-op. The
-// nested container is not verified here: its bytes are the parent
-// section's payload, so the parent's checksum already covers them and a
-// second CRC pass would fault the nested pages at load time for nothing.
+// file shares the parent's backing (do not Close the parent first); closing
+// the nested file is a no-op. The nested container is not verified here:
+// its bytes are the parent section's payload, so the parent's checksum
+// already covers them and a second CRC pass would fault the nested pages at
+// load time for nothing.
 func (r *Reader) Nested(i int) *FlatFile {
 	b := r.section(i, SectionU8)
 	if r.err != nil {
 		return nil
 	}
 	var f *FlatFile
-	f, r.err = parseFlat(b, r.f.zeroCopy)
+	f, r.err = parseFlat(b)
 	return f
 }
 
@@ -667,14 +665,14 @@ func i32AsU32(s []int32) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(&s[0])), len(s))
 }
 
-// castI32 views b as little-endian int32s: in place when allowed, aligned
-// and on a little-endian host; otherwise via a decoding copy.
-func castI32(b []byte, zeroCopy bool) []int32 {
+// castI32 views b as little-endian int32s: in place when aligned and on a
+// little-endian host; otherwise via a decoding copy.
+func castI32(b []byte) []int32 {
 	n := len(b) / 4
 	if n == 0 {
 		return nil
 	}
-	if zeroCopy && hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(int32(0)) == 0 {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(int32(0)) == 0 {
 		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
 	}
 	s := make([]int32, n)
@@ -684,12 +682,12 @@ func castI32(b []byte, zeroCopy bool) []int32 {
 	return s
 }
 
-func castI64(b []byte, zeroCopy bool) []int64 {
+func castI64(b []byte) []int64 {
 	n := len(b) / 8
 	if n == 0 {
 		return nil
 	}
-	if zeroCopy && hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(int64(0)) == 0 {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(int64(0)) == 0 {
 		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
 	}
 	s := make([]int64, n)

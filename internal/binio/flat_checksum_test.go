@@ -11,8 +11,7 @@ import (
 )
 
 func TestFlatChecksumRoundtrip(t *testing.T) {
-	data := buildTestFlat(t)
-	f, err := ParseFlat(data, false)
+	f, err := ParseFlat(unaligned(buildTestFlat(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +27,7 @@ func TestFlatChecksumRoundtrip(t *testing.T) {
 // each mutation with a typed error.
 func TestFlatChecksumDetectsEveryByteFlip(t *testing.T) {
 	pristine := buildTestFlat(t)
-	f, err := parseFlat(pristine, false)
+	f, err := parseFlat(pristine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestFlatChecksumDetectsEveryByteFlip(t *testing.T) {
 		}
 		mut := bytes.Clone(pristine)
 		mut[i] ^= 0x40
-		ff, err := ParseFlat(mut, false)
+		ff, err := ParseFlat(mut)
 		if err == nil {
 			t.Fatalf("byte flip at offset %d went undetected", i)
 		}
@@ -73,17 +72,17 @@ func uintptrOf(b []byte) uintptr {
 
 func TestFlatChecksummedTruncation(t *testing.T) {
 	data := buildTestFlat(t)
-	f, err := parseFlat(data, false)
+	f, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cut the file off right before the trailing header CRC: the structural
 	// parse must already refuse it.
-	if _, err := ParseFlat(data[:f.metaEnd+3], false); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseFlat(data[:f.metaEnd+3]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncation before header CRC: err = %v, want ErrCorrupt", err)
 	}
 	// Cut mid-section: the table bounds check refuses it.
-	if _, err := ParseFlat(data[:len(data)-1], false); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseFlat(data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncation mid-section: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -108,7 +107,7 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 	}
 	data := obuf.Bytes()
 
-	f, err := ParseFlat(data, false)
+	f, err := ParseFlat(unaligned(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +122,14 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 	}
 
 	// Corrupt a byte inside the nested container's payload region.
-	raw, err := parseFlat(data, false)
+	raw, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sectionStart := int(uintptrOf(raw.secs[0].data) - uintptrOf(data))
 	mut := bytes.Clone(data)
 	mut[sectionStart+len(raw.secs[0].data)-1] ^= 0x01
-	if _, err := ParseFlat(mut, false); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseFlat(mut); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("nested corruption: parent parse err = %v, want ErrCorrupt", err)
 	}
 }
@@ -139,7 +138,7 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 // mapped, unless WithoutVerify — and then an explicit Verify still can.
 func TestOpenFlatVerifyPolicy(t *testing.T) {
 	data := buildTestFlat(t)
-	f, err := parseFlat(data, false)
+	f, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestFlatCloseIdempotent(t *testing.T) {
 // the release (the injected unmap counts invocations). Run under -race.
 func TestFlatCloseConcurrent(t *testing.T) {
 	data := buildTestFlat(t)
-	f, err := parseFlat(data, false)
+	f, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestFlatCloseConcurrent(t *testing.T) {
 // error surfaces from the first Close only.
 func TestFlatCloseErrorPropagates(t *testing.T) {
 	data := buildTestFlat(t)
-	f, err := parseFlat(data, false)
+	f, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,20 @@ func checkTestFlat(t *testing.T, f *FlatFile) {
 	}
 }
 
+// unaligned returns a copy of data that starts one byte past an aligned
+// address, so no section is word-aligned and every accessor decodes a copy.
+func unaligned(data []byte) []byte {
+	buf := make([]byte, len(data)+1)
+	copy(buf[1:], data)
+	return buf[1:]
+}
+
 func TestFlatRoundtrip(t *testing.T) {
 	data := buildTestFlat(t)
-	for _, zeroCopy := range []bool{false, true} {
-		f, err := ParseFlat(data, zeroCopy)
+	for name, buf := range map[string][]byte{"aligned": data, "unaligned": unaligned(data)} {
+		f, err := ParseFlat(buf)
 		if err != nil {
-			t.Fatalf("zeroCopy=%v: %v", zeroCopy, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		checkTestFlat(t, f)
 	}
@@ -84,7 +92,7 @@ func TestFlatRoundtrip(t *testing.T) {
 
 func TestFlatAlignment(t *testing.T) {
 	data := buildTestFlat(t)
-	f, err := ParseFlat(data, true)
+	f, err := ParseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,7 @@ func TestFlatZeroCopyAliases(t *testing.T) {
 		t.Skip("zero-copy casts require a little-endian host")
 	}
 	data := buildTestFlat(t)
-	f, err := ParseFlat(data, true)
+	f, err := ParseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +129,17 @@ func TestFlatZeroCopyAliases(t *testing.T) {
 	// place, so the int32 view aliases the raw bytes.
 	if uintptr(unsafePointerOf(raw))%4 == 0 && unsafePointerOf(s32byte(s32)) != unsafePointerOf(raw) {
 		t.Error("aligned zero-copy access returned a copy")
+	}
+	// An unaligned section start takes the decoding copy instead.
+	f, err = ParseFlat(unaligned(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = f.section(0, SectionI32); err != nil {
+		t.Fatal(err)
+	}
+	if s32 = f.Decode(testFourcc, "META").I32s(0); unsafePointerOf(s32byte(s32)) == unsafePointerOf(raw) {
+		t.Error("unaligned access aliased the raw bytes")
 	}
 }
 
@@ -139,7 +158,7 @@ func s32byte(s []int32) []byte {
 }
 
 func TestFlatSectionKindMismatch(t *testing.T) {
-	f, err := ParseFlat(buildTestFlat(t), false)
+	f, err := ParseFlat(unaligned(buildTestFlat(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +179,7 @@ func TestFlatSectionKindMismatch(t *testing.T) {
 // TestDecodeWrongKind: a container of another fourcc, or whose meta blob
 // opens with another magic, fails the Reader before anything is read.
 func TestDecodeWrongKind(t *testing.T) {
-	f, err := ParseFlat(buildTestFlat(t), false)
+	f, err := ParseFlat(unaligned(buildTestFlat(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +197,7 @@ func TestDecodeWrongKind(t *testing.T) {
 func TestFlatBadMagic(t *testing.T) {
 	data := buildTestFlat(t)
 	data[0] ^= 0xff
-	if _, err := ParseFlat(data, false); !errors.Is(err, ErrNotFlat) {
+	if _, err := ParseFlat(data); !errors.Is(err, ErrNotFlat) {
 		t.Errorf("bad magic: err = %v", err)
 	}
 }
@@ -186,7 +205,7 @@ func TestFlatBadMagic(t *testing.T) {
 func TestFlatBadVersion(t *testing.T) {
 	data := buildTestFlat(t)
 	data[12] = 9 // container version field
-	_, err := ParseFlat(data, false)
+	_, err := ParseFlat(data)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("version 9: err = %v", err)
 	}
@@ -201,7 +220,7 @@ func TestFlatTruncations(t *testing.T) {
 	// never panic or silently succeed with the final byte removed.
 	for _, cut := range []int{0, 4, len(FlatMagic), flatHeaderSize - 1, flatHeaderSize + 3,
 		len(data) / 2, len(data) - 1} {
-		f, err := ParseFlat(data[:cut], false)
+		f, err := ParseFlat(unaligned(data[:cut]))
 		if err != nil {
 			continue // rejected at parse time: good
 		}
@@ -231,7 +250,7 @@ func TestFlatHostileSectionTable(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		mut[flatHeaderSize+i] = 0xff
 	}
-	if _, err := ParseFlat(mut, false); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseFlat(mut); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("hostile offset: err = %v", err)
 	}
 	// Meta length far beyond the file.
@@ -239,7 +258,7 @@ func TestFlatHostileSectionTable(t *testing.T) {
 	for i := 32; i < 40; i++ {
 		mut[i] = 0x7f
 	}
-	if _, err := ParseFlat(mut, false); !errors.Is(err, ErrCorrupt) {
+	if _, err := ParseFlat(mut); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("hostile meta length: err = %v", err)
 	}
 }
@@ -253,7 +272,7 @@ func TestFlatNested(t *testing.T) {
 	if _, err := fw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	outer, err := ParseFlat(buf.Bytes(), true)
+	outer, err := ParseFlat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,9 @@ type Index interface {
 // it returns) poll ctx at bounded intervals (every cancel.Interval settled
 // vertices, path hops, or recursion steps — whichever unit the technique's
 // query loop advances in) and abort with ctx's error. Every technique
-// polls, including the bidirectional-Dijkstra fallback inside TNR, so a
-// cancelled request stops burning CPU within a bounded number of steps no
-// matter which index serves it. A query issued on an already-cancelled
+// polls, including the CH fallback inside TNR, so a cancelled request stops
+// burning CPU within a bounded number of steps no matter which index serves
+// it. A query issued on an already-cancelled
 // context aborts before doing any work, and an aborted Searcher remains
 // valid for reuse.
 type Searcher interface {

@@ -23,10 +23,10 @@ import (
 // three index kinds it also holds the graph check: bytes that load on one
 // graph are refused on a graph of another size, as built for a different
 // graph. The seeds are the saved form of all five kinds (TNR hybrid), the
-// CH file with a planted firstUp defect and each history form
-// TestHistoryRefused refuses, each also cut short. What a query does over
-// unverified bytes is not in scope here: such a file is trusted
-// (docs/FORMAT.md).
+// CH file with a planted firstUp defect, the R-tree file with a leaf wider
+// than the node capacity and each history form TestHistoryRefused refuses,
+// each also cut short. What a query does over unverified bytes is not in
+// scope here: such a file is trusted (docs/FORMAT.md).
 func FuzzLoad(f *testing.F) {
 	g, kinds := savedKinds(f)
 	other := testutil.SmallRoad(40, 933)
@@ -34,8 +34,11 @@ func FuzzLoad(f *testing.F) {
 	var files [][]byte
 	for _, sk := range kinds {
 		files = append(files, sk.data)
-		if sk.name == string(core.MethodCH) {
+		switch sk.name {
+		case string(core.MethodCH):
 			files = append(files, plantedFirstUp(f, sk.data))
+		case "rtree":
+			files = append(files, widenedLeaf(f, sk.data))
 		}
 	}
 	for _, h := range historyForms(f, kinds) {

@@ -14,6 +14,7 @@ import (
 	"roadnet/internal/binio"
 	"roadnet/internal/core"
 	"roadnet/internal/graph"
+	"roadnet/internal/rtree"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 )
@@ -80,7 +81,7 @@ type section struct {
 // edit applied to its meta blob and section list. The result carries valid
 // checksums: it differs from what Save wrote only in its layout.
 func relayout(t testing.TB, data []byte, edit func(meta []byte, secs []section) ([]byte, []section)) []byte {
-	f, err := binio.ParseFlat(data, false)
+	f, err := binio.ParseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +137,18 @@ type historyForm struct {
 	want error
 }
 
-// historyForms derives each refused history form from the current saves.
+// historyForms derives each refused history form from the current saves,
+// and reads each kind's version-3 save of the same network from
+// testdata/version3: the last layout before TNR's fallback byte and the
+// R-tree's node capacity left the meta blobs.
 func historyForms(t testing.TB, kinds []savedKind) []historyForm {
 	var forms []historyForm
 	for k, sk := range kinds {
+		v3, err := os.ReadFile(filepath.Join("testdata", "version3", sk.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms = append(forms, historyForm{sk.name + "/version-3", k, v3, roadnet.ErrVersion})
 		v2 := bytes.Clone(sk.data)
 		v2[12] = 2 // the container version, a u32 at offset 12
 		bare := bytes.Clone(sk.data)
@@ -209,7 +218,7 @@ func TestHistoryRefused(t *testing.T) {
 // section 1, raised by one: a structural defect under valid-looking bytes
 // that only the section's checksum and the constructor's check can see.
 func plantedFirstUp(t testing.TB, chFile []byte) []byte {
-	f, err := binio.ParseFlat(chFile, false)
+	f, err := binio.ParseFlat(chFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +226,23 @@ func plantedFirstUp(t testing.TB, chFile []byte) []byte {
 	out := bytes.Clone(chFile)
 	last := out[off+size-4:]
 	binary.LittleEndian.PutUint32(last, binary.LittleEndian.Uint32(last)+1)
+	return out
+}
+
+// widenedLeaf returns the saved R-tree file with its first leaf holding one
+// entry more than the node capacity of 16, taken from the second leaf: the
+// offsets stay in range and the checksums valid, so only the loader's width
+// check refuses it.
+func widenedLeaf(t testing.TB, rtreeFile []byte) []byte {
+	out := relayout(t, rtreeFile, func(meta []byte, secs []section) ([]byte, []section) {
+		entOff := bytes.Clone(secs[4].data)
+		binary.LittleEndian.PutUint64(entOff[8:], binary.LittleEndian.Uint64(entOff[8:])+1)
+		secs[4].data = entOff
+		return meta, secs
+	})
+	if _, err := rtree.ReadTree(bytes.NewReader(out)); !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "holds 0 children and 17 entries") {
+		t.Fatalf("widened leaf: err = %v, want the width check's ErrCorrupt", err)
+	}
 	return out
 }
 

@@ -49,25 +49,22 @@ func (tc streamConfig) build(g *graph.Graph) (core.Index, error) {
 }
 
 // streamConfigs lists every index configuration with a distinct path
-// pipeline: the seven methods, the TNR variant that exercises the Dijkstra
-// fallback tail, and a CH index behind the fault injector.
+// pipeline: the seven methods and a CH index behind the fault injector.
 func streamConfigs() map[string]streamConfig {
 	return map[string]streamConfig{
-		"ch-flaky":     {method: core.MethodCH, flaky: true},
-		"dijkstra":     {method: core.MethodDijkstra},
-		"ch":           {method: core.MethodCH},
-		"tnr":          {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8}}},
-		"tnr-dijkstra": {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8, Fallback: tnr.FallbackDijkstra}}},
-		"silc":         {method: core.MethodSILC},
-		"pcpd":         {method: core.MethodPCPD},
-		"alt":          {method: core.MethodALT},
-		"arcflags":     {method: core.MethodArcFlags},
+		"ch-flaky": {method: core.MethodCH, flaky: true},
+		"dijkstra": {method: core.MethodDijkstra},
+		"ch":       {method: core.MethodCH},
+		"tnr":      {method: core.MethodTNR, cfg: core.Config{TNR: tnr.Options{GridSize: 8}}},
+		"silc":     {method: core.MethodSILC},
+		"pcpd":     {method: core.MethodPCPD},
+		"alt":      {method: core.MethodALT},
+		"arcflags": {method: core.MethodArcFlags},
 	}
 }
 
 // TestOpenPathBitIdenticalToShortestPath is the streaming oracle: for every
-// technique (and every TNR variant with a distinct pipeline), draining a
-// fresh searcher's iterator must reproduce the Index.ShortestPath answer
+// technique, draining a fresh searcher's iterator must reproduce the Index.ShortestPath answer
 // vertex for vertex, including the trivial from == to path.
 func TestOpenPathBitIdenticalToShortestPath(t *testing.T) {
 	g := testutil.SmallRoad(400, 601)

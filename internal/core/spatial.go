@@ -52,7 +52,7 @@ func NewSpatialLocator(g *graph.Graph) *SpatialLocator {
 	for v, p := range coords {
 		ents[v] = rtree.Entry{P: p, ID: int32(v)}
 	}
-	return newSpatialLocator(g, rtree.BulkLoad(ents, rtree.Options{}))
+	return newSpatialLocator(g, rtree.BulkLoad(ents))
 }
 
 // NewSpatialLocatorFromTree wraps a prebuilt (typically mmap-loaded)

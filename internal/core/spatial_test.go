@@ -267,7 +267,7 @@ func TestSpatialLocatorFromTree(t *testing.T) {
 	if got, want := loc.NearestVertex(geom.Point{X: 5, Y: 5}), base.NearestVertex(geom.Point{X: 5, Y: 5}); got != want {
 		t.Fatalf("FromTree NearestVertex = %d, want %d", got, want)
 	}
-	small := rtree.BulkLoad([]rtree.Entry{{ID: 0}}, rtree.Options{})
+	small := rtree.BulkLoad([]rtree.Entry{{ID: 0}})
 	if _, err := core.NewSpatialLocatorFromTree(g, small); err == nil {
 		t.Error("mismatched tree accepted")
 	}

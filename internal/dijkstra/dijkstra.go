@@ -90,8 +90,6 @@ type Options struct {
 	// MaxDist, when positive, stops the search once the minimum queue key
 	// exceeds MaxDist; vertices beyond it are left unreached.
 	MaxDist int64
-	// MaxSettled, when positive, stops after settling that many vertices.
-	MaxSettled int
 	// SettleTies, combined with Targets, keeps settling until the queue
 	// minimum exceeds the distance of the last settled target, so that
 	// every vertex at least as close as the farthest target is settled.
@@ -149,9 +147,6 @@ func (c *Context) RunContext(ctx context.Context, sources []graph.VertexID, opt 
 				}
 				tieBound = d
 			}
-		}
-		if opt.MaxSettled > 0 && len(c.settled) >= opt.MaxSettled {
-			return len(c.settled), nil
 		}
 		lo, hi := c.g.ArcsOf(v)
 		for a := lo; a < hi; a++ {

@@ -106,10 +106,6 @@ func TestDijkstraEarlyTermination(t *testing.T) {
 func TestDijkstraMaxDistAndMaxSettled(t *testing.T) {
 	g := testutil.SmallRoad(900, 6)
 	ctx := dijkstra.NewContext(g)
-	ctx.Run([]graph.VertexID{0}, dijkstra.Options{MaxSettled: 10})
-	if n := len(ctx.Settled()); n != 10 {
-		t.Errorf("MaxSettled: settled %d, want 10", n)
-	}
 	ctx.Run([]graph.VertexID{0}, dijkstra.Options{MaxDist: 1})
 	for _, v := range ctx.Settled() {
 		if ctx.Dist(v) > 1 {

@@ -33,7 +33,7 @@ type refDecomposer struct {
 // refBuild returns the reference index of g.
 func refBuild(g *graph.Graph) *Index {
 	n := g.NumVertices()
-	ix := newIndex(g, 16)
+	ix := newIndex(g)
 	d := &refDecomposer{
 		shared:    &shared{ix: ix, n: n, hop: buildFirstHops(testutil.Must(ch.Build(g, ch.Options{})), 1), order: mortonOrder(ix.code)},
 		vertStamp: make([]uint32, n),

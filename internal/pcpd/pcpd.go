@@ -44,7 +44,7 @@
 // run on Options.Workers goroutines, and the tree does not depend on their
 // scheduling. The matrix and the labels are released before Build returns,
 // so peak build memory is still 5n² B plus the tree (SizeBytes) — 29 MB +
-// 60 MB at n = 2400, 2 GB at the default MaxN.
+// 60 MB at n = 2400, 2 GB at maxN.
 //
 // # Queries
 //
@@ -75,16 +75,21 @@ const noHop = ch.NoHop
 // fails the membership check from either side.
 const noLabel = math.MaxUint16
 
+// maxN guards against graphs whose first-hop matrix and path labels (5 B
+// per vertex pair) would not fit in memory; the paper could not run PCPD
+// beyond its four smallest datasets either. The uint16 path labels need
+// n <= noLabel, which maxN implies: the declaration below does not compile
+// otherwise.
+const maxN = 20000
+
+const _ uint = noLabel - maxN
+
+// quadBits is the quadtree resolution per axis, the finest a Morton code
+// of 32 bits holds.
+const quadBits = 16
+
 // Options configures Build.
 type Options struct {
-	// Bits is the quadtree resolution per axis (default and maximum 16).
-	Bits uint
-	// MaxN guards against accidental use on graphs whose first-hop matrix
-	// and path labels (5 B per vertex pair) would not fit in memory
-	// (default 20000 vertices; the paper could not run PCPD beyond its four
-	// smallest datasets either). Graphs above 65535 vertices are rejected
-	// whatever MaxN says.
-	MaxN int
 	// Workers bounds the parallelism of all three preprocessing stages —
 	// the hierarchy sweeps, the path labels and the decomposition (default
 	// GOMAXPROCS). The index does not depend on it.
@@ -147,23 +152,11 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("pcpd: empty graph")
 	}
-	if opts.MaxN == 0 {
-		opts.MaxN = 20000
-	}
-	if n > opts.MaxN {
-		return nil, fmt.Errorf("pcpd: graph has %d vertices, above the MaxN guard %d", n, opts.MaxN)
-	}
-	if n > noLabel {
-		return nil, fmt.Errorf("pcpd: graph has %d vertices, path labels support at most %d", n, noLabel)
+	if n > maxN {
+		return nil, fmt.Errorf("pcpd: graph has %d vertices, above the guard of %d", n, maxN)
 	}
 	if d := g.MaxDegree(); d >= noHop {
 		return nil, fmt.Errorf("pcpd: max degree %d exceeds supported %d", d, noHop)
-	}
-	if opts.Bits == 0 {
-		opts.Bits = 16
-	}
-	if opts.Bits > 16 {
-		return nil, fmt.Errorf("pcpd: %d quadtree bits per axis, at most 16 supported", opts.Bits)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -177,7 +170,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 		}
 	}
 
-	ix := newIndex(g, opts.Bits)
+	ix := newIndex(g)
 	hop := buildFirstHops(h, opts.Workers)
 	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, opts.Workers), order: mortonOrder(ix.code)}
 	ix.root = sh.decomposeAll(quad{0, ix.norm.CodeSpaceSize(), 0, n}, opts.Workers)
@@ -186,10 +179,10 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 }
 
 // newIndex returns the index of g with everything but the tree.
-func newIndex(g *graph.Graph, bits uint) *Index {
+func newIndex(g *graph.Graph) *Index {
 	ix := &Index{
 		g:     g,
-		norm:  geom.NewNormalizer(g.Bounds(), bits),
+		norm:  geom.NewNormalizer(g.Bounds(), quadBits),
 		code:  make([]uint32, g.NumVertices()),
 		edges: g.EdgesByID(),
 	}

@@ -1,9 +1,11 @@
 package pcpd_test
 
 import (
+	"strings"
 	"testing"
 
 	"roadnet/internal/gen"
+	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/pcpd"
 	"roadnet/internal/testutil"
@@ -83,20 +85,13 @@ func TestPCPDGuards(t *testing.T) {
 	if _, err := pcpd.Build(b.Build(), pcpd.Options{}); err == nil {
 		t.Error("empty graph should be rejected")
 	}
-	g := testutil.SmallRoad(400, 313)
-	if _, err := pcpd.Build(g, pcpd.Options{MaxN: 100}); err == nil {
-		t.Error("MaxN guard should reject oversized graphs")
+	// The size guard refuses a graph of 20 001 vertices before any work.
+	b = graph.NewBuilder(20001)
+	for i := 0; i < 20001; i++ {
+		b.AddVertex(geom.Point{X: int32(i)})
 	}
-	if _, err := pcpd.Build(g, pcpd.Options{Bits: 17}); err == nil {
-		t.Error("more than 16 bits per axis should be rejected")
-	}
-	// Path labels are uint16 whatever MaxN allows.
-	b = graph.NewBuilder(1 << 16)
-	for i := 0; i < 1<<16; i++ {
-		b.AddVertex(g.Coord(0))
-	}
-	if _, err := pcpd.Build(b.Build(), pcpd.Options{MaxN: 1 << 20}); err == nil {
-		t.Error("graphs of more than 65535 vertices should be rejected")
+	if _, err := pcpd.Build(b.Build(), pcpd.Options{}); err == nil || !strings.Contains(err.Error(), "above the guard of 20000") {
+		t.Errorf("a graph of 20001 vertices: err = %v, want the size guard", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // radius).
 //
 // BulkLoad packs a full entry set with Sort-Tile-Recursive (STR), which
-// yields near-full nodes; node capacity is configurable. Save/LoadFile
+// yields near-full nodes of at most 16 entries or children. Save/LoadFile
 // persist a tree in the flat container (see internal/binio), so deployments
 // bulk-load once and mmap at every startup.
 //

@@ -8,8 +8,9 @@ import (
 	"roadnet/internal/geom"
 )
 
-// DefaultMaxEntries is the default node capacity M.
-const DefaultMaxEntries = 16
+// maxEntries is the node capacity M: children per internal node, entries
+// per leaf.
+const maxEntries = 16
 
 // Entry is one indexed point with an opaque 32-bit identifier (vertex id,
 // POI id, ...). Its layout is three int32s, so entry arrays serialize as
@@ -17,25 +18,6 @@ const DefaultMaxEntries = 16
 type Entry struct {
 	P  geom.Point
 	ID int32
-}
-
-// Options configures tree construction.
-type Options struct {
-	// MaxEntries is the node capacity M (children per internal node,
-	// entries per leaf). 0 means DefaultMaxEntries; values below 4 are
-	// raised to 4.
-	MaxEntries int
-}
-
-func (o Options) capacity() int {
-	m := o.MaxEntries
-	if m == 0 {
-		m = DefaultMaxEntries
-	}
-	if m < 4 {
-		m = 4
-	}
-	return m
 }
 
 // node is one R-tree node. Nodes are addressed by index into Tree.nodes so
@@ -50,7 +32,6 @@ type node struct {
 // Tree is an R-tree over point entries, immutable once BulkLoad or LoadFile
 // has returned it. The zero value is not usable.
 type Tree struct {
-	max     int
 	nodes   []node
 	root    int32
 	size    int
@@ -63,9 +44,6 @@ func (t *Tree) Len() int { return t.size }
 
 // Height returns the number of levels (1 for a lone leaf root, 0 never).
 func (t *Tree) Height() int { return t.height }
-
-// MaxEntries returns the node capacity the tree was built with.
-func (t *Tree) MaxEntries() int { return t.max }
 
 // Bounds returns the bounding rectangle of all entries (the zero Rect for
 // an empty tree).
@@ -112,9 +90,8 @@ func minDistSq(p geom.Point, r geom.Rect) int64 {
 // each slab by y, pack runs of M entries per leaf, then repeat one level up
 // over the leaf rectangles. Nodes come out near-full. The input slice is
 // not retained and may be reused by the caller.
-func BulkLoad(entries []Entry, opts Options) *Tree {
-	m := opts.capacity()
-	t := &Tree{max: m}
+func BulkLoad(entries []Entry) *Tree {
+	t := &Tree{}
 	if len(entries) == 0 {
 		t.nodes = append(t.nodes, node{leaf: true})
 		t.height = 1
@@ -146,12 +123,12 @@ func BulkLoad(entries []Entry, opts Options) *Tree {
 	return t
 }
 
-// packLeaves tiles the sorted entries into leaves of up to max entries and
+// packLeaves tiles the sorted entries into leaves of up to M entries and
 // returns the new node indices.
 func (t *Tree) packLeaves(ents []Entry) []int32 {
-	nLeaves := (len(ents) + t.max - 1) / t.max
+	nLeaves := (len(ents) + maxEntries - 1) / maxEntries
 	slabs := intSqrtCeil(nLeaves)
-	slabSize := slabs * t.max // entries per vertical slab
+	slabSize := slabs * maxEntries // entries per vertical slab
 	var out []int32
 	for lo := 0; lo < len(ents); lo += slabSize {
 		hi := lo + slabSize
@@ -168,8 +145,8 @@ func (t *Tree) packLeaves(ents []Entry) []int32 {
 			}
 			return slab[i].ID < slab[j].ID
 		})
-		for a := 0; a < len(slab); a += t.max {
-			b := a + t.max
+		for a := 0; a < len(slab); a += maxEntries {
+			b := a + maxEntries
 			if b > len(slab) {
 				b = len(slab)
 			}
@@ -202,9 +179,9 @@ func (t *Tree) packInternal(level []int32) []int32 {
 		}
 		return centerY(level[i]) < centerY(level[j])
 	})
-	nParents := (len(level) + t.max - 1) / t.max
+	nParents := (len(level) + maxEntries - 1) / maxEntries
 	slabs := intSqrtCeil(nParents)
-	slabSize := slabs * t.max
+	slabSize := slabs * maxEntries
 	var out []int32
 	for lo := 0; lo < len(level); lo += slabSize {
 		hi := lo + slabSize
@@ -218,8 +195,8 @@ func (t *Tree) packInternal(level []int32) []int32 {
 			}
 			return centerX(slab[i]) < centerX(slab[j])
 		})
-		for a := 0; a < len(slab); a += t.max {
-			b := a + t.max
+		for a := 0; a < len(slab); a += maxEntries {
+			b := a + maxEntries
 			if b > len(slab) {
 				b = len(slab)
 			}
@@ -347,26 +324,24 @@ func (t *Tree) nearest(ni int32, p geom.Point, best *candidate) {
 		}
 		return
 	}
-	// Children are ordered in batches that fit an array on the stack; one
-	// batch covers a node of the default capacity.
+	// Children are ordered in an array on the stack: no node holds more
+	// than M of them, built or loaded (TreeFromFlat refuses a wider one).
 	type child struct {
 		d  int64
 		ni int32
 	}
-	var buf [DefaultMaxEntries]child
-	for lo := 0; lo < len(n.kids); lo += len(buf) {
-		batch := buf[:0]
-		for _, k := range n.kids[lo:min(lo+len(buf), len(n.kids))] {
-			batch = append(batch, child{minDistSq(p, t.nodes[k].rect), k})
-			for i := len(batch) - 1; i > 0 && batch[i].d < batch[i-1].d; i-- {
-				batch[i], batch[i-1] = batch[i-1], batch[i]
-			}
+	var buf [maxEntries]child
+	batch := buf[:0]
+	for _, k := range n.kids {
+		batch = append(batch, child{minDistSq(p, t.nodes[k].rect), k})
+		for i := len(batch) - 1; i > 0 && batch[i].d < batch[i-1].d; i-- {
+			batch[i], batch[i-1] = batch[i-1], batch[i]
 		}
-		for _, c := range batch {
-			if c.d > best.d {
-				break
-			}
-			t.nearest(c.ni, p, best)
+	}
+	for _, c := range batch {
+		if c.d > best.d {
+			break
 		}
+		t.nearest(c.ni, p, best)
 	}
 }

@@ -2,14 +2,19 @@ package rtree
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"roadnet/internal/binio"
 	"roadnet/internal/geom"
 )
+
+// deepN entries make a tree of height 4 or more: more than M³.
+const deepN = 5000
 
 // randomEntries generates n entries with duplicate coordinates likely, so
 // tie-breaking is exercised.
@@ -64,13 +69,13 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 					t.Fatalf("leaf %d rect %+v does not contain entry %+v", ni, n.rect, e)
 				}
 			}
-			if len(n.ents) > tr.max {
-				t.Fatalf("leaf %d holds %d entries, cap %d", ni, len(n.ents), tr.max)
+			if len(n.ents) > maxEntries {
+				t.Fatalf("leaf %d holds %d entries, cap %d", ni, len(n.ents), maxEntries)
 			}
 			return
 		}
-		if len(n.kids) > tr.max {
-			t.Fatalf("node %d holds %d children, cap %d", ni, len(n.kids), tr.max)
+		if len(n.kids) > maxEntries {
+			t.Fatalf("node %d holds %d children, cap %d", ni, len(n.kids), maxEntries)
 		}
 		if len(n.kids) == 0 {
 			t.Fatalf("internal node %d has no children", ni)
@@ -93,75 +98,78 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 }
 
 // TestOracleQueries cross-checks every query kind against a linear scan,
-// for several node capacities.
+// on trees from a lone leaf up to height 4.
 func TestOracleQueries(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5, 17, 64, 500} {
-		for _, cap := range []int{4, 5, 16} {
-			ents := randomEntries(n, int64(1000*n+cap))
-			builds := map[string]*Tree{"bulk": BulkLoad(ents, Options{MaxEntries: cap})}
-			rng := rand.New(rand.NewSource(int64(n + cap)))
-			for name, tr := range builds {
-				checkTreeInvariants(t, tr)
-				if tr.Len() != n {
-					t.Fatalf("%s n=%d cap=%d: Len=%d", name, n, cap, tr.Len())
-				}
-				if tr.Bounds() != geom.BoundingRect(entryPoints(ents)) {
-					t.Fatalf("%s n=%d cap=%d: Bounds=%+v", name, n, cap, tr.Bounds())
-				}
-				for trial := 0; trial < 20; trial++ {
-					p := geom.Point{X: rng.Int31n(int32(n+8)) - int32(n/2), Y: rng.Int31n(int32(n+8)) - int32(n/2)}
+	for _, n := range []int{0, 1, 2, 5, 17, 64, 500, deepN} {
+		ents := randomEntries(n, int64(1000*n+16))
+		tr := BulkLoad(ents)
+		rng := rand.New(rand.NewSource(int64(n + 16)))
+		checkTreeInvariants(t, tr)
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len=%d", n, tr.Len())
+		}
+		if n >= deepN && tr.Height() < 4 {
+			t.Fatalf("n=%d: Height=%d, want at least 4", n, tr.Height())
+		}
+		if tr.Bounds() != geom.BoundingRect(entryPoints(ents)) {
+			t.Fatalf("n=%d: Bounds=%+v", n, tr.Bounds())
+		}
+		for trial := 0; trial < 20; trial++ {
+			p := geom.Point{X: rng.Int31n(int32(n+8)) - int32(n/2), Y: rng.Int31n(int32(n+8)) - int32(n/2)}
 
-					// Rectangle search vs scan.
-					r := geom.NewRect(p, geom.Point{X: p.X + rng.Int31n(10), Y: p.Y - rng.Int31n(10)})
-					var got []Entry
-					tr.Search(r, func(e Entry) bool { got = append(got, e); return true })
-					var want []Entry
-					for _, e := range ents {
-						if r.Contains(e.P) {
-							want = append(want, e)
-						}
-					}
-					sortByID(got)
-					sortByID(want)
-					if !equalEntries(got, want) {
-						t.Fatalf("%s n=%d cap=%d rect %+v: got %v want %v", name, n, cap, r, got, want)
-					}
-
-					// Radius search vs scan.
-					rad := int64(rng.Intn(n + 2))
-					got = got[:0]
-					tr.SearchRadius(p, rad, func(e Entry, d int64) bool {
-						if d != DistSq(p, e.P) {
-							t.Fatalf("radius reported distSq %d for %+v, want %d", d, e, DistSq(p, e.P))
-						}
-						got = append(got, e)
-						return true
-					})
-					want = want[:0]
-					for _, e := range ents {
-						if DistSq(p, e.P) <= rad*rad {
-							want = append(want, e)
-						}
-					}
-					sortByID(got)
-					sortByID(want)
-					if !equalEntries(got, want) {
-						t.Fatalf("%s n=%d cap=%d radius %d at %+v: got %v want %v", name, n, cap, rad, p, got, want)
-					}
+			// Rectangle search vs scan.
+			r := geom.NewRect(p, geom.Point{X: p.X + rng.Int31n(10), Y: p.Y - rng.Int31n(10)})
+			var got []Entry
+			tr.Search(r, func(e Entry) bool { got = append(got, e); return true })
+			var want []Entry
+			for _, e := range ents {
+				if r.Contains(e.P) {
+					want = append(want, e)
 				}
+			}
+			sortByID(got)
+			sortByID(want)
+			if !equalEntries(got, want) {
+				t.Fatalf("n=%d rect %+v: got %v want %v", n, r, got, want)
+			}
 
-				// Nearest vs scan at every point of the entries' span and a
-				// margin around it: ties between subtrees at equal MINDIST
-				// are common there, and the smaller ID must win them.
-				half := int32(n/2+4)/2 + 2
-				for x := -half; x <= half && n > 0; x++ {
-					for y := -half; y <= half; y++ {
-						p := geom.Point{X: x, Y: y}
-						e, d, ok := tr.Nearest(p)
-						if want := oracleNearest(ents, p); !ok || e != want || d != DistSq(p, e.P) {
-							t.Fatalf("%s n=%d cap=%d Nearest(%+v) = %v, %d, %v; want %v", name, n, cap, p, e, d, ok, want)
-						}
-					}
+			// Radius search vs scan.
+			rad := int64(rng.Intn(n + 2))
+			got = got[:0]
+			tr.SearchRadius(p, rad, func(e Entry, d int64) bool {
+				if d != DistSq(p, e.P) {
+					t.Fatalf("radius reported distSq %d for %+v, want %d", d, e, DistSq(p, e.P))
+				}
+				got = append(got, e)
+				return true
+			})
+			want = want[:0]
+			for _, e := range ents {
+				if DistSq(p, e.P) <= rad*rad {
+					want = append(want, e)
+				}
+			}
+			sortByID(got)
+			sortByID(want)
+			if !equalEntries(got, want) {
+				t.Fatalf("n=%d radius %d at %+v: got %v want %v", n, rad, p, got, want)
+			}
+		}
+
+		// Nearest vs scan at every point of the entries' span and a margin
+		// around it — every step-th point on the deep tree, whose span the
+		// scan would take minutes over: ties between subtrees at equal
+		// MINDIST are common there, and the smaller ID must win them.
+		half, step := int32(n/2+4)/2+2, int32(1)
+		if n >= deepN {
+			step = half / 64
+		}
+		for x := -half; x <= half && n > 0; x += step {
+			for y := -half; y <= half; y += step {
+				p := geom.Point{X: x, Y: y}
+				e, d, ok := tr.Nearest(p)
+				if want := oracleNearest(ents, p); !ok || e != want || d != DistSq(p, e.P) {
+					t.Fatalf("n=%d Nearest(%+v) = %v, %d, %v; want %v", n, p, e, d, ok, want)
 				}
 			}
 		}
@@ -189,7 +197,7 @@ func equalEntries(a, b []Entry) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := BulkLoad(nil, Options{})
+	tr := BulkLoad(nil)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree: Len=%d Height=%d", tr.Len(), tr.Height())
 	}
@@ -206,7 +214,7 @@ func TestEmptyTree(t *testing.T) {
 // request, at zero allocations.
 func TestNearestAllocs(t *testing.T) {
 	ents := randomEntries(5000, 11)
-	tr := BulkLoad(ents, Options{})
+	tr := BulkLoad(ents)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.Nearest(ents[i%len(ents)].P)
@@ -218,10 +226,10 @@ func TestNearestAllocs(t *testing.T) {
 }
 
 func TestSearchEarlyStop(t *testing.T) {
-	tr := BulkLoad(randomEntries(100, 7), Options{MaxEntries: 4})
+	tr := BulkLoad(randomEntries(deepN, 7))
 	calls := 0
-	complete := tr.Search(tr.Bounds(), func(Entry) bool { calls++; return calls < 5 })
-	if complete || calls != 5 {
+	complete := tr.Search(tr.Bounds(), func(Entry) bool { calls++; return calls < 300 })
+	if complete || calls != 300 {
 		t.Fatalf("early stop: complete=%v calls=%d", complete, calls)
 	}
 }
@@ -229,9 +237,9 @@ func TestSearchEarlyStop(t *testing.T) {
 // TestSerializeRoundTrip checks that a saved tree loads back (stream and
 // mmap paths) answering every query identically.
 func TestSerializeRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 33, 400} {
+	for _, n := range []int{0, 1, 33, 400, deepN} {
 		ents := randomEntries(n, int64(n))
-		orig := BulkLoad(ents, Options{MaxEntries: 8})
+		orig := BulkLoad(ents)
 		var buf bytes.Buffer
 		if err := orig.Save(&buf); err != nil {
 			t.Fatalf("n=%d: Save: %v", n, err)
@@ -252,8 +260,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 		}
 
 		for _, tr := range []*Tree{stream, mapped} {
-			if tr.Len() != n || tr.Height() != orig.Height() || tr.MaxEntries() != orig.MaxEntries() {
-				t.Fatalf("n=%d: loaded Len=%d Height=%d Max=%d", n, tr.Len(), tr.Height(), tr.MaxEntries())
+			if tr.Len() != n || tr.Height() != orig.Height() {
+				t.Fatalf("n=%d: loaded Len=%d Height=%d", n, tr.Len(), tr.Height())
 			}
 			checkTreeInvariants(t, tr)
 			for _, p := range []geom.Point{{X: 3, Y: -1}, {X: -40, Y: 7}, {}} {
@@ -279,7 +287,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
-	orig := BulkLoad(randomEntries(50, 1), Options{})
+	orig := BulkLoad(randomEntries(50, 1))
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -293,5 +301,30 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	// Truncated container.
 	if _, err := ReadTree(bytes.NewReader(buf.Bytes()[:40])); err == nil {
 		t.Fatal("truncated container accepted")
+	}
+}
+
+// TestLoadRejectsWideNode: a file whose leaf holds more than M entries, or
+// whose internal node holds more than M children, is corrupt — no BulkLoad
+// writes one, and Nearest orders a node's children in an array of M.
+func TestLoadRejectsWideNode(t *testing.T) {
+	ents := randomEntries(maxEntries+1, 3)
+	wideLeaf := &Tree{nodes: []node{{leaf: true, ents: ents}}, size: len(ents), height: 1}
+	wideRoot := &Tree{size: len(ents), height: 2}
+	root := node{}
+	for i, e := range ents {
+		wideRoot.nodes = append(wideRoot.nodes, node{leaf: true, ents: []Entry{e}, rect: pointRect(e.P)})
+		root.kids = append(root.kids, int32(i))
+	}
+	wideRoot.nodes = append(wideRoot.nodes, root)
+	wideRoot.root = int32(len(ents))
+	for name, tr := range map[string]*Tree{"leaf": wideLeaf, "internal": wideRoot} {
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTree(&buf); !errors.Is(err, binio.ErrCorrupt) {
+			t.Errorf("%s node of %d: err = %v, want binio.ErrCorrupt", name, len(ents), err)
+		}
 	}
 }

@@ -45,7 +45,6 @@ func (t *Tree) Save(w io.Writer) error {
 	fw := binio.NewFlatWriter(Fourcc)
 	mw := fw.Meta()
 	mw.Magic(treeMeta)
-	mw.I64(int64(t.max))
 	mw.I64(int64(t.size))
 	mw.I64(int64(t.height))
 	mw.I64(int64(t.root))
@@ -81,7 +80,6 @@ func LoadFile(path string, preferMmap bool, opts ...binio.OpenOption) (*Tree, er
 // (loaded trees are query-only).
 func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 	d := f.Decode(Fourcc, treeMeta)
-	maxEnts := d.I64()
 	size := d.I64()
 	height := d.I64()
 	root := d.I64()
@@ -96,7 +94,7 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
 
-	if nNodes <= 0 || maxEnts < 4 || size < 0 || height < 1 ||
+	if nNodes <= 0 || size < 0 || height < 1 ||
 		root < 0 || root >= nNodes ||
 		int64(len(rects)) != 4*nNodes || int64(len(leaf)) != nNodes ||
 		int64(len(kidOff)) != nNodes+1 || int64(len(entOff)) != nNodes+1 ||
@@ -106,7 +104,6 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 	}
 
 	t := &Tree{
-		max:     int(maxEnts),
 		root:    int32(root),
 		size:    int(size),
 		height:  int(height),
@@ -119,6 +116,10 @@ func TreeFromFlat(f *binio.FlatFile) (*Tree, error) {
 		if ka < 0 || kb < ka || kb > int64(len(kidsRaw)) ||
 			ea < 0 || eb < ea || eb > int64(len(ents)) {
 			return nil, fmt.Errorf("%w: r-tree node %d offsets out of range", binio.ErrCorrupt, i)
+		}
+		if kb-ka > maxEntries || eb-ea > maxEntries {
+			return nil, fmt.Errorf("%w: r-tree node %d holds %d children and %d entries, more than %d",
+				binio.ErrCorrupt, i, kb-ka, eb-ea, maxEntries)
 		}
 		n := &t.nodes[i]
 		n.rect = geom.Rect{MinX: rects[4*i], MinY: rects[4*i+1], MaxX: rects[4*i+2], MaxY: rects[4*i+3]}

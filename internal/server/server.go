@@ -163,9 +163,8 @@ func WithRateLimit(qps float64, burst int) Option {
 
 // WithSpatialLocator serves spatial queries from a caller-built locator —
 // typically one wrapping an mmap-loaded R-tree (core.
-// NewSpatialLocatorFromTree) or a custom node capacity — instead of the
-// default STR bulk load over the graph. The locator must wrap the same
-// graph the server is given.
+// NewSpatialLocatorFromTree) — instead of the default STR bulk load over
+// the graph. The locator must wrap the same graph the server is given.
 func WithSpatialLocator(loc *core.SpatialLocator) Option {
 	return func(s *Server) { s.spatial = loc }
 }

@@ -16,20 +16,20 @@ import (
 // table in the commit that argues why.
 func TestGoldenDigests(t *testing.T) {
 	testutil.GoldenDigests(t, map[string]uint64{
-		"DE":      0xf97a08a912a31659,
-		"NH":      0xd18c6e5db4f91136,
-		"messy1":  0x60f2cb25a46d5573,
-		"messy2":  0x46cfe20285f105b4,
-		"messy3":  0x93e991d76175e764,
-		"messy4":  0x0d5ecd898d6e8ca0,
-		"messy5":  0xd63b3edb87b3ce23,
-		"messy6":  0xe7926e8a223454d9,
-		"messy7":  0xadd92866af91060f,
-		"messy8":  0xe12ea96213daf8ab,
-		"messy9":  0xac516fc64dc030bd,
-		"messy10": 0x368c7c7915e9583e,
-		"messy11": 0x1ca1c6ca1b78f8c0,
-		"messy12": 0x82d1fabf58443bae,
+		"DE":      0xf6e6b8d9c6ddae35,
+		"NH":      0xc1a5cd49c7ec1d62,
+		"messy1":  0xf758325be6a28257,
+		"messy2":  0xbebc4d01ae4c5838,
+		"messy3":  0xc9b217467038a450,
+		"messy4":  0x402e56674d3f2368,
+		"messy5":  0xb1a5ddc3b73dca6b,
+		"messy6":  0x7a598c3f05cb07f5,
+		"messy7":  0xb4794560ec1bf847,
+		"messy8":  0x90e32ef2dae5d373,
+		"messy9":  0x542a308abbb599c5,
+		"messy10": 0xcea52750c7c8b9fa,
+		"messy11": 0x251f6ceb5c55bb64,
+		"messy12": 0x632345ebaf59531a,
 	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
 		ix, err := Build(g, Options{Workers: workers, Hierarchy: testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit}))})
 		if err != nil {

@@ -81,10 +81,10 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("silc: index was built for a %dx%d graph, got %dx%d",
 			n, m, g.NumVertices(), g.NumEdges())
 	}
-	if bits < 1 || bits > 16 {
-		return nil, fmt.Errorf("silc: implausible normalizer bits %d", bits)
+	if bits != quadBits {
+		return nil, fmt.Errorf("%w: silc normalizer bits %d, want %d", binio.ErrCorrupt, bits, quadBits)
 	}
-	ix.norm = geom.NewNormalizer(g.Bounds(), bits)
+	ix.norm = geom.NewNormalizer(g.Bounds(), quadBits)
 	// O(1) structural checks; per-element scans are deliberately skipped so
 	// a mapped load touches no data pages.
 	if int64(len(rowOff))-1 != n {

@@ -42,10 +42,12 @@ const noHop = ch.NoHop
 // supports; road networks are degree-bounded far below this (§2).
 const maxDegree = noHop
 
+// quadBits is the quadtree resolution per axis, the finest a Morton code
+// of 32 bits holds.
+const quadBits = 16
+
 // Options configures Build.
 type Options struct {
-	// Bits is the quadtree resolution per axis (default 16, the finest).
-	Bits uint
 	// Workers bounds preprocessing parallelism (default GOMAXPROCS).
 	Workers int
 	// Hierarchy optionally supplies a contraction hierarchy of the graph
@@ -92,12 +94,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if d := g.MaxDegree(); d >= maxDegree {
 		return nil, fmt.Errorf("silc: max degree %d exceeds supported %d", d, maxDegree)
 	}
-	if opts.Bits == 0 {
-		opts.Bits = 16
-	}
-	if opts.Bits > 16 {
-		return nil, fmt.Errorf("silc: %d quadtree bits per axis, at most 16 supported", opts.Bits)
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -111,7 +107,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 
 	ix := &Index{
 		g:      g,
-		norm:   geom.NewNormalizer(g.Bounds(), opts.Bits),
+		norm:   geom.NewNormalizer(g.Bounds(), quadBits),
 		starts: make([][]uint32, n),
 		colors: make([][]uint8, n),
 		code:   make([]uint32, n),

@@ -137,9 +137,6 @@ func TestSILCRejectsEmptyAndHighDegree(t *testing.T) {
 	if _, err := silc.Build(b.Build(), silc.Options{}); err == nil {
 		t.Error("empty graph should be rejected")
 	}
-	if _, err := silc.Build(testutil.Figure1(), silc.Options{Bits: 17}); err == nil {
-		t.Error("more than 16 bits per axis should be rejected")
-	}
 }
 
 func TestSILCSameVertex(t *testing.T) {

@@ -16,13 +16,9 @@ import (
 // whose weights add up to it), and (nil, Infinity, nil) for an unreachable
 // pair. Each pair of bytes of run names one query.
 func FuzzTNRPathsAgree(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, grid uint8, hybrid, dijkstraFallback bool, run []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, grid uint8, hybrid bool, run []byte) {
 		g := testutil.MessyGraph(seed)
-		opts := tnr.Options{GridSize: 1 + int(grid)%40, Hybrid: hybrid}
-		if dijkstraFallback {
-			opts.Fallback = tnr.FallbackDijkstra
-		}
-		ix, err := tnr.Build(g, opts)
+		ix, err := tnr.Build(g, tnr.Options{GridSize: 1 + int(grid)%40, Hybrid: hybrid})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,15 +8,6 @@ import (
 	"roadnet/internal/graph"
 )
 
-// fallbackOpenPath streams a path from the configured fallback technique
-// (CH lazy shortcut unpacking, or the bidirectional Dijkstra parent walk).
-func (sr *Searcher) fallbackOpenPath(ctx context.Context, s, t graph.VertexID) (graph.PathIterator, int64, error) {
-	if sr.bi != nil {
-		return sr.bi.OpenPath(ctx, s, t)
-	}
-	return sr.chSearch.OpenPath(ctx, s, t)
-}
-
 // walks reports whether a path query is answered by the table walk. Under
 // the flawed Appendix B access computation none is: its tables can be
 // wrong, a lazy walk cannot retract vertices it has yielded, and the
@@ -101,7 +92,7 @@ func (sr *Searcher) dist(m *tailMemo, v graph.VertexID, want int64) int64 {
 // far from t the next hop is the first neighbor v with
 // w(cur, v) + dist(v, t) = dist(cur, t), dist evaluated from the tables
 // through the walk's tail memos; once the walk enters t's locality it
-// stitches on the fallback technique's own PathIterator, so the local
+// stitches on the fallback hierarchy's own PathIterator, so the local
 // remainder is streamed too and nothing is ever materialized.
 type tableWalkIter struct {
 	sr        *Searcher
@@ -147,7 +138,7 @@ func (it *tableWalkIter) Next() (graph.VertexID, bool) {
 	}
 	it.steps++
 	if it.memoFor(it.cur) == nil {
-		// Local remainder: stitch on the fallback technique's iterator.
+		// Local remainder: stitch on the fallback hierarchy's iterator.
 		return it.delegate()
 	}
 	// Pick the neighbor on a shortest path to t. Every neighbor is
@@ -183,7 +174,7 @@ func (it *tableWalkIter) Next() (graph.VertexID, bool) {
 // remaining table distance before yielding from it. The two are exact
 // distances of one pair; a disagreement is a bug in this package.
 func (it *tableWalkIter) delegate() (graph.VertexID, bool) {
-	tail, tailDist, err := it.sr.fallbackOpenPath(it.ctx, it.cur, it.t)
+	tail, tailDist, err := it.sr.chSearch.OpenPath(it.ctx, it.cur, it.t)
 	if err == nil && (tail == nil || tailDist != it.remaining) {
 		err = fmt.Errorf("tnr: internal error: fallback distance %d from %d to %d, tables say %d",
 			tailDist, it.cur, it.t, it.remaining)
@@ -223,7 +214,7 @@ func (sr *Searcher) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.Pa
 	}
 	if !sr.walks(s, t) {
 		sr.countFallback()
-		return sr.fallbackOpenPath(ctx, s, t)
+		return sr.chSearch.OpenPath(ctx, s, t)
 	}
 	sr.countTable()
 	sr.memo[0].open, sr.memo[1].open = false, false

@@ -40,7 +40,6 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.I64(int64(ix.g.NumEdges()))
 	mw.I32(int32(ix.opts.GridSize))
 	mw.U8(boolByte(ix.opts.Hybrid))
-	mw.U8(uint8(ix.opts.Fallback))
 	mw.U8(uint8(ix.opts.Access))
 	mw.I64(ix.buildTime.Nanoseconds())
 
@@ -99,7 +98,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	var opts Options
 	opts.GridSize = int(d.I32())
 	opts.Hybrid = d.U8() != 0
-	opts.Fallback = Fallback(d.U8())
 	opts.Access = AccessAlgorithm(d.U8())
 	buildTime := time.Duration(d.I64())
 	chFile := d.Nested(0)
@@ -113,9 +111,9 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if opts.GridSize < 1 || opts.GridSize > 1<<14 {
 		return nil, fmt.Errorf("tnr: implausible grid size %d", opts.GridSize)
 	}
-	if opts.Fallback > FallbackDijkstra || opts.Access > AccessFlawedBast {
-		return nil, fmt.Errorf("%w: tnr fallback %d or access algorithm %d is not one this reader knows",
-			binio.ErrCorrupt, opts.Fallback, opts.Access)
+	if opts.Access > AccessFlawedBast {
+		return nil, fmt.Errorf("%w: tnr access algorithm %d is not one this reader knows",
+			binio.ErrCorrupt, opts.Access)
 	}
 
 	h, err := ch.HierarchyFromFlat(chFile, g)

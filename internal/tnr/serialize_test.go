@@ -33,7 +33,7 @@ func TestTNRSerializationRoundtrip(t *testing.T) {
 
 func TestTNRSerializationHybrid(t *testing.T) {
 	g := testutil.SmallRoad(900, 813)
-	ix := buildTNR(t, g, tnr.Options{GridSize: 8, Hybrid: true, Fallback: tnr.FallbackDijkstra})
+	ix := buildTNR(t, g, tnr.Options{GridSize: 8, Hybrid: true})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -94,11 +94,10 @@ func TestTNRVersionErrors(t *testing.T) {
 }
 
 // TestTNRRejectsUnknownEnumBytes re-saves a valid index's sections through
-// binio.FlatWriter with the fallback or the access-algorithm byte of the
-// meta blob set to a value no constant declares. The checksums are valid,
-// so only the enum check can refuse the file — and it must, as corrupt:
-// such a byte would silently select the CH fallback or a walk-less path
-// query, and Save would write it back.
+// binio.FlatWriter with the access-algorithm byte of the meta blob set to a
+// value no constant declares. The checksums are valid, so only the enum
+// check can refuse the file — and it must, as corrupt: such a byte would
+// silently select a walk-less path query, and Save would write it back.
 func TestTNRRejectsUnknownEnumBytes(t *testing.T) {
 	g := testutil.SmallRoad(400, 821)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 8})
@@ -107,15 +106,15 @@ func TestTNRRejectsUnknownEnumBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	f, err := binio.ParseFlat(data, false)
+	f, err := binio.ParseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	metaOff, metaLen := binary.LittleEndian.Uint64(data[24:]), binary.LittleEndian.Uint64(data[32:])
 	meta := data[metaOff : metaOff+metaLen]
 	// The blob: magic, n and m (i64), grid size (i32), hybrid (u8), then
-	// the two enum bytes.
-	const fallbackAt = len("ROADNET-TNR\n") + 8 + 8 + 4 + 1
+	// the access-algorithm byte.
+	const accessAt = len("ROADNET-TNR\n") + 8 + 8 + 4 + 1
 	resave := func(at int, v byte) []byte {
 		mut := bytes.Clone(meta)
 		mut[at] = v
@@ -144,14 +143,12 @@ func TestTNRRejectsUnknownEnumBytes(t *testing.T) {
 		return out.Bytes()
 	}
 
-	if _, err := tnr.ReadIndex(bytes.NewReader(resave(fallbackAt, byte(tnr.FallbackDijkstra))), g); err != nil {
-		t.Fatalf("a re-saved file with a declared fallback must load: %v", err)
+	if _, err := tnr.ReadIndex(bytes.NewReader(resave(accessAt, byte(tnr.AccessFlawedBast))), g); err != nil {
+		t.Fatalf("a re-saved file with a declared access algorithm must load: %v", err)
 	}
-	for _, at := range []int{fallbackAt, fallbackAt + 1} {
-		for _, v := range []byte{2, 255} {
-			if _, err := tnr.ReadIndex(bytes.NewReader(resave(at, v)), g); !errors.Is(err, binio.ErrCorrupt) {
-				t.Errorf("meta byte %d set to %d: err = %v, want binio.ErrCorrupt", at, v, err)
-			}
+	for _, v := range []byte{2, 255} {
+		if _, err := tnr.ReadIndex(bytes.NewReader(resave(accessAt, v)), g); !errors.Is(err, binio.ErrCorrupt) {
+			t.Errorf("access byte set to %d: err = %v, want binio.ErrCorrupt", v, err)
 		}
 	}
 }

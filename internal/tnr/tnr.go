@@ -9,8 +9,8 @@
 //     B reproduction that demonstrates incorrect query results;
 //   - the 128x128-analogue single grid, the finer 256x256 analogue, and
 //     the hybrid two-level grid of Appendix E.1;
-//   - both fallback strategies for local queries the paper evaluates:
-//     contraction hierarchies and bidirectional Dijkstra.
+//   - the fallback for local queries the paper recommends, contraction
+//     hierarchies (§4.1 also evaluates bidirectional Dijkstra there).
 //
 // Grid terminology follows §3.3: for a cell C, the inner shell is the
 // boundary of the 5x5 cell block centred at C and the outer shell the
@@ -25,7 +25,7 @@
 // distance to t is known, the next vertex is the first neighbor v with
 // w(cur, v) + dist(v, t) = dist(cur, t), each dist(v, t) evaluated from
 // the tables, until the walk enters t's locality and the fallback
-// technique streams the rest (pathiter.go). What the walk does not repeat
+// hierarchy streams the rest (pathiter.go). What the walk does not repeat
 // is the half of Equation 1 that depends on t alone. With A(v) the access
 // nodes of v's cell,
 //
@@ -70,21 +70,8 @@ import (
 	"time"
 
 	"roadnet/internal/ch"
-	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
-)
-
-// Fallback selects the technique used for queries the transit-node tables
-// cannot answer (§4.1 evaluates both).
-type Fallback int
-
-const (
-	// FallbackCH answers local queries with contraction hierarchies — the
-	// configuration the paper recommends.
-	FallbackCH Fallback = iota
-	// FallbackDijkstra answers local queries with bidirectional Dijkstra.
-	FallbackDijkstra
 )
 
 // AccessAlgorithm selects how per-cell access nodes are computed.
@@ -119,12 +106,11 @@ type Options struct {
 	// Hybrid additionally builds a second grid of 2*GridSize cells per
 	// axis and uses it for mid-range queries, as in Appendix E.1.
 	Hybrid bool
-	// Fallback selects the local-query technique. Default FallbackCH.
-	Fallback Fallback
 	// Access selects the access-node computation. Default AccessCorrected.
 	Access AccessAlgorithm
-	// Hierarchy optionally supplies a prebuilt contraction hierarchy
-	// (always needed for preprocessing); Build constructs one when nil.
+	// Hierarchy optionally supplies a prebuilt contraction hierarchy, used
+	// for preprocessing and for local queries; Build constructs one when
+	// nil.
 	Hierarchy *ch.Hierarchy
 }
 
@@ -139,8 +125,8 @@ const invalidDist = math.MaxInt32
 
 // Index is a built transit-node-routing index. The grid tables and the
 // fallback hierarchy are immutable after Build, so one Index may be shared
-// by any number of goroutines; per-query mutable state (the fallback search
-// contexts and the walk memos) lives in a Searcher — create one per
+// by any number of goroutines; per-query mutable state (the fallback CH
+// searcher and the walk memos) lives in a Searcher — create one per
 // goroutine with NewSearcher.
 type Index struct {
 	g    *graph.Graph
@@ -154,7 +140,7 @@ type Index struct {
 	buildTime time.Duration
 
 	// tableN counts the queries answered from the precomputed tables and
-	// fallbackN those answered by the fallback technique, across every
+	// fallbackN those answered by the fallback hierarchy, across every
 	// searcher over this index (see QueryCounts). One atomic add per query
 	// is noise next to even a table lookup's O(|AN|²) work.
 	tableN, fallbackN atomic.Int64
@@ -162,21 +148,19 @@ type Index struct {
 
 // QueryCounts reports how queries over this index were answered, summed
 // across all searchers: table from the precomputed transit-node tables,
-// fallback by the configured fallback technique. Safe for concurrent use;
-// the ratio fallback/(table+fallback) is the live analogue of the
-// Figure 9/11 locality analysis.
+// fallback by the hierarchy. Safe for concurrent use; the ratio
+// fallback/(table+fallback) is the live analogue of the Figure 9/11
+// locality analysis.
 func (ix *Index) QueryCounts() (table, fallback int64) {
 	return ix.tableN.Load(), ix.fallbackN.Load()
 }
 
 // Searcher is a reusable query context over an Index: it owns the mutable
-// fallback search state (a CH searcher or a bidirectional Dijkstra,
-// matching the configured Fallback). It is not safe for concurrent use;
+// fallback search state, a CH searcher. It is not safe for concurrent use;
 // create one per goroutine.
 type Searcher struct {
 	ix       *Index
-	chSearch *ch.Searcher            // non-nil under FallbackCH
-	bi       *dijkstra.Bidirectional // non-nil under FallbackDijkstra
+	chSearch *ch.Searcher
 
 	// lookups counts the pair-table cells the current query has read; see
 	// LookupsLast. countTable and countFallback, which open every query,
@@ -205,7 +189,7 @@ func (sr *Searcher) countTable() {
 	sr.ix.tableN.Add(1)
 }
 
-// countFallback records one query answered by the fallback technique.
+// countFallback records one query answered by the fallback hierarchy.
 func (sr *Searcher) countFallback() {
 	sr.lookups = 0
 	sr.ix.fallbackN.Add(1)
@@ -213,13 +197,7 @@ func (sr *Searcher) countFallback() {
 
 // NewSearcher returns a fresh query context sharing ix's immutable tables.
 func (ix *Index) NewSearcher() *Searcher {
-	s := &Searcher{ix: ix}
-	if ix.opts.Fallback == FallbackDijkstra {
-		s.bi = dijkstra.NewBidirectional(ix.g)
-	} else {
-		s.chSearch = ix.hierarchy.NewSearcher()
-	}
-	return s
+	return &Searcher{ix: ix, chSearch: ix.hierarchy.NewSearcher()}
 }
 
 // layer is one grid level of the index.
@@ -359,19 +337,9 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// fallbackDistance answers a query with the configured fallback technique,
-// propagating ctx into the fallback search so long local searches abort
-// when the request is cancelled.
-func (sr *Searcher) fallbackDistance(ctx context.Context, s, t graph.VertexID) (int64, error) {
-	if sr.bi != nil {
-		return sr.bi.DistanceContext(ctx, s, t)
-	}
-	return sr.chSearch.DistanceContext(ctx, s, t)
-}
-
 // Distance answers a distance query (§3.3): Equation 1 over the coarse
 // tables when the cells are far apart, the fine tables (hybrid mode) for
-// mid-range queries, and the fallback technique otherwise.
+// mid-range queries, and the fallback hierarchy otherwise.
 func (sr *Searcher) Distance(s, t graph.VertexID) int64 {
 	d, _ := sr.DistanceContext(context.Background(), s, t)
 	return d
@@ -391,7 +359,7 @@ func (sr *Searcher) DistanceContext(ctx context.Context, s, t graph.VertexID) (i
 		return sr.equation1(l, s, sr.tgt), nil
 	}
 	sr.countFallback()
-	return sr.fallbackDistance(ctx, s, t)
+	return sr.chSearch.DistanceContext(ctx, s, t)
 }
 
 // tableLayer returns the layer whose tables answer the query — the coarse
@@ -416,8 +384,8 @@ func (ix *Index) CanAnswerFromTables(s, t graph.VertexID) bool {
 // Access returns the access-node computation the index was built with.
 func (ix *Index) Access() AccessAlgorithm { return ix.opts.Access }
 
-// Hierarchy returns the contraction hierarchy used for preprocessing and,
-// under FallbackCH, for local queries.
+// Hierarchy returns the contraction hierarchy used for preprocessing and
+// for local queries.
 func (ix *Index) Hierarchy() *ch.Hierarchy { return ix.hierarchy }
 
 // BuildTime returns the wall-clock preprocessing duration, including the
@@ -453,15 +421,12 @@ func (ix *Index) MeanAccessNodesPerCell() float64 {
 
 // SizeBytes reports the memory footprint of the TNR structures: the
 // vertex-to-access-node distances (the paper's I2), the access-node pair
-// tables (I1), the per-cell access lists, plus the fallback hierarchy when
-// FallbackCH is configured (Appendix E.1 justifies counting it).
+// tables (I1), the per-cell access lists, plus the fallback hierarchy
+// (Appendix E.1 justifies counting it).
 func (ix *Index) SizeBytes() int64 {
-	size := ix.coarse.sizeBytes()
+	size := ix.coarse.sizeBytes() + ix.hierarchy.SizeBytes()
 	if ix.fine != nil {
 		size += ix.fine.sizeBytes()
-	}
-	if ix.opts.Fallback == FallbackCH {
-		size += ix.hierarchy.SizeBytes()
 	}
 	return size
 }

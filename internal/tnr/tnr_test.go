@@ -83,13 +83,6 @@ func TestTNRShortestPathsExact(t *testing.T) {
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 37), ix.NewSearcher().OpenPath)
 }
 
-func TestTNRWithDijkstraFallback(t *testing.T) {
-	g := testutil.SmallRoad(900, 83)
-	ix := buildTNR(t, g, tnr.Options{GridSize: 16, Fallback: tnr.FallbackDijkstra})
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 41), ix.NewSearcher().Distance)
-	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 60, 43), ix.NewSearcher().OpenPath)
-}
-
 func TestTNRHybridGrid(t *testing.T) {
 	g := testutil.SmallRoad(1600, 89)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 8, Hybrid: true})
@@ -173,23 +166,21 @@ func TestTNREmptyGraphRejected(t *testing.T) {
 
 func TestTNRSearcherContextCancelled(t *testing.T) {
 	g := testutil.SmallRoad(900, 73)
-	for _, fb := range []tnr.Fallback{tnr.FallbackCH, tnr.FallbackDijkstra} {
-		ix := buildTNR(t, g, tnr.Options{GridSize: 16, Fallback: fb})
-		sr := ix.NewSearcher()
-		ctx, cancelFn := context.WithCancel(context.Background())
-		cancelFn()
-		// A local pair exercises the fallback search, which must observe the
-		// cancelled context before doing any work.
-		s, tgt := localPair(ix, g)
-		if _, err := sr.DistanceContext(ctx, s, tgt); !errors.Is(err, context.Canceled) {
-			t.Errorf("fallback %v: DistanceContext err = %v, want context.Canceled", fb, err)
-		}
-		if _, _, err := sr.OpenPath(ctx, s, tgt); !errors.Is(err, context.Canceled) {
-			t.Errorf("fallback %v: OpenPath err = %v, want context.Canceled", fb, err)
-		}
-		// The searcher remains valid for reuse after an abort.
-		testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 20, 479), sr.Distance)
+	ix := buildTNR(t, g, tnr.Options{GridSize: 16})
+	sr := ix.NewSearcher()
+	ctx, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	// A local pair exercises the fallback search, which must observe the
+	// cancelled context before doing any work.
+	s, tgt := localPair(ix, g)
+	if _, err := sr.DistanceContext(ctx, s, tgt); !errors.Is(err, context.Canceled) {
+		t.Errorf("DistanceContext err = %v, want context.Canceled", err)
 	}
+	if _, _, err := sr.OpenPath(ctx, s, tgt); !errors.Is(err, context.Canceled) {
+		t.Errorf("OpenPath err = %v, want context.Canceled", err)
+	}
+	// The searcher remains valid for reuse after an abort.
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 20, 479), sr.Distance)
 }
 
 // localPair finds a pair the tables cannot answer, forcing the fallback.

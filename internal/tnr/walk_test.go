@@ -78,7 +78,7 @@ func refWalk(ix *Index, fb *Searcher, s, t graph.VertexID) ([]graph.VertexID, in
 			}
 		}
 		if local || next < 0 {
-			rest, d := testutil.Path(fb.fallbackOpenPath, cur, t)
+			rest, d := testutil.Path(fb.chSearch.OpenPath, cur, t)
 			if d != remaining {
 				return nil, 0, work, fmt.Errorf("reference walk %d->%d: fallback says %d from %d, tables %d", s, t, d, cur, remaining)
 			}
@@ -105,13 +105,6 @@ func drainWalk(t *testing.T, sr *Searcher, s, tgt graph.VertexID) ([]graph.Verte
 		t.Fatalf("draining OpenPath(%d, %d): %v", s, tgt, err)
 	}
 	return path, d
-}
-
-// withFallback is ix answering local queries with fb: the same tables.
-func withFallback(ix *Index, fb Fallback) *Index {
-	opts := ix.opts
-	opts.Fallback = fb
-	return &Index{g: ix.g, opts: opts, coarse: ix.coarse, fine: ix.fine, hierarchy: ix.hierarchy}
 }
 
 // eachWalkIndex builds every (grid size, hybrid) index of the matrix over g.
@@ -158,10 +151,7 @@ func TestWalkMatchesReference(t *testing.T) {
 	for name, g := range testutil.Graphs(t) {
 		pairs, walked := testutil.SamplePairs(g, 150, 701), 0
 		eachWalkIndex(t, g, func(ix *Index) {
-			for _, fallback := range []Fallback{FallbackCH, FallbackDijkstra} {
-				ix := withFallback(ix, fallback)
-				walked += checkWalks(t, ix, ix.NewSearcher(), ix.NewSearcher(), pairs)
-			}
+			walked += checkWalks(t, ix, ix.NewSearcher(), ix.NewSearcher(), pairs)
 		})
 		t.Logf("%s: %d walks compared", name, walked)
 		if walked == 0 {

@@ -60,9 +60,9 @@
 // Pool.BatchDistance) poll the context at bounded intervals (every 256
 // settled vertices, path hops, or recursion steps, depending on the
 // technique) and abort with the context's error. The polling reaches every
-// search loop, including the bidirectional-Dijkstra fallback inside TNR,
-// so a cancelled request stops consuming CPU within a bounded number of
-// steps regardless of the serving technique. A query issued on an
+// search loop, including the CH fallback inside TNR, so a cancelled request
+// stops consuming CPU within a bounded number of steps regardless of the
+// serving technique. A query issued on an
 // already-cancelled context aborts before doing any work, and an aborted
 // searcher remains valid for reuse.
 //
@@ -238,7 +238,7 @@ type Config = core.Config
 type (
 	// CHOptions tunes contraction hierarchy preprocessing.
 	CHOptions = ch.Options
-	// TNROptions tunes the TNR grid, fallback and access-node algorithm.
+	// TNROptions tunes the TNR grid and access-node algorithm.
 	TNROptions = tnr.Options
 	// SILCOptions tunes the SILC quadtree.
 	SILCOptions = silc.Options
