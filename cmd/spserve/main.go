@@ -7,7 +7,9 @@
 //	spserve -gr map.gr -co map.co -method tnr -index tnr.idx
 //
 // With -index, the index is loaded from the file when it exists and
-// otherwise built and saved to it (preprocess once, serve forever). Index
+// otherwise built and saved to it (preprocess once, serve forever); a
+// method without a file format (dijkstra, alt, arcflags) is refused before
+// anything is built. Index
 // files in the flat v2 format are mmap'd by default on supported platforms
 // (-mmap=false forces heap loads): startup is O(#sections) regardless of
 // index size and the resident index memory is page cache shared across
@@ -98,6 +100,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
@@ -113,7 +116,7 @@ func main() {
 		grPath      = flag.String("gr", "", "DIMACS .gr file")
 		coPath      = flag.String("co", "", "DIMACS .co file")
 		method      = flag.String("method", "ch", "technique: dijkstra, ch, tnr, silc, pcpd, alt, arcflags")
-		indexPath   = flag.String("index", "", "index file: load if present, else build and save (ch/tnr/silc)")
+		indexPath   = flag.String("index", "", "index file: load if present, else build and save (ch/tnr/silc/pcpd)")
 		graphPath   = flag.String("graph", "", "binary graph file: load if present, else parse -preset/-gr/-co and save")
 		useMmap     = flag.Bool("mmap", roadnet.MmapSupported, "mmap flat index/graph files instead of reading them onto the heap")
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -132,6 +135,10 @@ func main() {
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); never exposed on the public mux")
 	)
 	flag.Parse()
+	if *indexPath != "" && !slices.Contains(core.FileMethods(), core.Method(*method)) {
+		fmt.Fprintf(os.Stderr, "-index: method %s has no file format; methods with one: %v\n", *method, core.FileMethods())
+		os.Exit(2)
+	}
 
 	var openOpts []roadnet.OpenOption
 	if !*verify {

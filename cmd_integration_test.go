@@ -180,10 +180,10 @@ func TestSpverifyVerdicts(t *testing.T) {
 	}
 }
 
-// bootSpserve runs spserve on the DE preset with its three caches in dir
-// until /readyz answers, stops it with SIGTERM and returns what it printed
-// and the /readyz body it answered.
-func bootSpserve(t *testing.T, dir string) (out, readyz string) {
+// bootSpserve runs spserve with method on the DE preset with its three
+// caches in dir, the index as <method>.idx, until /readyz answers, stops it
+// with SIGTERM and returns what it printed and the /readyz body it answered.
+func bootSpserve(t *testing.T, dir, method string) (out, readyz string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -192,8 +192,8 @@ func bootSpserve(t *testing.T, dir string) (out, readyz string) {
 	addr := ln.Addr().String()
 	ln.Close()
 	var stdout bytes.Buffer
-	cmd := exec.Command(commandPath(t, "spserve"), "-preset", "DE", "-method", "ch", "-addr", addr,
-		"-index", filepath.Join(dir, "ch.idx"), "-graph", filepath.Join(dir, "graph.bin"), "-rtree", filepath.Join(dir, "rtree.bin"))
+	cmd := exec.Command(commandPath(t, "spserve"), "-preset", "DE", "-method", method, "-addr", addr,
+		"-index", filepath.Join(dir, method+".idx"), "-graph", filepath.Join(dir, "graph.bin"), "-rtree", filepath.Join(dir, "rtree.bin"))
 	cmd.Stdout, cmd.Stderr = &stdout, &stdout
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func bootSpserve(t *testing.T, dir string) (out, readyz string) {
 // its "load:" lines naming each path once.
 func TestSpserveCachesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	first, _ := bootSpserve(t, dir)
+	first, _ := bootSpserve(t, dir, "ch")
 	if strings.Contains(first, "load:") {
 		t.Errorf("the first boot loaded a cache from an empty directory:\n%s", first)
 	}
@@ -250,7 +250,7 @@ func TestSpserveCachesSurviveRestart(t *testing.T) {
 		t.Errorf("spverify did not pass the three caches:\n%s", out)
 	}
 
-	second, _ := bootSpserve(t, dir)
+	second, _ := bootSpserve(t, dir, "ch")
 	for kind, name := range map[string]string{"graph": "graph.bin", "index": "ch.idx", "rtree": "rtree.bin"} {
 		path := filepath.Join(dir, name)
 		var line string
@@ -273,7 +273,7 @@ func TestSpserveCachesSurviveRestart(t *testing.T) {
 // build's version, and the node serves verified, not degraded.
 func TestSpserveRebuildsStaleCaches(t *testing.T) {
 	dir := t.TempDir()
-	bootSpserve(t, dir)
+	bootSpserve(t, dir, "ch")
 	names := []string{"graph.bin", "ch.idx", "rtree.bin"}
 	for _, name := range names {
 		path := filepath.Join(dir, name)
@@ -287,7 +287,7 @@ func TestSpserveRebuildsStaleCaches(t *testing.T) {
 		}
 	}
 
-	out, readyz := bootSpserve(t, dir)
+	out, readyz := bootSpserve(t, dir, "ch")
 	if !strings.Contains(readyz, `"verified":true`) || strings.Contains(readyz, `"degraded":true`) {
 		t.Errorf("/readyz after rebuilding stale caches says %s", readyz)
 	}
@@ -306,5 +306,39 @@ func TestSpserveRebuildsStaleCaches(t *testing.T) {
 	}
 	if strings.Count(out, "saved ") != len(names) {
 		t.Errorf("the boot saved %d caches, want %d:\n%s", strings.Count(out, "saved "), len(names), out)
+	}
+}
+
+// TestSpservePCPDIndexSurvivesRestart: a PCPD index saved by the first boot
+// is loaded by the second, which builds nothing and saves nothing.
+func TestSpservePCPDIndexSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pcpd.idx")
+	if first, _ := bootSpserve(t, dir, "pcpd"); !strings.Contains(first, "saved index to "+path) {
+		t.Fatalf("the first boot did not save %s:\n%s", path, first)
+	}
+	second, _ := bootSpserve(t, dir, "pcpd")
+	if !strings.Contains(second, "load: index "+path+" via ") || strings.Contains(second, "saved ") {
+		t.Errorf("the second boot did not load %s and nothing else:\n%s", path, second)
+	}
+}
+
+// TestSpserveRefusesIndexWithoutFormat: -index with a method that has no
+// file format exits 2, naming the methods that have one, before it loads a
+// network or builds anything.
+func TestSpserveRefusesIndexWithoutFormat(t *testing.T) {
+	for _, method := range []string{"dijkstra", "alt", "arcflags"} {
+		path := filepath.Join(t.TempDir(), method+".idx")
+		out, err := exec.Command(commandPath(t, "spserve"), "-preset", "DE", "-method", method, "-index", path).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%s: err = %v, want exit status 2\n%s", method, err, out)
+		}
+		if !strings.Contains(string(out), "methods with one: [ch tnr silc pcpd]") || strings.Contains(string(out), "network:") {
+			t.Errorf("%s: spserve said\n%s\nwant the refusal alone, naming ch, tnr, silc and pcpd", method, out)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: the index file exists after the refusal (stat: %v)", method, err)
+		}
 	}
 }

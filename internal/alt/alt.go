@@ -6,9 +6,14 @@
 // inequality.
 //
 // The landmark table is vertex-major: the L distances of one vertex are one
-// contiguous run, so the bound at v reads one run of L words (128 bytes at
-// the default 16) beside the target's. A queued vertex keeps its bound in
-// its heap key, key = dist + bound, so lowering its label re-keys it without
+// contiguous run of int32s, so the bound at v reads one run of L words (64
+// bytes, one cache line, at the default 16) beside the target's. An
+// unreachable landmark is stored as unknown and drops out of the bound; it
+// is unreachable from a whole component, so within one query every vertex
+// drops the same landmarks and the bound stays consistent. A landmark with
+// a finite distance an int32 cannot hold is dropped from the table at
+// every vertex, for the same reason. A queued vertex keeps its bound in its
+// heap key, key = dist + bound, so lowering its label re-keys it without
 // reading the table again.
 //
 // The paper cites prior results showing ALT is dominated by CH in both
@@ -18,6 +23,8 @@ package alt
 
 import (
 	"context"
+	"math"
+	"slices"
 	"time"
 
 	"roadnet/internal/cancel"
@@ -42,8 +49,9 @@ type Options struct {
 type Index struct {
 	g         *graph.Graph
 	landmarks []graph.VertexID
-	// table[v*L+l] = dist(landmarks[l], v) for L = len(landmarks).
-	table []int64
+	// table[v*L+l] = dist(landmarks[l], v) for L = len(landmarks), or
+	// unknown if landmarks[l] is unreachable from v.
+	table []int32
 
 	buildTime time.Duration
 }
@@ -104,30 +112,45 @@ func Build(g *graph.Graph, opts Options) *Index {
 		}
 		cur = next
 	}
-	k := len(ix.landmarks)
-	ix.table = make([]int64, n*k)
+	// Drop every landmark with a finite distance of unknown or more: storing
+	// only those entries as unknown would drop it at some vertices of a
+	// component and keep it at others, and the settle loop, which never
+	// reopens a vertex, needs the bound consistent.
+	tooFar := func(d int64) bool { return d >= unknown && d < graph.Infinity }
+	landmarks, kept := ix.landmarks[:0], rows[:0]
 	for l, row := range rows {
+		if !slices.ContainsFunc(row, tooFar) {
+			landmarks, kept = append(landmarks, ix.landmarks[l]), append(kept, row)
+		}
+	}
+	ix.landmarks = landmarks
+	k := len(kept)
+	ix.table = make([]int32, n*k)
+	for l, row := range kept {
 		for v, d := range row {
-			ix.table[v*k+l] = d
+			ix.table[v*k+l] = int32(min(d, unknown))
 		}
 	}
 	ix.buildTime = time.Since(start)
 	return ix
 }
 
+// unknown is the table entry of an unreachable landmark.
+const unknown = math.MaxInt32
+
 // row returns v's landmark distances.
-func (ix *Index) row(v graph.VertexID) []int64 {
+func (ix *Index) row(v graph.VertexID) []int32 {
 	k := len(ix.landmarks)
 	return ix.table[int(v)*k : int(v)*k+k]
 }
 
 // potential returns the ALT lower bound on dist(v, t), where rt is t's row.
-func (ix *Index) potential(v graph.VertexID, rt []int64) int64 {
+func (ix *Index) potential(v graph.VertexID, rt []int32) int64 {
 	rv := ix.row(v)[:len(rt)]
-	var best int64
+	var best int32
 	for l, dt := range rt {
 		dv := rv[l]
-		if dv >= graph.Infinity || dt >= graph.Infinity {
+		if dv == unknown || dt == unknown {
 			continue
 		}
 		if d := dv - dt; d > best {
@@ -136,7 +159,7 @@ func (ix *Index) potential(v graph.VertexID, rt []int64) int64 {
 			best = d
 		}
 	}
-	return best
+	return int64(best)
 }
 
 // settle is ALT's dijkstra.SettleFunc: A* from src to t, keyed by the
@@ -178,5 +201,5 @@ func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the landmark table footprint.
 func (ix *Index) SizeBytes() int64 {
-	return int64(len(ix.table))*8 + int64(len(ix.landmarks))*4
+	return int64(len(ix.table))*4 + int64(len(ix.landmarks))*4
 }

@@ -1,6 +1,7 @@
 package alt_test
 
 import (
+	"math"
 	"testing"
 
 	"roadnet/internal/alt"
@@ -66,6 +67,48 @@ func TestALTDisconnected(t *testing.T) {
 	if p, _ := testutil.Path(ix.OpenPath, 0, 3); p != nil {
 		t.Errorf("cross-component path = %v", p)
 	}
+}
+
+// TestALTDistancesBeyondInt32: a landmark with a distance an int32 cannot
+// hold leaves the table, and every answer stays exact.
+func TestALTDistancesBeyondInt32(t *testing.T) {
+	g := weighted(t, 6, [][3]int64{{0, 1, 1 << 30}, {1, 2, 1<<30 + 1}, {2, 3, 1<<30 + 2}, {3, 4, 1<<30 + 3}, {4, 5, 1<<30 + 4}})
+	ix := alt.Build(g, alt.Options{NumLandmarks: 2}).NewSearcher()
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
+}
+
+// TestALTConsistentBeyondInt32: on a graph with more than one path between
+// vertices, a landmark kept at some vertices and dropped at others would
+// make the bound inconsistent, and a settled vertex that is never reopened
+// would carry a too-long label. Here L=0 is the only landmark; d(L, y=1)
+// fits an int32 and d(L, x=2), d(L, s=4), d(L, q=5) do not. With the
+// landmark kept at y alone, x settles through q before y pops and
+// dist(s, t=3) comes out 2^30+6 instead of 2^30+2.
+func TestALTConsistentBeyondInt32(t *testing.T) {
+	g := weighted(t, 6, [][3]int64{{0, 1, math.MaxInt32 - 1}, {0, 3, 1 << 30}, {1, 2, 1}, {2, 3, 1 << 30}, {4, 1, 1}, {4, 5, 1}, {5, 2, 5}})
+	ix := alt.Build(g, alt.Options{NumLandmarks: 1}).NewSearcher()
+	if d := ix.Distance(4, 3); d != 1<<30+2 {
+		t.Errorf("dist(4, 3) = %d, want %d", d, 1<<30+2)
+	}
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
+	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
+}
+
+// weighted builds an n-vertex graph with the given {u, v, weight} edges.
+func weighted(t *testing.T, n int, edges [][3]int64) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	g0 := testutil.Figure1()
+	for i := 0; i < n; i++ {
+		b.AddVertex(g0.Coord(graph.VertexID(i)))
+	}
+	for _, e := range edges {
+		if err := b.AddEdge(graph.VertexID(e[0]), graph.VertexID(e[1]), graph.Weight(e[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
 }
 
 func TestALTStats(t *testing.T) {

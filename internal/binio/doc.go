@@ -1,5 +1,5 @@
 // Package binio is the binary persistence layer under every saved
-// artifact in this repository — graphs, CH/TNR/SILC indexes and R-trees.
+// artifact in this repository — graphs, CH/TNR/SILC/PCPD indexes and R-trees.
 // Preprocessing the larger datasets takes minutes to hours (Figure 6(b));
 // persisting the result is what a production deployment would do, so the
 // library supports it for every structure whose construction is expensive.

@@ -8,9 +8,9 @@ import (
 )
 
 // The one way on and off disk. Every persisted kind (graph, CH, TNR, SILC,
-// R-tree) has a Save(w) and a constructor over an open *FlatFile; Read and
-// Load turn that constructor into the kind's stream and file loaders, and
-// WriteFile puts Save's bytes under a path.
+// PCPD, R-tree) has a Save(w) and a constructor over an open *FlatFile;
+// Read and Load turn that constructor into the kind's stream and file
+// loaders, and WriteFile puts Save's bytes under a path.
 
 // Read is the stream load path: it reads r to its end onto the heap, parses
 // and verifies the bytes as a flat container and hands it to build. A

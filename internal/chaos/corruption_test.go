@@ -11,6 +11,7 @@ import (
 	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/graph"
+	"roadnet/internal/pcpd"
 	"roadnet/internal/rtree"
 	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
@@ -24,8 +25,8 @@ import (
 const flipTrials = 8
 
 // TestEveryFormatDetectsCorruption is the flat-file damage table: for each
-// of the five fourccs (GRPH, CH, TNR with its nested CH container, SILC,
-// RTRE), the pristine file loads through its production loader on both the
+// of the six fourccs (GRPH, CH, TNR with its nested CH container, SILC,
+// PCPD, RTRE), the pristine file loads through its production loader on both the
 // heap and mmap paths, while a truncated copy and copies with a flipped
 // checksum-covered byte fail with ErrCorrupt on both paths.
 func TestEveryFormatDetectsCorruption(t *testing.T) {
@@ -81,6 +82,7 @@ func TestEveryFormatDetectsCorruption(t *testing.T) {
 		{"CH", ch.Fourcc, saveIndex(core.MethodCH), indexLoader(core.MethodCH)},
 		{"TNR", tnr.Fourcc, saveIndex(core.MethodTNR), indexLoader(core.MethodTNR)},
 		{"SILC", silc.Fourcc, saveIndex(core.MethodSILC), indexLoader(core.MethodSILC)},
+		{"PCPD", pcpd.Fourcc, saveIndex(core.MethodPCPD), indexLoader(core.MethodPCPD)},
 		{"RTRE", rtree.Fourcc,
 			func(path string) error {
 				f, err := os.Create(path)

@@ -19,10 +19,10 @@ import (
 // object or an error, never a panic. Each input goes through binio's stream
 // entry, which verifies every checksum, and through the file loaders with
 // binio.WithoutVerify — the path -verify=false takes, where a mutation gets
-// past the CRC sweep onto the five constructors' structural checks. For the
-// three index kinds it also holds the graph check: bytes that load on one
+// past the CRC sweep onto the six constructors' structural checks. For the
+// four index kinds it also holds the graph check: bytes that load on one
 // graph are refused on a graph of another size, as built for a different
-// graph. The seeds are the saved form of all five kinds (TNR hybrid), the
+// graph. The seeds are the saved form of all six kinds (TNR hybrid), the
 // CH file with a planted firstUp defect, the R-tree file with a leaf wider
 // than the node capacity and each history form TestHistoryRefused refuses,
 // each also cut short. What a query does over unverified bytes is not in
@@ -30,7 +30,7 @@ import (
 func FuzzLoad(f *testing.F) {
 	g, kinds := savedKinds(f)
 	other := testutil.SmallRoad(40, 933)
-	methods := []core.Method{core.MethodCH, core.MethodTNR, core.MethodSILC}
+	methods := core.FileMethods()
 	var files [][]byte
 	for _, sk := range kinds {
 		files = append(files, sk.data)

@@ -27,7 +27,7 @@ type savedKind struct {
 	load func(path string, opts ...roadnet.OpenOption) error
 }
 
-// savedKinds saves all five kinds (TNR hybrid, so its file has both
+// savedKinds saves all six kinds (TNR hybrid, so its file has both
 // layers) for one small road network, which it returns too.
 func savedKinds(t testing.TB) (*graph.Graph, []savedKind) {
 	g := testutil.SmallRoad(24, 931)
@@ -54,7 +54,7 @@ func savedKinds(t testing.TB) (*graph.Graph, []savedKind) {
 			return err
 		}},
 	}
-	for _, m := range []core.Method{core.MethodCH, core.MethodTNR, core.MethodSILC} {
+	for _, m := range core.FileMethods() {
 		ix, err := core.BuildIndex(m, g, core.Config{TNR: tnr.Options{GridSize: 4, Hybrid: true}})
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +140,9 @@ type historyForm struct {
 // historyForms derives each refused history form from the current saves,
 // and reads each kind's version-3 save of the same network from
 // testdata/version3: the last layout before TNR's fallback byte and the
-// R-tree's node capacity left the meta blobs.
+// R-tree's node capacity left the meta blobs. PCPD had no file format then;
+// its file there is the layout Save writes, stamped version 3 with its
+// header checksum recomputed.
 func historyForms(t testing.TB, kinds []savedKind) []historyForm {
 	var forms []historyForm
 	for k, sk := range kinds {

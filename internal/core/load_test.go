@@ -67,6 +67,8 @@ func TestLoadIndexFileOracle(t *testing.T) {
 		{"tnr", core.MethodTNR, road},
 		{"silc", core.MethodSILC, road},
 		{"silc-stacked", core.MethodSILC, stacked},
+		{"pcpd", core.MethodPCPD, road},
+		{"pcpd-stacked", core.MethodPCPD, stacked},
 	} {
 		m, g := tc.m, tc.g
 		pairs := testutil.SamplePairs(g, 200, 163)
@@ -77,12 +79,14 @@ func TestLoadIndexFileOracle(t *testing.T) {
 		}
 		path := saveToFile(t, built, tc.name+".idx")
 		if g == stacked {
+			// SILC's exception targets and PCPD's collision table keys.
+			runs := map[core.Method]int{core.MethodSILC: 5, core.MethodPCPD: 1}[m]
 			f, err := binio.OpenFlat(path, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, size := f.SectionInfo(5); size == 0 {
-				t.Errorf("%s: no exception targets on disk; the graph does not exercise the runs", tc.name)
+			if _, size := f.SectionInfo(runs); size == 0 {
+				t.Errorf("%s: section %d is empty; the graph does not exercise the runs", tc.name, runs)
 			}
 			f.Close()
 		}

@@ -7,13 +7,42 @@ import (
 	"roadnet/internal/binio"
 	"roadnet/internal/ch"
 	"roadnet/internal/graph"
+	"roadnet/internal/pcpd"
 	"roadnet/internal/silc"
 	"roadnet/internal/tnr"
 )
 
-// SaveIndex serializes a built index. Supported methods are the ones with
-// expensive preprocessing: CH, TNR and SILC. The baseline needs no index,
-// and PCPD/ALT/ArcFlags rebuild quickly relative to their size on disk.
+// loaders holds, in order, the methods with a file format and the
+// constructor that builds each one over an open container: the one
+// per-method table of both load paths and of FileMethods. The baseline has
+// no index, and ALT and arc flags have no file format.
+var loaders = []struct {
+	method Method
+	load   func(*binio.FlatFile, *graph.Graph) (technique, error)
+}{
+	{MethodCH, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return ch.HierarchyFromFlat(f, g) }},
+	{MethodTNR, func(f *binio.FlatFile, g *graph.Graph) (technique, error) {
+		t, err := tnr.IndexFromFlat(f, g)
+		if err == nil && t.Access() != tnr.AccessCorrected {
+			err = ErrFlawedTNR
+		}
+		return t, err
+	}},
+	{MethodSILC, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return silc.IndexFromFlat(f, g) }},
+	{MethodPCPD, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return pcpd.IndexFromFlat(f, g) }},
+}
+
+// FileMethods lists the methods with a file format, the ones SaveIndex and
+// LoadIndex accept.
+func FileMethods() []Method {
+	ms := make([]Method, len(loaders))
+	for i, l := range loaders {
+		ms[i] = l.method
+	}
+	return ms
+}
+
+// SaveIndex serializes a built index of one of FileMethods.
 func SaveIndex(ix Index, w io.Writer) error {
 	if in, ok := ix.(*index); ok {
 		if s, ok := in.tech.(interface{ Save(io.Writer) error }); ok {
@@ -29,32 +58,20 @@ func LoadIndex(method Method, r io.Reader, g *graph.Graph) (Index, error) {
 	return binio.Read(r, func(f *binio.FlatFile) (Index, error) { return fromFlat(method, f, g) })
 }
 
-// fromFlat builds method's index over the open container f: the one
-// per-method switch of both load paths. The index keeps f as its backing
-// (see CloseIndex).
+// fromFlat builds method's index over the open container f through its
+// entry in loaders. The index keeps f as its backing (see CloseIndex).
 func fromFlat(method Method, f *binio.FlatFile, g *graph.Graph) (Index, error) {
-	var (
-		tech technique
-		err  error
-	)
-	switch method {
-	case MethodCH:
-		tech, err = ch.HierarchyFromFlat(f, g)
-	case MethodTNR:
-		var t *tnr.Index
-		if t, err = tnr.IndexFromFlat(f, g); err == nil && t.Access() != tnr.AccessCorrected {
-			err = ErrFlawedTNR
+	for _, l := range loaders {
+		if l.method != method {
+			continue
 		}
-		tech = t
-	case MethodSILC:
-		tech, err = silc.IndexFromFlat(f, g)
-	default:
-		err = fmt.Errorf("core: method %s does not support serialization", method)
+		tech, err := l.load(f, g)
+		if err != nil {
+			return nil, err
+		}
+		ix := newIndex(g, tech)
+		ix.backing = f
+		return ix, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	ix := newIndex(g, tech)
-	ix.backing = f
-	return ix, nil
+	return nil, fmt.Errorf("core: method %s does not support serialization", method)
 }

@@ -12,7 +12,7 @@ import (
 func TestSaveLoadRoundtrip(t *testing.T) {
 	g := testutil.SmallRoad(400, 901)
 	pairs := testutil.SamplePairs(g, 100, 161)
-	for _, m := range []core.Method{core.MethodCH, core.MethodTNR, core.MethodSILC} {
+	for _, m := range core.FileMethods() {
 		ix, err := core.BuildIndex(m, g, core.Config{TNR: tnr.Options{GridSize: 8}})
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 
 func TestSaveUnsupportedMethods(t *testing.T) {
 	g := testutil.SmallRoad(200, 903)
-	for _, m := range []core.Method{core.MethodDijkstra, core.MethodPCPD, core.MethodALT, core.MethodArcFlags} {
+	for _, m := range []core.Method{core.MethodDijkstra, core.MethodALT, core.MethodArcFlags} {
 		ix, err := core.BuildIndex(m, g, core.Config{})
 		if err != nil {
 			t.Fatal(err)

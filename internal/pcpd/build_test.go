@@ -1,8 +1,10 @@
 package pcpd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sort"
 	"testing"
@@ -12,6 +14,48 @@ import (
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 )
+
+// psiValue is a ψ as the reference tree holds it and the golden digests
+// hash it: a vertex id, psiNone, or psiEdgeFlag | edgeID<<1 | direction.
+type psiValue = int64
+
+const (
+	psiNone     psiValue = -1
+	psiEdgeFlag psiValue = 1 << 40
+)
+
+// psiOf returns the ψ of a leaf slot in the reference encoding; a nil slot
+// is -2, as the digests hash it.
+func psiOf(slot uint32) psiValue {
+	switch slot & tagMask {
+	case tagVertex:
+		return psiValue(slot >> tagBits)
+	case tagEdge:
+		return psiEdgeFlag | psiValue(slot>>tagBits)
+	case tagNone:
+		return psiNone
+	}
+	return -2
+}
+
+type nodeKind uint8
+
+// The values are what the golden tree digests hash; 2 and 3 were one-sided
+// splits, which cannot occur (see decompose).
+const (
+	kindLeaf    nodeKind = 0 // a path-coherent pair: psi applies
+	kindSplit16 nodeKind = 1 // both squares split: children[qa*4+qb]
+	kindTable   nodeKind = 4 // same-cell coordinate collisions: per-pair psi
+)
+
+// node is a node of the reference tree: the decomposition held as
+// pointers, with a map per collision table.
+type node struct {
+	kind     nodeKind
+	psi      psiValue
+	children []*node
+	table    map[[2]graph.VertexID]psiValue
+}
 
 // refDecomposer is the decomposition as Appendix D states it and as Build
 // ran it before path labels: serial, with the nested-loop common-element
@@ -30,8 +74,9 @@ type refDecomposer struct {
 	numNodes, numPairs int64
 }
 
-// refBuild returns the reference index of g.
-func refBuild(g *graph.Graph) *Index {
+// refBuild returns the reference tree of g and an index without a tree
+// that carries its codes and counts.
+func refBuild(g *graph.Graph) (*Index, *node) {
 	n := g.NumVertices()
 	ix := newIndex(g)
 	d := &refDecomposer{
@@ -39,10 +84,37 @@ func refBuild(g *graph.Graph) *Index {
 		vertStamp: make([]uint32, n),
 		edgeStamp: make([]uint32, 2*g.NumEdges()),
 	}
-	all := quad{0, ix.norm.CodeSpaceSize(), 0, n}
-	ix.root = d.decompose(all, all)
+	all := quad{0, 1 << (2 * quadBits), 0, n}
+	root := d.decompose(all, all)
 	ix.numNodes, ix.numPairs = d.numNodes, d.numPairs
-	return ix
+	return ix, root
+}
+
+// refLookup is lookup over the reference tree: the ψ of the node covering
+// (s, t), or -2 when no node does.
+func refLookup(ix *Index, nd *node, s, t graph.VertexID) psiValue {
+	span := uint64(1) << (2 * quadBits)
+	cs, ct := uint64(ix.code[s]), uint64(ix.code[t])
+	aLo, bLo := uint64(0), uint64(0)
+	for nd != nil {
+		switch nd.kind {
+		case kindLeaf:
+			return nd.psi
+		case kindTable:
+			if psi, ok := nd.table[[2]graph.VertexID{s, t}]; ok {
+				return psi
+			}
+			return psiNone
+		case kindSplit16:
+			span /= 4
+			qa := (cs - aLo) / span
+			qb := (ct - bLo) / span
+			aLo += qa * span
+			bLo += qb * span
+			nd = nd.children[qa*4+qb]
+		}
+	}
+	return -2
 }
 
 func (d *refDecomposer) decompose(a, b quad) *node {
@@ -201,30 +273,39 @@ func (d *refDecomposer) pairPsi(s, t graph.VertexID) psiValue {
 		return psiNone
 	}
 	if len(arcs) == 1 {
-		return d.edgePsi(s, arcs[0])
+		return psiOf(d.edgePsi(s, arcs[0]))
 	}
 	return int64(g.Head(arcs[len(arcs)/2-1]))
 }
 
-// treeDigest hashes everything a query can observe of a tree: node kinds,
-// ψ, children by slot (nil ones included) and collision tables sorted by
-// pair.
-func treeDigest(root *node) uint64 {
-	h := fnv.New64a()
-	put := func(v int64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+// digester hashes everything a query can observe of a tree, in the order
+// the pointer tree's walk met it: node kinds, ψ, children by slot (nil ones
+// included) and collision tables sorted by pair.
+type digester struct{ h hash.Hash64 }
+
+func (dg digester) put(v int64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(v))
+	dg.h.Write(buf[:])
+}
+
+// node hashes the head of a node: its kind, ψ and number of children.
+func (dg digester) node(kind nodeKind, psi psiValue, children int) {
+	dg.put(int64(kind))
+	dg.put(psi)
+	dg.put(int64(children))
+}
+
+// refTreeDigest is the digest of a reference tree.
+func refTreeDigest(root *node) uint64 {
+	dg := digester{fnv.New64a()}
 	var walk func(nd *node)
 	walk = func(nd *node) {
 		if nd == nil {
-			put(-2)
+			dg.put(-2)
 			return
 		}
-		put(int64(nd.kind))
-		put(nd.psi)
-		put(int64(len(nd.children)))
+		dg.node(nd.kind, nd.psi, len(nd.children))
 		for _, c := range nd.children {
 			walk(c)
 		}
@@ -238,19 +319,61 @@ func treeDigest(root *node) uint64 {
 			}
 			return keys[i][1] < keys[j][1]
 		})
-		put(int64(len(keys)))
+		dg.put(int64(len(keys)))
 		for _, k := range keys {
-			put(int64(k[0]))
-			put(int64(k[1]))
-			put(nd.table[k])
+			dg.put(int64(k[0]))
+			dg.put(int64(k[1]))
+			dg.put(nd.table[k])
 		}
 	}
 	walk(root)
-	return h.Sum64()
+	return dg.h.Sum64()
+}
+
+// treeDigest is the digest of ix's slot tree, equal to refTreeDigest of the
+// pointer tree with the same shape and ψ. A collision table's pairs are the
+// entries of the table run whose codes lie in the table's two squares.
+func treeDigest(ix *Index) uint64 {
+	dg := digester{fnv.New64a()}
+	var walk func(slot uint32, aLo, bLo, span uint64)
+	walk = func(slot uint32, aLo, bLo, span uint64) {
+		switch slot & tagMask {
+		case slotNil:
+			dg.put(-2)
+		case tagSplit:
+			dg.node(kindSplit16, 0, 16)
+			span /= 4
+			for q := uint64(0); q < 16; q++ {
+				walk(ix.slots[int(slot>>tagBits)*16+int(q)], aLo+q/4*span, bLo+q%4*span, span)
+			}
+			dg.put(0)
+		case tagTable:
+			dg.node(kindTable, 0, 0)
+			in := func(v uint32, lo uint64) bool { c := uint64(ix.code[v]); return c >= lo && c < lo+span }
+			var at []int
+			for i, k := range ix.tableKeys {
+				if in(k>>16, aLo) && in(k&0xffff, bLo) {
+					at = append(at, i)
+				}
+			}
+			dg.put(int64(len(at)))
+			for _, i := range at {
+				dg.put(int64(ix.tableKeys[i] >> 16))
+				dg.put(int64(ix.tableKeys[i] & 0xffff))
+				dg.put(psiOf(ix.tablePsi[i]))
+			}
+		default:
+			dg.node(kindLeaf, psiOf(slot), 0)
+			dg.put(0)
+		}
+	}
+	walk(ix.root, 0, 0, 1<<(2*quadBits))
+	return dg.h.Sum64()
 }
 
 // TestBuildMatchesReference requires Build's tree, whatever the worker
-// count, to be the reference's: same digest, same counts, same size.
+// count, to be the reference's: same digest, same counts, and the same ψ
+// for every ordered vertex pair.
 func TestBuildMatchesReference(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -264,19 +387,30 @@ func TestBuildMatchesReference(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			ref := refBuild(g)
-			want := treeDigest(ref.root)
+			ref, root := refBuild(g)
+			want := refTreeDigest(root)
+			n := graph.VertexID(g.NumVertices())
 			for _, workers := range []int{1, 2, 8} {
 				ix, err := Build(g, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := treeDigest(ix.root); got != want {
+				if got := treeDigest(ix); got != want {
 					t.Errorf("workers=%d: tree digest %016x, reference %016x", workers, got, want)
 				}
-				if ix.NumNodes() != ref.NumNodes() || ix.NumPairs() != ref.NumPairs() || ix.SizeBytes() != ref.SizeBytes() {
-					t.Errorf("workers=%d: %d nodes, %d pairs, %d bytes; reference %d, %d, %d", workers,
-						ix.NumNodes(), ix.NumPairs(), ix.SizeBytes(), ref.NumNodes(), ref.NumPairs(), ref.SizeBytes())
+				if ix.NumNodes() != ref.NumNodes() || ix.NumPairs() != ref.NumPairs() {
+					t.Errorf("workers=%d: %d nodes, %d pairs; reference %d, %d", workers,
+						ix.NumNodes(), ix.NumPairs(), ref.NumNodes(), ref.NumPairs())
+				}
+				for s := graph.VertexID(0); s < n; s++ {
+					for u := graph.VertexID(0); u < n; u++ {
+						if s == u {
+							continue
+						}
+						if got, want := psiOf(ix.lookup(s, u)), refLookup(ref, root, s, u); got != want {
+							t.Fatalf("workers=%d: lookup(%d, %d) = %d, reference %d", workers, s, u, got, want)
+						}
+					}
 				}
 			}
 		})
@@ -307,7 +441,7 @@ func TestGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return treeDigest(ix.root)
+		return treeDigest(ix)
 	})
 }
 
@@ -341,6 +475,54 @@ func TestCoherenceWorkCount(t *testing.T) {
 		t.Logf("%s: %d checks, %.2f per ordered pair", name, checks, perPair)
 		if perPair > 3 {
 			t.Errorf("%s: %.2f membership checks per ordered vertex pair, want at most 3", name, perPair)
+		}
+	}
+}
+
+// TestSizeBytes pins the index size as the exact sum of its arrays: on NH
+// the 60 056 520 B the pointer tree was estimated at are 7 400 056 B of
+// slots, codes and edges.
+func TestSizeBytes(t *testing.T) {
+	want := map[string]int64{"DE": 1237120, "NH": 7400056}
+	for _, name := range []string{"DE", "NH"} {
+		if name == "NH" && testing.Short() {
+			continue
+		}
+		g, err := gen.GeneratePreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Build(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.SizeBytes(); got != want[name] {
+			t.Errorf("%s: %d bytes (%d slots, %d table entries), want %d", name, got, len(ix.slots), len(ix.tableKeys), want[name])
+		}
+	}
+}
+
+// TestSaveIndependentOfWorkers requires the saved index, build time aside,
+// to be the same bytes whatever the worker count: the fragments the queued
+// tasks make are laid out by the tree, not by the schedule.
+func TestSaveIndependentOfWorkers(t *testing.T) {
+	for _, g := range []*graph.Graph{testutil.MessyGraph(6), testutil.SmallRoad(600, 321)} {
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			ix, err := Build(g, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.buildTime = 0
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%d vertices: workers=%d saves other bytes than workers=1", g.NumVertices(), workers)
+			}
 		}
 	}
 }

@@ -43,8 +43,15 @@
 // per (target, vertex), hence n ≤ 65535) and decomposes; all three stages
 // run on Options.Workers goroutines, and the tree does not depend on their
 // scheduling. The matrix and the labels are released before Build returns,
-// so peak build memory is still 5n² B plus the tree (SizeBytes) — 29 MB +
-// 60 MB at n = 2400, 2 GB at maxN.
+// so peak build memory is still 5n² B plus the index (SizeBytes) — 29 MB +
+// 7 MB at n = 2400, 2 GB at maxN.
+//
+// # The tree
+//
+// The tree is one []uint32 of split nodes, 16 slots each in qa*4+qb order
+// (one cache line). A slot holds a leaf's ψ (a vertex, an edge, or none),
+// nil, a child split node's index, or a collision table. Every vertex pair
+// is covered by one slot, so all tables are one sorted run of (s, t) → ψ.
 //
 // # Queries
 //
@@ -58,6 +65,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -100,42 +108,33 @@ type Options struct {
 	Hierarchy *ch.Hierarchy
 }
 
-// psi encodes the common element of a path-coherent pair.
-//   - psi >= 0: a vertex id
-//   - psi == psiNone: no path (unreachable pair)
-//   - edge: psiEdgeFlag | edgeID<<1 | direction (0: path traverses U->V)
-type psiValue = int64
-
+// The tags of a slot (see the package doc); the payload is slot >> tagBits.
 const (
-	psiNone     psiValue = -1
-	psiEdgeFlag psiValue = 1 << 40
+	slotNil   uint32 = 0 // no vertex pair
+	tagNone   uint32 = 1 // a leaf: no pair has a path
+	tagVertex uint32 = 2 // a leaf: ψ is the vertex in the payload
+	tagEdge   uint32 = 3 // a leaf: ψ is edge payload>>1, traversed V->U if payload&1
+	tagSplit  uint32 = 4 // the split node whose index is the payload
+	tagTable  uint32 = 5 // a collision table: ψ per pair, in the table run
+	tagTask   uint32 = 6 // during Build only: the queued task in the payload
+	tagBits          = 3
+	tagMask   uint32 = 1<<tagBits - 1
 )
 
-type nodeKind uint8
-
-// The values are what the golden tree digests hash; 2 and 3 were one-sided
-// splits, which cannot occur (see decompose).
-const (
-	kindLeaf    nodeKind = 0 // a path-coherent pair: psi applies
-	kindSplit16 nodeKind = 1 // both squares split: children[qa*4+qb]
-	kindTable   nodeKind = 4 // same-cell coordinate collisions: per-pair psi
-)
-
-type node struct {
-	kind     nodeKind
-	psi      psiValue
-	children []*node
-	table    map[[2]graph.VertexID]psiValue
-}
+// tableKey is the pair (s, t) as a table key; maxN keeps ids below 1<<16.
+func tableKey(s, t graph.VertexID) uint32 { return uint32(s)<<16 | uint32(t) }
 
 // Index is a built PCPD index.
 type Index struct {
 	g    *graph.Graph
-	norm geom.Normalizer
 	code []uint32
 	// edges[id] resolves an edge-valued ψ to its endpoints and weight.
 	edges []graph.Edge
-	root  *node
+	// slots holds the split nodes, 16 slots each; root is the root's slot.
+	slots []uint32
+	root  uint32
+	// The collision tables' pairs (sorted tableKeys) and their leaf slots.
+	tableKeys, tablePsi []uint32
 
 	buildTime time.Duration
 	numPairs  int64 // leaves (path-coherent pairs), the paper's |Spcp|
@@ -173,21 +172,17 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	ix := newIndex(g)
 	hop := buildFirstHops(h, opts.Workers)
 	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, opts.Workers), order: mortonOrder(ix.code)}
-	ix.root = sh.decomposeAll(quad{0, ix.norm.CodeSpaceSize(), 0, n}, opts.Workers)
+	sh.decomposeAll(quad{0, 1 << (2 * quadBits), 0, n}, opts.Workers)
 	ix.buildTime = time.Since(start)
 	return ix, nil
 }
 
 // newIndex returns the index of g with everything but the tree.
 func newIndex(g *graph.Graph) *Index {
-	ix := &Index{
-		g:     g,
-		norm:  geom.NewNormalizer(g.Bounds(), quadBits),
-		code:  make([]uint32, g.NumVertices()),
-		edges: g.EdgesByID(),
-	}
+	ix := &Index{g: g, code: make([]uint32, g.NumVertices()), edges: g.EdgesByID()}
+	norm := geom.NewNormalizer(g.Bounds(), quadBits)
 	for v := range ix.code {
-		ix.code[v] = uint32(ix.norm.Code(g.Coord(graph.VertexID(v))))
+		ix.code[v] = uint32(norm.Code(g.Coord(graph.VertexID(v))))
 	}
 	return ix
 }
@@ -305,22 +300,25 @@ const (
 	maxQueued   = 1 + 16 + 256
 )
 
-// task is one queued pair of squares; its subtree goes to *slot.
+// task is one queued pair of squares and, once decomposed, its slot and its
+// fragment: a tagSplit slot indexes nodes, a tagTask slot subs.
 type task struct {
-	slot  **node
 	a, b  quad
 	depth int
+	slot  uint32
+	nodes []uint32
+	subs  []*task
 }
 
-// decomposeAll decomposes (all, all) on workers goroutines and adds the
-// node, pair and check counts to the index.
-func (sh *shared) decomposeAll(all quad, workers int) *node {
-	var root *node
+// decomposeAll decomposes (all, all) on workers goroutines and sets the
+// index's tree, collision tables and node, pair and check counts.
+func (sh *shared) decomposeAll(all quad, workers int) {
+	root := &task{a: all, b: all}
 	// Buffered for every task there can be, so queueing never blocks.
-	tasks := make(chan task, maxQueued)
+	tasks := make(chan *task, maxQueued)
 	var pending sync.WaitGroup // tasks queued and not yet decomposed
 	pending.Add(1)
-	tasks <- task{slot: &root, a: all, b: all}
+	tasks <- root
 
 	ds := make([]*decomposer, workers)
 	var wg sync.WaitGroup
@@ -331,7 +329,8 @@ func (sh *shared) decomposeAll(all quad, workers int) *node {
 		go func() {
 			defer wg.Done()
 			for tk := range tasks {
-				*tk.slot = d.decompose(tk.a, tk.b, tk.depth)
+				d.cur = tk
+				tk.slot = d.decompose(tk.a, tk.b, tk.depth)
 				pending.Done()
 			}
 		}()
@@ -339,80 +338,114 @@ func (sh *shared) decomposeAll(all quad, workers int) *node {
 	pending.Wait()
 	close(tasks)
 	wg.Wait()
+
+	ix := sh.ix
+	var table []uint64 // tableKey<<32 | ψ
 	for _, d := range ds {
-		sh.ix.numNodes += d.numNodes
-		sh.ix.numPairs += d.numPairs
-		sh.ix.checks += d.checks
+		ix.numNodes += d.numNodes
+		ix.numPairs += d.numPairs
+		ix.checks += d.checks
+		table = append(table, d.table...)
 	}
-	return root
+	slices.Sort(table)
+	for _, e := range table {
+		ix.tableKeys, ix.tablePsi = append(ix.tableKeys, uint32(e>>32)), append(ix.tablePsi, uint32(e))
+	}
+	ix.slots, ix.root = layout(nil, root)
 }
 
-// decomposer is one worker of the decomposition: its scratch and its share
-// of the counts.
+// layout appends tk's fragment and then, in slot order, its sub-pairs' to
+// slots, relocating split and task slots, and returns tk's relocated slot:
+// the layout depends on the tree only, not on which worker ran which task.
+func layout(slots []uint32, tk *task) ([]uint32, uint32) {
+	base := uint32(len(slots) / 16)
+	relocate := func(v uint32) uint32 {
+		if v&tagMask == tagSplit {
+			v += base << tagBits
+		}
+		return v
+	}
+	slots = append(slots, tk.nodes...)
+	for i := int(base) * 16; i < int(base)*16+len(tk.nodes); i++ {
+		slot := relocate(slots[i])
+		if slot&tagMask == tagTask {
+			slots, slot = layout(slots, tk.subs[slot>>tagBits])
+		}
+		slots[i] = slot
+	}
+	return slots, relocate(tk.slot)
+}
+
+// decomposer is one worker: its scratch, task, counts and table pairs.
 type decomposer struct {
 	*shared
-	tasks   chan<- task
+	tasks   chan<- *task
 	pending *sync.WaitGroup
+	cur     *task
 
 	verts []graph.VertexID // the vertices after s of the path being examined
 	miss  [2]int           // positions in order of the pair the last witness missed, or -1
+	table []uint64         // collision table pairs, tableKey<<32 | ψ
 
 	numNodes, numPairs, checks int64
 }
 
-// sub stores the subtree of the pair (a, b) in *slot, now or, near the
-// root, whenever a worker is free.
-func (d *decomposer) sub(slot **node, a, b quad, depth int) {
-	if depth <= queuedDepth {
-		d.pending.Add(1)
-		d.tasks <- task{slot: slot, a: a, b: b, depth: depth}
-		return
+// sub returns the slot of the pair (a, b), decomposed now or, near the
+// root, queued for whichever worker is free.
+func (d *decomposer) sub(a, b quad, depth int) uint32 {
+	if depth > queuedDepth {
+		return d.decompose(a, b, depth)
 	}
-	*slot = d.decompose(a, b, depth)
+	tk := &task{a: a, b: b, depth: depth}
+	d.cur.subs = append(d.cur.subs, tk)
+	d.pending.Add(1)
+	d.tasks <- tk
+	return uint32(len(d.cur.subs)-1)<<tagBits | tagTask
 }
 
-// decompose builds the subtree for the square pair (a, b), or nil when the
-// pair covers no queryable vertex pair.
-func (d *decomposer) decompose(a, b quad, depth int) *node {
+// decompose decomposes the square pair (a, b) into the running task's
+// fragment and returns its slot, nil when it covers no vertex pair.
+func (d *decomposer) decompose(a, b quad, depth int) uint32 {
 	if a.empty() || b.empty() {
-		return nil
+		return slotNil
 	}
 	if a.idxHi-a.idxLo == 1 && b.idxHi-b.idxLo == 1 && d.order[a.idxLo] == d.order[b.idxLo] {
-		return nil // the only pair is (v, v)
+		return slotNil // the only pair is (v, v)
 	}
 	d.numNodes++
 	if psi, ok := d.coherent(a, b); ok {
 		d.numPairs++
-		return &node{kind: kindLeaf, psi: psi}
+		return psi
 	}
 	// Both squares start as the root span and child quarters both, so
 	// a.span == b.span at every pair: they split together or not at all.
 	if a.splittable() {
-		nd := &node{kind: kindSplit16, children: make([]*node, 16)}
+		at := len(d.cur.nodes)
+		d.cur.nodes = append(d.cur.nodes, make([]uint32, 16)...)
 		for qa := uint64(0); qa < 4; qa++ {
 			ca := d.child(a, qa)
 			if ca.empty() {
 				continue
 			}
 			for qb := uint64(0); qb < 4; qb++ {
-				d.sub(&nd.children[qa*4+qb], ca, d.child(b, qb), depth+1)
+				slot := d.sub(ca, d.child(b, qb), depth+1)
+				d.cur.nodes[at+int(qa*4+qb)] = slot
 			}
 		}
-		return nd
+		return uint32(at/16)<<tagBits | tagSplit
 	}
 	// Coordinate collisions: several vertices share both unit cells.
-	nd := &node{kind: kindTable, table: map[[2]graph.VertexID]psiValue{}}
 	for i := a.idxLo; i < a.idxHi; i++ {
 		for j := b.idxLo; j < b.idxHi; j++ {
 			s, t := d.order[i], d.order[j]
 			if s == t {
 				continue
 			}
-			nd.table[[2]graph.VertexID{s, t}] = d.pairPsi(s, t)
+			d.table = append(d.table, uint64(tableKey(s, t))<<32|uint64(d.pairPsi(s, t)))
+			d.numPairs++
 		}
 	}
-	d.numPairs += int64(len(nd.table))
-	return nd
+	return tagTable
 }
 
 // nextArc returns the arc the canonical path from v toward t leaves v on;
@@ -422,14 +455,14 @@ func (sh *shared) nextArc(v, t graph.VertexID) int32 {
 	return lo + int32(sh.hop[int(v)*sh.n+int(t)])
 }
 
-// edgePsi encodes the edge of arc, traversed from vertex from.
-func (sh *shared) edgePsi(from graph.VertexID, arc int32) psiValue {
-	id := sh.ix.g.EdgeIDOf(arc)
-	dir := int64(0)
+// edgePsi returns the leaf slot of arc's edge, traversed from vertex from.
+func (sh *shared) edgePsi(from graph.VertexID, arc int32) uint32 {
+	id := uint32(sh.ix.g.EdgeIDOf(arc))
+	dir := uint32(0)
 	if sh.ix.edges[id].U != from {
 		dir = 1
 	}
-	return psiEdgeFlag | int64(id)<<1 | dir
+	return (id<<1|dir)<<tagBits | tagEdge
 }
 
 // witness is a candidate ψ: the edge with id edge leaving v, or, when edge
@@ -494,10 +527,10 @@ func (d *decomposer) onPaths(w witness, iLo, iHi, j int) bool {
 }
 
 // coherent tests whether all shortest paths between the squares share a
-// common element and returns the ψ Appendix D's nested loop would: the
-// first edge of the first pair's path that every path traverses, otherwise
-// its first vertex that is interior to every path (see the package doc).
-func (d *decomposer) coherent(a, b quad) (psiValue, bool) {
+// common element and returns the leaf slot of the ψ Appendix D's nested
+// loop would: the first edge of the first pair's path that every path
+// traverses, otherwise its first vertex interior to every path (package doc).
+func (d *decomposer) coherent(a, b quad) (uint32, bool) {
 	// The first pair of the nested loop; (v, v) is not a pair.
 	i, j := a.idxLo, b.idxLo
 	if d.order[i] == d.order[j] {
@@ -518,7 +551,7 @@ func (d *decomposer) coherent(a, b quad) (psiValue, bool) {
 				}
 			}
 		}
-		return psiNone, true
+		return tagNone, true
 	}
 	g := d.ix.g
 	d.verts = d.verts[:0]
@@ -533,17 +566,17 @@ func (d *decomposer) coherent(a, b quad) (psiValue, bool) {
 	}
 	for _, v := range d.verts[:len(d.verts)-1] {
 		if d.onAllPaths(witness{v: v, edge: -1}, a, b) {
-			return int64(v), true
+			return uint32(v)<<tagBits | tagVertex, true
 		}
 	}
 	return 0, false
 }
 
-// pairPsi computes ψ for a single pair (used by collision tables): the
-// middle vertex of the path, or the edge of a single-edge path.
-func (d *decomposer) pairPsi(s, t graph.VertexID) psiValue {
+// pairPsi computes the leaf slot of a single pair (used by collision
+// tables): the middle vertex of the path, or the edge of a single-edge path.
+func (d *decomposer) pairPsi(s, t graph.VertexID) uint32 {
 	if d.hop[int(s)*d.n+int(t)] == noHop {
-		return psiNone
+		return tagNone
 	}
 	g := d.ix.g
 	first := d.nextArc(s, t)
@@ -555,34 +588,25 @@ func (d *decomposer) pairPsi(s, t graph.VertexID) psiValue {
 	if len(d.verts) == 1 {
 		return d.edgePsi(s, first)
 	}
-	return int64(d.verts[len(d.verts)/2-1])
+	return uint32(d.verts[len(d.verts)/2-1])<<tagBits | tagVertex
 }
 
-// lookup descends the tree to the unique node covering (s, t).
-func (ix *Index) lookup(s, t graph.VertexID) psiValue {
-	span := uint64(ix.norm.CodeSpaceSize()) // of both squares, see decompose
-	cs, ct := uint64(ix.code[s]), uint64(ix.code[t])
-	aLo, bLo := uint64(0), uint64(0)
-	nd := ix.root
-	for nd != nil {
-		switch nd.kind {
-		case kindLeaf:
-			return nd.psi
-		case kindTable:
-			if psi, ok := nd.table[[2]graph.VertexID{s, t}]; ok {
-				return psi
-			}
-			return psiNone
-		case kindSplit16:
-			span /= 4
-			qa := (cs - aLo) / span
-			qb := (ct - bLo) / span
-			aLo += qa * span
-			bLo += qb * span
-			nd = nd.children[qa*4+qb]
+// lookup descends the tree to the slot covering (s, t) and returns its
+// leaf slot: the slot itself, or the pair's entry of a collision table.
+func (ix *Index) lookup(s, t graph.VertexID) uint32 {
+	cs, ct, slot := ix.code[s], ix.code[t], ix.root
+	// Each level splits both squares by the next two Morton code bits.
+	for shift := 2 * quadBits; slot&tagMask == tagSplit; {
+		shift -= 2
+		qa, qb := cs>>shift&3, ct>>shift&3
+		slot = ix.slots[int(slot>>tagBits)*16+int(qa*4+qb)]
+	}
+	if slot == tagTable {
+		if i, ok := slices.BinarySearch(ix.tableKeys, tableKey(s, t)); ok {
+			return ix.tablePsi[i]
 		}
 	}
-	return psiNone
+	return slot
 }
 
 // walker carries the per-query cancellation state of one recursive path
@@ -612,13 +636,11 @@ func (ix *Index) appendPath(w *walker, path *[]graph.VertexID, s, t graph.Vertex
 		return false // defensive: corrupted index
 	}
 	psi := ix.lookup(s, t)
-	switch {
-	case psi == psiNone:
-		return false
-	case psi&psiEdgeFlag != 0:
-		e := ix.edges[(psi&^psiEdgeFlag)>>1]
+	switch psi & tagMask {
+	case tagEdge:
+		e := ix.edges[psi>>(tagBits+1)]
 		u, v := e.U, e.V
-		if psi&1 != 0 {
+		if psi>>tagBits&1 != 0 {
 			u, v = v, u
 		}
 		if !ix.appendPath(w, path, s, u, total, depth+1) {
@@ -629,8 +651,8 @@ func (ix *Index) appendPath(w *walker, path *[]graph.VertexID, s, t graph.Vertex
 		}
 		*total += int64(e.Weight)
 		return ix.appendPath(w, path, v, t, total, depth+1)
-	default:
-		m := graph.VertexID(psi)
+	case tagVertex:
+		m := graph.VertexID(psi >> tagBits)
 		if m == s || m == t {
 			return false // interiority violated: corrupted index
 		}
@@ -638,6 +660,8 @@ func (ix *Index) appendPath(w *walker, path *[]graph.VertexID, s, t graph.Vertex
 			return false
 		}
 		return ix.appendPath(w, path, m, t, total, depth+1)
+	default:
+		return false // no path, or a corrupted index
 	}
 }
 
@@ -694,12 +718,8 @@ func (ix *Index) DistanceContext(ctx context.Context, s, t graph.VertexID) (int6
 	}
 	var total int64
 	w := walker{ctx: ctx}
-	ok := ix.appendPath(&w, nil, s, t, &total, 0)
-	if w.err != nil {
+	if !ix.appendPath(&w, nil, s, t, &total, 0) {
 		return graph.Infinity, w.err
-	}
-	if !ok {
-		return graph.Infinity, nil
 	}
 	return total, nil
 }
@@ -713,22 +733,9 @@ func (ix *Index) NumNodes() int64 { return ix.numNodes }
 // BuildTime returns the wall-clock preprocessing duration.
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
-// SizeBytes reports the decomposition tree footprint (the paper's space
-// measurements count exactly this structure, whose constant factor
-// Appendix C analyses).
+// SizeBytes reports the exact size of the index arrays: the tree and its
+// collision tables (Appendix C's structure), the codes and the edges.
 func (ix *Index) SizeBytes() int64 {
-	return ix.sizeOf(ix.root) + int64(len(ix.code))*4 + int64(len(ix.edges))*12
-}
-
-func (ix *Index) sizeOf(nd *node) int64 {
-	if nd == nil {
-		return 0
-	}
-	size := int64(48) // node header
-	size += int64(len(nd.children)) * 8
-	size += int64(len(nd.table)) * 24
-	for _, c := range nd.children {
-		size += ix.sizeOf(c)
-	}
-	return size
+	words := len(ix.slots) + len(ix.tableKeys) + len(ix.tablePsi) + len(ix.code)
+	return int64(words)*4 + int64(len(ix.edges))*12
 }

@@ -256,8 +256,8 @@ func NewIndex(method Method, g *Graph, cfg Config) (Index, error) {
 }
 
 // SaveIndex serializes a built index so deployments can preprocess once
-// and load at startup. CH, TNR and SILC are supported (the methods whose
-// preprocessing is expensive).
+// and load at startup. CH, TNR, SILC and PCPD have a file format;
+// the baseline, ALT and arc flags do not.
 func SaveIndex(idx Index, w io.Writer) error { return core.SaveIndex(idx, w) }
 
 // LoadIndex deserializes an index of the given method, re-attaching it to
