@@ -24,6 +24,7 @@ import (
 	"roadnet"
 	"roadnet/internal/binio"
 	"roadnet/internal/chaos"
+	"roadnet/internal/testutil"
 )
 
 // buildCommands compiles the cmd binaries into a temp dir once per test run.
@@ -130,16 +131,8 @@ func TestSpverifyVerdicts(t *testing.T) {
 	if err := roadnet.SaveIndex(idx, &buf); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	write := func(name string, data []byte) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	clean := write("clean.idx", buf.Bytes())
-	flipped := write("flipped.idx", buf.Bytes())
+	clean := testutil.TempFile(t, "clean.idx", buf.Bytes())
+	flipped := testutil.TempFile(t, "flipped.idx", buf.Bytes())
 	if _, err := chaos.FlipCovered(flipped, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +140,11 @@ func TestSpverifyVerdicts(t *testing.T) {
 	// layout files had before checksums, which no reader accepts now.
 	bare := append([]byte(nil), buf.Bytes()...)
 	bare[20] &^= 1
-	flagCleared := write("bare.idx", bare)
+	flagCleared := testutil.TempFile(t, "bare.idx", bare)
 	v2 := append([]byte(nil), buf.Bytes()...)
 	v2[12] = 2 // the container version, a u32 at offset 12
-	version2 := write("v2.idx", v2)
-	notFlat := write("stream.idx", []byte("ROADNET-CH\n\x01 and then whatever a v1 stream held"))
+	version2 := testutil.TempFile(t, "v2.idx", v2)
+	notFlat := testutil.TempFile(t, "v1.idx", []byte("ROADNET-CH\n\x01 and then whatever a v1 stream held"))
 
 	for _, tc := range []struct {
 		name string

@@ -116,7 +116,7 @@ func (r *Reader) Magic(want string) {
 	got := make([]byte, len(want))
 	r.read(got)
 	if r.err == nil && string(got) != want {
-		r.err = fmt.Errorf("binio: bad magic %q, want %q", got, want)
+		r.err = fmt.Errorf("%w: bad magic %q, want %q", ErrCorrupt, got, want)
 	}
 }
 

@@ -12,9 +12,9 @@
 // verifies every section checksum by default; WithoutVerify defers the
 // sweep (audit later with the spverify tool). binio.go holds the scalar
 // Writer/Reader the container's header and metadata blob are encoded with;
-// file.go the one way on and off disk — Read and Load, which every
-// loader in the repository is a composition of, and the all-or-nothing
-// WriteFile every cache is written through.
+// file.go the one way on and off disk — Load, which every loader in the
+// repository is a composition of, and the all-or-nothing WriteFile every
+// cache is written through.
 //
 // Decoding failures caused by the bytes themselves — hostile section
 // tables, truncated sections, checksum mismatches — wrap ErrCorrupt, so callers

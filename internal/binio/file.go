@@ -9,26 +9,10 @@ import (
 
 // The one way on and off disk. Every persisted kind (graph, CH, TNR, SILC,
 // PCPD, R-tree) has a Save(w) and a constructor over an open *FlatFile;
-// Read and Load turn that constructor into the kind's stream and file
-// loaders, and WriteFile puts Save's bytes under a path.
+// Load turns that constructor into the kind's file loader, and WriteFile
+// puts Save's bytes under a path.
 
-// Read is the stream load path: it reads r to its end onto the heap, parses
-// and verifies the bytes as a flat container and hands it to build. A
-// stream that is not a flat container is ErrNotFlat.
-func Read[T any](r io.Reader, build func(*FlatFile) (T, error)) (T, error) {
-	var zero T
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return zero, err
-	}
-	f, err := ParseFlat(data)
-	if err != nil {
-		return zero, err
-	}
-	return build(f)
-}
-
-// Load is the file load path: OpenFlat, then build over the open file. What
+// Load is the load path: OpenFlat, then build over the open file. What
 // build returns aliases the file and owns it from then on — build records
 // it as the object's backing, to be closed with the object; when build
 // fails Load closes it. Errors name path once.

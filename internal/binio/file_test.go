@@ -10,6 +10,19 @@ import (
 	"testing"
 )
 
+// tempFile writes data to a file called name in a fresh temporary
+// directory and returns its path. It is testutil.TempFile for this
+// package's own tests, which cannot import testutil: testutil depends on
+// binio through graph.
+func tempFile(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // dirNames lists what dir holds, to catch temp-file litter.
 func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
@@ -81,26 +94,20 @@ func TestWriteFileAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestReadAndLoad drives the two load paths over the test container: both
-// hand build a verified file, pass build's value and error through, and
-// Load names the path exactly once in every error.
-func TestReadAndLoad(t *testing.T) {
+// TestLoad drives the load path over the test container: it hands build a
+// verified file, heap or mapped, passes build's value and error through,
+// and names the path exactly once in every error.
+func TestLoad(t *testing.T) {
 	data := buildTestFlat(t)
-	path := filepath.Join(t.TempDir(), "test.flat")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := tempFile(t, "test.flat", data)
 	sections := func(f *FlatFile) (int, error) {
 		if !f.Verified() {
 			t.Error("build was handed an unverified file")
 		}
 		return f.NumSections(), nil
 	}
-	if n, err := Read(bytes.NewReader(data), sections); n != 5 || err != nil {
-		t.Errorf("Read = %d, %v", n, err)
-	}
-	if _, err := Read(strings.NewReader("p sp 5 4\n"), sections); !errors.Is(err, ErrNotFlat) {
-		t.Errorf("Read of text: err = %v, want ErrNotFlat", err)
+	if _, err := Load(tempFile(t, "text.flat", []byte("p sp 5 4\n")), false, sections); !errors.Is(err, ErrNotFlat) {
+		t.Errorf("Load of text: err = %v, want ErrNotFlat", err)
 	}
 	for _, mmap := range []bool{false, true} {
 		if n, err := Load(path, mmap, sections); n != 5 || err != nil {
@@ -121,9 +128,7 @@ func TestReadAndLoad(t *testing.T) {
 
 	mut := bytes.Clone(data)
 	mut[bytes.Index(mut, []byte("payload"))] ^= 1 // inside the u8 section
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path = tempFile(t, "test.flat", mut)
 	if _, err := Load(path, true, sections); !errors.Is(err, ErrCorrupt) || strings.Count(err.Error(), path) != 1 {
 		t.Errorf("Load of a flipped byte: err = %v, want ErrCorrupt naming the path once", err)
 	}

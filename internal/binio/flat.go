@@ -15,7 +15,7 @@
 //	offset  size  field
 //	0       8     magic "RNFLAT2\n"
 //	8       4     fourcc — the owning index type ("CH  ", "TNR ", ...)
-//	12      4     container version (currently 3)
+//	12      4     container version (FlatVersion)
 //	16      4     section count
 //	20      4     flags (FlagChecksums, nothing else)
 //	24      8     meta blob offset
@@ -117,7 +117,7 @@ func (k SectionKind) elemSize() int64 {
 	}
 }
 
-// ErrNotFlat reports that a byte stream does not start with the flat
+// ErrNotFlat reports that a file does not start with the flat
 // container magic: it is not an index, graph or R-tree file at all.
 var ErrNotFlat = errors.New("binio: not a flat v2 container")
 
@@ -283,30 +283,12 @@ type parsedSection struct {
 	data []byte
 }
 
-// IsFlat reports whether b begins with the flat container magic.
-func IsFlat(b []byte) bool {
-	return len(b) >= len(FlatMagic) && string(b[:len(FlatMagic)]) == FlatMagic
-}
-
-// ParseFlat parses a flat container held in data. Section accessors cast
-// in place where alignment and host endianness allow and copy otherwise, so
-// the returned FlatFile keeps data, which must not be modified afterwards.
-// Every checksum is verified before ParseFlat returns.
-func ParseFlat(data []byte) (*FlatFile, error) {
-	f, err := parseFlat(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Verify(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // parseFlat parses the header and section table without touching (or
-// verifying) the section payloads.
+// verifying) the section payloads. Section accessors cast in place where
+// alignment and host endianness allow and copy otherwise, so the returned
+// FlatFile keeps data, which must not be modified afterwards.
 func parseFlat(data []byte) (*FlatFile, error) {
-	if !IsFlat(data) {
+	if len(data) < len(FlatMagic) || string(data[:len(FlatMagic)]) != FlatMagic {
 		return nil, ErrNotFlat
 	}
 	if len(data) < flatHeaderSize {

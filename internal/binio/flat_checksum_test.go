@@ -3,15 +3,13 @@ package binio
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"unsafe"
 )
 
 func TestFlatChecksumRoundtrip(t *testing.T) {
-	f, err := ParseFlat(unaligned(buildTestFlat(t)))
+	f, err := parseFlat(unaligned(buildTestFlat(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +21,8 @@ func TestFlatChecksumRoundtrip(t *testing.T) {
 
 // TestFlatChecksumDetectsEveryByteFlip flips every meaningful byte of the
 // container (header, table, meta, trailing CRC, section payloads —
-// everything but alignment padding) and checks that eager parsing rejects
-// each mutation with a typed error.
+// everything but alignment padding) and checks that opening the file
+// rejects each mutation with a typed error.
 func TestFlatChecksumDetectsEveryByteFlip(t *testing.T) {
 	pristine := buildTestFlat(t)
 	f, err := parseFlat(pristine)
@@ -50,7 +48,7 @@ func TestFlatChecksumDetectsEveryByteFlip(t *testing.T) {
 		}
 		mut := bytes.Clone(pristine)
 		mut[i] ^= 0x40
-		ff, err := ParseFlat(mut)
+		ff, err := OpenFlat(tempFile(t, "flip.flat", mut), false)
 		if err == nil {
 			t.Fatalf("byte flip at offset %d went undetected", i)
 		}
@@ -78,11 +76,11 @@ func TestFlatChecksummedTruncation(t *testing.T) {
 	}
 	// Cut the file off right before the trailing header CRC: the structural
 	// parse must already refuse it.
-	if _, err := ParseFlat(data[:f.metaEnd+3]); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseFlat(data[:f.metaEnd+3]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncation before header CRC: err = %v, want ErrCorrupt", err)
 	}
 	// Cut mid-section: the table bounds check refuses it.
-	if _, err := ParseFlat(data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseFlat(data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncation mid-section: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -107,7 +105,7 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 	}
 	data := obuf.Bytes()
 
-	f, err := ParseFlat(unaligned(data))
+	f, err := parseFlat(unaligned(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +127,8 @@ func TestFlatNestedCoveredByParent(t *testing.T) {
 	sectionStart := int(uintptrOf(raw.secs[0].data) - uintptrOf(data))
 	mut := bytes.Clone(data)
 	mut[sectionStart+len(raw.secs[0].data)-1] ^= 0x01
-	if _, err := ParseFlat(mut); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("nested corruption: parent parse err = %v, want ErrCorrupt", err)
+	if _, err := OpenFlat(tempFile(t, "nested.flat", mut), false); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("nested corruption: parent open err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -152,10 +150,7 @@ func TestOpenFlatVerifyPolicy(t *testing.T) {
 	}
 	mut := bytes.Clone(data)
 	mut[corruptAt] ^= 0x80
-	path := filepath.Join(t.TempDir(), "corrupt.flat")
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := tempFile(t, "corrupt.flat", mut)
 
 	for _, mmap := range []bool{false, true} {
 		if _, err := OpenFlat(path, mmap); !errors.Is(err, ErrCorrupt) {
@@ -177,10 +172,7 @@ func TestOpenFlatVerifyPolicy(t *testing.T) {
 	}
 
 	// A pristine file passes under both policies.
-	good := filepath.Join(t.TempDir(), "good.flat")
-	if err := os.WriteFile(good, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	good := tempFile(t, "good.flat", data)
 	for _, opts := range [][]OpenOption{nil, {WithoutVerify()}} {
 		for _, mmap := range []bool{false, true} {
 			fg, err := OpenFlat(good, mmap, opts...)
@@ -212,10 +204,7 @@ func TestNilFlatFile(t *testing.T) {
 
 func TestFlatCloseIdempotent(t *testing.T) {
 	data := buildTestFlat(t)
-	path := filepath.Join(t.TempDir(), "idx.flat")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := tempFile(t, "idx.flat", data)
 	for _, mmap := range []bool{false, MmapSupported} {
 		f, err := OpenFlat(path, mmap)
 		if err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"unsafe"
@@ -82,7 +80,7 @@ func unaligned(data []byte) []byte {
 func TestFlatRoundtrip(t *testing.T) {
 	data := buildTestFlat(t)
 	for name, buf := range map[string][]byte{"aligned": data, "unaligned": unaligned(data)} {
-		f, err := ParseFlat(buf)
+		f, err := parseFlat(buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -92,7 +90,7 @@ func TestFlatRoundtrip(t *testing.T) {
 
 func TestFlatAlignment(t *testing.T) {
 	data := buildTestFlat(t)
-	f, err := ParseFlat(data)
+	f, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,7 @@ func TestFlatZeroCopyAliases(t *testing.T) {
 		t.Skip("zero-copy casts require a little-endian host")
 	}
 	data := buildTestFlat(t)
-	f, err := ParseFlat(data)
+	f, err := parseFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestFlatZeroCopyAliases(t *testing.T) {
 		t.Error("aligned zero-copy access returned a copy")
 	}
 	// An unaligned section start takes the decoding copy instead.
-	f, err = ParseFlat(unaligned(data))
+	f, err = parseFlat(unaligned(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +156,7 @@ func s32byte(s []int32) []byte {
 }
 
 func TestFlatSectionKindMismatch(t *testing.T) {
-	f, err := ParseFlat(unaligned(buildTestFlat(t)))
+	f, err := parseFlat(unaligned(buildTestFlat(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestFlatSectionKindMismatch(t *testing.T) {
 // TestDecodeWrongKind: a container of another fourcc, or whose meta blob
 // opens with another magic, fails the Reader before anything is read.
 func TestDecodeWrongKind(t *testing.T) {
-	f, err := ParseFlat(unaligned(buildTestFlat(t)))
+	f, err := parseFlat(unaligned(buildTestFlat(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +195,7 @@ func TestDecodeWrongKind(t *testing.T) {
 func TestFlatBadMagic(t *testing.T) {
 	data := buildTestFlat(t)
 	data[0] ^= 0xff
-	if _, err := ParseFlat(data); !errors.Is(err, ErrNotFlat) {
+	if _, err := parseFlat(data); !errors.Is(err, ErrNotFlat) {
 		t.Errorf("bad magic: err = %v", err)
 	}
 }
@@ -205,7 +203,7 @@ func TestFlatBadMagic(t *testing.T) {
 func TestFlatBadVersion(t *testing.T) {
 	data := buildTestFlat(t)
 	data[12] = 9 // container version field
-	_, err := ParseFlat(data)
+	_, err := parseFlat(data)
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("version 9: err = %v", err)
 	}
@@ -216,11 +214,15 @@ func TestFlatBadVersion(t *testing.T) {
 
 func TestFlatTruncations(t *testing.T) {
 	data := buildTestFlat(t)
-	// Any truncation must fail cleanly in ParseFlat or the accessors, and
-	// never panic or silently succeed with the final byte removed.
+	// Any truncation must fail cleanly in the parse, the checksum sweep or
+	// the accessors, and never panic or silently succeed with the final
+	// byte removed.
 	for _, cut := range []int{0, 4, len(FlatMagic), flatHeaderSize - 1, flatHeaderSize + 3,
 		len(data) / 2, len(data) - 1} {
-		f, err := ParseFlat(unaligned(data[:cut]))
+		f, err := parseFlat(unaligned(data[:cut]))
+		if err == nil {
+			err = f.Verify()
+		}
 		if err != nil {
 			continue // rejected at parse time: good
 		}
@@ -250,7 +252,7 @@ func TestFlatHostileSectionTable(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		mut[flatHeaderSize+i] = 0xff
 	}
-	if _, err := ParseFlat(mut); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseFlat(mut); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("hostile offset: err = %v", err)
 	}
 	// Meta length far beyond the file.
@@ -258,7 +260,7 @@ func TestFlatHostileSectionTable(t *testing.T) {
 	for i := 32; i < 40; i++ {
 		mut[i] = 0x7f
 	}
-	if _, err := ParseFlat(mut); !errors.Is(err, ErrCorrupt) {
+	if _, err := parseFlat(mut); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("hostile meta length: err = %v", err)
 	}
 }
@@ -272,7 +274,7 @@ func TestFlatNested(t *testing.T) {
 	if _, err := fw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	outer, err := ParseFlat(buf.Bytes())
+	outer, err := parseFlat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +288,7 @@ func TestFlatNested(t *testing.T) {
 
 func TestOpenFlat(t *testing.T) {
 	data := buildTestFlat(t)
-	path := filepath.Join(t.TempDir(), "test.idx")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := tempFile(t, "test.idx", data)
 	for _, preferMmap := range []bool{false, true} {
 		f, err := OpenFlat(path, preferMmap)
 		if err != nil {
@@ -309,7 +308,7 @@ func TestOpenFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenFlat(filepath.Join(t.TempDir(), "missing.idx"), true); err == nil {
+	if _, err := OpenFlat(path+".absent", true); err == nil {
 		t.Error("opening a missing file succeeded")
 	}
 }

@@ -69,7 +69,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Hierarchy is a contraction hierarchy: built, read from a stream or cast
+// Hierarchy is a contraction hierarchy: built, read onto the heap or cast
 // over a mapped file, it is the same five arrays. It is immutable after
 // Build and safe for concurrent queries through per-goroutine Searchers. It
 // must not be copied: m2mPool embeds sync's noCopy marker, so go vet's

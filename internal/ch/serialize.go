@@ -18,8 +18,8 @@ import (
 // The format is the flat zero-copy container of internal/binio: the rank
 // permutation and the four arrays of the upward CSR are 64-byte-aligned
 // sections that a loader can mmap and cast in place, so a loaded hierarchy
-// is the same object as a built one. ReadHierarchy reads it from a stream;
-// core.LoadIndexFile adds the mmap fast path.
+// is the same object as a built one. core.LoadIndexFile opens the file,
+// mapped or on the heap, and hands it to HierarchyFromFlat.
 
 const chMagic = "ROADNET-CH\n"
 
@@ -42,15 +42,6 @@ func (h *Hierarchy) Save(w io.Writer) error {
 	fw.I32Section(h.upMiddle)
 	_, err := fw.WriteTo(w)
 	return err
-}
-
-// ReadHierarchy deserializes a hierarchy previously written with Save,
-// re-attaching it to g, which must be the same road network the hierarchy
-// was built on. This is the copying stream path; use core.LoadIndexFile for
-// the zero-copy mmap path. A stream that is not a flat container is
-// binio.ErrNotFlat.
-func ReadHierarchy(r io.Reader, g *graph.Graph) (*Hierarchy, error) {
-	return binio.Read(r, func(f *binio.FlatFile) (*Hierarchy, error) { return HierarchyFromFlat(f, g) })
 }
 
 // HierarchyFromFlat builds a hierarchy over the sections of f. The

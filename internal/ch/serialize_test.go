@@ -2,14 +2,23 @@ package ch_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"roadnet/internal/binio"
-
 	"roadnet/internal/ch"
+	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 )
+
+// load opens data as a hierarchy file read onto the heap, re-attached to g.
+func load(t *testing.T, data []byte, g *graph.Graph) (*ch.Hierarchy, error) {
+	t.Helper()
+	return binio.Load(testutil.TempFile(t, "ch.idx", data), false, func(f *binio.FlatFile) (*ch.Hierarchy, error) {
+		return ch.HierarchyFromFlat(f, g)
+	})
+}
 
 func TestCHSerializationRoundtrip(t *testing.T) {
 	g := testutil.SmallRoad(900, 801)
@@ -18,7 +27,7 @@ func TestCHSerializationRoundtrip(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := ch.ReadHierarchy(bytes.NewReader(buf.Bytes()), g)
+	h2, err := load(t, buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,7 @@ func TestCHSerializationRejectsWrongGraph(t *testing.T) {
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.ReadHierarchy(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := load(t, buf.Bytes(), other); err == nil {
 		t.Error("loading onto a different graph must fail")
 	}
 }
@@ -53,19 +62,26 @@ func TestCHSerializationRejectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 
 	// Truncation.
-	if _, err := ch.ReadHierarchy(bytes.NewReader(data[:len(data)/2]), g); err == nil {
-		t.Error("truncated stream must fail")
+	if _, err := load(t, data[:len(data)/2], g); err == nil {
+		t.Error("truncated file must fail")
 	}
 	// Bad magic.
 	bad := append([]byte("XX"), data[2:]...)
-	if _, err := ch.ReadHierarchy(bytes.NewReader(bad), g); err == nil {
+	if _, err := load(t, bad, g); err == nil {
 		t.Error("bad magic must fail")
 	}
 	// Flipped version byte.
 	bad = append([]byte(nil), data...)
 	bad[len("ROADNET-CH\n")] = 99
-	if _, err := ch.ReadHierarchy(bytes.NewReader(bad), g); err == nil {
+	if _, err := load(t, bad, g); err == nil {
 		t.Error("unknown version must fail")
+	}
+	// A flipped byte in the upWeight section, which no structural check
+	// reads: only its checksum can tell.
+	bad = append([]byte(nil), data...)
+	bad[binary.LittleEndian.Uint64(data[40+24*3+8:])] ^= 1 // section 3's offset, from the section table
+	if _, err := load(t, bad, g); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("flipped section byte: err = %v, want binio.ErrCorrupt", err)
 	}
 }
 
@@ -80,7 +96,7 @@ func TestCHVersionErrors(t *testing.T) {
 	}
 	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	_, err := ch.ReadHierarchy(bytes.NewReader(bad), g)
+	_, err := load(t, bad, g)
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}

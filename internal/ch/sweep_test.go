@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"roadnet/internal/binio"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
@@ -112,7 +113,9 @@ func TestSweepLoadedHierarchy(t *testing.T) {
 	if err := testutil.Must(Build(g, Options{})).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadHierarchy(&buf, g)
+	loaded, err := binio.Load(testutil.TempFile(t, "ch.idx", buf.Bytes()), false, func(f *binio.FlatFile) (*Hierarchy, error) {
+		return HierarchyFromFlat(f, g)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

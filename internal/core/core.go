@@ -52,7 +52,7 @@ type Stats struct {
 // Index is the unified query interface every technique implements.
 //
 // Concurrency contract: the index data of every technique is immutable
-// after BuildIndex/LoadIndex returns, so one Index may be shared by any
+// after BuildIndex/LoadIndexFile returns, so one Index may be shared by any
 // number of goroutines — but the Distance and ShortestPath methods of the
 // Index itself run on one default Searcher, created by the first such call,
 // and are NOT safe for concurrent use. For concurrent serving, call

@@ -1,11 +1,11 @@
 // Package core is the paper's actual contribution rendered as code: a
 // single experimental framework in which all five techniques — the
-// bidirectional Dijkstra baseline, CH, TNR, SILC and PCPD (plus the ALT
-// extension) — are built behind one interface and measured under identical
-// conditions: same graphs, same query workloads, same timing and space
-// accounting, and the same memory-ceiling rule the paper applies ("we
-// report the results of a technique on a dataset only when the size of its
-// indexing structure is less than 24 GB").
+// bidirectional Dijkstra baseline, CH, TNR, SILC and PCPD (plus the ALT and
+// arc-flags extensions) — are built behind one interface and measured
+// under identical conditions: same graphs, same query workloads, same
+// timing and space accounting, and the same memory-ceiling rule the paper
+// applies ("we report the results of a technique on a dataset only when
+// the size of its indexing structure is less than 24 GB").
 //
 // The package divides into:
 //
@@ -30,6 +30,7 @@
 //     searcher buffer for the others.
 //   - The spatial tier (spatial.go): an R-tree locator for point location
 //     plus bounded Dijkstra searches for network k-NN and range queries.
-//   - Persistence (serialize.go, loadfile.go): the flat container, read
-//     from a stream or mapped zero-copy, with checksum verification.
+//   - Persistence (serialize.go, loadfile.go): the flat container, loaded
+//     from a file, mapped zero-copy or read onto the heap, with checksum
+//     verification.
 package core

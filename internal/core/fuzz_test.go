@@ -1,9 +1,7 @@
 package core_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
+	"errors"
 	"strings"
 	"testing"
 
@@ -14,19 +12,22 @@ import (
 	"roadnet/internal/testutil"
 )
 
-// FuzzLoad feeds arbitrary bytes to the load paths and holds the property
-// every loader promises about bytes from outside the program: a usable
-// object or an error, never a panic. Each input goes through binio's stream
-// entry, which verifies every checksum, and through the file loaders with
+// FuzzLoad feeds arbitrary bytes to the file loaders and holds the two
+// promises every loader makes about bytes from outside the program: a usable
+// object or an error, never a panic; and an error that is typed. Each input
+// is loaded as a file twice, verified from the heap and mapped with
 // binio.WithoutVerify — the path -verify=false takes, where a mutation gets
-// past the CRC sweep onto the six constructors' structural checks. For the
-// four index kinds it also holds the graph check: bytes that load on one
-// graph are refused on a graph of another size, as built for a different
-// graph. The seeds are the saved form of all six kinds (TNR hybrid), the
-// CH file with a planted firstUp defect, the R-tree file with a leaf wider
-// than the node capacity and each history form TestHistoryRefused refuses,
-// each also cut short. What a query does over unverified bytes is not in
-// scope here: such a file is trusted (docs/FORMAT.md).
+// past the CRC sweep onto the six constructors' structural checks. Every
+// error must be ErrCorrupt, ErrVersion, ErrNotFlat or core.ErrFlawedTNR, or
+// one of the two misconfiguration errors: a container of another kind, or
+// an index built for a graph of another size. For the four index kinds it
+// also holds the graph check: bytes that load on one graph are refused on a
+// graph of another size, as built for a different graph. The seeds are the
+// saved form of all six kinds (TNR hybrid), the CH file with a planted
+// firstUp defect, the R-tree file with a leaf wider than the node capacity
+// and each history form TestHistoryRefused refuses, each also cut short.
+// What a query does over unverified bytes is not in scope here: such a file
+// is trusted (docs/FORMAT.md).
 func FuzzLoad(f *testing.F) {
 	g, kinds := savedKinds(f)
 	other := testutil.SmallRoad(40, 933)
@@ -51,6 +52,15 @@ func FuzzLoad(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		typed := func(err error) {
+			switch {
+			case err == nil, errors.Is(err, binio.ErrCorrupt), errors.Is(err, binio.ErrVersion),
+				errors.Is(err, binio.ErrNotFlat), errors.Is(err, core.ErrFlawedTNR),
+				strings.Contains(err.Error(), "container holds"), strings.Contains(err.Error(), "built for a"):
+			default:
+				t.Fatalf("untyped load error: %v", err)
+			}
+		}
 		checkIndex := func(m core.Method, ix core.Index, err error, onOther func() error) {
 			if err != nil {
 				return
@@ -63,45 +73,37 @@ func FuzzLoad(f *testing.F) {
 			}
 		}
 
-		if lg, err := graph.ReadGraph(bytes.NewReader(data)); err == nil && lg.NumVertices() < 0 {
-			t.Fatalf("a graph of %d vertices loaded", lg.NumVertices())
-		}
-		if tr, err := rtree.ReadTree(bytes.NewReader(data)); err == nil && (tr.Len() < 0 || tr.Height() < 1) {
-			t.Fatalf("a tree of %d entries and height %d loaded", tr.Len(), tr.Height())
-		}
-		for _, m := range methods {
-			ix, err := core.LoadIndex(m, bytes.NewReader(data), g)
-			checkIndex(m, ix, err, func() error {
-				_, err := core.LoadIndex(m, bytes.NewReader(data), other)
-				return err
-			})
-		}
-
-		path := filepath.Join(t.TempDir(), "load")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		noVerify := binio.WithoutVerify()
-		if lg, err := graph.LoadFile(path, true, noVerify); err == nil {
-			if lg.NumVertices() < 0 {
-				t.Fatalf("a graph of %d vertices loaded unverified", lg.NumVertices())
-			}
-			lg.Close()
-		}
-		if tr, err := rtree.LoadFile(path, true, noVerify); err == nil {
-			if tr.Len() < 0 || tr.Height() < 1 {
-				t.Fatalf("a tree of %d entries and height %d loaded unverified", tr.Len(), tr.Height())
-			}
-			tr.Close()
-		}
-		for _, m := range methods {
-			ix, _, err := core.LoadIndexFile(m, path, g, true, noVerify)
-			checkIndex(m, ix, err, func() error {
-				_, _, err := core.LoadIndexFile(m, path, other, true, noVerify)
-				return err
-			})
+		path := testutil.TempFile(t, "load", data)
+		for _, leg := range []struct {
+			mmap bool
+			opts []binio.OpenOption
+		}{{false, nil}, {true, []binio.OpenOption{binio.WithoutVerify()}}} {
+			lg, err := graph.LoadFile(path, leg.mmap, leg.opts...)
+			typed(err)
 			if err == nil {
-				core.CloseIndex(ix)
+				if lg.NumVertices() < 0 {
+					t.Fatalf("a graph of %d vertices loaded", lg.NumVertices())
+				}
+				lg.Close()
+			}
+			tr, err := rtree.LoadFile(path, leg.mmap, leg.opts...)
+			typed(err)
+			if err == nil {
+				if tr.Len() < 0 || tr.Height() < 1 {
+					t.Fatalf("a tree of %d entries and height %d loaded", tr.Len(), tr.Height())
+				}
+				tr.Close()
+			}
+			for _, m := range methods {
+				ix, _, err := core.LoadIndexFile(m, path, g, leg.mmap, leg.opts...)
+				typed(err)
+				checkIndex(m, ix, err, func() error {
+					_, _, err := core.LoadIndexFile(m, path, other, leg.mmap, leg.opts...)
+					return err
+				})
+				if err == nil {
+					core.CloseIndex(ix)
+				}
 			}
 		}
 	})

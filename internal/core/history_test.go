@@ -81,10 +81,11 @@ type section struct {
 // edit applied to its meta blob and section list. The result carries valid
 // checksums: it differs from what Save wrote only in its layout.
 func relayout(t testing.TB, data []byte, edit func(meta []byte, secs []section) ([]byte, []section)) []byte {
-	f, err := binio.ParseFlat(data)
+	f, err := binio.OpenFlat(testutil.TempFile(t, "relayout", data), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	le := binary.LittleEndian
 	metaOff, metaLen := le.Uint64(data[24:]), le.Uint64(data[32:])
 	meta := bytes.Clone(data[metaOff : metaOff+metaLen])
@@ -188,16 +189,8 @@ func historyForms(t testing.TB, kinds []savedKind) []historyForm {
 // Save writes today loads both ways.
 func TestHistoryRefused(t *testing.T) {
 	_, kinds := savedKinds(t)
-	dir := t.TempDir()
-	write := func(name string, data []byte) string {
-		path := filepath.Join(dir, strings.ReplaceAll(name, "/", "-"))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	for _, sk := range kinds {
-		path := write(sk.name, sk.data)
+		path := testutil.TempFile(t, sk.name, sk.data)
 		for _, opts := range [][]roadnet.OpenOption{nil, {roadnet.WithoutVerify()}} {
 			if err := sk.load(path, opts...); err != nil {
 				t.Errorf("%s as Save wrote it (%d options): %v", sk.name, len(opts), err)
@@ -206,7 +199,7 @@ func TestHistoryRefused(t *testing.T) {
 	}
 	for _, h := range historyForms(t, kinds) {
 		t.Run(h.name, func(t *testing.T) {
-			path := write(h.name, h.data)
+			path := testutil.TempFile(t, "history", h.data)
 			for _, opts := range [][]roadnet.OpenOption{nil, {roadnet.WithoutVerify()}} {
 				if err := kinds[h.kind].load(path, opts...); !errors.Is(err, h.want) {
 					t.Errorf("%d options: err = %v, want %v", len(opts), err, h.want)
@@ -220,10 +213,11 @@ func TestHistoryRefused(t *testing.T) {
 // section 1, raised by one: a structural defect under valid-looking bytes
 // that only the section's checksum and the constructor's check can see.
 func plantedFirstUp(t testing.TB, chFile []byte) []byte {
-	f, err := binio.ParseFlat(chFile)
+	f, err := binio.OpenFlat(testutil.TempFile(t, "ch.idx", chFile), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	off, size := f.SectionRange(1)
 	out := bytes.Clone(chFile)
 	last := out[off+size-4:]
@@ -242,7 +236,7 @@ func widenedLeaf(t testing.TB, rtreeFile []byte) []byte {
 		secs[4].data = entOff
 		return meta, secs
 	})
-	if _, err := rtree.ReadTree(bytes.NewReader(out)); !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "holds 0 children and 17 entries") {
+	if _, err := rtree.LoadFile(testutil.TempFile(t, "rtree", out), false); !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "holds 0 children and 17 entries") {
 		t.Fatalf("widened leaf: err = %v, want the width check's ErrCorrupt", err)
 	}
 	return out
@@ -259,10 +253,7 @@ func TestUnverifiedLoadReachesStructuralChecks(t *testing.T) {
 			ch = sk
 		}
 	}
-	path := filepath.Join(t.TempDir(), "ch.idx")
-	if err := os.WriteFile(path, plantedFirstUp(t, ch.data), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := testutil.TempFile(t, "ch.idx", plantedFirstUp(t, ch.data))
 	for _, tc := range []struct {
 		opts []roadnet.OpenOption
 		says string
@@ -272,6 +263,24 @@ func TestUnverifiedLoadReachesStructuralChecks(t *testing.T) {
 	} {
 		if err := ch.load(path, tc.opts...); !errors.Is(err, roadnet.ErrCorrupt) || !strings.Contains(err.Error(), tc.says) {
 			t.Errorf("%d options: err = %v, want ErrCorrupt saying %q", len(tc.opts), err, tc.says)
+		}
+	}
+}
+
+// TestDamagedMetaMagicIsCorrupt: a flipped bit in the magic that opens each
+// kind's meta blob is corruption, verified or not. Unverified, only the
+// magic check sees it, and its error must be ErrCorrupt too: that is what
+// puts spserve -verify=false into degraded mode instead of exiting.
+func TestDamagedMetaMagicIsCorrupt(t *testing.T) {
+	_, kinds := savedKinds(t)
+	for _, sk := range kinds {
+		data := bytes.Clone(sk.data)
+		data[binary.LittleEndian.Uint64(data[24:])] ^= 1 // the meta blob's offset, a u64 at 24
+		path := testutil.TempFile(t, sk.name, data)
+		for _, opts := range [][]roadnet.OpenOption{nil, {roadnet.WithoutVerify()}} {
+			if err := sk.load(path, opts...); !errors.Is(err, roadnet.ErrCorrupt) {
+				t.Errorf("%s, %d options: err = %v, want ErrCorrupt", sk.name, len(opts), err)
+			}
 		}
 	}
 }

@@ -99,8 +99,8 @@ func TestFlawedTNRRefused(t *testing.T) {
 	if err := testutil.Must(tnr.Build(g, opts)).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndex(MethodTNR, &buf, g); !errors.Is(err, ErrFlawedTNR) {
-		t.Errorf("LoadIndex: err = %v, want ErrFlawedTNR", err)
+	if _, _, err := LoadIndexFile(MethodTNR, testutil.TempFile(t, "tnr.idx", buf.Bytes()), g, false); !errors.Is(err, ErrFlawedTNR) {
+		t.Errorf("LoadIndexFile: err = %v, want ErrFlawedTNR", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,11 +8,9 @@ import (
 	"testing"
 
 	"roadnet/internal/binio"
-	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
-	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 )
@@ -126,53 +123,27 @@ func TestLoadIndexFileOracle(t *testing.T) {
 	}
 }
 
-// TestNonFlatStreamsRejected hands every reader streams that are not flat
-// containers — nothing, a few bytes, and the magic the deleted v1 stream
-// format began with: each must answer binio.ErrNotFlat, never panic.
-func TestNonFlatStreamsRejected(t *testing.T) {
+// TestNonFlatFilesRejected hands every index loader files that are not
+// flat containers — empty, a few bytes, and the magic the deleted v1
+// format began with — heap and mapped: each must answer binio.ErrNotFlat,
+// never panic.
+func TestNonFlatFilesRejected(t *testing.T) {
 	g := testutil.SmallRoad(200, 913)
-	streams := map[string][]byte{
+	files := map[string][]byte{
 		"empty":    nil,
 		"short":    []byte("RNF"),
 		"v1 magic": append([]byte("ROADNET-CH\n\x01"), make([]byte, 64)...),
 	}
-	readers := map[string]func(data []byte) error{
-		"ch.ReadHierarchy": func(data []byte) error {
-			_, err := ch.ReadHierarchy(bytes.NewReader(data), g)
-			return err
-		},
-		"tnr.ReadIndex": func(data []byte) error {
-			_, err := tnr.ReadIndex(bytes.NewReader(data), g)
-			return err
-		},
-		"silc.ReadIndex": func(data []byte) error {
-			_, err := silc.ReadIndex(bytes.NewReader(data), g)
-			return err
-		},
-		"core.LoadIndexFile heap": func(data []byte) error { return loadBytes(t, g, data, false) },
-		"core.LoadIndexFile mmap": func(data []byte) error { return loadBytes(t, g, data, true) },
-	}
-	for sname, data := range streams {
-		for rname, read := range readers {
-			if err := read(data); !errors.Is(err, binio.ErrNotFlat) {
-				t.Errorf("%s on %s stream: got %v, want binio.ErrNotFlat", rname, sname, err)
+	for fname, data := range files {
+		path := testutil.TempFile(t, "index", data)
+		for _, m := range core.FileMethods() {
+			for _, preferMmap := range []bool{false, true} {
+				if _, _, err := core.LoadIndexFile(m, path, g, preferMmap); !errors.Is(err, binio.ErrNotFlat) {
+					t.Errorf("%s (mmap=%v) on %s file: got %v, want binio.ErrNotFlat", m, preferMmap, fname, err)
+				}
 			}
 		}
 	}
-}
-
-// loadBytes writes data to a file and loads it as a CH index.
-func loadBytes(t *testing.T, g *graph.Graph, data []byte, preferMmap bool) error {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "stream.idx")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ix, _, err := core.LoadIndexFile(core.MethodCH, path, g, preferMmap)
-	if err == nil {
-		core.CloseIndex(ix)
-	}
-	return err
 }
 
 // TestLoadIndexFileErrors covers the failure paths: missing file, garbage
@@ -184,10 +155,7 @@ func TestLoadIndexFileErrors(t *testing.T) {
 		t.Error("missing file must fail")
 	}
 
-	garbage := filepath.Join(t.TempDir(), "garbage.idx")
-	if err := os.WriteFile(garbage, []byte("not an index at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	garbage := testutil.TempFile(t, "garbage.idx", []byte("not an index at all"))
 	if _, _, err := core.LoadIndexFile(core.MethodCH, garbage, g, true); err == nil {
 		t.Error("garbage file must fail")
 	}

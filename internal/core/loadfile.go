@@ -69,8 +69,8 @@ func LoadIndexFile(method Method, path string, g *graph.Graph, preferMmap bool, 
 
 // CloseIndex releases any file mapping a LoadIndexFile-loaded index holds.
 // The index (and every searcher over it) must not be used afterwards. It
-// releases nothing for built, stream-loaded and unmapped indexes, so
-// callers may defer it unconditionally.
+// releases nothing for built and heap-loaded indexes, so callers may defer
+// it unconditionally.
 func CloseIndex(ix Index) error {
 	if in, ok := ix.(*index); ok && in.backing != nil {
 		return in.backing.Close()

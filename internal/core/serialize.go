@@ -14,7 +14,7 @@ import (
 
 // loaders holds, in order, the methods with a file format and the
 // constructor that builds each one over an open container: the one
-// per-method table of both load paths and of FileMethods. The baseline has
+// per-method table of LoadIndexFile and of FileMethods. The baseline has
 // no index, and ALT and arc flags have no file format.
 var loaders = []struct {
 	method Method
@@ -33,7 +33,7 @@ var loaders = []struct {
 }
 
 // FileMethods lists the methods with a file format, the ones SaveIndex and
-// LoadIndex accept.
+// LoadIndexFile accept.
 func FileMethods() []Method {
 	ms := make([]Method, len(loaders))
 	for i, l := range loaders {
@@ -50,12 +50,6 @@ func SaveIndex(ix Index, w io.Writer) error {
 		}
 	}
 	return fmt.Errorf("core: method %s does not support serialization", ix.Method())
-}
-
-// LoadIndex deserializes an index of the given method and re-attaches it
-// to g, which must be the network the index was built on.
-func LoadIndex(method Method, r io.Reader, g *graph.Graph) (Index, error) {
-	return binio.Read(r, func(f *binio.FlatFile) (Index, error) { return fromFlat(method, f, g) })
 }
 
 // fromFlat builds method's index over the open container f through its

@@ -21,7 +21,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		if err := core.SaveIndex(ix, &buf); err != nil {
 			t.Fatalf("save %s: %v", m, err)
 		}
-		loaded, err := core.LoadIndex(m, bytes.NewReader(buf.Bytes()), g)
+		loaded, _, err := core.LoadIndexFile(m, testutil.TempFile(t, "index", buf.Bytes()), g, false)
 		if err != nil {
 			t.Fatalf("load %s: %v", m, err)
 		}
@@ -43,7 +43,7 @@ func TestSaveUnsupportedMethods(t *testing.T) {
 		if err := core.SaveIndex(ix, &buf); err == nil {
 			t.Errorf("%s: expected serialization-unsupported error", m)
 		}
-		if _, err := core.LoadIndex(m, bytes.NewReader(nil), g); err == nil {
+		if _, _, err := core.LoadIndexFile(m, testutil.TempFile(t, "index", nil), g, false); err == nil {
 			t.Errorf("%s: expected load-unsupported error", m)
 		}
 	}
@@ -59,8 +59,8 @@ func TestLoadWrongMethodStream(t *testing.T) {
 	if err := core.SaveIndex(chIx, &buf); err != nil {
 		t.Fatal(err)
 	}
-	// A CH stream fed to the SILC loader must fail on the magic check.
-	if _, err := core.LoadIndex(core.MethodSILC, bytes.NewReader(buf.Bytes()), g); err == nil {
+	// A CH file fed to the SILC loader must fail on the fourcc check.
+	if _, _, err := core.LoadIndexFile(core.MethodSILC, testutil.TempFile(t, "ch.idx", buf.Bytes()), g, false); err == nil {
 		t.Error("cross-method load must fail")
 	}
 }

@@ -49,9 +49,7 @@ func TestLoadIndexFileVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path = testutil.TempFile(t, "ch.idx", data)
 	for _, preferMmap := range []bool{false, true} {
 		if _, _, err := core.LoadIndexFile(core.MethodCH, path, g, preferMmap); !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("preferMmap=%v: corrupt load err = %v, want ErrCorrupt", preferMmap, err)

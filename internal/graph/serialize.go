@@ -41,11 +41,6 @@ func (g *Graph) Save(w io.Writer) error {
 	return err
 }
 
-// ReadGraph reads a graph written by Save from a stream: the copying path,
-// the whole container goes onto the heap. Use LoadFile to map the file
-// instead.
-func ReadGraph(r io.Reader) (*Graph, error) { return binio.Read(r, GraphFromFlat) }
-
 // LoadFile maps (or, with preferMmap false or where unsupported, reads)
 // the graph file at path. A mapped graph's arrays alias the page cache:
 // loading is O(1) and the resident memory is shared with every other
@@ -105,7 +100,7 @@ func (g *Graph) Backing() *binio.FlatFile { return g.backing }
 
 // Close releases the file mapping behind a graph returned by LoadFile. The
 // graph (and every index attached to it) must not be used afterwards. It
-// is a no-op for built or stream-read graphs.
+// is a no-op for built or heap-read graphs.
 func (g *Graph) Close() error { return g.backing.Close() }
 
 // pointsAsI32 reinterprets the coordinate array as its int32 layout

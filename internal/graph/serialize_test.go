@@ -2,13 +2,14 @@ package graph_test
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
+	"encoding/binary"
+	"errors"
 	"testing"
 
+	"roadnet/internal/binio"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
+	"roadnet/internal/testutil"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -44,13 +45,25 @@ func sameGraph(t *testing.T, g, h *graph.Graph) {
 	}
 }
 
-func TestGraphSaveReadRoundtrip(t *testing.T) {
-	g := testGraph(t)
+// load opens data as a graph file read onto the heap.
+func load(t *testing.T, data []byte) (*graph.Graph, error) {
+	t.Helper()
+	return graph.LoadFile(testutil.TempFile(t, "net.graph", data), false)
+}
+
+// saved returns the bytes g.Save writes.
+func saved(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h, err := graph.ReadGraph(bytes.NewReader(buf.Bytes()))
+	return buf.Bytes()
+}
+
+func TestGraphSaveReadRoundtrip(t *testing.T) {
+	g := testGraph(t)
+	h, err := load(t, saved(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +72,7 @@ func TestGraphSaveReadRoundtrip(t *testing.T) {
 
 func TestGraphLoadFile(t *testing.T) {
 	g := testGraph(t)
-	path := filepath.Join(t.TempDir(), "net.graph")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := testutil.TempFile(t, "net.graph", saved(t, g))
 	for _, preferMmap := range []bool{false, true} {
 		h, err := graph.LoadFile(path, preferMmap)
 		if err != nil {
@@ -83,24 +86,29 @@ func TestGraphLoadFile(t *testing.T) {
 }
 
 func TestGraphReadRejectsGarbage(t *testing.T) {
-	if _, err := graph.ReadGraph(strings.NewReader("p sp 5 4\n")); err == nil {
+	if _, err := load(t, []byte("p sp 5 4\n")); err == nil {
 		t.Error("DIMACS text accepted as a binary graph")
 	}
-	if _, err := graph.ReadGraph(bytes.NewReader(nil)); err == nil {
+	if _, err := load(t, nil); err == nil {
 		t.Error("empty input accepted")
 	}
 }
 
 func TestGraphReadRejectsTruncation(t *testing.T) {
-	g := testGraph(t)
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saved(t, testGraph(t))
 	for _, cut := range []int{10, 40, len(data) / 2, len(data) - 3} {
-		if _, err := graph.ReadGraph(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := load(t, data[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", cut)
 		}
+	}
+}
+
+// TestGraphReadRejectsFlippedByte flips a byte in the weight section, which
+// no structural check reads: only its checksum can tell.
+func TestGraphReadRejectsFlippedByte(t *testing.T) {
+	bad := saved(t, testGraph(t))
+	bad[binary.LittleEndian.Uint64(bad[40+24*2+8:])] ^= 1 // section 2's offset, from the section table
+	if _, err := load(t, bad); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("flipped section byte: err = %v, want binio.ErrCorrupt", err)
 	}
 }

@@ -12,9 +12,12 @@ import (
 	"roadnet/internal/testutil"
 )
 
-// read loads an index from Save's bytes through the stream path.
-func read(data []byte, g *graph.Graph) (*pcpd.Index, error) {
-	return binio.Read(bytes.NewReader(data), func(f *binio.FlatFile) (*pcpd.Index, error) { return pcpd.IndexFromFlat(f, g) })
+// load opens data as a PCPD file read onto the heap, re-attached to g.
+func load(t *testing.T, data []byte, g *graph.Graph) (*pcpd.Index, error) {
+	t.Helper()
+	return binio.Load(testutil.TempFile(t, "pcpd.idx", data), false, func(f *binio.FlatFile) (*pcpd.Index, error) {
+		return pcpd.IndexFromFlat(f, g)
+	})
 }
 
 func save(t *testing.T, ix *pcpd.Index) []byte {
@@ -31,7 +34,7 @@ func TestPCPDSerializationRoundtrip(t *testing.T) {
 	// collision tables as well as the tree.
 	for _, g := range []*graph.Graph{testutil.SmallRoad(400, 331), testutil.MessyGraph(6)} {
 		ix := build(t, g)
-		ix2, err := read(save(t, ix), g)
+		ix2, err := load(t, save(t, ix), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +58,7 @@ func TestPCPDSerializationRoundtrip(t *testing.T) {
 func TestPCPDSerializationRejectsWrongGraph(t *testing.T) {
 	g := testutil.SmallRoad(400, 337)
 	other := testutil.SmallRoad(900, 339)
-	if _, err := read(save(t, build(t, g)), other); err == nil {
+	if _, err := load(t, save(t, build(t, g)), other); err == nil {
 		t.Error("loading onto a different graph must fail")
 	}
 }
@@ -65,24 +68,24 @@ func TestPCPDSerializationRejectsCorruption(t *testing.T) {
 	data := save(t, build(t, g))
 
 	// Truncation.
-	if _, err := read(data[:len(data)/2], g); err == nil {
-		t.Error("truncated stream must fail")
+	if _, err := load(t, data[:len(data)/2], g); err == nil {
+		t.Error("truncated file must fail")
 	}
 	// Bad magic.
 	bad := append([]byte("XX"), data[2:]...)
-	if _, err := read(bad, g); err == nil {
+	if _, err := load(t, bad, g); err == nil {
 		t.Error("bad magic must fail")
 	}
 	// A flipped byte at the end of the file, inside a section.
 	bad = append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 1
-	if _, err := read(bad, g); !errors.Is(err, binio.ErrCorrupt) {
+	if _, err := load(t, bad, g); !errors.Is(err, binio.ErrCorrupt) {
 		t.Errorf("flipped section byte: err = %v, want binio.ErrCorrupt", err)
 	}
 	// A future container version.
 	bad = append([]byte(nil), data...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	if _, err := read(bad, g); !errors.Is(err, binio.ErrVersion) {
+	if _, err := load(t, bad, g); !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}
 }

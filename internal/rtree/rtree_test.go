@@ -2,15 +2,15 @@ package rtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
 	"roadnet/internal/binio"
 	"roadnet/internal/geom"
+	"roadnet/internal/testutil"
 )
 
 // deepN entries make a tree of height 4 or more: more than M³.
@@ -234,8 +234,8 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSerializeRoundTrip checks that a saved tree loads back (stream and
-// mmap paths) answering every query identically.
+// TestSerializeRoundTrip checks that a saved tree loads back (heap and
+// mmap) answering every query identically.
 func TestSerializeRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 33, 400, deepN} {
 		ents := randomEntries(n, int64(n))
@@ -245,21 +245,17 @@ func TestSerializeRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: Save: %v", n, err)
 		}
 
-		stream, err := ReadTree(bytes.NewReader(buf.Bytes()))
+		path := testutil.TempFile(t, "tree.rt", buf.Bytes())
+		heap, err := LoadFile(path, false)
 		if err != nil {
-			t.Fatalf("n=%d: ReadTree: %v", n, err)
-		}
-
-		path := filepath.Join(t.TempDir(), "tree.rt")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+			t.Fatalf("n=%d: LoadFile: %v", n, err)
 		}
 		mapped, err := LoadFile(path, true)
 		if err != nil {
 			t.Fatalf("n=%d: LoadFile: %v", n, err)
 		}
 
-		for _, tr := range []*Tree{stream, mapped} {
+		for _, tr := range []*Tree{heap, mapped} {
 			if tr.Len() != n || tr.Height() != orig.Height() {
 				t.Fatalf("n=%d: loaded Len=%d Height=%d", n, tr.Len(), tr.Height())
 			}
@@ -286,6 +282,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// load opens data as a tree file read onto the heap.
+func load(t *testing.T, data []byte) (*Tree, error) {
+	t.Helper()
+	return LoadFile(testutil.TempFile(t, "tree.rt", data), false)
+}
+
 func TestLoadRejectsCorrupt(t *testing.T) {
 	orig := BulkLoad(randomEntries(50, 1))
 	var buf bytes.Buffer
@@ -295,12 +297,19 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	// Wrong fourcc.
 	bad := append([]byte(nil), buf.Bytes()...)
 	bad[8] = 'X'
-	if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
+	if _, err := load(t, bad); err == nil {
 		t.Fatal("wrong fourcc accepted")
 	}
 	// Truncated container.
-	if _, err := ReadTree(bytes.NewReader(buf.Bytes()[:40])); err == nil {
+	if _, err := load(t, buf.Bytes()[:40]); err == nil {
 		t.Fatal("truncated container accepted")
+	}
+	// A flipped byte in the node rectangles, which no structural check
+	// reads: only their checksum can tell.
+	bad = append([]byte(nil), buf.Bytes()...)
+	bad[binary.LittleEndian.Uint64(bad[40+8:])] ^= 1 // section 0's offset, from the section table
+	if _, err := load(t, bad); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("flipped section byte: err = %v, want binio.ErrCorrupt", err)
 	}
 }
 
@@ -323,7 +332,7 @@ func TestLoadRejectsWideNode(t *testing.T) {
 		if err := tr.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadTree(&buf); !errors.Is(err, binio.ErrCorrupt) {
+		if _, err := load(t, buf.Bytes()); !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("%s node of %d: err = %v, want binio.ErrCorrupt", name, len(ents), err)
 		}
 	}

@@ -59,10 +59,6 @@ func (t *Tree) Save(w io.Writer) error {
 	return err
 }
 
-// ReadTree reads a tree written by Save from a stream (the copying path;
-// use LoadFile to map the file instead).
-func ReadTree(r io.Reader) (*Tree, error) { return binio.Read(r, TreeFromFlat) }
-
 // LoadFile maps (or, with preferMmap false or where unsupported, reads)
 // the tree file at path. Call Close on the returned tree when it is no
 // longer used.

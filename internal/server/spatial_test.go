@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"os"
-
 	"roadnet/internal/core"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
@@ -345,11 +343,7 @@ func TestServerWithMappedRTree(t *testing.T) {
 	if err := base.Tree().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/verts.rt"
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := rtree.LoadFile(path, true)
+	tree, err := rtree.LoadFile(testutil.TempFile(t, "verts.rt", buf.Bytes()), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,14 +49,6 @@ func (ix *Index) Save(w io.Writer) error {
 	return err
 }
 
-// ReadIndex deserializes an index written with Save, re-attaching it to g
-// (the same network it was built on). This is the copying stream path; use
-// core.LoadIndexFile for the zero-copy mmap path. A stream that is not a
-// flat container is binio.ErrNotFlat.
-func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	return binio.Read(r, func(f *binio.FlatFile) (*Index, error) { return IndexFromFlat(f, g) })
-}
-
 // IndexFromFlat builds an index over the sections of f. The index aliases
 // f's data; f must stay open for its lifetime.
 func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
@@ -88,7 +80,7 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	// O(1) structural checks; per-element scans are deliberately skipped so
 	// a mapped load touches no data pages.
 	if int64(len(rowOff))-1 != n {
-		return nil, fmt.Errorf("silc: interval tables have %d rows, graph has %d vertices", len(rowOff)-1, n)
+		return nil, fmt.Errorf("%w: silc interval tables have %d rows, graph has %d vertices", binio.ErrCorrupt, len(rowOff)-1, n)
 	}
 	if len(startsData) != len(colorsData) {
 		return nil, fmt.Errorf("%w: silc starts/colors sections differ in length", binio.ErrCorrupt)
@@ -100,7 +92,7 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 		return fail(err)
 	}
 	if int64(len(ix.code)) != n {
-		return nil, fmt.Errorf("silc: code table sized for a different graph")
+		return nil, fmt.Errorf("%w: silc code table sized for a different graph", binio.ErrCorrupt)
 	}
 	if int64(len(ix.excOff))-1 != n {
 		return nil, fmt.Errorf("%w: silc exception offsets sized for a different graph", binio.ErrCorrupt)

@@ -2,15 +2,24 @@ package silc_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"roadnet/internal/binio"
-
 	"roadnet/internal/gen"
+	"roadnet/internal/graph"
 	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 )
+
+// load opens data as a SILC file read onto the heap, re-attached to g.
+func load(t *testing.T, data []byte, g *graph.Graph) (*silc.Index, error) {
+	t.Helper()
+	return binio.Load(testutil.TempFile(t, "silc.idx", data), false, func(f *binio.FlatFile) (*silc.Index, error) {
+		return silc.IndexFromFlat(f, g)
+	})
+}
 
 func TestSILCSerializationRoundtrip(t *testing.T) {
 	g := testutil.SmallRoad(900, 821)
@@ -19,7 +28,7 @@ func TestSILCSerializationRoundtrip(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	ix2, err := load(t, buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,7 @@ func TestSILCSerializationWithExceptions(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	ix2, err := load(t, buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +62,7 @@ func TestSILCSerializationRejectsWrongGraph(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := silc.ReadIndex(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := load(t, buf.Bytes(), other); err == nil {
 		t.Error("loading onto a different graph must fail")
 	}
 }
@@ -66,8 +75,23 @@ func TestSILCSerializationRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := silc.ReadIndex(bytes.NewReader(data[:len(data)/3]), g); err == nil {
-		t.Error("truncated stream must fail")
+	if _, err := load(t, data[:len(data)/3], g); err == nil {
+		t.Error("truncated file must fail")
+	}
+}
+
+// TestSILCSerializationRejectsFlippedByte flips a byte in the colors
+// section, which no structural check reads: only its checksum can tell.
+func TestSILCSerializationRejectsFlippedByte(t *testing.T) {
+	g := testutil.SmallRoad(400, 831)
+	var buf bytes.Buffer
+	if err := build(t, g).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	bad[binary.LittleEndian.Uint64(bad[40+24*2+8:])] ^= 1 // section 2's offset, from the section table
+	if _, err := load(t, bad, g); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("flipped section byte: err = %v, want binio.ErrCorrupt", err)
 	}
 }
 
@@ -81,7 +105,7 @@ func TestSILCVersionErrors(t *testing.T) {
 	}
 	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	_, err := silc.ReadIndex(bytes.NewReader(bad), g)
+	_, err := load(t, bad, g)
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}

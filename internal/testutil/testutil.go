@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -39,6 +41,18 @@ func AllocBytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TempFile writes data to a file called name in a fresh temporary
+// directory and returns its path: these bytes as a file, for the loaders,
+// which only open files.
+func TempFile(t testing.TB, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // Figure-1 vertex ids, zero-based: V1 = paper's v1, etc.

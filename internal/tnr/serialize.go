@@ -81,14 +81,6 @@ func addLayer(fw *binio.FlatWriter, mw *binio.Writer, l *layer) {
 	fw.I32Section(distData)
 }
 
-// ReadIndex deserializes an index written with Save, re-attaching it to g
-// (the same network it was built on). This is the copying stream path; use
-// core.LoadIndexFile for the zero-copy mmap path. A stream that is not a
-// flat container is binio.ErrNotFlat.
-func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	return binio.Read(r, func(f *binio.FlatFile) (*Index, error) { return IndexFromFlat(f, g) })
-}
-
 // IndexFromFlat builds an index over the sections of f. The index aliases
 // f's data; f must stay open for its lifetime.
 func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
@@ -109,7 +101,7 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 			n, m, g.NumVertices(), g.NumEdges())
 	}
 	if opts.GridSize < 1 || opts.GridSize > 1<<14 {
-		return nil, fmt.Errorf("tnr: implausible grid size %d", opts.GridSize)
+		return nil, fmt.Errorf("%w: tnr implausible grid size %d", binio.ErrCorrupt, opts.GridSize)
 	}
 	if opts.Access > AccessFlawedBast {
 		return nil, fmt.Errorf("%w: tnr access algorithm %d is not one this reader knows",
@@ -171,13 +163,13 @@ func layerFromFlat(d *binio.Reader, g *graph.Graph, gridSize, base int) (*layer,
 		return nil, fmt.Errorf("%w: tnr cellOf sized for a different graph", binio.ErrCorrupt)
 	}
 	if int64(len(cellOff)-1) != int64(l.grid.NumCells()) {
-		return nil, fmt.Errorf("tnr: layer has %d cells, grid expects %d", len(cellOff)-1, l.grid.NumCells())
+		return nil, fmt.Errorf("%w: tnr layer has %d cells, grid expects %d", binio.ErrCorrupt, len(cellOff)-1, l.grid.NumCells())
 	}
 	if l.cellAN, err = binio.Unflatten(cellOff, cellData); err != nil {
 		return fail(err)
 	}
 	if len(vaOff)-1 != g.NumVertices() {
-		return nil, fmt.Errorf("tnr: vaDist has %d rows, graph has %d vertices", len(vaOff)-1, g.NumVertices())
+		return nil, fmt.Errorf("%w: tnr vaDist has %d rows, graph has %d vertices", binio.ErrCorrupt, len(vaOff)-1, g.NumVertices())
 	}
 	if l.vaDist, err = binio.Unflatten(vaOff, vaData); err != nil {
 		return fail(err)
@@ -189,13 +181,13 @@ func layerFromFlat(d *binio.Reader, g *graph.Graph, gridSize, base int) (*layer,
 			l.table = []int32{}
 		}
 		if len(l.table) != len(l.anList)*len(l.anList) {
-			return nil, fmt.Errorf("tnr: dense table size %d does not match %d access nodes",
-				len(l.table), len(l.anList))
+			return nil, fmt.Errorf("%w: tnr dense table size %d does not match %d access nodes",
+				binio.ErrCorrupt, len(l.table), len(l.anList))
 		}
 	} else {
 		if len(sparseOff)-1 != len(l.anList) {
-			return nil, fmt.Errorf("tnr: sparse table rows %d do not match %d access nodes",
-				len(sparseOff)-1, len(l.anList))
+			return nil, fmt.Errorf("%w: tnr sparse table rows %d do not match %d access nodes",
+				binio.ErrCorrupt, len(sparseOff)-1, len(l.anList))
 		}
 		if len(partnerData) != len(distData) {
 			return nil, fmt.Errorf("%w: tnr sparse partner/distance sections differ in length", binio.ErrCorrupt)

@@ -7,9 +7,18 @@ import (
 	"testing"
 
 	"roadnet/internal/binio"
+	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
 )
+
+// load opens data as a TNR file read onto the heap, re-attached to g.
+func load(t *testing.T, data []byte, g *graph.Graph) (*tnr.Index, error) {
+	t.Helper()
+	return binio.Load(testutil.TempFile(t, "tnr.idx", data), false, func(f *binio.FlatFile) (*tnr.Index, error) {
+		return tnr.IndexFromFlat(f, g)
+	})
+}
 
 func TestTNRSerializationRoundtrip(t *testing.T) {
 	g := testutil.SmallRoad(900, 811)
@@ -18,7 +27,7 @@ func TestTNRSerializationRoundtrip(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := tnr.ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	ix2, err := load(t, buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,7 @@ func TestTNRSerializationHybrid(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := tnr.ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	ix2, err := load(t, buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +66,7 @@ func TestTNRSerializationRejectsWrongGraph(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tnr.ReadIndex(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := load(t, buf.Bytes(), other); err == nil {
 		t.Error("loading onto a different graph must fail")
 	}
 }
@@ -71,9 +80,25 @@ func TestTNRSerializationRejectsTruncation(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{10, len(data) / 4, len(data) / 2, len(data) - 3} {
-		if _, err := tnr.ReadIndex(bytes.NewReader(data[:cut]), g); err == nil {
-			t.Errorf("stream truncated at %d must fail", cut)
+		if _, err := load(t, data[:cut], g); err == nil {
+			t.Errorf("file truncated at %d must fail", cut)
 		}
+	}
+}
+
+// TestTNRSerializationRejectsFlippedByte flips a byte in the coarse
+// layer's vertex-to-access-node distances, which no structural check
+// reads: only its checksum can tell.
+func TestTNRSerializationRejectsFlippedByte(t *testing.T) {
+	g := testutil.SmallRoad(400, 823)
+	var buf bytes.Buffer
+	if err := buildTNR(t, g, tnr.Options{GridSize: 8}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	bad[binary.LittleEndian.Uint64(bad[40+24*6+8:])] ^= 1 // section 6's offset, from the section table
+	if _, err := load(t, bad, g); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("flipped section byte: err = %v, want binio.ErrCorrupt", err)
 	}
 }
 
@@ -87,7 +112,7 @@ func TestTNRVersionErrors(t *testing.T) {
 	}
 	bad := append([]byte(nil), v2.Bytes()...)
 	bad[12] = 9 // flat header version field (little-endian u32 at offset 12)
-	_, err := tnr.ReadIndex(bytes.NewReader(bad), g)
+	_, err := load(t, bad, g)
 	if !errors.Is(err, binio.ErrVersion) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}
@@ -106,10 +131,11 @@ func TestTNRRejectsUnknownEnumBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	f, err := binio.ParseFlat(data)
+	f, err := binio.OpenFlat(testutil.TempFile(t, "tnr.idx", data), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	metaOff, metaLen := binary.LittleEndian.Uint64(data[24:]), binary.LittleEndian.Uint64(data[32:])
 	meta := data[metaOff : metaOff+metaLen]
 	// The blob: magic, n and m (i64), grid size (i32), hybrid (u8), then
@@ -143,11 +169,11 @@ func TestTNRRejectsUnknownEnumBytes(t *testing.T) {
 		return out.Bytes()
 	}
 
-	if _, err := tnr.ReadIndex(bytes.NewReader(resave(accessAt, byte(tnr.AccessFlawedBast))), g); err != nil {
+	if _, err := load(t, resave(accessAt, byte(tnr.AccessFlawedBast)), g); err != nil {
 		t.Fatalf("a re-saved file with a declared access algorithm must load: %v", err)
 	}
 	for _, v := range []byte{2, 255} {
-		if _, err := tnr.ReadIndex(bytes.NewReader(resave(accessAt, v)), g); !errors.Is(err, binio.ErrCorrupt) {
+		if _, err := load(t, resave(accessAt, v), g); !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("access byte set to %d: err = %v, want binio.ErrCorrupt", v, err)
 		}
 	}

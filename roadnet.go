@@ -13,10 +13,10 @@
 //   - Spatially Induced Linkage Cognizance, SILC (§3.4)
 //   - Path-Coherent Pairs Decomposition, PCPD (§3.5)
 //
-// plus ALT (Appendix A) as an extension, together with a synthetic
-// road-network generator, DIMACS file IO, the paper's two query-workload
-// generators, and every table and figure of the evaluation regenerated as
-// counts (see cmd/spexp and EXPERIMENTS.md).
+// plus ALT (Appendix A) and arc flags as extensions, together with a
+// synthetic road-network generator, DIMACS file IO, the paper's two
+// query-workload generators, and every table and figure of the evaluation
+// regenerated as counts (see cmd/spexp and EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -28,10 +28,10 @@
 //
 // # Concurrency
 //
-// Every index's data is immutable once NewIndex (or LoadIndex) returns, so
-// a single Index can be shared by any number of goroutines. The mutable
-// search state (distance labels, generation counters, priority queues)
-// lives in per-goroutine query contexts:
+// Every index's data is immutable once NewIndex (or LoadIndexFile)
+// returns, so a single Index can be shared by any number of goroutines.
+// The mutable search state (distance labels, generation counters, priority
+// queues) lives in per-goroutine query contexts:
 //
 //   - Index.Distance and Index.ShortestPath run on the index's one default
 //     searcher, created by the first such call, and are NOT safe for
@@ -105,7 +105,7 @@
 // neighbors (KNearest) and network range queries (Within, with an optional
 // Euclidean pre-filter). Geometry only ever prunes candidates; every
 // returned distance is an exact network distance, and the answers do not
-// depend on which index serves the point-to-point queries. SaveRTree and
+// depend on which index serves the point-to-point queries. RTree.Save and
 // LoadRTreeFile persist the tree in the flat v2 mmap format alongside the
 // graph and index caches.
 package roadnet
@@ -260,13 +260,6 @@ func NewIndex(method Method, g *Graph, cfg Config) (Index, error) {
 // the baseline, ALT and arc flags do not.
 func SaveIndex(idx Index, w io.Writer) error { return core.SaveIndex(idx, w) }
 
-// LoadIndex deserializes an index of the given method, re-attaching it to
-// g — the same network it was built on. This is the copying stream path;
-// LoadIndexFile adds the zero-copy mmap path for files.
-func LoadIndex(method Method, r io.Reader, g *Graph) (Index, error) {
-	return core.LoadIndex(method, r, g)
-}
-
 // LoadInfo describes how LoadIndexFile brought an index off disk: the load
 // mode (mmap or heap), the on-disk size and the load duration, for startup
 // logging.
@@ -304,11 +297,12 @@ type OpenOption = binio.OpenOption
 // spverify tool before serving from them.
 func WithoutVerify() OpenOption { return binio.WithoutVerify() }
 
-// LoadIndexFile loads an index from a file written by SaveIndex. The file
-// is mapped when preferMmap is set and the platform supports it: the index
-// arrays alias the page cache, making startup O(#sections) with near-zero
-// allocations regardless of index size. Call CloseIndex to release a
-// mapping.
+// LoadIndexFile loads an index of the given method from a file written by
+// SaveIndex, re-attaching it to g — the same network it was built on. The
+// file is mapped when preferMmap is set and the platform supports it: the
+// index arrays alias the page cache, making startup O(#sections) with
+// near-zero allocations regardless of index size. Otherwise it is read
+// onto the heap. Call CloseIndex to release a mapping.
 //
 // Checksums are verified by default (see WithoutVerify);
 // LoadInfo.Verified records whether the bytes are known-good.
@@ -318,21 +312,14 @@ func LoadIndexFile(method Method, path string, g *Graph, preferMmap bool, opts .
 
 // CloseIndex releases the file mapping behind an index loaded by
 // LoadIndexFile. The index must not be used afterwards. It is a no-op for
-// built or stream-loaded indexes, so it may be deferred unconditionally.
+// built or heap-loaded indexes, so it may be deferred unconditionally.
 func CloseIndex(idx Index) error { return core.CloseIndex(idx) }
 
-// SaveGraph writes g's CSR arrays as a flat v2 container, so deployments
-// can parse DIMACS text once and map the binary form at every startup.
-func SaveGraph(w io.Writer, g *Graph) error { return g.Save(w) }
-
-// LoadGraph reads a graph written by SaveGraph from a stream (copying
-// path; see LoadGraphFile for the zero-copy path).
-func LoadGraph(r io.Reader) (*Graph, error) { return graph.ReadGraph(r) }
-
 // LoadGraphFile maps (or, with preferMmap false or where unsupported,
-// reads) a graph file written by SaveGraph. A mapped graph's arrays alias
-// the page cache; call Close on the graph when it is retired. Checksums
-// are verified by default (see WithoutVerify).
+// reads) a graph file written by Graph.Save, so deployments can parse
+// DIMACS text once and map the binary form at every startup. A mapped
+// graph's arrays alias the page cache; call Close on the graph when it is
+// retired. Checksums are verified by default (see WithoutVerify).
 func LoadGraphFile(path string, preferMmap bool, opts ...OpenOption) (*Graph, error) {
 	return graph.LoadFile(path, preferMmap, opts...)
 }
@@ -409,14 +396,10 @@ func NewSpatialLocator(g *Graph) *SpatialLocator { return core.NewSpatialLocator
 // the construction and query API.
 type RTree = rtree.Tree
 
-// SaveRTree writes a SpatialLocator's R-tree as a flat v2 container, so
-// deployments can bulk-load once and mmap at every startup
-// (LoadRTreeFile + NewSpatialLocatorFromTree).
-func SaveRTree(w io.Writer, t *RTree) error { return t.Save(w) }
-
 // LoadRTreeFile maps (or, with preferMmap false or where unsupported,
-// reads) an R-tree file written by SaveRTree. Call Close on the tree when
-// it is retired to release a mapping. Checksums are verified by default
+// reads) an R-tree file written by RTree.Save, so deployments can bulk-load
+// once and map at every startup (with NewSpatialLocatorFromTree). Call
+// Close on the tree when it is retired to release a mapping. Checksums are verified by default
 // (see WithoutVerify).
 func LoadRTreeFile(path string, preferMmap bool, opts ...OpenOption) (*RTree, error) {
 	return rtree.LoadFile(path, preferMmap, opts...)
@@ -448,11 +431,3 @@ func LInfQuerySets(g *Graph, cfg WorkloadConfig) ([]QuerySet, error) {
 func NetworkDistanceQuerySets(g *Graph, cfg WorkloadConfig) ([]QuerySet, error) {
 	return workload.NetworkDistanceSets(g, cfg)
 }
-
-// SaveQuerySets persists query sets as CSV, so different runs or different
-// implementations can be measured on byte-identical workloads.
-func SaveQuerySets(w io.Writer, sets []QuerySet) error { return workload.WriteCSV(w, sets) }
-
-// LoadQuerySets reads query sets written by SaveQuerySets, validating the
-// vertex ids against g.
-func LoadQuerySets(r io.Reader, g *Graph) ([]QuerySet, error) { return workload.ReadCSV(r, g) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"roadnet"
+	"roadnet/internal/testutil"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -126,7 +127,7 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err := roadnet.SaveIndex(idx, &buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := roadnet.LoadIndex(roadnet.CH, &buf, g)
+	loaded, _, err := roadnet.LoadIndexFile(roadnet.CH, testutil.TempFile(t, "ch.idx", buf.Bytes()), g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
