@@ -105,7 +105,7 @@ func benchTNRGrid(b *testing.B, gridSize int, hybrid bool) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
 	h := testutil.Must(ch.Build(g, ch.Options{}))
-	ix, err := tnr.Build(g, tnr.Options{GridSize: gridSize, Hybrid: hybrid, Hierarchy: h})
+	ix, err := tnr.Build(g, h, tnr.Options{GridSize: gridSize, Hybrid: hybrid})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func BenchmarkAblationALT32Landmarks(b *testing.B) { benchALTLandmarks(b, 32) }
 func benchArcFlags(b *testing.B, gridSize int) {
 	g := ablationGraph()
 	pairs := ablationPairs(b, g)
-	ix := testutil.Must(arcflagspkg.Build(g, arcflagspkg.Options{GridSize: gridSize}))
+	ix := arcflagspkg.Build(g, testutil.Must(ch.Build(g, ch.Options{})), arcflagspkg.Options{GridSize: gridSize})
 	b.ReportMetric(float64(ix.SizeBytes())/(1<<20), "MB")
 	sr := ix.NewSearcher()
 	b.ResetTimer()

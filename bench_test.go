@@ -110,7 +110,7 @@ func BenchmarkBuildTNR(b *testing.B) {
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tnr.Build(g, tnr.Options{GridSize: 16, Hierarchy: h}); err != nil {
+		if _, err := tnr.Build(g, h, tnr.Options{GridSize: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -158,7 +158,11 @@ func main() {
 		os.Exit(1)
 	}
 	st := idx.Stats()
-	fmt.Printf("index: %s, %d KB, built in %v\n", st.Method, st.IndexBytes/1024, st.BuildTime.Round(time.Millisecond))
+	fmt.Printf("index: %s, %d KB", st.Method, st.IndexBytes/1024)
+	if loadInfo == (roadnet.LoadInfo{}) { // built here; a load logged its own line
+		fmt.Printf(", built in %v", st.BuildTime.Round(time.Millisecond))
+	}
+	fmt.Println()
 
 	var reg *roadnet.MetricsRegistry
 	if *withMetrics {

@@ -25,7 +25,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"time"
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/dijkstra"
@@ -52,8 +51,6 @@ type Index struct {
 	// table[v*L+l] = dist(landmarks[l], v) for L = len(landmarks), or
 	// unknown if landmarks[l] is unreachable from v.
 	table []int32
-
-	buildTime time.Duration
 }
 
 // NewSearcher returns a fresh A* query context sharing ix's immutable
@@ -66,7 +63,6 @@ func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
 // Build selects landmarks by farthest-point traversal and precomputes the
 // landmark distance tables.
 func Build(g *graph.Graph, opts Options) *Index {
-	start := time.Now()
 	n := g.NumVertices()
 	if opts.NumLandmarks <= 0 {
 		opts.NumLandmarks = 16
@@ -131,7 +127,6 @@ func Build(g *graph.Graph, opts Options) *Index {
 			ix.table[v*k+l] = int32(min(d, unknown))
 		}
 	}
-	ix.buildTime = time.Since(start)
 	return ix
 }
 
@@ -195,9 +190,6 @@ func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t gr
 
 // NumLandmarks returns the number of selected landmarks.
 func (ix *Index) NumLandmarks() int { return len(ix.landmarks) }
-
-// BuildTime returns the preprocessing duration.
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the landmark table footprint.
 func (ix *Index) SizeBytes() int64 {

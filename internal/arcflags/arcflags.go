@@ -21,7 +21,6 @@ package arcflags
 import (
 	"context"
 	"runtime"
-	"time"
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/ch"
@@ -35,12 +34,6 @@ import (
 type Options struct {
 	// GridSize is the number of cells per axis (default 8).
 	GridSize int
-	// Workers bounds preprocessing parallelism (default GOMAXPROCS).
-	Workers int
-	// Hierarchy optionally supplies a contraction hierarchy of the graph
-	// for the boundary-vertex sweeps; Build makes one with default options
-	// when nil. The flags do not depend on which hierarchy it is.
-	Hierarchy *ch.Hierarchy
 }
 
 // Index is a built arc-flags index. The flag tables are immutable after
@@ -54,8 +47,6 @@ type Index struct {
 	words  int
 	// flags[arc*words .. arc*words+words) is the cell bitset of the arc.
 	flags []uint64
-
-	buildTime time.Duration
 }
 
 // NewSearcher returns a fresh flag-pruned Dijkstra context sharing ix's
@@ -65,15 +56,12 @@ func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
 	return dijkstra.NewGoalSearcher(ix.g.NumVertices(), ix.settle)
 }
 
-// Build computes arc flags for g. It fails only when it has to make the
-// hierarchy itself and ch.Build does.
-func Build(g *graph.Graph, opts Options) (*Index, error) {
-	start := time.Now()
+// Build computes arc flags for g, sweeping h, a contraction hierarchy of
+// g, once per boundary vertex on GOMAXPROCS goroutines. The flags depend
+// neither on which hierarchy it is nor on the goroutine count.
+func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) *Index {
 	if opts.GridSize <= 0 {
 		opts.GridSize = 8
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumVertices()
 	ix := &Index{
@@ -107,15 +95,9 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	// One sweep per boundary vertex b; the arcs tight toward b get the flag
 	// of b's cell. Each worker sets flags in words of its own, OR-ed into
 	// the index once all sweeps are done.
-	h := opts.Hierarchy
-	if h == nil {
-		var err error
-		if h, err = ch.Build(g, ch.Options{}); err != nil {
-			return nil, err
-		}
-	}
-	parts := make([][]uint64, opts.Workers)
-	par.Each(opts.Workers, len(boundary), func(w int) func(int) {
+	workers := runtime.GOMAXPROCS(0)
+	parts := make([][]uint64, workers)
+	par.Each(workers, len(boundary), func(w int) func(int) {
 		sw := h.NewSweeper()
 		flags := make([]uint64, len(ix.flags))
 		parts[w] = flags
@@ -142,9 +124,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 			ix.flags[i] |= f
 		}
 	}
-
-	ix.buildTime = time.Since(start)
-	return ix, nil
+	return ix
 }
 
 func (ix *Index) setFlag(arc int32, cell int32) {
@@ -178,9 +158,6 @@ func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t gr
 	}
 	return false, nil
 }
-
-// BuildTime returns the preprocessing duration.
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the flag table footprint.
 func (ix *Index) SizeBytes() int64 {

@@ -29,8 +29,8 @@ func TestGoldenDigests(t *testing.T) {
 		"messy10": 0xd2cbf7703e3a7c93,
 		"messy11": 0xc43f0ede3287454f,
 		"messy12": 0x4a06b43abfa006b8,
-	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
-		ix := testutil.Must(Build(g, Options{Workers: workers, Hierarchy: testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit}))}))
+	}, func(t *testing.T, g *graph.Graph, witnessLimit int) uint64 {
+		ix := Build(g, testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})), Options{})
 		h := fnv.New64a()
 		for _, w := range ix.flags {
 			h.Write(binary.LittleEndian.AppendUint64(nil, w))

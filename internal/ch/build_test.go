@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
@@ -22,7 +21,6 @@ import (
 func TestBuildDeterministic(t *testing.T) {
 	g := testutil.SmallRoad(1600, 31)
 	a, b := testutil.Must(Build(g, Options{})), testutil.Must(Build(g, Options{}))
-	b.buildTime = a.buildTime // the one field that is a clock reading
 	var abuf, bbuf bytes.Buffer
 	if err := a.Save(&abuf); err != nil {
 		t.Fatal(err)
@@ -46,10 +44,9 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// savedBytes is what Save writes for h once the clock reading is zeroed.
+// savedBytes is what Save writes for h.
 func savedBytes(t *testing.T, h *Hierarchy) []byte {
 	t.Helper()
-	h.buildTime = 0
 	var buf bytes.Buffer
 	if err := h.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -237,13 +234,13 @@ func TestShortcutHalvesAreUpwardArcs(t *testing.T) {
 }
 
 // refBuild is Build as it was before the preprocessing rewrite, kept verbatim
-// (names prefixed, nothing else changed) as the reference the rewritten
-// Build must reproduce byte for byte: every vertex simulated twice,
-// contracted neighbors skipped one entry at a time, every witness search run
-// to its budget, one stable sort over all final edges.
+// (names prefixed and the clock reading dropped, nothing else changed) as
+// the reference the rewritten Build must reproduce byte for byte: every
+// vertex simulated twice, contracted neighbors skipped one entry at a time,
+// every witness search run to its budget, one stable sort over all final
+// edges.
 func refBuild(g *graph.Graph, opts Options) *Hierarchy {
 	opts = opts.withDefaults()
-	start := time.Now()
 	n := g.NumVertices()
 
 	// Dynamic adjacency with parallel edges collapsed to minimum weight.
@@ -371,7 +368,6 @@ func refBuild(g *graph.Graph, opts Options) *Hierarchy {
 		h.firstUp[v+1] += h.firstUp[v]
 	}
 
-	h.buildTime = time.Since(start)
 	return h
 }
 

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"roadnet/internal/graph"
 	"roadnet/internal/pq"
@@ -88,7 +87,6 @@ type Hierarchy struct {
 	upMiddle []int32 // contracted middle vertex of a shortcut, -1 for edges
 
 	numShortcuts int
-	buildTime    time.Duration
 	work         buildWork // set once by Build; zero for a loaded index
 
 	// m2mPool recycles many-to-many scratch state (*m2mScratch), one per
@@ -113,7 +111,6 @@ type halfEdge struct {
 // an error result.
 func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
 	n := g.NumVertices()
 
 	// Dynamic adjacency with parallel edges collapsed to minimum weight.
@@ -242,7 +239,6 @@ func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 		h.firstUp[v+1] += h.firstUp[v]
 	}
 
-	h.buildTime = time.Since(start)
 	return h, nil
 }
 
@@ -265,9 +261,6 @@ func (h *Hierarchy) Rank(v graph.VertexID) int32 { return h.rank[v] }
 
 // NumShortcuts returns the number of shortcuts created during preprocessing.
 func (h *Hierarchy) NumShortcuts() int { return h.numShortcuts }
-
-// BuildTime returns the wall-clock preprocessing duration.
-func (h *Hierarchy) BuildTime() time.Duration { return h.buildTime }
 
 // Graph returns the underlying road network.
 func (h *Hierarchy) Graph() *graph.Graph { return h.g }

@@ -149,9 +149,6 @@ func TestCHStatsReporting(t *testing.T) {
 	if h.SizeBytes() <= 0 {
 		t.Error("SizeBytes must be positive")
 	}
-	if h.BuildTime() <= 0 {
-		t.Error("BuildTime must be positive")
-	}
 	if h.NumShortcuts() < 0 {
 		t.Error("NumShortcuts negative")
 	}

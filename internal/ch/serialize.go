@@ -3,7 +3,6 @@ package ch
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"roadnet/internal/binio"
 	"roadnet/internal/graph"
@@ -34,7 +33,6 @@ func (h *Hierarchy) Save(w io.Writer) error {
 	mw.I64(int64(h.g.NumVertices()))
 	mw.I64(int64(h.g.NumEdges()))
 	mw.I64(int64(h.numShortcuts))
-	mw.I64(h.buildTime.Nanoseconds())
 	fw.I32Section(h.rank)
 	fw.I32Section(h.firstUp)
 	fw.I32Section(h.upHead)
@@ -52,7 +50,6 @@ func HierarchyFromFlat(f *binio.FlatFile, g *graph.Graph) (*Hierarchy, error) {
 	m := d.I64()
 	h := &Hierarchy{g: g}
 	h.numShortcuts = int(d.I64())
-	h.buildTime = time.Duration(d.I64())
 	h.rank = d.I32s(0)
 	h.firstUp = d.I32s(1)
 	h.upHead = d.I32s(2)

@@ -38,11 +38,13 @@ func AllMethods() []Method {
 	return []Method{MethodDijkstra, MethodCH, MethodTNR, MethodSILC, MethodPCPD}
 }
 
-// Stats describes a built index.
+// Stats describes an index.
 type Stats struct {
 	Method Method
-	// BuildTime is the preprocessing wall-clock time (zero for the
-	// baseline, which has no preprocessing).
+	// BuildTime is the preprocessing wall-clock time BuildIndex measured:
+	// the whole build, hierarchy included unless Config.Hierarchy supplied
+	// one. It is zero for the baseline, which has no preprocessing, and for
+	// an index loaded from a file, which holds no clock reading.
 	BuildTime time.Duration
 	// IndexBytes is the in-memory size of the index structures, the
 	// quantity of Figure 6(a).
@@ -164,61 +166,54 @@ type Config struct {
 	MaxIndexBytes int64
 	// TNR holds the TNR grid configuration.
 	TNR tnr.Options
-	// CH holds the CH configuration.
-	CH ch.Options
-	// SILC holds the SILC configuration.
-	SILC silc.Options
-	// PCPD holds the PCPD configuration.
-	PCPD pcpd.Options
-	// ALT holds the ALT configuration.
-	ALT alt.Options
-	// ArcFlags holds the arc-flags configuration.
-	ArcFlags arcflags.Options
 	// Hierarchy optionally shares a prebuilt CH across methods (used by
 	// the harness so the preprocessing of TNR, SILC, PCPD and arc-flags
 	// does not rebuild it).
 	Hierarchy *ch.Hierarchy
 }
 
-// BuildIndex constructs the index for a method under cfg.
+// BuildIndex constructs the index for a method under cfg. It is the one
+// place an index is put together: CH, TNR, SILC, PCPD and arc flags
+// preprocess over cfg.Hierarchy, or over one hierarchy built here, and the
+// clock is read once around the whole build for Stats().BuildTime.
 func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
+	start := time.Now()
+	h := cfg.Hierarchy
+	hierarchy := func() (err error) {
+		if h == nil {
+			h, err = ch.Build(g, ch.Options{})
+		}
+		return err
+	}
 	var (
-		tech    technique
-		chBuild time.Duration
-		err     error
+		tech technique
+		err  error
 	)
 	switch method {
 	case MethodDijkstra:
 	case MethodCH:
-		h := cfg.Hierarchy
-		if h == nil {
-			h, err = ch.Build(g, cfg.CH)
-		}
+		err = hierarchy()
 		tech = h
 	case MethodTNR:
-		opts := cfg.TNR
-		if opts.Access != tnr.AccessCorrected {
+		if cfg.TNR.Access != tnr.AccessCorrected {
 			return nil, ErrFlawedTNR
 		}
-		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
-			tech, err = tnr.Build(g, opts)
+		if err = hierarchy(); err == nil {
+			tech, err = tnr.Build(g, h, cfg.TNR)
 		}
 	case MethodSILC:
-		opts := cfg.SILC
-		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
-			tech, err = silc.Build(g, opts)
+		if err = hierarchy(); err == nil {
+			tech, err = silc.Build(g, h)
 		}
 	case MethodPCPD:
-		opts := cfg.PCPD
-		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
-			tech, err = pcpd.Build(g, opts)
+		if err = hierarchy(); err == nil {
+			tech, err = pcpd.Build(g, h)
 		}
 	case MethodALT:
-		tech = alt.Build(g, cfg.ALT)
+		tech = alt.Build(g, alt.Options{})
 	case MethodArcFlags:
-		opts := cfg.ArcFlags
-		if chBuild, err = cfg.fillHierarchy(g, &opts.Hierarchy); err == nil {
-			tech, err = arcflags.Build(g, opts)
+		if err = hierarchy(); err == nil {
+			tech = arcflags.Build(g, h, arcflags.Options{})
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown method %q", method)
@@ -227,7 +222,9 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 		return nil, err
 	}
 	ix := newIndex(g, tech)
-	ix.chBuild = chBuild
+	if tech != nil {
+		ix.buildTime = time.Since(start)
+	}
 	if size := ix.Stats().IndexBytes; cfg.MaxIndexBytes > 0 && size > cfg.MaxIndexBytes {
 		return nil, fmt.Errorf("%w: %s needs %d bytes, ceiling %d",
 			ErrIndexTooLarge, method, size, cfg.MaxIndexBytes)
@@ -235,33 +232,10 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 	return ix, nil
 }
 
-// fillHierarchy sets *h, the Hierarchy option of TNR, SILC, PCPD or
-// arc-flags, to the hierarchy that technique's preprocessing runs on: left
-// alone when the options name one, else the shared cfg.Hierarchy, else one
-// built here — and not left to the technique's Build, which knows no CH
-// options: cfg.CH governs the hierarchy inside every technique as it does
-// MethodCH's. It returns the build time of a hierarchy made here, which is
-// part of the index's Stats().BuildTime.
-func (cfg Config) fillHierarchy(g *graph.Graph, h **ch.Hierarchy) (time.Duration, error) {
-	if *h == nil {
-		*h = cfg.Hierarchy
-	}
-	if *h != nil {
-		return 0, nil
-	}
-	built, err := ch.Build(g, cfg.CH)
-	if err != nil {
-		return 0, err
-	}
-	*h = built
-	return built.BuildTime(), nil
-}
-
 // technique is what every technique's own index value (*ch.Hierarchy,
 // *tnr.Index, *silc.Index, *pcpd.Index, *alt.Index, *arcflags.Index)
 // reports about itself.
 type technique interface {
-	BuildTime() time.Duration
 	SizeBytes() int64
 }
 
@@ -274,9 +248,8 @@ type index struct {
 	// none. HierarchyOf, TNROf and SaveIndex unwrap it.
 	tech        technique
 	newSearcher func() Searcher
-	// chBuild is the build time of a hierarchy BuildIndex made for tech's
-	// preprocessing, part of Stats().BuildTime.
-	chBuild time.Duration
+	// buildTime is what BuildIndex measured; zero for a loaded index.
+	buildTime time.Duration
 	// backing is the flat container (*binio.FlatFile) a loaded index's
 	// arrays alias (fromFlat); nil for a built one. See CloseIndex.
 	backing io.Closer
@@ -352,9 +325,8 @@ func (ix *index) ShortestPath(s, t graph.VertexID) ([]graph.VertexID, int64) {
 }
 
 func (ix *index) Stats() Stats {
-	st := Stats{Method: ix.method}
+	st := Stats{Method: ix.method, BuildTime: ix.buildTime}
 	if ix.tech != nil {
-		st.BuildTime = ix.chBuild + ix.tech.BuildTime()
 		st.IndexBytes = ix.tech.SizeBytes()
 	}
 	return st

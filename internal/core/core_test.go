@@ -1,10 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
-	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
@@ -60,6 +60,18 @@ func TestStatsReporting(t *testing.T) {
 		if st.Method != m || st.BuildTime <= 0 || st.IndexBytes <= 0 {
 			t.Errorf("%s stats implausible: %+v", m, st)
 		}
+		// A file holds no clock reading, so a loaded index reports none.
+		var buf bytes.Buffer
+		if err := core.SaveIndex(ix, &buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, _, err := core.LoadIndexFile(m, testutil.TempFile(t, "index", buf.Bytes()), g, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lst := loaded.Stats(); lst.BuildTime != 0 || lst.IndexBytes != st.IndexBytes {
+			t.Errorf("%s loaded stats %+v, want build time 0 and %d bytes", m, lst, st.IndexBytes)
+		}
 	}
 	base, _ := core.BuildIndex(core.MethodDijkstra, g, core.Config{})
 	if st := base.Stats(); st.BuildTime != 0 || st.IndexBytes != 0 {
@@ -86,27 +98,6 @@ func TestHierarchySharing(t *testing.T) {
 	}
 	if core.HierarchyOf(tnrIx) != nil {
 		t.Error("HierarchyOf on a non-CH index should be nil")
-	}
-}
-
-// TestTNRHierarchyFollowsCHConfig: with no shared hierarchy, the one
-// BuildIndex builds for TNR is configured by Config.CH, like MethodCH's.
-func TestTNRHierarchyFollowsCHConfig(t *testing.T) {
-	g := testutil.SmallRoad(900, 513)
-	opts := ch.Options{WitnessSettleLimit: 2}
-	want := testutil.Must(ch.Build(g, opts)).NumShortcuts()
-	if def := testutil.Must(ch.Build(g, ch.Options{})).NumShortcuts(); def == want {
-		t.Fatalf("settle limit 2 and the default both give %d shortcuts; the test needs them to differ", def)
-	}
-	ix, err := core.BuildIndex(core.MethodTNR, g, core.Config{CH: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := core.TNROf(ix).Hierarchy().NumShortcuts(); got != want {
-		t.Errorf("TNR's hierarchy has %d shortcuts, ch.Build with Config.CH gives %d", got, want)
-	}
-	if st, inner := ix.Stats(), core.TNROf(ix); st.BuildTime <= inner.BuildTime() {
-		t.Errorf("Stats().BuildTime %v does not include the hierarchy build (TNR alone %v)", st.BuildTime, inner.BuildTime())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -27,10 +28,16 @@ type savedKind struct {
 	load func(path string, opts ...roadnet.OpenOption) error
 }
 
-// savedKinds saves all six kinds (TNR hybrid, so its file has both
-// layers) for one small road network, which it returns too.
+// savedKinds saves all six kinds for one small road network, which it
+// returns too.
 func savedKinds(t testing.TB) (*graph.Graph, []savedKind) {
 	g := testutil.SmallRoad(24, 931)
+	return g, saveKinds(t, g)
+}
+
+// saveKinds builds and saves all six kinds for g (TNR hybrid, so its file
+// has both layers).
+func saveKinds(t testing.TB, g *graph.Graph) []savedKind {
 	save := func(s func(io.Writer) error) []byte {
 		var buf bytes.Buffer
 		if err := s(&buf); err != nil {
@@ -68,7 +75,7 @@ func savedKinds(t testing.TB) (*graph.Graph, []savedKind) {
 				return err
 			}})
 	}
-	return g, kinds
+	return kinds
 }
 
 // section is one section of a container being laid out again.
@@ -139,19 +146,22 @@ type historyForm struct {
 }
 
 // historyForms derives each refused history form from the current saves,
-// and reads each kind's version-3 save of the same network from
-// testdata/version3: the last layout before TNR's fallback byte and the
-// R-tree's node capacity left the meta blobs. PCPD had no file format then;
-// its file there is the layout Save writes, stamped version 3 with its
-// header checksum recomputed.
+// and reads each kind's saves of the same network by two earlier builds.
+// testdata/version3 holds the last layout before TNR's fallback byte and
+// the R-tree's node capacity left the meta blobs; PCPD had no file format
+// then, so its file there is the layout PCPD first wrote, stamped version 3
+// with its header checksum recomputed. testdata/version4 holds the last
+// layout before the build time left the CH, TNR, SILC and PCPD meta blobs.
 func historyForms(t testing.TB, kinds []savedKind) []historyForm {
 	var forms []historyForm
 	for k, sk := range kinds {
-		v3, err := os.ReadFile(filepath.Join("testdata", "version3", sk.name))
-		if err != nil {
-			t.Fatal(err)
+		for _, v := range []int{3, 4} {
+			old, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("version%d", v), sk.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			forms = append(forms, historyForm{fmt.Sprintf("%s/version-%d", sk.name, v), k, old, roadnet.ErrVersion})
 		}
-		forms = append(forms, historyForm{sk.name + "/version-3", k, v3, roadnet.ErrVersion})
 		v2 := bytes.Clone(sk.data)
 		v2[12] = 2 // the container version, a u32 at offset 12
 		bare := bytes.Clone(sk.data)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
@@ -96,7 +97,7 @@ func TestFlawedTNRRefused(t *testing.T) {
 		t.Errorf("BuildIndex: err = %v, want ErrFlawedTNR", err)
 	}
 	var buf bytes.Buffer
-	if err := testutil.Must(tnr.Build(g, opts)).Save(&buf); err != nil {
+	if err := testutil.Must(tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), opts)).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadIndexFile(MethodTNR, testutil.TempFile(t, "tnr.idx", buf.Bytes()), g, false); !errors.Is(err, ErrFlawedTNR) {

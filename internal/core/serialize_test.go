@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"roadnet/internal/core"
@@ -29,6 +30,26 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 			t.Errorf("loaded method %s, want %s", loaded.Method(), m)
 		}
 		testutil.CheckDistancesAgainstDijkstra(t, g, pairs, loaded.Distance)
+	}
+}
+
+// TestSaveDeterministic: what Save writes depends on the graph alone. All
+// six kinds are built and saved under GOMAXPROCS 1 and 4, and each kind's
+// two files must be the same bytes with no field patched: neither a clock
+// reading nor the build's schedule reaches a file.
+func TestSaveDeterministic(t *testing.T) {
+	g := testutil.SmallRoad(600, 941)
+	var runs [2][]savedKind
+	for i, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			runs[i] = saveKinds(t, g)
+		}()
+	}
+	for k, sk := range runs[0] {
+		if !bytes.Equal(sk.data, runs[1][k].data) {
+			t.Errorf("%s: GOMAXPROCS 1 and 4 save different bytes", sk.name)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
@@ -23,11 +24,15 @@ func runAppendixB(l *lab, w io.Writer) error {
 	header(w, "Network", "queries", "flawed wrong", "corrected wrong")
 	for trial := 0; trial < 3; trial++ {
 		g, probes := appendixBNetwork(l.cfg.Seed + int64(trial))
-		flawed, err := tnr.Build(g, tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
+		h, err := ch.Build(g, ch.Options{})
 		if err != nil {
 			return err
 		}
-		corrected, err := tnr.Build(g, tnr.Options{GridSize: 16, Access: tnr.AccessCorrected})
+		flawed, err := tnr.Build(g, h, tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
+		if err != nil {
+			return err
+		}
+		corrected, err := tnr.Build(g, h, tnr.Options{GridSize: 16, Access: tnr.AccessCorrected})
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -72,6 +73,19 @@ type refDecomposer struct {
 	sharedEdges []int64
 
 	numNodes, numPairs int64
+}
+
+// buildOn builds g's index over a default hierarchy under GOMAXPROCS procs,
+// the number of goroutines each stage of Build runs on.
+func buildOn(t *testing.T, g *graph.Graph, procs int) *Index {
+	t.Helper()
+	h := testutil.Must(ch.Build(g, ch.Options{}))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	ix, err := Build(g, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // refBuild returns the reference tree of g and an index without a tree
@@ -371,9 +385,10 @@ func treeDigest(ix *Index) uint64 {
 	return dg.h.Sum64()
 }
 
-// TestBuildMatchesReference requires Build's tree, whatever the worker
-// count, to be the reference's: same digest, same counts, and the same ψ
-// for every ordered vertex pair.
+// TestBuildMatchesReference requires Build's tree, whatever GOMAXPROCS, to
+// be the reference's: same digest, same counts, and the same ψ for every
+// ordered vertex pair. The subtests run one after another, as GOMAXPROCS is
+// process-wide.
 func TestBuildMatchesReference(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -386,20 +401,16 @@ func TestBuildMatchesReference(t *testing.T) {
 	graphs["DE"] = de
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			ref, root := refBuild(g)
 			want := refTreeDigest(root)
 			n := graph.VertexID(g.NumVertices())
-			for _, workers := range []int{1, 2, 8} {
-				ix, err := Build(g, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, procs := range []int{1, 2, 8} {
+				ix := buildOn(t, g, procs)
 				if got := treeDigest(ix); got != want {
-					t.Errorf("workers=%d: tree digest %016x, reference %016x", workers, got, want)
+					t.Errorf("GOMAXPROCS=%d: tree digest %016x, reference %016x", procs, got, want)
 				}
 				if ix.NumNodes() != ref.NumNodes() || ix.NumPairs() != ref.NumPairs() {
-					t.Errorf("workers=%d: %d nodes, %d pairs; reference %d, %d", workers,
+					t.Errorf("GOMAXPROCS=%d: %d nodes, %d pairs; reference %d, %d", procs,
 						ix.NumNodes(), ix.NumPairs(), ref.NumNodes(), ref.NumPairs())
 				}
 				for s := graph.VertexID(0); s < n; s++ {
@@ -408,7 +419,7 @@ func TestBuildMatchesReference(t *testing.T) {
 							continue
 						}
 						if got, want := psiOf(ix.lookup(s, u)), refLookup(ref, root, s, u); got != want {
-							t.Fatalf("workers=%d: lookup(%d, %d) = %d, reference %d", workers, s, u, got, want)
+							t.Fatalf("GOMAXPROCS=%d: lookup(%d, %d) = %d, reference %d", procs, s, u, got, want)
 						}
 					}
 				}
@@ -436,8 +447,8 @@ func TestGoldenDigests(t *testing.T) {
 		"messy10": 0x20a6ac0367576654,
 		"messy11": 0xca13da39e665f1ab,
 		"messy12": 0x6ea4303976b2c2e2,
-	}, func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64 {
-		ix, err := Build(g, Options{Workers: workers, Hierarchy: testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit}))})
+	}, func(t *testing.T, g *graph.Graph, witnessLimit int) uint64 {
+		ix, err := Build(g, testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,13 +471,10 @@ func TestCoherenceWorkCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		var checks int64
-		for _, workers := range []int{1, 3} {
-			ix, err := Build(g, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, procs := range []int{1, 3} {
+			ix := buildOn(t, g, procs)
 			if checks != 0 && ix.checks != checks {
-				t.Errorf("%s: %d checks with %d workers, %d with one", name, ix.checks, workers, checks)
+				t.Errorf("%s: %d checks under GOMAXPROCS %d, %d under 1", name, ix.checks, procs, checks)
 			}
 			checks = ix.checks
 		}
@@ -492,36 +500,28 @@ func TestSizeBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := Build(g, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := buildOn(t, g, runtime.GOMAXPROCS(0))
 		if got := ix.SizeBytes(); got != want[name] {
 			t.Errorf("%s: %d bytes (%d slots, %d table entries), want %d", name, got, len(ix.slots), len(ix.tableKeys), want[name])
 		}
 	}
 }
 
-// TestSaveIndependentOfWorkers requires the saved index, build time aside,
-// to be the same bytes whatever the worker count: the fragments the queued
-// tasks make are laid out by the tree, not by the schedule.
-func TestSaveIndependentOfWorkers(t *testing.T) {
+// TestSaveIndependentOfGOMAXPROCS requires the saved index to be the same
+// bytes whatever the number of goroutines the build runs on: the fragments
+// the queued tasks make are laid out by the tree, not by the schedule.
+func TestSaveIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, g := range []*graph.Graph{testutil.MessyGraph(6), testutil.SmallRoad(600, 321)} {
 		var want []byte
-		for _, workers := range []int{1, 2, 8} {
-			ix, err := Build(g, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix.buildTime = 0
+		for _, procs := range []int{1, 2, 8} {
 			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
+			if err := buildOn(t, g, procs).Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if want == nil {
 				want = buf.Bytes()
 			} else if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%d vertices: workers=%d saves other bytes than workers=1", g.NumVertices(), workers)
+				t.Errorf("%d vertices: GOMAXPROCS=%d saves other bytes than GOMAXPROCS=1", g.NumVertices(), procs)
 			}
 		}
 	}

@@ -41,7 +41,7 @@
 // canonical first hops of ch.Sweeper, so the tree is a function of the graph
 // and not of the hierarchy swept), labels the n in-trees (4n² B: two uint16
 // per (target, vertex), hence n ≤ 65535) and decomposes; all three stages
-// run on Options.Workers goroutines, and the tree does not depend on their
+// run on GOMAXPROCS goroutines, and the tree does not depend on their
 // scheduling. The matrix and the labels are released before Build returns,
 // so peak build memory is still 5n² B plus the index (SizeBytes) — 29 MB +
 // 7 MB at n = 2400, 2 GB at maxN.
@@ -68,7 +68,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"roadnet/internal/cancel"
 	"roadnet/internal/ch"
@@ -95,18 +94,6 @@ const _ uint = noLabel - maxN
 // quadBits is the quadtree resolution per axis, the finest a Morton code
 // of 32 bits holds.
 const quadBits = 16
-
-// Options configures Build.
-type Options struct {
-	// Workers bounds the parallelism of all three preprocessing stages —
-	// the hierarchy sweeps, the path labels and the decomposition (default
-	// GOMAXPROCS). The index does not depend on it.
-	Workers int
-	// Hierarchy optionally supplies a contraction hierarchy of the graph
-	// for the sweeps; Build makes one with default options when nil. The
-	// index does not depend on which hierarchy it is.
-	Hierarchy *ch.Hierarchy
-}
 
 // The tags of a slot (see the package doc); the payload is slot >> tagBits.
 const (
@@ -136,17 +123,16 @@ type Index struct {
 	// The collision tables' pairs (sorted tableKeys) and their leaf slots.
 	tableKeys, tablePsi []uint32
 
-	buildTime time.Duration
-	numPairs  int64 // leaves (path-coherent pairs), the paper's |Spcp|
-	numNodes  int64
-	checks    int64 // path-membership checks the build made
+	numPairs int64 // leaves (path-coherent pairs), the paper's |Spcp|
+	numNodes int64
+	checks   int64 // path-membership checks the build made
 }
 
-// Build constructs the PCPD index; it sweeps the hierarchy once per vertex
-// to build the first-hop matrix, labels the resulting in-trees and then runs
-// the recursive pair decomposition.
-func Build(g *graph.Graph, opts Options) (*Index, error) {
-	start := time.Now()
+// Build constructs the PCPD index; it sweeps h, a contraction hierarchy of
+// g, once per vertex to build the first-hop matrix, labels the resulting
+// in-trees and then runs the recursive pair decomposition. The index does
+// not depend on which hierarchy it is.
+func Build(g *graph.Graph, h *ch.Hierarchy) (*Index, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, fmt.Errorf("pcpd: empty graph")
@@ -157,23 +143,12 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	if d := g.MaxDegree(); d >= noHop {
 		return nil, fmt.Errorf("pcpd: max degree %d exceeds supported %d", d, noHop)
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 
-	h := opts.Hierarchy
-	if h == nil {
-		var err error
-		if h, err = ch.Build(g, ch.Options{}); err != nil {
-			return nil, err
-		}
-	}
-
+	workers := runtime.GOMAXPROCS(0)
 	ix := newIndex(g)
-	hop := buildFirstHops(h, opts.Workers)
-	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, opts.Workers), order: mortonOrder(ix.code)}
-	sh.decomposeAll(quad{0, 1 << (2 * quadBits), 0, n}, opts.Workers)
-	ix.buildTime = time.Since(start)
+	hop := buildFirstHops(h, workers)
+	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, workers), order: mortonOrder(ix.code)}
+	sh.decomposeAll(quad{0, 1 << (2 * quadBits), 0, n}, workers)
 	return ix, nil
 }
 
@@ -729,9 +704,6 @@ func (ix *Index) NumPairs() int64 { return ix.numPairs }
 
 // NumNodes returns the total node count of the decomposition tree.
 func (ix *Index) NumNodes() int64 { return ix.numNodes }
-
-// BuildTime returns the wall-clock preprocessing duration.
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the exact size of the index arrays: the tree and its
 // collision tables (Appendix C's structure), the codes and the edges.

@@ -3,7 +3,6 @@ package pcpd
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"roadnet/internal/binio"
 	"roadnet/internal/graph"
@@ -28,7 +27,6 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.Magic(pcpdMagic)
 	mw.I64(int64(ix.g.NumVertices()))
 	mw.I64(int64(ix.g.NumEdges()))
-	mw.I64(ix.buildTime.Nanoseconds())
 	mw.I64(ix.numPairs)
 	mw.I64(ix.numNodes)
 	mw.I32(int32(ix.root))
@@ -45,7 +43,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	d := f.Decode(Fourcc, pcpdMagic)
 	n := d.I64()
 	m := d.I64()
-	buildTime := time.Duration(d.I64())
 	numPairs := d.I64()
 	numNodes := d.I64()
 	root := uint32(d.I32())
@@ -69,7 +66,7 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("%w: pcpd root slot %#x outside the tree", binio.ErrCorrupt, root)
 	}
 	ix := newIndex(g)
-	ix.buildTime, ix.numPairs, ix.numNodes = buildTime, numPairs, numNodes
+	ix.numPairs, ix.numNodes = numPairs, numNodes
 	ix.slots, ix.root, ix.tableKeys, ix.tablePsi = slots, root, tableKeys, tablePsi
 	return ix, nil
 }

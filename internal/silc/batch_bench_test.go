@@ -13,9 +13,11 @@ import (
 	"sync"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
 	"roadnet/internal/silc"
+	"roadnet/internal/testutil"
 )
 
 var batchBench struct {
@@ -30,7 +32,7 @@ func benchmarkSILCMatrix(b *testing.B, matrix func(ix *silc.Index, sources, targ
 		if err != nil {
 			panic(err)
 		}
-		if batchBench.ix, err = silc.Build(g, silc.Options{}); err != nil {
+		if batchBench.ix, err = silc.Build(g, testutil.Must(ch.Build(g, ch.Options{}))); err != nil {
 			panic(err)
 		}
 		batchBench.n = g.NumVertices()

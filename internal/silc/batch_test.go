@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/graph"
 	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
@@ -12,7 +13,7 @@ import (
 
 func buildSILC(t *testing.T, g *graph.Graph) *silc.Index {
 	t.Helper()
-	ix, err := silc.Build(g, silc.Options{})
+	ix, err := silc.Build(g, testutil.Must(ch.Build(g, ch.Options{})))
 	if err != nil {
 		t.Fatalf("silc.Build: %v", err)
 	}

@@ -3,7 +3,6 @@ package silc
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"roadnet/internal/binio"
 	"roadnet/internal/geom"
@@ -33,7 +32,6 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.I64(int64(n))
 	mw.I64(int64(ix.g.NumEdges()))
 	mw.U8(uint8(ix.norm.Bits()))
-	mw.I64(ix.buildTime.Nanoseconds())
 	mw.I64(ix.intervals)
 
 	rowOff, startsData := binio.Flatten(ix.starts)
@@ -57,7 +55,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	m := d.I64()
 	bits := uint(d.U8())
 	ix := &Index{g: g}
-	ix.buildTime = time.Duration(d.I64())
 	ix.intervals = d.I64()
 	rowOff, startsData, colorsData := d.I64s(0), d.U32s(1), d.U8s(2)
 	ix.code = d.U32s(3)

@@ -17,7 +17,7 @@
 // the canonical-first-hop rule of ch.Sweeper, a function of the graph alone:
 // Build makes one hierarchy sweep per source and colors by
 // Sweeper.FirstHops, so the index depends neither on the hierarchy it is
-// given nor on Options.Workers.
+// given nor on GOMAXPROCS, the number of goroutines it sweeps on.
 package silc
 
 import (
@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"time"
 
 	"roadnet/internal/binio"
 	"roadnet/internal/ch"
@@ -45,16 +44,6 @@ const maxDegree = noHop
 // quadBits is the quadtree resolution per axis, the finest a Morton code
 // of 32 bits holds.
 const quadBits = 16
-
-// Options configures Build.
-type Options struct {
-	// Workers bounds preprocessing parallelism (default GOMAXPROCS).
-	Workers int
-	// Hierarchy optionally supplies a contraction hierarchy of the graph
-	// for the all-pairs sweeps; Build makes one with default options when
-	// nil. The index does not depend on which hierarchy it is.
-	Hierarchy *ch.Hierarchy
-}
 
 // Index is a built SILC index.
 type Index struct {
@@ -79,30 +68,18 @@ type Index struct {
 	// code[v] is the Morton code of v.
 	code []uint32
 
-	buildTime time.Duration
 	intervals int64
 }
 
-// Build constructs the SILC index for g by one hierarchy sweep per vertex
-// (the all-pairs preprocessing of §3.4).
-func Build(g *graph.Graph, opts Options) (*Index, error) {
-	start := time.Now()
+// Build constructs the SILC index for g by one sweep of h, a contraction
+// hierarchy of g, per vertex (the all-pairs preprocessing of §3.4).
+func Build(g *graph.Graph, h *ch.Hierarchy) (*Index, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, fmt.Errorf("silc: empty graph")
 	}
 	if d := g.MaxDegree(); d >= maxDegree {
 		return nil, fmt.Errorf("silc: max degree %d exceeds supported %d", d, maxDegree)
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	h := opts.Hierarchy
-	if h == nil {
-		var err error
-		if h, err = ch.Build(g, ch.Options{}); err != nil {
-			return nil, err
-		}
 	}
 
 	ix := &Index{
@@ -126,7 +103,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	excTarget := make([][]int32, n)
 	excColor := make([][]uint8, n)
 
-	par.Each(opts.Workers, n, func(int) func(int) {
+	par.Each(runtime.GOMAXPROCS(0), n, func(int) func(int) {
 		b := &sourceBuilder{
 			ix:        ix,
 			order:     order,
@@ -142,7 +119,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	}
 	ix.excOff, ix.excTarget = binio.Flatten(excTarget)
 	_, ix.excColor = binio.Flatten(excColor)
-	ix.buildTime = time.Since(start)
 	return ix, nil
 }
 
@@ -293,9 +269,6 @@ func (ix *Index) lookup(cur, target graph.VertexID) uint8 {
 // NumIntervals returns the total number of stored Morton intervals; the
 // paper's O(n sqrt n) space bound is in these units.
 func (ix *Index) NumIntervals() int64 { return ix.intervals }
-
-// BuildTime returns the wall-clock preprocessing duration.
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // SizeBytes reports the index footprint: 5 bytes per interval (4-byte
 // start + 1-byte color) plus the per-source slice headers, and 5 bytes per

@@ -3,6 +3,7 @@ package silc_test
 import (
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
 	"roadnet/internal/silc"
@@ -11,7 +12,7 @@ import (
 
 func build(t *testing.T, g *graph.Graph) *silc.Index {
 	t.Helper()
-	ix, err := silc.Build(g, silc.Options{})
+	ix, err := silc.Build(g, testutil.Must(ch.Build(g, ch.Options{})))
 	if err != nil {
 		t.Fatalf("silc.Build: %v", err)
 	}
@@ -127,14 +128,14 @@ func sqrt(x float64) float64 {
 func TestSILCStats(t *testing.T) {
 	g := testutil.SmallRoad(400, 211)
 	ix := build(t, g)
-	if ix.SizeBytes() <= 0 || ix.BuildTime() <= 0 || ix.NumIntervals() <= 0 {
+	if ix.SizeBytes() <= 0 || ix.NumIntervals() <= 0 {
 		t.Error("stats must be positive")
 	}
 }
 
 func TestSILCRejectsEmptyAndHighDegree(t *testing.T) {
 	b := graph.NewBuilder(0)
-	if _, err := silc.Build(b.Build(), silc.Options{}); err == nil {
+	if _, err := silc.Build(b.Build(), nil); err == nil {
 		t.Error("empty graph should be rejected")
 	}
 }

@@ -192,18 +192,21 @@ func Graphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // GoldenDigests holds an index build to a table of digests over Graphs.
-// build returns the digest of the index of g built on the given number of
-// workers over a hierarchy contracted with the given witness settle limit
-// (0: the default); each graph is built on 1, 2 and 8 workers and over a
-// limit-4 hierarchy, and all four digests must be the table's — the index
-// is a function of the graph, not of the scheduling or of the hierarchy
-// swept.
-func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T, g *graph.Graph, workers, witnessLimit int) uint64) {
+// build returns the digest of the index of g built over a hierarchy
+// contracted with the given witness settle limit (0: the default); each
+// graph is built under GOMAXPROCS 1, 2 and 8 and over a limit-4 hierarchy,
+// and all four digests must be the table's — the index is a function of
+// the graph, not of the scheduling or of the hierarchy swept.
+func GoldenDigests(t *testing.T, want map[string]uint64, build func(t *testing.T, g *graph.Graph, witnessLimit int) uint64) {
 	for name, g := range Graphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, cell := range [][2]int{{1, 0}, {2, 0}, {8, 0}, {1, 4}} {
-				if got := build(t, g, cell[0], cell[1]); got != want[name] {
-					t.Errorf("workers=%d witness limit=%d: digest %#016x, table says %#016x", cell[0], cell[1], got, want[name])
+				got := func() uint64 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cell[0]))
+					return build(t, g, cell[1])
+				}()
+				if got != want[name] {
+					t.Errorf("GOMAXPROCS=%d witness limit=%d: digest %#016x, table says %#016x", cell[0], cell[1], got, want[name])
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package tnr_test
 import (
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
@@ -70,7 +71,7 @@ func TestAppendixBFlawedTNRGivesWrongAnswer(t *testing.T) {
 		t.Fatalf("ground truth dist(v1, v6) = %d, want 10 (fixture broken)", want)
 	}
 
-	flawed, err := tnr.Build(g, tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
+	flawed, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAppendixBFlawedTNRGivesWrongAnswer(t *testing.T) {
 
 func TestAppendixBCorrectedTNRStaysExact(t *testing.T) {
 	g, v1, v6 := figure12b(t)
-	corrected, err := tnr.Build(g, tnr.Options{GridSize: 16, Access: tnr.AccessCorrected})
+	corrected, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 16, Access: tnr.AccessCorrected})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestFlawedTNRWorksOnBenignNetworks(t *testing.T) {
 	// method is usually correct — that is why the defect survived in the
 	// original paper's implementation. Verify it is not trivially broken.
 	g := testutil.SmallRoad(900, 107)
-	flawed, err := tnr.Build(g, tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast})
+	flawed, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
@@ -18,7 +19,7 @@ import (
 func FuzzTNRPathsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, grid uint8, hybrid bool, run []byte) {
 		g := testutil.MessyGraph(seed)
-		ix, err := tnr.Build(g, tnr.Options{GridSize: 1 + int(grid)%40, Hybrid: hybrid})
+		ix, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 1 + int(grid)%40, Hybrid: hybrid})
 		if err != nil {
 			t.Fatal(err)
 		}

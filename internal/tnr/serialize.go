@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"time"
 
 	"roadnet/internal/binio"
 	"roadnet/internal/ch"
@@ -41,7 +40,6 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.I32(int32(ix.opts.GridSize))
 	mw.U8(boolByte(ix.opts.Hybrid))
 	mw.U8(uint8(ix.opts.Access))
-	mw.I64(ix.buildTime.Nanoseconds())
 
 	var chBuf bytes.Buffer
 	if err := ix.hierarchy.Save(&chBuf); err != nil {
@@ -91,7 +89,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	opts.GridSize = int(d.I32())
 	opts.Hybrid = d.U8() != 0
 	opts.Access = AccessAlgorithm(d.U8())
-	buildTime := time.Duration(d.I64())
 	chFile := d.Nested(0)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tnr: %w", err)
@@ -112,13 +109,10 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tnr: embedded hierarchy: %w", err)
 	}
-	opts.Hierarchy = h
-
 	ix := &Index{
 		g:         g,
 		opts:      opts,
 		hierarchy: h,
-		buildTime: buildTime,
 	}
 	if ix.coarse, err = layerFromFlat(d, g, opts.GridSize, 1); err != nil {
 		return nil, err

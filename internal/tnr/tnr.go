@@ -67,7 +67,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"roadnet/internal/ch"
 	"roadnet/internal/geom"
@@ -108,10 +107,6 @@ type Options struct {
 	Hybrid bool
 	// Access selects the access-node computation. Default AccessCorrected.
 	Access AccessAlgorithm
-	// Hierarchy optionally supplies a prebuilt contraction hierarchy, used
-	// for preprocessing and for local queries; Build constructs one when
-	// nil.
-	Hierarchy *ch.Hierarchy
 }
 
 func (o Options) withDefaults() Options {
@@ -136,8 +131,6 @@ type Index struct {
 	fine   *layer // non-nil in hybrid mode
 
 	hierarchy *ch.Hierarchy
-
-	buildTime time.Duration
 
 	// tableN counts the queries answered from the precomputed tables and
 	// fallbackN those answered by the fallback hierarchy, across every
@@ -303,19 +296,12 @@ func (sr *Searcher) equation1(l *layer, s graph.VertexID, tgt endpointAccess) in
 	return best
 }
 
-// Build constructs a TNR index over g.
-func Build(g *graph.Graph, opts Options) (*Index, error) {
+// Build constructs a TNR index over g on h, a contraction hierarchy of g:
+// preprocessing runs its searches on h, and local queries fall back to it.
+func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("tnr: empty graph")
-	}
-	h := opts.Hierarchy
-	if h == nil {
-		var err error
-		if h, err = ch.Build(g, ch.Options{}); err != nil {
-			return nil, err
-		}
 	}
 	ix := &Index{
 		g:         g,
@@ -333,7 +319,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 			return nil, err
 		}
 	}
-	ix.buildTime = time.Since(start)
 	return ix, nil
 }
 
@@ -387,10 +372,6 @@ func (ix *Index) Access() AccessAlgorithm { return ix.opts.Access }
 // Hierarchy returns the contraction hierarchy used for preprocessing and
 // for local queries.
 func (ix *Index) Hierarchy() *ch.Hierarchy { return ix.hierarchy }
-
-// BuildTime returns the wall-clock preprocessing duration, including the
-// hierarchy construction when Build created one.
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // NumAccessNodes returns the number of distinct access nodes of the coarse
 // layer and, in hybrid mode, the fine layer.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"roadnet/internal/ch"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
@@ -13,7 +14,7 @@ import (
 
 func buildTNR(t *testing.T, g *graph.Graph, opts tnr.Options) *tnr.Index {
 	t.Helper()
-	ix, err := tnr.Build(g, opts)
+	ix, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), opts)
 	if err != nil {
 		t.Fatalf("tnr.Build: %v", err)
 	}
@@ -128,9 +129,6 @@ func TestTNRStats(t *testing.T) {
 	if ix.SizeBytes() <= 0 {
 		t.Error("SizeBytes must be positive")
 	}
-	if ix.BuildTime() <= 0 {
-		t.Error("BuildTime must be positive")
-	}
 	coarse, fine := ix.NumAccessNodes()
 	if coarse <= 0 {
 		t.Error("expected access nodes on the coarse grid")
@@ -148,18 +146,17 @@ func TestTNRStats(t *testing.T) {
 
 func TestTNRReusesProvidedHierarchy(t *testing.T) {
 	g := testutil.SmallRoad(400, 103)
-	ix1 := buildTNR(t, g, tnr.Options{GridSize: 8})
-	h := ix1.Hierarchy()
-	ix2 := buildTNR(t, g, tnr.Options{GridSize: 8, Hierarchy: h})
-	if ix2.Hierarchy() != h {
+	h := testutil.Must(ch.Build(g, ch.Options{}))
+	ix := testutil.Must(tnr.Build(g, h, tnr.Options{GridSize: 8}))
+	if ix.Hierarchy() != h {
 		t.Error("provided hierarchy was not reused")
 	}
-	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 61), ix2.NewSearcher().Distance)
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 61), ix.NewSearcher().Distance)
 }
 
 func TestTNREmptyGraphRejected(t *testing.T) {
 	b := graph.NewBuilder(0)
-	if _, err := tnr.Build(b.Build(), tnr.Options{}); err == nil {
+	if _, err := tnr.Build(b.Build(), nil, tnr.Options{}); err == nil {
 		t.Error("empty graph should be rejected")
 	}
 }

@@ -112,7 +112,7 @@ func eachWalkIndex(t *testing.T, g *graph.Graph, fn func(ix *Index)) {
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	for _, grid := range []int{4, 8, 32} {
 		for _, hybrid := range []bool{false, true} {
-			ix, err := Build(g, Options{GridSize: grid, Hybrid: hybrid, Hierarchy: h})
+			ix, err := Build(g, h, Options{GridSize: grid, Hybrid: hybrid})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestWalkMatchesReference(t *testing.T) {
 // it would read that walk's tails.
 func TestWalkMemoGenerationWrap(t *testing.T) {
 	g := testutil.SmallRoad(1600, 71)
-	ix, err := Build(g, Options{GridSize: 16, Hybrid: true})
+	ix, err := Build(g, testutil.Must(ch.Build(g, ch.Options{})), Options{GridSize: 16, Hybrid: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWalkMemoGenerationWrap(t *testing.T) {
 // layer are symmetric, entry for entry.
 func TestPairTablesSymmetric(t *testing.T) {
 	for name, g := range testutil.Graphs(t) {
-		ix, err := Build(g, Options{GridSize: 8, Hybrid: true})
+		ix, err := Build(g, testutil.Must(ch.Build(g, ch.Options{})), Options{GridSize: 8, Hybrid: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestWalkWorkCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(g, Options{})
+	ix, err := Build(g, testutil.Must(ch.Build(g, ch.Options{})), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestTNRPathAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	g := testutil.SmallRoad(1600, 71)
-	ix, err := Build(g, Options{GridSize: 16})
+	ix, err := Build(g, testutil.Must(ch.Build(g, ch.Options{})), Options{GridSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,18 +114,13 @@ import (
 	"context"
 	"io"
 
-	"roadnet/internal/alt"
-	"roadnet/internal/arcflags"
 	"roadnet/internal/binio"
-	"roadnet/internal/ch"
 	"roadnet/internal/core"
 	"roadnet/internal/gen"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/metrics"
-	"roadnet/internal/pcpd"
 	"roadnet/internal/rtree"
-	"roadnet/internal/silc"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 )
@@ -227,28 +222,18 @@ func WithMetrics(reg *MetricsRegistry) PoolOption { return core.WithMetrics(reg)
 // NewPool returns a searcher pool over idx.
 func NewPool(idx Index, opts ...PoolOption) *Pool { return core.NewPool(idx, opts...) }
 
-// Stats reports an index's preprocessing time and memory footprint.
+// Stats reports an index's preprocessing time and memory footprint. The
+// time is the one NewIndex measured: zero for the baseline and for an index
+// loaded from a file.
 type Stats = core.Stats
 
 // Config tunes index construction; the zero value is a sensible default
 // for every method.
 type Config = core.Config
 
-// Options of the individual techniques, re-exported for Config.
-type (
-	// CHOptions tunes contraction hierarchy preprocessing.
-	CHOptions = ch.Options
-	// TNROptions tunes the TNR grid and access-node algorithm.
-	TNROptions = tnr.Options
-	// SILCOptions tunes the SILC quadtree.
-	SILCOptions = silc.Options
-	// PCPDOptions tunes the PCPD decomposition.
-	PCPDOptions = pcpd.Options
-	// ALTOptions tunes landmark selection.
-	ALTOptions = alt.Options
-	// ArcFlagsOptions tunes the arc-flags grid.
-	ArcFlagsOptions = arcflags.Options
-)
+// TNROptions tunes the TNR grid and access-node algorithm, the one
+// technique whose options Config carries.
+type TNROptions = tnr.Options
 
 // NewIndex builds the index of the chosen method over g.
 func NewIndex(method Method, g *Graph, cfg Config) (Index, error) {
