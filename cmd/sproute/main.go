@@ -5,18 +5,6 @@
 //
 //	sproute -preset CO -method ch -s 12 -t 4711
 //	sproute -gr map.gr -co map.co -method tnr -s 0 -t 99 -path
-//
-// With -server, sproute is an HTTP client for a running spserve instead:
-//
-//	sproute -server http://localhost:8080 -sources 0,1,2 -targets 40,41
-//	sproute -server http://localhost:8080 -sources 0 -targets 41 -ndjson -path
-//
-// Client mode POSTs /v1/batch/route. -ndjson requests the chunked
-// NDJSON streaming response and consumes it line by line (bounded client
-// memory regardless of path length); the exit status is non-zero when the
-// server's in-band marker reports a truncated stream — e.g. the
-// route-vertex budget ran out — so scripts can tell a complete matrix
-// from a cut one.
 package main
 
 import (
@@ -38,15 +26,11 @@ func main() {
 		target  = flag.Int("t", 1, "target vertex id")
 		path    = flag.Bool("path", false, "print the full vertex path")
 		queries = flag.Int("repeat", 1, "repeat the query to report a stable timing")
-		srvURL  = flag.String("server", "", "spserve base URL: query it over HTTP instead of building a local index")
-		sources = flag.String("sources", "", "client mode: comma-separated source vertex ids")
-		targets = flag.String("targets", "", "client mode: comma-separated target vertex ids")
-		ndjson  = flag.Bool("ndjson", false, "client mode: stream the response as NDJSON (bounded memory, in-band truncation marker)")
 	)
 	flag.Parse()
-
-	if *srvURL != "" {
-		os.Exit(runClient(*srvURL, *sources, *targets, *ndjson, *path))
+	if *queries < 1 {
+		fmt.Fprintln(os.Stderr, "-repeat must be at least 1")
+		os.Exit(2)
 	}
 
 	g, err := load(*preset, *grPath, *coPath)

@@ -111,11 +111,26 @@ func TestGenmapAndSproute(t *testing.T) {
 	}
 }
 
+// TestSprouteRejectsBadVertex: an out-of-range vertex or a -repeat below 1
+// is refused with exit status 2 and a message, never a panic or an answer.
 func TestSprouteRejectsBadVertex(t *testing.T) {
-	cmd := exec.Command(commandPath(t, "sproute"), "-preset", "DE", "-s", "0", "-t", "999999")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("expected failure for out-of-range vertex, got:\n%s", out)
+	for _, tc := range []struct {
+		name string
+		args []string
+		says string
+	}{
+		{"vertex out of range", []string{"-t", "999999"}, "vertex ids must be in [0, "},
+		{"repeat 0", []string{"-repeat", "0"}, "-repeat must be at least 1"},
+		{"repeat -3", []string{"-repeat", "-3"}, "-repeat must be at least 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(commandPath(t, "sproute"), append([]string{"-preset", "DE", "-s", "0"}, tc.args...)...)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.says) {
+				t.Fatalf("sproute %s: %v, want exit status 2 saying %q:\n%s", strings.Join(tc.args, " "), err, tc.says, out)
+			}
+		})
 	}
 }
 

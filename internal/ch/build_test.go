@@ -181,6 +181,18 @@ func upArc(h *Hierarchy, from, to graph.VertexID) int32 {
 	return -1
 }
 
+// TestRanksUnique: every vertex has its own contraction rank.
+func TestRanksUnique(t *testing.T) {
+	h := testutil.Must(Build(testutil.SmallRoad(400, 47), Options{}))
+	seen := make(map[int32]bool)
+	for _, r := range h.rank {
+		if seen[r] {
+			t.Fatalf("duplicate rank %d", r)
+		}
+		seen[r] = true
+	}
+}
+
 // TestShortcutHalvesAreUpwardArcs checks what lets upMiddle be the only
 // record of a shortcut's middle: every shortcut (u, w) via m has m ranked
 // below both ends, its halves (m, u) and (m, w) are arcs of m's row that

@@ -256,9 +256,6 @@ func addOrImprove(list *[]halfEdge, e halfEdge) {
 	*list = append(*list, e)
 }
 
-// Rank returns the contraction order position of v (higher = more important).
-func (h *Hierarchy) Rank(v graph.VertexID) int32 { return h.rank[v] }
-
 // NumShortcuts returns the number of shortcuts created during preprocessing.
 func (h *Hierarchy) NumShortcuts() int { return h.numShortcuts }
 

@@ -1,6 +1,7 @@
 package ch_test
 
 import (
+	"context"
 	"testing"
 
 	"roadnet/internal/ch"
@@ -155,15 +156,6 @@ func TestCHStatsReporting(t *testing.T) {
 	if h.Graph() != g {
 		t.Error("Graph() must return the original network")
 	}
-	// Every vertex must have a unique rank.
-	seen := make(map[int32]bool)
-	for v := 0; v < g.NumVertices(); v++ {
-		r := h.Rank(graph.VertexID(v))
-		if seen[r] {
-			t.Fatalf("duplicate rank %d", r)
-		}
-		seen[r] = true
-	}
 }
 
 func TestCHWitnessLimitVariants(t *testing.T) {
@@ -184,12 +176,12 @@ func TestCHManyToMany(t *testing.T) {
 	h := testutil.Must(ch.Build(g, ch.Options{}))
 	sources := []graph.VertexID{0, 5, 17, 101, 333}
 	targets := []graph.VertexID{2, 5, 60, 200, 400, 512}
-	table := h.ManyToMany(sources, targets)
+	table := testutil.Must(h.ManyToManyContext(context.Background(), sources, targets))
 	ctx := dijkstra.NewContext(g)
 	for i, s := range sources {
 		for j, tt := range targets {
 			if want := ctx.Distance(s, tt); table[i][j] != want {
-				t.Errorf("ManyToMany[%d][%d] = %d, want %d", i, j, table[i][j], want)
+				t.Errorf("ManyToManyContext[%d][%d] = %d, want %d", i, j, table[i][j], want)
 			}
 		}
 	}
@@ -221,10 +213,10 @@ func TestCHStallingAgreesWithNoStalling(t *testing.T) {
 func TestCHManyToManyEmpty(t *testing.T) {
 	g := testutil.Figure1()
 	h := testutil.Must(ch.Build(g, ch.Options{}))
-	if tbl := h.ManyToMany(nil, nil); len(tbl) != 0 {
+	if tbl := testutil.Must(h.ManyToManyContext(context.Background(), nil, nil)); len(tbl) != 0 {
 		t.Errorf("empty many-to-many returned %v", tbl)
 	}
-	tbl := h.ManyToMany([]graph.VertexID{0}, nil)
+	tbl := testutil.Must(h.ManyToManyContext(context.Background(), []graph.VertexID{0}, nil))
 	if len(tbl) != 1 || len(tbl[0]) != 0 {
 		t.Errorf("one-to-none table shape wrong: %v", tbl)
 	}

@@ -44,20 +44,14 @@ import (
 // distance tables, and SILC and PCPD (and arc-flags) the one-to-all sweeps
 // of sweep.go.
 
-// ManyToMany computes the full distance table between sources and targets.
-// table[i][j] is dist(sources[i], targets[j]), or graph.Infinity when
-// unreachable.
-func (h *Hierarchy) ManyToMany(sources, targets []graph.VertexID) [][]int64 {
-	table, _ := h.ManyToManyContext(context.Background(), sources, targets)
-	return table
-}
-
-// ManyToManyContext is ManyToMany with cancellation: the per-endpoint
-// upward searches poll ctx every cancel.Interval settled vertices, so a
-// large matrix request aborts promptly when its context is cancelled. On
-// cancellation the partial table is discarded and ctx's error returned.
-// The rows of the returned table share one backing array; in steady state
-// the table is all a call allocates.
+// ManyToManyContext computes the full distance table between sources and
+// targets: table[i][j] is dist(sources[i], targets[j]), or graph.Infinity
+// when unreachable. The per-endpoint upward searches poll ctx every
+// cancel.Interval settled vertices, so a large matrix request aborts
+// promptly when its context is cancelled. On cancellation the partial table
+// is discarded and ctx's error returned. The rows of the returned table
+// share one backing array; in steady state the table is all a call
+// allocates.
 func (h *Hierarchy) ManyToManyContext(ctx context.Context, sources, targets []graph.VertexID) ([][]int64, error) {
 	table := make([][]int64, len(sources))
 	cells := make([]int64, len(sources)*len(targets))
@@ -76,11 +70,11 @@ func (h *Hierarchy) ManyToManyContext(ctx context.Context, sources, targets []gr
 	return table, nil
 }
 
-// ManyToManyEach computes the same distances as ManyToMany but streams them:
-// fn is called exactly once per (source index, target index) pair with a
-// finite distance. Pairs that are unreachable are not reported. This lets
-// callers with sparse needs (e.g. TNR's hybrid-grid table) avoid
-// materializing a quadratic table.
+// ManyToManyEach computes the same distances as ManyToManyContext but
+// streams them: fn is called exactly once per (source index, target index)
+// pair with a finite distance. Pairs that are unreachable are not
+// reported. This lets callers with sparse needs (e.g. TNR's hybrid-grid
+// table) avoid materializing a quadratic table.
 func (h *Hierarchy) ManyToManyEach(sources, targets []graph.VertexID, fn func(si, ti int, d int64)) {
 	_ = h.manyToManyEach(context.Background(), sources, targets, fn)
 }

@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -29,7 +30,8 @@ func BenchmarkManyToManySmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += h.ManyToMany(sources, targets)[0][0]
+		table, _ := h.ManyToManyContext(context.Background(), sources, targets)
+		benchSink += table[0][0]
 	}
 }
 
@@ -48,7 +50,8 @@ func BenchmarkManyToManyRegional(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := batches[i%len(batches)]
-		benchSink += h.ManyToMany(batch[0], batch[1])[0][0]
+		table, _ := h.ManyToManyContext(context.Background(), batch[0], batch[1])
+		benchSink += table[0][0]
 	}
 }
 

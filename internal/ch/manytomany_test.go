@@ -332,7 +332,11 @@ func TestManyToManyConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				i := (worker + round) % len(shapes)
-				table := h.ManyToMany(shapes[i][0], shapes[i][1])
+				table, err := h.ManyToManyContext(context.Background(), shapes[i][0], shapes[i][1])
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				for si := range wants[i] {
 					for ti, want := range wants[i][si] {
 						if table[si][ti] != want {

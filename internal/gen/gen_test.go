@@ -12,8 +12,8 @@ func TestGenerateBasicProperties(t *testing.T) {
 	if n < 1500 || n > 2100 {
 		t.Errorf("vertex count %d far from target 2000", n)
 	}
-	if !graph.IsConnected(g) {
-		t.Error("generated network must be connected")
+	if _, count := graph.ConnectedComponents(g); count != 1 {
+		t.Errorf("generated network must be connected: %d components", count)
 	}
 	if d := g.MaxDegree(); d > 8 {
 		t.Errorf("max degree %d exceeds road-network bound 8", d)
@@ -85,8 +85,8 @@ func TestGenerateTinyTarget(t *testing.T) {
 	if g.NumVertices() < 1 {
 		t.Fatal("degenerate target must still yield vertices")
 	}
-	if !graph.IsConnected(g) {
-		t.Error("tiny network must be connected")
+	if _, count := graph.ConnectedComponents(g); count != 1 {
+		t.Errorf("tiny network must be connected: %d components", count)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestGeneratePresetSmallest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !graph.IsConnected(g) {
-		t.Error("DE preset must be connected")
+	if _, count := graph.ConnectedComponents(g); count != 1 {
+		t.Errorf("DE preset must be connected: %d components", count)
 	}
 	if n := g.NumVertices(); n < 800 || n > 1100 {
 		t.Errorf("DE preset size %d far from 1000", n)
@@ -136,8 +136,8 @@ func TestRandomConnected(t *testing.T) {
 	if g.NumVertices() != 100 {
 		t.Fatalf("n = %d, want 100", g.NumVertices())
 	}
-	if !graph.IsConnected(g) {
-		t.Error("RandomConnected must be connected")
+	if _, count := graph.ConnectedComponents(g); count != 1 {
+		t.Errorf("RandomConnected must be connected: %d components", count)
 	}
 	if g.NumEdges() < 99 {
 		t.Errorf("edges %d < spanning tree size", g.NumEdges())

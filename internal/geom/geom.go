@@ -35,18 +35,6 @@ type Rect struct {
 	MinX, MinY, MaxX, MaxY int32
 }
 
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	r := Rect{MinX: a.X, MinY: a.Y, MaxX: b.X, MaxY: b.Y}
-	if r.MinX > r.MaxX {
-		r.MinX, r.MaxX = r.MaxX, r.MinX
-	}
-	if r.MinY > r.MaxY {
-		r.MinY, r.MaxY = r.MaxY, r.MinY
-	}
-	return r
-}
-
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
@@ -56,9 +44,6 @@ func (r Rect) Contains(p Point) bool {
 func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
-
-// Disjoint reports whether r and s share no point.
-func (r Rect) Disjoint(s Rect) bool { return !r.Intersects(s) }
 
 // Width returns the horizontal extent of r (number of integer columns minus one).
 func (r Rect) Width() int64 { return int64(r.MaxX) - int64(r.MinX) }

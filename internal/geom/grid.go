@@ -61,22 +61,6 @@ func (g Grid) CellIndex(col, row int) int { return row*g.Cols + col }
 // NumCells returns the total number of cells.
 func (g Grid) NumCells() int { return g.Cols * g.Rows }
 
-// CellRect returns the rectangle covered by cell (col, row), clipped to the
-// grid bounds.
-func (g Grid) CellRect(col, row int) Rect {
-	minX := int64(g.Bounds.MinX) + int64(col)*g.cellW
-	minY := int64(g.Bounds.MinY) + int64(row)*g.cellH
-	maxX := minX + g.cellW - 1
-	maxY := minY + g.cellH - 1
-	if maxX > int64(g.Bounds.MaxX) {
-		maxX = int64(g.Bounds.MaxX)
-	}
-	if maxY > int64(g.Bounds.MaxY) {
-		maxY = int64(g.Bounds.MaxY)
-	}
-	return Rect{MinX: int32(minX), MinY: int32(minY), MaxX: int32(maxX), MaxY: int32(maxY)}
-}
-
 // ChebyshevCellDist returns the Chebyshev distance between two cells, i.e.
 // max(|dc|, |dr|). TNR's locality filter is expressed in this metric: cell B
 // lies beyond the outer shell (the boundary of the 9x9 block) of cell A iff

@@ -12,11 +12,6 @@ func MortonEncode(x, y uint32) uint64 {
 	return spreadBits(x) | spreadBits(y)<<1
 }
 
-// MortonDecode is the inverse of MortonEncode.
-func MortonDecode(z uint64) (x, y uint32) {
-	return compactBits(z), compactBits(z >> 1)
-}
-
 // spreadBits inserts a zero bit between every bit of v.
 func spreadBits(v uint32) uint64 {
 	x := uint64(v)
@@ -26,15 +21,4 @@ func spreadBits(v uint32) uint64 {
 	x = (x | x<<2) & 0x3333333333333333
 	x = (x | x<<1) & 0x5555555555555555
 	return x
-}
-
-// compactBits removes every other bit of v, inverting spreadBits.
-func compactBits(v uint64) uint32 {
-	x := v & 0x5555555555555555
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x>>4) & 0x00ff00ff00ff00ff
-	x = (x | x>>8) & 0x0000ffff0000ffff
-	x = (x | x>>16) & 0x00000000ffffffff
-	return uint32(x)
 }

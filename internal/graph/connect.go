@@ -2,9 +2,8 @@ package graph
 
 // ConnectedComponents labels each vertex with a component id in
 // [0, numComponents) and returns the labels and the component count.
-// The paper assumes connected road networks (§2); the generator uses this
-// to verify connectivity and the loader uses it to extract the largest
-// component from arbitrary input.
+// The paper assumes connected road networks (§2); the generator keeps the
+// largest component (LargestComponent) of what it draws.
 func ConnectedComponents(g *Graph) (labels []int32, count int) {
 	n := g.NumVertices()
 	labels = make([]int32, n)
@@ -33,16 +32,6 @@ func ConnectedComponents(g *Graph) (labels []int32, count int) {
 		}
 	}
 	return labels, count
-}
-
-// IsConnected reports whether g is a single connected component.
-// The empty graph counts as connected.
-func IsConnected(g *Graph) bool {
-	if g.NumVertices() == 0 {
-		return true
-	}
-	_, count := ConnectedComponents(g)
-	return count == 1
 }
 
 // LargestComponent returns the subgraph induced by the largest connected

@@ -210,9 +210,6 @@ func TestConnectedComponents(t *testing.T) {
 	if labels[5] == labels[0] || labels[5] == labels[3] {
 		t.Error("vertex 5 should be isolated")
 	}
-	if IsConnected(g) {
-		t.Error("graph should not be connected")
-	}
 
 	lc, mapping := LargestComponent(g)
 	if lc.NumVertices() != 3 || lc.NumEdges() != 2 {
@@ -221,8 +218,8 @@ func TestConnectedComponents(t *testing.T) {
 	if len(mapping) != 3 {
 		t.Fatalf("mapping length = %d, want 3", len(mapping))
 	}
-	if !IsConnected(lc) {
-		t.Error("largest component should be connected")
+	if _, count := ConnectedComponents(lc); count != 1 {
+		t.Errorf("largest component has %d components, want 1", count)
 	}
 }
 
@@ -231,15 +228,5 @@ func TestLargestComponentOfConnectedIsIdentity(t *testing.T) {
 	lc, mapping := LargestComponent(g)
 	if lc != g || mapping != nil {
 		t.Error("connected graph should be returned unchanged")
-	}
-}
-
-func TestIsConnectedEmpty(t *testing.T) {
-	g, err := FromEdges(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsConnected(g) {
-		t.Error("empty graph counts as connected")
 	}
 }

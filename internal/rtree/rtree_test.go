@@ -118,7 +118,8 @@ func TestOracleQueries(t *testing.T) {
 			p := geom.Point{X: rng.Int31n(int32(n+8)) - int32(n/2), Y: rng.Int31n(int32(n+8)) - int32(n/2)}
 
 			// Rectangle search vs scan.
-			r := geom.NewRect(p, geom.Point{X: p.X + rng.Int31n(10), Y: p.Y - rng.Int31n(10)})
+			dx, dy := rng.Int31n(10), rng.Int31n(10)
+			r := geom.Rect{MinX: p.X, MinY: p.Y - dy, MaxX: p.X + dx, MaxY: p.Y}
 			var got []Entry
 			tr.Search(r, func(e Entry) bool { got = append(got, e); return true })
 			var want []Entry

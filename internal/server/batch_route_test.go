@@ -136,7 +136,7 @@ func TestBatchLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(g, idx, server.WithBatchLimits(16, 256)).Handler())
+	ts := httptest.NewServer(server.New(g, idx, server.WithBatchLimits(16, 16, 256)).Handler())
 	defer ts.Close()
 
 	long := make([]graph.VertexID, 17)
@@ -174,7 +174,7 @@ func TestBatchLimits(t *testing.T) {
 // whole paths.
 func TestBatchRoutePairCapLowerThanDistance(t *testing.T) {
 	ts, g := newMethodServer(t, core.MethodCH,
-		server.WithBatchLimits(1024, 0), server.WithBatchRouteLimit(16))
+		server.WithBatchLimits(1024, 16, server.DefaultMaxBatchBody))
 	ids := make([]graph.VertexID, 5) // 5 x 5 = 25: over 16, under 1024
 	for i := range ids {
 		ids[i] = graph.VertexID(i % g.NumVertices())

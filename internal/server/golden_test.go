@@ -80,7 +80,7 @@ func newGoldenFixture(t testing.TB) *goldenFixture {
 	}
 	f.handlers = map[string]http.Handler{
 		"":         server.New(g, idx).Handler(),
-		"limits":   server.New(g, idx, server.WithBatchLimits(16, 256), server.WithBatchRouteLimit(4), server.WithSpatialLimits(3, 2)).Handler(),
+		"limits":   server.New(g, idx, server.WithBatchLimits(16, 4, 256), server.WithSpatialLimits(3, 2)).Handler(),
 		"budget":   server.New(g, idx, server.WithBatchRouteVertexBudget(1)).Handler(),
 		"empty":    server.New(empty, emptyIdx).Handler(),
 		"flaky":    server.New(g, f.flaky).Handler(),

@@ -19,7 +19,8 @@ import (
 // lower pair cap, DefaultMaxBatchRoutePairs: a distance cell is 8 bytes
 // but a route cell is a full O(path-length) vertex list, so a
 // distance-sized route matrix could materialize gigabytes of paths before
-// the response is written. Override with WithBatchLimits.
+// the response is written. spserve has no flag for these: the constants
+// are the one place the batch limits are set.
 const (
 	DefaultMaxBatchPairs      = 1 << 20
 	DefaultMaxBatchRoutePairs = 1 << 14
@@ -76,32 +77,6 @@ type Option func(*Server)
 // unbounded pool. The pool must wrap the same index the server is given.
 func WithPool(pool *core.Pool) Option {
 	return func(s *Server) { s.pool = pool }
-}
-
-// WithBatchLimits overrides the batch guards: maxPairs bounds each id list
-// and the sources x targets product, maxBody the request body size in
-// bytes. Values <= 0 keep the corresponding default. The batch route pair
-// cap stays at min(maxPairs, DefaultMaxBatchRoutePairs); raise it with
-// WithBatchRouteLimit.
-func WithBatchLimits(maxPairs int, maxBody int64) Option {
-	return func(s *Server) {
-		if maxPairs > 0 {
-			s.maxBatchPairs = maxPairs
-		}
-		if maxBody > 0 {
-			s.maxBatchBody = maxBody
-		}
-	}
-}
-
-// WithBatchRouteLimit overrides the batch route pair cap. Values <= 0 keep
-// the default; the cap never exceeds the distance-matrix pair limit.
-func WithBatchRouteLimit(maxPairs int) Option {
-	return func(s *Server) {
-		if maxPairs > 0 {
-			s.maxBatchRoutePairs = maxPairs
-		}
-	}
 }
 
 // WithBatchRouteVertexBudget overrides the total-vertex budget of one batch
@@ -185,9 +160,6 @@ func New(g *graph.Graph, idx core.Index, opts ...Option) *Server {
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.maxBatchRoutePairs > s.maxBatchPairs {
-		s.maxBatchRoutePairs = s.maxBatchPairs
 	}
 	if s.pool == nil {
 		// A default pool under a metrics-enabled server reports its

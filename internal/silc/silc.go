@@ -283,12 +283,3 @@ func (ix *Index) SizeBytes() int64 {
 	size += int64(len(ix.code)) * 4
 	return size
 }
-
-// MeanIntervalsPerVertex reports the average partition size, the quantity
-// the paper bounds by O(sqrt n).
-func (ix *Index) MeanIntervalsPerVertex() float64 {
-	if len(ix.starts) == 0 {
-		return 0
-	}
-	return float64(ix.intervals) / float64(len(ix.starts))
-}

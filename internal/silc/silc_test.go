@@ -108,7 +108,7 @@ func TestSILCIntervalBound(t *testing.T) {
 	g := testutil.SmallRoad(2500, 207)
 	ix := build(t, g)
 	n := float64(g.NumVertices())
-	mean := ix.MeanIntervalsPerVertex()
+	mean := float64(ix.NumIntervals()) / n
 	if mean <= 0 {
 		t.Fatal("no intervals stored")
 	}

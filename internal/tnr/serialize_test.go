@@ -20,6 +20,19 @@ func load(t *testing.T, data []byte, g *graph.Graph) (*tnr.Index, error) {
 	})
 }
 
+// checkResaves requires a reloaded index to save the bytes it was loaded
+// from, so no layer, table or access node was lost on the way.
+func checkResaves(t *testing.T, ix *tnr.Index, want []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("reloaded index saves %d bytes that differ from the %d it was loaded from", buf.Len(), len(want))
+	}
+}
+
 func TestTNRSerializationRoundtrip(t *testing.T) {
 	g := testutil.SmallRoad(900, 811)
 	ix := buildTNR(t, g, tnr.Options{GridSize: 16})
@@ -31,11 +44,7 @@ func TestTNRSerializationRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := ix.NumAccessNodes()
-	c2, _ := ix2.NumAccessNodes()
-	if c1 != c2 {
-		t.Errorf("access nodes %d != %d after roundtrip", c2, c1)
-	}
+	checkResaves(t, ix2, buf.Bytes())
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 200, 141), ix2.NewSearcher().Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 50, 143), ix2.NewSearcher().OpenPath)
 }
@@ -51,10 +60,7 @@ func TestTNRSerializationHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fine := ix2.NumAccessNodes()
-	if fine == 0 {
-		t.Error("hybrid fine layer lost in roundtrip")
-	}
+	checkResaves(t, ix2, buf.Bytes())
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 150, 147), ix2.NewSearcher().Distance)
 }
 

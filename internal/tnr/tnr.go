@@ -373,16 +373,6 @@ func (ix *Index) Access() AccessAlgorithm { return ix.opts.Access }
 // for local queries.
 func (ix *Index) Hierarchy() *ch.Hierarchy { return ix.hierarchy }
 
-// NumAccessNodes returns the number of distinct access nodes of the coarse
-// layer and, in hybrid mode, the fine layer.
-func (ix *Index) NumAccessNodes() (coarse, fine int) {
-	coarse = len(ix.coarse.anList)
-	if ix.fine != nil {
-		fine = len(ix.fine.anList)
-	}
-	return coarse, fine
-}
-
 // MeanAccessNodesPerCell reports the average size of the per-cell access
 // node sets of the coarse grid (the paper observes roughly 10 on all
 // datasets).

@@ -129,13 +129,6 @@ func TestTNRStats(t *testing.T) {
 	if ix.SizeBytes() <= 0 {
 		t.Error("SizeBytes must be positive")
 	}
-	coarse, fine := ix.NumAccessNodes()
-	if coarse <= 0 {
-		t.Error("expected access nodes on the coarse grid")
-	}
-	if fine != 0 {
-		t.Error("non-hybrid index should have no fine layer")
-	}
 	if m := ix.MeanAccessNodesPerCell(); m <= 0 || m > 200 {
 		t.Errorf("mean access nodes per cell = %.1f, implausible", m)
 	}

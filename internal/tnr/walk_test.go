@@ -197,6 +197,19 @@ func TestWalkMemoGenerationWrap(t *testing.T) {
 	checkWalks(t, ix, sr, fb, pairs)
 }
 
+// TestNonHybridHasNoFineLayer: a non-hybrid index has access nodes on its
+// one grid and no fine layer.
+func TestNonHybridHasNoFineLayer(t *testing.T) {
+	g := testutil.SmallRoad(900, 101)
+	ix := testutil.Must(Build(g, testutil.Must(ch.Build(g, ch.Options{})), Options{GridSize: 16}))
+	if len(ix.coarse.anList) == 0 {
+		t.Error("expected access nodes on the coarse grid")
+	}
+	if ix.fine != nil {
+		t.Error("non-hybrid index should have no fine layer")
+	}
+}
+
 // TestPairTablesSymmetric pins what minPlus relies on when it reads T[b][a]
 // for T[a][b]: both the dense table and the sparse table of a hybrid's fine
 // layer are symmetric, entry for entry.
