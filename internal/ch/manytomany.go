@@ -41,8 +41,9 @@ import (
 //
 // The paper uses CH to accelerate the preprocessing of TNR, SILC and PCPD
 // (§4.1); our TNR preprocessing uses these routines to fill its access-node
-// distance tables, and SILC and PCPD (and arc-flags) the one-to-all sweeps
-// of sweep.go.
+// pair tables, one call per chunk of source rows on concurrent goroutines
+// (each call takes a scratch of its own from the pool), and SILC and PCPD
+// (and arc-flags) the one-to-all sweeps of sweep.go.
 
 // ManyToManyContext computes the full distance table between sources and
 // targets: table[i][j] is dist(sources[i], targets[j]), or graph.Infinity

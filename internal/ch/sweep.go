@@ -17,6 +17,13 @@ import (
 // that lead down into v are v's own upward row read backwards — so a
 // built, a heap-loaded and a mapped hierarchy sweep alike.
 //
+// Each technique reads a sweep its own way. SILC sweeps from every source
+// s and keeps FirstHops, the first hop from s toward every t. PCPD sweeps
+// from every target t: on an undirected graph Run(t) is d(·, t), and
+// NextHops gives every vertex's first hop toward t. Arc flags also sweeps
+// from targets, the boundary vertices, and keeps every arc that is tight
+// toward t (internal/arcflags).
+//
 // # Canonical first hops
 //
 // The first hop from s toward t is a function of the graph alone:
@@ -24,7 +31,8 @@ import (
 //	hop(s, t) = the lowest adjacency slot k of s with
 //	            w(s, k) + d(head(s, k), t) = d(s, t),
 //
-// and 0xff when t = s or t is unreachable. FirstHops evaluates the rule
+// and 0xff when t = s or t is unreachable. NextHops evaluates the rule as
+// it stands, for every s at once, from d(·, t). FirstHops evaluates the rule
 // from d(s, ·) without any d(u, t): an arc u→v is tight when d(s, u) +
 // w(u, v) = d(s, v), a shortest path is a path of tight arcs, and so slot k
 // qualifies for t exactly when it is tight and t can be reached from its
@@ -90,6 +98,30 @@ func (sw *Sweeper) Run(s graph.VertexID) []int64 {
 		dist[v] = d
 	}
 	return dist
+}
+
+// NextHops fills col, one entry per vertex, with every vertex's canonical
+// first hop toward the source of the last Run, which the graph being
+// undirected makes the target t (see the rule above): the lowest slot of v
+// whose arc is tight toward t, w(v, k) + d(head, t) = d(v, t). Weights are
+// positive, so t itself has no tight arc and gets NoHop, as does every
+// vertex that cannot reach t.
+func (sw *Sweeper) NextHops(col []uint8) {
+	g, dist := sw.h.g, sw.dist
+	for v := range col {
+		col[v] = NoHop
+		dv := dist[v]
+		if dv >= graph.Infinity {
+			continue
+		}
+		lo, hi := g.ArcsOf(graph.VertexID(v))
+		for k := lo; k < hi; k++ {
+			if dist[g.Head(k)]+int64(g.ArcWeight(k)) == dv {
+				col[v] = uint8(k - lo)
+				break
+			}
+		}
+	}
 }
 
 // FirstHops fills row, one entry per vertex, with the canonical first hops

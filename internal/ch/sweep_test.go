@@ -42,10 +42,17 @@ func ruleFirstHops(g *graph.Graph, dist [][]int64, s graph.VertexID) []uint8 {
 }
 
 // checkSweeps holds sw, whatever it ran before, to plain Dijkstra and to the
-// stated rule from the given sources, and returns the rows of first hops.
+// stated rule from the given sources, read both ways: FirstHops from s is
+// the rule's row of s, and NextHops toward s its column. It returns the rows
+// of first hops.
 func checkSweeps(t testing.TB, g *graph.Graph, sw *Sweeper, dist [][]int64, sources []graph.VertexID) [][]uint8 {
 	t.Helper()
+	rule := make([][]uint8, len(dist))
+	for v := range rule {
+		rule[v] = ruleFirstHops(g, dist, graph.VertexID(v))
+	}
 	hops := make([][]uint8, len(sources))
+	col := make([]uint8, len(dist))
 	for i, s := range sources {
 		if got := sw.Run(s); !slices.Equal(got, dist[s]) {
 			for v := range got {
@@ -56,11 +63,17 @@ func checkSweeps(t testing.TB, g *graph.Graph, sw *Sweeper, dist [][]int64, sour
 		}
 		hops[i] = make([]uint8, len(dist))
 		sw.FirstHops(hops[i])
-		if want := ruleFirstHops(g, dist, s); !slices.Equal(hops[i], want) {
-			for v := range want {
-				if hops[i][v] != want[v] {
-					t.Fatalf("first hop %d -> %d is slot %d, the rule says %d", s, v, hops[i][v], want[v])
+		if !slices.Equal(hops[i], rule[s]) {
+			for v := range rule[s] {
+				if hops[i][v] != rule[s][v] {
+					t.Fatalf("first hop %d -> %d is slot %d, the rule says %d", s, v, hops[i][v], rule[s][v])
 				}
+			}
+		}
+		sw.NextHops(col)
+		for v := range col {
+			if col[v] != rule[v][s] {
+				t.Fatalf("next hop %d -> %d is slot %d, the rule says %d", v, s, col[v], rule[v][s])
 			}
 		}
 	}
@@ -69,10 +82,10 @@ func checkSweeps(t testing.TB, g *graph.Graph, sw *Sweeper, dist [][]int64, sour
 
 // FuzzSweepAgrees builds the hierarchy of a messy graph, with the default
 // witness budget or one so tight that many shortcuts are superfluous, and
-// requires of the sweeper exact distances and the stated first hops — from
-// the chosen source on a fresh sweeper, then from every vertex on the same
-// one — and of the hops that following them from any s reaches every
-// reachable t in exactly d(s, t).
+// requires of the sweeper exact distances and the stated first hops, from
+// and toward the swept vertex — the chosen one on a fresh sweeper, then
+// every vertex on the same one — and of the hops that following them from
+// any s reaches every reachable t in exactly d(s, t).
 func FuzzSweepAgrees(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, tightBudget bool, source uint16) {
 		g := testutil.MessyGraph(seed)
@@ -124,7 +137,7 @@ func TestSweepLoadedHierarchy(t *testing.T) {
 }
 
 // TestSweepAllocs pins the steady-state cost of the all-pairs kernel: a
-// sweep and its first hops allocate nothing.
+// sweep, its first hops and its next hops allocate nothing.
 func TestSweepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -136,19 +149,20 @@ func TestSweepAllocs(t *testing.T) {
 	run := func() {
 		sw.Run(s)
 		sw.FirstHops(row)
+		sw.NextHops(row)
 		s = (s + 97) % graph.VertexID(g.NumVertices())
 	}
 	for i := 0; i < 50; i++ {
 		run() // grow the walk's stack to its working size
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("steady-state Run + FirstHops allocates %.0f times, want 0", allocs)
+		t.Errorf("steady-state Run + FirstHops + NextHops allocates %.0f times, want 0", allocs)
 	}
 }
 
-// BenchmarkSweep times the kernel per source on the NH preset, the graph
-// SILC and PCPD preprocess in the benchmark: the sweep alone, and with the
-// first hops derived from it.
+// BenchmarkSweep times the kernel per swept vertex on the NH preset, the
+// graph SILC and PCPD preprocess in the benchmark: the sweep alone, and with
+// the first hops from it (SILC) or the next hops toward it (PCPD).
 func BenchmarkSweep(b *testing.B) {
 	g, err := gen.GeneratePreset("NH")
 	if err != nil {
@@ -156,16 +170,15 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	sw := testutil.Must(Build(g, Options{})).NewSweeper()
 	row := make([]uint8, g.NumVertices())
-	for _, hops := range []bool{false, true} {
-		name := "run"
-		if hops {
-			name = "run+hops"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, read := range []struct {
+		name string
+		hops func([]uint8)
+	}{{"run", nil}, {"run+hops", sw.FirstHops}, {"run+nexthops", sw.NextHops}} {
+		b.Run(read.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sw.Run(graph.VertexID(i % len(row)))
-				if hops {
-					sw.FirstHops(row)
+				if read.hops != nil {
+					read.hops(row)
 				}
 			}
 		})

@@ -37,14 +37,17 @@
 //
 // # Build cost
 //
-// Build makes n hierarchy sweeps for the first-hop matrix (n² B; the
-// canonical first hops of ch.Sweeper, so the tree is a function of the graph
-// and not of the hierarchy swept), labels the n in-trees (4n² B: two uint16
-// per (target, vertex), hence n ≤ 65535) and decomposes; all three stages
-// run on GOMAXPROCS goroutines, and the tree does not depend on their
-// scheduling. The matrix and the labels are released before Build returns,
-// so peak build memory is still 5n² B plus the index (SizeBytes) — 29 MB +
-// 7 MB at n = 2400, 2 GB at maxN.
+// Build makes one hierarchy sweep per target t. It gives d(·, t), from
+// which every vertex's canonical next hop toward t is its lowest tight slot
+// (ch.Sweeper.NextHops; the rule is a function of the graph and not of the
+// hierarchy swept), and the same worker then numbers the in-tree of those
+// hops. The hop matrix is target-major, hop[t*n+v] (n² B), and the labels
+// hold two uint16 per (target, vertex) (4n² B, hence n ≤ 65535). Both
+// stages, the sweeps and the decomposition, run on GOMAXPROCS goroutines,
+// and the tree does not depend on their scheduling. The matrix and the
+// labels are released before Build returns, so peak build memory is still
+// 5n² B plus the index (SizeBytes) — 29 MB + 7 MB at n = 2400, 2 GB at
+// maxN.
 //
 // # The tree
 //
@@ -129,8 +132,8 @@ type Index struct {
 }
 
 // Build constructs the PCPD index; it sweeps h, a contraction hierarchy of
-// g, once per vertex to build the first-hop matrix, labels the resulting
-// in-trees and then runs the recursive pair decomposition. The index does
+// g, once per target to find the next hops toward it and label their
+// in-tree, and then runs the recursive pair decomposition. The index does
 // not depend on which hierarchy it is.
 func Build(g *graph.Graph, h *ch.Hierarchy) (*Index, error) {
 	n := g.NumVertices()
@@ -146,8 +149,8 @@ func Build(g *graph.Graph, h *ch.Hierarchy) (*Index, error) {
 
 	workers := runtime.GOMAXPROCS(0)
 	ix := newIndex(g)
-	hop := buildFirstHops(h, workers)
-	sh := &shared{ix: ix, n: n, hop: hop, lab: buildLabels(g, hop, workers), order: mortonOrder(ix.code)}
+	hop, lab := buildTrees(h, workers)
+	sh := &shared{ix: ix, n: n, hop: hop, lab: lab, order: mortonOrder(ix.code)}
 	sh.decomposeAll(quad{0, 1 << (2 * quadBits), 0, n}, workers)
 	return ix, nil
 }
@@ -172,65 +175,70 @@ func mortonOrder(code []uint32) []graph.VertexID {
 	return order
 }
 
-// buildFirstHops computes the n × n first-hop matrix: hop[s*n+t] is the
-// adjacency slot of the first edge of the canonical shortest path s -> t.
-func buildFirstHops(h *ch.Hierarchy, workers int) []uint8 {
-	n := h.Graph().NumVertices()
-	hop := make([]uint8, n*n)
+// buildTrees computes, for every target t, the canonical next hops toward t
+// and numbers the in-tree they form in preorder: hop[t*n+v] is the
+// adjacency slot of the first edge of the canonical shortest path v -> t,
+// lab[(t*n+v)*2] is pre[t][v] and the element after it end[t][v]. One
+// hierarchy sweep from t gives d(·, t), the graph being undirected, and the
+// next hops are read off it; the worker that swept t numbers its tree while
+// the column is still in its cache.
+func buildTrees(h *ch.Hierarchy, workers int) (hop []uint8, lab []uint16) {
+	g := h.Graph()
+	n := g.NumVertices()
+	hop = make([]uint8, n*n)
+	lab = make([]uint16, 2*n*n)
 	par.Each(workers, n, func(int) func(int) {
 		sw := h.NewSweeper()
-		return func(s int) {
-			sw.Run(graph.VertexID(s))
-			sw.FirstHops(hop[s*n : (s+1)*n])
-		}
-	})
-	return hop
-}
-
-// buildLabels numbers, for every target t, the in-tree of canonical next
-// hops toward t in preorder: lab[(t*n+v)*2] is pre[t][v] and the element
-// after it end[t][v].
-func buildLabels(g *graph.Graph, hop []uint8, workers int) []uint16 {
-	n := g.NumVertices()
-	lab := make([]uint16, 2*n*n)
-	par.Each(workers, n, func(int) func(int) {
-		// The children of p are the list child[p], sibling[child[p]], ...
+		// The children of p are the list child[p], sibling[child[p]], ...,
+		// in increasing vertex order.
+		parent := make([]int32, n)
 		child := make([]int32, n)
 		sibling := make([]int32, n)
-		stack := make([]int32, 0, 2*n)
 		return func(t int) {
+			col := hop[t*n : (t+1)*n]
+			sw.Run(graph.VertexID(t))
+			sw.NextHops(col)
 			row := lab[2*t*n : 2*(t+1)*n]
 			for v := range child {
 				child[v] = -1
 			}
-			for v := 0; v < n; v++ {
+			for v := n - 1; v >= 0; v-- {
 				row[2*v], row[2*v+1] = noLabel, 0
-				if slot := hop[v*n+t]; slot != noHop {
+				if slot := col[v]; slot != noHop {
 					lo, _ := g.ArcsOf(graph.VertexID(v))
 					p := g.Head(lo + int32(slot))
+					parent[v] = p
 					sibling[v], child[p] = child[p], int32(v)
 				}
 			}
-			// Depth-first from t; ^v on the stack closes v's subtree.
-			next := uint16(0)
-			stack = append(stack[:0], int32(t))
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if v < 0 {
-					row[2*^v+1] = next
-					continue
+			// Depth-first from t along the lists, without a stack: a vertex
+			// with no child left closes, and so does every ancestor whose
+			// last child it closed.
+			v, next := int32(t), uint16(1)
+			row[2*v] = 0
+		walk:
+			for {
+				if c := child[v]; c >= 0 {
+					v = c
+				} else {
+					for {
+						row[2*v+1] = next
+						if v == int32(t) {
+							break walk
+						}
+						if s := sibling[v]; s >= 0 {
+							v = s
+							break
+						}
+						v = parent[v]
+					}
 				}
 				row[2*v] = next
 				next++
-				stack = append(stack, ^v)
-				for c := child[v]; c >= 0; c = sibling[c] {
-					stack = append(stack, c)
-				}
 			}
 		}
 	})
-	return lab
+	return hop, lab
 }
 
 // quad is an aligned Morton-code square together with the range of sorted
@@ -248,8 +256,8 @@ func (q quad) splittable() bool { return q.span > 1 }
 type shared struct {
 	ix    *Index
 	n     int
-	hop   []uint8  // see buildFirstHops
-	lab   []uint16 // see buildLabels
+	hop   []uint8  // see buildTrees
+	lab   []uint16 // see buildTrees
 	order []graph.VertexID
 }
 
@@ -326,7 +334,16 @@ func (sh *shared) decomposeAll(all quad, workers int) {
 	for _, e := range table {
 		ix.tableKeys, ix.tablePsi = append(ix.tableKeys, uint32(e>>32)), append(ix.tablePsi, uint32(e))
 	}
-	ix.slots, ix.root = layout(nil, root)
+	ix.slots, ix.root = layout(make([]uint32, 0, numSlots(root)), root)
+}
+
+// numSlots returns the number of slots of tk's fragment and its sub-pairs'.
+func numSlots(tk *task) int {
+	n := len(tk.nodes)
+	for _, sub := range tk.subs {
+		n += numSlots(sub)
+	}
+	return n
 }
 
 // layout appends tk's fragment and then, in slot order, its sub-pairs' to
@@ -397,13 +414,17 @@ func (d *decomposer) decompose(a, b quad, depth int) uint32 {
 	if a.splittable() {
 		at := len(d.cur.nodes)
 		d.cur.nodes = append(d.cur.nodes, make([]uint32, 16)...)
+		var cb [4]quad
+		for q := range cb {
+			cb[q] = d.child(b, uint64(q))
+		}
 		for qa := uint64(0); qa < 4; qa++ {
 			ca := d.child(a, qa)
 			if ca.empty() {
 				continue
 			}
 			for qb := uint64(0); qb < 4; qb++ {
-				slot := d.sub(ca, d.child(b, qb), depth+1)
+				slot := d.sub(ca, cb[qb], depth+1)
 				d.cur.nodes[at+int(qa*4+qb)] = slot
 			}
 		}
@@ -427,7 +448,7 @@ func (d *decomposer) decompose(a, b quad, depth int) uint32 {
 // v must be able to reach t and differ from it.
 func (sh *shared) nextArc(v, t graph.VertexID) int32 {
 	lo, _ := sh.ix.g.ArcsOf(v)
-	return lo + int32(sh.hop[int(v)*sh.n+int(t)])
+	return lo + int32(sh.hop[int(t)*sh.n+int(v)])
 }
 
 // edgePsi returns the leaf slot of arc's edge, traversed from vertex from.
@@ -516,12 +537,12 @@ func (d *decomposer) coherent(a, b quad) (uint32, bool) {
 		}
 	}
 	s, t := d.order[i], d.order[j]
-	if d.hop[int(s)*d.n+int(t)] == noHop {
+	if d.hop[int(t)*d.n+int(s)] == noHop {
 		// Coherent only if no pair has a path at all.
-		for i := a.idxLo; i < a.idxHi; i++ {
-			s := d.order[i]
-			for j := b.idxLo; j < b.idxHi; j++ {
-				if t := d.order[j]; s != t && d.hop[int(s)*d.n+int(t)] != noHop {
+		for j := b.idxLo; j < b.idxHi; j++ {
+			col := d.hop[int(d.order[j])*d.n:]
+			for i := a.idxLo; i < a.idxHi; i++ {
+				if s := d.order[i]; s != d.order[j] && col[s] != noHop {
 					return 0, false
 				}
 			}
@@ -550,7 +571,7 @@ func (d *decomposer) coherent(a, b quad) (uint32, bool) {
 // pairPsi computes the leaf slot of a single pair (used by collision
 // tables): the middle vertex of the path, or the edge of a single-edge path.
 func (d *decomposer) pairPsi(s, t graph.VertexID) uint32 {
-	if d.hop[int(s)*d.n+int(t)] == noHop {
+	if d.hop[int(t)*d.n+int(s)] == noHop {
 		return tagNone
 	}
 	g := d.ix.g

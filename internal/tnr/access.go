@@ -253,57 +253,85 @@ func (w *accessWorker) fillVertexDistances(verts, access []graph.VertexID, vaDis
 // fine layer of a hybrid stores only pairs within 15 fine cells (Chebyshev),
 // the maximum range a mid-range query can ask for (Appendix E.1 stores only
 // pairs whose outer shells overlap, for the same reason).
-func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) (err error) {
+//
+// The sources are split into GOMAXPROCS chunks of consecutive rows. Each
+// chunk runs one many-to-many against all access nodes on a goroutine of
+// its own and writes only its own rows, so the table does not depend on the
+// split; every chunk repeats the backward searches, which is what buys the
+// parallel forward ones. An overflowing cell fails the build with the first
+// error in row order, as one serial many-to-many would.
+func fillPairTable(l *layer, h *ch.Hierarchy, dense bool) error {
 	count := len(l.anList)
 	if count == 0 {
 		return nil
 	}
+	const sparseRange = 15
+	var cellColRow [][2]int
 	if dense {
 		l.table = make([]int32, count*count)
 		for i := range l.table {
 			l.table[i] = invalidDist
 		}
-		h.ManyToManyEach(l.anList, l.anList, func(si, ti int, d int64) {
-			l.table[si*count+ti] = narrow(d, &err)
-		})
-		return err
-	}
-	const sparseRange = 15
-	l.sparsePartner = make([][]int32, count)
-	l.sparseDist = make([][]int32, count)
-	cellColRow := make([][2]int, count)
-	for i, a := range l.anList {
-		c, r := l.cellCoords(l.cellOf[a])
-		cellColRow[i] = [2]int{c, r}
-	}
-	h.ManyToManyEach(l.anList, l.anList, func(si, ti int, d int64) {
-		a, b := cellColRow[si], cellColRow[ti]
-		if geom.ChebyshevCellDist(a[0], a[1], b[0], b[1]) > sparseRange {
-			return
+	} else {
+		l.sparsePartner = make([][]int32, count)
+		l.sparseDist = make([][]int32, count)
+		cellColRow = make([][2]int, count)
+		for i, a := range l.anList {
+			c, r := l.cellCoords(l.cellOf[a])
+			cellColRow[i] = [2]int{c, r}
 		}
-		l.sparsePartner[si] = append(l.sparsePartner[si], int32(ti))
-		l.sparseDist[si] = append(l.sparseDist[si], narrow(d, &err))
+	}
+	chunks := runtime.GOMAXPROCS(0)
+	rows := (count + chunks - 1) / chunks
+	errs := make([]error, chunks)
+	par.Each(chunks, chunks, func(int) func(int) {
+		return func(c int) {
+			lo, hi := min(c*rows, count), min((c+1)*rows, count)
+			err := &errs[c]
+			h.ManyToManyEach(l.anList[lo:hi], l.anList, func(si, ti int, d int64) {
+				si += lo
+				if dense {
+					l.table[si*count+ti] = narrow(d, err)
+					return
+				}
+				a, b := cellColRow[si], cellColRow[ti]
+				if geom.ChebyshevCellDist(a[0], a[1], b[0], b[1]) > sparseRange {
+					return
+				}
+				l.sparsePartner[si] = append(l.sparsePartner[si], int32(ti))
+				l.sparseDist[si] = append(l.sparseDist[si], narrow(d, err))
+			})
+			if !dense {
+				for si := lo; si < hi; si++ {
+					sortPartners(l, si)
+				}
+			}
+		}
 	})
-	// ManyToManyEach reports targets in bucket order, not sorted; sort each
-	// partner list for binary search.
-	for i := range l.sparsePartner {
-		idx := make([]int, len(l.sparsePartner[i]))
-		for j := range idx {
-			idx[j] = j
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		sort.Slice(idx, func(x, y int) bool {
-			return l.sparsePartner[i][idx[x]] < l.sparsePartner[i][idx[y]]
-		})
-		sp := make([]int32, len(idx))
-		sd := make([]int32, len(idx))
-		for j, k := range idx {
-			sp[j] = l.sparsePartner[i][k]
-			sd[j] = l.sparseDist[i][k]
-		}
-		l.sparsePartner[i] = sp
-		l.sparseDist[i] = sd
 	}
-	return err
+	return nil
+}
+
+// sortPartners sorts the sparse row si by partner, for binary search:
+// ManyToManyEach reports targets in bucket order.
+func sortPartners(l *layer, si int) {
+	partners, dists := l.sparsePartner[si], l.sparseDist[si]
+	idx := make([]int, len(partners))
+	for j := range idx {
+		idx[j] = j
+	}
+	sort.Slice(idx, func(x, y int) bool { return partners[idx[x]] < partners[idx[y]] })
+	sp := make([]int32, len(idx))
+	sd := make([]int32, len(idx))
+	for j, k := range idx {
+		sp[j] = partners[k]
+		sd[j] = dists[k]
+	}
+	l.sparsePartner[si], l.sparseDist[si] = sp, sd
 }
 
 // narrow returns the distance d as a table cell; the first d that does not
