@@ -178,7 +178,10 @@ func runQueries(l *lab, w io.Writer) error {
 		"Means per query. Figures 8 and 16 read the distance columns across datasets (Q and R sets), Figure 9 reads them down the Q rows; ",
 		"Figures 10, 11 and 17 read the path columns the same ways. Dijkstra is bidirectional. ",
 		"A CH path settles what its distance query settles, then unpacks shortcuts, which no count reports yet. ",
-		"TNR's cells are pair-table cells per query its tables answer.\n")
+		"TNR's cells are pair-table cells per query its tables answer. ",
+		"TNR reads pruned per-vertex access sets, a stated departure from the paper's per-cell Equation 1: ",
+		"a vertex drops each access node that another access node of its cell dominates (d(v, a') + T[a'][a] = d(v, a)), ",
+		"which changes no answer; over whole cells an NH Q10 distance query read 340.5 cells.\n")
 	ds, err := l.datasets(true)
 	distOK, localOK, pathOK := true, true, true
 	for _, d := range ds {

@@ -77,7 +77,47 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 		l.cellAN[cell] = idxs
 	}
 
-	return l, fillPairTable(l, h, dense)
+	if err := fillPairTable(l, h, dense); err != nil {
+		return nil, err
+	}
+	if alg == AccessCorrected {
+		pruneDominated(l, cellVerts)
+	}
+	return l, nil
+}
+
+// pruneDominated drops, per vertex v, every access node a of v's cell that
+// another access node a' of the cell dominates — d(v, a') + T[a'][a] =
+// d(v, a), so no route through a is shorter than the one through a' — by
+// setting vaDist[v] of a to invalidDist, which Equation 1 and the walk
+// skip. Every comparison reads the unpruned row, so all dominated nodes go
+// at once; on the sparse layer a pair without a cell dominates nothing.
+// The package comment argues why every distance stays exact.
+func pruneDominated(l *layer, cellVerts [][]graph.VertexID) {
+	par.Each(runtime.GOMAXPROCS(0), len(cellVerts), func(int) func(int) {
+		var row []int32
+		return func(cell int) {
+			ans := l.cellAN[cell]
+			for _, v := range cellVerts[cell] {
+				va := l.vaDist[v]
+				row = append(row[:0], va...)
+				for i, a := range ans {
+					if row[i] == invalidDist {
+						continue
+					}
+					for j, b := range ans {
+						if j == i || row[j] == invalidDist {
+							continue
+						}
+						if mid := l.pair(b, a); mid != invalidDist && int64(row[j])+int64(mid) == int64(row[i]) {
+							va[i] = invalidDist
+							break
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // outerShellVertices returns, per cell C, the endpoints of the edges that

@@ -34,12 +34,14 @@ func layerDigest(t *testing.T, ix *tnr.Index) uint64 {
 	return h.Sum64()
 }
 
-// TestGoldenDigests pins the layers of the 32x32 grid and of the hybrid:
-// access nodes, vertex distances and the pair table, dense and sparse. They
-// are a function of the graph alone, so the schedule of the parallel stages
-// and the hierarchy the pair table is computed over must not show; a change
-// of the access-node rule or of the layout regenerates the tables in the
-// commit that argues why.
+// TestGoldenDigests pins the layers of the 32x32 grid, of the hybrid and of
+// the flawed Appendix B variant: access nodes, vertex distances and the pair
+// table, dense and sparse. They are a function of the graph alone, so the
+// schedule of the parallel stages and the hierarchy the pair table is
+// computed over must not show; a change of the access-node rule or of the
+// layout regenerates the tables in the commit that argues why. The flawed
+// row also holds its vertex distances unpruned: Appendix B counts that
+// variant's wrong answers on whole access sets.
 func TestGoldenDigests(t *testing.T) {
 	for _, variant := range []struct {
 		name string
@@ -47,36 +49,52 @@ func TestGoldenDigests(t *testing.T) {
 		want map[string]uint64
 	}{
 		{"32x32", tnr.Options{GridSize: 32}, map[string]uint64{
-			"DE":      0xb2f6bad5187522fc,
-			"NH":      0x709a0fdb5ae1046c,
-			"messy1":  0xe0bd56ef85c4f1d1,
-			"messy2":  0xb7a782dc82f2a9e4,
-			"messy3":  0x6a2e5486d2fc6654,
-			"messy4":  0x6d03df3d4c38c496,
-			"messy5":  0x6dd257534a50cdd2,
-			"messy6":  0x8678c8707eac4fe5,
-			"messy7":  0xc928838d5b80ed54,
-			"messy8":  0xe4fa87c953858036,
-			"messy9":  0x9bdf1e9f86c626cc,
-			"messy10": 0xb2e8e2eed54b515d,
-			"messy11": 0x811d257b84aee48a,
-			"messy12": 0x20fa2214e90afd9a,
+			"DE":      0xae9885322183e8ad,
+			"NH":      0x2f3de1c6b9c8c576,
+			"messy1":  0x633190b0bfd024db,
+			"messy2":  0x2826ff6c5aec583f,
+			"messy3":  0xb1e3b6aa6aa6b477,
+			"messy4":  0xc6f20e19e033262b,
+			"messy5":  0x24c6b6dbc3066763,
+			"messy6":  0x2f68cb862d6990a1,
+			"messy7":  0xab81d118ad46380e,
+			"messy8":  0x4f4c5482ea056639,
+			"messy9":  0x138cef85d829dc1f,
+			"messy10": 0xa7ca87c13a3720b3,
+			"messy11": 0x38f9de15f691d1ab,
+			"messy12": 0xfcc43b97464add48,
 		}},
 		{"hybrid", tnr.Options{GridSize: 32, Hybrid: true}, map[string]uint64{
-			"DE":      0x206f52d071284c5d,
-			"NH":      0xbfc7028ade93049e,
-			"messy1":  0x240d7b31a12db3c8,
-			"messy2":  0x2a1c3082ad5d2495,
-			"messy3":  0x56ea49b11a3bfb25,
-			"messy4":  0xb403bbb78911cb8f,
-			"messy5":  0xf1535f57b9fe4821,
-			"messy6":  0x18434207bbbe7762,
-			"messy7":  0x5d9f76a3824bb982,
-			"messy8":  0x3ab1d1e59616a8d1,
-			"messy9":  0x2ef9fac53aa165eb,
-			"messy10": 0x85feb32c992331c0,
-			"messy11": 0xf36ab2b75dceaa9d,
-			"messy12": 0x51a358b4421e4a6d,
+			"DE":      0x0c1c874fc7e256d8,
+			"NH":      0xcfc43174d0e36dc4,
+			"messy1":  0x96a5fd357b7a89d1,
+			"messy2":  0x2a2642f37f587947,
+			"messy3":  0xf00b2c40d5a61393,
+			"messy4":  0x04feddfea0aed5c7,
+			"messy5":  0xf3ef4865edcbbdd0,
+			"messy6":  0x28749157cf053b64,
+			"messy7":  0xcb498f461f2d7efd,
+			"messy8":  0x14d9880516b66481,
+			"messy9":  0x3ad9d571581e2adc,
+			"messy10": 0xfe2c08132985848a,
+			"messy11": 0x53b9193f089bbed3,
+			"messy12": 0x447c6edea1798c2b,
+		}},
+		{"flawed", tnr.Options{GridSize: 32, Access: tnr.AccessFlawedBast}, map[string]uint64{
+			"DE":      0x348ae3b34d01d3d3,
+			"NH":      0x58152da61978591b,
+			"messy1":  0xf09e4d74a22413fe,
+			"messy2":  0xebf7f841c2966752,
+			"messy3":  0x779ee123bede9e4b,
+			"messy4":  0x79da6e1fb2d8d672,
+			"messy5":  0xb2df877a74d836bf,
+			"messy6":  0x6e90e0e6f8bf58e3,
+			"messy7":  0xfcd1bd4b65d5ad01,
+			"messy8":  0xe285e8001e0b278c,
+			"messy9":  0xba3313318acefbd8,
+			"messy10": 0x7c488e3c5f02a994,
+			"messy11": 0x267fb361dd076c45,
+			"messy12": 0x3e7b47c723fd53bb,
 		}},
 	} {
 		t.Run(variant.name, func(t *testing.T) {

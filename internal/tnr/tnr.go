@@ -53,12 +53,37 @@
 // is why an index built with AccessFlawedBast answers path queries from the
 // fallback.
 //
-// On NH (GridSize 32, 20.1 access nodes per non-empty cell) the 500 Q10
-// pairs of workload seed 1 emit 57.79 vertices per path and read 4 740 table
-// cells per path, 82.0 per emitted vertex — 256 tail fills for 81 neighbor
-// evaluations; one full Equation 1 sweep per neighbor per hop read 39 060,
-// 675.9 per vertex. LookupsLast reports the count per query and
-// TestWalkWorkCount pins it.
+// On NH (GridSize 32, 20.1 access nodes per non-empty cell, 7.33 kept per
+// vertex, see below) the 500 Q10 pairs of workload seed 1 emit 57.79
+// vertices per path and read 923 table cells per path, 16.0 per emitted
+// vertex — 136 tail fills for 81 neighbor evaluations; one full Equation 1
+// sweep over every access node of both cells per neighbor per hop read
+// 39 060, 675.9 per vertex. A distance query reads 46.6 cells. LookupsLast
+// reports the count per query; TestWalkWorkCount and TestDistanceWorkCount
+// pin it.
+//
+// # Dominated access nodes
+//
+// Equation 1 ranges over the access nodes of a cell, but one vertex needs
+// fewer. An access node a of v's cell is dominated for v by another, a′,
+// when d(v, a′) + T[a′][a] = d(v, a): a shortest route from v to a passes
+// a′, so by T's triangle inequality no route through a is shorter than the
+// one through a′. The build drops every dominated node from v's row of
+// vaDist (invalidDist), judging each against the unpruned row so that all go
+// at once. That is exact. Dominance is transitive, and with weights of at
+// least 1 it has no cycles (a′ is strictly closer to v than a), so every
+// dropped node has a kept dominator, and the minimum over the kept nodes of
+// both endpoints is the minimum over all. On a hybrid's sparse fine table a
+// pair without a cell dominates nothing, and exactness rests on the pairs
+// the table always holds: among the inner-block access nodes on shortest
+// s-t routes, the pair closest to s and to t is kept (a dominator outside
+// the inner block is reached across it, and the inner endpoint of that
+// crossing is an access node closer still), and it lies within 15 fine
+// cells. Arz, Luxen and Sanders (SEA 2013) drop covered access nodes for
+// the same reason. It departs from the paper's per-cell Equation 1 and
+// changes no answer and no path, since the walk picks its next hop from
+// exact distances alone. AccessFlawedBast keeps its sets whole: Appendix B
+// counts that variant's wrong answers.
 package tnr
 
 import (
@@ -170,7 +195,8 @@ type Searcher struct {
 }
 
 // LookupsLast returns the number of pair-table cells the last query read:
-// |A(s)|·|A(t)| for a distance answered from the tables, the tail fills of
+// the kept access nodes of s times those of t for a distance answered from
+// the tables (see "Dominated access nodes" above), the tail fills of
 // a path walk (|A(t)| cells per access node met, see pathiter.go), and 0
 // for a query the fallback answered. It is TNR's machine-independent cost
 // measure, next to SettledLast on the searching techniques.
@@ -203,7 +229,9 @@ type layer struct {
 	anList []graph.VertexID
 	cellAN [][]int32
 
-	// vaDist[v][i] is dist(v, anList[cellAN[cellOf[v]][i]]).
+	// vaDist[v][i] is dist(v, anList[cellAN[cellOf[v]][i]]), or
+	// invalidDist when that node is unreachable from v or dominated for v
+	// (pruneDominated).
 	vaDist [][]int32
 
 	// table is the dense access-node pair table (coarse layer):
@@ -229,6 +257,17 @@ func (l *layer) localityPasses(s, t graph.VertexID) bool {
 	sc, sr := l.cellCoords(cs)
 	tc, tr := l.cellCoords(ct)
 	return geom.ChebyshevCellDist(sc, sr, tc, tr) > outerRadius
+}
+
+// pair returns T[a][b], invalidDist when the table holds no such cell.
+func (l *layer) pair(a, b int32) int32 {
+	if l.table != nil {
+		return l.table[int(a)*len(l.anList)+int(b)]
+	}
+	if k, ok := slices.BinarySearch(l.sparsePartner[a], b); ok {
+		return l.sparseDist[a][k]
+	}
+	return invalidDist
 }
 
 // endpointAccess is one endpoint's compacted Equation 1 operand on one grid

@@ -243,13 +243,10 @@ func TestPairTablesSymmetric(t *testing.T) {
 	}
 }
 
-// TestWalkWorkCount pins the work of the table walk on the pairs the
-// benchmark's slowest cell asks: the 500 Q10 pairs of seed 1 on NH, default
-// options. The counts are exact — the index, the pairs and the walk are
-// deterministic — so any change to them is a change to the algorithm and
-// belongs in the same commit as the new numbers. The reference walk beside
-// it is the cost this package paid before the tail memo.
-func TestWalkWorkCount(t *testing.T) {
+// nhSets returns NH, its hierarchy and the Q1..Q10 sets of workload seed
+// 1, 500 pairs each: the pairs the benchmark asks.
+func nhSets(t *testing.T) (*graph.Graph, *ch.Hierarchy, []workload.QuerySet) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the NH index")
 	}
@@ -261,7 +258,51 @@ func TestWalkWorkCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(g, testutil.Must(ch.Build(g, ch.Options{})), Options{})
+	return g, testutil.Must(ch.Build(g, ch.Options{})), sets
+}
+
+// TestDistanceWorkCount pins the pair-table cells NH distance queries read,
+// summed over LookupsLast: Q10 on the default grid and on the hybrid, where
+// the coarse grid answers them all, and Q6, where the hybrid's fine grid
+// answers about half. The counts are exact, so a change to them is a change
+// to the access sets or to Equation 1 and belongs in the same commit as the
+// new numbers.
+func TestDistanceWorkCount(t *testing.T) {
+	g, h, sets := nhSets(t)
+	for _, c := range []struct {
+		opts Options
+		set  int
+		want int
+	}{
+		{Options{}, 9, 23288},
+		{Options{Hybrid: true}, 9, 23288},
+		{Options{Hybrid: true}, 5, 9188},
+	} {
+		ix, err := Build(g, h, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, lookups, pairs := ix.NewSearcher(), 0, sets[c.set].Pairs
+		for _, p := range pairs {
+			sr.Distance(p.S, p.T)
+			lookups += sr.LookupsLast()
+		}
+		name := fmt.Sprintf("%s, hybrid %v", sets[c.set].Name, c.opts.Hybrid)
+		t.Logf("%s: %.1f table cells per distance query", name, float64(lookups)/float64(len(pairs)))
+		if lookups != c.want {
+			t.Errorf("%s: %d table cells, pinned %d", name, lookups, c.want)
+		}
+	}
+}
+
+// TestWalkWorkCount pins the work of the table walk on the NH Q10 pairs,
+// default options. The counts are exact — the index, the pairs and the walk
+// are deterministic — so any change to them is a change to the algorithm
+// and belongs in the same commit as the new numbers. The reference walk
+// beside it is the cost this package paid before the tail memo.
+func TestWalkWorkCount(t *testing.T) {
+	g, h, sets := nhSets(t)
+	ix, err := Build(g, h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +328,7 @@ func TestWalkWorkCount(t *testing.T) {
 		float64(vertices)/n, float64(evals)/n, float64(fills)/n, float64(lookups)/n, float64(lookups)/float64(vertices))
 	t.Logf("reference walk:  %.1f neighbour evaluations, %.0f table cells (%.1f per vertex)",
 		float64(ref.evals)/n, float64(ref.cells)/n, float64(ref.cells)/float64(vertices))
-	const wantLookups, wantFills, wantEvals, wantVertices = 2370015, 127973, 40718, 28894
+	const wantLookups, wantFills, wantEvals, wantVertices = 461257, 68125, 40718, 28894
 	if lookups != wantLookups || fills != wantFills || evals != wantEvals || vertices != wantVertices {
 		t.Errorf("%d table cells in %d tail fills, %d neighbour evaluations, %d vertices; pinned %d, %d, %d, %d",
 			lookups, fills, evals, vertices, wantLookups, wantFills, wantEvals, wantVertices)
