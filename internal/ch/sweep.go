@@ -2,6 +2,7 @@ package ch
 
 import (
 	"roadnet/internal/graph"
+	"roadnet/internal/par"
 	"roadnet/internal/pq"
 )
 
@@ -17,12 +18,13 @@ import (
 // that lead down into v are v's own upward row read backwards — so a
 // built, a heap-loaded and a mapped hierarchy sweep alike.
 //
-// Each technique reads a sweep its own way. SILC sweeps from every source
-// s and keeps FirstHops, the first hop from s toward every t. PCPD sweeps
-// from every target t: on an undirected graph Run(t) is d(·, t), and
-// NextHops gives every vertex's first hop toward t. Arc flags also sweeps
-// from targets, the boundary vertices, and keeps every arc that is tight
-// toward t (internal/arcflags).
+// Each technique reads sweeps its own way. NextHopMatrix sweeps from every
+// target t — on an undirected graph Run(t) is d(·, t) — and stores every
+// vertex v's canonical first hop toward t at hop[t*n+v]. PCPD numbers the
+// in-tree that the hops toward each t form; SILC reads hop[t*n+s] over
+// every t, the first hops from s. Arc flags also sweeps from targets, the
+// boundary vertices, and keeps every arc that is tight toward t
+// (internal/arcflags).
 //
 // # Canonical first hops
 //
@@ -31,16 +33,11 @@ import (
 //	hop(s, t) = the lowest adjacency slot k of s with
 //	            w(s, k) + d(head(s, k), t) = d(s, t),
 //
-// and 0xff when t = s or t is unreachable. NextHops evaluates the rule as
-// it stands, for every s at once, from d(·, t). FirstHops evaluates the rule
-// from d(s, ·) without any d(u, t): an arc u→v is tight when d(s, u) +
-// w(u, v) = d(s, v), a shortest path is a path of tight arcs, and so slot k
-// qualifies for t exactly when it is tight and t can be reached from its
-// head over tight arcs. One depth-first walk per tight slot, in slot order,
-// that stops at vertices a lower slot has claimed visits every vertex and
-// scans every arc once. Following hop(·, t) from s shortens d(·, t) by the
-// arc taken at every step, so it reaches t in exactly d(s, t), and for a
-// fixed t the hops form an in-tree rooted at t.
+// and 0xff when t = s or t is unreachable. nextHops evaluates the rule as
+// it stands, for every s at once, from d(·, t). Weights are positive, so
+// following hop(·, t) from s shortens d(·, t) by the arc taken at every
+// step: it reaches t in exactly d(s, t), and for a fixed t the hops form
+// an in-tree rooted at t.
 
 // NoHop is the first hop toward the source itself and toward vertices it
 // cannot reach.
@@ -54,9 +51,7 @@ type Sweeper struct {
 	h     *Hierarchy
 	order []graph.VertexID // every vertex, highest rank first
 	dist  []int64
-	src   graph.VertexID
 	q     pq.Search
-	stack []graph.VertexID
 }
 
 // NewSweeper returns a sweeper over h. The rank array must be the
@@ -78,7 +73,6 @@ func (sw *Sweeper) Run(s graph.VertexID) []int64 {
 	for v := range dist {
 		dist[v] = graph.Infinity
 	}
-	sw.src = s
 	q.Reset()
 	q.Visit(s, 0, -1)
 	for !q.Empty() {
@@ -100,13 +94,31 @@ func (sw *Sweeper) Run(s graph.VertexID) []int64 {
 	return dist
 }
 
-// NextHops fills col, one entry per vertex, with every vertex's canonical
+// NextHopMatrix returns the canonical first hop of every vertex toward
+// every target, target-major: hop[t*n+v] is v's first hop toward t, and
+// hop[t*n+s] over every t are the first hops from s. It makes one sweep
+// per target on workers goroutines; the matrix is n² bytes and depends
+// neither on the hierarchy nor on workers.
+func (h *Hierarchy) NextHopMatrix(workers int) []uint8 {
+	n := len(h.rank)
+	hop := make([]uint8, n*n)
+	par.Each(workers, n, func(int) func(int) {
+		sw := h.NewSweeper()
+		return func(t int) {
+			sw.Run(graph.VertexID(t))
+			sw.nextHops(hop[t*n : (t+1)*n])
+		}
+	})
+	return hop
+}
+
+// nextHops fills col, one entry per vertex, with every vertex's canonical
 // first hop toward the source of the last Run, which the graph being
 // undirected makes the target t (see the rule above): the lowest slot of v
 // whose arc is tight toward t, w(v, k) + d(head, t) = d(v, t). Weights are
 // positive, so t itself has no tight arc and gets NoHop, as does every
 // vertex that cannot reach t.
-func (sw *Sweeper) NextHops(col []uint8) {
+func (sw *Sweeper) nextHops(col []uint8) {
 	g, dist := sw.h.g, sw.dist
 	for v := range col {
 		col[v] = NoHop
@@ -121,38 +133,5 @@ func (sw *Sweeper) NextHops(col []uint8) {
 				break
 			}
 		}
-	}
-}
-
-// FirstHops fills row, one entry per vertex, with the canonical first hops
-// from the source of the last Run (see the rule above).
-func (sw *Sweeper) FirstHops(row []uint8) {
-	g, dist := sw.h.g, sw.dist
-	for t := range row {
-		row[t] = NoHop
-	}
-	lo, hi := g.ArcsOf(sw.src)
-	for k := lo; k < hi; k++ {
-		// Weights are positive, so no tight arc leads back to the source
-		// and NoHop marks exactly the vertices no slot has claimed yet.
-		first := g.Head(k)
-		if int64(g.ArcWeight(k)) != dist[first] || row[first] != NoHop {
-			continue
-		}
-		slot := uint8(k - lo)
-		row[first] = slot
-		stack := append(sw.stack[:0], first)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			du := dist[u]
-			for a, end := g.ArcsOf(u); a < end; a++ {
-				if v := g.Head(a); row[v] == NoHop && du+int64(g.ArcWeight(a)) == dist[v] {
-					row[v] = slot
-					stack = append(stack, v)
-				}
-			}
-		}
-		sw.stack = stack
 	}
 }

@@ -42,38 +42,28 @@ func ruleFirstHops(g *graph.Graph, dist [][]int64, s graph.VertexID) []uint8 {
 }
 
 // checkSweeps holds sw, whatever it ran before, to plain Dijkstra and to the
-// stated rule from the given sources, read both ways: FirstHops from s is
-// the rule's row of s, and NextHops toward s its column. It returns the rows
-// of first hops.
-func checkSweeps(t testing.TB, g *graph.Graph, sw *Sweeper, dist [][]int64, sources []graph.VertexID) [][]uint8 {
+// stated rule toward the given targets: the next hops toward t are the
+// rule's column of t. It returns the columns of next hops.
+func checkSweeps(t testing.TB, g *graph.Graph, sw *Sweeper, dist [][]int64, targets []graph.VertexID) [][]uint8 {
 	t.Helper()
 	rule := make([][]uint8, len(dist))
 	for v := range rule {
 		rule[v] = ruleFirstHops(g, dist, graph.VertexID(v))
 	}
-	hops := make([][]uint8, len(sources))
-	col := make([]uint8, len(dist))
-	for i, s := range sources {
-		if got := sw.Run(s); !slices.Equal(got, dist[s]) {
+	hops := make([][]uint8, len(targets))
+	for i, target := range targets {
+		if got := sw.Run(target); !slices.Equal(got, dist[target]) {
 			for v := range got {
-				if got[v] != dist[s][v] {
-					t.Fatalf("sweep from %d: d(%d) = %d, Dijkstra %d", s, v, got[v], dist[s][v])
+				if got[v] != dist[target][v] {
+					t.Fatalf("sweep from %d: d(%d) = %d, Dijkstra %d", target, v, got[v], dist[target][v])
 				}
 			}
 		}
 		hops[i] = make([]uint8, len(dist))
-		sw.FirstHops(hops[i])
-		if !slices.Equal(hops[i], rule[s]) {
-			for v := range rule[s] {
-				if hops[i][v] != rule[s][v] {
-					t.Fatalf("first hop %d -> %d is slot %d, the rule says %d", s, v, hops[i][v], rule[s][v])
-				}
-			}
-		}
-		sw.NextHops(col)
-		for v := range col {
-			if col[v] != rule[v][s] {
-				t.Fatalf("next hop %d -> %d is slot %d, the rule says %d", v, s, col[v], rule[v][s])
+		sw.nextHops(hops[i])
+		for v, slot := range hops[i] {
+			if slot != rule[v][target] {
+				t.Fatalf("next hop %d -> %d is slot %d, the rule says %d", v, target, slot, rule[v][target])
 			}
 		}
 	}
@@ -82,10 +72,10 @@ func checkSweeps(t testing.TB, g *graph.Graph, sw *Sweeper, dist [][]int64, sour
 
 // FuzzSweepAgrees builds the hierarchy of a messy graph, with the default
 // witness budget or one so tight that many shortcuts are superfluous, and
-// requires of the sweeper exact distances and the stated first hops, from
-// and toward the swept vertex — the chosen one on a fresh sweeper, then
-// every vertex on the same one — and of the hops that following them from
-// any s reaches every reachable t in exactly d(s, t).
+// requires of the sweeper exact distances and the stated next hops toward
+// the swept vertex — the chosen one on a fresh sweeper, then every vertex
+// on the same one — of NextHopMatrix the same hops, and of the hops that
+// following them from any s reaches every reachable t in exactly d(s, t).
 func FuzzSweepAgrees(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, tightBudget bool, source uint16) {
 		g := testutil.MessyGraph(seed)
@@ -93,15 +83,19 @@ func FuzzSweepAgrees(f *testing.F) {
 		if tightBudget {
 			opts.WitnessSettleLimit = 4
 		}
-		sw := testutil.Must(Build(g, opts)).NewSweeper()
+		h := testutil.Must(Build(g, opts))
+		sw := h.NewSweeper()
 		all, dist := allPairs(g)
 		checkSweeps(t, g, sw, dist, all[int(source)%len(all):][:1])
 		hops := checkSweeps(t, g, sw, dist, all)
+		if got := h.NextHopMatrix(3); !slices.Equal(got, slices.Concat(hops...)) {
+			t.Fatal("NextHopMatrix differs from the swept next hops")
+		}
 		for s := range all {
 			for target := range all {
 				walked := int64(0)
 				for cur := s; cur != target && walked <= dist[s][target]; {
-					slot := hops[cur][target]
+					slot := hops[target][cur]
 					if slot == NoHop {
 						walked = graph.Infinity
 						break
@@ -137,48 +131,44 @@ func TestSweepLoadedHierarchy(t *testing.T) {
 }
 
 // TestSweepAllocs pins the steady-state cost of the all-pairs kernel: a
-// sweep, its first hops and its next hops allocate nothing.
+// sweep and its next hops allocate nothing.
 func TestSweepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	g := testutil.SmallRoad(2000, 41)
 	sw := testutil.Must(Build(g, Options{})).NewSweeper()
-	row := make([]uint8, g.NumVertices())
+	col := make([]uint8, g.NumVertices())
 	s := graph.VertexID(0)
 	run := func() {
 		sw.Run(s)
-		sw.FirstHops(row)
-		sw.NextHops(row)
+		sw.nextHops(col)
 		s = (s + 97) % graph.VertexID(g.NumVertices())
 	}
-	for i := 0; i < 50; i++ {
-		run() // grow the walk's stack to its working size
-	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("steady-state Run + FirstHops + NextHops allocates %.0f times, want 0", allocs)
+		t.Errorf("steady-state Run + nextHops allocates %.0f times, want 0", allocs)
 	}
 }
 
 // BenchmarkSweep times the kernel per swept vertex on the NH preset, the
 // graph SILC and PCPD preprocess in the benchmark: the sweep alone, and with
-// the first hops from it (SILC) or the next hops toward it (PCPD).
+// the next hops toward it that both read.
 func BenchmarkSweep(b *testing.B) {
 	g, err := gen.GeneratePreset("NH")
 	if err != nil {
 		b.Fatal(err)
 	}
 	sw := testutil.Must(Build(g, Options{})).NewSweeper()
-	row := make([]uint8, g.NumVertices())
+	col := make([]uint8, g.NumVertices())
 	for _, read := range []struct {
 		name string
 		hops func([]uint8)
-	}{{"run", nil}, {"run+hops", sw.FirstHops}, {"run+nexthops", sw.NextHops}} {
+	}{{"run", nil}, {"run+nexthops", sw.nextHops}} {
 		b.Run(read.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sw.Run(graph.VertexID(i % len(row)))
+				sw.Run(graph.VertexID(i % len(col)))
 				if read.hops != nil {
-					read.hops(row)
+					read.hops(col)
 				}
 			}
 		})

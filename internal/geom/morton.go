@@ -1,5 +1,7 @@
 package geom
 
+import "sort"
+
 // The Z-order (Morton) curve maps 2-D cell coordinates to a 1-D key while
 // preserving spatial locality. SILC stores each colored quadtree region as a
 // contiguous interval of Morton codes (Samet et al.), which is the concise
@@ -21,4 +23,15 @@ func spreadBits(v uint32) uint64 {
 	x = (x | x<<2) & 0x3333333333333333
 	x = (x | x<<1) & 0x5555555555555555
 	return x
+}
+
+// MortonOrder returns the indices of code sorted by code, the vertex order
+// of SILC's and PCPD's quadtrees; ties come out the same on every run.
+func MortonOrder(code []uint32) []int32 {
+	order := make([]int32, len(code))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return code[order[i]] < code[order[j]] })
+	return order
 }

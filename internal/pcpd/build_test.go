@@ -11,6 +11,7 @@ import (
 
 	"roadnet/internal/ch"
 	"roadnet/internal/gen"
+	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 )
@@ -88,21 +89,56 @@ func buildOn(t *testing.T, g *graph.Graph, procs int) *Index {
 }
 
 // refHops returns the target-major hop matrix Build decomposes, made the
-// other way round: one sweep per source s, whose FirstHops row (the rule
-// evaluated by a walk over tight arcs) is the column of s.
+// other way round: one sweep per source s, whose firstHops row is the
+// column of s.
 func refHops(g *graph.Graph) []uint8 {
 	n := g.NumVertices()
 	sw := testutil.Must(ch.Build(g, ch.Options{})).NewSweeper()
 	hop := make([]uint8, n*n)
 	row := make([]uint8, n)
 	for s := 0; s < n; s++ {
-		sw.Run(graph.VertexID(s))
-		sw.FirstHops(row)
+		firstHops(g, sw.Run(graph.VertexID(s)), graph.VertexID(s), row)
 		for t, slot := range row {
 			hop[t*n+s] = slot
 		}
 	}
 	return hop
+}
+
+// firstHops fills row with the canonical first hops from s, given d(s, ·),
+// without any d(u, t): an arc u→v is tight when d(s, u) + w(u, v) =
+// d(s, v), a shortest path is a path of tight arcs, and so slot k of s is
+// the first hop toward t exactly when it is tight and t can be reached
+// from its head over tight arcs. One depth-first walk per tight slot, in
+// slot order, that stops at vertices a lower slot has claimed visits every
+// vertex and scans every arc once.
+func firstHops(g *graph.Graph, dist []int64, s graph.VertexID, row []uint8) {
+	for t := range row {
+		row[t] = noHop
+	}
+	var stack []graph.VertexID
+	lo, hi := g.ArcsOf(s)
+	for k := lo; k < hi; k++ {
+		// Weights are positive, so no tight arc leads back to s and noHop
+		// marks exactly the vertices no slot has claimed yet.
+		first := g.Head(k)
+		if int64(g.ArcWeight(k)) != dist[first] || row[first] != noHop {
+			continue
+		}
+		slot := uint8(k - lo)
+		row[first] = slot
+		stack = append(stack[:0], first)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for a, end := g.ArcsOf(u); a < end; a++ {
+				if v := g.Head(a); row[v] == noHop && dist[u]+int64(g.ArcWeight(a)) == dist[v] {
+					row[v] = slot
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
 }
 
 // refBuild returns the reference tree of g's hop matrix hop and an index
@@ -111,7 +147,7 @@ func refBuild(g *graph.Graph, hop []uint8) (*Index, *node) {
 	n := g.NumVertices()
 	ix := newIndex(g)
 	d := &refDecomposer{
-		shared:    &shared{ix: ix, n: n, hop: hop, order: mortonOrder(ix.code)},
+		shared:    &shared{ix: ix, n: n, hop: hop, order: geom.MortonOrder(ix.code)},
 		vertStamp: make([]uint32, n),
 		edgeStamp: make([]uint32, 2*g.NumEdges()),
 	}
@@ -402,9 +438,9 @@ func treeDigest(ix *Index) uint64 {
 	return dg.h.Sum64()
 }
 
-// TestBuildMatchesReference requires Build's next hops to be the ones
-// refHops finds from the source side, so the rule Build reads toward each
-// target is held to the walk over tight arcs, and its tree, whatever
+// TestBuildMatchesReference requires the next hops Build decomposes to be
+// the ones refHops finds from the source side, so the rule Build reads
+// toward each target is held to the walk over tight arcs, and its tree, whatever
 // GOMAXPROCS, to be the reference's: same digest, same counts, and the same
 // ψ for every ordered vertex pair. NH's tree is left to TestGoldenDigests,
 // as its reference decomposition takes about 18 s on 2 cores. The subtests
@@ -414,10 +450,10 @@ func TestBuildMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := g.NumVertices()
 			hop := refHops(g)
-			got, _ := buildTrees(testutil.Must(ch.Build(g, ch.Options{})), 2)
+			got := testutil.Must(ch.Build(g, ch.Options{})).NextHopMatrix(2)
 			for i := range hop {
 				if got[i] != hop[i] {
-					t.Fatalf("next hop %d -> %d is slot %d, FirstHops says %d", i%n, i/n, got[i], hop[i])
+					t.Fatalf("next hop %d -> %d is slot %d, the walk over tight arcs says %d", i%n, i/n, got[i], hop[i])
 				}
 			}
 			if name == "NH" {

@@ -37,14 +37,14 @@
 //
 // # Build cost
 //
-// Build makes one hierarchy sweep per target t. It gives d(·, t), from
-// which every vertex's canonical next hop toward t is its lowest tight slot
-// (ch.Sweeper.NextHops; the rule is a function of the graph and not of the
-// hierarchy swept), and the same worker then numbers the in-tree of those
-// hops. The hop matrix is target-major, hop[t*n+v] (n² B), and the labels
-// hold two uint16 per (target, vertex) (4n² B, hence n ≤ 65535). Both
-// stages, the sweeps and the decomposition, run on GOMAXPROCS goroutines,
-// and the tree does not depend on their scheduling. The matrix and the
+// Build takes every vertex's canonical next hop toward every target from
+// one hierarchy sweep per target (ch.Hierarchy.NextHopMatrix; the rule is
+// a function of the graph and not of the hierarchy swept) and then numbers
+// the in-tree of the hops toward each target. The hop matrix is
+// target-major, hop[t*n+v] (n² B), and the labels hold two uint16 per
+// (target, vertex) (4n² B, hence n ≤ 65535). All three stages, the sweeps,
+// the numbering and the decomposition, run on GOMAXPROCS goroutines, and
+// the tree does not depend on their scheduling. The matrix and the
 // labels are released before Build returns, so peak build memory is still
 // 5n² B plus the index (SizeBytes) — 29 MB + 7 MB at n = 2400, 2 GB at
 // maxN.
@@ -149,8 +149,9 @@ func Build(g *graph.Graph, h *ch.Hierarchy) (*Index, error) {
 
 	workers := runtime.GOMAXPROCS(0)
 	ix := newIndex(g)
-	hop, lab := buildTrees(h, workers)
-	sh := &shared{ix: ix, n: n, hop: hop, lab: lab, order: mortonOrder(ix.code)}
+	hop := h.NextHopMatrix(workers)
+	lab := buildTrees(g, hop, workers)
+	sh := &shared{ix: ix, n: n, hop: hop, lab: lab, order: geom.MortonOrder(ix.code)}
 	sh.decomposeAll(quad{0, 1 << (2 * quadBits), 0, n}, workers)
 	return ix, nil
 }
@@ -165,30 +166,15 @@ func newIndex(g *graph.Graph) *Index {
 	return ix
 }
 
-// mortonOrder returns the vertices sorted by Morton code.
-func mortonOrder(code []uint32) []graph.VertexID {
-	order := make([]graph.VertexID, len(code))
-	for i := range order {
-		order[i] = graph.VertexID(i)
-	}
-	sort.Slice(order, func(i, j int) bool { return code[order[i]] < code[order[j]] })
-	return order
-}
-
-// buildTrees computes, for every target t, the canonical next hops toward t
-// and numbers the in-tree they form in preorder: hop[t*n+v] is the
-// adjacency slot of the first edge of the canonical shortest path v -> t,
-// lab[(t*n+v)*2] is pre[t][v] and the element after it end[t][v]. One
-// hierarchy sweep from t gives d(·, t), the graph being undirected, and the
-// next hops are read off it; the worker that swept t numbers its tree while
-// the column is still in its cache.
-func buildTrees(h *ch.Hierarchy, workers int) (hop []uint8, lab []uint16) {
-	g := h.Graph()
+// buildTrees numbers, for every target t, the in-tree that the canonical
+// next hops toward t form, in preorder: hop[t*n+v] is the adjacency slot
+// of the first edge of the canonical shortest path v -> t (see
+// ch.Hierarchy.NextHopMatrix), lab[(t*n+v)*2] is pre[t][v] and the element
+// after it end[t][v].
+func buildTrees(g *graph.Graph, hop []uint8, workers int) []uint16 {
 	n := g.NumVertices()
-	hop = make([]uint8, n*n)
-	lab = make([]uint16, 2*n*n)
+	lab := make([]uint16, 2*n*n)
 	par.Each(workers, n, func(int) func(int) {
-		sw := h.NewSweeper()
 		// The children of p are the list child[p], sibling[child[p]], ...,
 		// in increasing vertex order.
 		parent := make([]int32, n)
@@ -196,8 +182,6 @@ func buildTrees(h *ch.Hierarchy, workers int) (hop []uint8, lab []uint16) {
 		sibling := make([]int32, n)
 		return func(t int) {
 			col := hop[t*n : (t+1)*n]
-			sw.Run(graph.VertexID(t))
-			sw.NextHops(col)
 			row := lab[2*t*n : 2*(t+1)*n]
 			for v := range child {
 				child[v] = -1
@@ -238,7 +222,7 @@ func buildTrees(h *ch.Hierarchy, workers int) (hop []uint8, lab []uint16) {
 			}
 		}
 	})
-	return hop, lab
+	return lab
 }
 
 // quad is an aligned Morton-code square together with the range of sorted
