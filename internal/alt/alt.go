@@ -7,7 +7,7 @@
 //
 // The landmark table is vertex-major: the L distances of one vertex are one
 // contiguous run of int32s, so the bound at v reads one run of L words (64
-// bytes, one cache line, at the default 16) beside the target's. An
+// bytes, one cache line, at 16 landmarks) beside the target's. An
 // unreachable landmark is stored as unknown and drops out of the bound; it
 // is unreachable from a whole component, so within one query every vertex
 // drops the same landmarks and the bound stays consistent. A landmark with
@@ -18,7 +18,8 @@
 //
 // The paper cites prior results showing ALT is dominated by CH in both
 // space and query time; this implementation exists so that the claim can be
-// checked on our testbed (see the ablation benchmarks).
+// checked on our testbed, which EXPERIMENTS.md's Appendix A extensions
+// table does.
 package alt
 
 import (
@@ -32,14 +33,9 @@ import (
 	"roadnet/internal/pq"
 )
 
-// Options configures Build.
-type Options struct {
-	// NumLandmarks is the number of landmarks (default 16).
-	NumLandmarks int
-	// Seed selects the first landmark (farthest-point selection is then
-	// deterministic).
-	Seed int64
-}
+// numLandmarks is how many landmarks Build selects, fewer on a graph with
+// fewer vertices.
+const numLandmarks = 16
 
 // Index is a built ALT index. The landmark tables are immutable after
 // Build, so one Index may be shared by any number of goroutines; per-query
@@ -62,29 +58,19 @@ func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
 
 // Build selects landmarks by farthest-point traversal and precomputes the
 // landmark distance tables.
-func Build(g *graph.Graph, opts Options) *Index {
+func Build(g *graph.Graph) *Index {
 	n := g.NumVertices()
-	if opts.NumLandmarks <= 0 {
-		opts.NumLandmarks = 16
-	}
-	if opts.NumLandmarks > n {
-		opts.NumLandmarks = n
-	}
 	ix := &Index{g: g}
 	ctx := dijkstra.NewContext(g)
-	// Farthest-point selection: start anywhere, repeatedly add the vertex
-	// maximizing the minimum distance to the chosen landmarks.
-	first := graph.VertexID(opts.Seed % int64(n))
-	if first < 0 {
-		first += graph.VertexID(n)
-	}
+	// Farthest-point selection: start at vertex 0, repeatedly add the
+	// vertex maximizing the minimum distance to the chosen landmarks.
 	minDist := make([]int64, n)
 	for i := range minDist {
 		minDist[i] = graph.Infinity
 	}
-	cur := first
+	cur := graph.VertexID(0)
 	var rows [][]int64 // rows[l][v], transposed into the table at the end
-	for len(ix.landmarks) < opts.NumLandmarks {
+	for len(ix.landmarks) < min(numLandmarks, n) {
 		ix.landmarks = append(ix.landmarks, cur)
 		ctx.Run([]graph.VertexID{cur}, dijkstra.Options{})
 		row := make([]int64, n)
@@ -187,9 +173,6 @@ func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t gr
 	}
 	return false, nil
 }
-
-// NumLandmarks returns the number of selected landmarks.
-func (ix *Index) NumLandmarks() int { return len(ix.landmarks) }
 
 // SizeBytes reports the landmark table footprint.
 func (ix *Index) SizeBytes() int64 {

@@ -7,27 +7,28 @@ import (
 	"roadnet/internal/alt"
 	"roadnet/internal/dijkstra"
 	"roadnet/internal/gen"
+	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 )
 
 func TestALTExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
-	ix := alt.Build(g, alt.Options{NumLandmarks: 3}).NewSearcher()
+	ix := alt.Build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
 }
 
 func TestALTRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 401)
-	ix := alt.Build(g, alt.Options{}).NewSearcher()
+	ix := alt.Build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 91), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 93), ix.OpenPath)
 }
 
 func TestALTAdversarialGraph(t *testing.T) {
 	g := gen.RandomConnected(150, 300, 40, 401)
-	ix := alt.Build(g, alt.Options{NumLandmarks: 8}).NewSearcher()
+	ix := alt.Build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 400, 97), ix.Distance)
 }
 
@@ -35,7 +36,7 @@ func TestALTPrunesSearchSpace(t *testing.T) {
 	// The landmark bounds must direct the search: ALT should settle fewer
 	// vertices than plain Dijkstra on long queries.
 	g := testutil.SmallRoad(2500, 403)
-	ix := alt.Build(g, alt.Options{}).NewSearcher()
+	ix := alt.Build(g).NewSearcher()
 	ctx := dijkstra.NewContext(g)
 	var altTotal, dijTotal int
 	for _, p := range testutil.SamplePairs(g, 30, 99) {
@@ -60,7 +61,7 @@ func TestALTDisconnected(t *testing.T) {
 	_ = b.AddEdge(0, 1, 2)
 	_ = b.AddEdge(2, 3, 2)
 	g := b.Build()
-	ix := alt.Build(g, alt.Options{NumLandmarks: 2}).NewSearcher()
+	ix := alt.Build(g).NewSearcher()
 	if d := ix.Distance(0, 3); d != graph.Infinity {
 		t.Errorf("cross-component distance = %d, want Infinity", d)
 	}
@@ -73,7 +74,7 @@ func TestALTDisconnected(t *testing.T) {
 // hold leaves the table, and every answer stays exact.
 func TestALTDistancesBeyondInt32(t *testing.T) {
 	g := weighted(t, 6, [][3]int64{{0, 1, 1 << 30}, {1, 2, 1<<30 + 1}, {2, 3, 1<<30 + 2}, {3, 4, 1<<30 + 3}, {4, 5, 1<<30 + 4}})
-	ix := alt.Build(g, alt.Options{NumLandmarks: 2}).NewSearcher()
+	ix := alt.Build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
 }
@@ -81,13 +82,20 @@ func TestALTDistancesBeyondInt32(t *testing.T) {
 // TestALTConsistentBeyondInt32: on a graph with more than one path between
 // vertices, a landmark kept at some vertices and dropped at others would
 // make the bound inconsistent, and a settled vertex that is never reopened
-// would carry a too-long label. Here L=0 is the only landmark; d(L, y=1)
-// fits an int32 and d(L, x=2), d(L, s=4), d(L, q=5) do not. With the
-// landmark kept at y alone, x settles through q before y pops and
-// dist(s, t=3) comes out 2^30+6 instead of 2^30+2.
+// would carry a too-long label. Vertices 0..5 are the gadget: L=0 is the
+// first landmark; d(L, y=1) fits an int32 and d(L, x=2), d(L, s=4), d(L,
+// q=5) do not. With L kept at y alone, x settles through q before y pops
+// and dist(s, t=3) comes out 2^30+6 instead of 2^30+2. Fifteen two-edge
+// spurs hang off L, each ending 2(2^31-1) away: farthest-point selection
+// takes their ends for the other fifteen landmarks, every one too far from
+// t to bound anything, so L's bound alone steers the query.
 func TestALTConsistentBeyondInt32(t *testing.T) {
-	g := weighted(t, 6, [][3]int64{{0, 1, math.MaxInt32 - 1}, {0, 3, 1 << 30}, {1, 2, 1}, {2, 3, 1 << 30}, {4, 1, 1}, {4, 5, 1}, {5, 2, 5}})
-	ix := alt.Build(g, alt.Options{NumLandmarks: 1}).NewSearcher()
+	edges := [][3]int64{{0, 1, math.MaxInt32 - 1}, {0, 3, 1 << 30}, {1, 2, 1}, {2, 3, 1 << 30}, {4, 1, 1}, {4, 5, 1}, {5, 2, 5}}
+	for spur := int64(6); spur < 36; spur += 2 {
+		edges = append(edges, [3]int64{0, spur, math.MaxInt32}, [3]int64{spur, spur + 1, math.MaxInt32})
+	}
+	g := weighted(t, 36, edges)
+	ix := alt.Build(g).NewSearcher()
 	if d := ix.Distance(4, 3); d != 1<<30+2 {
 		t.Errorf("dist(4, 3) = %d, want %d", d, 1<<30+2)
 	}
@@ -99,9 +107,8 @@ func TestALTConsistentBeyondInt32(t *testing.T) {
 func weighted(t *testing.T, n int, edges [][3]int64) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)
-	g0 := testutil.Figure1()
 	for i := 0; i < n; i++ {
-		b.AddVertex(g0.Coord(graph.VertexID(i)))
+		b.AddVertex(geom.Point{X: int32(i)})
 	}
 	for _, e := range edges {
 		if err := b.AddEdge(graph.VertexID(e[0]), graph.VertexID(e[1]), graph.Weight(e[2])); err != nil {
@@ -111,19 +118,17 @@ func weighted(t *testing.T, n int, edges [][3]int64) *graph.Graph {
 	return b.Build()
 }
 
+// TestALTStats: an index of L landmarks over n vertices is an n x L table
+// of int32 distances and the L landmark ids.
 func TestALTStats(t *testing.T) {
 	g := testutil.SmallRoad(400, 407)
-	ix := alt.Build(g, alt.Options{NumLandmarks: 4})
-	if ix.NumLandmarks() != 4 {
-		t.Errorf("landmarks = %d, want 4", ix.NumLandmarks())
+	if got, want := alt.Build(g).SizeBytes(), int64(4*16*(g.NumVertices()+1)); got != want {
+		t.Errorf("SizeBytes = %d, want %d for 16 landmarks", got, want)
 	}
-	if ix.SizeBytes() <= 0 {
-		t.Error("size must be positive")
-	}
-	// More landmarks than vertices clamps.
-	tiny := alt.Build(testutil.Figure1(), alt.Options{NumLandmarks: 100})
-	if tiny.NumLandmarks() > 8 {
-		t.Errorf("landmarks %d exceed vertex count", tiny.NumLandmarks())
+	// A graph with fewer vertices than landmarks has one per vertex.
+	tiny := testutil.Figure1()
+	if got, want := alt.Build(tiny).SizeBytes(), int64(4*tiny.NumVertices()*(tiny.NumVertices()+1)); got != want {
+		t.Errorf("Figure 1: SizeBytes = %d, want %d for one landmark per vertex", got, want)
 	}
 }
 
@@ -131,7 +136,7 @@ func TestALTStats(t *testing.T) {
 // ALT's settle loop, which writes its labels itself.
 func TestGoalSearcherGenerationWrap(t *testing.T) {
 	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
-		s := alt.Build(g, alt.Options{}).NewSearcher()
+		s := alt.Build(g).NewSearcher()
 		return s.Distance, func(stamp uint32) { s.Search.Cur = stamp }
 	})
 }

@@ -5,8 +5,8 @@
 // for the target's cell is set, pruning edges that cannot be on the way.
 //
 // The paper cites prior work showing Arc Flags inferior to CH in space and
-// query time; this package lets the claim be checked on our testbed (the
-// extension benchmarks do exactly that).
+// query time; this package lets the claim be checked on our testbed, which
+// EXPERIMENTS.md's Appendix A extensions table does.
 //
 // Flags are computed exactly, ties included: for each cell C and each
 // boundary vertex b of C, an arc (u -> v) is flagged for C when
@@ -30,11 +30,12 @@ import (
 	"roadnet/internal/par"
 )
 
-// Options configures Build.
-type Options struct {
-	// GridSize is the number of cells per axis (default 8).
-	GridSize int
-}
+// gridSize is the number of grid cells per axis.
+const gridSize = 8
+
+// A flag set is one uint64, so the grid has at most 64 cells: a larger
+// gridSize makes this constant negative and the package fails to compile.
+const _ uint = 64 - gridSize*gridSize
 
 // Index is a built arc-flags index. The flag tables are immutable after
 // Build, so one Index may be shared by any number of goroutines; per-query
@@ -44,8 +45,7 @@ type Index struct {
 	g      *graph.Graph
 	grid   geom.Grid
 	cellOf []int32
-	words  int
-	// flags[arc*words .. arc*words+words) is the cell bitset of the arc.
+	// flags[arc] is the cell bitset of the arc: bit c is cell c's flag.
 	flags []uint64
 }
 
@@ -59,18 +59,14 @@ func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
 // Build computes arc flags for g, sweeping h, a contraction hierarchy of
 // g, once per boundary vertex on GOMAXPROCS goroutines. The flags depend
 // neither on which hierarchy it is nor on the goroutine count.
-func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) *Index {
-	if opts.GridSize <= 0 {
-		opts.GridSize = 8
-	}
+func Build(g *graph.Graph, h *ch.Hierarchy) *Index {
 	n := g.NumVertices()
 	ix := &Index{
 		g:      g,
-		grid:   geom.NewGrid(g.Bounds(), opts.GridSize, opts.GridSize),
+		grid:   geom.NewGrid(g.Bounds(), gridSize, gridSize),
 		cellOf: make([]int32, n),
-		words:  (opts.GridSize*opts.GridSize + 63) / 64,
+		flags:  make([]uint64, g.NumArcs()),
 	}
-	ix.flags = make([]uint64, g.NumArcs()*ix.words)
 	for v := 0; v < n; v++ {
 		c, r := ix.grid.CellOf(g.Coord(graph.VertexID(v)))
 		ix.cellOf[v] = int32(ix.grid.CellIndex(c, r))
@@ -103,7 +99,7 @@ func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) *Index {
 		parts[w] = flags
 		return func(i int) {
 			b := boundary[i]
-			word, bit := int(ix.cellOf[b])/64, uint64(1)<<(uint(ix.cellOf[b])%64)
+			bit := uint64(1) << uint(ix.cellOf[b])
 			dist := sw.Run(b) // d(b, ·) = d(·, b): the graph is undirected
 			for u := 0; u < n; u++ {
 				du := dist[u]
@@ -113,7 +109,7 @@ func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) *Index {
 				lo, hi := g.ArcsOf(graph.VertexID(u))
 				for a := lo; a < hi; a++ {
 					if dist[g.Head(a)]+int64(g.ArcWeight(a)) == du {
-						flags[int(a)*ix.words+word] |= bit
+						flags[a] |= bit
 					}
 				}
 			}
@@ -128,11 +124,11 @@ func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) *Index {
 }
 
 func (ix *Index) setFlag(arc int32, cell int32) {
-	ix.flags[int(arc)*ix.words+int(cell)/64] |= 1 << (uint(cell) % 64)
+	ix.flags[arc] |= 1 << uint(cell)
 }
 
 func (ix *Index) hasFlag(arc int32, cell int32) bool {
-	return ix.flags[int(arc)*ix.words+int(cell)/64]&(1<<(uint(cell)%64)) != 0
+	return ix.flags[arc]&(1<<uint(cell)) != 0
 }
 
 // settle is arc-flags' dijkstra.SettleFunc: Dijkstra from src toward t

@@ -12,20 +12,20 @@ import (
 )
 
 // build returns the arc-flags index of g over a default hierarchy.
-func build(g *graph.Graph, opts arcflags.Options) *arcflags.Index {
-	return arcflags.Build(g, testutil.Must(ch.Build(g, ch.Options{})), opts)
+func build(g *graph.Graph) *arcflags.Index {
+	return arcflags.Build(g, testutil.Must(ch.Build(g, ch.Options{})))
 }
 
 func TestArcFlagsExhaustiveFigure1(t *testing.T) {
 	g := testutil.Figure1()
-	ix := build(g, arcflags.Options{GridSize: 2}).NewSearcher()
+	ix := build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.AllPairs(g), ix.OpenPath)
 }
 
 func TestArcFlagsRoadNetwork(t *testing.T) {
 	g := testutil.SmallRoad(900, 701)
-	ix := build(g, arcflags.Options{GridSize: 8}).NewSearcher()
+	ix := build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.SamplePairs(g, 300, 101), ix.Distance)
 	testutil.CheckPathsAgainstDijkstra(t, g, testutil.SamplePairs(g, 100, 103), ix.OpenPath)
 }
@@ -34,13 +34,13 @@ func TestArcFlagsAdversarialGraph(t *testing.T) {
 	// Ties are common in random graphs; the tight-arc flags must cover
 	// them.
 	g := gen.RandomConnected(150, 300, 16, 701)
-	ix := build(g, arcflags.Options{GridSize: 4}).NewSearcher()
+	ix := build(g).NewSearcher()
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g)[:4000], ix.Distance)
 }
 
 func TestArcFlagsPruneSearch(t *testing.T) {
 	g := testutil.SmallRoad(2500, 703)
-	ix := build(g, arcflags.Options{GridSize: 8}).NewSearcher()
+	ix := build(g).NewSearcher()
 	ctx := dijkstra.NewContext(g)
 	var flagged, plain int
 	for _, p := range testutil.SamplePairs(g, 30, 107) {
@@ -65,7 +65,7 @@ func TestArcFlagsDisconnected(t *testing.T) {
 	_ = b.AddEdge(0, 1, 1)
 	_ = b.AddEdge(2, 3, 1)
 	g := b.Build()
-	ix := build(g, arcflags.Options{GridSize: 2}).NewSearcher()
+	ix := build(g).NewSearcher()
 	if d := ix.Distance(0, 3); d != graph.Infinity {
 		t.Errorf("cross-component distance = %d", d)
 	}
@@ -73,7 +73,7 @@ func TestArcFlagsDisconnected(t *testing.T) {
 
 func TestArcFlagsStats(t *testing.T) {
 	g := testutil.SmallRoad(400, 707)
-	ix := build(g, arcflags.Options{})
+	ix := build(g)
 	if ix.SizeBytes() <= 0 {
 		t.Error("size must be positive")
 	}

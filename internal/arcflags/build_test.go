@@ -30,7 +30,7 @@ func TestGoldenDigests(t *testing.T) {
 		"messy11": 0xc43f0ede3287454f,
 		"messy12": 0x4a06b43abfa006b8,
 	}, func(t *testing.T, g *graph.Graph, witnessLimit int) uint64 {
-		ix := Build(g, testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})), Options{})
+		ix := Build(g, testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})))
 		h := fnv.New64a()
 		for _, w := range ix.flags {
 			h.Write(binary.LittleEndian.AppendUint64(nil, w))

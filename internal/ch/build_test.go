@@ -55,11 +55,11 @@ func savedBytes(t *testing.T, h *Hierarchy) []byte {
 }
 
 // TestBuildMatchesReference holds Build to the index refBuild produces,
-// byte for byte, under every kind of option. The settle-limit-4 cells on the
+// byte for byte, under every settle limit. The settle-limit-4 cells on the
 // tie-heavy messy graphs are the sensitive ones: a binding limit makes the
 // result depend on the order a search pushes equal distances, which is the
 // order of the adjacency lists. Those cells and the default run with -short
-// too; the larger graphs and the other options do not (the reference is
+// too; the larger graphs and the other limits do not (the reference is
 // slow, fifteen times slower again under the race detector).
 func TestBuildMatchesReference(t *testing.T) {
 	type input struct {
@@ -72,7 +72,7 @@ func TestBuildMatchesReference(t *testing.T) {
 	if !testing.Short() {
 		presets = append(presets, "CA")
 		inputs = append(inputs, input{"n9000", gen.Generate(gen.Params{N: 9000, Seed: 104})})
-		options = append(options, Options{WitnessSettleLimit: 1000}, Options{EdgeDiffWeight: 1}, Options{DepthWeight: 1})
+		options = append(options, Options{WitnessSettleLimit: 1000})
 	}
 	for _, name := range presets {
 		g, err := gen.GeneratePreset(name)
@@ -84,14 +84,8 @@ func TestBuildMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		inputs = append(inputs, input{fmt.Sprintf("messy%d", seed), testutil.MessyGraph(seed)})
 	}
-	// Ordering by depth alone contracts into a dense graph: the reference
-	// needs 2 s on NH and 22 s at 9000 vertices for that one cell.
-	const depthOnlyMax = 5000
 	for _, in := range inputs {
 		for _, opts := range options {
-			if opts == (Options{DepthWeight: 1}) && in.g.NumVertices() > depthOnlyMax {
-				continue
-			}
 			got, want := testutil.Must(Build(in.g, opts)), refBuild(in.g, opts)
 			if got.numShortcuts != want.numShortcuts {
 				t.Errorf("%s %+v: %d shortcuts, reference %d", in.name, opts, got.numShortcuts, want.numShortcuts)
@@ -294,9 +288,7 @@ func refBuild(g *graph.Graph, opts Options) *Hierarchy {
 			}
 		}
 		ed := int64(needed - degree)
-		return int64(opts.EdgeDiffWeight)*ed +
-			int64(opts.DeletedWeight)*int64(deleted[v]) +
-			int64(opts.DepthWeight)*int64(depth[v])
+		return edgeDiffWeight*ed + deletedWeight*int64(deleted[v]) + depthWeight*int64(depth[v])
 	}
 
 	heap := pq.New(n)

@@ -10,8 +10,9 @@
 // tags (§3.2's transformation of c1 into (v3,v1),(v1,v8)).
 //
 // The vertex order is computed on the fly with the standard heuristic
-// priority (edge difference + deleted neighbors + shortcut depth) and lazy
-// priority updates, as suggested by the paper's reference [11].
+// priority, 6 x edge difference + 2 x deleted neighbors + 1 x shortcut
+// depth, and lazy priority updates, as suggested by the paper's reference
+// [11].
 //
 // # Preprocessing
 //
@@ -48,25 +49,21 @@ type Options struct {
 	// Smaller values speed preprocessing but add unnecessary shortcuts
 	// (never incorrect ones). Default 120.
 	WitnessSettleLimit int
-	// EdgeDiffWeight, DeletedWeight and DepthWeight combine the heuristic
-	// terms into a contraction priority. When all three are zero the
-	// defaults 6, 2, 1 apply; setting any of them selects exactly the
-	// given combination, so individual terms can be ablated (see the
-	// ordering ablation benchmarks).
-	EdgeDiffWeight, DeletedWeight, DepthWeight int
 }
 
 func (o Options) withDefaults() Options {
 	if o.WitnessSettleLimit == 0 {
 		o.WitnessSettleLimit = 120
 	}
-	if o.EdgeDiffWeight == 0 && o.DeletedWeight == 0 && o.DepthWeight == 0 {
-		o.EdgeDiffWeight = 6
-		o.DeletedWeight = 2
-		o.DepthWeight = 1
-	}
 	return o
 }
+
+// Weights of the contraction priority's terms (see the package doc).
+const (
+	edgeDiffWeight = 6
+	deletedWeight  = 2
+	depthWeight    = 1
+)
 
 // Hierarchy is a contraction hierarchy: built, read onto the heap or cast
 // over a mapped file, it is the same five arrays. It is immutable after
@@ -145,9 +142,7 @@ func Build(g *graph.Graph, opts Options) (*Hierarchy, error) {
 	// priority also leaves v's shortcuts in ws.shortcuts.
 	priority := func(v graph.VertexID) int64 {
 		ed := int64(ws.simulate(v) - len(adj[v]))
-		return int64(opts.EdgeDiffWeight)*ed +
-			int64(opts.DeletedWeight)*int64(deleted[v]) +
-			int64(opts.DepthWeight)*int64(depth[v])
+		return edgeDiffWeight*ed + deletedWeight*int64(deleted[v]) + depthWeight*int64(depth[v])
 	}
 
 	heap := pq.New(n)
@@ -258,9 +253,6 @@ func addOrImprove(list *[]halfEdge, e halfEdge) {
 
 // NumShortcuts returns the number of shortcuts created during preprocessing.
 func (h *Hierarchy) NumShortcuts() int { return h.numShortcuts }
-
-// Graph returns the underlying road network.
-func (h *Hierarchy) Graph() *graph.Graph { return h.g }
 
 // SizeBytes reports the memory footprint of the index structures (the rank
 // permutation and the upward CSR), which is what the paper's Figure 6(a)

@@ -383,7 +383,7 @@ func TestManyToManyStallCount(t *testing.T) {
 		t.Skip("builds the CA hierarchy")
 	}
 	h := buildCA(t)
-	g := h.Graph()
+	g := h.g
 	roots := randomVertices(rand.New(rand.NewSource(7)), g.NumVertices(), 200)
 
 	sc := newM2MScratch(g.NumVertices())
@@ -429,7 +429,7 @@ func TestManyToManySettledCount(t *testing.T) {
 		t.Skip("builds the CA hierarchy")
 	}
 	h := buildCA(t)
-	g := h.Graph()
+	g := h.g
 	rng := rand.New(rand.NewSource(9))
 	ctx := context.Background()
 	sc := newM2MScratch(g.NumVertices())

@@ -19,15 +19,12 @@ import (
 // some already-reached higher neighbor w proves a shorter path to v
 // (dist[w] + w(v, w) < dist[v], valid because the graph is undirected). A
 // stalled vertex's arcs cannot lie on a shortest path, so they are not
-// relaxed, shrinking the upward search space. Disable with DisableStalling
-// to measure the effect (see BenchmarkAblationCHStalling).
+// relaxed, shrinking the upward search space. The many-to-many searches
+// apply the same test.
 //
 // A Searcher is not safe for concurrent use; create one per goroutine.
 type Searcher struct {
 	h *Hierarchy
-
-	// DisableStalling turns off the stall-on-demand optimization.
-	DisableStalling bool
 
 	// side[0] is the upward search from the source, side[1] the one from
 	// the target.
@@ -133,7 +130,7 @@ func (s *Searcher) runCtx(ctx context.Context, from, to graph.VertexID) error {
 		}
 		// Stall-on-demand: a shorter path to v through a higher-ranked
 		// neighbor proves v's outgoing arcs useless for shortest paths.
-		if !s.DisableStalling && h.stalled(v, d, q) {
+		if h.stalled(v, d, q) {
 			continue
 		}
 		for a := h.firstUp[v]; a < h.firstUp[v+1]; a++ {

@@ -210,10 +210,10 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 			tech, err = pcpd.Build(g, h)
 		}
 	case MethodALT:
-		tech = alt.Build(g, alt.Options{})
+		tech = alt.Build(g)
 	case MethodArcFlags:
 		if err = hierarchy(); err == nil {
-			tech = arcflags.Build(g, h, arcflags.Options{})
+			tech = arcflags.Build(g, h)
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown method %q", method)

@@ -72,9 +72,6 @@ func newSpatialLocator(g *graph.Graph, tree *rtree.Tree) *SpatialLocator {
 	return l
 }
 
-// Graph returns the graph the locator serves.
-func (l *SpatialLocator) Graph() *graph.Graph { return l.g }
-
 // Tree returns the underlying R-tree (for serialization and stats).
 func (l *SpatialLocator) Tree() *rtree.Tree { return l.tree }
 

@@ -12,8 +12,7 @@ import (
 // Bidirectional implements the bidirectional Dijkstra's algorithm of §3.1:
 // two simultaneous Dijkstra instances grow shortest-path trees from s and t,
 // and the shortest path is found either at the meeting vertex or across an
-// edge joining the two search scopes. It is the paper's baseline technique
-// and also the fallback TNR uses for local queries.
+// edge joining the two search scopes. It is the paper's baseline technique.
 //
 // A Bidirectional is not safe for concurrent use.
 type Bidirectional struct {

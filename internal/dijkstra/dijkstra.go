@@ -45,9 +45,6 @@ func NewContext(g *graph.Graph) *Context {
 	}
 }
 
-// Graph returns the graph this context searches.
-func (c *Context) Graph() *graph.Graph { return c.g }
-
 func (c *Context) reset() {
 	if c.q.Reset() {
 		clear(c.targetGen)
@@ -107,10 +104,9 @@ func (c *Context) Run(sources []graph.VertexID, opt Options) int {
 
 // RunContext is Run with cancellation: the settle loop polls ctx every
 // cancel.Interval settles and aborts with its error, leaving the context
-// in the partial state of the interrupted search. The online spatial
-// queries (network k-NN fallback, network range) run their bounded
-// searches through this so a disconnected client stops consuming CPU
-// within a bounded number of settles.
+// in the partial state of the interrupted search. The network range query
+// runs its bounded search through this so a disconnected client stops
+// consuming CPU within a bounded number of settles.
 func (c *Context) RunContext(ctx context.Context, sources []graph.VertexID, opt Options) (int, error) {
 	c.reset()
 	for _, s := range sources {

@@ -32,46 +32,29 @@ const Spacing = 1000
 
 // Params configures the synthetic network generator.
 type Params struct {
-	// N is the target number of vertices. The generated graph has roughly
-	// N vertices (the exact count depends on largest-component extraction).
+	// N is the target number of vertices, default 1000 when not positive.
+	// The generated graph has roughly N vertices (the exact count depends
+	// on largest-component extraction).
 	N int
 	// Seed makes generation deterministic.
 	Seed int64
-	// DeleteFrac is the fraction of grid edges randomly removed to create
-	// irregularity. Default 0.20 when zero.
-	DeleteFrac float64
-	// DiagFrac is the probability of adding a diagonal edge at a grid site,
-	// modelling non-grid roads. Default 0.05 when zero.
-	DiagFrac float64
-	// HighwayEvery and ArterialEvery select the rows/columns that carry
-	// high-speed roads. Defaults 24 and 6 when zero.
-	HighwayEvery, ArterialEvery int
-	// Jitter is the maximum coordinate perturbation as a fraction of the
-	// grid spacing. Default 0.35 when zero.
-	Jitter float64
 }
 
-func (p Params) withDefaults() Params {
-	if p.N <= 0 {
-		p.N = 1000
-	}
-	if p.DeleteFrac == 0 {
-		p.DeleteFrac = 0.20
-	}
-	if p.DiagFrac == 0 {
-		p.DiagFrac = 0.05
-	}
-	if p.HighwayEvery == 0 {
-		p.HighwayEvery = 24
-	}
-	if p.ArterialEvery == 0 {
-		p.ArterialEvery = 6
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.35
-	}
-	return p
-}
+// The road mix and irregularity, the same for every generated graph.
+const (
+	// deleteFrac is the fraction of grid edges randomly removed to create
+	// irregularity.
+	deleteFrac = 0.20
+	// diagFrac is the probability of adding a diagonal edge at a grid
+	// site, modelling non-grid roads.
+	diagFrac = 0.05
+	// Every highwayEvery-th and arterialEvery-th row and column carries a
+	// high-speed road.
+	highwayEvery, arterialEvery = 24, 6
+	// jitter is the maximum coordinate perturbation as a fraction of the
+	// grid spacing.
+	jitter = 0.35
+)
 
 // Road speed multipliers. Weights are travel times: length / speed.
 const (
@@ -85,7 +68,9 @@ const (
 // Generate builds a synthetic road network from p. The result is connected,
 // undirected and degree-bounded (max degree 8 by construction).
 func Generate(p Params) *graph.Graph {
-	p = p.withDefaults()
+	if p.N <= 0 {
+		p.N = 1000
+	}
 	rng := rand.New(rand.NewSource(p.Seed))
 
 	side := int(math.Ceil(math.Sqrt(float64(p.N))))
@@ -99,8 +84,8 @@ func Generate(p Params) *graph.Graph {
 	coords := make([]geom.Point, 0, cols*rows)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			jx := int32((rng.Float64()*2 - 1) * p.Jitter * Spacing)
-			jy := int32((rng.Float64()*2 - 1) * p.Jitter * Spacing)
+			jx := int32((rng.Float64()*2 - 1) * jitter * Spacing)
+			jy := int32((rng.Float64()*2 - 1) * jitter * Spacing)
 			pt := geom.Point{X: int32(c*Spacing) + jx, Y: int32(r*Spacing) + jy}
 			coords = append(coords, pt)
 			b.AddVertex(pt)
@@ -122,9 +107,9 @@ func Generate(p Params) *graph.Graph {
 	}
 	rowSpeed := func(r int) float64 {
 		switch {
-		case r%p.HighwayEvery == 0:
+		case r%highwayEvery == 0:
 			return speedHighway
-		case r%p.ArterialEvery == 0:
+		case r%arterialEvery == 0:
 			return speedArterial
 		default:
 			return speedLocal
@@ -134,13 +119,13 @@ func Generate(p Params) *graph.Graph {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			u := id(c, r)
-			if c+1 < cols && rng.Float64() >= p.DeleteFrac {
+			if c+1 < cols && rng.Float64() >= deleteFrac {
 				addEdge(u, id(c+1, r), rowSpeed(r))
 			}
-			if r+1 < rows && rng.Float64() >= p.DeleteFrac {
+			if r+1 < rows && rng.Float64() >= deleteFrac {
 				addEdge(u, id(c, r+1), rowSpeed(c))
 			}
-			if c+1 < cols && r+1 < rows && rng.Float64() < p.DiagFrac {
+			if c+1 < cols && r+1 < rows && rng.Float64() < diagFrac {
 				addEdge(u, id(c+1, r+1), speedLocal)
 			}
 		}

@@ -43,10 +43,12 @@ type QuerySet struct {
 	Pairs []Pair
 }
 
-// Config controls workload generation.
+// numSets is the number of buckets, as in the paper.
+const numSets = 10
+
+// Config sizes and seeds workload generation; every call makes numSets
+// buckets.
 type Config struct {
-	// NumSets is the number of buckets; the paper uses 10. Default 10.
-	NumSets int
 	// PairsPerSet is the number of queries per bucket; the paper uses
 	// 10000. Default 1000.
 	PairsPerSet int
@@ -55,9 +57,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.NumSets <= 0 {
-		c.NumSets = 10
-	}
 	if c.PairsPerSet <= 0 {
 		c.PairsPerSet = 1000
 	}
@@ -65,7 +64,7 @@ func (c Config) withDefaults() Config {
 }
 
 // ladder returns numSets geometric bucket boundaries spanning [lo, hi).
-func ladder(lo, hi float64, numSets int) []int64 {
+func ladder(lo, hi float64) []int64 {
 	if lo < 1 {
 		lo = 1
 	}
@@ -98,7 +97,7 @@ func LInfSets(g *graph.Graph, cfg Config) ([]QuerySet, error) {
 		extent = h
 	}
 	minSep := estimateMinSeparation(g, rng)
-	bnds := ladder(float64(minSep), float64(extent), cfg.NumSets)
+	bnds := ladder(float64(minSep), float64(extent))
 
 	// Acceleration grid for annulus sampling.
 	const accel = 64
@@ -110,8 +109,8 @@ func LInfSets(g *graph.Graph, cfg Config) ([]QuerySet, error) {
 		cellVerts[i] = append(cellVerts[i], graph.VertexID(v))
 	}
 
-	sets := make([]QuerySet, cfg.NumSets)
-	for i := 0; i < cfg.NumSets; i++ {
+	sets := make([]QuerySet, numSets)
+	for i := range sets {
 		lo, hi := bnds[i], bnds[i+1]
 		set := QuerySet{Name: fmt.Sprintf("Q%d", i+1), Lo: lo, Hi: hi}
 		set.Pairs = sampleLInfPairs(g, grid, cellVerts, rng, lo, hi, cfg.PairsPerSet)
@@ -216,9 +215,9 @@ func NetworkDistanceSets(g *graph.Graph, cfg Config) ([]QuerySet, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	ld := EstimateDiameter(g, cfg.Seed)
 	minW := minEdgeWeight(g)
-	bnds := ladder(float64(minW)*1.5, float64(ld), cfg.NumSets)
+	bnds := ladder(float64(minW)*1.5, float64(ld))
 
-	sets := make([]QuerySet, cfg.NumSets)
+	sets := make([]QuerySet, numSets)
 	for i := range sets {
 		sets[i] = QuerySet{
 			Name:  fmt.Sprintf("R%d", i+1),
@@ -241,8 +240,8 @@ func NetworkDistanceSets(g *graph.Graph, cfg Config) ([]QuerySet, error) {
 	if cfg.PairsPerSet < perSourceCap {
 		perSourceCap = cfg.PairsPerSet
 	}
-	maxSources := 40 * cfg.NumSets * (cfg.PairsPerSet/perSourceCap + 1)
-	byBucket := make([][]graph.VertexID, cfg.NumSets)
+	maxSources := 40 * numSets * (cfg.PairsPerSet/perSourceCap + 1)
+	byBucket := make([][]graph.VertexID, numSets)
 	for iter := 0; iter < maxSources; iter++ {
 		done := true
 		for i := range sets {
@@ -335,11 +334,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -15,7 +15,7 @@ func testGraph(t *testing.T, n int) *graph.Graph {
 
 func TestLInfSets(t *testing.T) {
 	g := testGraph(t, 2500)
-	sets, err := LInfSets(g, Config{NumSets: 10, PairsPerSet: 50, Seed: 1})
+	sets, err := LInfSets(g, Config{PairsPerSet: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLInfSetsTooSmallGraph(t *testing.T) {
 
 func TestNetworkDistanceSets(t *testing.T) {
 	g := testGraph(t, 1600)
-	sets, err := NetworkDistanceSets(g, Config{NumSets: 10, PairsPerSet: 30, Seed: 2})
+	sets, err := NetworkDistanceSets(g, Config{PairsPerSet: 30, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEstimateDiameter(t *testing.T) {
 }
 
 func TestLadder(t *testing.T) {
-	b := ladder(10, 10240, 10)
+	b := ladder(10, 10240)
 	if len(b) != 11 {
 		t.Fatalf("ladder length %d, want 11", len(b))
 	}
@@ -143,17 +143,10 @@ func TestLadder(t *testing.T) {
 		}
 	}
 	// Degenerate input gets widened rather than panicking.
-	b = ladder(100, 50, 4)
+	b = ladder(100, 50)
 	for i := 1; i < len(b); i++ {
 		if b[i] <= b[i-1] {
 			t.Fatalf("degenerate ladder not increasing: %v", b)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

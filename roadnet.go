@@ -309,7 +309,8 @@ func LoadGraphFile(path string, preferMmap bool, opts ...OpenOption) (*Graph, er
 	return graph.LoadFile(path, preferMmap, opts...)
 }
 
-// GenParams configures the synthetic road-network generator.
+// GenParams sizes and seeds the synthetic road-network generator. The road
+// mix and irregularity are fixed (see internal/gen).
 type GenParams = gen.Params
 
 // Generate builds a seeded synthetic road network with road-like structure
@@ -402,7 +403,8 @@ type QueryPair = workload.Pair
 // QuerySet is a bucket of query pairs with a distance range, e.g. Q3.
 type QuerySet = workload.QuerySet
 
-// WorkloadConfig tunes query-set generation.
+// WorkloadConfig sets the pairs per query set and the seed of query-set
+// generation. There are always ten sets, as in the paper.
 type WorkloadConfig = workload.Config
 
 // LInfQuerySets generates the paper's Q1..Q10 analogues: query pairs
