@@ -57,13 +57,16 @@ func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
 }
 
 // Build selects landmarks by farthest-point traversal and precomputes the
-// landmark distance tables.
+// landmark distance tables. The traversal starts at vertex 0; once no
+// vertex the landmarks reach is at a positive distance from all of them,
+// it goes on at the lowest-id vertex no landmark reaches, so every
+// component gets landmarks and no vertex is selected twice.
 func Build(g *graph.Graph) *Index {
 	n := g.NumVertices()
 	ix := &Index{g: g}
 	ctx := dijkstra.NewContext(g)
-	// Farthest-point selection: start at vertex 0, repeatedly add the
-	// vertex maximizing the minimum distance to the chosen landmarks.
+	// Farthest-point selection: repeatedly add the vertex maximizing the
+	// minimum distance to the chosen landmarks.
 	minDist := make([]int64, n)
 	for i := range minDist {
 		minDist[i] = graph.Infinity
@@ -78,18 +81,23 @@ func Build(g *graph.Graph) *Index {
 			row[v] = ctx.Dist(graph.VertexID(v))
 		}
 		rows = append(rows, row)
-		next := graph.VertexID(-1)
-		var nextDist int64 = -1
+		next, unreached := graph.VertexID(-1), graph.VertexID(-1)
+		var nextDist int64
 		for v := 0; v < n; v++ {
-			if row[v] < graph.Infinity && row[v] < minDist[v] {
-				minDist[v] = row[v]
-			}
-			if minDist[v] < graph.Infinity && minDist[v] > nextDist {
+			minDist[v] = min(minDist[v], row[v])
+			if minDist[v] == graph.Infinity {
+				if unreached < 0 {
+					unreached = graph.VertexID(v)
+				}
+			} else if minDist[v] > nextDist {
 				nextDist = minDist[v]
 				next = graph.VertexID(v)
 			}
 		}
-		if next < 0 || next == cur {
+		if next < 0 {
+			next = unreached
+		}
+		if next < 0 {
 			break
 		}
 		cur = next

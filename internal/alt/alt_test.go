@@ -70,6 +70,41 @@ func TestALTDisconnected(t *testing.T) {
 	}
 }
 
+// TestALTLandmarksPerComponent: on components {0, 1, 2}, the path 3..18
+// and the isolated vertex 19, selection leaves the first component once it
+// is exhausted, picks no vertex twice, and gives the path landmarks that
+// direct a query along it.
+func TestALTLandmarksPerComponent(t *testing.T) {
+	edges := [][3]int64{{0, 1, 1}, {1, 2, 1}}
+	for v := int64(3); v < 18; v++ {
+		edges = append(edges, [3]int64{v, v + 1, 1})
+	}
+	g := weighted(t, 20, edges)
+	ix := alt.Build(g)
+	landmarks := alt.Landmarks(ix)
+	seen := map[graph.VertexID]bool{}
+	onPath := false
+	for _, l := range landmarks {
+		if seen[l] {
+			t.Fatalf("landmarks %v select %d twice", landmarks, l)
+		}
+		seen[l] = true
+		onPath = onPath || (l >= 3 && l <= 18)
+	}
+	if !onPath {
+		t.Fatalf("landmarks %v: none on the path 3..18", landmarks)
+	}
+	sr := ix.NewSearcher()
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), sr.Distance)
+	// With no landmark on the path the query is a plain Dijkstra, which
+	// settles the whole path before it reaches the end.
+	sr.Distance(10, 18)
+	plain := dijkstra.NewContext(g).Run([]graph.VertexID{10}, dijkstra.Options{Targets: []graph.VertexID{18}})
+	if sr.SettledLast() >= plain {
+		t.Errorf("ALT settled %d on the path, Dijkstra %d", sr.SettledLast(), plain)
+	}
+}
+
 // TestALTDistancesBeyondInt32: a landmark with a distance an int32 cannot
 // hold leaves the table, and every answer stays exact.
 func TestALTDistancesBeyondInt32(t *testing.T) {

@@ -18,10 +18,6 @@ var ErrInjected = errors.New("chaos: injected query failure")
 // searchers (and so across all request goroutines of a server built over
 // the index), which is the point: a test arms one fault and asserts the
 // process survives whichever request draws it.
-//
-// The wrapper deliberately does not forward the optional batch
-// acceleration interface — faulty deployments degrade to the simple code
-// path, and so do these tests.
 type FlakyIndex struct {
 	core.Index
 	panics atomic.Int64 // queries left to panic

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 )
@@ -135,29 +136,83 @@ func TestPoolContextQueries(t *testing.T) {
 	}
 }
 
-// TestPoolBatchDistanceMatchesPerPair checks the dispatcher end to end for
-// every technique: whatever accelerator serves the batch, the matrix must
-// equal per-pair distances.
+// TestPoolBatchDistanceMatchesPerPair checks Pool.BatchDistance end to end
+// for every technique: whether CH's many-to-many or the per-pair loop
+// answers it, the matrix of every shape must equal per-pair distances, on
+// a road graph and on two copies of one side by side, where half the
+// pairs are unreachable; a cancelled batch returns no matrix.
 func TestPoolBatchDistanceMatchesPerPair(t *testing.T) {
-	g := testutil.SmallRoad(900, 951)
-	var sources, targets []graph.VertexID
-	for _, p := range testutil.SamplePairs(g, 8, 661) {
-		sources = append(sources, p[0])
-		targets = append(targets, p[1])
-	}
-	for m, ix := range buildAll(t, g) {
-		pool := NewPool(ix)
-		table, err := pool.BatchDistance(context.Background(), sources, targets)
-		if err != nil {
-			t.Fatalf("%s: BatchDistance: %v", m, err)
+	cancelled, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	for name, g := range map[string]*graph.Graph{
+		"road":           testutil.SmallRoad(900, 951),
+		"two components": twoCopies(testutil.SmallRoad(300, 57)),
+	} {
+		var sources, targets []graph.VertexID
+		for _, p := range testutil.SamplePairs(g, 8, 661) {
+			sources = append(sources, p[0])
+			targets = append(targets, p[1])
 		}
-		sr := ix.NewSearcher()
-		for i, s := range sources {
-			for j, tgt := range targets {
-				if want := sr.Distance(s, tgt); table[i][j] != want {
-					t.Errorf("%s: batch dist(%d, %d) = %d, per-pair = %d", m, s, tgt, table[i][j], want)
+		shapes := map[string][2][]graph.VertexID{
+			"NxN":             {sources, targets},
+			"1xN":             {sources[:1], targets},
+			"Nx1":             {sources, targets[:1]},
+			"no sources":      {nil, targets},
+			"no targets":      {sources, nil},
+			"sources=targets": {sources, sources},
+		}
+		for m, ix := range buildAll(t, g) {
+			pool := NewPool(ix)
+			sr := ix.NewSearcher()
+			unreachable := 0
+			for shape, st := range shapes {
+				table, err := pool.BatchDistance(context.Background(), st[0], st[1])
+				if err != nil {
+					t.Fatalf("%s, %s, %s: BatchDistance: %v", name, m, shape, err)
 				}
+				if len(table) != len(st[0]) {
+					t.Fatalf("%s, %s, %s: %d rows, want %d", name, m, shape, len(table), len(st[0]))
+				}
+				for i, s := range st[0] {
+					if len(table[i]) != len(st[1]) {
+						t.Fatalf("%s, %s, %s: row %d has %d cells, want %d", name, m, shape, i, len(table[i]), len(st[1]))
+					}
+					for j, tgt := range st[1] {
+						if want := sr.Distance(s, tgt); table[i][j] != want {
+							t.Errorf("%s, %s, %s: batch dist(%d, %d) = %d, per-pair = %d", name, m, shape, s, tgt, table[i][j], want)
+						}
+						if table[i][j] == graph.Infinity {
+							unreachable++
+						}
+					}
+				}
+			}
+			if name == "two components" && unreachable == 0 {
+				t.Errorf("%s: no unreachable pair on two components", m)
+			}
+			if table, err := pool.BatchDistance(cancelled, sources, targets); !errors.Is(err, context.Canceled) || table != nil {
+				t.Errorf("%s, %s: cancelled BatchDistance = (%v, %v), want (nil, context.Canceled)", name, m, table, err)
 			}
 		}
 	}
+}
+
+// twoCopies returns g and a copy of it to its right as one graph of two
+// components (more if g has several).
+func twoCopies(g *graph.Graph) *graph.Graph {
+	n := g.NumVertices()
+	b := graph.NewBuilder(2 * n)
+	shift := g.Bounds().MaxX - g.Bounds().MinX + 1
+	for v := 0; v < n; v++ {
+		b.AddVertex(g.Coord(graph.VertexID(v)))
+	}
+	for v := 0; v < n; v++ {
+		p := g.Coord(graph.VertexID(v))
+		b.AddVertex(geom.Point{X: p.X + shift, Y: p.Y})
+	}
+	for _, e := range g.Edges() {
+		_ = b.AddEdge(e.U, e.V, e.Weight)
+		_ = b.AddEdge(e.U+graph.VertexID(n), e.V+graph.VertexID(n), e.Weight)
+	}
+	return b.Build()
 }

@@ -128,26 +128,6 @@ type Searcher interface {
 // serving layers use.
 type PathIterator = graph.PathIterator
 
-// BatchDistancer is the per-technique batch acceleration contract: a
-// Searcher additionally implements it when the technique can answer a full
-// sources×targets distance matrix faster than |S|×|T| independent
-// point-to-point queries — measurably so, against the per-pair loop of
-// Pool.BatchDistance it displaces. SILC implements it with target-wise
-// walks that memoize shared path suffixes (2.0–3.5× on NH,
-// BenchmarkSILCBatchDistance against BenchmarkSILCPerPair); CH batches are
-// routed to the hierarchy's bucket many-to-many algorithm by
-// Pool.BatchDistance before this interface is consulted. A TNR sweep that
-// hoisted each target's access-node operand out of the pair loop did not
-// resolve against that loop and was removed.
-//
-// table[i][j] must be dist(sources[i], targets[j]) with graph.Infinity for
-// unreachable pairs, bit-identical to per-pair DistanceContext calls, and
-// implementations must poll ctx at bounded intervals, returning its error
-// on cancellation.
-type BatchDistancer interface {
-	BatchDistance(ctx context.Context, sources, targets []graph.VertexID) ([][]int64, error)
-}
-
 // ErrIndexTooLarge is returned when an index exceeds the configured memory
 // ceiling, mirroring the paper's 24 GB main-memory rule.
 var ErrIndexTooLarge = errors.New("core: index exceeds the memory ceiling")

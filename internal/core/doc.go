@@ -22,9 +22,9 @@
 //     servers — optionally bounded (WithMaxSearchers), pre-warmed
 //     (Prewarm) and instrumented (WithMetrics); the distance hot path
 //     stays allocation-free and lock-free.
-//   - Batch acceleration (batch dispatch in pool.go): the per-technique
-//     many-to-many algorithms behind DistanceMatrix, all bit-identical to
-//     per-pair queries.
+//   - Batch distance (Pool.BatchDistance in pool.go): the matrix behind
+//     DistanceMatrix, from CH's many-to-many or per-pair queries, both
+//     bit-identical to per-pair queries.
 //   - Streaming paths: OpenPath returns a PathIterator over every
 //     technique's own path production — lazy for CH and TNR, a reused
 //     searcher buffer for the others.

@@ -252,11 +252,9 @@ func (p *Pool) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64,
 	return d, err
 }
 
-// BatchDistance computes the full sources×targets distance matrix with the
-// best accelerator the index offers. table[i][j] is
-// dist(sources[i], targets[j]), graph.Infinity for unreachable pairs.
-//
-// Dispatch, per the batch acceleration contract:
+// BatchDistance computes the full sources×targets distance matrix.
+// table[i][j] is dist(sources[i], targets[j]), graph.Infinity for
+// unreachable pairs. It is answered one of two ways:
 //   - CH: the bucket many-to-many algorithm of Knopp et al. — one upward
 //     search per endpoint instead of |S|×|T| point-to-point queries (used
 //     when both lists have more than one element; smaller shapes gain
@@ -264,15 +262,11 @@ func (p *Pool) DistanceContext(ctx context.Context, s, t graph.VertexID) (int64,
 //     41–44× at 64×64 on random CA vertices, 5× on the regional 16×16
 //     batches of the benchmark's serve_batch workload
 //     (BenchmarkManyToManyVsPerPair in internal/ch).
-//   - SILC: its BatchDistancer, target-wise walks with shared path-suffix
-//     memoization — 2.0× at 16×16 to 3.5× at 64×1 on NH
-//     (BenchmarkSILCBatchDistance against BenchmarkSILCPerPair).
-//   - Everything else, TNR included: per-pair DistanceContext on one pooled
-//     searcher.
+//   - Everything else: per-pair DistanceContext on one pooled searcher.
 //
-// Every path polls ctx at bounded intervals; on cancellation the partial
-// work is discarded and ctx's error returned. All paths return matrices
-// bit-identical to per-pair queries.
+// Both poll ctx at bounded intervals; on cancellation the partial work is
+// discarded and ctx's error returned. Both return matrices bit-identical
+// to per-pair queries.
 //
 // Every batch holds one pool slot for its duration, so a bounded pool's cap
 // also bounds how many batch matrices are computed at once. For the CH
@@ -288,9 +282,6 @@ func (p *Pool) BatchDistance(ctx context.Context, sources, targets []graph.Verte
 	defer p.Put(sr)
 	if h := HierarchyOf(p.idx); h != nil && len(sources) > 1 && len(targets) > 1 {
 		return h.ManyToManyContext(ctx, sources, targets)
-	}
-	if bd, ok := sr.(BatchDistancer); ok {
-		return bd.BatchDistance(ctx, sources, targets)
 	}
 	table := make([][]int64, len(sources))
 	for i, s := range sources {

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,7 +23,9 @@ import (
 // ReadGR collapses duplicate arcs into single undirected edges.
 
 // ReadGR parses a DIMACS .gr stream into an edge list, returning the vertex
-// count and the undirected edges.
+// count and the undirected edges, each with U < V, sorted by (U, V): edge
+// ids, arc order and every index built on the graph are then the same on
+// every load of the same text.
 func ReadGR(r io.Reader) (n int, edges []Edge, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -93,6 +97,9 @@ func ReadGR(r io.Reader) (n int, edges []Edge, err error) {
 	for k, w := range seen {
 		edges = append(edges, Edge{U: k.u, V: k.v, Weight: w})
 	}
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
 	return n, edges, nil
 }
 

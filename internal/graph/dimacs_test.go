@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"roadnet/internal/geom"
 )
 
 const sampleGR = `c test graph
@@ -71,6 +73,48 @@ func TestReadDIMACSRoundtrip(t *testing.T) {
 	for _, e := range g.Edges() {
 		if w, ok := g2.HasEdge(e.U, e.V); !ok || w != e.Weight {
 			t.Fatalf("roundtrip lost edge %+v", e)
+		}
+	}
+}
+
+// TestReadDIMACSDeterministic loads the same text several times: the edge
+// order, and with it every byte Save writes, must not depend on the load.
+func TestReadDIMACSDeterministic(t *testing.T) {
+	const side = 12
+	b := NewBuilder(side * side)
+	for v := 0; v < side*side; v++ {
+		b.AddVertex(geom.Point{X: int32(v % side), Y: int32(v / side)})
+	}
+	for v := 0; v < side*side; v++ {
+		if v%side+1 < side {
+			_ = b.AddEdge(VertexID(v), VertexID(v+1), Weight(1+v%7))
+		}
+		if v+side < side*side {
+			_ = b.AddEdge(VertexID(v), VertexID(v+side), Weight(1+v%5))
+		}
+	}
+	var gr, co bytes.Buffer
+	if err := WriteGR(&gr, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCO(&co, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	save := func() []byte {
+		g, err := ReadDIMACS(bytes.NewReader(gr.Bytes()), bytes.NewReader(co.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save()
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(save(), first) {
+			t.Fatalf("load %d saved different bytes than the first load of the same text", i+2)
 		}
 	}
 }

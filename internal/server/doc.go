@@ -28,14 +28,13 @@
 // core.Pool — there is no global query lock, and throughput scales with
 // cores.
 //
-// Batch acceleration: the batch endpoints answer an entire sources x
-// targets matrix in one request, and the distance matrix is computed with
-// the best per-technique accelerator (see core.Pool.BatchDistance): CH runs
-// the bucket many-to-many algorithm (one search per endpoint), SILC
-// target-wise walks with shared path-suffix memoization; every other
-// technique, TNR included, answers the pairs point-to-point on a pooled
-// searcher. Batch route answers are always computed per pair so they are
-// path-identical to sequential /v1/route calls.
+// Batch queries: the batch endpoints answer an entire sources x targets
+// matrix in one request. The distance matrix comes from
+// core.Pool.BatchDistance: CH runs the bucket many-to-many algorithm (one
+// search per endpoint), and every other technique answers the pairs
+// point-to-point on a pooled searcher. Batch route answers are always
+// computed per pair so they are path-identical to sequential /v1/route
+// calls.
 //
 // # The request path
 //

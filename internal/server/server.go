@@ -356,10 +356,9 @@ func (s *Server) parseBatch(maxPairs int) func(http.ResponseWriter, *http.Reques
 }
 
 // batchDistance answers a sources x targets distance matrix in one
-// request, dispatching to the index's batch accelerator (CH bucket
-// many-to-many, SILC shared-suffix walks, or pooled point-to-point, TNR
-// included; see core.Pool.BatchDistance). The matrix is computed by
-// the accelerator in one piece — that is what makes it fast — but the
+// request (CH bucket many-to-many, or pooled point-to-point for every
+// other technique; see core.Pool.BatchDistance). The matrix is computed
+// in one piece — that is what makes CH's many-to-many fast — but the
 // response is streamed through the fixed-size buffer of stream.go: one
 // {"sources":[...],"targets":[...],"distances":[[...],...]} document, or,
 // for clients sending "Accept: application/x-ndjson", one

@@ -8,8 +8,8 @@ import (
 )
 
 // Searcher is a query context over a shared Index. Distances read the
-// immutable index alone — Distance, DistanceContext and BatchDistance are
-// the Index's, promoted — and OpenPath walks a path into the searcher's
+// immutable index alone — Distance and DistanceContext are the Index's,
+// promoted — and OpenPath walks a path into the searcher's
 // buffer. A Searcher is not safe for concurrent use; create one per
 // goroutine.
 type Searcher struct {

@@ -1,10 +1,15 @@
 package silc_test
 
 import (
+	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"roadnet/internal/ch"
 	"roadnet/internal/gen"
+	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
@@ -137,6 +142,48 @@ func TestSILCRejectsEmptyAndHighDegree(t *testing.T) {
 	b := graph.NewBuilder(0)
 	if _, err := silc.Build(b.Build(), nil); err == nil {
 		t.Error("empty graph should be rejected")
+	}
+	// A star of 255 leaves has a degree the one-byte colors cannot hold.
+	b = graph.NewBuilder(256)
+	for i := 0; i < 256; i++ {
+		b.AddVertex(geom.Point{X: int32(i)})
+		if i > 0 {
+			_ = b.AddEdge(0, graph.VertexID(i), 1)
+		}
+	}
+	if _, err := silc.Build(b.Build(), nil); err == nil || !strings.Contains(err.Error(), "max degree 255") {
+		t.Errorf("a star of 255 leaves: err = %v, want the degree guard", err)
+	}
+	// The size guard refuses an edgeless graph of 25 001 vertices before
+	// the 625 MB next-hop matrix, or anything else, is allocated.
+	const n = 25001
+	b = graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddVertex(geom.Point{X: int32(i)})
+	}
+	g := b.Build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := silc.Build(g, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "above the guard of 25000") {
+		t.Errorf("a graph of %d vertices: err = %v, want the size guard", n, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= n {
+		t.Errorf("the refused build allocated %d B", got)
+	}
+}
+
+func TestSILCContextCancelled(t *testing.T) {
+	g := testutil.SmallRoad(400, 57)
+	ix := build(t, g)
+	ctx, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	if _, err := ix.DistanceContext(ctx, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("DistanceContext err = %v, want context.Canceled", err)
+	}
+	if _, _, err := ix.NewSearcher().OpenPath(ctx, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("OpenPath err = %v, want context.Canceled", err)
 	}
 }
 

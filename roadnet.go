@@ -69,21 +69,14 @@
 // # Batch queries
 //
 // DistanceMatrix (and Pool.BatchDistance) answer a full sources×targets
-// distance matrix with the best accelerator the index offers. The
-// per-technique acceleration matrix, each accelerator with the factor over
-// the per-pair loop it was kept for:
-//
-//	CH        bucket many-to-many (Knopp et al.): one upward search per
-//	          endpoint instead of |S|×|T| point-to-point queries; 13× at
-//	          16×16 and 41–44× at 64×64 on random CA vertices, 5× on the
-//	          regional 16×16 batches the benchmark's serve_batch workload
-//	          sends (BenchmarkManyToManyVsPerPair in internal/ch)
-//	SILC      target-wise path walks with shared-suffix memoization: hops
-//	          shared by several sources' paths are walked once; 2.0–3.5×
-//	          on NH (BenchmarkSILCBatchDistance in internal/silc)
-//	others    per-pair queries on one reusable searcher
-//
-// Both accelerators return matrices bit-identical to per-pair queries.
+// distance matrix. A CH index runs the bucket many-to-many algorithm
+// (Knopp et al.) when both lists hold more than one vertex: one upward
+// search per endpoint instead of |S|×|T| point-to-point queries; 13× the
+// per-pair loop at 16×16 and 41–44× at 64×64 on random CA vertices, 5× on
+// the regional 16×16 batches the benchmark's serve_batch workload sends
+// (BenchmarkManyToManyVsPerPair in internal/ch). Every other index, and
+// smaller shapes on CH, answer the pairs one by one on a reusable
+// searcher. Both return matrices bit-identical to per-pair queries.
 //
 // # Streaming paths
 //
@@ -191,7 +184,7 @@ func OpenPath(ctx context.Context, sr Searcher, s, t VertexID) (PathIterator, in
 // Pool hands out reusable Searchers over one shared Index so any number
 // of goroutines can query concurrently with zero steady-state allocations
 // on the distance hot path. See the package comment for bounding,
-// pre-warming, cancellation and batch acceleration.
+// pre-warming, cancellation and batch queries.
 type Pool = core.Pool
 
 // PoolOption configures NewPool.
@@ -340,19 +333,18 @@ func WriteDIMACS(gr, co io.Writer, g *Graph) error {
 	return graph.WriteCO(co, g)
 }
 
-// DistanceMatrix computes all source-target distances with the best
-// accelerator the index offers (see the package comment's acceleration
-// matrix: CH bucket many-to-many, SILC shared-suffix walks, per-pair
-// queries otherwise). Unreachable pairs hold Infinity.
+// DistanceMatrix computes all source-target distances, by CH's bucket
+// many-to-many on a CH index and by per-pair queries otherwise (see the
+// package comment's batch queries). Unreachable pairs hold Infinity.
 func DistanceMatrix(idx Index, sources, targets []VertexID) [][]int64 {
 	table, _ := DistanceMatrixContext(context.Background(), idx, sources, targets)
 	return table
 }
 
-// DistanceMatrixContext is DistanceMatrix with cancellation: all
-// accelerators poll ctx at bounded intervals, and on cancellation the
-// partial matrix is discarded and ctx's error returned. Dispatch lives in
-// Pool.BatchDistance, the one copy of the per-technique batch policy.
+// DistanceMatrixContext is DistanceMatrix with cancellation: both ways
+// poll ctx at bounded intervals, and on cancellation the partial matrix is
+// discarded and ctx's error returned. Dispatch lives in
+// Pool.BatchDistance, the one copy of the batch policy.
 func DistanceMatrixContext(ctx context.Context, idx Index, sources, targets []VertexID) ([][]int64, error) {
 	return core.NewPool(idx).BatchDistance(ctx, sources, targets)
 }
