@@ -5,27 +5,28 @@ import (
 	"errors"
 	"testing"
 
-	"roadnet/internal/ch"
+	"roadnet/internal/core"
 	"roadnet/internal/graph"
-	"roadnet/internal/silc"
 	"roadnet/internal/testutil"
 )
 
-func buildSILC(t *testing.T, g *graph.Graph) *silc.Index {
+// buildCore builds a SILC index over g behind core's Index, the form
+// core.Pool answers matrices for.
+func buildCore(t *testing.T, g *graph.Graph) core.Index {
 	t.Helper()
-	ix, err := silc.Build(g, testutil.Must(ch.Build(g, ch.Options{})))
+	ix, err := core.BuildIndex(core.MethodSILC, g, core.Config{})
 	if err != nil {
-		t.Fatalf("silc.Build: %v", err)
+		t.Fatalf("core.BuildIndex(silc): %v", err)
 	}
 	return ix
 }
 
-// checkBatchBitIdentical verifies the batch matrix against per-pair
-// Distance calls — the batch acceleration contract requires bit-identical
-// values, including Infinity placement for unreachable pairs.
-func checkBatchBitIdentical(t *testing.T, ix *silc.Index, sources, targets []graph.VertexID) {
+// checkBatchBitIdentical verifies a SILC distance matrix, answered by
+// core.Pool's per-pair loop, against per-pair Distance calls: the values
+// must be bit-identical, Infinity for unreachable pairs included.
+func checkBatchBitIdentical(t *testing.T, ix core.Index, sources, targets []graph.VertexID) {
 	t.Helper()
-	table, err := ix.BatchDistance(context.Background(), sources, targets)
+	table, err := core.NewPool(ix).BatchDistance(context.Background(), sources, targets)
 	if err != nil {
 		t.Fatalf("BatchDistance: %v", err)
 	}
@@ -46,7 +47,7 @@ func checkBatchBitIdentical(t *testing.T, ix *silc.Index, sources, targets []gra
 
 func TestSILCBatchDistanceBitIdentical(t *testing.T) {
 	g := testutil.SmallRoad(900, 951)
-	ix := buildSILC(t, g)
+	ix := buildCore(t, g)
 	var sources, targets []graph.VertexID
 	for _, p := range testutil.SamplePairs(g, 12, 521) {
 		sources = append(sources, p[0])
@@ -57,28 +58,11 @@ func TestSILCBatchDistanceBitIdentical(t *testing.T) {
 	checkBatchBitIdentical(t, ix, sources, targets[:1])
 	checkBatchBitIdentical(t, ix, nil, targets)
 	checkBatchBitIdentical(t, ix, sources, nil)
-	// Sources == targets exercises the zero diagonal and heavy prefix
-	// sharing at once.
 	checkBatchBitIdentical(t, ix, sources, sources)
 }
 
-// TestSILCBatchDistanceSharedPrefixes stresses the memo: all vertices of a
-// small graph as sources against a handful of targets means nearly every
-// walk resolves through a previously recorded suffix.
-func TestSILCBatchDistanceSharedPrefixes(t *testing.T) {
-	g := testutil.SmallRoad(400, 57)
-	ix := buildSILC(t, g)
-	sources := make([]graph.VertexID, g.NumVertices())
-	for i := range sources {
-		sources[i] = graph.VertexID(i)
-	}
-	targets := []graph.VertexID{0, graph.VertexID(g.NumVertices() / 2), graph.VertexID(g.NumVertices() - 1)}
-	checkBatchBitIdentical(t, ix, sources, targets)
-}
-
-// TestSILCBatchDistanceDisconnected checks that unreachable suffixes are
-// memoized correctly: a two-component graph yields whole blocks of
-// Infinity in the matrix.
+// TestSILCBatchDistanceDisconnected checks a two-component graph: the
+// matrix holds whole blocks of Infinity.
 func TestSILCBatchDistanceDisconnected(t *testing.T) {
 	b := graph.NewBuilder(4)
 	g0 := testutil.Figure1()
@@ -88,37 +72,27 @@ func TestSILCBatchDistanceDisconnected(t *testing.T) {
 	_ = b.AddEdge(0, 1, 3)
 	_ = b.AddEdge(2, 3, 4)
 	g := b.Build()
-	ix := buildSILC(t, g)
+	ix := buildCore(t, g)
 	all := make([]graph.VertexID, g.NumVertices())
 	for i := range all {
 		all[i] = graph.VertexID(i)
 	}
 	checkBatchBitIdentical(t, ix, all, all)
+	if d := ix.Distance(0, 2); d != graph.Infinity {
+		t.Errorf("dist(0, 2) across components = %d, want Infinity", d)
+	}
 }
 
 func TestSILCBatchDistanceCancelled(t *testing.T) {
 	g := testutil.SmallRoad(400, 57)
-	ix := buildSILC(t, g)
+	ix := buildCore(t, g)
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
-	table, err := ix.BatchDistance(ctx, []graph.VertexID{0, 1}, []graph.VertexID{2, 3})
+	table, err := core.NewPool(ix).BatchDistance(ctx, []graph.VertexID{0, 1}, []graph.VertexID{2, 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("BatchDistance on cancelled context: err = %v, want context.Canceled", err)
 	}
 	if table != nil {
 		t.Fatalf("BatchDistance on cancelled context returned a partial table")
-	}
-}
-
-func TestSILCContextCancelled(t *testing.T) {
-	g := testutil.SmallRoad(400, 57)
-	ix := buildSILC(t, g)
-	ctx, cancelFn := context.WithCancel(context.Background())
-	cancelFn()
-	if _, err := ix.DistanceContext(ctx, 0, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("DistanceContext err = %v, want context.Canceled", err)
-	}
-	if _, _, err := ix.NewSearcher().OpenPath(ctx, 0, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("OpenPath err = %v, want context.Canceled", err)
 	}
 }
