@@ -50,10 +50,9 @@ type Index struct {
 }
 
 // NewSearcher returns a fresh A* query context sharing ix's immutable
-// landmark tables: the shared goal-directed searcher around ix's settle
-// loop.
-func (ix *Index) NewSearcher() *dijkstra.GoalSearcher {
-	return dijkstra.NewGoalSearcher(ix.g.NumVertices(), ix.settle)
+// landmark tables.
+func (ix *Index) NewSearcher() *Searcher {
+	return &Searcher{ix: ix, q: pq.NewSearch(ix.g.NumVertices())}
 }
 
 // Build selects landmarks by farthest-point traversal and precomputes the
@@ -104,7 +103,7 @@ func Build(g *graph.Graph) *Index {
 	}
 	// Drop every landmark with a finite distance of unknown or more: storing
 	// only those entries as unknown would drop it at some vertices of a
-	// component and keep it at others, and the settle loop, which never
+	// component and keep it at others, and the A* loop, which never
 	// reopens a vertex, needs the bound consistent.
 	tooFar := func(d int64) bool { return d >= unknown && d < graph.Infinity }
 	landmarks, kept := ix.landmarks[:0], rows[:0]
@@ -151,11 +150,39 @@ func (ix *Index) potential(v graph.VertexID, rt []int32) int64 {
 	return int64(best)
 }
 
-// settle is ALT's dijkstra.SettleFunc: A* from src to t, keyed by the
-// label plus the landmark lower bound on the rest of the way.
-func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t graph.VertexID) (bool, error) {
-	q, rt := &s.Search, ix.row(t)
+// SizeBytes reports the landmark table footprint.
+func (ix *Index) SizeBytes() int64 {
+	return int64(len(ix.table))*4 + int64(len(ix.landmarks))*4
+}
+
+// Searcher answers queries on an Index by A*. A Searcher is not safe for
+// concurrent use; create one per goroutine.
+type Searcher struct {
+	ix *Index
+	// q holds the labels and the frontier of the current query.
+	q pq.Search
+
+	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath:
+	// the parent walk is assembled into pathBuf (reused across queries) and
+	// streamed from pathIter.
+	pathBuf  []graph.VertexID
+	pathIter graph.SlicePath
+}
+
+// search runs A* from src to t, keyed by the label plus the landmark lower
+// bound on the rest of the way, and reports whether t was settled, leaving
+// its label and the parent chain behind it. An already-cancelled context
+// aborts before any work, trivial src == t queries included.
+func (s *Searcher) search(ctx context.Context, src, t graph.VertexID) (bool, error) {
+	s.q.Reset()
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	ix, q, rt := s.ix, &s.q, s.ix.row(t)
 	q.Labels[src] = pq.Label{Dist: 0, Parent: -1, Gen: q.Cur}
+	if src == t {
+		return true, nil
+	}
 	q.Push(src, ix.potential(src, rt))
 	for !q.Empty() {
 		if err := cancel.Poll(ctx, q.Settled); err != nil {
@@ -182,7 +209,36 @@ func (ix *Index) settle(ctx context.Context, s *dijkstra.GoalSearcher, src, t gr
 	return false, nil
 }
 
-// SizeBytes reports the landmark table footprint.
-func (ix *Index) SizeBytes() int64 {
-	return int64(len(ix.table))*4 + int64(len(ix.landmarks))*4
+// Distance answers a distance query.
+func (s *Searcher) Distance(src, t graph.VertexID) int64 {
+	d, _ := s.DistanceContext(context.Background(), src, t)
+	return d
 }
+
+// DistanceContext is Distance with cancellation: the search polls ctx every
+// cancel.Interval settled vertices and aborts with ctx's error.
+func (s *Searcher) DistanceContext(ctx context.Context, src, t graph.VertexID) (int64, error) {
+	if found, err := s.search(ctx, src, t); !found {
+		return graph.Infinity, err
+	}
+	return s.q.Labels[t].Dist, nil
+}
+
+// OpenPath runs the query and returns a PathIterator over the shortest path
+// plus its length, or (nil, Infinity, nil) when t is unreachable. The
+// parent walk is assembled into searcher-owned scratch, so streaming a path
+// allocates nothing in steady state; the iterator is invalidated by this
+// searcher's next query.
+func (s *Searcher) OpenPath(ctx context.Context, src, t graph.VertexID) (graph.PathIterator, int64, error) {
+	if found, err := s.search(ctx, src, t); !found {
+		return nil, graph.Infinity, err
+	}
+	s.pathBuf = s.q.AppendParents(append(s.pathBuf[:0], t), t)
+	slices.Reverse(s.pathBuf)
+	s.pathIter.Reset(s.pathBuf)
+	return &s.pathIter, s.q.Labels[t].Dist, nil
+}
+
+// SettledLast reports the vertices settled by the last query: 0 after one
+// that searched nothing.
+func (s *Searcher) SettledLast() int { return s.q.Settled }

@@ -167,11 +167,11 @@ func TestALTStats(t *testing.T) {
 	}
 }
 
-// TestGoalSearcherGenerationWrap runs the goal-directed searcher through
-// ALT's settle loop, which writes its labels itself.
-func TestGoalSearcherGenerationWrap(t *testing.T) {
+// TestSearcherGenerationWrap runs ALT's searcher across the wrap of its
+// stamp; its A* loop writes its labels itself.
+func TestSearcherGenerationWrap(t *testing.T) {
 	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
 		s := alt.Build(g).NewSearcher()
-		return s.Distance, func(stamp uint32) { s.Search.Cur = stamp }
+		return s.Distance, s.SetStamp
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
+	"roadnet/internal/workload"
 )
 
 // build returns the arc-flags index of g over a default hierarchy.
@@ -38,10 +39,12 @@ func TestArcFlagsAdversarialGraph(t *testing.T) {
 	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g)[:4000], ix.Distance)
 }
 
+// TestArcFlagsPruneSearch holds the flag-pruned search to the unpruned one
+// it is made of, bidirectional Dijkstra: the flags must settle fewer.
 func TestArcFlagsPruneSearch(t *testing.T) {
 	g := testutil.SmallRoad(2500, 703)
 	ix := build(g).NewSearcher()
-	ctx := dijkstra.NewContext(g)
+	bi := dijkstra.NewBidirectional(g)
 	var flagged, plain int
 	for _, p := range testutil.SamplePairs(g, 30, 107) {
 		if p[0] == p[1] {
@@ -49,11 +52,45 @@ func TestArcFlagsPruneSearch(t *testing.T) {
 		}
 		ix.Distance(p[0], p[1])
 		flagged += ix.SettledLast()
-		plain += ctx.Run([]graph.VertexID{p[0]}, dijkstra.Options{Targets: []graph.VertexID{p[1]}})
+		plain += bi.Query(p[0], p[1]).Settled
 	}
 	if flagged >= plain {
-		t.Errorf("arc flags settled %d >= plain Dijkstra %d; no pruning", flagged, plain)
+		t.Errorf("arc flags settled %d >= bidirectional Dijkstra %d; no pruning", flagged, plain)
 	}
+}
+
+// TestArcFlagsSettledCount pins the work of the two-sided query in the
+// paper's machine-independent unit: vertices settled by both searches over
+// NH's Q10 pairs (workload seed 1), each answer held to bidirectional
+// Dijkstra. A backward search that ignored the flags would still answer
+// right, and only this count would show it.
+func TestArcFlagsSettledCount(t *testing.T) {
+	g, err := gen.GeneratePreset("NH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := workload.LInfSets(g, workload.Config{PairsPerSet: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, bi := build(g).NewSearcher(), dijkstra.NewBidirectional(g)
+	settled := 0
+	for _, p := range sets[len(sets)-1].Pairs {
+		if d, want := sr.Distance(p.S, p.T), bi.Distance(p.S, p.T); d != want {
+			t.Fatalf("dist(%d, %d) = %d, want %d", p.S, p.T, d, want)
+		}
+		settled += sr.SettledLast()
+	}
+	if want := 16521; settled != want {
+		t.Errorf("Q10 settled %d vertices, pinned at %d", settled, want)
+	}
+}
+
+func TestSearcherGenerationWrap(t *testing.T) {
+	testutil.CheckAcrossGenerationWrap(t, func(g *graph.Graph) (testutil.DistanceFunc, func(uint32)) {
+		s := build(g).NewSearcher()
+		return s.Distance, s.SetStamp
+	})
 }
 
 func TestArcFlagsDisconnected(t *testing.T) {

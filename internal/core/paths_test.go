@@ -70,7 +70,7 @@ func TestPathDigests(t *testing.T) {
 		MethodSILC:     0x1a5aceafcd109992,
 		MethodPCPD:     0x1a5aceafcd109992,
 		MethodALT:      0x6c53581c07539751,
-		MethodArcFlags: 0x9427c0ae752d95da,
+		MethodArcFlags: 0xf0a1cf890152ecea,
 	}
 	for _, m := range concurrencyMethods {
 		h := fnv.New64a()

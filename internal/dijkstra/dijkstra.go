@@ -1,9 +1,8 @@
 // Package dijkstra implements Dijkstra's algorithm and the bidirectional
-// variant of Pohl that the paper uses as its baseline (§3.1), and
-// GoalSearcher, the shell ALT and arc-flags run their settle loops in. Each
-// searches on a pq.Search per direction, one 16-byte label per vertex beside
-// the heap, allocated once per searcher and invalidated between queries by
-// its generation stamp, so a query costs what it settles.
+// variant of Pohl that the paper uses as its baseline (§3.1). Each searches
+// on a pq.Search per direction, one 16-byte label per vertex beside the
+// heap, allocated once per searcher and invalidated between queries by its
+// generation stamp, so a query costs what it settles.
 //
 // The unidirectional search doubles as the ground truth in tests and runs
 // the target-stopped access-node searches of TNR's preprocessing and ALT's

@@ -19,6 +19,7 @@ import (
 	"roadnet/internal/core"
 	"roadnet/internal/gen"
 	"roadnet/internal/graph"
+	"roadnet/internal/silc"
 	"roadnet/internal/tnr"
 	"roadnet/internal/workload"
 )
@@ -154,10 +155,10 @@ func (l *lab) datasets(prepare bool) ([]*dataset, error) {
 
 // applicable reports whether a method is attempted on a dataset, by the
 // paper's rule for the all-pairs techniques: SILC on datasets of up to
-// 25 000 vertices, PCPD on the four smallest.
+// silc.MaxN vertices, PCPD on the four smallest.
 func applicable(m core.Method, name string) bool {
 	p, err := gen.PresetByName(name)
-	return err == nil && (m != core.MethodSILC || p.TargetN <= 25000) &&
+	return err == nil && (m != core.MethodSILC || p.TargetN <= silc.MaxN) &&
 		(m != core.MethodPCPD || slices.Contains(gen.SmallPresetNames(), name))
 }
 

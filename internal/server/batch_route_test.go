@@ -95,8 +95,8 @@ func TestBatchRoutePathIdenticalToSequential(t *testing.T) {
 }
 
 // TestBatchDistanceAcceleratedEndpoints runs the batch distance endpoint
-// against the TNR and SILC accelerators through the full HTTP stack,
-// verifying the matrix against the Dijkstra oracle.
+// on TNR and SILC indexes through the full HTTP stack, verifying the
+// matrix their per-pair loop fills against the Dijkstra oracle.
 func TestBatchDistanceAcceleratedEndpoints(t *testing.T) {
 	for _, method := range []core.Method{core.MethodTNR, core.MethodSILC} {
 		t.Run(string(method), func(t *testing.T) {

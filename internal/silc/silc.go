@@ -27,7 +27,7 @@
 // 64n B of its own. Measured on 2 cores, peak process memory (graph and
 // hierarchy included) and build time were 93 MB and 2.7 s on CO
 // (n = 9001), and 519 MB and 15.6 s on FL (n = 22158), the largest preset
-// the experiments build SILC on. Build refuses a graph of more than maxN
+// the experiments build SILC on. Build refuses a graph of more than MaxN
 // vertices before it allocates anything.
 package silc
 
@@ -52,10 +52,10 @@ const noHop = ch.NoHop
 // supports; road networks are degree-bounded far below this (§2).
 const maxDegree = noHop
 
-// maxN guards against graphs whose n² B next-hop matrix would not fit in
+// MaxN guards against graphs whose n² B next-hop matrix would not fit in
 // memory: 625 MB at the bound, which FL, the largest preset the paper's
 // SILC rule admits, stays below.
-const maxN = 25000
+const MaxN = 25000
 
 // quadBits is the quadtree resolution per axis, the finest a Morton code
 // of 32 bits holds.
@@ -94,8 +94,8 @@ func Build(g *graph.Graph, h *ch.Hierarchy) (*Index, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("silc: empty graph")
 	}
-	if n > maxN {
-		return nil, fmt.Errorf("silc: graph has %d vertices, above the guard of %d", n, maxN)
+	if n > MaxN {
+		return nil, fmt.Errorf("silc: graph has %d vertices, above the guard of %d", n, MaxN)
 	}
 	if d := g.MaxDegree(); d >= maxDegree {
 		return nil, fmt.Errorf("silc: max degree %d exceeds supported %d", d, maxDegree)
