@@ -8,13 +8,17 @@
 // The landmark table is vertex-major: the L distances of one vertex are one
 // contiguous run of int32s, so the bound at v reads one run of L words (64
 // bytes, one cache line, at 16 landmarks) beside the target's. An
-// unreachable landmark is stored as unknown and drops out of the bound; it
-// is unreachable from a whole component, so within one query every vertex
-// drops the same landmarks and the bound stays consistent. A landmark with
-// a finite distance an int32 cannot hold is dropped from the table at
-// every vertex, for the same reason. A queued vertex keeps its bound in its
-// heap key, key = dist + bound, so lowering its label re-keys it without
-// reading the table again.
+// unreachable landmark is stored as unknown. A landmark reaches a whole
+// component or none of it, so s and t have unknown at the same entries
+// exactly when they share a component or lie in two that no landmark
+// reaches; any other query is answered unreachable without a search. In a
+// search every vertex then has unknown where t has it, unknown - unknown
+// adds 0, and the bound is the max over all L entries with no test per
+// landmark, consistent within the query. A landmark with a finite distance
+// an int32 cannot hold is dropped from the table at every vertex, so that
+// unknown stays a property of whole components. A queued vertex keeps its
+// bound in its heap key, key = dist + bound, so lowering its label re-keys
+// it without reading the table again.
 //
 // The paper cites prior results showing ALT is dominated by CH in both
 // space and query time; this implementation exists so that the claim can be
@@ -132,20 +136,14 @@ func (ix *Index) row(v graph.VertexID) []int32 {
 	return ix.table[int(v)*k : int(v)*k+k]
 }
 
-// potential returns the ALT lower bound on dist(v, t), where rt is t's row.
+// potential returns the ALT lower bound on dist(v, t), where rt is t's row
+// and v's row has unknown where rt has it (search checks it at s).
 func (ix *Index) potential(v graph.VertexID, rt []int32) int64 {
 	rv := ix.row(v)[:len(rt)]
 	var best int32
 	for l, dt := range rt {
-		dv := rv[l]
-		if dv == unknown || dt == unknown {
-			continue
-		}
-		if d := dv - dt; d > best {
-			best = d
-		} else if d := dt - dv; d > best {
-			best = d
-		}
+		d := rv[l] - dt
+		best = max(best, d, -d)
 	}
 	return int64(best)
 }
@@ -182,6 +180,11 @@ func (s *Searcher) search(ctx context.Context, src, t graph.VertexID) (bool, err
 	q.Labels[src] = pq.Label{Dist: 0, Parent: -1, Gen: q.Cur}
 	if src == t {
 		return true, nil
+	}
+	for l, ds := range ix.row(src) { // unreachable: see the package doc
+		if (ds == unknown) != (rt[l] == unknown) {
+			return false, nil
+		}
 	}
 	q.Push(src, ix.potential(src, rt))
 	for !q.Empty() {

@@ -52,6 +52,9 @@ func TestALTPrunesSearchSpace(t *testing.T) {
 	}
 }
 
+// TestALTDisconnected: a query across components is answered Infinity
+// without a search, and one between two components that no landmark reaches
+// searches with a zero bound and stays exact.
 func TestALTDisconnected(t *testing.T) {
 	b := graph.NewBuilder(4)
 	g0 := testutil.Figure1()
@@ -65,9 +68,31 @@ func TestALTDisconnected(t *testing.T) {
 	if d := ix.Distance(0, 3); d != graph.Infinity {
 		t.Errorf("cross-component distance = %d, want Infinity", d)
 	}
+	if n := ix.SettledLast(); n != 0 {
+		t.Errorf("cross-component query settled %d vertices, want 0", n)
+	}
 	if p, _ := testutil.Path(ix.OpenPath, 0, 3); p != nil {
 		t.Errorf("cross-component path = %v", p)
 	}
+	// Twenty two-vertex components: the sixteen landmarks fall on the first
+	// eight, so the last twelve have none, and a query between two of them
+	// searches with a zero bound.
+	var edges [][3]int64
+	for v := int64(0); v < 40; v += 2 {
+		edges = append(edges, [3]int64{v, v + 1, 3})
+	}
+	g = weighted(t, 40, edges)
+	many := alt.Build(g)
+	for _, l := range alt.Landmarks(many) {
+		if l >= 16 {
+			t.Fatalf("landmarks %v: want all on vertices 0..15", alt.Landmarks(many))
+		}
+	}
+	sr := many.NewSearcher()
+	if d := sr.Distance(36, 39); d != graph.Infinity {
+		t.Errorf("distance between components without landmarks = %d, want Infinity", d)
+	}
+	testutil.CheckDistancesAgainstDijkstra(t, g, testutil.AllPairs(g), sr.Distance)
 }
 
 // TestALTLandmarksPerComponent: on components {0, 1, 2}, the path 3..18

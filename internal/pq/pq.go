@@ -12,10 +12,18 @@
 // Tie rule, an invariant: a sift stops as soon as the parent's key is <= the
 // moving key, and moving down it takes the right child only when its key is
 // strictly smaller than the left's. The pops of any sequence of operations,
-// ties included, are therefore fixed (TestPopOrderDigest), and so are the
-// paths every technique answers. A 4-ary heap was not taken for that reason:
-// it pops tied keys in another order, which changes paths and so every path
-// digest.
+// ties included, are therefore fixed (TestPopOrderDigest, and
+// TestPopOrderDigestExtremeKeys over all of int64), and so are the paths
+// every technique answers. down picks the child without a branch, adding
+// b2i of that compare to the left index: the compare is a coin toss on a
+// search's keys, so as a branch it mispredicts often. It is the same
+// compare, so every heap holds what it held with the branch, ties and
+// int64's extremes included. A 4-ary heap was not taken: it pops ties in
+// another order, which moves every path digest, and on CA Q10 it was no
+// faster than the branching binary heap (ns per settled vertex, two runs:
+// ALT 293/305 -> 293/285, bidirectional Dijkstra 234/243 -> 237/254),
+// while the branch-free pick took bidirectional Dijkstra from 155-160 to
+// 110-114.
 package pq
 
 // entry is one heap slot.
@@ -122,8 +130,8 @@ func (h *Heap) down(i int, x entry) {
 			break
 		}
 		small := l
-		if r := l + 1; r < n && h.e[r].key < h.e[l].key {
-			small = r
+		if r := l + 1; r < n {
+			small += b2i(h.e[r].key < h.e[l].key)
 		}
 		c := h.e[small]
 		if x.key <= c.key {
@@ -135,4 +143,13 @@ func (h *Heap) down(i int, x entry) {
 	}
 	h.e[i] = x
 	h.pos[x.id] = int32(i)
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a SETcc, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }

@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -136,6 +137,33 @@ func TestPopOrderDigest(t *testing.T) {
 			continue
 		}
 		h.Push(int32(rng.Intn(4096)), rng.Int63n(64))
+	}
+	if sum != want {
+		t.Errorf("pop-order digest %#016x, want %#016x", sum, uint64(want))
+	}
+}
+
+// TestPopOrderDigestExtremeKeys is TestPopOrderDigest over the whole int64
+// range: keys drawn from eleven values, math.MinInt64 and math.MaxInt64,
+// negatives and their neighbours among them, so ties are constant and
+// re-pushed ids jump across the range, where a pick that subtracts two keys
+// overflows. The CH build's priority heap holds negative keys. The digest
+// was generated with the branching child pick this package had before its
+// branch-free one.
+func TestPopOrderDigestExtremeKeys(t *testing.T) {
+	const want = 0xb01761048ba4da54
+	keys := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 40, -3, -1, 0, 1, 2, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(11))
+	h := New(1024)
+	sum := uint64(14695981039346656037)
+	for i := 0; i < 1<<18; i++ {
+		if (i%3 == 2 || h.Len() > 300) && !h.Empty() {
+			id, key := h.Pop()
+			sum = (sum ^ uint64(id)) * 1099511628211
+			sum = (sum ^ uint64(key)) * 1099511628211
+			continue
+		}
+		h.Push(int32(rng.Intn(1024)), keys[rng.Intn(len(keys))])
 	}
 	if sum != want {
 		t.Errorf("pop-order digest %#016x, want %#016x", sum, uint64(want))
