@@ -38,7 +38,7 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 	cellAccess := make([][]graph.VertexID, l.grid.NumCells())
 	workers := make([]*accessWorker, runtime.GOMAXPROCS(0))
 	par.Each(len(workers), l.grid.NumCells(), func(w int) func(int) {
-		worker := newAccessWorker(g, l)
+		worker := newAccessWorker(g, h, l)
 		workers[w] = worker
 		return func(cell int) {
 			if len(cellVerts[cell]) == 0 || len(vout[cell]) == 0 {
@@ -174,6 +174,7 @@ func outerShellVertices(g *graph.Graph, l *layer) [][]graph.VertexID {
 // computation.
 type accessWorker struct {
 	g   *graph.Graph
+	h   *ch.Hierarchy
 	l   *layer
 	ctx *dijkstra.Context
 
@@ -185,10 +186,11 @@ type accessWorker struct {
 	err     error // the first distance too long for a table cell, see narrow
 }
 
-func newAccessWorker(g *graph.Graph, l *layer) *accessWorker {
+func newAccessWorker(g *graph.Graph, h *ch.Hierarchy, l *layer) *accessWorker {
 	n := g.NumVertices()
 	return &accessWorker{
 		g:       g,
+		h:       h,
 		l:       l,
 		ctx:     dijkstra.NewContext(g),
 		settled: make([]uint32, n),

@@ -3,7 +3,6 @@ package tnr
 import (
 	"sort"
 
-	"roadnet/internal/dijkstra"
 	"roadnet/internal/graph"
 )
 
@@ -12,8 +11,8 @@ import (
 //
 // The method samples the outer shell: it collects the vertices Sup lying on
 // the ring of cells at Chebyshev distance exactly 4 from the cell C (the
-// drawn boundary of the 9x9 block), computes one Dijkstra per inner-shell
-// vertex vj in Sin, and marks as access nodes only those vj that minimize
+// drawn boundary of the 9x9 block), computes the distances from every
+// inner-shell vertex vj in Sin to C and to Sup, and marks as access nodes only those vj that minimize
 // dist(vi, vj) + dist(vj, vk) for some vi in C and vk in Sup.
 //
 // The flaw (the paper's Figure 12(b)): a vertex vj in Sin whose only
@@ -30,33 +29,25 @@ func (w *accessWorker) flawedAccessNodes(cellIdx int32, verts []graph.VertexID) 
 		return nil
 	}
 
-	// One Dijkstra per vj in Sin yields dist(vj, vi) for vi in C and
-	// dist(vj, vk) for vk in Sup (the graph is undirected).
+	// One many-to-many over the hierarchy yields dist(vj, vi) for vi in C
+	// and dist(vj, vk) for vk in Sup; the graph is undirected, so the
+	// shorter list is the backward side.
 	targets := make([]graph.VertexID, 0, len(verts)+len(sup))
 	targets = append(targets, verts...)
 	targets = append(targets, sup...)
-	toVerts := make([][]int64, len(sin))
-	toSup := make([][]int64, len(sin))
-	for j, vj := range sin {
-		w.ctx.Run([]graph.VertexID{vj}, dijkstra.Options{Targets: targets})
-		rowV := make([]int64, len(verts))
-		for i, vi := range verts {
-			rowV[i] = w.ctx.Dist(vi)
-		}
-		rowS := make([]int64, len(sup))
-		for k, vk := range sup {
-			rowS[k] = w.ctx.Dist(vk)
-		}
-		toVerts[j] = rowV
-		toSup[j] = rowS
+	nt := len(targets)
+	dist := make([]int64, len(sin)*nt) // dist[j*nt+x] = dist(sin[j], targets[x])
+	for i := range dist {
+		dist[i] = graph.Infinity
 	}
+	w.h.ManyToManyEach(sin, targets, func(j, x int, d int64) { dist[j*nt+x] = d })
 
 	marked := make(map[graph.VertexID]bool)
 	for i := range verts {
 		for k := range sup {
 			bestJ, bestD := -1, graph.Infinity
 			for j := range sin {
-				if d := toVerts[j][i] + toSup[j][k]; d < bestD {
+				if d := dist[j*nt+i] + dist[j*nt+len(verts)+k]; d < bestD {
 					bestD = d
 					bestJ = j
 				}
