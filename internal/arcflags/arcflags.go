@@ -11,7 +11,9 @@
 // cell: one flag table prunes both searches. As in dijkstra.Bidirectional,
 // the side with the smaller queue head settles next, every relaxed arc
 // checks for a crossing into the other side's labels, and the searches stop
-// once the two heads sum to the best crossing found.
+// once the two heads sum to the best crossing found. Each side queues on a
+// pq.RingSearch sized by the graph's largest arc weight, which Build
+// computes once.
 //
 // The paper cites prior work showing Arc Flags inferior to CH in space and
 // query time; this package lets the claim be checked on our testbed, which
@@ -56,13 +58,14 @@ type Index struct {
 	grid   geom.Grid
 	cellOf []int32
 	// flags[arc] is the cell bitset of the arc: bit c is cell c's flag.
-	flags []uint64
+	flags     []uint64
+	maxWeight graph.Weight
 }
 
 // NewSearcher returns a fresh searcher sharing ix's immutable flag tables.
 func (ix *Index) NewSearcher() *Searcher {
-	n := ix.g.NumVertices()
-	return &Searcher{ix: ix, side: [2]pq.Search{pq.NewSearch(n), pq.NewSearch(n)}}
+	n, step := ix.g.NumVertices(), int64(ix.maxWeight)
+	return &Searcher{ix: ix, side: [2]pq.RingSearch{pq.NewRingSearch(n, step), pq.NewRingSearch(n, step)}}
 }
 
 // Build computes arc flags for g, sweeping h, a contraction hierarchy of
@@ -71,10 +74,11 @@ func (ix *Index) NewSearcher() *Searcher {
 func Build(g *graph.Graph, h *ch.Hierarchy) *Index {
 	n := g.NumVertices()
 	ix := &Index{
-		g:      g,
-		grid:   geom.NewGrid(g.Bounds(), gridSize, gridSize),
-		cellOf: make([]int32, n),
-		flags:  make([]uint64, g.NumArcs()),
+		g:         g,
+		grid:      geom.NewGrid(g.Bounds(), gridSize, gridSize),
+		cellOf:    make([]int32, n),
+		flags:     make([]uint64, g.NumArcs()),
+		maxWeight: g.MaxWeight(),
 	}
 	for v := 0; v < n; v++ {
 		c, r := ix.grid.CellOf(g.Coord(graph.VertexID(v)))
@@ -143,7 +147,7 @@ func (ix *Index) SizeBytes() int64 {
 type Searcher struct {
 	ix *Index
 	// side[0] searches from s, side[1] from t.
-	side [2]pq.Search
+	side [2]pq.RingSearch
 
 	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath:
 	// the two parent walks are joined in pathBuf (reused across queries)

@@ -69,7 +69,7 @@ func TestPathDigests(t *testing.T) {
 		MethodTNR:      0x7a8ebb061f63172b,
 		MethodSILC:     0x1a5aceafcd109992,
 		MethodPCPD:     0x1a5aceafcd109992,
-		MethodALT:      0x6c53581c07539751,
+		MethodALT:      0xc32b7e383370233f,
 		MethodArcFlags: 0xf0a1cf890152ecea,
 	}
 	for _, m := range concurrencyMethods {

@@ -18,7 +18,7 @@ import (
 type Bidirectional struct {
 	g *graph.Graph
 	// side[0] searches from s, side[1] from t.
-	side [2]pq.Search
+	side [2]pq.RingSearch
 
 	// pathBuf and pathIter are the searcher-owned scratch behind OpenPath:
 	// the parent walk is assembled into pathBuf (reused across queries, so
@@ -28,10 +28,11 @@ type Bidirectional struct {
 	pathIter graph.SlicePath
 }
 
-// NewBidirectional returns a reusable bidirectional searcher on g.
+// NewBidirectional returns a reusable bidirectional searcher on g. It scans
+// g's arcs once, for the largest weight, which sizes its rings.
 func NewBidirectional(g *graph.Graph) *Bidirectional {
-	n := g.NumVertices()
-	return &Bidirectional{g: g, side: [2]pq.Search{pq.NewSearch(n), pq.NewSearch(n)}}
+	n, step := g.NumVertices(), int64(g.MaxWeight())
+	return &Bidirectional{g: g, side: [2]pq.RingSearch{pq.NewRingSearch(n, step), pq.NewRingSearch(n, step)}}
 }
 
 // Result carries the outcome of one bidirectional query.

@@ -1,8 +1,10 @@
 // Package dijkstra implements Dijkstra's algorithm and the bidirectional
-// variant of Pohl that the paper uses as its baseline (§3.1). Each searches
-// on a pq.Search per direction, one 16-byte label per vertex beside the
-// heap, allocated once per searcher and invalidated between queries by its
-// generation stamp, so a query costs what it settles.
+// variant of Pohl that the paper uses as its baseline (§3.1). Each keeps one
+// 16-byte label per vertex and direction beside its queue, allocated once
+// per searcher and invalidated between queries by its generation stamp, so
+// a query costs what it settles. Context queues on a pq.Search, a binary
+// heap; Bidirectional queues each direction on a pq.RingSearch, a bucket
+// ring sized by the graph's largest arc weight.
 //
 // The unidirectional search doubles as the ground truth in tests and runs
 // the target-stopped access-node searches of TNR's preprocessing and ALT's

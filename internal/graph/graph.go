@@ -170,6 +170,16 @@ func (g *Graph) EdgesByID() []Edge {
 	return edges
 }
 
+// MaxWeight returns the largest arc weight, 0 on a graph without edges. It
+// scans the arcs, so a searcher sizing its queue by it calls it once.
+func (g *Graph) MaxWeight() Weight {
+	var m Weight
+	for _, w := range g.weight {
+		m = max(m, w)
+	}
+	return m
+}
+
 // MaxDegree returns the largest vertex degree; road networks are
 // degree-bounded (§2), and tests assert the generator respects this.
 func (g *Graph) MaxDegree() int {

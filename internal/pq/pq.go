@@ -1,7 +1,18 @@
 // Package pq holds the state every Dijkstra-style search in this repository
-// runs on: an addressable binary min-heap over dense int32 ids (vertex ids)
-// with int64 keys, and Search, that heap paired with one generation-stamped
+// runs on: two priority queues over dense int32 ids (vertex ids) with int64
+// keys, and Search and RingSearch, each one paired with a generation-stamped
 // Label per vertex and the settle count every searcher reports and polls.
+//
+// Which queue. Heap is an addressable binary min-heap for any keys; Ring is
+// a monotone bucket queue for keys that grow by at most a known step from
+// the last one popped. The three query searches over the road graph itself
+// run on a RingSearch: bidirectional Dijkstra and arc flags with the largest
+// arc weight as the step, ALT with twice it, since a landmark bound changes
+// by at most the arc's weight across an arc. Everything else runs on a
+// Search: the searches over the contraction hierarchy, whose shortcuts make
+// the steps large; CH's contraction order, whose keys are negative; and
+// dijkstra.Context, which the index builds run, whose tie order is part of
+// the indexes' bytes.
 //
 // Layout. The heap is one array of 16-byte (key, id) entries in heap order
 // plus an id -> position index, and sifts move a hole rather than swapping,
@@ -23,7 +34,18 @@
 // faster than the branching binary heap (ns per settled vertex, two runs:
 // ALT 293/305 -> 293/285, bidirectional Dijkstra 234/243 -> 237/254),
 // while the branch-free pick took bidirectional Dijkstra from 155-160 to
-// 110-114.
+// 110-114. The ring was: on CA Q10, bidirectional Dijkstra 2.37 -> 1.92 ms
+// per query and ALT 0.35 -> 0.19 ms (fastest of 15 interleaved rounds, 200
+// pairs).
+//
+// Ring. Ties pop last in, first out: a pushed or lowered id heads its
+// bucket. A* settles fewer vertices so (package alt), Dijkstra the same
+// ones. A key a span or more ahead waits in an overflow list, which only
+// arcs heavier than the 2^16-bucket cap reach (TestRingOrderDigest,
+// FuzzGraphSearchesAgree). Its links take 8 B per vertex where the heap's
+// position index takes 4 B, and it queues no 16-byte entries: a CA
+// Bidirectional (39 121 vertices, two sides) holds 626 KB of links against
+// 313 KB of heap positions.
 package pq
 
 // entry is one heap slot.
@@ -65,10 +87,6 @@ func (h *Heap) Clear() {
 
 // Contains reports whether id is currently on the heap.
 func (h *Heap) Contains(id int32) bool { return h.pos[id] >= 0 }
-
-// Key returns the current key of id. It must only be called when
-// Contains(id) is true.
-func (h *Heap) Key(id int32) int64 { return h.e[h.pos[id]].key }
 
 // Push inserts id with the given key, or decreases/increases its key if the
 // id is already present.

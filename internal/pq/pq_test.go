@@ -198,3 +198,102 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/heap-op")
 }
+
+// TestRingOrderDigest pins the order of every Ring pop, ties included: a
+// seeded run of pushes, decreases and pops whose keys lie at most step ahead
+// of the last pop, held to a model (every pop has the smallest queued key)
+// and digested with FNV-1a over each popped (id, key). A bucket popped FIFO,
+// a bitmap bit left set, or an overflow moved into the buckets one key early
+// or late changes the digest. The digests were generated with the ring as
+// it stands.
+func TestRingOrderDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		step, span int64 // keys go up to step ahead of the last pop; span is the ring's
+		want       uint64
+	}{
+		{"window", 40, 64, 0xbfacb2a365000e1f},
+		// Steps far beyond the span: most keys go to the overflow list,
+		// which is re-bucketed many times over as cur wraps the ring.
+		{"overflow", 1000, 64, 0xcb918aea7621f49e},
+		{"overflow-wide", 5000, 1024, 0x9f9a68e931bca25c},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const ids = 2048
+			r := NewRing(ids, tc.span-1)
+			if got := int64(len(r.head)); got != tc.span {
+				t.Fatalf("span %d, want %d", got, tc.span)
+			}
+			rng := rand.New(rand.NewSource(7))
+			model := map[int32]int64{}
+			var last int64
+			sum := uint64(14695981039346656037)
+			for i := 0; i < 1<<16; i++ {
+				if (i%3 == 2 || len(model) > 600) && len(model) > 0 {
+					id, key := r.Pop()
+					for mid, mkey := range model {
+						if mkey < key {
+							t.Fatalf("op %d: popped key %d but id %d holds %d", i, key, mid, mkey)
+						}
+					}
+					if model[id] != key {
+						t.Fatalf("op %d: popped (%d, %d), model has %d", i, id, key, model[id])
+					}
+					delete(model, id)
+					last = key
+					sum = (sum ^ uint64(id)) * 1099511628211
+					sum = (sum ^ uint64(key)) * 1099511628211
+					continue
+				}
+				id, key := int32(rng.Intn(ids)), last+rng.Int63n(tc.step+1)
+				if old, ok := model[id]; ok {
+					key = last + rng.Int63n(old-last+1) // a decrease, or the same key
+					r.Decrease(id, key)
+				} else {
+					r.Push(id, key)
+				}
+				model[id] = key
+			}
+			if sum != tc.want {
+				t.Errorf("pop-order digest %#016x, want %#016x", sum, tc.want)
+			}
+		})
+	}
+	t.Run("generation-wrap", ringSearchAcrossWrap)
+}
+
+// ringSearchAcrossWrap runs RingSearch Visits and Pops across the wrap of
+// its generation stamp: labels of the searches before the wrap must not leak
+// into those after it, and the pops are digested as in TestRingOrderDigest.
+func ringSearchAcrossWrap(t *testing.T) {
+	const want, n = 0x8b446d7d47104506, 512
+	s := NewRingSearch(n, 63)
+	s.Cur = math.MaxUint32 - 3
+	rng := rand.New(rand.NewSource(3))
+	sum := uint64(14695981039346656037)
+	wraps := 0
+	for search := 0; search < 8; search++ {
+		if s.Reset() {
+			wraps++
+		}
+		s.Visit(int32(rng.Intn(n)), 0, -1)
+		for !s.Empty() {
+			v, d := s.Pop()
+			if l := s.Labels[v]; l.Dist != d || l.Gen != s.Cur {
+				t.Fatalf("search %d: popped %d at %d, label %+v (gen %d)", search, v, d, l, s.Cur)
+			}
+			sum = (sum ^ uint64(v)) * 1099511628211
+			sum = (sum ^ uint64(d)) * 1099511628211
+			for k := 0; k < 3; k++ {
+				s.Visit(int32(rng.Intn(n)), d+1+rng.Int63n(63), v)
+			}
+		}
+		sum = (sum ^ uint64(s.Settled)) * 1099511628211
+	}
+	if wraps != 1 {
+		t.Fatalf("%d wraps, want 1", wraps)
+	}
+	if sum != want {
+		t.Errorf("pop-order digest %#016x, want %#016x", sum, uint64(want))
+	}
+}
