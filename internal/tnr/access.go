@@ -38,7 +38,7 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 	cellAccess := make([][]graph.VertexID, l.grid.NumCells())
 	workers := make([]*accessWorker, runtime.GOMAXPROCS(0))
 	par.Each(len(workers), l.grid.NumCells(), func(w int) func(int) {
-		worker := newAccessWorker(g, h, l)
+		worker := newAccessWorker(g, h, l, cellVerts)
 		workers[w] = worker
 		return func(cell int) {
 			if len(cellVerts[cell]) == 0 || len(vout[cell]) == 0 {
@@ -173,10 +173,11 @@ func outerShellVertices(g *graph.Graph, l *layer) [][]graph.VertexID {
 // accessWorker owns the per-goroutine scratch state of the access-node
 // computation.
 type accessWorker struct {
-	g   *graph.Graph
-	h   *ch.Hierarchy
-	l   *layer
-	ctx *dijkstra.Context
+	g         *graph.Graph
+	h         *ch.Hierarchy
+	l         *layer
+	cellVerts [][]graph.VertexID // the vertices of each cell, shared read-only
+	ctx       *dijkstra.Context
 
 	settled []uint32 // generation marks: vertex settled in current search
 	reach   []uint32 // generation marks: vertex can reach Vout in the DAG
@@ -186,16 +187,17 @@ type accessWorker struct {
 	err     error // the first distance too long for a table cell, see narrow
 }
 
-func newAccessWorker(g *graph.Graph, h *ch.Hierarchy, l *layer) *accessWorker {
+func newAccessWorker(g *graph.Graph, h *ch.Hierarchy, l *layer, cellVerts [][]graph.VertexID) *accessWorker {
 	n := g.NumVertices()
 	return &accessWorker{
-		g:       g,
-		h:       h,
-		l:       l,
-		ctx:     dijkstra.NewContext(g),
-		settled: make([]uint32, n),
-		reach:   make([]uint32, n),
-		anSet:   make(map[graph.VertexID]bool),
+		g:         g,
+		h:         h,
+		l:         l,
+		cellVerts: cellVerts,
+		ctx:       dijkstra.NewContext(g),
+		settled:   make([]uint32, n),
+		reach:     make([]uint32, n),
+		anSet:     make(map[graph.VertexID]bool),
 	}
 }
 

@@ -1,8 +1,10 @@
 package tnr
 
 import (
+	"slices"
 	"sort"
 
+	"roadnet/internal/geom"
 	"roadnet/internal/graph"
 )
 
@@ -30,8 +32,9 @@ func (w *accessWorker) flawedAccessNodes(cellIdx int32, verts []graph.VertexID) 
 	}
 
 	// One many-to-many over the hierarchy yields dist(vj, vi) for vi in C
-	// and dist(vj, vk) for vk in Sup; the graph is undirected, so the
-	// shorter list is the backward side.
+	// and dist(vj, vk) for vk in Sup: Sin is the forward side and C ∪ Sup
+	// the backward one, whatever their lengths. The graph is undirected, so
+	// either order gives the same distances, and both measured alike.
 	targets := make([]graph.VertexID, 0, len(verts)+len(sup))
 	targets = append(targets, verts...)
 	targets = append(targets, sup...)
@@ -65,41 +68,43 @@ func (w *accessWorker) flawedAccessNodes(cellIdx int32, verts []graph.VertexID) 
 	return nodes
 }
 
-// innerShellVertices returns the endpoints of edges crossing the inner
-// shell of the cell (exactly one endpoint inside the 5x5 block). The scan
-// over all vertices is acceptable because the flawed variant exists only
-// for the Appendix B demonstration on small inputs.
+// innerShellVertices returns, in ascending order, the endpoints of edges
+// crossing the inner shell of the cell (exactly one endpoint inside the 5x5
+// block).
 func (w *accessWorker) innerShellVertices(cellIdx int32) []graph.VertexID {
-	seen := make(map[graph.VertexID]bool)
-	for u := 0; u < w.g.NumVertices(); u++ {
-		if w.chebToCell(graph.VertexID(u), cellIdx) > innerRadius {
-			continue
-		}
-		w.g.Neighbors(graph.VertexID(u), func(v graph.VertexID, _ graph.Weight, _ int32) bool {
+	var nodes []graph.VertexID
+	for _, u := range w.blockVertices(cellIdx, 0, innerRadius) {
+		w.g.Neighbors(u, func(v graph.VertexID, _ graph.Weight, _ int32) bool {
 			if w.chebToCell(v, cellIdx) > innerRadius {
-				seen[graph.VertexID(u)] = true
-				seen[v] = true
+				nodes = append(nodes, u, v)
 			}
 			return true
 		})
 	}
-	nodes := make([]graph.VertexID, 0, len(seen))
-	for a := range seen {
-		nodes = append(nodes, a)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
+}
+
+// outerRingVertices returns, in ascending order, the vertices located in the
+// ring of cells at Chebyshev distance exactly outerRadius from the cell —
+// Bast et al.'s sampled outer boundary. Edges that jump over this ring are
+// missed, which is precisely the defect.
+func (w *accessWorker) outerRingVertices(cellIdx int32) []graph.VertexID {
+	nodes := w.blockVertices(cellIdx, outerRadius, outerRadius)
+	slices.Sort(nodes)
 	return nodes
 }
 
-// outerRingVertices returns the vertices located in the ring of cells at
-// Chebyshev distance exactly outerRadius from the cell — Bast et al.'s
-// sampled outer boundary. Edges that jump over this ring are missed, which
-// is precisely the defect.
-func (w *accessWorker) outerRingVertices(cellIdx int32) []graph.VertexID {
+// blockVertices returns the vertices of the cells at Chebyshev distance lo
+// to hi from the cell, in no particular order.
+func (w *accessWorker) blockVertices(cellIdx int32, lo, hi int) []graph.VertexID {
 	var nodes []graph.VertexID
-	for v := 0; v < w.g.NumVertices(); v++ {
-		if w.chebToCell(graph.VertexID(v), cellIdx) == outerRadius {
-			nodes = append(nodes, graph.VertexID(v))
+	cc, cr := w.l.cellCoords(cellIdx)
+	for r := max(cr-hi, 0); r <= min(cr+hi, w.l.grid.Rows-1); r++ {
+		for c := max(cc-hi, 0); c <= min(cc+hi, w.l.grid.Cols-1); c++ {
+			if geom.ChebyshevCellDist(c, r, cc, cr) >= lo {
+				nodes = append(nodes, w.cellVerts[w.l.grid.CellIndex(c, r)]...)
+			}
 		}
 	}
 	return nodes
