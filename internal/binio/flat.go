@@ -55,7 +55,7 @@ const FlatMagic = "RNFLAT2\n"
 // reader accepts exactly the layout it writes: any other version is
 // ErrVersion, and each kind's loader refuses a section count or meta length
 // other than its Save's (Reader.Done).
-const FlatVersion = 5
+const FlatVersion = 6
 
 // flatAlign is the section alignment; 64 bytes keeps every section start
 // on a cache-line (and, via mmap's page alignment, word-aligned for casts).

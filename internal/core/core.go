@@ -132,19 +132,14 @@ type PathIterator = graph.PathIterator
 // ceiling, mirroring the paper's 24 GB main-memory rule.
 var ErrIndexTooLarge = errors.New("core: index exceeds the memory ceiling")
 
-// ErrFlawedTNR is returned by BuildIndex and the loaders for a TNR index
-// whose access nodes are not tnr.AccessCorrected: Bast et al.'s flawed
-// computation answers some distances wrongly (Appendix B), so no serving
-// configuration may select it. The Appendix B experiment builds it with
-// tnr.Build directly.
-var ErrFlawedTNR = errors.New("core: TNR with flawed access nodes cannot serve queries")
-
 // Config tunes index construction for the evaluation.
 type Config struct {
 	// MaxIndexBytes drops indexes larger than this (0 = no ceiling). The
 	// paper's analogue is its 24 GB rule.
 	MaxIndexBytes int64
-	// TNR holds the TNR grid configuration.
+	// TNR holds the TNR grid configuration. Every TNR index built here has
+	// the corrected access nodes: Bast et al.'s flawed ones (Appendix B)
+	// come only from tnr.BuildFlawed, as a distance oracle no method serves.
 	TNR tnr.Options
 	// Hierarchy optionally shares a prebuilt CH across methods (used by
 	// the harness so the preprocessing of TNR, SILC, PCPD and arc-flags
@@ -175,9 +170,6 @@ func BuildIndex(method Method, g *graph.Graph, cfg Config) (Index, error) {
 		err = hierarchy()
 		tech = h
 	case MethodTNR:
-		if cfg.TNR.Access != tnr.AccessCorrected {
-			return nil, ErrFlawedTNR
-		}
 		if err = hierarchy(); err == nil {
 			tech, err = tnr.Build(g, h, cfg.TNR)
 		}

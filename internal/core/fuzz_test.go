@@ -18,9 +18,9 @@ import (
 // is loaded as a file twice, verified from the heap and mapped with
 // binio.WithoutVerify — the path -verify=false takes, where a mutation gets
 // past the CRC sweep onto the six constructors' structural checks. Every
-// error must be ErrCorrupt, ErrVersion, ErrNotFlat or core.ErrFlawedTNR, or
-// one of the two misconfiguration errors: a container of another kind, or
-// an index built for a graph of another size. For the four index kinds it
+// error must be ErrCorrupt, ErrVersion or ErrNotFlat, or one of the two
+// misconfiguration errors: a container of another kind, or an index built
+// for a graph of another size. For the four index kinds it
 // also holds the graph check: bytes that load on one graph are refused on a
 // graph of another size, as built for a different graph. The seeds are the
 // saved form of all six kinds (TNR hybrid), the CH file with a planted
@@ -55,7 +55,7 @@ func FuzzLoad(f *testing.F) {
 		typed := func(err error) {
 			switch {
 			case err == nil, errors.Is(err, binio.ErrCorrupt), errors.Is(err, binio.ErrVersion),
-				errors.Is(err, binio.ErrNotFlat), errors.Is(err, core.ErrFlawedTNR),
+				errors.Is(err, binio.ErrNotFlat),
 				strings.Contains(err.Error(), "container holds"), strings.Contains(err.Error(), "built for a"):
 			default:
 				t.Fatalf("untyped load error: %v", err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -146,21 +145,29 @@ type historyForm struct {
 }
 
 // historyForms derives each refused history form from the current saves,
-// and reads each kind's saves of the same network by two earlier builds.
+// and reads each kind's saves of the same network by every earlier build
+// under testdata/versionN, the last layout of container version N.
 // testdata/version3 holds the last layout before TNR's fallback byte and
 // the R-tree's node capacity left the meta blobs; PCPD had no file format
 // then, so its file there is the layout PCPD first wrote, stamped version 3
 // with its header checksum recomputed. testdata/version4 holds the last
-// layout before the build time left the CH, TNR, SILC and PCPD meta blobs.
+// layout before the build time left the CH, TNR, SILC and PCPD meta blobs,
+// and testdata/version5 the last before TNR's access-node byte left its
+// meta blob.
 func historyForms(t testing.TB, kinds []savedKind) []historyForm {
+	dirs, err := filepath.Glob(filepath.Join("testdata", "version*"))
+	if err != nil || len(dirs) == 0 {
+		t.Fatalf("no testdata/version* directories (%v)", err)
+	}
 	var forms []historyForm
 	for k, sk := range kinds {
-		for _, v := range []int{3, 4} {
-			old, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("version%d", v), sk.name))
+		for _, dir := range dirs {
+			old, err := os.ReadFile(filepath.Join(dir, sk.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			forms = append(forms, historyForm{fmt.Sprintf("%s/version-%d", sk.name, v), k, old, roadnet.ErrVersion})
+			v := strings.TrimPrefix(filepath.Base(dir), "version")
+			forms = append(forms, historyForm{sk.name + "/version-" + v, k, old, roadnet.ErrVersion})
 		}
 		v2 := bytes.Clone(sk.data)
 		v2[12] = 2 // the container version, a u32 at offset 12

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
-	"roadnet/internal/ch"
 	"roadnet/internal/graph"
 	"roadnet/internal/testutil"
 	"roadnet/internal/tnr"
@@ -83,25 +81,6 @@ func TestDefaultSearcherLazyAndExact(t *testing.T) {
 				check(t, loaded)
 			})
 		}
-	}
-}
-
-// TestFlawedTNRRefused: no serving configuration may select the flawed
-// Appendix B access nodes. BuildIndex refuses the option, and a file saved
-// from such an index — tnr.Build makes one, as the Appendix B experiment
-// does — does not load.
-func TestFlawedTNRRefused(t *testing.T) {
-	g := testutil.SmallRoad(400, 977)
-	opts := tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast}
-	if _, err := BuildIndex(MethodTNR, g, Config{TNR: opts}); !errors.Is(err, ErrFlawedTNR) {
-		t.Errorf("BuildIndex: err = %v, want ErrFlawedTNR", err)
-	}
-	var buf bytes.Buffer
-	if err := testutil.Must(tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), opts)).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadIndexFile(MethodTNR, testutil.TempFile(t, "tnr.idx", buf.Bytes()), g, false); !errors.Is(err, ErrFlawedTNR) {
-		t.Errorf("LoadIndexFile: err = %v, want ErrFlawedTNR", err)
 	}
 }
 

@@ -21,13 +21,7 @@ var loaders = []struct {
 	load   func(*binio.FlatFile, *graph.Graph) (technique, error)
 }{
 	{MethodCH, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return ch.HierarchyFromFlat(f, g) }},
-	{MethodTNR, func(f *binio.FlatFile, g *graph.Graph) (technique, error) {
-		t, err := tnr.IndexFromFlat(f, g)
-		if err == nil && t.Access() != tnr.AccessCorrected {
-			err = ErrFlawedTNR
-		}
-		return t, err
-	}},
+	{MethodTNR, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return tnr.IndexFromFlat(f, g) }},
 	{MethodSILC, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return silc.IndexFromFlat(f, g) }},
 	{MethodPCPD, func(f *binio.FlatFile, g *graph.Graph) (technique, error) { return pcpd.IndexFromFlat(f, g) }},
 }

@@ -28,16 +28,16 @@ func runAppendixB(l *lab, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		flawed, err := tnr.Build(g, h, tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
+		flawed, err := tnr.BuildFlawed(g, h, 16)
 		if err != nil {
 			return err
 		}
-		corrected, err := tnr.Build(g, h, tnr.Options{GridSize: 16, Access: tnr.AccessCorrected})
+		corrected, err := tnr.Build(g, h, tnr.Options{GridSize: 16})
 		if err != nil {
 			return err
 		}
 		ctx := dijkstra.NewContext(g)
-		flawedSr, correctedSr := flawed.NewSearcher(), corrected.NewSearcher()
+		correctedSr := corrected.NewSearcher()
 		var flawedWrong, correctedWrong, queries int
 		for _, p := range probes {
 			if !corrected.CanAnswerFromTables(p[0], p[1]) {
@@ -45,7 +45,7 @@ func runAppendixB(l *lab, w io.Writer) error {
 			}
 			queries++
 			want := ctx.Distance(p[0], p[1])
-			if flawedSr.Distance(p[0], p[1]) != want {
+			if flawed(p[0], p[1]) != want {
 				flawedWrong++
 			}
 			if correctedSr.Distance(p[0], p[1]) != want {

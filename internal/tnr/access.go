@@ -12,11 +12,16 @@ import (
 	"roadnet/internal/par"
 )
 
+// accessRule computes the access nodes of one cell, in ascending order,
+// from the cell's vertices and its Vout set (outerShellVertices):
+// correctedAccessNodes for Build, flawedAccessNodes for BuildFlawed.
+type accessRule func(w *accessWorker, cellIdx int32, verts, vout []graph.VertexID) []graph.VertexID
+
 // buildLayer constructs one grid level: cell assignment, outer-shell vertex
-// sets, per-cell access nodes, vertex-to-access-node distances, and the
-// access-node pair table (dense for the coarse grid, distance-limited
+// sets, per-cell access nodes by rule, vertex-to-access-node distances, and
+// the access-node pair table (dense for the coarse grid, distance-limited
 // sparse for the fine grid of a hybrid index).
-func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorithm, dense bool) (*layer, error) {
+func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, rule accessRule, dense bool) (*layer, error) {
 	n := g.NumVertices()
 	l := &layer{
 		grid:   geom.NewGrid(g.Bounds(), gridSize, gridSize),
@@ -44,12 +49,7 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 			if len(cellVerts[cell]) == 0 || len(vout[cell]) == 0 {
 				return
 			}
-			switch alg {
-			case AccessFlawedBast:
-				cellAccess[cell] = worker.flawedAccessNodes(int32(cell), cellVerts[cell])
-			default:
-				cellAccess[cell] = worker.correctedAccessNodes(int32(cell), cellVerts[cell], vout[cell])
-			}
+			cellAccess[cell] = rule(worker, int32(cell), cellVerts[cell], vout[cell])
 			// Distances from every cell vertex to every access node.
 			worker.fillVertexDistances(cellVerts[cell], cellAccess[cell], l.vaDist)
 		}
@@ -80,9 +80,6 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 	if err := fillPairTable(l, h, dense); err != nil {
 		return nil, err
 	}
-	if alg == AccessCorrected {
-		pruneDominated(l, cellVerts)
-	}
 	return l, nil
 }
 
@@ -93,26 +90,23 @@ func buildLayer(g *graph.Graph, h *ch.Hierarchy, gridSize int, alg AccessAlgorit
 // skip. Every comparison reads the unpruned row, so all dominated nodes go
 // at once; on the sparse layer a pair without a cell dominates nothing.
 // The package comment argues why every distance stays exact.
-func pruneDominated(l *layer, cellVerts [][]graph.VertexID) {
-	par.Each(runtime.GOMAXPROCS(0), len(cellVerts), func(int) func(int) {
+func pruneDominated(l *layer) {
+	par.Each(runtime.GOMAXPROCS(0), len(l.vaDist), func(int) func(int) {
 		var row []int32
-		return func(cell int) {
-			ans := l.cellAN[cell]
-			for _, v := range cellVerts[cell] {
-				va := l.vaDist[v]
-				row = append(row[:0], va...)
-				for i, a := range ans {
-					if row[i] == invalidDist {
+		return func(v int) {
+			ans, va := l.cellAN[l.cellOf[v]], l.vaDist[v]
+			row = append(row[:0], va...)
+			for i, a := range ans {
+				if row[i] == invalidDist {
+					continue
+				}
+				for j, b := range ans {
+					if j == i || row[j] == invalidDist {
 						continue
 					}
-					for j, b := range ans {
-						if j == i || row[j] == invalidDist {
-							continue
-						}
-						if mid := l.pair(b, a); mid != invalidDist && int64(row[j])+int64(mid) == int64(row[i]) {
-							va[i] = invalidDist
-							break
-						}
+					if mid := l.pair(b, a); mid != invalidDist && int64(row[j])+int64(mid) == int64(row[i]) {
+						va[i] = invalidDist
+						break
 					}
 				}
 			}

@@ -40,15 +40,20 @@ func layerDigest(t *testing.T, ix *tnr.Index) uint64 {
 // schedule of the parallel stages and the hierarchy the pair table is
 // computed over must not show; a change of the access-node rule or of the
 // layout regenerates the tables in the commit that argues why. The flawed
-// row also holds its vertex distances unpruned: Appendix B counts that
-// variant's wrong answers on whole access sets.
+// row, the 32x32 grid of BuildFlawed, also holds its vertex distances
+// unpruned: Appendix B counts that variant's wrong answers on whole access
+// sets.
 func TestGoldenDigests(t *testing.T) {
+	options := func(opts tnr.Options) func(*graph.Graph, *ch.Hierarchy) (*tnr.Index, error) {
+		return func(g *graph.Graph, h *ch.Hierarchy) (*tnr.Index, error) { return tnr.Build(g, h, opts) }
+	}
+	flawed := func(g *graph.Graph, h *ch.Hierarchy) (*tnr.Index, error) { return tnr.BuildFlawedIndex(g, h, 32) }
 	for _, variant := range []struct {
-		name string
-		opts tnr.Options
-		want map[string]uint64
+		name  string
+		build func(*graph.Graph, *ch.Hierarchy) (*tnr.Index, error)
+		want  map[string]uint64
 	}{
-		{"32x32", tnr.Options{GridSize: 32}, map[string]uint64{
+		{"32x32", options(tnr.Options{GridSize: 32}), map[string]uint64{
 			"DE":      0xae9885322183e8ad,
 			"NH":      0x2f3de1c6b9c8c576,
 			"messy1":  0x633190b0bfd024db,
@@ -64,7 +69,7 @@ func TestGoldenDigests(t *testing.T) {
 			"messy11": 0x38f9de15f691d1ab,
 			"messy12": 0xfcc43b97464add48,
 		}},
-		{"hybrid", tnr.Options{GridSize: 32, Hybrid: true}, map[string]uint64{
+		{"hybrid", options(tnr.Options{GridSize: 32, Hybrid: true}), map[string]uint64{
 			"DE":      0x0c1c874fc7e256d8,
 			"NH":      0xcfc43174d0e36dc4,
 			"messy1":  0x96a5fd357b7a89d1,
@@ -80,7 +85,7 @@ func TestGoldenDigests(t *testing.T) {
 			"messy11": 0x53b9193f089bbed3,
 			"messy12": 0x447c6edea1798c2b,
 		}},
-		{"flawed", tnr.Options{GridSize: 32, Access: tnr.AccessFlawedBast}, map[string]uint64{
+		{"flawed", flawed, map[string]uint64{
 			"DE":      0x348ae3b34d01d3d3,
 			"NH":      0x58152da61978591b,
 			"messy1":  0xf09e4d74a22413fe,
@@ -99,7 +104,7 @@ func TestGoldenDigests(t *testing.T) {
 	} {
 		t.Run(variant.name, func(t *testing.T) {
 			testutil.GoldenDigests(t, variant.want, func(t *testing.T, g *graph.Graph, witnessLimit int) uint64 {
-				ix, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})), variant.opts)
+				ix, err := variant.build(g, testutil.Must(ch.Build(g, ch.Options{WitnessSettleLimit: witnessLimit})))
 				if err != nil {
 					t.Fatal(err)
 				}

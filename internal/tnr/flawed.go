@@ -23,8 +23,9 @@ import (
 // even though it is a genuine access node. Queries whose shortest path runs
 // through the omitted vertex then return overestimated distances.
 
-// flawedAccessNodes implements Bast et al.'s method for one cell.
-func (w *accessWorker) flawedAccessNodes(cellIdx int32, verts []graph.VertexID) []graph.VertexID {
+// flawedAccessNodes implements Bast et al.'s method for one cell. It
+// samples its own outer boundary, so it leaves the cell's Vout unread.
+func (w *accessWorker) flawedAccessNodes(cellIdx int32, verts, _ []graph.VertexID) []graph.VertexID {
 	sin := w.innerShellVertices(cellIdx)
 	sup := w.outerRingVertices(cellIdx)
 	if len(sin) == 0 || len(sup) == 0 {

@@ -71,21 +71,23 @@ func TestAppendixBFlawedTNRGivesWrongAnswer(t *testing.T) {
 		t.Fatalf("ground truth dist(v1, v6) = %d, want 10 (fixture broken)", want)
 	}
 
-	flawed, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 16, Access: tnr.AccessFlawedBast})
+	h := testutil.Must(ch.Build(g, ch.Options{}))
+	flawed, err := tnr.BuildFlawed(g, h, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flawed.CanAnswerFromTables(v1, v6) {
+	// The grid, and so the locality filter, is that of any index on 16x16.
+	if !testutil.Must(tnr.Build(g, h, tnr.Options{GridSize: 16})).CanAnswerFromTables(v1, v6) {
 		t.Fatal("v1 and v6 should pass the locality filter (fixture broken)")
 	}
-	if got := flawed.NewSearcher().Distance(v1, v6); got == want {
+	if got := flawed(v1, v6); got == want {
 		t.Errorf("flawed TNR answered dist(v1, v6) = %d correctly; the Appendix B defect did not manifest", got)
 	}
 }
 
 func TestAppendixBCorrectedTNRStaysExact(t *testing.T) {
 	g, v1, v6 := figure12b(t)
-	corrected, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 16, Access: tnr.AccessCorrected})
+	corrected, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestFlawedTNRWorksOnBenignNetworks(t *testing.T) {
 	// method is usually correct — that is why the defect survived in the
 	// original paper's implementation. Verify it is not trivially broken.
 	g := testutil.SmallRoad(900, 107)
-	flawed, err := tnr.Build(g, testutil.Must(ch.Build(g, ch.Options{})), tnr.Options{GridSize: 8, Access: tnr.AccessFlawedBast})
+	flawed, err := tnr.BuildFlawed(g, testutil.Must(ch.Build(g, ch.Options{})), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestFlawedTNRWorksOnBenignNetworks(t *testing.T) {
 	pairs := testutil.SamplePairs(g, 200, 67)
 	correct := 0
 	for _, p := range pairs {
-		if flawed.NewSearcher().Distance(p[0], p[1]) == ctx.Distance(p[0], p[1]) {
+		if flawed(p[0], p[1]) == ctx.Distance(p[0], p[1]) {
 			correct++
 		}
 	}

@@ -8,16 +8,6 @@ import (
 	"roadnet/internal/graph"
 )
 
-// walks reports whether a path query is answered by the table walk. Under
-// the flawed Appendix B access computation none is: its tables can be
-// wrong, a lazy walk cannot retract vertices it has yielded, and the
-// first-equality stop of Searcher.dist holds on exact tables only, so that
-// variant's paths come from the fallback, which is exact. (Appendix B is
-// about Distance, which still answers from the flawed tables.)
-func (sr *Searcher) walks(s, t graph.VertexID) bool {
-	return sr.ix.opts.Access == AccessCorrected && sr.ix.CanAnswerFromTables(s, t)
-}
-
 // tailMemo is the target half of Equation 1 on one layer, kept for the one
 // target of a walk: tail[a] = min over t's access nodes b of T[a][b] +
 // d(b, t), filled on first use per access-node index a and valid while
@@ -212,7 +202,7 @@ func (sr *Searcher) OpenPath(ctx context.Context, s, t graph.VertexID) (graph.Pa
 	if err := ctx.Err(); err != nil {
 		return nil, graph.Infinity, err
 	}
-	if !sr.walks(s, t) {
+	if !sr.ix.CanAnswerFromTables(s, t) {
 		sr.countFallback()
 		return sr.chSearch.OpenPath(ctx, s, t)
 	}

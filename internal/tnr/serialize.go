@@ -39,7 +39,6 @@ func (ix *Index) Save(w io.Writer) error {
 	mw.I64(int64(ix.g.NumEdges()))
 	mw.I32(int32(ix.opts.GridSize))
 	mw.U8(boolByte(ix.opts.Hybrid))
-	mw.U8(uint8(ix.opts.Access))
 
 	var chBuf bytes.Buffer
 	if err := ix.hierarchy.Save(&chBuf); err != nil {
@@ -88,7 +87,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	var opts Options
 	opts.GridSize = int(d.I32())
 	opts.Hybrid = d.U8() != 0
-	opts.Access = AccessAlgorithm(d.U8())
 	chFile := d.Nested(0)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tnr: %w", err)
@@ -99,10 +97,6 @@ func IndexFromFlat(f *binio.FlatFile, g *graph.Graph) (*Index, error) {
 	}
 	if opts.GridSize < 1 || opts.GridSize > 1<<14 {
 		return nil, fmt.Errorf("%w: tnr implausible grid size %d", binio.ErrCorrupt, opts.GridSize)
-	}
-	if opts.Access > AccessFlawedBast {
-		return nil, fmt.Errorf("%w: tnr access algorithm %d is not one this reader knows",
-			binio.ErrCorrupt, opts.Access)
 	}
 
 	h, err := ch.HierarchyFromFlat(chFile, g)

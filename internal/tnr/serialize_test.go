@@ -123,64 +123,3 @@ func TestTNRVersionErrors(t *testing.T) {
 		t.Errorf("flat container with version 9: got %v, want binio.ErrVersion", err)
 	}
 }
-
-// TestTNRRejectsUnknownEnumBytes re-saves a valid index's sections through
-// binio.FlatWriter with the access-algorithm byte of the meta blob set to a
-// value no constant declares. The checksums are valid, so only the enum
-// check can refuse the file — and it must, as corrupt: such a byte would
-// silently select a walk-less path query, and Save would write it back.
-func TestTNRRejectsUnknownEnumBytes(t *testing.T) {
-	g := testutil.SmallRoad(400, 821)
-	ix := buildTNR(t, g, tnr.Options{GridSize: 8})
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	f, err := binio.OpenFlat(testutil.TempFile(t, "tnr.idx", data), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	metaOff, metaLen := binary.LittleEndian.Uint64(data[24:]), binary.LittleEndian.Uint64(data[32:])
-	meta := data[metaOff : metaOff+metaLen]
-	// The blob: magic, n and m (i64), grid size (i32), hybrid (u8), then
-	// the access-algorithm byte.
-	const accessAt = len("ROADNET-TNR\n") + 8 + 8 + 4 + 1
-	resave := func(at int, v byte) []byte {
-		mut := bytes.Clone(meta)
-		mut[at] = v
-		fw := binio.NewFlatWriter(tnr.Fourcc)
-		fw.Meta().Magic(string(mut))
-		d := f.Decode(tnr.Fourcc, "ROADNET-TNR\n")
-		for i := 0; i < f.NumSections(); i++ {
-			switch kind, _ := f.SectionInfo(i); kind {
-			case binio.SectionU8:
-				fw.U8Section(d.U8s(i))
-			case binio.SectionI32:
-				fw.I32Section(d.I32s(i))
-			case binio.SectionI64:
-				fw.I64Section(d.I64s(i))
-			default:
-				t.Fatalf("section %d is %s, which a TNR file does not hold", i, kind)
-			}
-		}
-		if err := d.Err(); err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if _, err := fw.WriteTo(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
-
-	if _, err := load(t, resave(accessAt, byte(tnr.AccessFlawedBast)), g); err != nil {
-		t.Fatalf("a re-saved file with a declared access algorithm must load: %v", err)
-	}
-	for _, v := range []byte{2, 255} {
-		if _, err := load(t, resave(accessAt, v), g); !errors.Is(err, binio.ErrCorrupt) {
-			t.Errorf("access byte set to %d: err = %v, want binio.ErrCorrupt", v, err)
-		}
-	}
-}

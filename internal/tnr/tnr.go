@@ -5,8 +5,9 @@
 //     "Remarks" and Appendix B), which derives access nodes from true
 //     shortest paths out of each cell rather than Bast et al.'s flawed
 //     boundary sampling;
-//   - the flawed computation itself (see flawed.go), kept for the Appendix
-//     B reproduction that demonstrates incorrect query results;
+//   - the flawed computation itself (flawed.go), which BuildFlawed turns
+//     into a distance oracle, not an Index, for the Appendix B reproduction
+//     that demonstrates incorrect query results;
 //   - the 128x128-analogue single grid, the finer 256x256 analogue, and
 //     the hybrid two-level grid of Appendix E.1;
 //   - the fallback for local queries the paper recommends, contraction
@@ -50,8 +51,7 @@
 // it need no tail. The vertex the walk just left is not evaluated at all:
 // weights are at least 1, so it cannot be closer to t. Neither changes
 // which neighbor is chosen. The argument holds on exact tables only, which
-// is why an index built with AccessFlawedBast answers path queries from the
-// fallback.
+// is why the flawed tables of BuildFlawed answer distances alone.
 //
 // On NH (GridSize 32, 20.1 access nodes per non-empty cell, 7.33 kept per
 // vertex, see below) the 500 Q10 pairs of workload seed 1 emit 57.79
@@ -82,7 +82,7 @@
 // cells. Arz, Luxen and Sanders (SEA 2013) drop covered access nodes for
 // the same reason. It departs from the paper's per-cell Equation 1 and
 // changes no answer and no path, since the walk picks its next hop from
-// exact distances alone. AccessFlawedBast keeps its sets whole: Appendix B
+// exact distances alone. BuildFlawed keeps its sets whole: Appendix B
 // counts that variant's wrong answers.
 package tnr
 
@@ -96,23 +96,6 @@ import (
 	"roadnet/internal/ch"
 	"roadnet/internal/geom"
 	"roadnet/internal/graph"
-)
-
-// AccessAlgorithm selects how per-cell access nodes are computed.
-type AccessAlgorithm int
-
-const (
-	// AccessCorrected is the paper's corrected method: access nodes are
-	// derived from the true shortest paths from each cell vertex to the
-	// endpoints of outer-shell-crossing edges (§3.3 Remarks). Our variant
-	// additionally covers tied shortest paths, so queries are exact even on
-	// networks with many equal-length paths.
-	AccessCorrected AccessAlgorithm = iota
-	// AccessFlawedBast reproduces the defective method of Bast et al.
-	// analysed in Appendix B. It samples the outer shell ring and misses
-	// access nodes reachable only through edges that jump the ring, which
-	// leads to incorrect query answers. For demonstration only.
-	AccessFlawedBast
 )
 
 // innerRadius and outerRadius are the Chebyshev cell radii of the 5x5 inner
@@ -130,8 +113,6 @@ type Options struct {
 	// Hybrid additionally builds a second grid of 2*GridSize cells per
 	// axis and uses it for mid-range queries, as in Appendix E.1.
 	Hybrid bool
-	// Access selects the access-node computation. Default AccessCorrected.
-	Access AccessAlgorithm
 }
 
 func (o Options) withDefaults() Options {
@@ -337,7 +318,47 @@ func (sr *Searcher) equation1(l *layer, s graph.VertexID, tgt endpointAccess) in
 
 // Build constructs a TNR index over g on h, a contraction hierarchy of g:
 // preprocessing runs its searches on h, and local queries fall back to it.
+// Access nodes come from the paper's corrected method (§3.3 Remarks): the
+// true shortest paths from each cell vertex to the endpoints of the edges
+// crossing its outer shell, tied shortest paths included, so queries are
+// exact even on networks with many equal-length paths. Each vertex then
+// drops its dominated access nodes (see above).
 func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) (*Index, error) {
+	ix, err := build(g, h, opts, (*accessWorker).correctedAccessNodes)
+	if err != nil {
+		return nil, err
+	}
+	pruneDominated(ix.coarse)
+	if ix.fine != nil {
+		pruneDominated(ix.fine)
+	}
+	return ix, nil
+}
+
+// BuildFlawed builds the tables of Bast et al.'s defective access-node
+// method, which the paper analyses in Appendix B, on one gridSize x
+// gridSize grid over g and h, and returns their distance oracle: Equation 1
+// for pairs beyond each other's outer shells, h for the rest. The method
+// samples the outer shell's ring and misses access nodes reachable only
+// through edges that jump it (flawed.go), so some far answers are too
+// long. No access node is dropped as dominated. The oracle holds one
+// Searcher and is not safe for concurrent use; there is no Index to save,
+// serve or walk a path with.
+func BuildFlawed(g *graph.Graph, h *ch.Hierarchy, gridSize int) (func(s, t graph.VertexID) int64, error) {
+	ix, err := buildFlawed(g, h, gridSize)
+	if err != nil {
+		return nil, err
+	}
+	return ix.NewSearcher().Distance, nil
+}
+
+func buildFlawed(g *graph.Graph, h *ch.Hierarchy, gridSize int) (*Index, error) {
+	return build(g, h, Options{GridSize: gridSize}, (*accessWorker).flawedAccessNodes)
+}
+
+// build constructs the layers opts asks for, with access nodes from rule
+// and no dominated node dropped.
+func build(g *graph.Graph, h *ch.Hierarchy, opts Options, rule accessRule) (*Index, error) {
 	opts = opts.withDefaults()
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("tnr: empty graph")
@@ -348,12 +369,12 @@ func Build(g *graph.Graph, h *ch.Hierarchy, opts Options) (*Index, error) {
 		hierarchy: h,
 	}
 	var err error
-	ix.coarse, err = buildLayer(g, h, opts.GridSize, opts.Access, true)
+	ix.coarse, err = buildLayer(g, h, opts.GridSize, rule, true)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Hybrid {
-		ix.fine, err = buildLayer(g, h, opts.GridSize*2, opts.Access, false)
+		ix.fine, err = buildLayer(g, h, opts.GridSize*2, rule, false)
 		if err != nil {
 			return nil, err
 		}
@@ -404,9 +425,6 @@ func (ix *Index) tableLayer(s, t graph.VertexID) *layer {
 func (ix *Index) CanAnswerFromTables(s, t graph.VertexID) bool {
 	return ix.tableLayer(s, t) != nil
 }
-
-// Access returns the access-node computation the index was built with.
-func (ix *Index) Access() AccessAlgorithm { return ix.opts.Access }
 
 // Hierarchy returns the contraction hierarchy used for preprocessing and
 // for local queries.

@@ -224,8 +224,8 @@ type Stats = core.Stats
 // for every method.
 type Config = core.Config
 
-// TNROptions tunes the TNR grid and access-node algorithm, the one
-// technique whose options Config carries.
+// TNROptions tunes the TNR grid (its size and the hybrid second grid), the
+// one technique whose options Config carries.
 type TNROptions = tnr.Options
 
 // NewIndex builds the index of the chosen method over g.
